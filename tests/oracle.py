@@ -144,3 +144,166 @@ def aybe_oracle(algebra, r):
                 if prod[w]:
                     out[u][s][w] = out[u][s][w] + coeff * prod[w]
     return out
+
+
+# ---------------------------------------------------------------------------
+# identity checkers, one basis tuple at a time
+#
+# Each evaluator returns None when the identity holds, else the
+# lexicographically first failing index tuple with both sides there.
+
+def _vec_mat(vec, mat, field):
+    """Row vector times matrix, as a list."""
+    return [sum((vec[a] * mat[a][b] for a in range(len(vec))), start=field.zero)
+            for b in range(len(mat[0]))]
+
+
+def _bilinear(t, u, v, field):
+    """sum_ab u[a] v[b] t[a][b][:] for an (n, m, k) tensor t."""
+    n, m, k = t.shape
+    return [sum((u[a] * v[b] * t[a, b, l] for a in range(n) for b in range(m)),
+                start=field.zero) for l in range(k)]
+
+
+def _add(*vecs):
+    return [sum(col[1:], start=col[0]) for col in zip(*vecs)]
+
+
+def _neg(vec):
+    return [-x for x in vec]
+
+
+def oracle_operator(field, c, left, right, p, phi=None):
+    """GRB (phi None) or TRB: p(m)p(n) = p(p(m).n + m.p(n) [+ phi(p(m), p(n))])
+    on basis pairs (i, j) of M; sides are vectors in A."""
+    dM = p.shape[0]
+    for i in range(dM):
+        for j in range(dM):
+            pm, pn = list(p[i]), list(p[j])
+            m = [field.one if s == i else field.zero for s in range(dM)]
+            n = [field.one if s == j else field.zero for s in range(dM)]
+            lhs = _bilinear(c, pm, pn, field)
+            inner = _add(_bilinear(left, pm, n, field),
+                         _bilinear(right, m, pn, field))
+            if phi is not None:
+                inner = _add(inner, _bilinear(phi, pm, pn, field))
+            rhs = _vec_mat(inner, p, field)
+            if lhs != rhs:
+                return (i, j), lhs, rhs
+    return None
+
+
+def oracle_reynolds(field, c, r):
+    """R(a)R(b) = R(R(a)b + aR(b)) - R(R(a)R(b)) on basis pairs."""
+    d = r.shape[0]
+    for i in range(d):
+        for j in range(d):
+            a = [field.one if s == i else field.zero for s in range(d)]
+            b = [field.one if s == j else field.zero for s in range(d)]
+            ra, rb = list(r[i]), list(r[j])
+            lhs = _bilinear(c, ra, rb, field)
+            rhs = _add(_vec_mat(_add(_bilinear(c, ra, b, field),
+                                     _bilinear(c, a, rb, field)), r, field),
+                       _neg(_vec_mat(lhs, r, field)))
+            if lhs != rhs:
+                return (i, j), lhs, rhs
+    return None
+
+
+def oracle_nijenhuis(field, c, n):
+    """N(a)N(b) = N(N(a)b + aN(b)) - N(N(ab)) on basis pairs."""
+    d = n.shape[0]
+    for i in range(d):
+        for j in range(d):
+            a = [field.one if s == i else field.zero for s in range(d)]
+            b = [field.one if s == j else field.zero for s in range(d)]
+            na, nb = list(n[i]), list(n[j])
+            lhs = _bilinear(c, na, nb, field)
+            ab = _bilinear(c, a, b, field)
+            rhs = _add(_vec_mat(_add(_bilinear(c, na, b, field),
+                                     _bilinear(c, a, nb, field)), n, field),
+                       _neg(_vec_mat(_vec_mat(ab, n, field), n, field)))
+            if lhs != rhs:
+                return (i, j), lhs, rhs
+    return None
+
+
+def oracle_assoc(field, c):
+    """(e_i e_j) e_k = e_i (e_j e_k), coefficient l; scalar sides."""
+    d = c.shape[0]
+    for i, j, k, l in product(range(d), repeat=4):
+        lhs = sum((c[i, j, m] * c[m, k, l] for m in range(d)), start=field.zero)
+        rhs = sum((c[j, k, m] * c[i, m, l] for m in range(d)), start=field.zero)
+        if lhs != rhs:
+            return (i, j, k, l), lhs, rhs
+    return None
+
+
+BIMODULE_AXIOMS = ("(ab).m != a.(b.m)", "m.(ab) != (m.a).b",
+                   "(a.m).b != a.(m.b)")
+
+
+def oracle_bimodule(field, c, left, right):
+    """The three bimodule axioms on (i, j, k), axiom by axiom, then
+    coefficient l; returns ((axiom, i, j, k, l), detail)."""
+    dA, dM = c.shape[0], left.shape[1]
+    for i, j, k in product(range(dA), range(dA), range(dM)):
+        for axiom in range(3):
+            for l in range(dM):
+                if axiom == 0:
+                    lhs = sum((c[i, j, s] * left[s, k, l] for s in range(dA)),
+                              start=field.zero)
+                    rhs = sum((left[j, k, t] * left[i, t, l] for t in range(dM)),
+                              start=field.zero)
+                elif axiom == 1:
+                    lhs = sum((c[i, j, s] * right[k, s, l] for s in range(dA)),
+                              start=field.zero)
+                    rhs = sum((right[k, i, t] * right[t, j, l] for t in range(dM)),
+                              start=field.zero)
+                else:
+                    lhs = sum((left[i, k, t] * right[t, j, l] for t in range(dM)),
+                              start=field.zero)
+                    rhs = sum((right[k, j, t] * left[i, t, l] for t in range(dM)),
+                              start=field.zero)
+                if lhs != rhs:
+                    return (axiom, i, j, k, l), BIMODULE_AXIOMS[axiom]
+    return None
+
+
+def oracle_dendriform(field, succ, prec, vee=None):
+    """Every violated dendriform (vee None: d1-d3) or NS (t1-t4) axiom with
+    its first failing triple: a list of (name, (i, j, k), lhs, rhs) in
+    axiom order; t4 is a residual against zero, with rhs None."""
+    d = succ.shape[0]
+    zero = field.zero
+
+    def prod(t, x, y):
+        return _bilinear(t, x, y, field)
+
+    def total(x, y):
+        parts = [prod(succ, x, y), prod(prec, x, y)]
+        if vee is not None:
+            parts.append(prod(vee, x, y))
+        return _add(*parts)
+
+    names = ("d1", "d2", "d3") if vee is None else ("t1", "t2", "t3", "t4")
+    found = {}
+    for i, j, k in product(range(d), repeat=3):
+        x, y, z = ([field.one if s == t else zero for s in range(d)]
+                   for t in (i, j, k))
+        sides = [
+            (prod(prec, prod(prec, x, y), z), prod(prec, x, total(y, z))),
+            (prod(prec, prod(succ, x, y), z), prod(succ, x, prod(prec, y, z))),
+            (prod(succ, x, prod(succ, y, z)), prod(succ, total(x, y), z)),
+        ]
+        if vee is not None:
+            resid = _add(prod(succ, x, prod(vee, y, z)),
+                         _neg(prod(vee, total(x, y), z)),
+                         prod(vee, x, total(y, z)),
+                         _neg(prod(prec, prod(vee, x, y), z)))
+            sides.append((resid, None))
+        for name, (lhs, rhs) in zip(names, sides):
+            bad = any(lhs) if rhs is None else lhs != rhs
+            if bad and name not in found:
+                found[name] = (name, (i, j, k), lhs, rhs)
+    return [found[name] for name in names if name in found]
