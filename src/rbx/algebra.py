@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import Span, first_nonzero_index, is_zero, rank, row_reduce, zeros
+from .linalg import (Span, first_difference, first_nonzero_index, identity,
+                     pullback, rank, row_reduce, tensors_equal, zeros)
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,20 @@ class Verdict:
     def __bool__(self):
         return self.ok
 
+    @classmethod
+    def compare(cls, lhs, rhs, k, detail=""):
+        """Verdict on lhs == rhs, with the first differing index over the
+        leading k axes as the witness and the two sides sliced there.
+        rhs=None compares a residual lhs with zero and reports no rhs."""
+        if rhs is None:
+            idx = first_nonzero_index(lhs, k)
+        else:
+            idx = first_difference(lhs, rhs, k)
+        if idx is None:
+            return cls(True)
+        return cls(False, idx, lhs=lhs[idx],
+                   rhs=None if rhs is None else rhs[idx], detail=detail)
+
 
 def assoc_check(c) -> Verdict:
     """Associativity of a structure-constant tensor on all basis triples.
@@ -46,20 +61,10 @@ def assoc_check(c) -> Verdict:
     c = np.asarray(c, dtype=object)
     if c.ndim != 3 or len(set(c.shape)) != 1:
         raise InputError(f"structure constants must be cubic, got shape {c.shape}")
-    d = c.shape[0]
-    for i in range(d):
-        for j in range(d):
-            left = np.dot(c[i, j], c.reshape(d, d * d)).reshape(d, d)
-            # left[k] = (e_i e_j) e_k ; right[k] = e_i (e_j e_k)
-            right = np.dot(c[j], c[i])
-            for k in range(d):
-                diff = left[k] - right[k]
-                for l in range(d):
-                    if bool(diff[l]):
-                        return Verdict(False, (i, j, k, l),
-                                       lhs=left[k][l], rhs=right[k][l],
-                                       detail="associativity fails")
-    return Verdict(True)
+    # [i,j,k,l]: (e_i e_j) e_k and e_i (e_j e_k)
+    left = np.tensordot(c, c, axes=([2], [0]))
+    right = np.tensordot(c, c, axes=([1], [2])).transpose(0, 2, 3, 1)
+    return Verdict.compare(left, right, 4, detail="associativity fails")
 
 
 class Algebra:
@@ -96,37 +101,26 @@ class Algebra:
 
     def unit(self):
         """Coordinates of the unit element, or None if non-unital."""
-        d = self.dim
-        rows = []
-        rhs = []
-        for j in range(d):
-            for k in range(d):
-                rows.append([self.c[i, j, k] for i in range(d)])
-                rhs.append(self.field.one if j == k else self.field.zero)
-                rows.append([self.c[j, i, k] for i in range(d)])
-                rhs.append(self.field.one if j == k else self.field.zero)
-        aug = np.array([row + [b] for row, b in zip(rows, rhs)], dtype=object)
-        rref, pivots = row_reduce(aug)
+        d, c = self.dim, self.c
+        one = identity(d, self.field)
+        # u e_j = e_j and e_j u = e_j, one row per (j, k) coefficient
+        rows = np.concatenate([c.reshape(d, d * d).T,
+                               c.transpose(0, 2, 1).reshape(d * d, d)])
+        rhs = np.concatenate([one.reshape(-1), one.reshape(-1)])
+        rref, pivots = row_reduce(np.column_stack([rows, rhs]))
         if d in pivots:
             return None
         sol = zeros(d, self.field)
-        for r, c_ in enumerate(pivots):
-            sol[c_] = rref[r, d]
+        sol[pivots] = rref[:len(pivots), d]
         # the system may be underdetermined only if the unit is non-unique,
         # which cannot happen; verify the candidate anyway
-        for j in range(d):
-            ej = self.basis(j)
-            if not (tensors_equal_vec(self.mul(sol, ej), ej)
-                    and tensors_equal_vec(self.mul(ej, sol), ej)):
-                return None
+        if not (tensors_equal(np.tensordot(sol, c, axes=([0], [0])), one)
+                and tensors_equal(np.tensordot(sol, c, axes=([0], [1])), one)):
+            return None
         return sol
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, field={self.field.name})"
-
-
-def tensors_equal_vec(a, b):
-    return is_zero(np.asarray(a, dtype=object) - np.asarray(b, dtype=object))
 
 
 class Bimodule:
@@ -183,17 +177,10 @@ def canonical_bimodule(algebra: Algebra) -> Bimodule:
 
 
 def dual_module(algebra: Algebra) -> Bimodule:
-    """The dual space A* with (a.f)(b) = f(ba) and (f.a)(b) = f(ab)."""
-    d = algebra.dim
+    """The dual space A* with (a.f)(b) = f(ba) and (f.a)(b) = f(ab):
+    left[s, i, j] = c[j, s, i] and right[i, s, j] = c[s, j, i]."""
     c = algebra.c
-    left = zeros((d, d, d), algebra.field)
-    right = zeros((d, d, d), algebra.field)
-    for s in range(d):
-        for i in range(d):
-            for j in range(d):
-                left[s, i, j] = c[j, s, i]
-                right[i, s, j] = c[s, j, i]
-    return Bimodule(algebra, left, right,
+    return Bimodule(algebra, c.transpose(1, 2, 0), c.transpose(2, 0, 1),
                     labels=[f"{l}*" for l in algebra.labels], check=False)
 
 
@@ -201,36 +188,30 @@ def bimodule_check(algebra: Algebra, module: Bimodule) -> Verdict:
     """The three bimodule axioms on all basis triples.
 
     Axioms: (ab).m = a.(b.m); m.(ab) = (m.a).b; (a.m).b = a.(m.b).
-    Witness is (axiom_index, i, j, k, l) for the first failure.
+    Witness is (axiom_index, i, j, k, l) for the first failure, ordered
+    by (i, j, k) first and axiom second.
     """
     if module.base is not algebra and module.base.dim != algebra.dim:
         raise InputError("module is not over the given algebra")
-    dA, dM = algebra.dim, module.dim
-    for i in range(dA):
-        a = algebra.basis(i)
-        for j in range(dA):
-            b = algebra.basis(j)
-            ab = algebra.mul(a, b)
-            for k in range(dM):
-                m = module.basis(k)
-                diff1 = module.act_left(ab, m) - module.act_left(a, module.act_left(b, m))
-                bad = first_nonzero_index(diff1)
-                if bad is not None:
-                    return Verdict(False, (0, i, j, k, bad[0]),
-                                   detail="(ab).m != a.(b.m)")
-                diff2 = module.act_right(m, algebra.mul(a, b)) - \
-                    module.act_right(module.act_right(m, a), b)
-                bad = first_nonzero_index(diff2)
-                if bad is not None:
-                    return Verdict(False, (1, i, j, k, bad[0]),
-                                   detail="m.(ab) != (m.a).b")
-                diff3 = module.act_right(module.act_left(a, m), b) - \
-                    module.act_left(a, module.act_right(m, b))
-                bad = first_nonzero_index(diff3)
-                if bad is not None:
-                    return Verdict(False, (2, i, j, k, bad[0]),
-                                   detail="(a.m).b != a.(m.b)")
-    return Verdict(True)
+    c, L, R = algebra.c, module.left, module.right
+    # each side as [i, j, k, l]: a = e_i, b = e_j, m = m_k, coefficient l
+    lhs = np.stack([np.tensordot(c, L, axes=([2], [0])),
+                    np.tensordot(c, R, axes=([2], [1])),
+                    np.tensordot(L, R, axes=([2], [0])).transpose(0, 2, 1, 3)],
+                   axis=3)
+    rhs = np.stack([np.tensordot(L, L, axes=([2], [1])).transpose(2, 0, 1, 3),
+                    np.tensordot(R, R, axes=([2], [0])).transpose(1, 2, 0, 3),
+                    np.tensordot(R, L, axes=([2], [1])).transpose(2, 1, 0, 3)],
+                   axis=3)
+    bad = first_difference(lhs, rhs, 5)
+    if bad is None:
+        return Verdict(True)
+    i, j, k, axiom, l = bad
+    return Verdict(False, (axiom, i, j, k, l), detail=_BIMODULE_AXIOMS[axiom])
+
+
+_BIMODULE_AXIOMS = ("(ab).m != a.(b.m)", "m.(ab) != (m.a).b",
+                    "(a.m).b != a.(m.b)")
 
 
 def extension_product(algebra: Algebra, module: Bimodule, cocycle_tensor=None):
@@ -294,14 +275,13 @@ def subspace_closed(algebra: Algebra, basis_vectors) -> Verdict:
     span = Span(vecs)
     if span.rank != len(vecs):
         raise InputError("basis vectors are linearly dependent")
-    for i, u in enumerate(vecs):
-        for j, v in enumerate(vecs):
-            prod = algebra.mul(u, v)
-            residual = span.reduce(prod)
-            if not is_zero(residual):
-                return Verdict(False, (i, j), lhs=prod, rhs=residual,
-                               detail="product escapes the span")
-    return Verdict(True)
+    prods = pullback(algebra.c, np.array(vecs))
+    residuals = span.reduce(prods)
+    bad = first_nonzero_index(residuals, 2)
+    if bad is None:
+        return Verdict(True)
+    return Verdict(False, bad, lhs=prods[bad], rhs=residuals[bad],
+                   detail="product escapes the span")
 
 
 def intertwiner_check(T, P, Q) -> Verdict:
@@ -319,14 +299,5 @@ def intertwiner_check(T, P, Q) -> Verdict:
     qt = Q.tensor if hasattr(Q, "tensor") else np.asarray(Q, dtype=object)
     if pt.shape != (d, d, d) or qt.shape != (d, d, d):
         raise InputError("P and Q must be arity-2 maps on the same space")
-    for i in range(d):
-        ti = mat[i]
-        for j in range(d):
-            tj = mat[j]
-            lhs = np.dot(pt[i, j], mat)
-            rhs = np.dot(np.dot(ti, qt.reshape(d, -1)).reshape(d, d).T, tj)
-            diff = lhs - rhs
-            bad = first_nonzero_index(diff)
-            if bad is not None:
-                return Verdict(False, (i, j, bad[0]), lhs=lhs[bad[0]], rhs=rhs[bad[0]])
-    return Verdict(True)
+    return Verdict.compare(np.tensordot(pt, mat, axes=([2], [0])),
+                           pullback(qt, mat), 3)

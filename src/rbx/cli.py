@@ -23,7 +23,6 @@ from .errors import InputError, RbxError
 from .flows import addexp_check, exp_flow
 from .gerstenhaber import MultiMap, g_bracket
 from .instances import CATALOG, TruncatedInstance
-from .linalg import first_nonzero_index
 from .operators import (LinearMap, OperatorInstance, aybe_residual, is_grb,
                         is_nijenhuis, is_reynolds, is_trb, search_operators,
                         structure_residual)
@@ -237,10 +236,8 @@ def cmd_residual(args):
     res = structure_residual(inst)
     labels = _ext_labels(inst)
     lines = _tensor_listing(doc.field, res.tensor, labels)
-    bad = first_nonzero_index(res.tensor)
-    verdict = Verdict(bad is None, bad,
-                      lhs=None if bad is None else res.tensor[bad],
-                      detail="" if bad is None else "structure residual is nonzero")
+    verdict = Verdict.compare(res.tensor, None, res.tensor.ndim,
+                              detail="structure residual is nonzero")
     return _verdict_report("residual", doc.field, verdict, digest,
                            extra={"residual": lines})
 
@@ -325,7 +322,12 @@ def cmd_search(args):
     cocycle = schema.cochain_object(doc, args.phi) if args.phi else None
     budget = args.budget
     if budget is None and os.environ.get("RBX_BUDGET"):
-        budget = int(os.environ["RBX_BUDGET"])
+        raw = os.environ["RBX_BUDGET"]
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise InputError(
+                f"RBX_BUDGET must be a positive integer, got {raw!r}") from None
     sols = search_operators(doc.algebra, module, args.kind,
                             cocycle=cocycle, budget=budget)
     fmt = [schema.format_tensor(doc.field, s) for s in sols]
@@ -352,13 +354,10 @@ def cmd_aybe(args):
     doc, digest = _document(args)
     r = schema.named_map(doc, args.r)
     res = aybe_residual(doc.algebra, r)
-    bad = first_nonzero_index(res)
-    verdict = Verdict(bad is None, bad,
-                      lhs=None if bad is None else res[bad],
-                      detail="" if bad is None else
-                      "associative Yang-Baxter residual is nonzero")
+    verdict = Verdict.compare(res, None, 3,
+                              detail="associative Yang-Baxter residual is nonzero")
     lines = _tensor_listing(doc.field, res, doc.algebra.labels) \
-        if bad is not None else ["0 (solution)"]
+        if not verdict else ["0 (solution)"]
     return _verdict_report("aybe", doc.field, verdict, digest,
                            extra={"residual": lines})
 

@@ -18,9 +18,8 @@ import numpy as np
 
 from .algebra import Algebra, Bimodule, Verdict
 from .errors import CapacityError, InputError
-from .linalg import first_nonzero_index, is_zero, zeros
-
-ARITY_CAP = 4
+from .gerstenhaber import ARITY_CAP
+from .linalg import apply_multilinear, is_zero, zeros
 
 
 class Cochain:
@@ -43,10 +42,7 @@ class Cochain:
         if len(vectors) != self.arity:
             raise InputError(f"cochain of arity {self.arity} applied to "
                              f"{len(vectors)} arguments")
-        t = self.tensor
-        for v in vectors:
-            t = np.tensordot(np.asarray(v, dtype=object), t, axes=([0], [0]))
-        return t
+        return apply_multilinear(self.tensor, vectors)
 
     def __add__(self, other):
         return Cochain(self.algebra, self.module, self.tensor + other.tensor)
@@ -100,12 +96,9 @@ def coboundary(cochain: Cochain) -> Cochain:
 def is_cocycle(cochain: Cochain) -> Verdict:
     """True iff the coboundary vanishes; witness is the first nonzero
     coefficient index of d(cochain)."""
-    d = coboundary(cochain)
-    bad = first_nonzero_index(d.tensor)
-    if bad is None:
-        return Verdict(True)
-    return Verdict(False, bad, lhs=d.tensor[bad], rhs=cochain.algebra.field.zero,
-                   detail="coboundary does not vanish")
+    d = coboundary(cochain).tensor
+    return Verdict.compare(d, zeros(d.shape, cochain.algebra.field), d.ndim,
+                           detail="coboundary does not vanish")
 
 
 def zero_cochain(algebra: Algebra, module: Bimodule, arity: int) -> Cochain:

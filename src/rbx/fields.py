@@ -83,11 +83,12 @@ class FpElement:
         if isinstance(other, FpElement):
             return self.p == other.p and self.val == other.val
         if isinstance(other, int):
-            return self.val == other % self.p
+            return self.val == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.val, self.p))
+        # equal to an int exactly when its canonical value is, so hash alike
+        return hash(self.val)
 
     def __bool__(self):
         return self.val != 0
@@ -165,9 +166,12 @@ class RationalField:
 
 
 class PrimeField:
-    """The field F_p for a small prime p."""
+    """The field F_p for a prime p below 2^31."""
 
     def __init__(self, p):
+        # the bound keeps trial division under 46,341 steps
+        if isinstance(p, int) and p >= 2 ** 31:
+            raise InputError(f"F_p needs a prime modulus below 2^31, got {p}")
         if not isinstance(p, int) or not _is_prime(p):
             raise InputError(f"F_p needs a prime modulus, got {p!r}")
         self.p = p
@@ -240,10 +244,3 @@ def field_to_name(field):
     if field.char == 0:
         return "Q"
     return {"Fp": field.char}
-
-
-def require_characteristic(field, forbidden, what):
-    """Refuse fields whose characteristic is in `forbidden`."""
-    if field.char in forbidden:
-        raise CharacteristicError(
-            f"{what} is not defined in characteristic {field.char}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .linalg import is_zero, zeros
+from .linalg import apply_multilinear, is_zero, zeros
 
 ARITY_CAP = 4
 
@@ -43,10 +43,7 @@ class MultiMap:
     def __call__(self, *vectors):
         if len(vectors) != self.arity:
             raise InputError(f"arity-{self.arity} map applied to {len(vectors)} vectors")
-        t = self.tensor
-        for v in vectors:
-            t = np.tensordot(np.asarray(v, dtype=object), t, axes=([0], [0]))
-        return t
+        return apply_multilinear(self.tensor, vectors)
 
     def __add__(self, other):
         self._compatible(other)
@@ -75,17 +72,6 @@ class MultiMap:
 
 def zero_map(field, dim, arity):
     return MultiMap(field, zeros((dim,) * arity + (dim,), field))
-
-
-def identity_map(field, dim):
-    from .linalg import identity
-
-    return MultiMap(field, identity(dim, field))
-
-
-def from_linear_map(field, matrix):
-    """Arity-1 MultiMap from an endomorphism matrix (row convention)."""
-    return MultiMap(field, np.asarray(matrix, dtype=object))
 
 
 def from_algebra(algebra):

@@ -14,7 +14,7 @@ from .algebra import Algebra, Bimodule, canonical_bimodule
 from .cochains import Cochain, coboundary
 from .errors import CapacityError, CharacteristicError, InputError
 from .fields import QQ
-from .linalg import invert, is_zero, rank, zeros
+from .linalg import first_difference, identity, invert, is_zero, rank, zeros
 from .operators import LinearMap, OperatorInstance, reynolds_as_twisted
 from .weyl import WeylPoly
 
@@ -64,31 +64,16 @@ def mult_by_x_instance(field) -> OperatorInstance:
 def tensor_square(algebra: Algebra) -> OperatorInstance:
     """The multiplication A (x) A -> A as a twisted operator with twist
     phi(a, b) = -a (x) b."""
-    d = algebra.dim
-    field = algebra.field
-    dm = d * d
-
-    def idx(u, v):
-        return u * d + v
-
-    left = zeros((d, dm, dm), field)
-    right = zeros((dm, d, dm), field)
-    for a in range(d):
-        for u in range(d):
-            for v in range(d):
-                for w in range(d):
-                    left[a, idx(u, v), idx(w, v)] += algebra.c[a, u, w]
-                    right[idx(u, v), a, idx(u, w)] += algebra.c[v, a, w]
+    d, c = algebra.dim, algebra.c
+    one = identity(d, algebra.field)
+    # basis e_u (x) e_v at u * d + v: a.(u (x) v) = au (x) v and
+    # (u (x) v).a = u (x) va
+    left = np.multiply.outer(c, one).transpose(0, 1, 3, 2, 4).reshape(d, d * d, d * d)
+    right = np.multiply.outer(one, c).transpose(0, 2, 3, 1, 4).reshape(d * d, d, d * d)
     labels = [f"{p}(x){q}" for p in algebra.labels for q in algebra.labels]
     module = Bimodule(algebra, left, right, labels=labels)
-    mu = zeros((dm, d), field)
-    for u in range(d):
-        for v in range(d):
-            mu[idx(u, v)] = algebra.c[u, v]
-    phi = zeros((d, d, dm), field)
-    for a in range(d):
-        for b in range(d):
-            phi[a, b, idx(a, b)] = -field.one
+    mu = c.reshape(d * d, d).copy()
+    phi = -identity(d * d, algebra.field).reshape(d, d, d * d)
     return OperatorInstance(algebra, module, LinearMap(mu, "A(x)A", "A"),
                             Cochain(algebra, module, phi))
 
@@ -106,19 +91,22 @@ def unit_section(algebra: Algebra, module: Bimodule, f: LinearMap, e) -> Operato
         raise InputError("f(e) is not the unit")
     if rank(f.matrix) != algebra.dim:
         raise InputError("f is not surjective")
-    for i in range(algebra.dim):
-        a = algebra.basis(i)
-        for j in range(module.dim):
-            m = module.basis(j)
-            if not is_zero(f(module.act_left(a, m)) - algebra.mul(a, f(m))):
-                raise InputError(f"f is not left A-linear at basis pair ({i},{j})")
-            if not is_zero(f(module.act_right(m, a)) - algebra.mul(f(m), a)):
-                raise InputError(f"f is not right A-linear at basis pair ({i},{j})")
-    phi = zeros((algebra.dim, algebra.dim, module.dim), algebra.field)
-    for i in range(algebra.dim):
-        ae = module.act_left(algebra.basis(i), e)
-        for j in range(algebra.dim):
-            phi[i, j] = -module.act_right(ae, algebra.basis(j))
+    F, c = f.matrix, algebra.c
+    # [i, j, side, l] for a = e_i and m = m_j: f(a.m) vs a f(m), then
+    # f(m.a) vs f(m) a
+    lhs = np.stack([np.tensordot(module.left, F, axes=([2], [0])),
+                    np.tensordot(module.right, F, axes=([2], [0])).transpose(1, 0, 2)],
+                   axis=2)
+    rhs = np.stack([np.tensordot(c, F, axes=([1], [1])).transpose(0, 2, 1),
+                    np.tensordot(F, c, axes=([1], [0])).transpose(1, 0, 2)],
+                   axis=2)
+    bad = first_difference(lhs, rhs, 3)
+    if bad is not None:
+        side = ("left", "right")[bad[2]]
+        raise InputError(f"f is not {side} A-linear at basis pair ({bad[0]},{bad[1]})")
+    # phi[i, j] = -(e_i . e) . e_j
+    ae = np.tensordot(module.left, e, axes=([1], [0]))
+    phi = -np.tensordot(ae, module.right, axes=([1], [0]))
     return OperatorInstance(algebra, module, f, Cochain(algebra, module, phi))
 
 
@@ -128,7 +116,7 @@ def invertible_cochain_instance(algebra: Algebra, module: Bimodule,
     p = w^{-1}: M -> A with twist -dw."""
     if omega.matrix.shape != (algebra.dim, module.dim):
         raise InputError("the 1-cochain must map A to M")
-    pi_matrix = invert(omega.matrix)
+    pi_matrix = invert(omega.matrix, algebra.field)
     phi = -coboundary(Cochain(algebra, module, omega.matrix)).tensor
     return OperatorInstance(algebra, module, LinearMap(pi_matrix, "M", "A"),
                             Cochain(algebra, module, phi))
@@ -147,8 +135,6 @@ def swap_instance(field) -> OperatorInstance:
 def reynolds_identity_instance(field) -> OperatorInstance:
     """R = id on k[x]/(x^2) viewed as a twisted operator (twist -mu)."""
     A = kx2(field)
-    from .linalg import identity
-
     return reynolds_as_twisted(A, LinearMap(identity(2, field), "A", "A"))
 
 

@@ -3,6 +3,11 @@
 Tensors hold Fraction or FpElement entries; numpy supplies shape
 bookkeeping and object-dtype contraction (tensordot dispatches to the
 scalars' __mul__/__add__), so every result stays exact.
+
+Every identity rbx decides is a residual of two contractions: the two
+sides are computed as tensors over all basis tuples at once, and
+`first_difference` finds the witness, the first index in C order (that
+is, lexicographic order) at which the sides differ.
 """
 
 from __future__ import annotations
@@ -25,17 +30,6 @@ def identity(n, field):
     return arr
 
 
-def as_tensor(entries, field, shape=None):
-    """Nested lists of raw schema scalars -> object ndarray over `field`."""
-    arr = np.array(
-        [field.parse(v) for v in np.asarray(entries, dtype=object).flat],
-        dtype=object,
-    ).reshape(np.asarray(entries, dtype=object).shape)
-    if shape is not None and arr.shape != tuple(shape):
-        raise InputError(f"expected tensor of shape {tuple(shape)}, got {arr.shape}")
-    return arr
-
-
 def is_zero(arr):
     return all(not bool(x) for x in np.asarray(arr, dtype=object).flat)
 
@@ -46,12 +40,38 @@ def tensors_equal(a, b):
     return a.shape == b.shape and is_zero(a - b)
 
 
-def first_nonzero_index(arr):
-    """Lexicographically first index with a nonzero entry, or None."""
-    for idx in np.ndindex(arr.shape):
-        if bool(arr[idx]):
-            return idx
-    return None
+def first_nonzero_index(arr, k=None):
+    """Lexicographically first index over the leading `k` axes (default:
+    all) at which `arr` has a nonzero entry, or None."""
+    hits = np.asarray(arr, dtype=object).astype(bool)
+    if k is not None:
+        hits = hits.any(axis=tuple(range(k, hits.ndim)))
+    flat = np.flatnonzero(hits)
+    if flat.size == 0:
+        return None
+    return tuple(int(i) for i in np.unravel_index(flat[0], hits.shape))
+
+
+def first_difference(lhs, rhs, k):
+    """Lexicographically first index over the leading `k` axes at which
+    the tensors `lhs` and `rhs` differ, or None."""
+    return first_nonzero_index(lhs - rhs, k)
+
+
+def pullback(t, m, n=None):
+    """t(m_i, n_j) for every row i of m and row j of n (default: m):
+    out[i, j] = sum_ab m[i, a] n[j, b] t[a, b] for an arity-2 tensor t."""
+    inner = np.tensordot(m, t, axes=([1], [0]))
+    return np.tensordot(m if n is None else n, inner,
+                        axes=([1], [1])).transpose(1, 0, 2)
+
+
+def apply_multilinear(tensor, vectors):
+    """Value of a multilinear map on coordinate vectors, one input axis
+    contracted per vector."""
+    for v in vectors:
+        tensor = np.tensordot(np.asarray(v, dtype=object), tensor, axes=([0], [0]))
+    return tensor
 
 
 def apply_matrix(vec, matrix):
@@ -91,28 +111,17 @@ def rank(matrix):
     return len(row_reduce(matrix)[1])
 
 
-def invert(matrix):
+def invert(matrix, field):
     """Exact inverse of a square matrix; raises InputError if singular."""
     matrix = np.asarray(matrix, dtype=object)
     n, m = matrix.shape
     if n != m:
         raise InputError(f"cannot invert a {n}x{m} matrix")
-    aug = np.concatenate([matrix, identity(n, _field_of(matrix))], axis=1)
+    aug = np.concatenate([matrix, identity(n, field)], axis=1)
     rref, pivots = row_reduce(aug)
     if pivots[:n] != list(range(n)):
         raise InputError("matrix is singular")
     return rref[:, n:]
-
-
-def _field_of(arr):
-    """Recover the scalar field from a tensor's entries."""
-    from .fields import FpElement, PrimeField, QQ
-
-    for x in arr.flat:
-        if isinstance(x, FpElement):
-            return PrimeField(x.p)
-        return QQ
-    raise InputError("cannot infer field of an empty tensor")
 
 
 class Span:
@@ -120,17 +129,13 @@ class Span:
 
     def __init__(self, vectors):
         mat = np.array([np.asarray(v, dtype=object) for v in vectors], dtype=object)
-        self.dim_ambient = mat.shape[1]
         self.rref, self.pivots = row_reduce(mat)
         self.rank = len(self.pivots)
 
-    def reduce(self, vec):
-        """Residual of `vec` after elimination against the span basis."""
-        v = np.array(vec, dtype=object, copy=True)
+    def reduce(self, vecs):
+        """Residual of each vector (the last axis of `vecs`) after
+        elimination against the span basis."""
+        v = np.array(vecs, dtype=object)
         for r, c in enumerate(self.pivots):
-            if bool(v[c]):
-                v = v - self.rref[r] * v[c]
+            v = v - np.multiply.outer(v[..., c], self.rref[r])
         return v
-
-    def contains(self, vec):
-        return is_zero(self.reduce(vec))

@@ -23,7 +23,7 @@ from .algebra import (Algebra, Bimodule, Verdict, canonical_bimodule,
 from .cochains import Cochain, is_cocycle
 from .errors import CapacityError, CharacteristicError, InputError
 from .gerstenhaber import MultiMap, circ_i, g_bracket
-from .linalg import apply_matrix, is_zero, zeros
+from .linalg import apply_matrix, identity, is_zero, pullback, zeros
 
 SEARCH_BUDGET = 2 ** 20
 
@@ -50,11 +50,6 @@ class LinearMap:
 
     def __call__(self, vec):
         return apply_matrix(vec, self.matrix)
-
-    def then(self, other: "LinearMap") -> "LinearMap":
-        """self followed by other."""
-        return LinearMap(np.dot(self.matrix, other.matrix),
-                         source=self.source, target=other.target)
 
     def __repr__(self):
         return f"LinearMap({self.source or self.source_dim}->{self.target or self.target_dim})"
@@ -149,43 +144,54 @@ def semidirect_mult_map(inst: OperatorInstance) -> MultiMap:
 # ---------------------------------------------------------------------------
 # checkers
 
-def _pairwise_check(dim, evaluate) -> Verdict:
-    """Run an identity on all basis pairs; witness = first failing pair."""
-    for i in range(dim):
-        for j in range(dim):
-            lhs, rhs = evaluate(i, j)
-            if not is_zero(lhs - rhs):
-                return Verdict(False, (i, j), lhs=lhs, rhs=rhs)
-    return Verdict(True)
+def _induced_products(matrix, left, right, twist=None):
+    """The NS products a map p: M -> A (rows of `matrix` are the p(m_i))
+    induces on M, as [i, j, l] tensors: m_i > m_j = p(m_i).m_j,
+    m_i < m_j = m_i.p(m_j) and, given a twist phi, m_i v m_j =
+    phi(p(m_i), p(m_j)) (None without one)."""
+    succ = np.tensordot(matrix, left, axes=([1], [0]))
+    prec = np.tensordot(right, matrix, axes=([1], [1])).transpose(0, 2, 1)
+    vee = None if twist is None else pullback(twist, matrix)
+    return succ, prec, vee
+
+
+def _identity_sides(kind, algebra, module=None, twist=None):
+    """The identity of an operator kind as a map from the operator's matrix
+    to its two sides p(m)p(n) and p(m > n + m < n + ...), each an [i, j, l]
+    tensor over the basis pairs (i, j).  Without a module, M = A."""
+    c = algebra.c
+    left, right = (c, c) if module is None else (module.left, module.right)
+
+    def sides(matrix):
+        succ, prec, vee = _induced_products(matrix, left, right, twist)
+        lhs = pullback(c, matrix)
+        inner = succ + prec
+        if kind == "reynolds":      # the twist -mu: m v n = -p(m)p(n)
+            inner = inner - lhs
+        elif kind == "nijenhuis":   # N(a)N(b) = N(N(a)b + aN(b) - N(ab))
+            inner = inner - np.tensordot(c, matrix, axes=([2], [0]))
+        elif vee is not None:
+            inner = inner + vee
+        return lhs, np.tensordot(inner, matrix, axes=([2], [0]))
+
+    return sides
 
 
 def is_grb(inst: OperatorInstance) -> Verdict:
     """Generalized Rota-Baxter identity on all basis pairs of M."""
     if inst.cocycle is not None:
         raise InputError("instance carries a twist; use is_trb")
-    return _trb_identity(inst, twisted=False)
+    sides = _identity_sides("grb", inst.algebra, inst.module)
+    return Verdict.compare(*sides(inst.op.matrix), 2)
 
 
 def is_trb(inst: OperatorInstance) -> Verdict:
     """Twisted Rota-Baxter identity on all basis pairs of M."""
     if inst.cocycle is None:
         raise InputError("instance has no twist cochain; use is_grb")
-    return _trb_identity(inst, twisted=True)
-
-
-def _trb_identity(inst, twisted) -> Verdict:
-    A, M, p = inst.algebra, inst.module, inst.op
-
-    def evaluate(i, j):
-        m, n = M.basis(i), M.basis(j)
-        pm, pn = p(m), p(n)
-        lhs = A.mul(pm, pn)
-        inner = M.act_left(pm, n) + M.act_right(m, pn)
-        if twisted:
-            inner = inner + inst.cocycle(pm, pn)
-        return lhs, p(inner)
-
-    return _pairwise_check(M.dim, evaluate)
+    sides = _identity_sides("trb", inst.algebra, inst.module,
+                            inst.cocycle.tensor)
+    return Verdict.compare(*sides(inst.op.matrix), 2)
 
 
 def is_classical_rb(algebra: Algebra, op: LinearMap) -> Verdict:
@@ -195,31 +201,16 @@ def is_classical_rb(algebra: Algebra, op: LinearMap) -> Verdict:
 
 
 def is_reynolds(algebra: Algebra, op: LinearMap) -> Verdict:
-    """R(a)R(b) = R(R(a)b + aR(b)) - R(R(a)R(b)) on basis pairs."""
+    """R(a)R(b) = R(R(a)b + aR(b)) - R(R(a)R(b)) on basis pairs: the
+    twisted identity with M = A and phi = -mu."""
     _expect_endo(algebra, op)
-
-    def evaluate(i, j):
-        a, b = algebra.basis(i), algebra.basis(j)
-        ra, rb = op(a), op(b)
-        lhs = algebra.mul(ra, rb)
-        rhs = op(algebra.mul(ra, b) + algebra.mul(a, rb)) - op(algebra.mul(ra, rb))
-        return lhs, rhs
-
-    return _pairwise_check(algebra.dim, evaluate)
+    return Verdict.compare(*_identity_sides("reynolds", algebra)(op.matrix), 2)
 
 
 def is_nijenhuis(algebra: Algebra, op: LinearMap) -> Verdict:
     """N(a)N(b) = N(N(a)b + aN(b)) - N(N(ab)) on basis pairs."""
     _expect_endo(algebra, op)
-
-    def evaluate(i, j):
-        a, b = algebra.basis(i), algebra.basis(j)
-        na, nb = op(a), op(b)
-        lhs = algebra.mul(na, nb)
-        rhs = op(algebra.mul(na, b) + algebra.mul(a, nb)) - op(op(algebra.mul(a, b)))
-        return lhs, rhs
-
-    return _pairwise_check(algebra.dim, evaluate)
+    return Verdict.compare(*_identity_sides("nijenhuis", algebra)(op.matrix), 2)
 
 
 def _expect_endo(algebra, op):
@@ -274,13 +265,9 @@ def graph_check(inst: OperatorInstance) -> Verdict:
         ext = semidirect(inst.algebra, inst.module)
     else:
         ext = twisted_extension(inst.algebra, inst.module, inst.cocycle)
-    dA, dM = inst.algebra.dim, inst.module.dim
-    basis = []
-    for j in range(dM):
-        vec = zeros(dA + dM, inst.field)
-        vec[:dA] = inst.op.matrix[j]
-        vec[dA + j] = inst.field.one
-        basis.append(vec)
+    # row j is (op(m_j), m_j)
+    basis = np.concatenate([inst.op.matrix, identity(inst.module.dim, inst.field)],
+                           axis=1)
     return subspace_closed(ext, basis)
 
 
@@ -299,21 +286,15 @@ def aybe_residual(algebra: Algebra, r) -> np.ndarray:
     if r.shape != (d, d):
         raise InputError(f"r must be a {d}x{d} tensor in A (x) A")
     c = algebra.c
-    out = zeros((d, d, d), algebra.field)
-    for u in range(d):
-        for v in range(d):
-            for w in range(d):
-                t1 = sum((r[s, w] * r[t, v] * c[s, t, u]
-                          for s in range(d) for t in range(d)),
-                         start=algebra.field.zero)
-                t2 = sum((r[u, t] * r[s, w] * c[t, s, v]
-                          for s in range(d) for t in range(d)),
-                         start=algebra.field.zero)
-                t3 = sum((r[v, s] * r[u, t] * c[s, t, w]
-                          for s in range(d) for t in range(d)),
-                         start=algebra.field.zero)
-                out[u, v, w] = t1 - t2 + t3
-    return out
+    # with r = sum r[s, t] e_s (x) e_t, each term as a [u, v, w] tensor:
+    # t1 = sum r[s,w] r[t,v] c[s,t,u], t2 = sum r[u,t] r[s,w] c[t,s,v],
+    # t3 = sum r[v,s] r[u,t] c[s,t,w]
+    right = np.tensordot(r, c, axes=([1], [0]))        # [u, s, v]
+    t1 = np.tensordot(r, np.tensordot(r, c, axes=([0], [0])),
+                      axes=([0], [1])).transpose(2, 0, 1)
+    t2 = np.tensordot(right, r, axes=([1], [0]))
+    t3 = np.tensordot(r, right, axes=([1], [1]))
+    return t1 - t2 + t3
 
 
 def r_tilde(algebra: Algebra, r) -> OperatorInstance:
@@ -355,6 +336,8 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
         raise InputError("exhaustive search needs a prime field")
     if budget is None:
         budget = SEARCH_BUDGET
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        raise InputError(f"search budget must be a positive integer, got {budget!r}")
     if kind in ("grb", "trb"):
         if module is None:
             raise InputError(f"search kind {kind!r} needs a bimodule")
@@ -373,23 +356,23 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
     if kind == "trb" and cocycle is None:
         raise InputError("search kind 'trb' needs the twist cochain")
 
-    scalars = field.elements()
+    if kind == "aybe":
+        def residual(candidate):
+            return aybe_residual(algebra, candidate)
+    else:
+        twist = cocycle if kind == "trb" else None
+        # the module and the twist are validated once, on the zero map
+        OperatorInstance(algebra, module, LinearMap(zeros(shape, field)), twist)
+        sides = _identity_sides(kind, algebra, module,
+                                None if twist is None else twist.tensor)
+
+        def residual(candidate):
+            lhs, rhs = sides(candidate)
+            return lhs - rhs
+
     solutions = []
-    for entries in itertools.product(scalars, repeat=n_entries):
+    for entries in itertools.product(field.elements(), repeat=n_entries):
         candidate = np.array(entries, dtype=object).reshape(shape)
-        if _passes(algebra, module, kind, candidate, cocycle):
+        if is_zero(residual(candidate)):
             solutions.append(candidate)
     return solutions
-
-
-def _passes(algebra, module, kind, candidate, cocycle):
-    if kind == "aybe":
-        return is_zero(aybe_residual(algebra, candidate))
-    lm = LinearMap(candidate)
-    if kind in ("grb", "rb"):
-        return bool(is_grb(OperatorInstance(algebra, module, lm)))
-    if kind == "trb":
-        return bool(is_trb(OperatorInstance(algebra, module, lm, cocycle)))
-    if kind == "reynolds":
-        return bool(is_reynolds(algebra, lm))
-    return bool(is_nijenhuis(algebra, lm))

@@ -25,8 +25,10 @@ import numpy as np
 from .algebra import Algebra, Bimodule, Verdict, bimodule_check
 from .cochains import Cochain
 from .errors import InputError
-from .linalg import first_nonzero_index, identity, is_zero, zeros
-from .operators import LinearMap, OperatorInstance, is_grb, is_trb
+from .linalg import (first_difference, first_nonzero_index, identity, is_zero,
+                     pullback)
+from .operators import (LinearMap, OperatorInstance, _induced_products,
+                        is_grb, is_trb)
 
 
 class Dendriform:
@@ -111,51 +113,32 @@ def check_ns(ns: NSAlgebra) -> Verdict:
 def _axiom_failures(succ, prec, vee):
     """Shared checker: vee=None means dendriform, else NS.
     Returns one (axiom, (i,j,k), lhs, rhs) per violated axiom."""
-    d = succ.shape[0]
     total = succ + prec if vee is None else succ + prec + vee
     names = ("t1", "t2", "t3", "t4") if vee is not None else ("d1", "d2", "d3")
-    found = {}
 
-    def record(name, idx, lhs, rhs):
-        if name not in found:
-            found[name] = (name, idx, lhs, rhs)
+    def left_assoc(first, second):
+        # [i,j,k,l]: (e_i FIRST e_j) SECOND e_k
+        return np.tensordot(first, second, axes=([2], [0]))
 
-    def left_assoc(first, second, i, j, k):
-        # (e_i FIRST e_j) SECOND e_k, as an output vector
-        return np.dot(first[i, j], second.reshape(d, -1)).reshape(d, d)[k]
+    def right_assoc(first, second):
+        # [i,j,k,l]: e_i FIRST (e_j SECOND e_k)
+        return np.tensordot(first, second, axes=([1], [2])).transpose(0, 2, 3, 1)
 
-    def right_assoc(first, second, i, j, k):
-        # e_i FIRST (e_j SECOND e_k)
-        return np.dot(second[j, k], first[i])
-
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                # (x < y) < z  vs  x < (y > z + y < z [+ y v z])
-                lhs = left_assoc(prec, prec, i, j, k)
-                rhs = right_assoc(prec, total, i, j, k)
-                if not is_zero(lhs - rhs):
-                    record(names[0], (i, j, k), lhs, rhs)
-                # (x > y) < z  vs  x > (y < z)
-                lhs = left_assoc(succ, prec, i, j, k)
-                rhs = right_assoc(succ, prec, i, j, k)
-                if not is_zero(lhs - rhs):
-                    record(names[1], (i, j, k), lhs, rhs)
-                # x > (y > z)  vs  (x > y + x < y [+ x v y]) > z
-                lhs = right_assoc(succ, succ, i, j, k)
-                rhs = left_assoc(total, succ, i, j, k)
-                if not is_zero(lhs - rhs):
-                    record(names[2], (i, j, k), lhs, rhs)
-                if vee is not None:
-                    # x > (y v z) - (x*y) v z + x v (y*z) - (x v y) < z = 0
-                    resid = (right_assoc(succ, vee, i, j, k)
-                             - left_assoc(total, vee, i, j, k)
-                             + right_assoc(vee, total, i, j, k)
-                             - left_assoc(vee, prec, i, j, k))
-                    if not is_zero(resid):
-                        record("t4", (i, j, k), resid, None)
-    order = {name: pos for pos, name in enumerate(names)}
-    return sorted(found.values(), key=lambda f: (order[f[0]], f[1]))
+    sides = [
+        # (x < y) < z  vs  x < (y > z + y < z [+ y v z])
+        (left_assoc(prec, prec), right_assoc(prec, total)),
+        # (x > y) < z  vs  x > (y < z)
+        (left_assoc(succ, prec), right_assoc(succ, prec)),
+        # x > (y > z)  vs  (x > y + x < y [+ x v y]) > z
+        (right_assoc(succ, succ), left_assoc(total, succ)),
+    ]
+    if vee is not None:
+        # x > (y v z) - (x*y) v z + x v (y*z) - (x v y) < z = 0
+        sides.append((right_assoc(succ, vee) - left_assoc(total, vee)
+                      + right_assoc(vee, total) - left_assoc(vee, prec), None))
+    verdicts = [(name, Verdict.compare(lhs, rhs, 3))
+                for name, (lhs, rhs) in zip(names, sides)]
+    return [(name, v.witness, v.lhs, v.rhs) for name, v in verdicts if not v]
 
 
 def dendriform_from_grb(inst: OperatorInstance) -> Dendriform:
@@ -165,8 +148,9 @@ def dendriform_from_grb(inst: OperatorInstance) -> Dendriform:
         raise InputError(
             f"operator is not generalized Rota-Baxter; identity fails at "
             f"basis pair {report.witness}")
-    succ, prec = _dendriform_tensors(inst)
-    return Dendriform(inst.field, succ, prec, labels=inst.module.labels)
+    M = inst.module
+    succ, prec, _ = _induced_products(inst.op.matrix, M.left, M.right)
+    return Dendriform(inst.field, succ, prec, labels=M.labels)
 
 
 def ns_from_trb(inst: OperatorInstance) -> NSAlgebra:
@@ -177,25 +161,10 @@ def ns_from_trb(inst: OperatorInstance) -> NSAlgebra:
         raise InputError(
             f"operator is not twisted Rota-Baxter; identity fails at "
             f"basis pair {report.witness}")
-    succ, prec = _dendriform_tensors(inst)
-    M, p = inst.module, inst.op
-    vee = zeros((M.dim, M.dim, M.dim), inst.field)
-    for i in range(M.dim):
-        for j in range(M.dim):
-            vee[i, j] = inst.cocycle(p(M.basis(i)), p(M.basis(j)))
-    return NSAlgebra(inst.field, succ, prec, vee, labels=inst.module.labels)
-
-
-def _dendriform_tensors(inst):
-    M, p = inst.module, inst.op
-    d = M.dim
-    succ = zeros((d, d, d), inst.field)
-    prec = zeros((d, d, d), inst.field)
-    for i in range(d):
-        for j in range(d):
-            succ[i, j] = M.act_left(p(M.basis(i)), M.basis(j))
-            prec[i, j] = M.act_right(M.basis(i), p(M.basis(j)))
-    return succ, prec
+    M = inst.module
+    succ, prec, vee = _induced_products(inst.op.matrix, M.left, M.right,
+                                        inst.cocycle.tensor)
+    return NSAlgebra(inst.field, succ, prec, vee, labels=M.labels)
 
 
 def total_product(structure) -> Algebra:
@@ -233,18 +202,13 @@ def induced_actions(inst: OperatorInstance) -> InducedActions:
         raise InputError(
             f"operator is not generalized Rota-Baxter; identity fails at "
             f"basis pair {report.witness}")
-    A, M, p = inst.algebra, inst.module, inst.op
-    dA, dM = A.dim, M.dim
+    A, M, P = inst.algebra, inst.module, inst.op.matrix
     m_ass = total_product(dendriform_from_grb(inst))
-    left = zeros((dM, dA, dA), inst.field)
-    right = zeros((dA, dM, dA), inst.field)
-    for j in range(dM):
-        m = M.basis(j)
-        pm = p(m)
-        for i in range(dA):
-            a = A.basis(i)
-            left[j, i] = A.mul(pm, a) - p(M.act_right(m, a))
-            right[i, j] = A.mul(a, pm) - p(M.act_left(a, m))
+    # left[j, i] = p(m_j) e_i - p(m_j . e_i); right[i, j] = e_i p(m_j) - p(e_i . m_j)
+    left = (np.tensordot(P, A.c, axes=([1], [0]))
+            - np.tensordot(M.right, P, axes=([2], [0])))
+    right = (np.tensordot(A.c, P, axes=([1], [1])).transpose(0, 2, 1)
+             - np.tensordot(M.left, P, axes=([2], [0])))
     module = Bimodule(m_ass, left, right, labels=A.labels, check=False)
     check = bimodule_check(m_ass, module)
     if not check:
@@ -257,18 +221,18 @@ def derivation_dual(inst: OperatorInstance, omega: LinearMap, z) -> OperatorInst
     W(p(m)) = z m for a scalar z becomes a GRB operator A -> M_ass over
     the induced actions."""
     A, M, p = inst.algebra, inst.module, inst.op
-    if omega.matrix.shape != (A.dim, M.dim):
+    W = omega.matrix
+    if W.shape != (A.dim, M.dim):
         raise InputError("derivation must map A to M")
-    for i in range(A.dim):
-        a = A.basis(i)
-        for j in range(A.dim):
-            b = A.basis(j)
-            lhs = omega(A.mul(a, b))
-            rhs = M.act_right(omega(a), b) + M.act_left(a, omega(b))
-            if not is_zero(lhs - rhs):
-                raise InputError(
-                    f"map is not a derivation: W(ab) != W(a).b + a.W(b) at "
-                    f"basis pair ({i},{j})")
+    # [i, j, l]: W(e_i e_j) against W(e_i).e_j + e_i.W(e_j)
+    bad = first_difference(
+        np.tensordot(A.c, W, axes=([2], [0])),
+        np.tensordot(W, M.right, axes=([1], [0]))
+        + np.tensordot(M.left, W, axes=([1], [1])).transpose(0, 2, 1), 2)
+    if bad is not None:
+        raise InputError(
+            f"map is not a derivation: W(ab) != W(a).b + a.W(b) at "
+            f"basis pair ({bad[0]},{bad[1]})")
     composed = np.dot(p.matrix, omega.matrix)
     if not is_zero(composed - identity(M.dim, inst.field) * z):
         raise InputError("W o p is not z times the identity on M")
@@ -290,16 +254,17 @@ def grb_morphism_check(psi0: LinearMap, psi1: LinearMap,
     bad = first_nonzero_index(square)
     if bad is not None:
         return Verdict(False, bad, detail="square does not commute")
-    for i in range(src.algebra.dim):
-        a = src.algebra.basis(i)
-        fa = psi0(a)
-        for j in range(src.module.dim):
-            m = src.module.basis(j)
-            fm = psi1(m)
-            diff = psi1(src.module.act_left(a, m)) - dst.module.act_left(fa, fm)
-            if not is_zero(diff):
-                return Verdict(False, (i, j), detail="left actions not intertwined")
-            diff = psi1(src.module.act_right(m, a)) - dst.module.act_right(fm, fa)
-            if not is_zero(diff):
-                return Verdict(False, (i, j), detail="right actions not intertwined")
-    return Verdict(True)
+    f0, f1 = psi0.matrix, psi1.matrix
+    # [i, j, action, l] for a = e_i and m = m_j; the left action comes first
+    lhs = np.stack([
+        np.tensordot(src.module.left, f1, axes=([2], [0])),
+        np.tensordot(src.module.right, f1, axes=([2], [0])).transpose(1, 0, 2),
+    ], axis=2)
+    rhs = np.stack([pullback(dst.module.left, f0, f1),
+                    pullback(dst.module.right, f1, f0).transpose(1, 0, 2)],
+                   axis=2)
+    bad = first_difference(lhs, rhs, 3)
+    if bad is None:
+        return Verdict(True)
+    return Verdict(False, bad[:2], detail=("left actions not intertwined",
+                                           "right actions not intertwined")[bad[2]])

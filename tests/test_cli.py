@@ -269,3 +269,54 @@ def test_explain_every_verb(capsys):
         assert code == 0 and len(out.strip()) > 20
     code, _ = run(capsys, "explain", "no-such-verb")
     assert code == 2
+
+
+def test_search_budget_env_not_an_integer(mbx_file, capsys, monkeypatch):
+    monkeypatch.setenv("RBX_BUDGET", "abc")
+    code, out = run(capsys, "search", mbx_file, "--field", "F2", "--kind", "grb")
+    assert code == 2 and "RBX_BUDGET" in out and "'abc'" in out
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_search_budget_not_positive(mbx_file, capsys, value):
+    code, out = run(capsys, "search", mbx_file, "--field", "F2", "--kind", "grb",
+                    "--budget", value)
+    assert code == 2 and f"positive integer, got {value}" in out
+
+
+def test_huge_prime_modulus_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "field": {"Fp": 10 ** 18 + 3},
+        "algebra": {"dim": 1, "c": [[[1]]]}}))
+    code, out = run(capsys, "check-assoc", str(path))
+    assert code == 2 and "2^31" in out
+
+
+def test_trb_search_checks_the_twist_once(ts_file, capsys, monkeypatch):
+    import rbx.operators
+
+    calls = []
+    original = rbx.operators.is_cocycle
+
+    def counting(cochain):
+        calls.append(cochain)
+        return original(cochain)
+
+    monkeypatch.setattr(rbx.operators, "is_cocycle", counting)
+    code, out = run(capsys, "search", ts_file, "--field", "F2", "--kind", "trb",
+                    "--phi", "phi", "--json")
+    assert code == 0 and len(json.loads(out)["solutions"]) == 14
+    assert len(calls) == 1
+
+
+def test_trb_search_with_non_cocycle_twist_is_exit_2(ts_file, tmp_path, capsys):
+    doc = json.loads(open(ts_file).read())
+    doc["cochains"]["phi"]["tensor"][0][0][0] = 1   # coboundary -2 at (0,0,1,1)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "search", str(path), "--field", "F3", "--kind", "trb",
+                    "--phi", "phi")
+    assert code == 2
+    assert "twist is not a Hochschild cocycle; coboundary nonzero at " \
+        "(0, 0, 1, 1)" in out

@@ -76,3 +76,20 @@ def test_elements_enumeration_order():
     assert [x.val for x in F3.elements()] == [0, 1, 2]
     with pytest.raises(InputError):
         QQ.elements()
+
+
+def test_modulus_bound():
+    with pytest.raises(InputError, match="2\\^31"):
+        PrimeField(10 ** 18 + 3)
+    with pytest.raises(InputError):
+        PrimeField(2 ** 31)
+    assert PrimeField(2 ** 31 - 1).char == 2 ** 31 - 1
+
+
+def test_fp_equal_to_int_hashes_alike():
+    assert FpElement(1, 2) == 1 and hash(FpElement(1, 2)) == hash(1)
+    assert len({FpElement(1, 2), 1}) == 1
+    assert {FpElement(3, 5): "x"}[3] == "x"
+    # ints compare by canonical value only
+    assert FpElement(1, 2) != 3 and FpElement(4, 5) != -1
+    assert len({FpElement(1, 2), FpElement(1, 3)}) == 2
