@@ -3,24 +3,26 @@ evaluators of oracle.py on random inputs over Q, F2, F3 and F5.
 
 Verdict, witness, both sides, detail and the failures tuple must agree
 exactly; the sides must hold scalars of the field itself, since the CLI
-formats them.
+formats them.  Exhaustive searches over F2, F3 and F5 must return exactly
+the brute-force list of candidates the evaluators accept, in order.
 """
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from oracle import (oracle_assoc, oracle_bimodule, oracle_dendriform,
-                    oracle_nijenhuis, oracle_operator, oracle_reynolds,
-                    random_scalar)
+from oracle import (aybe_oracle, oracle_assoc, oracle_bimodule,
+                    oracle_dendriform, oracle_nijenhuis, oracle_operator,
+                    oracle_reynolds, random_scalar)
 from rbx.algebra import (Bimodule, assoc_check, bimodule_check,
                          canonical_bimodule, dual_module)
 from rbx.cochains import Cochain, coboundary
-from rbx.fields import F2, F3, F5, QQ
-from rbx.instances import kx2, null_algebra
+from rbx.fields import F2, F3, F5, QQ, FpElement
+from rbx.instances import kx2, null_algebra, tensor_square
 from rbx.operators import (LinearMap, OperatorInstance, is_grb, is_nijenhuis,
-                           is_reynolds, is_trb)
+                           is_reynolds, is_trb, search_operators)
 from rbx.structures import Dendriform, NSAlgebra, check_dendriform, check_ns
 
 FIELDS = (QQ, F2, F3, F5)
@@ -169,3 +171,60 @@ def test_dendriform_and_ns_checkers_match_oracle(field):
     # structures that hold: the zero products
     z = np.full((2, 2, 2), field.zero, dtype=object)
     assert_failures(check_ns(NSAlgebra(field, z, z, z)), [], field)
+
+
+def search_cases(field, rng):
+    """(kind, algebra, module, twist) for every search whose space is at
+    most 625: GRB and TRB (random coboundary twist) on the pairs,
+    rb/reynolds/nijenhuis/aybe on their algebras, and the tensor square of
+    kx2 with its twist.  On null3 every candidate passes every kind, so
+    only GRB runs there."""
+    cases = []
+    for A, M in pairs(field):
+        cases.append(("grb", A, M, None))
+        if A.dim == 3:
+            continue
+        w = sparse_tensor((A.dim, M.dim), field, rng, 0.5)
+        cases.append(("trb", A, M, coboundary(Cochain(A, M, w))))
+        if M.left is A.c:
+            cases += [(kind, A, None, None)
+                      for kind in ("rb", "reynolds", "nijenhuis", "aybe")]
+    ts = tensor_square(kx2(field))
+    cases.append(("trb", ts.algebra, ts.module, ts.cocycle))
+    return [case for case in cases
+            if field.char ** (case[1].dim * (case[2] or case[1]).dim) <= 625]
+
+
+def oracle_accepts(kind, A, M, phi, p):
+    """The nested-loop verdict on one search candidate."""
+    field = A.field
+    if kind == "aybe":
+        return not any(x for plane in aybe_oracle(A, p) for row in plane
+                       for x in row)
+    if kind == "reynolds":
+        return oracle_reynolds(field, A.c, p) is None
+    if kind == "nijenhuis":
+        return oracle_nijenhuis(field, A.c, p) is None
+    M = M or canonical_bimodule(A)
+    return oracle_operator(field, A.c, M.left, M.right, p,
+                           None if phi is None else phi.tensor) is None
+
+
+@pytest.mark.parametrize("field", (F2, F3, F5), ids=lambda f: f.name)
+def test_search_matches_brute_force_oracle(field):
+    rng = random.Random(field.char * 100 + 19)
+    kinds = set()
+    for kind, A, M, phi in search_cases(field, rng):
+        rows = (M or A).dim
+        sols = search_operators(A, M, kind, cocycle=phi)
+        brute = []
+        for entries in itertools.product(field.elements(), repeat=rows * A.dim):
+            cand = np.array(entries, dtype=object).reshape(rows, A.dim)
+            if oracle_accepts(kind, A, M, phi, cand):
+                brute.append(tuple(x.val for x in entries))
+        assert [tuple(x.val for x in s.flat) for s in sols] == brute, kind
+        assert all(s.shape == (rows, A.dim) for s in sols)
+        assert all(type(x) is FpElement and x.p == field.char
+                   for s in sols for x in s.flat)
+        kinds.add(kind)
+    assert kinds == {"grb", "rb", "trb", "reynolds", "nijenhuis", "aybe"}
