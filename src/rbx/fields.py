@@ -4,12 +4,16 @@ Every computation in rbx happens over one of these two domains.  Equality
 is decidable and bit-exact, so every identity check in the library is a
 zero-tolerance comparison.  Rational scalars are ``fractions.Fraction``;
 prime-field scalars are :class:`FpElement` with canonical representatives
-in ``[0, p)``.
+in ``[0, p)``.  A prime field also converts tensors to integer tensors of
+canonical representatives and back, for kernels that reduce mod p once
+at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import CharacteristicError, InputError
 
@@ -201,15 +205,31 @@ class PrimeField:
         if isinstance(value, int):
             return FpElement(value, self.p)
         if isinstance(value, str):
-            frac = Fraction(value)  # allows "3" and "1/2" when 2 invertible
-            num = FpElement(frac.numerator, self.p)
-            if frac.denominator == 1:
-                return num
-            return num / FpElement(frac.denominator, self.p)
+            try:
+                # allows "3", and "1/2" when 2 is invertible mod p
+                frac = Fraction(value)
+                return FpElement(frac.numerator, self.p) / frac.denominator
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InputError(
+                    f"bad {self.name} scalar {value!r}: {exc}") from exc
         raise InputError(f"expected scalar, got {value!r}")
 
     def format(self, x):
         return x.val
+
+    def to_ints(self, arr, dtype):
+        """Canonical representatives of a tensor of F_p scalars, as an
+        integer tensor of `dtype` (np.int64, or object for Python ints)."""
+        arr = np.asarray(arr, dtype=object)
+        return np.array([x.val for x in arr.flat],
+                        dtype=dtype).reshape(arr.shape)
+
+    def from_ints(self, arr):
+        """The F_p tensor of an integer tensor, reduced mod p."""
+        arr = np.asarray(arr)
+        out = np.empty(arr.shape, dtype=object)
+        out.flat = [FpElement(int(v), self.p) for v in arr.flat]
+        return out
 
     def elements(self):
         """All scalars in canonical order 0, 1, ..., p-1."""

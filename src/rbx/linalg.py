@@ -8,6 +8,11 @@ Every identity rbx decides is a residual of two contractions: the two
 sides are computed as tensors over all basis tuples at once, and
 `first_difference` finds the witness, the first index in C order (that
 is, lexicographic order) at which the sides differ.
+
+The contractions rbx's identities share (`pullback` here, the operator
+identities in `operators`) also take integer tensors and a leading batch
+axis: exhaustive search over F_p evaluates a block of candidates at once
+on canonical representatives and reduces mod p only at the end.
 """
 
 from __future__ import annotations
@@ -58,12 +63,19 @@ def first_difference(lhs, rhs, k):
     return first_nonzero_index(lhs - rhs, k)
 
 
-def pullback(t, m, n=None):
+def pullback(t, m, n=None, inner=None):
     """t(m_i, n_j) for every row i of m and row j of n (default: m):
-    out[i, j] = sum_ab m[i, a] n[j, b] t[a, b] for an arity-2 tensor t."""
-    inner = np.tensordot(m, t, axes=([1], [0]))
-    return np.tensordot(m if n is None else n, inner,
-                        axes=([1], [1])).transpose(1, 0, 2)
+    out[..., i, j] = sum_ab m[..., i, a] n[..., j, b] t[a, b] for an
+    arity-2 tensor t; leading axes of m and n are batch axes.  `inner`,
+    when the caller has it, is the first step m.t:
+    inner[..., i, b] = sum_a m[..., i, a] t[a, b]."""
+    if inner is None:
+        inner = np.tensordot(m, t, axes=([-1], [0]))
+    *batch, rows, b, k = inner.shape
+    # one matrix product per batch entry: n[j, b] against inner as [b, (i, k)]
+    flat = np.swapaxes(inner, -3, -2).reshape(*batch, b, rows * k)
+    out = np.matmul(m if n is None else n, flat)
+    return np.swapaxes(out.reshape(*batch, -1, rows, k), -3, -2)
 
 
 def apply_multilinear(tensor, vectors):

@@ -9,11 +9,14 @@ The defining identities, for a linear map p: M -> A over an A-bimodule M:
 
 with phi a Hochschild 2-cocycle.  Reynolds operators are TRB with M = A
 and phi = -mu; classical Rota-Baxter operators are GRB with M = A.
+
+Each identity is written once (`_identity_sides`, `_aybe_residual`) as
+two-operand contractions that accept a leading batch axis: the checkers
+run them on one operator over field scalars, the exhaustive search on
+blocks of candidates over integers.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -146,52 +149,61 @@ def semidirect_mult_map(inst: OperatorInstance) -> MultiMap:
 
 def _induced_products(matrix, left, right, twist=None):
     """The NS products a map p: M -> A (rows of `matrix` are the p(m_i))
-    induces on M, as [i, j, l] tensors: m_i > m_j = p(m_i).m_j,
+    induces on M, as [..., i, j, l] tensors: m_i > m_j = p(m_i).m_j,
     m_i < m_j = m_i.p(m_j) and, given a twist phi, m_i v m_j =
-    phi(p(m_i), p(m_j)) (None without one)."""
-    succ = np.tensordot(matrix, left, axes=([1], [0]))
-    prec = np.tensordot(right, matrix, axes=([1], [1])).transpose(0, 2, 1)
+    phi(p(m_i), p(m_j)) (None without one).  Leading axes of `matrix`
+    are batch axes."""
+    succ = np.tensordot(matrix, left, axes=([-1], [0]))
+    prec = np.swapaxes(np.tensordot(matrix, right, axes=([-1], [1])), -3, -2)
     vee = None if twist is None else pullback(twist, matrix)
     return succ, prec, vee
 
 
-def _identity_sides(kind, algebra, module=None, twist=None):
-    """The identity of an operator kind as a map from the operator's matrix
-    to its two sides p(m)p(n) and p(m > n + m < n + ...), each an [i, j, l]
-    tensor over the basis pairs (i, j).  Without a module, M = A."""
-    c = algebra.c
-    left, right = (c, c) if module is None else (module.left, module.right)
+def _then(tensor, matrix):
+    """The map of `matrix` applied to the last axis of `tensor`, batch
+    entry by batch entry."""
+    return np.matmul(tensor, matrix[..., None, :, :])
 
-    def sides(matrix):
-        succ, prec, vee = _induced_products(matrix, left, right, twist)
-        lhs = pullback(c, matrix)
-        inner = succ + prec
-        if kind == "reynolds":      # the twist -mu: m v n = -p(m)p(n)
-            inner = inner - lhs
-        elif kind == "nijenhuis":   # N(a)N(b) = N(N(a)b + aN(b) - N(ab))
-            inner = inner - np.tensordot(c, matrix, axes=([2], [0]))
-        elif vee is not None:
-            inner = inner + vee
-        return lhs, np.tensordot(inner, matrix, axes=([2], [0]))
 
-    return sides
+def _identity_sides(kind, matrix, c, left=None, right=None, twist=None):
+    """The two sides p(m)p(n) and p(m > n + m < n + ...) of an operator
+    kind's identity, each an [..., i, j, l] tensor over the basis pairs
+    (i, j), for an operator matrix or a [..., rows, cols] stack of them.
+    `c`, the module actions `left`/`right` (None: M = A) and the twist
+    hold one scalar type with the matrix: field scalars in the checkers,
+    integers in the search."""
+    if left is None:
+        left = right = c
+    succ, prec, vee = _induced_products(matrix, left, right, twist)
+    # for M = A, succ[i, b] = p(m_i) e_b is the first step of p(m_i) p(m_j)
+    lhs = pullback(c, matrix, inner=succ if left is c else None)
+    inner = succ + prec
+    if kind == "reynolds":      # the twist -mu: m v n = -p(m)p(n)
+        inner = inner - lhs
+    elif kind == "nijenhuis":   # N(a)N(b) = N(N(a)b + aN(b) - N(ab))
+        inner = inner - _then(c, matrix)
+    elif vee is not None:
+        inner = inner + vee
+    return lhs, _then(inner, matrix)
 
 
 def is_grb(inst: OperatorInstance) -> Verdict:
     """Generalized Rota-Baxter identity on all basis pairs of M."""
     if inst.cocycle is not None:
         raise InputError("instance carries a twist; use is_trb")
-    sides = _identity_sides("grb", inst.algebra, inst.module)
-    return Verdict.compare(*sides(inst.op.matrix), 2)
+    M = inst.module
+    return Verdict.compare(*_identity_sides(
+        "grb", inst.op.matrix, inst.algebra.c, M.left, M.right), 2)
 
 
 def is_trb(inst: OperatorInstance) -> Verdict:
     """Twisted Rota-Baxter identity on all basis pairs of M."""
     if inst.cocycle is None:
         raise InputError("instance has no twist cochain; use is_grb")
-    sides = _identity_sides("trb", inst.algebra, inst.module,
-                            inst.cocycle.tensor)
-    return Verdict.compare(*sides(inst.op.matrix), 2)
+    M = inst.module
+    return Verdict.compare(*_identity_sides(
+        "trb", inst.op.matrix, inst.algebra.c, M.left, M.right,
+        inst.cocycle.tensor), 2)
 
 
 def is_classical_rb(algebra: Algebra, op: LinearMap) -> Verdict:
@@ -204,13 +216,13 @@ def is_reynolds(algebra: Algebra, op: LinearMap) -> Verdict:
     """R(a)R(b) = R(R(a)b + aR(b)) - R(R(a)R(b)) on basis pairs: the
     twisted identity with M = A and phi = -mu."""
     _expect_endo(algebra, op)
-    return Verdict.compare(*_identity_sides("reynolds", algebra)(op.matrix), 2)
+    return Verdict.compare(*_identity_sides("reynolds", op.matrix, algebra.c), 2)
 
 
 def is_nijenhuis(algebra: Algebra, op: LinearMap) -> Verdict:
     """N(a)N(b) = N(N(a)b + aN(b)) - N(N(ab)) on basis pairs."""
     _expect_endo(algebra, op)
-    return Verdict.compare(*_identity_sides("nijenhuis", algebra)(op.matrix), 2)
+    return Verdict.compare(*_identity_sides("nijenhuis", op.matrix, algebra.c), 2)
 
 
 def _expect_endo(algebra, op):
@@ -285,15 +297,19 @@ def aybe_residual(algebra: Algebra, r) -> np.ndarray:
     d = algebra.dim
     if r.shape != (d, d):
         raise InputError(f"r must be a {d}x{d} tensor in A (x) A")
-    c = algebra.c
+    return _aybe_residual(algebra.c, r)
+
+
+def _aybe_residual(c, r):
+    """The AYBE residual as a [..., u, v, w] tensor for r, or a [..., d, d]
+    stack of them, over the structure constants c (one scalar type)."""
     # with r = sum r[s, t] e_s (x) e_t, each term as a [u, v, w] tensor:
     # t1 = sum r[s,w] r[t,v] c[s,t,u], t2 = sum r[u,t] r[s,w] c[t,s,v],
     # t3 = sum r[v,s] r[u,t] c[s,t,w]
-    right = np.tensordot(r, c, axes=([1], [0]))        # [u, s, v]
-    t1 = np.tensordot(r, np.tensordot(r, c, axes=([0], [0])),
-                      axes=([0], [1])).transpose(2, 0, 1)
-    t2 = np.tensordot(right, r, axes=([1], [0]))
-    t3 = np.tensordot(r, right, axes=([1], [1]))
+    right = np.tensordot(r, c, axes=([-1], [0]))        # [u, s, v]
+    t1 = np.swapaxes(pullback(c, np.swapaxes(r, -2, -1)), -3, -1)
+    t2 = _then(np.swapaxes(right, -2, -1), r)
+    t3 = np.swapaxes(pullback(c, r, inner=right), -3, -2)
     return t1 - t2 + t3
 
 
@@ -319,6 +335,18 @@ def r_tilde(algebra: Algebra, r) -> OperatorInstance:
 
 _CHECKERS = ("grb", "rb", "trb", "reynolds", "nijenhuis", "aybe")
 
+SEARCH_BLOCK = 4096            # candidates decided per contraction
+BLOCK_ENTRIES = 2 ** 20        # entries of a block's largest tensor, at most,
+                               # unless one candidate's alone is larger
+
+
+def _kernel_dtype(p, d):
+    """np.int64 when no unreduced entry of a residual can reach 2^63, else
+    object (Python ints).  Over dimensions <= d, every intermediate entry
+    of every kind's residual is a signed sum of at most 4 d^3 products of
+    at most four canonical representatives, each at most p - 1."""
+    return np.int64 if 4 * d ** 3 * (p - 1) ** 4 < 2 ** 63 else object
+
 
 def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
                      cocycle: Cochain | None = None, budget: int | None = None):
@@ -327,7 +355,12 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
     passing the kind's checker.
 
     Candidates are maps M -> A (grb/trb), endomorphisms of A
-    (rb/reynolds/nijenhuis), or tensors in A (x) A (aybe).
+    (rb/reynolds/nijenhuis), or tensors in A (x) A (aybe).  They are
+    decided in blocks: the kind's residual is evaluated on a stack of
+    candidates by the checkers' contractions, on canonical
+    representatives, and reduced mod p once.  The integers are int64
+    when `_kernel_dtype` proves no entry can overflow, Python ints
+    otherwise.
     """
     if kind not in _CHECKERS:
         raise InputError(f"unknown search kind {kind!r}; one of {_CHECKERS}")
@@ -348,31 +381,43 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
         shape = (algebra.dim, algebra.dim)
         module = canonical_bimodule(algebra)
     n_entries = shape[0] * shape[1]
-    total = field.char ** n_entries
+    p = field.char
+    total = p ** n_entries
     if total > budget:
         raise CapacityError(
-            f"search space {field.char}^{n_entries} = {total} exceeds the "
+            f"search space {p}^{n_entries} = {total} exceeds the "
             f"budget {budget}")
     if kind == "trb" and cocycle is None:
         raise InputError("search kind 'trb' needs the twist cochain")
-
-    if kind == "aybe":
-        def residual(candidate):
-            return aybe_residual(algebra, candidate)
-    else:
-        twist = cocycle if kind == "trb" else None
+    twist = cocycle if kind == "trb" else None
+    if kind != "aybe":
         # the module and the twist are validated once, on the zero map
         OperatorInstance(algebra, module, LinearMap(zeros(shape, field)), twist)
-        sides = _identity_sides(kind, algebra, module,
-                                None if twist is None else twist.tensor)
 
-        def residual(candidate):
-            lhs, rhs = sides(candidate)
-            return lhs - rhs
-
+    d = max(shape)
+    dtype = _kernel_dtype(p, d)
+    c = field.to_ints(algebra.c, dtype)
+    left = right = None
+    if kind in ("grb", "trb"):
+        left, right = (c if t is algebra.c else field.to_ints(t, dtype)
+                       for t in (module.left, module.right))
+    if twist is not None:
+        twist = field.to_ints(twist.tensor, dtype)
+    # candidate k has the base-p digits of k, most significant first:
+    # the order of itertools.product over the flattened entries
+    index_dtype = np.int64 if total < 2 ** 63 else object
+    powers = np.array([p ** e for e in range(n_entries - 1, -1, -1)],
+                      dtype=index_dtype)
+    step = max(1, min(SEARCH_BLOCK, BLOCK_ENTRIES // d ** 3))
     solutions = []
-    for entries in itertools.product(field.elements(), repeat=n_entries):
-        candidate = np.array(entries, dtype=object).reshape(shape)
-        if is_zero(residual(candidate)):
-            solutions.append(candidate)
+    for start in range(0, total, step):
+        index = np.arange(start, min(start + step, total), dtype=index_dtype)
+        block = (index[:, None] // powers % p).reshape(-1, *shape).astype(dtype)
+        if kind == "aybe":
+            residual = _aybe_residual(c, block)
+        else:
+            lhs, rhs = _identity_sides(kind, block, c, left, right, twist)
+            residual = lhs - rhs
+        failing = (residual % p != 0).reshape(len(block), -1).any(axis=1)
+        solutions += [field.from_ints(block[k]) for k in np.flatnonzero(~failing)]
     return solutions

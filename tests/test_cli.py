@@ -320,3 +320,20 @@ def test_trb_search_with_non_cocycle_twist_is_exit_2(ts_file, tmp_path, capsys):
     assert code == 2
     assert "twist is not a Hochschild cocycle; coboundary nonzero at " \
         "(0, 0, 1, 1)" in out
+
+
+def test_fp_scalar_with_zero_denominator_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({
+        "field": {"Fp": 2}, "algebra": {"dim": 1, "c": [[["1/2"]]]}}))
+    code, out = run(capsys, "check-assoc", str(path))
+    assert code == 2 and "bad F2 scalar '1/2'" in out
+
+
+def test_search_cast_to_fp_with_zero_denominator_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "tp3.json"
+    code, _ = run(capsys, "catalog", "emit", "truncated-poly", "--degree", "3",
+                  "-o", str(path))
+    assert code == 0
+    code, out = run(capsys, "search", str(path), "--field", "F2", "--kind", "rb")
+    assert code == 2 and "bad F2 scalar '1/2'" in out

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -93,3 +94,28 @@ def test_fp_equal_to_int_hashes_alike():
     # ints compare by canonical value only
     assert FpElement(1, 2) != 3 and FpElement(4, 5) != -1
     assert len({FpElement(1, 2), FpElement(1, 3)}) == 2
+
+
+@pytest.mark.parametrize("raw, reason", [
+    ("1/2", "division by zero in F2"),     # denominator 0 mod p
+    ("abc", "Invalid literal"),
+    ("1/0", "Fraction(1, 0)"),
+])
+def test_parse_fp_bad_scalar_is_input_error(raw, reason):
+    with pytest.raises(InputError,
+                       match=re.escape(f"bad F2 scalar '{raw}': {reason}")):
+        F2.parse(raw)
+    assert F3.parse("1/2") == FpElement(2, 3)
+
+
+def test_fp_int_tensor_round_trip():
+    import numpy as np
+
+    arr = np.array([[F5.from_int(3), F5.zero], [F5.one, F5.from_int(4)]],
+                   dtype=object)
+    ints = F5.to_ints(arr, np.int64)
+    assert ints.dtype == np.int64 and ints.tolist() == [[3, 0], [1, 4]]
+    assert F5.to_ints(arr, object).tolist() == [[3, 0], [1, 4]]
+    back = F5.from_ints(ints - 10)            # reduced mod p
+    assert back.tolist() == arr.tolist()
+    assert all(type(x.val) is int for x in back.flat)

@@ -9,7 +9,7 @@ from rbx.errors import InputError
 from rbx.fields import F2, F3, F5, QQ
 from rbx.gerstenhaber import g_bracket
 from rbx.instances import (catalog_trb_instances, kx2, mult_by_x_instance,
-                           tensor_square)
+                           swap_instance, tensor_square, truncated_polynomial)
 from rbx.linalg import identity, is_zero, tensors_equal, zeros
 from rbx.operators import (LinearMap, OperatorInstance, extension_mult_map,
                            is_grb, is_trb, lift_operator, structure_residual)
@@ -217,3 +217,26 @@ def test_flow_requires_arity_two(kx2_q):
     inst = mult_by_x_instance(QQ)
     with pytest.raises(InputError):
         exp_flow(inst, lift_operator(inst))
+
+
+@pytest.mark.parametrize("build, calls", [
+    (lambda: truncated_polynomial(5).instance(), 10),
+    (lambda: swap_instance(QQ), 15),
+], ids=["truncated-poly-5", "swap-cochain"])
+def test_addexp_reuses_the_flow_terms(build, calls, monkeypatch):
+    import rbx.flows
+    import rbx.gerstenhaber
+
+    inst = build()
+    count = []
+    original = rbx.gerstenhaber.circ_i
+
+    def counting(*args):
+        count.append(args)
+        return original(*args)
+
+    # flows calls circ_i directly and through g_bracket
+    monkeypatch.setattr(rbx.flows, "circ_i", counting)
+    monkeypatch.setattr(rbx.gerstenhaber, "circ_i", counting)
+    assert addexp_check(inst)
+    assert len(count) == calls

@@ -10,7 +10,7 @@ from oracle import aybe_oracle, random_tensor
 from rbx.algebra import bimodule_check, canonical_bimodule
 from rbx.cochains import Cochain, zero_cochain
 from rbx.errors import CapacityError, CharacteristicError, InputError
-from rbx.fields import F2, F3, QQ
+from rbx.fields import F2, F3, QQ, PrimeField
 from rbx.gerstenhaber import circ_i, g_bracket
 from rbx.instances import (ground_field_algebra, kx2, mult_by_x_instance,
                            mult_by_x_matrix, null_algebra, swap_instance,
@@ -411,6 +411,19 @@ def test_search_rb_reynolds_nijenhuis_kinds():
     assert all(is_nijenhuis(A, LinearMap(s)) for s in nij)
     assert len(nij) >= 2  # identity and zero at least
     assert len(rey) >= 2
+
+
+def test_search_falls_back_to_python_ints_past_the_int64_bound():
+    from rbx.operators import _kernel_dtype
+
+    assert _kernel_dtype(7, kx2(PrimeField(7)).dim) is np.int64
+    p = 65537                   # 4 * 1^3 * (p - 1)^4 = 2^66
+    assert _kernel_dtype(p, 1) is object
+    G = ground_field_algebra(PrimeField(p))
+    nij = search_operators(G, None, "nijenhuis", budget=p)
+    assert [s[0, 0].val for s in nij] == list(range(p))
+    rb = search_operators(G, None, "rb", budget=p)
+    assert [s.tolist() for s in rb] == [[[0]]]
 
 
 def test_search_trb_kind():
