@@ -12,7 +12,8 @@ from rbx.instances import (catalog_trb_instances, kx2, mult_by_x_instance,
                            swap_instance, tensor_square, truncated_polynomial)
 from rbx.linalg import identity, is_zero, tensors_equal, zeros
 from rbx.operators import (LinearMap, OperatorInstance, extension_mult_map,
-                           is_grb, is_trb, lift_operator, structure_residual)
+                           is_grb, is_trb, lift_cocycle, lift_operator,
+                           semidirect_mult_map, structure_residual)
 from rbx.flows import addexp_check, exp_flow, hamiltonian_field
 from rbx.structures import ns_from_trb, total_product
 
@@ -135,6 +136,16 @@ def test_closed_forms_match_bracket_route():
                 sixth.tensor,
                 g_bracket(g_bracket(order1, p_hat), p_hat).scale(
                     field.inverse_int(6)).tensor)
+            # the structure residual is the scaled nested brackets:
+            # (1/2)[[mu^,p^],p^] (+ (1/6)[[[phi^,p^],p^],p^] when twisted)
+            expected = g_bracket(g_bracket(semidirect_mult_map(inst), p_hat),
+                                 p_hat).scale(field.inverse_int(2))
+            if twisted:
+                triple = g_bracket(g_bracket(g_bracket(
+                    lift_cocycle(inst), p_hat), p_hat), p_hat)
+                expected = expected + triple.scale(field.inverse_int(6))
+            assert tensors_equal(structure_residual(inst).tensor,
+                                 expected.tensor)
 
 
 def test_flow_works_over_small_characteristic():
