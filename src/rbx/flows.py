@@ -5,12 +5,11 @@ X(Theta) = [Theta, p^] is nilpotent on arity-2 maps: X^4 = 0.  The flow
 
     exp(X)(Theta) = Theta + [Theta,p^] + (1/2)X^2(Theta) + (1/6)X^3(Theta)
 
-is therefore a finite sum.  The halved and sixthed terms are computed
-from their division-free closed forms, valid over every field, F2 and F3
-included:
+is therefore a finite sum.  Its three higher terms are built, without
+dividing and over every field, from the insertions that
+`gerstenhaber.half_square` returns with (1/2)X^2(Theta):
 
-    (1/2)X^2(Theta) = Theta(p^ (x) p^) - p^ Theta(p^ (x) id)
-                                       - p^ Theta(id (x) p^)
+    [Theta, p^]     = Theta o_1 p^ + Theta o_2 p^ - p^ o_1 Theta
     (1/6)X^3(Theta) = -p^ Theta(p^ (x) p^)
 
 The test suite checks them against the scaled brackets over Q and F5.
@@ -24,7 +23,7 @@ import numpy as np
 
 from .algebra import Verdict
 from .errors import InputError
-from .gerstenhaber import MultiMap, circ_i, g_bracket
+from .gerstenhaber import MultiMap, circ_i, g_bracket, half_square
 from .linalg import first_difference, is_zero, zeros
 from .operators import (OperatorInstance, _induced_products,
                         extension_mult_map, lift_cocycle, lift_operator)
@@ -46,21 +45,6 @@ def hamiltonian_field(theta: MultiMap, inst: OperatorInstance) -> MultiMap:
     return g_bracket(theta, lift_operator(inst))
 
 
-def _half_term(theta, p_hat):
-    """(1/2)X^2(theta) without dividing, and theta(p^ (x) p^) on the way."""
-    first = circ_i(theta, p_hat, 1)               # theta(p^ (x) id)
-    both = circ_i(first, p_hat, 2)                # theta(p^ (x) p^)
-    half = (both - circ_i(p_hat, first, 1)
-            - circ_i(p_hat, circ_i(theta, p_hat, 2), 1))
-    return half, both
-
-
-def _closed_form_terms(theta, p_hat):
-    """(1/2)X^2(theta) and (1/6)X^3(theta), without dividing."""
-    half, both = _half_term(theta, p_hat)
-    return half, -circ_i(p_hat, both, 1)
-
-
 def exp_flow(inst: OperatorInstance, theta: MultiMap | None = None) -> FlowResult:
     """exp(X)(Theta) for Theta = mu^ + phi^ by default."""
     if theta is None:
@@ -70,8 +54,9 @@ def exp_flow(inst: OperatorInstance, theta: MultiMap | None = None) -> FlowResul
     p_hat = lift_operator(inst)
     if not circ_i(p_hat, p_hat, 1).is_zero_map():
         raise InputError("lift does not square to zero")
-    order1 = g_bracket(theta, p_hat)
-    order2, order3 = _closed_form_terms(theta, p_hat)
+    order2, first, second, both = half_square(theta, p_hat)
+    order1 = first + second - circ_i(p_hat, theta, 1)
+    order3 = -circ_i(p_hat, both, 1)
     total = theta + order1 + order2 + order3
     return FlowResult(theta, order1, order2, order3, total)
 
@@ -80,7 +65,7 @@ def _truncation(inst, theta, order1, p_hat):
     """theta + [theta, p^], plus (1/2)[[phi^,p^],p^] when twisted."""
     truncated = theta + order1
     if inst.cocycle is not None:
-        truncated = truncated + _half_term(lift_cocycle(inst), p_hat)[0]
+        truncated = truncated + half_square(lift_cocycle(inst), p_hat)[0]
     return truncated
 
 

@@ -14,6 +14,16 @@ Conventions (degree of an arity-m map is m):
     f obar g  = sum_{i=1}^{m} (-1)^{(i-1)(n-1)} f o_i g
     [f, g]    = f obar g - (-1)^{(m-1)(n-1)} g obar f
     [f, g]_S  = [[S, f], g]          (derived bracket, for [S,S]=0)
+
+For an arity-1 map p with p o p = 0 the field X = [., p] is nilpotent on
+arity-2 maps (X^4 = 0), and its halved and sixthed powers have
+division-free closed forms, valid over every field, F2 and F3 included:
+
+    (1/2)X^2(T) = T(p (x) p) - p T(p (x) id) - p T(id (x) p)
+    (1/6)X^3(T) = -p T(p (x) p)
+
+`half_square` is the one place the half term is computed; the flows and
+the structure residual build on it.
 """
 
 from __future__ import annotations
@@ -97,6 +107,17 @@ def circ_i(f: MultiMap, g: MultiMap, i: int) -> MultiMap:
             + list(range(i - 1, m - 1))
             + [m - 1])
     return MultiMap(f.field, np.transpose(t, perm))
+
+
+def half_square(theta: MultiMap, p: MultiMap):
+    """(1/2)X^2(theta) for X = [., p], theta of arity 2, p of arity 1 with
+    p o p = 0, without dividing.  Returned with the insertions it is built
+    from: (half, theta o_1 p, theta o_2 p, theta(p (x) p))."""
+    first = circ_i(theta, p, 1)                   # theta(p (x) id)
+    second = circ_i(theta, p, 2)                  # theta(id (x) p)
+    both = circ_i(first, p, 2)                    # theta(p (x) p)
+    half = both - circ_i(p, first, 1) - circ_i(p, second, 1)
+    return half, first, second, both
 
 
 def bar_circ(f: MultiMap, g: MultiMap) -> MultiMap:

@@ -25,7 +25,7 @@ from .algebra import (Algebra, Bimodule, Verdict, canonical_bimodule,
                       subspace_closed, twisted_extension)
 from .cochains import Cochain, is_cocycle
 from .errors import CapacityError, CharacteristicError, InputError
-from .gerstenhaber import MultiMap, circ_i, g_bracket
+from .gerstenhaber import MultiMap, circ_i, half_square
 from .linalg import apply_matrix, identity, is_zero, pullback, zeros
 
 SEARCH_BUDGET = 2 ** 20
@@ -238,11 +238,14 @@ def reynolds_as_twisted(algebra: Algebra, op: LinearMap) -> OperatorInstance:
 
 
 # ---------------------------------------------------------------------------
-# structure residuals via the bracket engine
+# structure residuals from the division-free closed forms
 
 def structure_residual(inst: OperatorInstance) -> MultiMap:
     """(1/2)[p^, p^]_mu^  (+ (1/6)[[[phi^,p^],p^],p^] when twisted);
     the zero map exactly when the instance satisfies its identity.
+    Evaluated as the half term (1/2)X^2(mu^) of the flow, minus
+    `twist_insertion` when twisted; the residual is defined with 1/2 and
+    1/6, so characteristics 2 and 3 are refused as before.
     """
     field = inst.field
     if inst.cocycle is not None and field.char in (2, 3):
@@ -252,13 +255,9 @@ def structure_residual(inst: OperatorInstance) -> MultiMap:
     if field.char == 2:
         raise CharacteristicError(
             "the structure residual needs 1/2; characteristic 2 is refused")
-    mu_hat = semidirect_mult_map(inst)
-    p_hat = lift_operator(inst)
-    residual = g_bracket(g_bracket(mu_hat, p_hat), p_hat).scale(field.inverse_int(2))
+    residual = half_square(semidirect_mult_map(inst), lift_operator(inst))[0]
     if inst.cocycle is not None:
-        phi_hat = lift_cocycle(inst)
-        triple = g_bracket(g_bracket(g_bracket(phi_hat, p_hat), p_hat), p_hat)
-        residual = residual + triple.scale(field.inverse_int(6))
+        residual = residual - twist_insertion(inst)
     return residual
 
 

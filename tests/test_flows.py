@@ -14,7 +14,8 @@ from rbx.linalg import identity, is_zero, tensors_equal, zeros
 from rbx.operators import (LinearMap, OperatorInstance, extension_mult_map,
                            is_grb, is_trb, lift_cocycle, lift_operator,
                            semidirect_mult_map, structure_residual)
-from rbx.flows import addexp_check, exp_flow, hamiltonian_field
+from rbx.flows import (addexp_check, exp_flow, flow_truncation,
+                       hamiltonian_field)
 from rbx.structures import ns_from_trb, total_product
 
 
@@ -119,15 +120,14 @@ def test_intertwiner_one_plus_lift():
 def test_closed_forms_match_bracket_route():
     # the division-free order-2/order-3 terms agree with the scaled
     # brackets wherever the characteristic admits both routes
-    from rbx.flows import _closed_form_terms
-
     rng = random.Random(65)
     for field in (QQ, F5):
         for twisted in (False, True):
             inst = random_instance(field, rng, twisted)
             theta = extension_mult_map(inst)
             p_hat = lift_operator(inst)
-            half, sixth = _closed_form_terms(theta, p_hat)
+            flow = exp_flow(inst)
+            half, sixth = flow.order2, flow.order3
             order1 = g_bracket(theta, p_hat)
             assert tensors_equal(
                 half.tensor,
@@ -230,15 +230,26 @@ def test_flow_requires_arity_two(kx2_q):
         exp_flow(inst, lift_operator(inst))
 
 
-@pytest.mark.parametrize("build, calls", [
-    (lambda: truncated_polynomial(5).instance(), 10),
-    (lambda: swap_instance(QQ), 15),
-], ids=["truncated-poly-5", "swap-cochain"])
-def test_addexp_reuses_the_flow_terms(build, calls, monkeypatch):
+BUILDS = {"truncated-poly-5": lambda: truncated_polynomial(5).instance(),
+          "swap-cochain": lambda: swap_instance(QQ)}
+
+# circ_i calls per function on (truncated-poly-5, swap-cochain): no
+# insertion is computed twice or left unused
+CIRC_I_CALLS = [(addexp_check, 8, 13), (exp_flow, 8, 8),
+                (structure_residual, 5, 8), (flow_truncation, 3, 8)]
+
+
+@pytest.mark.parametrize("func, name, calls", [
+    pytest.param(func, name, calls,
+                 id=name if func is addexp_check else f"{func.__name__}-{name}")
+    for func, *counts in CIRC_I_CALLS
+    for name, calls in zip(BUILDS, counts)])
+def test_addexp_reuses_the_flow_terms(func, name, calls, monkeypatch):
     import rbx.flows
     import rbx.gerstenhaber
+    import rbx.operators
 
-    inst = build()
+    inst = BUILDS[name]()
     count = []
     original = rbx.gerstenhaber.circ_i
 
@@ -246,8 +257,8 @@ def test_addexp_reuses_the_flow_terms(build, calls, monkeypatch):
         count.append(args)
         return original(*args)
 
-    # flows calls circ_i directly and through g_bracket
-    monkeypatch.setattr(rbx.flows, "circ_i", counting)
-    monkeypatch.setattr(rbx.gerstenhaber, "circ_i", counting)
-    assert addexp_check(inst)
+    # circ_i is called directly, through half_square and through g_bracket
+    for module in (rbx.flows, rbx.gerstenhaber, rbx.operators):
+        monkeypatch.setattr(module, "circ_i", counting)
+    func(inst)
     assert len(count) == calls
