@@ -171,10 +171,10 @@ def _ext_labels(inst):
 
 
 def cmd_check_assoc(args):
-    text = _load(args.file)
-    field, c = schema.load_raw_algebra(text)
+    raw = schema.decode(_load(args.file))
+    field, c = schema.raw_algebra(raw)
     return _verdict_report("check-assoc", field, assoc_check(c),
-                           schema.raw_digest(text))
+                           schema.raw_digest(raw))
 
 
 def cmd_check_bimodule(args):

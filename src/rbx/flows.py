@@ -5,9 +5,8 @@ X(Theta) = [Theta, p^] is nilpotent on arity-2 maps: X^4 = 0.  The flow
 
     exp(X)(Theta) = Theta + [Theta,p^] + (1/2)X^2(Theta) + (1/6)X^3(Theta)
 
-is therefore a finite sum.  Its three higher terms are built, without
-dividing and over every field, from the insertions that
-`gerstenhaber.half_square` returns with (1/2)X^2(Theta):
+is therefore a finite sum.  `gerstenhaber.half_square` gives the half
+term and the insertions the other two are built from, without dividing:
 
     [Theta, p^]     = Theta o_1 p^ + Theta o_2 p^ - p^ o_1 Theta
     (1/6)X^3(Theta) = -p^ Theta(p^ (x) p^)

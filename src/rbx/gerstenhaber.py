@@ -15,15 +15,12 @@ Conventions (degree of an arity-m map is m):
     [f, g]    = f obar g - (-1)^{(m-1)(n-1)} g obar f
     [f, g]_S  = [[S, f], g]          (derived bracket, for [S,S]=0)
 
-For an arity-1 map p with p o p = 0 the field X = [., p] is nilpotent on
-arity-2 maps (X^4 = 0), and its halved and sixthed powers have
-division-free closed forms, valid over every field, F2 and F3 included:
+For an arity-1 p with p o p = 0 and X = [., p], the half term of X^2 on
+arity-2 maps has a division-free closed form, valid over every field:
 
     (1/2)X^2(T) = T(p (x) p) - p T(p (x) id) - p T(id (x) p)
-    (1/6)X^3(T) = -p T(p (x) p)
 
-`half_square` is the one place the half term is computed; the flows and
-the structure residual build on it.
+`half_square` computes it for the flows and the structure residual.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .linalg import apply_multilinear, is_zero, zeros
+from .linalg import apply_multilinear, is_zero
 
 ARITY_CAP = 4
 
@@ -80,10 +77,6 @@ class MultiMap:
         return f"MultiMap(arity={self.arity}, dim={self.dim})"
 
 
-def zero_map(field, dim, arity):
-    return MultiMap(field, zeros((dim,) * arity + (dim,), field))
-
-
 def from_algebra(algebra):
     """The multiplication of an algebra as an arity-2 MultiMap."""
     return MultiMap(algebra.field, algebra.c)
@@ -110,9 +103,8 @@ def circ_i(f: MultiMap, g: MultiMap, i: int) -> MultiMap:
 
 
 def half_square(theta: MultiMap, p: MultiMap):
-    """(1/2)X^2(theta) for X = [., p], theta of arity 2, p of arity 1 with
-    p o p = 0, without dividing.  Returned with the insertions it is built
-    from: (half, theta o_1 p, theta o_2 p, theta(p (x) p))."""
+    """(1/2)X^2(theta) for an arity-2 theta, with the insertions it is
+    built from: (half, theta o_1 p, theta o_2 p, theta(p (x) p))."""
     first = circ_i(theta, p, 1)                   # theta(p (x) id)
     second = circ_i(theta, p, 2)                  # theta(id (x) p)
     both = circ_i(first, p, 2)                    # theta(p (x) p)

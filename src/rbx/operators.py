@@ -243,9 +243,8 @@ def reynolds_as_twisted(algebra: Algebra, op: LinearMap) -> OperatorInstance:
 def structure_residual(inst: OperatorInstance) -> MultiMap:
     """(1/2)[p^, p^]_mu^  (+ (1/6)[[[phi^,p^],p^],p^] when twisted);
     the zero map exactly when the instance satisfies its identity.
-    Evaluated as the half term (1/2)X^2(mu^) of the flow, minus
-    `twist_insertion` when twisted; the residual is defined with 1/2 and
-    1/6, so characteristics 2 and 3 are refused as before.
+    Evaluated as the flow's half term (1/2)X^2(mu^), minus
+    `twist_insertion` when twisted; the guards for 1/2 and 1/6 are kept.
     """
     field = inst.field
     if inst.cocycle is not None and field.char in (2, 3):

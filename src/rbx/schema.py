@@ -42,14 +42,19 @@ class Document:
     ns: NSAlgebra | None = None
 
 
-def _parse_tensor(field, raw, shape, path):
-    arr = np.empty(shape, dtype=object)
+def _array(raw, path):
     try:
-        flat = np.asarray(raw, dtype=object)
+        return np.asarray(raw, dtype=object)
     except ValueError as exc:
         raise InputError(f"{path}: ragged tensor ({exc})") from exc
+
+
+def _parse_tensor(field, raw, shape, path):
+    # shapes are compared before allocating: memory is bounded by the data
+    flat = _array(raw, path)
     if flat.shape != shape:
         raise InputError(f"{path}: expected shape {shape}, got {flat.shape}")
+    arr = np.empty(shape, dtype=object)
     for idx in np.ndindex(shape):
         try:
             arr[idx] = field.parse(flat[idx])
@@ -65,8 +70,14 @@ def format_tensor(field, arr):
     return [format_tensor(field, sub) for sub in arr]
 
 
+def _object(value, path):
+    if not isinstance(value, dict):
+        raise InputError(f"{path}: expected a JSON object")
+    return value
+
+
 def _require(mapping, key, path, kind=dict):
-    if key not in mapping:
+    if key not in _object(mapping, path):
         raise InputError(f"{path}: missing key {key!r}")
     value = mapping[key]
     if kind is int:
@@ -75,36 +86,45 @@ def _require(mapping, key, path, kind=dict):
     return value
 
 
-def load_document(text: str) -> Document:
-    """Parse a schema document from a JSON string."""
+def decode(text: str):
+    """The JSON value of a document's text; the one decode path."""
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"JSON parse error at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
-    return document_from_obj(raw)
+    except (ValueError, RecursionError) as exc:  # huge integers, deep nesting
+        raise InputError(f"JSON parse error: {exc}") from exc
+
+
+def load_document(text: str) -> Document:
+    """Parse a schema document from a JSON string."""
+    return document_from_obj(decode(text))
 
 
 def load_raw_algebra(text: str):
     """Parse just the field and the raw structure-constant tensor, without
     the associativity gate; used by verbs that judge associativity."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"JSON parse error at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}") from exc
+    return raw_algebra(decode(text))
+
+
+def raw_algebra(raw):
+    """`load_raw_algebra` on an already decoded document."""
     if not isinstance(raw, dict) or "field" not in raw:
         raise InputError("document root must be an object with a 'field' key")
     field = field_from_name(raw["field"])
     if "algebra" not in raw:
         raise InputError("document has no 'algebra' key")
-    entry = raw["algebra"]
-    dim = _require(entry, "dim", "algebra", int)
-    c = _parse_tensor(field, _require(entry, "c", "algebra"),
-                      (dim, dim, dim), "algebra.c")
-    return field, c
+    return (field, *_cubes(field, raw, "algebra", "c"))
+
+
+def _cubes(field, raw, section, *keys):
+    """The dim x dim x dim tensors `keys` of a section with its own dim."""
+    entry = raw[section]
+    dim = _require(entry, "dim", section, int)
+    return [_parse_tensor(field, _require(entry, key, section), (dim,) * 3,
+                          f"{section}.{key}") for key in keys]
 
 
 def document_from_obj(raw) -> Document:
@@ -116,11 +136,7 @@ def document_from_obj(raw) -> Document:
     doc = Document(field)
 
     if "algebra" in raw:
-        entry = raw["algebra"]
-        dim = _require(entry, "dim", "algebra", int)
-        c = _parse_tensor(field, _require(entry, "c", "algebra"),
-                          (dim, dim, dim), "algebra.c")
-        doc.algebra = Algebra(field, c)
+        doc.algebra = Algebra(field, *_cubes(field, raw, "algebra", "c"))
 
     if "bimodule" in raw:
         if doc.algebra is None:
@@ -134,13 +150,13 @@ def document_from_obj(raw) -> Document:
                               (dim, dA, dim), "bimodule.right")
         doc.bimodule = Bimodule(doc.algebra, left, right, check=False)
 
-    for name, raw_mat in raw.get("maps", {}).items():
-        mat = np.asarray(raw_mat, dtype=object)
+    for name, raw_mat in _object(raw.get("maps", {}), "maps").items():
+        mat = _array(raw_mat, f"maps.{name}")
         if mat.ndim != 2:
             raise InputError(f"maps.{name}: expected a matrix")
-        doc.maps[name] = _parse_tensor(field, raw_mat, mat.shape, f"maps.{name}")
+        doc.maps[name] = _parse_tensor(field, mat, mat.shape, f"maps.{name}")
 
-    for name, entry in raw.get("cochains", {}).items():
+    for name, entry in _object(raw.get("cochains", {}), "cochains").items():
         path = f"cochains.{name}"
         arity = _require(entry, "arity", path, int)
         inputs = _require(entry, "inputs", path, str)
@@ -149,31 +165,22 @@ def document_from_obj(raw) -> Document:
             raise InputError(f"{path}: inputs must be 'A' or 'B', output 'A', 'M' or 'B'")
         in_dim = _space_dim(doc, inputs, path)
         out_dim = _space_dim(doc, output, path)
-        tensor = _parse_tensor(field, _require(entry, "tensor", path),
+        raw_tensor = _array(_require(entry, "tensor", path), f"{path}.tensor")
+        if arity > raw_tensor.ndim:  # refused before the shape is built
+            raise InputError(f"{path}.tensor: arity {arity} needs "
+                             f"{arity + 1} axes, got {raw_tensor.ndim}")
+        tensor = _parse_tensor(field, raw_tensor,
                                (in_dim,) * arity + (out_dim,), f"{path}.tensor")
         doc.cochains[name] = {"arity": arity, "inputs": inputs,
                               "output": output, "tensor": tensor}
 
     if "dendriform" in raw:
-        entry = raw["dendriform"]
-        dim = _require(entry, "dim", "dendriform", int)
-        shape = (dim, dim, dim)
-        doc.dendriform = Dendriform(
-            field,
-            _parse_tensor(field, _require(entry, "succ", "dendriform"), shape,
-                          "dendriform.succ"),
-            _parse_tensor(field, _require(entry, "prec", "dendriform"), shape,
-                          "dendriform.prec"))
+        doc.dendriform = Dendriform(field, *_cubes(field, raw, "dendriform",
+                                                   "succ", "prec"))
 
     if "ns" in raw:
-        entry = raw["ns"]
-        dim = _require(entry, "dim", "ns", int)
-        shape = (dim, dim, dim)
-        doc.ns = NSAlgebra(
-            field,
-            _parse_tensor(field, _require(entry, "succ", "ns"), shape, "ns.succ"),
-            _parse_tensor(field, _require(entry, "prec", "ns"), shape, "ns.prec"),
-            _parse_tensor(field, _require(entry, "vee", "ns"), shape, "ns.vee"))
+        doc.ns = NSAlgebra(field, *_cubes(field, raw, "ns",
+                                          "succ", "prec", "vee"))
 
     return doc
 
@@ -233,15 +240,9 @@ def document_digest(doc: Document) -> str:
     return hashlib.sha256(dump_document(doc).encode()).hexdigest()
 
 
-def raw_digest(text: str) -> str:
-    """Digest of a document that may not pass semantic validation:
-    canonical dump of the raw JSON object."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"JSON parse error at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}") from exc
+def raw_digest(raw) -> str:
+    """Digest of a decoded document that may not pass semantic
+    validation: canonical dump of the raw JSON value."""
     return hashlib.sha256(
         (json.dumps(raw, indent=2, sort_keys=True) + "\n").encode()).hexdigest()
 

@@ -337,3 +337,53 @@ def test_search_cast_to_fp_with_zero_denominator_is_exit_2(tmp_path, capsys):
     assert code == 0
     code, out = run(capsys, "search", str(path), "--field", "F2", "--kind", "rb")
     assert code == 2 and "bad F2 scalar '1/2'" in out
+
+
+KX2 = {"dim": 2, "c": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]}
+
+
+@pytest.mark.parametrize("section, value, path", [
+    ("maps", [], "maps"),
+    ("cochains", [1], "cochains"),
+    ("ns", 3, "ns"),
+    ("algebra", 5, "algebra"),
+    ("bimodule", 5, "bimodule"),
+    ("cochains", {"f": 5}, "cochains.f"),
+    ("dendriform", True, "dendriform"),
+], ids=["maps-list", "cochains-list", "ns-int", "algebra-int", "bimodule-int",
+        "cochain-entry-int", "dendriform-bool"])
+def test_non_object_section_is_exit_2(tmp_path, capsys, section, value, path):
+    doc = {"field": "Q", "algebra": KX2, "maps": {"p": [[0, 1], [0, 0]]}}
+    doc[section] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run(capsys, "check-grb", str(bad), "--map", "p")
+    assert code == 2 and f"{path}: expected a JSON object" in out
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"field": "Q", "algebra": {"dim": 10 ** 9, "c": []}},
+     "algebra.c: expected shape (1000000000, 1000000000, 1000000000)"),
+    ({"field": "Q", "algebra": KX2,
+      "cochains": {"f": {"arity": 100, "inputs": "A", "output": "A",
+                         "tensor": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}}},
+     "cochains.f.tensor: arity 100 needs 101 axes, got 3"),
+], ids=["dim-1e9", "arity-100"])
+def test_declared_shape_checked_before_allocation(tmp_path, capsys, doc, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run(capsys, "check-grb", str(bad), "--map", "p")
+    assert code == 2 and message in out
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"field": "Q", "algebra": {"dim": 1, "c": [[[' + "1" * 5000 + "]]]}}",
+     "Exceeds the limit"),
+    ("[" * 100000 + "]" * 100000, "recursion"),
+], ids=["huge-integer", "deep-nesting"])
+def test_undecodable_json_is_exit_2(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for verb in ("check-assoc", "check-grb"):
+        code, out = run(capsys, verb, str(bad))
+        assert code == 2 and "JSON parse error" in out and message in out

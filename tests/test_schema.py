@@ -1,8 +1,11 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rbx.errors import InputError
+from rbx.errors import InputError, RbxError
 from rbx.fields import QQ
 from rbx.instances import kx2, mult_by_x_instance, tensor_square
 from rbx.linalg import tensors_equal
@@ -138,3 +141,70 @@ def test_dendriform_and_ns_documents():
     doc = Document(QQ, ns=ns)
     loaded = load_document(dump_document(doc))
     assert tensors_equal(loaded.ns.vee, ns.vee)
+
+
+# every section of the schema, each valid, as the seed of the loader fuzz
+FUZZ_SEED = dict(json.loads(KX2_DOC),
+                 dendriform={"dim": 1, "succ": [[[0]]], "prec": [[[0]]]},
+                 ns={"dim": 1, "succ": [[[0]]], "prec": [[[0]]],
+                     "vee": [[[0]]]})
+FUZZ_KEYS = ["field", "Fp", "algebra", "bimodule", "maps", "cochains",
+             "dendriform", "ns", "dim", "c", "left", "right", "arity",
+             "inputs", "output", "tensor", "succ", "prec", "vee", "pi"]
+# huge integers only beyond 2^63, which numpy and tuple repetition refuse
+# at once: a moderately large declared dim would be filled before the
+# shape check by a loader that allocates first
+FUZZ_SIZES = st.sampled_from([2 ** 63, 10 ** 40]) | st.integers(-2, 4)
+FUZZ_SCALARS = st.one_of(
+    FUZZ_SIZES, st.none(), st.booleans(), st.floats(),
+    st.sampled_from(["1/0", "1/2", "2/4", "x", "", "Q", "A", "M", "B"]))
+FUZZ_VALUES = st.recursive(
+    FUZZ_SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(FUZZ_KEYS), inner,
+                                     max_size=3)),
+    max_leaves=8)
+
+
+def _slots(node):
+    """(container, key) for every value below `node`, depth first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in list(items):
+        yield node, key
+        yield from _slots(child)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.data())
+def test_loader_fuzz_returns_or_raises_rbx_error(data):
+    # wrong types, ragged lists, bools, floats, "1/0" and huge dims in
+    # any place of a valid document: the loaders return or refuse it
+    holder = {"doc": copy.deepcopy(FUZZ_SEED)}
+    for _ in range(data.draw(st.integers(1, 3))):
+        slots = list(_slots(holder))
+        action = data.draw(st.sampled_from(["replace", "delete", "set",
+                                            "size"]))
+        sized = [(c, k) for c, k in slots if k in ("dim", "arity")]
+        if action == "size" and sized:  # a declared dim or arity
+            container, key = data.draw(st.sampled_from(sized))
+            container[key] = data.draw(FUZZ_SIZES)
+            continue
+        if action == "set":     # a schema key of some object, new or not
+            objects = [c for c, _ in slots if isinstance(c, dict)]
+            target = data.draw(st.sampled_from(objects))
+            key = "doc" if target is holder else \
+                data.draw(st.sampled_from(FUZZ_KEYS))
+            target[key] = data.draw(FUZZ_VALUES)
+            continue
+        container, key = data.draw(st.sampled_from(slots))
+        if action == "replace":
+            container[key] = data.draw(FUZZ_VALUES)
+        elif isinstance(container, dict) and container is not holder:
+            del container[key]
+    text = json.dumps(holder["doc"])
+    for load in (load_document, load_raw_algebra):
+        try:
+            load(text)
+        except RbxError:
+            pass
