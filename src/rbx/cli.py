@@ -171,8 +171,7 @@ def _ext_labels(inst):
 
 
 def cmd_check_assoc(args):
-    raw = schema.decode(_load(args.file))
-    field, c = schema.raw_algebra(raw)
+    field, c, raw = schema.load_raw_algebra(_load(args.file))
     return _verdict_report("check-assoc", field, assoc_check(c),
                            schema.raw_digest(raw))
 

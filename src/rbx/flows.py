@@ -54,10 +54,15 @@ def exp_flow(inst: OperatorInstance, theta: MultiMap | None = None) -> FlowResul
     if not circ_i(p_hat, p_hat, 1).is_zero_map():
         raise InputError("lift does not square to zero")
     order2, first, second, both = half_square(theta, p_hat)
-    order1 = first + second - circ_i(p_hat, theta, 1)
+    order1 = _first_order(theta, p_hat, first, second)
     order3 = -circ_i(p_hat, both, 1)
     total = theta + order1 + order2 + order3
     return FlowResult(theta, order1, order2, order3, total)
+
+
+def _first_order(theta, p_hat, first, second):
+    """[theta, p^] from the insertions theta o_1 p^ and theta o_2 p^."""
+    return first + second - circ_i(p_hat, theta, 1)
 
 
 def _truncation(inst, theta, order1, p_hat):
@@ -73,7 +78,9 @@ def flow_truncation(inst: OperatorInstance) -> MultiMap:
     that characterizes twisted Rota-Baxter operators."""
     theta = extension_mult_map(inst)
     p_hat = lift_operator(inst)
-    return _truncation(inst, theta, g_bracket(theta, p_hat), p_hat)
+    order1 = _first_order(theta, p_hat, circ_i(theta, p_hat, 1),
+                          circ_i(theta, p_hat, 2))
+    return _truncation(inst, theta, order1, p_hat)
 
 
 def addexp_check(inst: OperatorInstance) -> Verdict:

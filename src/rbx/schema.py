@@ -105,18 +105,16 @@ def load_document(text: str) -> Document:
 
 def load_raw_algebra(text: str):
     """Parse just the field and the raw structure-constant tensor, without
-    the associativity gate; used by verbs that judge associativity."""
-    return raw_algebra(decode(text))
-
-
-def raw_algebra(raw):
-    """`load_raw_algebra` on an already decoded document."""
+    the associativity gate; used by verbs that judge associativity.
+    Returns (field, c, raw) with the decoded document raw for
+    `raw_digest`."""
+    raw = decode(text)
     if not isinstance(raw, dict) or "field" not in raw:
         raise InputError("document root must be an object with a 'field' key")
     field = field_from_name(raw["field"])
     if "algebra" not in raw:
         raise InputError("document has no 'algebra' key")
-    return (field, *_cubes(field, raw, "algebra", "c"))
+    return (field, *_cubes(field, raw, "algebra", "c"), raw)
 
 
 def _cubes(field, raw, section, *keys):

@@ -129,6 +129,7 @@ def test_closed_forms_match_bracket_route():
             flow = exp_flow(inst)
             half, sixth = flow.order2, flow.order3
             order1 = g_bracket(theta, p_hat)
+            assert tensors_equal(flow.order1.tensor, order1.tensor)
             assert tensors_equal(
                 half.tensor,
                 g_bracket(order1, p_hat).scale(field.inverse_int(2)).tensor)
@@ -257,8 +258,10 @@ def test_addexp_reuses_the_flow_terms(func, name, calls, monkeypatch):
         count.append(args)
         return original(*args)
 
-    # circ_i is called directly, through half_square and through g_bracket
+    # circ_i is called directly and through half_square
     for module in (rbx.flows, rbx.gerstenhaber, rbx.operators):
         monkeypatch.setattr(module, "circ_i", counting)
-    func(inst)
+    result = func(inst)
     assert len(count) == calls
+    if func is addexp_check:
+        assert result

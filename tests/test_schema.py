@@ -108,7 +108,7 @@ def test_multimap_requires_matching_spaces():
 def test_load_raw_algebra_skips_validation():
     text = ('{"field": "Q", "algebra": {"dim": 2, '
             '"c": [[[0, 1], [1, 0]], [[0, 0], [0, 0]]]}}')
-    field, c = load_raw_algebra(text)
+    field, c, _ = load_raw_algebra(text)
     assert c[0, 0, 1] == 1
     with pytest.raises(InputError):
         load_document(text)  # the full loader enforces associativity
