@@ -53,9 +53,6 @@ class Cochain:
     def __neg__(self):
         return Cochain(self.algebra, self.module, -self.tensor)
 
-    def scale(self, scalar):
-        return Cochain(self.algebra, self.module, self.tensor * scalar)
-
     def is_zero_map(self):
         return is_zero(self.tensor)
 

@@ -4,13 +4,20 @@ Every computation in rbx happens over one of these two domains.  Equality
 is decidable and bit-exact, so every identity check in the library is a
 zero-tolerance comparison.  Rational scalars are ``fractions.Fraction``;
 prime-field scalars are :class:`FpElement` with canonical representatives
-in ``[0, p)``.  A prime field also converts tensors to integer tensors of
-canonical representatives and back, for kernels that reduce mod p once
-at the end.
+in ``[0, p)``.
+
+Both fields also encode a tensor of their scalars as an integer tensor
+and a scale, and decode an integer tensor over a scale back to scalars,
+for the exact integer contraction kernel (`linalg.contract`).  F_p
+encodes canonical representatives with scale 1 and decodes by one
+reduction mod p; Q encodes the numerators over the common denominator of
+the entries.  Decoding builds one scalar per distinct value, which equal
+entries (most often the zeros) share.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +111,15 @@ class FpElement:
         return str(self.val)
 
 
+def _from_values(arr, make):
+    """Object tensor holding make(v) at each entry v of the integer tensor
+    `arr`, with one call, and one shared scalar, per distinct value."""
+    values, index = np.unique(arr, return_inverse=True)
+    scalars = np.empty(len(values), dtype=object)
+    scalars[:] = [make(int(v)) for v in values]
+    return scalars[index].reshape(np.shape(arr))
+
+
 def _is_prime(n):
     if n < 2:
         return False
@@ -155,6 +171,18 @@ class RationalField:
         if x.denominator == 1:
             return int(x.numerator)
         return f"{x.numerator}/{x.denominator}"
+
+    def encode(self, arr):
+        """(numerators, den): a tensor of rationals as an object tensor of
+        Python ints over den, the lcm of its entries' denominators."""
+        arr = np.asarray(arr, dtype=object)
+        den = math.lcm(*(x.denominator for x in arr.flat))
+        nums = [x.numerator * (den // x.denominator) for x in arr.flat]
+        return np.array(nums, dtype=object).reshape(arr.shape), den
+
+    def decode(self, arr, scale):
+        """The rational tensor arr / scale of an integer tensor."""
+        return _from_values(arr, lambda n: Fraction(n, scale))
 
     def elements(self):
         raise InputError("Q is not enumerable; use a prime field for searches")
@@ -226,10 +254,16 @@ class PrimeField:
 
     def from_ints(self, arr):
         """The F_p tensor of an integer tensor, reduced mod p."""
-        arr = np.asarray(arr)
-        out = np.empty(arr.shape, dtype=object)
-        out.flat = [FpElement(int(v), self.p) for v in arr.flat]
-        return out
+        return _from_values(np.asarray(arr) % self.p,
+                            lambda v: FpElement(v, self.p))
+
+    def encode(self, arr):
+        """(representatives, 1): `to_ints` on Python ints, scale 1."""
+        return self.to_ints(arr, object), 1
+
+    def decode(self, arr, scale):
+        """The F_p tensor of an integer tensor; `scale` is always 1."""
+        return self.from_ints(arr)
 
     def elements(self):
         """All scalars in canonical order 0, 1, ..., p-1."""

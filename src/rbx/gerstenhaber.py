@@ -21,6 +21,11 @@ arity-2 maps has a division-free closed form, valid over every field:
     (1/2)X^2(T) = T(p (x) p) - p T(p (x) id) - p T(id (x) p)
 
 `half_square` computes it for the flows and the structure residual.
+
+Every insertion is one `circ_i`, and every `circ_i` is one exact integer
+contraction (`linalg.contract`) over the maps' common field, so the
+bracket engine, the flows and the structure residual do no boxed
+multiply-adds.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .linalg import apply_multilinear, is_zero
+from .linalg import apply_multilinear, contract, is_zero
 
 ARITY_CAP = 4
 
@@ -92,8 +97,11 @@ def circ_i(f: MultiMap, g: MultiMap, i: int) -> MultiMap:
             f"composite arity {m + n - 1} exceeds the cap {ARITY_CAP}")
     if f.dim != g.dim:
         raise InputError("multimaps live on different spaces")
+    if f.field != g.field:
+        raise InputError(f"multimaps are over different fields, "
+                         f"{f.field.name} and {g.field.name}")
     # contract g's output axis into f's input slot i-1
-    t = np.tensordot(f.tensor, g.tensor, axes=([i - 1], [n]))
+    t = contract(f.field, f.tensor, g.tensor, ([i - 1], [n]))
     # axes now: f-inputs before slot, f-inputs after slot, f-output, g-inputs
     perm = (list(range(0, i - 1))
             + list(range(m, m + n))

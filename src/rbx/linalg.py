@@ -1,8 +1,14 @@
-"""Exact linear algebra on object-dtype numpy tensors.
+"""Exact linear algebra on numpy tensors of field scalars.
 
-Tensors hold Fraction or FpElement entries; numpy supplies shape
-bookkeeping and object-dtype contraction (tensordot dispatches to the
-scalars' __mul__/__add__), so every result stays exact.
+Tensors hold Fraction or FpElement entries; numpy supplies the shape
+bookkeeping.  `contract` is the exact integer contraction that every
+Gerstenhaber insertion (`gerstenhaber.circ_i`) runs on: each operand
+becomes an integer tensor plus a scale (the field's `encode`), the
+integer tensors meet in one `np.tensordot`, in int64 when `kernel_dtype`
+rules out overflow and on Python ints otherwise, and the field turns the
+sum back into scalars (`decode`).  Nothing wraps and no scalar is boxed
+per multiply-add.  The other contractions run on object-dtype tensors
+and dispatch to the scalars' own exact arithmetic.
 
 Every identity rbx decides is a residual of two contractions: the two
 sides are computed as tensors over all basis tuples at once, and
@@ -16,6 +22,8 @@ on canonical representatives and reduces mod p only at the end.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -61,6 +69,33 @@ def first_difference(lhs, rhs, k):
     """Lexicographically first index over the leading `k` axes at which
     the tensors `lhs` and `rhs` differ, or None."""
     return first_nonzero_index(lhs - rhs, k)
+
+
+def kernel_dtype(terms, *bounds):
+    """np.int64 when every signed sum of `terms` products of factors
+    bounded in absolute value by `bounds` stays below 2^63, else object
+    (Python ints): an integer contraction in the returned dtype never
+    wraps."""
+    limit = terms
+    for bound in bounds:
+        limit *= max(bound, 1)
+    return np.int64 if limit < 2 ** 63 else object
+
+
+def contract(field, a, b, axes):
+    """np.tensordot(a, b, axes) for tensors of `field` scalars, exactly,
+    with `axes` a pair of axis lists.  One integer contraction of the
+    encoded operands, decoded over the product of their scales."""
+    ia, sa = field.encode(a)
+    ib, sb = field.encode(b)
+    terms = math.prod(ia.shape[k] for k in axes[0])
+    dtype = kernel_dtype(terms, _max_abs(ia), _max_abs(ib))
+    out = np.tensordot(ia.astype(dtype), ib.astype(dtype), axes)
+    return field.decode(out, sa * sb)
+
+
+def _max_abs(ints):
+    return max(map(abs, ints.flat), default=0)
 
 
 def pullback(t, m, n=None, inner=None):

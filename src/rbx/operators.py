@@ -26,7 +26,8 @@ from .algebra import (Algebra, Bimodule, Verdict, canonical_bimodule,
 from .cochains import Cochain, is_cocycle
 from .errors import CapacityError, CharacteristicError, InputError
 from .gerstenhaber import MultiMap, circ_i, half_square
-from .linalg import apply_matrix, identity, is_zero, pullback, zeros
+from .linalg import (apply_matrix, identity, is_zero, kernel_dtype, pullback,
+                     zeros)
 
 SEARCH_BUDGET = 2 ** 20
 
@@ -339,11 +340,11 @@ BLOCK_ENTRIES = 2 ** 20        # entries of a block's largest tensor, at most,
 
 
 def _kernel_dtype(p, d):
-    """np.int64 when no unreduced entry of a residual can reach 2^63, else
-    object (Python ints).  Over dimensions <= d, every intermediate entry
-    of every kind's residual is a signed sum of at most 4 d^3 products of
-    at most four canonical representatives, each at most p - 1."""
-    return np.int64 if 4 * d ** 3 * (p - 1) ** 4 < 2 ** 63 else object
+    """The search's integer dtype: over dimensions <= d, every
+    intermediate entry of every kind's residual is a signed sum of at
+    most 4 d^3 products of at most four canonical representatives, each
+    at most p - 1."""
+    return kernel_dtype(4 * d ** 3, *[p - 1] * 4)
 
 
 def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
@@ -417,5 +418,5 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
             lhs, rhs = _identity_sides(kind, block, c, left, right, twist)
             residual = lhs - rhs
         failing = (residual % p != 0).reshape(len(block), -1).any(axis=1)
-        solutions += [field.from_ints(block[k]) for k in np.flatnonzero(~failing)]
+        solutions += list(field.from_ints(block[~failing]))
     return solutions

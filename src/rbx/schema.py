@@ -76,7 +76,7 @@ def _object(value, path):
     return value
 
 
-def _require(mapping, key, path, kind=dict):
+def _require(mapping, key, path, kind=None):
     if key not in _object(mapping, path):
         raise InputError(f"{path}: missing key {key!r}")
     value = mapping[key]
@@ -157,8 +157,8 @@ def document_from_obj(raw) -> Document:
     for name, entry in _object(raw.get("cochains", {}), "cochains").items():
         path = f"cochains.{name}"
         arity = _require(entry, "arity", path, int)
-        inputs = _require(entry, "inputs", path, str)
-        output = _require(entry, "output", path, str)
+        inputs = _require(entry, "inputs", path)
+        output = _require(entry, "output", path)
         if inputs not in ("A", "B") or output not in ("A", "M", "B"):
             raise InputError(f"{path}: inputs must be 'A' or 'B', output 'A', 'M' or 'B'")
         in_dim = _space_dim(doc, inputs, path)

@@ -11,7 +11,7 @@ from oracle import (FnMap, agrees_with_tensor, oracle_bar, oracle_bracket,
                     oracle_circ, random_tensor)
 from rbx.algebra import assoc_check, canonical_bimodule
 from rbx.errors import CapacityError, InputError
-from rbx.fields import F5, QQ
+from rbx.fields import F5, QQ, PrimeField
 from rbx.gerstenhaber import (MultiMap, bar_circ, circ_i, derived_bracket,
                               from_algebra, g_bracket, jacobi_residual)
 from rbx.instances import kx2
@@ -72,6 +72,16 @@ def test_circ_index_and_cap_errors():
     h = rand_map(2, 3, QQ, rng)
     with pytest.raises(CapacityError):
         circ_i(h, h, 1)  # arity 3+3-1 = 5 > 4
+
+
+@pytest.mark.parametrize("other", [PrimeField(7), QQ], ids=["F7", "Q"])
+def test_circ_refuses_maps_over_different_fields(other):
+    rng = random.Random(28)
+    f = rand_map(2, 2, F5, rng)
+    g = rand_map(2, 1, other, rng)
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(InputError, match="different fields"):
+            circ_i(a, b, 1)
 
 
 def test_bar_circ_arity_one_signs():
