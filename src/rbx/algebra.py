@@ -2,9 +2,12 @@
 
 An algebra is a dim x dim x dim structure-constant tensor c with
 e_i * e_j = sum_k c[i,j,k] e_k; a bimodule over it carries left/right
-action tensors.  Everything is stored as object-dtype numpy tensors of
-exact scalars and validated on construction, so an Algebra value is
-always genuinely associative.
+action tensors.  Each tensor is encoded once, at construction, in its
+field's integer encoding (`linalg.Encoded`), and every identity is
+decided on those integers; the public `.c`, `.left` and `.right` are
+object-dtype tensors of exact scalars, decoded on first use where the
+kernel built them.  Algebras are validated on construction, so an
+Algebra value is always genuinely associative.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import (Span, first_difference, first_nonzero_index, identity,
-                     pullback, rank, row_reduce, tensors_equal, zeros)
+from .fields import field_of
+from .linalg import (Encoded, Span, common, decoded, first_nonzero_index,
+                     identity, pullback, rank, row_reduce, tensors_equal,
+                     zeros)
 
 
 @dataclass(frozen=True)
@@ -39,47 +44,52 @@ class Verdict:
 
     @classmethod
     def compare(cls, lhs, rhs, k, detail=""):
-        """Verdict on lhs == rhs, with the first differing index over the
-        leading k axes as the witness and the two sides sliced there.
-        rhs=None compares a residual lhs with zero and reports no rhs."""
-        if rhs is None:
-            idx = first_nonzero_index(lhs, k)
-        else:
-            idx = first_difference(lhs, rhs, k)
+        """Verdict on lhs == rhs for Encoded tensors, decided on their
+        integers, with the first differing index over the leading k axes
+        as the witness and the two sides decoded there alone.  rhs=None
+        compares a residual lhs with zero and reports no rhs."""
+        idx = first_nonzero_index(lhs.differs(rhs), k)
         if idx is None:
             return cls(True)
-        return cls(False, idx, lhs=lhs[idx],
-                   rhs=None if rhs is None else rhs[idx], detail=detail)
+        return cls(False, idx, lhs=lhs.at(idx),
+                   rhs=None if rhs is None else rhs.at(idx), detail=detail)
 
 
 def assoc_check(c) -> Verdict:
-    """Associativity of a structure-constant tensor on all basis triples.
+    """Associativity of a structure-constant tensor on all basis triples,
+    over the field of its scalars (`fields.field_of`).
 
     Reports the first failing (i, j, k, l) in lexicographic order, with
     the l-th coefficient of (e_i e_j) e_k and e_i (e_j e_k).
     """
-    c = np.asarray(c, dtype=object)
-    if c.ndim != 3 or len(set(c.shape)) != 1:
+    return associativity(Encoded.of(field_of(c), c))
+
+
+def associativity(c: Encoded) -> Verdict:
+    """`assoc_check` of an encoded tensor: the field comes with it."""
+    if len(c.shape) != 3 or len(set(c.shape)) != 1:
         raise InputError(f"structure constants must be cubic, got shape {c.shape}")
     # [i,j,k,l]: (e_i e_j) e_k and e_i (e_j e_k)
-    left = np.tensordot(c, c, axes=([2], [0]))
-    right = np.tensordot(c, c, axes=([1], [2])).transpose(0, 2, 3, 1)
+    left = c.dot(c, ([2], [0]))
+    right = c.dot(c, ([1], [2])).transpose(0, 2, 3, 1)
     return Verdict.compare(left, right, 4, detail="associativity fails")
 
 
 class Algebra:
     """Associative algebra by structure constants; validated on creation."""
 
+    c = decoded("_c")
+
     def __init__(self, field, c, labels=None):
-        c = np.asarray(c, dtype=object)
-        report = assoc_check(c)
+        c = Encoded.of(field, c)
+        report = associativity(c)
         if not report:
             i, j, k, l = report.witness
             raise InputError(
                 f"structure constants are not associative at "
                 f"(i,j,k,l)=({i},{j},{k},{l}): {report.lhs} != {report.rhs}")
         self.field = field
-        self.c = c
+        self._c = c
         self.dim = c.shape[0]
         if labels is not None and len(labels) != self.dim:
             raise InputError("label count does not match dimension")
@@ -130,18 +140,21 @@ class Bimodule:
     deliberately broken modules can be built for testing (pass check=False).
     """
 
+    left = decoded("_left")
+    right = decoded("_right")
+
     def __init__(self, base: Algebra, left, right, labels=None, check=True):
-        left = np.asarray(left, dtype=object)
-        right = np.asarray(right, dtype=object)
+        left = Encoded.of(base.field, left)
+        right = Encoded.of(base.field, right)
         dA = base.dim
-        if left.ndim != 3 or left.shape[0] != dA or left.shape[1] != left.shape[2]:
+        if len(left.shape) != 3 or left.shape[0] != dA or left.shape[1] != left.shape[2]:
             raise InputError(f"left action tensor has bad shape {left.shape}")
         dM = left.shape[1]
         if right.shape != (dM, dA, dM):
             raise InputError(f"right action tensor has bad shape {right.shape}")
         self.base = base
-        self.left = left
-        self.right = right
+        self._left = left
+        self._right = right
         self.dim = dM
         self.field = base.field
         self.labels = list(labels) if labels is not None else [f"m{i}" for i in range(dM)]
@@ -173,13 +186,14 @@ class Bimodule:
 
 def canonical_bimodule(algebra: Algebra) -> Bimodule:
     """A acting on itself by its own product."""
-    return Bimodule(algebra, algebra.c, algebra.c, labels=algebra.labels, check=False)
+    return Bimodule(algebra, algebra._c, algebra._c, labels=algebra.labels,
+                    check=False)
 
 
 def dual_module(algebra: Algebra) -> Bimodule:
     """The dual space A* with (a.f)(b) = f(ba) and (f.a)(b) = f(ab):
     left[s, i, j] = c[j, s, i] and right[i, s, j] = c[s, j, i]."""
-    c = algebra.c
+    c = algebra._c
     return Bimodule(algebra, c.transpose(1, 2, 0), c.transpose(2, 0, 1),
                     labels=[f"{l}*" for l in algebra.labels], check=False)
 
@@ -193,17 +207,15 @@ def bimodule_check(algebra: Algebra, module: Bimodule) -> Verdict:
     """
     if module.base is not algebra and module.base.dim != algebra.dim:
         raise InputError("module is not over the given algebra")
-    c, L, R = algebra.c, module.left, module.right
+    c, L, R = algebra._c, module._left, module._right
     # each side as [i, j, k, l]: a = e_i, b = e_j, m = m_k, coefficient l
-    lhs = np.stack([np.tensordot(c, L, axes=([2], [0])),
-                    np.tensordot(c, R, axes=([2], [1])),
-                    np.tensordot(L, R, axes=([2], [0])).transpose(0, 2, 1, 3)],
-                   axis=3)
-    rhs = np.stack([np.tensordot(L, L, axes=([2], [1])).transpose(2, 0, 1, 3),
-                    np.tensordot(R, R, axes=([2], [0])).transpose(1, 2, 0, 3),
-                    np.tensordot(R, L, axes=([2], [1])).transpose(2, 1, 0, 3)],
-                   axis=3)
-    bad = first_difference(lhs, rhs, 5)
+    lhs = [c.dot(L, ([2], [0])), c.dot(R, ([2], [1])),
+           L.dot(R, ([2], [0])).transpose(0, 2, 1, 3)]
+    rhs = [L.dot(L, ([2], [1])).transpose(2, 0, 1, 3),
+           R.dot(R, ([2], [0])).transpose(1, 2, 0, 3),
+           R.dot(L, ([2], [1])).transpose(2, 1, 0, 3)]
+    bad = first_nonzero_index(
+        np.stack([a.differs(b) for a, b in zip(lhs, rhs)], axis=3), 5)
     if bad is None:
         return Verdict(True)
     i, j, k, axiom, l = bad
@@ -221,21 +233,30 @@ def extension_product(algebra: Algebra, module: Bimodule, cocycle_tensor=None):
     Returns the (d,d,d) tensor with the A-block first; no associativity
     gate, so callers can probe non-cocycle extensions.
     """
+    return extension(algebra, module, cocycle_tensor).objects
+
+
+def extension(algebra: Algebra, module: Bimodule, twist=None) -> Encoded:
+    """`extension_product` in the integer encoding, over the common scale
+    of the blocks; `twist` is a 2-cochain tensor, encoded or not."""
     dA, dM = algebra.dim, module.dim
-    d = dA + dM
-    field = algebra.field
-    c = zeros((d, d, d), field)
-    c[:dA, :dA, :dA] = algebra.c
-    c[:dA, dA:, dA:] = module.left
-    c[dA:, :dA, dA:] = module.right
-    if cocycle_tensor is not None:
-        cocycle_tensor = np.asarray(cocycle_tensor, dtype=object)
-        if cocycle_tensor.shape != (dA, dA, dM):
+    blocks = [algebra._c, module._left, module._right]
+    if twist is not None:
+        twist = Encoded.of(algebra.field, twist)
+        if twist.shape != (dA, dA, dM):
             raise InputError(
-                f"2-cochain tensor has shape {cocycle_tensor.shape}, "
+                f"2-cochain tensor has shape {twist.shape}, "
                 f"expected {(dA, dA, dM)}")
-        c[:dA, :dA, dA:] = c[:dA, :dA, dA:] + cocycle_tensor
-    return c
+        blocks.append(twist)
+    ints, scale = common(*blocks)
+    d = dA + dM
+    c = np.zeros((d, d, d), dtype=np.result_type(*ints))
+    c[:dA, :dA, :dA] = ints[0]
+    c[:dA, dA:, dA:] = ints[1]
+    c[dA:, :dA, dA:] = ints[2]
+    if twist is not None:
+        c[:dA, :dA, dA:] = ints[3]
+    return Encoded(algebra.field, c, scale)
 
 
 def _ext_labels(algebra, module):
@@ -244,16 +265,16 @@ def _ext_labels(algebra, module):
 
 def semidirect(algebra: Algebra, module: Bimodule) -> Algebra:
     """The trivial abelian extension A (+)_0 M."""
-    return Algebra(algebra.field, extension_product(algebra, module),
+    return Algebra(algebra.field, extension(algebra, module),
                    labels=_ext_labels(algebra, module))
 
 
 def twisted_extension(algebra: Algebra, module: Bimodule, cocycle) -> Algebra:
     """A (+)_phi M for a 2-cochain phi; associative iff phi is a cocycle,
     and the Algebra constructor enforces exactly that."""
-    tensor = cocycle.tensor if hasattr(cocycle, "tensor") else cocycle
+    tensor = cocycle._tensor if hasattr(cocycle, "_tensor") else cocycle
     try:
-        return Algebra(algebra.field, extension_product(algebra, module, tensor),
+        return Algebra(algebra.field, extension(algebra, module, tensor),
                        labels=_ext_labels(algebra, module))
     except InputError as exc:
         raise InputError(
@@ -295,9 +316,12 @@ def intertwiner_check(T, P, Q) -> Verdict:
         raise InputError("intertwiner must be an endomorphism")
     if rank(mat) != d:
         raise InputError("intertwiner is singular")
-    pt = P.tensor if hasattr(P, "tensor") else np.asarray(P, dtype=object)
-    qt = Q.tensor if hasattr(Q, "tensor") else np.asarray(Q, dtype=object)
+    field = field_of(mat)
+    pt, qt = (X._tensor if hasattr(X, "_tensor") else Encoded.of(field, X)
+              for X in (P, Q))
     if pt.shape != (d, d, d) or qt.shape != (d, d, d):
         raise InputError("P and Q must be arity-2 maps on the same space")
-    return Verdict.compare(np.tensordot(pt, mat, axes=([2], [0])),
-                           pullback(qt, mat), 3)
+    t = Encoded.of(field, mat)
+    # Q(Tx, Ty)[i, j, l] = sum_ab T[i, a] T[j, b] Q[a, b, l]
+    image = t.dot(t.dot(qt, ([1], [0])), ([1], [1])).transpose(1, 0, 2)
+    return Verdict.compare(pt.dot(t, ([2], [0])), image, 3)

@@ -18,11 +18,13 @@ import time
 import numpy as np
 
 from . import schema
-from .algebra import Verdict, assoc_check, bimodule_check, canonical_bimodule
+from .algebra import (Verdict, associativity, bimodule_check,
+                      canonical_bimodule)
 from .errors import InputError, RbxError
 from .flows import addexp_check, exp_flow
 from .gerstenhaber import MultiMap, g_bracket
 from .instances import CATALOG, TruncatedInstance
+from .linalg import Encoded
 from .operators import (LinearMap, OperatorInstance, aybe_residual, is_grb,
                         is_nijenhuis, is_reynolds, is_trb, search_operators,
                         structure_residual)
@@ -99,10 +101,6 @@ class Report:
         return obj
 
 
-def _fmt_scalar(field, x):
-    return field.format(x)
-
-
 def _fmt_vector(field, vec):
     return [field.format(x) for x in np.asarray(vec, dtype=object)]
 
@@ -115,7 +113,7 @@ def _fmt_witness(field, verdict: Verdict):
         if value is None:
             continue
         arr = np.asarray(value, dtype=object)
-        out[side] = (_fmt_scalar(field, value) if arr.ndim == 0
+        out[side] = (field.format(value) if arr.ndim == 0
                      else _fmt_vector(field, arr))
     return out
 
@@ -126,15 +124,16 @@ def _verdict_report(command, field, verdict: Verdict, digest, extra=None):
                   detail=verdict.detail, digest=digest, extra=extra)
 
 
-def _tensor_listing(field, tensor, labels):
-    """Nonzero coefficients of a multimap tensor as text lines."""
+def _tensor_listing(tensor: Encoded, labels):
+    """Nonzero coefficients of an encoded multimap tensor as text lines,
+    in C order, found on its integers."""
+    field = tensor.field
+    hits = np.flatnonzero(tensor.differs(None))
+    values = field.decode(tensor.ints.reshape(-1)[hits], tensor.scale)
     lines = []
-    arr = np.asarray(tensor, dtype=object)
-    for idx in np.ndindex(arr.shape):
-        if bool(arr[idx]):
-            ins = ",".join(labels[i] for i in idx[:-1])
-            lines.append(f"({ins}) -> {labels[idx[-1]]}: "
-                         f"{_fmt_scalar(field, arr[idx])}")
+    for *ins, out, value in zip(*np.unravel_index(hits, tensor.shape), values):
+        lines.append(f"({','.join(labels[i] for i in ins)}) -> {labels[out]}: "
+                     f"{field.format(value)}")
     return lines or ["0 (zero map)"]
 
 
@@ -172,7 +171,8 @@ def _ext_labels(inst):
 
 def cmd_check_assoc(args):
     field, c, raw = schema.load_raw_algebra(_load(args.file))
-    return _verdict_report("check-assoc", field, assoc_check(c),
+    return _verdict_report("check-assoc", field,
+                           associativity(Encoded.of(field, c)),
                            schema.raw_digest(raw))
 
 
@@ -232,10 +232,10 @@ def cmd_check_addexp(args):
 def cmd_residual(args):
     doc, digest = _document(args)
     inst = _instance(doc, args.pi, args.phi)
-    res = structure_residual(inst)
+    res = structure_residual(inst)._tensor
     labels = _ext_labels(inst)
-    lines = _tensor_listing(doc.field, res.tensor, labels)
-    verdict = Verdict.compare(res.tensor, None, res.tensor.ndim,
+    lines = _tensor_listing(res, labels)
+    verdict = Verdict.compare(res, None, len(res.shape),
                               detail="structure residual is nonzero")
     return _verdict_report("residual", doc.field, verdict, digest,
                            extra={"residual": lines})
@@ -254,7 +254,7 @@ def cmd_bracket(args):
         labels = list(doc.algebra.labels) + [f"m:{l}" for l in doc.bimodule.labels]
     else:
         labels = [f"b{i}" for i in range(dim)]
-    lines = _tensor_listing(doc.field, result.tensor, labels)
+    lines = _tensor_listing(result._tensor, labels)
     return Report("bracket", "pass", digest=digest,
                   detail=f"[{args.f}, {args.g}] has arity {result.arity}",
                   extra={"bracket": lines})
@@ -269,13 +269,13 @@ def cmd_flow(args):
         "theta": flow.theta, "order1": flow.order1,
         "order2": flow.order2, "order3": flow.order3, "total": flow.total,
     }
-    extra = {name: _tensor_listing(doc.field, mm.tensor, labels)
+    extra = {name: _tensor_listing(mm._tensor, labels)
              for name, mm in terms.items()}
     if args.emit_products:
         dA = inst.algebra.dim
-        block = flow.total.tensor[dA:, dA:, dA:]
-        extra["m_products"] = _tensor_listing(doc.field, block,
-                                              inst.module.labels)
+        total = flow.total._tensor
+        block = Encoded(doc.field, total.ints[dA:, dA:, dA:], total.scale)
+        extra["m_products"] = _tensor_listing(block, inst.module.labels)
     return Report("flow", "pass", digest=digest,
                   detail="flow terms computed; the flow exists for every "
                          "operator since the lift squares to zero",
@@ -352,10 +352,10 @@ def _cast_document(doc, field_name):
 def cmd_aybe(args):
     doc, digest = _document(args)
     r = schema.named_map(doc, args.r)
-    res = aybe_residual(doc.algebra, r)
+    res = Encoded.of(doc.field, aybe_residual(doc.algebra, r))
     verdict = Verdict.compare(res, None, 3,
                               detail="associative Yang-Baxter residual is nonzero")
-    lines = _tensor_listing(doc.field, res, doc.algebra.labels) \
+    lines = _tensor_listing(res, doc.algebra.labels) \
         if not verdict else ["0 (solution)"]
     return _verdict_report("aybe", doc.field, verdict, digest,
                            extra={"residual": lines})

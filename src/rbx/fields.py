@@ -8,11 +8,13 @@ in ``[0, p)``.
 
 Both fields also encode a tensor of their scalars as an integer tensor
 and a scale, and decode an integer tensor over a scale back to scalars,
-for the exact integer contraction kernel (`linalg.contract`).  F_p
-encodes canonical representatives with scale 1 and decodes by one
-reduction mod p; Q encodes the numerators over the common denominator of
-the entries.  Decoding builds one scalar per distinct value, which equal
-entries (most often the zeros) share.
+for the exact integer kernel (`linalg.Encoded`) that every identity
+check runs on.  F_p encodes canonical int64 representatives with scale
+1, reduces integer results mod p (`reduce`) and decodes by one reduction
+mod p; Q encodes the numerators over the common denominator of the
+entries, as Python ints, and leaves integer results as they are.
+Decoding builds one scalar per distinct value, which equal entries (most
+often the zeros) share.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def _from_values(arr, make):
     values, index = np.unique(arr, return_inverse=True)
     scalars = np.empty(len(values), dtype=object)
     scalars[:] = [make(int(v)) for v in values]
-    return scalars[index].reshape(np.shape(arr))
+    return scalars[np.reshape(index, -1)].reshape(np.shape(arr))
 
 
 def _is_prime(n):
@@ -183,6 +185,10 @@ class RationalField:
     def decode(self, arr, scale):
         """The rational tensor arr / scale of an integer tensor."""
         return _from_values(arr, lambda n: Fraction(n, scale))
+
+    def reduce(self, arr):
+        """Integer results need no reduction over Q."""
+        return arr
 
     def elements(self):
         raise InputError("Q is not enumerable; use a prime field for searches")
@@ -258,8 +264,12 @@ class PrimeField:
                             lambda v: FpElement(v, self.p))
 
     def encode(self, arr):
-        """(representatives, 1): `to_ints` on Python ints, scale 1."""
-        return self.to_ints(arr, object), 1
+        """(representatives, 1): `to_ints` in int64, scale 1."""
+        return self.to_ints(arr, np.int64), 1
+
+    def reduce(self, arr):
+        """Canonical int64 representatives of an integer tensor."""
+        return (arr % self.p).astype(np.int64, copy=False)
 
     def decode(self, arr, scale):
         """The F_p tensor of an integer tensor; `scale` is always 1."""
@@ -292,6 +302,19 @@ def field_from_name(name):
     if isinstance(name, dict) and set(name) == {"Fp"}:
         return PrimeField(name["Fp"])
     raise InputError(f"unknown field name {name!r}")
+
+
+def field_of(arr):
+    """The field whose scalars fill the tensor `arr`: Q for Fraction
+    entries (and for an empty tensor), F_p for FpElement entries mod p.
+    Entries of any other type, or of two fields, raise InputError."""
+    kinds = {(type(x), getattr(x, "p", None))
+             for x in np.asarray(arr, dtype=object).flat}
+    if kinds <= {(Fraction, None)}:
+        return QQ
+    if len(kinds) == 1 and next(iter(kinds))[0] is FpElement:
+        return PrimeField(next(iter(kinds))[1])
+    raise InputError("tensor entries must be scalars of one field")
 
 
 def field_to_name(field):

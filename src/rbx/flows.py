@@ -23,9 +23,9 @@ import numpy as np
 from .algebra import Verdict
 from .errors import InputError
 from .gerstenhaber import MultiMap, circ_i, g_bracket, half_square
-from .linalg import first_difference, is_zero, zeros
-from .operators import (OperatorInstance, _induced_products,
-                        extension_mult_map, lift_cocycle, lift_operator)
+from .linalg import Encoded, first_nonzero_index
+from .operators import (OperatorInstance, extension_mult_map,
+                        induced_products, lift_cocycle, lift_operator)
 
 
 @dataclass
@@ -91,24 +91,24 @@ def addexp_check(inst: OperatorInstance) -> Verdict:
     flow = exp_flow(inst)
     # the truncation's first two terms are the flow's own
     truncated = _truncation(inst, flow.theta, flow.order1, lift_operator(inst))
-    report = Verdict.compare(flow.total.tensor, truncated.tensor, 3,
+    report = Verdict.compare(flow.total._tensor, truncated._tensor, 3,
                              detail="flow does not truncate; operator is not "
                                     "(twisted) Rota-Baxter")
     if not report:
         return report
-    dA, M = inst.algebra.dim, inst.module
-    succ, prec, vee = _induced_products(
-        inst.op.matrix, M.left, M.right,
-        None if inst.cocycle is None else inst.cocycle.tensor)
+    dA = inst.algebra.dim
+    succ, prec, vee = induced_products(inst)
     induced = succ + prec if vee is None else succ + prec + vee
     # [i, j, :] of the flow on (m_i, m_j): zero A-block, then the product
-    got = flow.total.tensor[dA:, dA:]
-    expected = np.concatenate([zeros((M.dim, M.dim, dA), inst.field), induced],
-                              axis=2)
-    bad = first_difference(got, expected, 2)
+    total = flow.total._tensor
+    block = total.ints[dA:, dA:]
+    leak = Encoded(inst.field, block[..., :dA], total.scale).differs(None)
+    product = Encoded(inst.field, block[..., dA:], total.scale)
+    bad = first_nonzero_index(
+        np.concatenate([leak, product.differs(induced)], axis=2), 2)
     if bad is None:
         return Verdict(True)
-    if not is_zero(got[bad][:dA]):
+    if leak[bad].any():
         return Verdict(False, bad, detail="flow leaks into the A-block")
-    return Verdict(False, bad, lhs=got[bad][dA:], rhs=induced[bad],
+    return Verdict(False, bad, lhs=product.at(bad), rhs=induced.at(bad),
                    detail="M-restriction differs from the induced product")

@@ -22,60 +22,59 @@ arity-2 maps has a division-free closed form, valid over every field:
 
 `half_square` computes it for the flows and the structure residual.
 
-Every insertion is one `circ_i`, and every `circ_i` is one exact integer
-contraction (`linalg.contract`) over the maps' common field, so the
-bracket engine, the flows and the structure residual do no boxed
-multiply-adds.
+A MultiMap keeps its field's integer encoding (`linalg.Encoded`): every
+insertion is one exact integer contraction of the operands' encodings,
+and sums, differences and negation rescale to a common scale, so the
+bracket engine, the flows and the structure residual decode nothing;
+`.tensor` decodes on first use.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import CapacityError, InputError
-from .linalg import apply_multilinear, contract, is_zero
+from .linalg import Encoded, decoded
 
 ARITY_CAP = 4
 
 
 class MultiMap:
-    """Multilinear map B^m -> B as a dense coefficient tensor."""
+    """Multilinear map B^m -> B as a dense coefficient tensor, given as a
+    tensor of scalars or already encoded."""
+
+    tensor = decoded("_tensor")
 
     def __init__(self, field, tensor):
-        tensor = np.asarray(tensor, dtype=object)
-        if tensor.ndim < 2 or len(set(tensor.shape)) != 1:
-            raise InputError(f"multimap tensor has bad shape {tensor.shape}")
-        self.arity = tensor.ndim - 1
+        tensor = Encoded.of(field, tensor)
+        shape = tensor.shape
+        if len(shape) < 2 or len(set(shape)) != 1:
+            raise InputError(f"multimap tensor has bad shape {shape}")
+        self.arity = len(shape) - 1
         if self.arity > ARITY_CAP:
             raise CapacityError(f"arity {self.arity} exceeds the cap {ARITY_CAP}")
         self.field = field
-        self.tensor = tensor
-        self.dim = tensor.shape[0]
-
-    def __call__(self, *vectors):
-        if len(vectors) != self.arity:
-            raise InputError(f"arity-{self.arity} map applied to {len(vectors)} vectors")
-        return apply_multilinear(self.tensor, vectors)
+        self._tensor = tensor
+        self.dim = shape[0]
 
     def __add__(self, other):
         self._compatible(other)
-        return MultiMap(self.field, self.tensor + other.tensor)
+        return MultiMap(self.field, self._tensor + other._tensor)
 
     def __sub__(self, other):
         self._compatible(other)
-        return MultiMap(self.field, self.tensor - other.tensor)
+        return MultiMap(self.field, self._tensor - other._tensor)
 
     def __neg__(self):
-        return MultiMap(self.field, -self.tensor)
+        return MultiMap(self.field, -self._tensor)
 
     def scale(self, scalar):
-        return MultiMap(self.field, self.tensor * scalar)
+        return MultiMap(self.field, self._tensor.dot(
+            Encoded.of(self.field, scalar), ([], [])))
 
     def is_zero_map(self):
-        return is_zero(self.tensor)
+        return self._tensor.is_zero()
 
     def _compatible(self, other):
-        if self.tensor.shape != other.tensor.shape:
+        if self._tensor.shape != other._tensor.shape:
             raise InputError("multimaps have different arity or dimension")
 
     def __repr__(self):
@@ -101,13 +100,13 @@ def circ_i(f: MultiMap, g: MultiMap, i: int) -> MultiMap:
         raise InputError(f"multimaps are over different fields, "
                          f"{f.field.name} and {g.field.name}")
     # contract g's output axis into f's input slot i-1
-    t = contract(f.field, f.tensor, g.tensor, ([i - 1], [n]))
+    t = f._tensor.dot(g._tensor, ([i - 1], [n]))
     # axes now: f-inputs before slot, f-inputs after slot, f-output, g-inputs
     perm = (list(range(0, i - 1))
             + list(range(m, m + n))
             + list(range(i - 1, m - 1))
             + [m - 1])
-    return MultiMap(f.field, np.transpose(t, perm))
+    return MultiMap(f.field, t.transpose(*perm))
 
 
 def half_square(theta: MultiMap, p: MultiMap):
@@ -145,7 +144,7 @@ def derived_bracket(f: MultiMap, g: MultiMap, square: MultiMap) -> MultiMap:
     """[f, g]_S = [[S, f], g] for an arity-2 S with [S,S] = 0."""
     if square.arity != 2:
         raise InputError("derived bracket needs an arity-2 structure map")
-    if not is_zero(g_bracket(square, square).tensor):
+    if not g_bracket(square, square).is_zero_map():
         raise InputError("structure map is not square-zero: [S,S] != 0")
     return g_bracket(g_bracket(square, f), g)
 

@@ -14,7 +14,8 @@ from .algebra import Algebra, Bimodule, canonical_bimodule
 from .cochains import Cochain, coboundary
 from .errors import CapacityError, CharacteristicError, InputError
 from .fields import QQ
-from .linalg import first_difference, identity, invert, is_zero, rank, zeros
+from .linalg import (first_nonzero_index, identity, invert, is_zero, rank,
+                     zeros)
 from .operators import LinearMap, OperatorInstance, reynolds_as_twisted
 from .weyl import WeylPoly
 
@@ -100,7 +101,7 @@ def unit_section(algebra: Algebra, module: Bimodule, f: LinearMap, e) -> Operato
     rhs = np.stack([np.tensordot(c, F, axes=([1], [1])).transpose(0, 2, 1),
                     np.tensordot(F, c, axes=([1], [0])).transpose(1, 0, 2)],
                    axis=2)
-    bad = first_difference(lhs, rhs, 3)
+    bad = first_nonzero_index(lhs - rhs, 3)
     if bad is not None:
         side = ("left", "right")[bad[2]]
         raise InputError(f"f is not {side} A-linear at basis pair ({bad[0]},{bad[1]})")

@@ -1,24 +1,26 @@
 """Exact linear algebra on numpy tensors of field scalars.
 
-Tensors hold Fraction or FpElement entries; numpy supplies the shape
-bookkeeping.  `contract` is the exact integer contraction that every
-Gerstenhaber insertion (`gerstenhaber.circ_i`) runs on: each operand
-becomes an integer tensor plus a scale (the field's `encode`), the
-integer tensors meet in one `np.tensordot`, in int64 when `kernel_dtype`
-rules out overflow and on Python ints otherwise, and the field turns the
-sum back into scalars (`decode`).  Nothing wraps and no scalar is boxed
-per multiply-add.  The other contractions run on object-dtype tensors
-and dispatch to the scalars' own exact arithmetic.
+Every identity rbx decides runs on one exact integer kernel.  A tensor
+of field scalars is encoded once, by its field, as an integer tensor
+over a scale (`Encoded`): canonical representatives over scale 1 for
+F_p, numerators over the common denominator for Q.  Contractions
+(`tensordot`) and signed sums (`combine`) of encoded tensors run on
+int64 when `kernel_dtype` proves that no entry can reach 2^63, and on
+Python-int object arrays otherwise, so nothing wraps and no scalar is
+boxed per multiply-add.  The field decodes a tensor back to Fraction or
+FpElement scalars only where a caller reads it (`Encoded.objects`),
+which for a verdict is the witness alone.
 
-Every identity rbx decides is a residual of two contractions: the two
-sides are computed as tensors over all basis tuples at once, and
-`first_difference` finds the witness, the first index in C order (that
-is, lexicographic order) at which the sides differ.
+Every identity is a residual of two contractions: the two sides are
+computed as tensors over all basis tuples at once, and
+`first_nonzero_index` finds the witness, the first index in C order
+(that is, lexicographic order) at which the sides differ.
 
-The contractions rbx's identities share (`pullback` here, the operator
-identities in `operators`) also take integer tensors and a leading batch
-axis: exhaustive search over F_p evaluates a block of candidates at once
-on canonical representatives and reduces mod p only at the end.
+The contractions the operator identities share (`pullback` here, the
+identity sides in `operators`) take a leading batch axis: exhaustive
+search evaluates a block of candidates at once, and a checker is the
+same evaluation on a block of one.  The object-dtype helpers (`is_zero`,
+`row_reduce`, `Span`, ...) serve the vector API and exact elimination.
 """
 
 from __future__ import annotations
@@ -55,20 +57,14 @@ def tensors_equal(a, b):
 
 def first_nonzero_index(arr, k=None):
     """Lexicographically first index over the leading `k` axes (default:
-    all) at which `arr` has a nonzero entry, or None."""
-    hits = np.asarray(arr, dtype=object).astype(bool)
+    all) at which `arr` has a nonzero (or true) entry, or None."""
+    hits = np.asarray(arr).astype(bool)
     if k is not None:
         hits = hits.any(axis=tuple(range(k, hits.ndim)))
     flat = np.flatnonzero(hits)
     if flat.size == 0:
         return None
     return tuple(int(i) for i in np.unravel_index(flat[0], hits.shape))
-
-
-def first_difference(lhs, rhs, k):
-    """Lexicographically first index over the leading `k` axes at which
-    the tensors `lhs` and `rhs` differ, or None."""
-    return first_nonzero_index(lhs - rhs, k)
 
 
 def kernel_dtype(terms, *bounds):
@@ -82,20 +78,136 @@ def kernel_dtype(terms, *bounds):
     return np.int64 if limit < 2 ** 63 else object
 
 
+def max_abs(ints):
+    """The largest absolute value in an integer tensor (0 if empty)."""
+    if ints.dtype == object:
+        return max(map(abs, ints.flat), default=0)
+    return int(np.abs(ints).max(initial=0))
+
+
+class Encoded:
+    """A tensor of `field` scalars as the integer tensor `ints` over the
+    positive integer `scale`: entry x is ints / scale.  `objects`, the
+    tensor of scalars, is decoded on first use when the kernel built
+    the encoding."""
+
+    __slots__ = ("field", "ints", "scale", "_objects")
+
+    def __init__(self, field, ints, scale=1, objects=None):
+        self.field = field
+        self.ints = ints
+        self.scale = scale
+        self._objects = objects
+
+    @classmethod
+    def of(cls, field, tensor):
+        """The encoding of a tensor of scalars; an Encoded passes through."""
+        if isinstance(tensor, cls):
+            return tensor
+        tensor = np.asarray(tensor, dtype=object)
+        return cls(field, *field.encode(tensor), tensor)
+
+    @property
+    def objects(self):
+        if self._objects is None:
+            self._objects = self.field.decode(self.ints, self.scale)
+        return self._objects
+
+    @property
+    def shape(self):
+        return self.ints.shape
+
+    def at(self, idx):
+        """The scalars at index `idx`: a scalar, or a tensor of them."""
+        return self.field.decode(np.asarray(self.ints[idx]), self.scale)[()]
+
+    def dot(self, other, axes):
+        """np.tensordot of two encoded tensors, exactly."""
+        return Encoded(self.field, self.field.reduce(
+            tensordot(self.ints, other.ints, axes)), self.scale * other.scale)
+
+    def transpose(self, *axes):
+        return Encoded(self.field, self.ints.transpose(*axes), self.scale)
+
+    def __add__(self, other):
+        return combine([(self, 1), (other, 1)])
+
+    def __sub__(self, other):
+        return combine([(self, 1), (other, -1)])
+
+    def __neg__(self):
+        return Encoded(self.field, self.field.reduce(-self.ints), self.scale)
+
+    def differs(self, other):
+        """Boolean tensor of the entries where self != other (other=None:
+        where self != 0), decided on integers: mod p over F_p, and over Q
+        by self.ints * other.scale != other.ints * self.scale."""
+        field, a = self.field, self.ints
+        if other is None:
+            return field.reduce(a) != 0
+        b = other.ints
+        if field.char:
+            return field.reduce(a) != field.reduce(b)
+        if self.scale != other.scale:
+            sa, sb = other.scale, self.scale
+            dtype = kernel_dtype(1, max(max_abs(a) * sa, max_abs(b) * sb,
+                                        sa, sb))
+            a, b = a.astype(dtype) * sa, b.astype(dtype) * sb
+        return a != b
+
+    def is_zero(self):
+        return not self.differs(None).any()
+
+
+def decoded(name):
+    """A read-only attribute: the scalars of the Encoded attribute `name`."""
+    return property(lambda self: getattr(self, name).objects)
+
+
+def tensordot(a, b, axes):
+    """np.tensordot of two integer tensors, with `axes` a pair of axis
+    lists, in int64 when `kernel_dtype` proves the bound and on Python
+    ints otherwise."""
+    terms = math.prod(a.shape[k] for k in axes[0])
+    dtype = kernel_dtype(terms, max_abs(a), max_abs(b))
+    return np.tensordot(a.astype(dtype, copy=False),
+                        b.astype(dtype, copy=False), axes)
+
+
+def combine(terms):
+    """The signed sum of (Encoded, sign) terms of one field and shape,
+    over the lcm of their scales."""
+    field = terms[0][0].field
+    scale = math.lcm(*(t.scale for t, _ in terms))
+    dtype = kernel_dtype(1, sum(max(max_abs(t.ints), 1) * (scale // t.scale)
+                                for t, _ in terms))
+    total = 0
+    for t, sign in terms:
+        ints = t.ints.astype(dtype, copy=False)
+        if t.scale != scale:
+            ints = ints * (scale // t.scale)
+        total = total + ints if sign > 0 else total - ints
+    return Encoded(field, field.reduce(total), scale)
+
+
+def common(*tensors):
+    """The integer tensors of Encoded `tensors` over one scale, the lcm of
+    theirs, and that scale.  Repeated tensors give one array."""
+    scale = math.lcm(*(t.scale for t in tensors))
+    out = {}
+    for t in tensors:
+        if id(t) not in out:
+            factor = scale // t.scale
+            out[id(t)] = t.ints if factor == 1 else \
+                t.ints.astype(kernel_dtype(1, max_abs(t.ints), factor)) * factor
+    return [out[id(t)] for t in tensors], scale
+
+
 def contract(field, a, b, axes):
     """np.tensordot(a, b, axes) for tensors of `field` scalars, exactly,
-    with `axes` a pair of axis lists.  One integer contraction of the
+    with `axes` a pair of axis lists: one integer contraction of the
     encoded operands, decoded over the product of their scales."""
-    ia, sa = field.encode(a)
-    ib, sb = field.encode(b)
-    terms = math.prod(ia.shape[k] for k in axes[0])
-    dtype = kernel_dtype(terms, _max_abs(ia), _max_abs(ib))
-    out = np.tensordot(ia.astype(dtype), ib.astype(dtype), axes)
-    return field.decode(out, sa * sb)
-
-
-def _max_abs(ints):
-    return max(map(abs, ints.flat), default=0)
+    return Encoded.of(field, a).dot(Encoded.of(field, b), axes).objects
 
 
 def pullback(t, m, n=None, inner=None):

@@ -11,9 +11,10 @@ with phi a Hochschild 2-cocycle.  Reynolds operators are TRB with M = A
 and phi = -mu; classical Rota-Baxter operators are GRB with M = A.
 
 Each identity is written once (`_identity_sides`, `_aybe_residual`) as
-two-operand contractions that accept a leading batch axis: the checkers
-run them on one operator over field scalars, the exhaustive search on
-blocks of candidates over integers.
+two-operand integer contractions that accept a leading batch axis: the
+exhaustive search runs them on blocks of candidates, and a checker is
+the same evaluation on a block of one.  Over Q every input is encoded
+over one common scale s, so a side built from k inputs is over s^k.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import (Algebra, Bimodule, Verdict, canonical_bimodule,
-                      dual_module, extension_product, semidirect,
-                      subspace_closed, twisted_extension)
+                      dual_module, extension, semidirect, subspace_closed,
+                      twisted_extension)
 from .cochains import Cochain, is_cocycle
 from .errors import CapacityError, CharacteristicError, InputError
 from .gerstenhaber import MultiMap, circ_i, half_square
-from .linalg import (apply_matrix, identity, is_zero, kernel_dtype, pullback,
-                     zeros)
+from .linalg import (Encoded, apply_matrix, common, identity, is_zero,
+                     kernel_dtype, max_abs, pullback, zeros)
 
 SEARCH_BUDGET = 2 ** 20
 
@@ -86,6 +87,7 @@ class OperatorInstance:
         self.algebra = algebra
         self.module = module
         self.op = op
+        self._op = Encoded.of(algebra.field, op.matrix)
         self.cocycle = cocycle
 
     @property
@@ -107,16 +109,26 @@ class OperatorInstance:
 
 def lift_matrix(inst: OperatorInstance):
     """Matrix of the lift (a, m) |-> (op(m), 0) on A (+) M."""
-    dA, dM = inst.algebra.dim, inst.module.dim
-    mat = zeros((dA + dM, dA + dM), inst.field)
-    mat[dA:, :dA] = inst.op.matrix
-    return mat
+    return lift_operator(inst).tensor
+
+
+def _lift(inst, block, arity):
+    """An arity-`arity` MultiMap on A (+) M, zero but for the encoded
+    `block` at the A-inputs, M-output corner (M-inputs, A-output for
+    arity 1)."""
+    dA, d = inst.algebra.dim, inst.ext_dim
+    ints = np.zeros((d,) * (arity + 1), dtype=block.ints.dtype)
+    if arity == 1:
+        ints[dA:, :dA] = block.ints
+    else:
+        ints[:dA, :dA, dA:] = block.ints
+    return MultiMap(inst.field, Encoded(inst.field, ints, block.scale))
 
 
 def lift_operator(inst: OperatorInstance) -> MultiMap:
-    """The lift as an arity-1 element of G(A (+) M); composes to zero
-    with itself."""
-    return MultiMap(inst.field, lift_matrix(inst))
+    """The lift (a, m) |-> (op(m), 0) as an arity-1 element of
+    G(A (+) M); composes to zero with itself."""
+    return _lift(inst, inst._op, 1)
 
 
 def lift_cocycle(inst: OperatorInstance) -> MultiMap:
@@ -124,25 +136,19 @@ def lift_cocycle(inst: OperatorInstance) -> MultiMap:
     nonzero only on pairs of A-components."""
     if inst.cocycle is None:
         raise InputError("instance has no twist cochain")
-    d = inst.ext_dim
-    dA = inst.algebra.dim
-    t = zeros((d, d, d), inst.field)
-    t[:dA, :dA, dA:] = inst.cocycle.tensor
-    return MultiMap(inst.field, t)
+    return _lift(inst, inst.cocycle._tensor, 2)
 
 
 def extension_mult_map(inst: OperatorInstance) -> MultiMap:
     """mu-hat (+ phi-hat when the instance is twisted) as an arity-2
     MultiMap on A (+) M."""
-    tensor = extension_product(
-        inst.algebra, inst.module,
-        inst.cocycle.tensor if inst.cocycle is not None else None)
-    return MultiMap(inst.field, tensor)
+    twist = inst.cocycle._tensor if inst.cocycle is not None else None
+    return MultiMap(inst.field, extension(inst.algebra, inst.module, twist))
 
 
 def semidirect_mult_map(inst: OperatorInstance) -> MultiMap:
     """mu-hat alone, the semidirect product of A and M."""
-    return MultiMap(inst.field, extension_product(inst.algebra, inst.module))
+    return MultiMap(inst.field, extension(inst.algebra, inst.module))
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +172,16 @@ def _then(tensor, matrix):
     return np.matmul(tensor, matrix[..., None, :, :])
 
 
-def _identity_sides(kind, matrix, c, left=None, right=None, twist=None):
+def _identity_sides(kind, matrix, c, left=None, right=None, twist=None,
+                    scale=1):
     """The two sides p(m)p(n) and p(m > n + m < n + ...) of an operator
     kind's identity, each an [..., i, j, l] tensor over the basis pairs
     (i, j), for an operator matrix or a [..., rows, cols] stack of them.
-    `c`, the module actions `left`/`right` (None: M = A) and the twist
-    hold one scalar type with the matrix: field scalars in the checkers,
-    integers in the search."""
+    `c`, the module actions `left`/`right` (None: M = A), the twist and
+    the matrix are integer tensors over the common `scale`, in a dtype
+    `_kernel_dtype` proves; both sides are over scale^4 when the kind has
+    a twist term (TRB, Reynolds), which carries one more input than the
+    others, and over scale^3 otherwise."""
     if left is None:
         left = right = c
     succ, prec, vee = _induced_products(matrix, left, right, twist)
@@ -180,12 +189,59 @@ def _identity_sides(kind, matrix, c, left=None, right=None, twist=None):
     lhs = pullback(c, matrix, inner=succ if left is c else None)
     inner = succ + prec
     if kind == "reynolds":      # the twist -mu: m v n = -p(m)p(n)
-        inner = inner - lhs
+        inner = inner * scale - lhs
     elif kind == "nijenhuis":   # N(a)N(b) = N(N(a)b + aN(b) - N(ab))
         inner = inner - _then(c, matrix)
     elif vee is not None:
-        inner = inner + vee
+        inner = inner * scale + vee
+    if kind == "reynolds" or vee is not None:
+        lhs = lhs * scale
     return lhs, _then(inner, matrix)
+
+
+def _kernel_dtype(p, d):
+    """The identities' integer dtype: over dimensions <= d, every
+    intermediate entry of every kind's residual (and of the AYBE
+    residual) is a signed sum of at most 4 d^3 products of at most four
+    factors, each at most p - 1: canonical representatives over F_p, or
+    over Q the input numerators and their common scale."""
+    return kernel_dtype(4 * d ** 3, *[p - 1] * 4)
+
+
+def _kernel_inputs(d, bound, *tensors):
+    """Encoded `tensors` (None passes through) as integer tensors over
+    their common scale, in the dtype `_kernel_dtype` proves for factors
+    at most max(bound, the scale, the entries); repeated tensors stay
+    one array.  Returns (tensors, scale)."""
+    ints, scale = common(*[t for t in tensors if t is not None])
+    dtype = _kernel_dtype(max(bound, scale, *map(max_abs, ints)) + 1, d)
+    cast = {}
+    ints = iter([cast.setdefault(id(a), a.astype(dtype)) for a in ints])
+    return [None if t is None else next(ints) for t in tensors], scale
+
+
+def _check(kind, op, c, left=None, right=None, twist=None):
+    """A checker: the search's evaluation of the kind's identity on a
+    block of one encoded operator."""
+    (m, c, left, right, twist), s = _kernel_inputs(
+        max(op.shape), 0, op, c, left, right, twist)
+    scale = s ** (4 if kind == "reynolds" or twist is not None else 3)
+    lhs, rhs = (Encoded(op.field, side[0], scale) for side in
+                _identity_sides(kind, m[None], c, left, right, twist, s))
+    return Verdict.compare(lhs, rhs, 2)
+
+
+def induced_products(inst: OperatorInstance):
+    """The NS products of the instance (`_induced_products`), encoded:
+    succ and prec over s^2, vee over s^3 (None without a twist)."""
+    M, field = inst.module, inst.field
+    twist = None if inst.cocycle is None else inst.cocycle._tensor
+    (m, left, right, twist), s = _kernel_inputs(
+        max(inst._op.shape), 0, inst._op, M._left, M._right, twist)
+    succ, prec, vee = _induced_products(m, left, right, twist)
+    return (Encoded(field, field.reduce(succ), s ** 2),
+            Encoded(field, field.reduce(prec), s ** 2),
+            None if vee is None else Encoded(field, field.reduce(vee), s ** 3))
 
 
 def is_grb(inst: OperatorInstance) -> Verdict:
@@ -193,8 +249,7 @@ def is_grb(inst: OperatorInstance) -> Verdict:
     if inst.cocycle is not None:
         raise InputError("instance carries a twist; use is_trb")
     M = inst.module
-    return Verdict.compare(*_identity_sides(
-        "grb", inst.op.matrix, inst.algebra.c, M.left, M.right), 2)
+    return _check("grb", inst._op, inst.algebra._c, M._left, M._right)
 
 
 def is_trb(inst: OperatorInstance) -> Verdict:
@@ -202,9 +257,8 @@ def is_trb(inst: OperatorInstance) -> Verdict:
     if inst.cocycle is None:
         raise InputError("instance has no twist cochain; use is_grb")
     M = inst.module
-    return Verdict.compare(*_identity_sides(
-        "trb", inst.op.matrix, inst.algebra.c, M.left, M.right,
-        inst.cocycle.tensor), 2)
+    return _check("trb", inst._op, inst.algebra._c, M._left, M._right,
+                  inst.cocycle._tensor)
 
 
 def is_classical_rb(algebra: Algebra, op: LinearMap) -> Verdict:
@@ -217,13 +271,15 @@ def is_reynolds(algebra: Algebra, op: LinearMap) -> Verdict:
     """R(a)R(b) = R(R(a)b + aR(b)) - R(R(a)R(b)) on basis pairs: the
     twisted identity with M = A and phi = -mu."""
     _expect_endo(algebra, op)
-    return Verdict.compare(*_identity_sides("reynolds", op.matrix, algebra.c), 2)
+    return _check("reynolds", Encoded.of(algebra.field, op.matrix),
+                  algebra._c)
 
 
 def is_nijenhuis(algebra: Algebra, op: LinearMap) -> Verdict:
     """N(a)N(b) = N(N(a)b + aN(b)) - N(N(ab)) on basis pairs."""
     _expect_endo(algebra, op)
-    return Verdict.compare(*_identity_sides("nijenhuis", op.matrix, algebra.c), 2)
+    return _check("nijenhuis", Encoded.of(algebra.field, op.matrix),
+                  algebra._c)
 
 
 def _expect_endo(algebra, op):
@@ -234,7 +290,7 @@ def _expect_endo(algebra, op):
 def reynolds_as_twisted(algebra: Algebra, op: LinearMap) -> OperatorInstance:
     """A Reynolds candidate viewed as a twisted operator: M = A, twist -mu."""
     module = canonical_bimodule(algebra)
-    phi = Cochain(algebra, module, -algebra.c)
+    phi = Cochain(algebra, module, -algebra._c)
     return OperatorInstance(algebra, module, op, phi)
 
 
@@ -292,11 +348,17 @@ def aybe_residual(algebra: Algebra, r) -> np.ndarray:
         sum a_i a_j (x) b^j (x) b^i  -  sum a_i (x) b^i a_j (x) b^j
             + sum a_j (x) a_i (x) b^i b^j
     """
-    r = np.asarray(r, dtype=object)
+    return _aybe(algebra, r).objects
+
+
+def _aybe(algebra, r) -> Encoded:
+    """`aybe_residual` in the integer encoding, over s^3."""
+    r = Encoded.of(algebra.field, r)
     d = algebra.dim
     if r.shape != (d, d):
         raise InputError(f"r must be a {d}x{d} tensor in A (x) A")
-    return _aybe_residual(algebra.c, r)
+    (c, r), s = _kernel_inputs(d, 0, algebra._c, r)
+    return Encoded(algebra.field, _aybe_residual(c, r), s ** 3)
 
 
 def _aybe_residual(c, r):
@@ -321,7 +383,7 @@ def r_tilde(algebra: Algebra, r) -> OperatorInstance:
         raise InputError(f"r must be a {d}x{d} tensor in A (x) A")
     if not is_zero(r + r.T):
         raise InputError("r is not skew-symmetric")
-    if not is_zero(aybe_residual(algebra, r)):
+    if not _aybe(algebra, r).is_zero():
         raise InputError("r does not solve the associative Yang-Baxter equation")
     module = dual_module(algebra)
     matrix = r.T.copy()  # row i = image of the i-th dual basis vector
@@ -337,14 +399,6 @@ _CHECKERS = ("grb", "rb", "trb", "reynolds", "nijenhuis", "aybe")
 SEARCH_BLOCK = 4096            # candidates decided per contraction
 BLOCK_ENTRIES = 2 ** 20        # entries of a block's largest tensor, at most,
                                # unless one candidate's alone is larger
-
-
-def _kernel_dtype(p, d):
-    """The search's integer dtype: over dimensions <= d, every
-    intermediate entry of every kind's residual is a signed sum of at
-    most 4 d^3 products of at most four canonical representatives, each
-    at most p - 1."""
-    return kernel_dtype(4 * d ** 3, *[p - 1] * 4)
 
 
 def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
@@ -394,14 +448,12 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
         OperatorInstance(algebra, module, LinearMap(zeros(shape, field)), twist)
 
     d = max(shape)
-    dtype = _kernel_dtype(p, d)
-    c = field.to_ints(algebra.c, dtype)
-    left = right = None
-    if kind in ("grb", "trb"):
-        left, right = (c if t is algebra.c else field.to_ints(t, dtype)
-                       for t in (module.left, module.right))
-    if twist is not None:
-        twist = field.to_ints(twist.tensor, dtype)
+    actions = (module._left, module._right) if kind in ("grb", "trb") \
+        else (None, None)
+    (c, left, right, twist), _ = _kernel_inputs(
+        d, p - 1, algebra._c, *actions,
+        None if twist is None else twist._tensor)
+    dtype = c.dtype
     # candidate k has the base-p digits of k, most significant first:
     # the order of itertools.product over the flattened entries
     index_dtype = np.int64 if total < 2 ** 63 else object

@@ -25,29 +25,36 @@ import numpy as np
 from .algebra import Algebra, Bimodule, Verdict, bimodule_check
 from .cochains import Cochain
 from .errors import InputError
-from .linalg import (first_difference, first_nonzero_index, identity, is_zero,
-                     pullback)
-from .operators import (LinearMap, OperatorInstance, _induced_products,
-                        is_grb, is_trb)
+from .linalg import (Encoded, combine, decoded, first_nonzero_index,
+                     identity, is_zero, pullback)
+from .operators import (LinearMap, OperatorInstance, induced_products, is_grb,
+                        is_trb)
 
 
 class Dendriform:
     """Two product tensors on a module; validity is what check_dendriform
-    decides, so raw (possibly broken) tensors can be wrapped for testing."""
+    decides, so raw (possibly broken) tensors can be wrapped for testing.
+    The products are kept in their field's integer encoding."""
+
+    succ = decoded("_succ")
+    prec = decoded("_prec")
 
     def __init__(self, field, succ, prec, labels=None):
-        succ = np.asarray(succ, dtype=object)
-        prec = np.asarray(prec, dtype=object)
-        if succ.ndim != 3 or len(set(succ.shape)) != 1 or succ.shape != prec.shape:
+        succ = Encoded.of(field, succ)
+        prec = Encoded.of(field, prec)
+        if len(succ.shape) != 3 or len(set(succ.shape)) != 1 or succ.shape != prec.shape:
             raise InputError("dendriform product tensors must be equal-shape cubes")
         self.field = field
-        self.succ = succ
-        self.prec = prec
+        self._succ = succ
+        self._prec = prec
         self.dim = succ.shape[0]
         self.labels = list(labels) if labels is not None else [f"m{i}" for i in range(self.dim)]
 
+    def _total(self):
+        return self._succ + self._prec
+
     def total_tensor(self):
-        return self.succ + self.prec
+        return self._total().objects
 
     def __repr__(self):
         return f"Dendriform(dim={self.dim})"
@@ -56,22 +63,27 @@ class Dendriform:
 class NSAlgebra:
     """Three product tensors succ, prec, vee; see check_ns."""
 
+    succ = decoded("_succ")
+    prec = decoded("_prec")
+    vee = decoded("_vee")
+
     def __init__(self, field, succ, prec, vee, labels=None):
-        succ = np.asarray(succ, dtype=object)
-        prec = np.asarray(prec, dtype=object)
-        vee = np.asarray(vee, dtype=object)
-        if succ.ndim != 3 or len(set(succ.shape)) != 1 or \
+        succ, prec, vee = (Encoded.of(field, t) for t in (succ, prec, vee))
+        if len(succ.shape) != 3 or len(set(succ.shape)) != 1 or \
                 succ.shape != prec.shape or succ.shape != vee.shape:
             raise InputError("NS product tensors must be equal-shape cubes")
         self.field = field
-        self.succ = succ
-        self.prec = prec
-        self.vee = vee
+        self._succ = succ
+        self._prec = prec
+        self._vee = vee
         self.dim = succ.shape[0]
         self.labels = list(labels) if labels is not None else [f"m{i}" for i in range(self.dim)]
 
+    def _total(self):
+        return self._succ + self._prec + self._vee
+
     def total_tensor(self):
-        return self.succ + self.prec + self.vee
+        return self._total().objects
 
     def __repr__(self):
         return f"NSAlgebra(dim={self.dim})"
@@ -92,7 +104,7 @@ class InducedActions:
 def check_dendriform(dend: Dendriform) -> Verdict:
     """All three axioms on every basis triple; reports every violated
     axiom (first witness per axiom), not just the first."""
-    failures = _axiom_failures(dend.succ, dend.prec, None)
+    failures = _axiom_failures(dend._succ, dend._prec, None)
     if not failures:
         return Verdict(True)
     first = failures[0]
@@ -102,7 +114,7 @@ def check_dendriform(dend: Dendriform) -> Verdict:
 
 def check_ns(ns: NSAlgebra) -> Verdict:
     """All four axioms on every basis triple; reports every violated axiom."""
-    failures = _axiom_failures(ns.succ, ns.prec, ns.vee)
+    failures = _axiom_failures(ns._succ, ns._prec, ns._vee)
     if not failures:
         return Verdict(True)
     first = failures[0]
@@ -111,18 +123,18 @@ def check_ns(ns: NSAlgebra) -> Verdict:
 
 
 def _axiom_failures(succ, prec, vee):
-    """Shared checker: vee=None means dendriform, else NS.
-    Returns one (axiom, (i,j,k), lhs, rhs) per violated axiom."""
+    """Shared checker on encoded products: vee=None means dendriform,
+    else NS.  Returns one (axiom, (i,j,k), lhs, rhs) per violated axiom."""
     total = succ + prec if vee is None else succ + prec + vee
     names = ("t1", "t2", "t3", "t4") if vee is not None else ("d1", "d2", "d3")
 
     def left_assoc(first, second):
         # [i,j,k,l]: (e_i FIRST e_j) SECOND e_k
-        return np.tensordot(first, second, axes=([2], [0]))
+        return first.dot(second, ([2], [0]))
 
     def right_assoc(first, second):
         # [i,j,k,l]: e_i FIRST (e_j SECOND e_k)
-        return np.tensordot(first, second, axes=([1], [2])).transpose(0, 2, 3, 1)
+        return first.dot(second, ([1], [2])).transpose(0, 2, 3, 1)
 
     sides = [
         # (x < y) < z  vs  x < (y > z + y < z [+ y v z])
@@ -134,8 +146,10 @@ def _axiom_failures(succ, prec, vee):
     ]
     if vee is not None:
         # x > (y v z) - (x*y) v z + x v (y*z) - (x v y) < z = 0
-        sides.append((right_assoc(succ, vee) - left_assoc(total, vee)
-                      + right_assoc(vee, total) - left_assoc(vee, prec), None))
+        sides.append((combine([(right_assoc(succ, vee), 1),
+                               (left_assoc(total, vee), -1),
+                               (right_assoc(vee, total), 1),
+                               (left_assoc(vee, prec), -1)]), None))
     verdicts = [(name, Verdict.compare(lhs, rhs, 3))
                 for name, (lhs, rhs) in zip(names, sides)]
     return [(name, v.witness, v.lhs, v.rhs) for name, v in verdicts if not v]
@@ -148,9 +162,8 @@ def dendriform_from_grb(inst: OperatorInstance) -> Dendriform:
         raise InputError(
             f"operator is not generalized Rota-Baxter; identity fails at "
             f"basis pair {report.witness}")
-    M = inst.module
-    succ, prec, _ = _induced_products(inst.op.matrix, M.left, M.right)
-    return Dendriform(inst.field, succ, prec, labels=M.labels)
+    succ, prec, _ = induced_products(inst)
+    return Dendriform(inst.field, succ, prec, labels=inst.module.labels)
 
 
 def ns_from_trb(inst: OperatorInstance) -> NSAlgebra:
@@ -161,10 +174,8 @@ def ns_from_trb(inst: OperatorInstance) -> NSAlgebra:
         raise InputError(
             f"operator is not twisted Rota-Baxter; identity fails at "
             f"basis pair {report.witness}")
-    M = inst.module
-    succ, prec, vee = _induced_products(inst.op.matrix, M.left, M.right,
-                                        inst.cocycle.tensor)
-    return NSAlgebra(inst.field, succ, prec, vee, labels=M.labels)
+    succ, prec, vee = induced_products(inst)
+    return NSAlgebra(inst.field, succ, prec, vee, labels=inst.module.labels)
 
 
 def total_product(structure) -> Algebra:
@@ -174,7 +185,7 @@ def total_product(structure) -> Algebra:
     report = checker(structure)
     if not report:
         raise InputError(f"structure axioms fail: {report.detail}")
-    return Algebra(structure.field, structure.total_tensor(), labels=structure.labels)
+    return Algebra(structure.field, structure._total(), labels=structure.labels)
 
 
 def identity_operator(structure) -> OperatorInstance:
@@ -182,7 +193,7 @@ def identity_operator(structure) -> OperatorInstance:
     algebra, as a GRB (resp. TRB) instance: e.x = e > x, x.e = x < e, and
     for NS input the twist is the vee product."""
     total = total_product(structure)
-    module = Bimodule(total, structure.succ, structure.prec,
+    module = Bimodule(total, structure._succ, structure._prec,
                       labels=structure.labels, check=False)
     report = bimodule_check(total, module)
     if not report:
@@ -190,7 +201,7 @@ def identity_operator(structure) -> OperatorInstance:
     op = LinearMap(identity(structure.dim, structure.field),
                    source="M", target="A")
     if isinstance(structure, NSAlgebra):
-        twist = Cochain(total, module, structure.vee)
+        twist = Cochain(total, module, structure._vee)
         return OperatorInstance(total, module, op, twist)
     return OperatorInstance(total, module, op)
 
@@ -225,10 +236,10 @@ def derivation_dual(inst: OperatorInstance, omega: LinearMap, z) -> OperatorInst
     if W.shape != (A.dim, M.dim):
         raise InputError("derivation must map A to M")
     # [i, j, l]: W(e_i e_j) against W(e_i).e_j + e_i.W(e_j)
-    bad = first_difference(
-        np.tensordot(A.c, W, axes=([2], [0])),
-        np.tensordot(W, M.right, axes=([1], [0]))
-        + np.tensordot(M.left, W, axes=([1], [1])).transpose(0, 2, 1), 2)
+    bad = first_nonzero_index(
+        np.tensordot(A.c, W, axes=([2], [0]))
+        - np.tensordot(W, M.right, axes=([1], [0]))
+        - np.tensordot(M.left, W, axes=([1], [1])).transpose(0, 2, 1), 2)
     if bad is not None:
         raise InputError(
             f"map is not a derivation: W(ab) != W(a).b + a.W(b) at "
@@ -263,7 +274,7 @@ def grb_morphism_check(psi0: LinearMap, psi1: LinearMap,
     rhs = np.stack([pullback(dst.module.left, f0, f1),
                     pullback(dst.module.right, f1, f0).transpose(1, 0, 2)],
                    axis=2)
-    bad = first_difference(lhs, rhs, 3)
+    bad = first_nonzero_index(lhs - rhs, 3)
     if bad is None:
         return Verdict(True)
     return Verdict(False, bad[:2], detail=("left actions not intertwined",
