@@ -56,17 +56,15 @@ class Verdict:
 
 
 def assoc_check(c) -> Verdict:
-    """Associativity of a structure-constant tensor on all basis triples,
-    over the field of its scalars (`fields.field_of`).
+    """Associativity of a structure-constant tensor on all basis triples:
+    an `Encoded` tensor, or a tensor of scalars over the field of its
+    entries (`fields.field_of`).
 
     Reports the first failing (i, j, k, l) in lexicographic order, with
     the l-th coefficient of (e_i e_j) e_k and e_i (e_j e_k).
     """
-    return associativity(Encoded.of(field_of(c), c))
-
-
-def associativity(c: Encoded) -> Verdict:
-    """`assoc_check` of an encoded tensor: the field comes with it."""
+    if not isinstance(c, Encoded):
+        c = Encoded.of(field_of(c), c)
     if len(c.shape) != 3 or len(set(c.shape)) != 1:
         raise InputError(f"structure constants must be cubic, got shape {c.shape}")
     # [i,j,k,l]: (e_i e_j) e_k and e_i (e_j e_k)
@@ -82,7 +80,7 @@ class Algebra:
 
     def __init__(self, field, c, labels=None):
         c = Encoded.of(field, c)
-        report = associativity(c)
+        report = assoc_check(c)
         if not report:
             i, j, k, l = report.witness
             raise InputError(

@@ -18,8 +18,7 @@ import time
 import numpy as np
 
 from . import schema
-from .algebra import (Verdict, associativity, bimodule_check,
-                      canonical_bimodule)
+from .algebra import Verdict, assoc_check, bimodule_check, canonical_bimodule
 from .errors import InputError, RbxError
 from .flows import addexp_check, exp_flow
 from .gerstenhaber import MultiMap, g_bracket
@@ -101,10 +100,6 @@ class Report:
         return obj
 
 
-def _fmt_vector(field, vec):
-    return [field.format(x) for x in np.asarray(vec, dtype=object)]
-
-
 def _fmt_witness(field, verdict: Verdict):
     if verdict.witness is None:
         return None
@@ -114,7 +109,7 @@ def _fmt_witness(field, verdict: Verdict):
             continue
         arr = np.asarray(value, dtype=object)
         out[side] = (field.format(value) if arr.ndim == 0
-                     else _fmt_vector(field, arr))
+                     else [field.format(x) for x in arr])
     return out
 
 
@@ -150,6 +145,14 @@ def _document(args):
     return doc, schema.document_digest(doc)
 
 
+def _section(doc, name):
+    """The document's `name` section; InputError (exit 2) without one."""
+    value = getattr(doc, name)
+    if value is None:
+        raise InputError(f"document has no {name!r} key")
+    return value
+
+
 def _instance(doc, pi_name, phi_name=None):
     if doc.algebra is None:
         raise InputError("document has no algebra")
@@ -161,8 +164,9 @@ def _instance(doc, pi_name, phi_name=None):
     return OperatorInstance(doc.algebra, module, op, cocycle)
 
 
-def _ext_labels(inst):
-    return list(inst.algebra.labels) + [f"m:{l}" for l in inst.module.labels]
+def _ext_labels(algebra, module):
+    """Basis labels of A (+) M, the module's marked with "m:"."""
+    return list(algebra.labels) + [f"m:{l}" for l in module.labels]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +176,7 @@ def _ext_labels(inst):
 def cmd_check_assoc(args):
     field, c, raw = schema.load_raw_algebra(_load(args.file))
     return _verdict_report("check-assoc", field,
-                           associativity(Encoded.of(field, c)),
+                           assoc_check(Encoded.of(field, c)),
                            schema.raw_digest(raw))
 
 
@@ -198,29 +202,30 @@ def cmd_check_trb(args):
 
 def cmd_check_reynolds(args):
     doc, digest = _document(args)
-    verdict = is_reynolds(doc.algebra, LinearMap(schema.named_map(doc, args.map)))
+    verdict = is_reynolds(_section(doc, "algebra"),
+                          LinearMap(schema.named_map(doc, args.map)))
     return _verdict_report("check-reynolds", doc.field, verdict, digest)
 
 
 def cmd_check_nijenhuis(args):
     doc, digest = _document(args)
-    verdict = is_nijenhuis(doc.algebra, LinearMap(schema.named_map(doc, args.map)))
+    verdict = is_nijenhuis(_section(doc, "algebra"),
+                           LinearMap(schema.named_map(doc, args.map)))
     return _verdict_report("check-nijenhuis", doc.field, verdict, digest)
 
 
 def cmd_check_dendriform(args):
-    doc, digest = _document(args)
-    if doc.dendriform is None:
-        raise InputError("document has no 'dendriform' key")
-    return _verdict_report("check-dendriform", doc.field,
-                           check_dendriform(doc.dendriform), digest)
+    return _check_structure(args, "dendriform", check_dendriform)
 
 
 def cmd_check_ns(args):
+    return _check_structure(args, "ns", check_ns)
+
+
+def _check_structure(args, section, check):
     doc, digest = _document(args)
-    if doc.ns is None:
-        raise InputError("document has no 'ns' key")
-    return _verdict_report("check-ns", doc.field, check_ns(doc.ns), digest)
+    return _verdict_report(args.command, doc.field,
+                           check(_section(doc, section)), digest)
 
 
 def cmd_check_addexp(args):
@@ -233,8 +238,7 @@ def cmd_residual(args):
     doc, digest = _document(args)
     inst = _instance(doc, args.pi, args.phi)
     res = structure_residual(inst)._tensor
-    labels = _ext_labels(inst)
-    lines = _tensor_listing(res, labels)
+    lines = _tensor_listing(res, _ext_labels(inst.algebra, inst.module))
     verdict = Verdict.compare(res, None, len(res.shape),
                               detail="structure residual is nonzero")
     return _verdict_report("residual", doc.field, verdict, digest,
@@ -251,7 +255,7 @@ def cmd_bracket(args):
         labels = doc.algebra.labels
     elif doc.algebra is not None and doc.bimodule is not None and \
             doc.algebra.dim + doc.bimodule.dim == dim:
-        labels = list(doc.algebra.labels) + [f"m:{l}" for l in doc.bimodule.labels]
+        labels = _ext_labels(doc.algebra, doc.bimodule)
     else:
         labels = [f"b{i}" for i in range(dim)]
     lines = _tensor_listing(result._tensor, labels)
@@ -264,7 +268,7 @@ def cmd_flow(args):
     doc, digest = _document(args)
     inst = _instance(doc, args.pi, args.phi)
     flow = exp_flow(inst)
-    labels = _ext_labels(inst)
+    labels = _ext_labels(inst.algebra, inst.module)
     terms = {
         "theta": flow.theta, "order1": flow.order1,
         "order2": flow.order2, "order3": flow.order3, "total": flow.total,
@@ -283,30 +287,30 @@ def cmd_flow(args):
 
 
 def cmd_derive_dendriform(args):
-    doc, digest = _document(args)
-    dend = dendriform_from_grb(_instance(doc, args.map))
-    out = schema.Document(doc.field, dendriform=dend)
-    text = schema.dump_document(out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return Report("derive-dendriform", "pass", digest=digest,
-                  detail=f"dendriform structure of dimension {dend.dim}",
-                  extra={"document": schema.document_to_obj(out),
-                         "written": args.output})
+    return _derive(args, "dendriform", dendriform_from_grb, args.map)
 
 
 def cmd_derive_ns(args):
+    return _derive(args, "ns", ns_from_trb, args.pi, args.phi)
+
+
+def _derive(args, section, derive, *names):
+    """The structure `derive` induces from the document's operator, as
+    the `section` of a new document."""
     doc, digest = _document(args)
-    ns = ns_from_trb(_instance(doc, args.pi, args.phi))
-    out = schema.Document(doc.field, ns=ns)
-    text = schema.dump_document(out)
+    structure = derive(_instance(doc, *names))
+    return _document_report(
+        args, schema.Document(doc.field, **{section: structure}),
+        f"{structure.kind} structure of dimension {structure.dim}", digest)
+
+
+def _document_report(args, doc, detail, digest=None):
+    """A pass report carrying `doc`, which is also written to --output."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return Report("derive-ns", "pass", digest=digest,
-                  detail=f"NS structure of dimension {ns.dim}",
-                  extra={"document": schema.document_to_obj(out),
+            fh.write(schema.dump_document(doc))
+    return Report(args.command, "pass", digest=digest, detail=detail,
+                  extra={"document": schema.document_to_obj(doc),
                          "written": args.output})
 
 
@@ -351,11 +355,12 @@ def _cast_document(doc, field_name):
 
 def cmd_aybe(args):
     doc, digest = _document(args)
-    r = schema.named_map(doc, args.r)
-    res = Encoded.of(doc.field, aybe_residual(doc.algebra, r))
+    algebra = _section(doc, "algebra")
+    res = Encoded.of(doc.field,
+                     aybe_residual(algebra, schema.named_map(doc, args.r)))
     verdict = Verdict.compare(res, None, 3,
                               detail="associative Yang-Baxter residual is nonzero")
-    lines = _tensor_listing(res, doc.algebra.labels) \
+    lines = _tensor_listing(res, algebra.labels) \
         if not verdict else ["0 (solution)"]
     return _verdict_report("aybe", doc.field, verdict, digest,
                            extra={"residual": lines})
@@ -380,15 +385,8 @@ def cmd_catalog(args):
             f"{name!r} has no finite structure-constant form; its checks "
             f"run through the exact normal-ordering engine")
     built = entry.build(args.degree) if entry.takes_degree else entry.build()
-    doc = _document_from_built(built)
-    text = schema.dump_document(doc)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return Report("catalog", "pass",
-                  detail=f"instance {name!r} in the shared schema",
-                  extra={"document": schema.document_to_obj(doc),
-                         "written": args.output})
+    return _document_report(args, _document_from_built(built),
+                            f"instance {name!r} in the shared schema")
 
 
 def _document_from_built(built):

@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import Algebra, Bimodule, Verdict
 from .errors import CapacityError, InputError
 from .gerstenhaber import ARITY_CAP
-from .linalg import Encoded, apply_multilinear, combine, decoded
+from .linalg import Encoded, combine, decoded
 
 
 class Cochain:
@@ -46,7 +46,11 @@ class Cochain:
         if len(vectors) != self.arity:
             raise InputError(f"cochain of arity {self.arity} applied to "
                              f"{len(vectors)} arguments")
-        return apply_multilinear(self.tensor, vectors)
+        tensor = self.tensor
+        for v in vectors:  # one input axis contracted per vector
+            tensor = np.tensordot(np.asarray(v, dtype=object), tensor,
+                                  axes=([0], [0]))
+        return tensor
 
     def is_zero_map(self):
         return self._tensor.is_zero()

@@ -32,7 +32,7 @@ bracket engine, the flows and the structure residual decode nothing;
 from __future__ import annotations
 
 from .errors import CapacityError, InputError
-from .linalg import Encoded, decoded
+from .linalg import Encoded, combine, decoded
 
 ARITY_CAP = 4
 
@@ -122,13 +122,9 @@ def half_square(theta: MultiMap, p: MultiMap):
 def bar_circ(f: MultiMap, g: MultiMap) -> MultiMap:
     """f obar g = sum_i (-1)^{(i-1)(n-1)} f o_i g."""
     n = g.arity
-    total = None
-    for i in range(1, f.arity + 1):
-        term = circ_i(f, g, i)
-        if (i - 1) * (n - 1) % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    return MultiMap(f.field, combine([
+        (circ_i(f, g, i)._tensor, (-1) ** ((i - 1) * (n - 1)))
+        for i in range(1, f.arity + 1)]))
 
 
 def g_bracket(f: MultiMap, g: MultiMap) -> MultiMap:
@@ -157,14 +153,8 @@ def jacobi_residual(f: MultiMap, g: MultiMap, h: MultiMap) -> MultiMap:
         + (-1)^{(n-1)(m-1)}[[g,h],f]
     """
     m, n, l = f.arity, g.arity, h.arity
-    terms = [
-        ((m - 1) * (l - 1), g_bracket(g_bracket(f, g), h)),
-        ((l - 1) * (n - 1), g_bracket(g_bracket(h, f), g)),
-        ((n - 1) * (m - 1), g_bracket(g_bracket(g, h), f)),
-    ]
-    total = None
-    for exponent, term in terms:
-        if exponent % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    return MultiMap(f.field, combine([
+        (g_bracket(g_bracket(f, g), h)._tensor, (-1) ** ((m - 1) * (l - 1))),
+        (g_bracket(g_bracket(h, f), g)._tensor, (-1) ** ((l - 1) * (n - 1))),
+        (g_bracket(g_bracket(g, h), f)._tensor, (-1) ** ((n - 1) * (m - 1))),
+    ]))

@@ -4,12 +4,14 @@ Every identity rbx decides runs on one exact integer kernel.  A tensor
 of field scalars is encoded once, by its field, as an integer tensor
 over a scale (`Encoded`): canonical representatives over scale 1 for
 F_p, numerators over the common denominator for Q.  Contractions
-(`tensordot`) and signed sums (`combine`) of encoded tensors run on
-int64 when `kernel_dtype` proves that no entry can reach 2^63, and on
-Python-int object arrays otherwise, so nothing wraps and no scalar is
-boxed per multiply-add.  The field decodes a tensor back to Fraction or
-FpElement scalars only where a caller reads it (`Encoded.objects`),
-which for a verdict is the witness alone.
+(`Encoded.dot`) multiply the scales; signed sums (`combine`) and
+comparisons (`Encoded.differs`) first bring their operands to one scale
+(`common`).  All of them run on int64 when `kernel_dtype` proves that
+no entry can reach 2^63, and on Python-int object arrays otherwise, so
+nothing wraps and no scalar is boxed per multiply-add.  The field
+decodes a tensor back to Fraction or FpElement scalars only where a
+caller reads it (`Encoded.objects`), which for a verdict is the witness
+alone.
 
 Every identity is a residual of two contractions: the two sides are
 computed as tensors over all basis tuples at once, and
@@ -140,20 +142,13 @@ class Encoded:
 
     def differs(self, other):
         """Boolean tensor of the entries where self != other (other=None:
-        where self != 0), decided on integers: mod p over F_p, and over Q
-        by self.ints * other.scale != other.ints * self.scale."""
-        field, a = self.field, self.ints
+        where self != 0), decided on the integers over the common scale,
+        mod p over F_p."""
+        reduce = self.field.reduce
         if other is None:
-            return field.reduce(a) != 0
-        b = other.ints
-        if field.char:
-            return field.reduce(a) != field.reduce(b)
-        if self.scale != other.scale:
-            sa, sb = other.scale, self.scale
-            dtype = kernel_dtype(1, max(max_abs(a) * sa, max_abs(b) * sb,
-                                        sa, sb))
-            a, b = a.astype(dtype) * sa, b.astype(dtype) * sb
-        return a != b
+            return reduce(self.ints) != 0
+        (a, b), _ = common(self, other)
+        return reduce(a) != reduce(b)
 
     def is_zero(self):
         return not self.differs(None).any()
@@ -177,16 +172,13 @@ def tensordot(a, b, axes):
 def combine(terms):
     """The signed sum of (Encoded, sign) terms of one field and shape,
     over the lcm of their scales."""
-    field = terms[0][0].field
-    scale = math.lcm(*(t.scale for t, _ in terms))
-    dtype = kernel_dtype(1, sum(max(max_abs(t.ints), 1) * (scale // t.scale)
-                                for t, _ in terms))
+    ints, scale = common(*(t for t, _ in terms))
+    dtype = kernel_dtype(1, sum(map(max_abs, ints)))
     total = 0
-    for t, sign in terms:
-        ints = t.ints.astype(dtype, copy=False)
-        if t.scale != scale:
-            ints = ints * (scale // t.scale)
-        total = total + ints if sign > 0 else total - ints
+    for a, (_, sign) in zip(ints, terms):
+        a = a.astype(dtype, copy=False)
+        total = total + a if sign > 0 else total - a
+    field = terms[0][0].field
     return Encoded(field, field.reduce(total), scale)
 
 
@@ -203,13 +195,6 @@ def common(*tensors):
     return [out[id(t)] for t in tensors], scale
 
 
-def contract(field, a, b, axes):
-    """np.tensordot(a, b, axes) for tensors of `field` scalars, exactly,
-    with `axes` a pair of axis lists: one integer contraction of the
-    encoded operands, decoded over the product of their scales."""
-    return Encoded.of(field, a).dot(Encoded.of(field, b), axes).objects
-
-
 def pullback(t, m, n=None, inner=None):
     """t(m_i, n_j) for every row i of m and row j of n (default: m):
     out[..., i, j] = sum_ab m[..., i, a] n[..., j, b] t[a, b] for an
@@ -223,20 +208,6 @@ def pullback(t, m, n=None, inner=None):
     flat = np.swapaxes(inner, -3, -2).reshape(*batch, b, rows * k)
     out = np.matmul(m if n is None else n, flat)
     return np.swapaxes(out.reshape(*batch, -1, rows, k), -3, -2)
-
-
-def apply_multilinear(tensor, vectors):
-    """Value of a multilinear map on coordinate vectors, one input axis
-    contracted per vector."""
-    for v in vectors:
-        tensor = np.tensordot(np.asarray(v, dtype=object), tensor, axes=([0], [0]))
-    return tensor
-
-
-def apply_matrix(vec, matrix):
-    """Row-vector convention: image of `vec` under the map with `matrix`
-    (shape source_dim x target_dim)."""
-    return np.dot(np.asarray(vec, dtype=object), matrix)
 
 
 def row_reduce(matrix):

@@ -27,8 +27,8 @@ from .algebra import (Algebra, Bimodule, Verdict, canonical_bimodule,
 from .cochains import Cochain, is_cocycle
 from .errors import CapacityError, CharacteristicError, InputError
 from .gerstenhaber import MultiMap, circ_i, half_square
-from .linalg import (Encoded, apply_matrix, common, identity, is_zero,
-                     kernel_dtype, max_abs, pullback, zeros)
+from .linalg import (Encoded, common, identity, is_zero, kernel_dtype,
+                     max_abs, pullback, zeros)
 
 SEARCH_BUDGET = 2 ** 20
 
@@ -54,7 +54,7 @@ class LinearMap:
         return self.matrix.shape[1]
 
     def __call__(self, vec):
-        return apply_matrix(vec, self.matrix)
+        return np.dot(np.asarray(vec, dtype=object), self.matrix)
 
     def __repr__(self):
         return f"LinearMap({self.source or self.source_dim}->{self.target or self.target_dim})"

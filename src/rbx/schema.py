@@ -42,6 +42,11 @@ class Document:
     ns: NSAlgebra | None = None
 
 
+# the product sections: (key, class, product tensors)
+_STRUCTURES = (("dendriform", Dendriform, ("succ", "prec")),
+               ("ns", NSAlgebra, ("succ", "prec", "vee")))
+
+
 def _array(raw, path):
     try:
         return np.asarray(raw, dtype=object)
@@ -172,13 +177,9 @@ def document_from_obj(raw) -> Document:
         doc.cochains[name] = {"arity": arity, "inputs": inputs,
                               "output": output, "tensor": tensor}
 
-    if "dendriform" in raw:
-        doc.dendriform = Dendriform(field, *_cubes(field, raw, "dendriform",
-                                                   "succ", "prec"))
-
-    if "ns" in raw:
-        doc.ns = NSAlgebra(field, *_cubes(field, raw, "ns",
-                                          "succ", "prec", "vee"))
+    for section, cls, keys in _STRUCTURES:
+        if section in raw:
+            setattr(doc, section, cls(field, *_cubes(field, raw, section, *keys)))
 
     return doc
 
@@ -216,15 +217,11 @@ def document_to_obj(doc: Document) -> dict:
                    "output": entry["output"],
                    "tensor": format_tensor(field, entry["tensor"])}
             for name, entry in doc.cochains.items()}
-    if doc.dendriform is not None:
-        obj["dendriform"] = {"dim": doc.dendriform.dim,
-                             "succ": format_tensor(field, doc.dendriform.succ),
-                             "prec": format_tensor(field, doc.dendriform.prec)}
-    if doc.ns is not None:
-        obj["ns"] = {"dim": doc.ns.dim,
-                     "succ": format_tensor(field, doc.ns.succ),
-                     "prec": format_tensor(field, doc.ns.prec),
-                     "vee": format_tensor(field, doc.ns.vee)}
+    for section, _, keys in _STRUCTURES:
+        structure = getattr(doc, section)
+        if structure is not None:
+            obj[section] = {"dim": structure.dim, **{
+                key: format_tensor(field, getattr(structure, key)) for key in keys}}
     return obj
 
 

@@ -2,18 +2,19 @@
 (twisted) Rota-Baxter operators, induced associative products and
 bimodule actions, and instance-level functor round-trips.
 
-Dendriform axioms, for products succ (>) and prec (<):
-
-    (d1)  (x < y) < z = x < (y > z + y < z)
-    (d2)  (x > y) < z = x > (y < z)
-    (d3)  x > (y > z) = (x > y + x < y) > z
-
-NS axioms add a third product vee (v), with x*y = x>y + x<y + x v y:
+NS axioms, for products succ (>), prec (<) and vee (v), with
+x*y = x>y + x<y + x v y:
 
     (t1)  (x < y) < z = x < (y > z + y < z + y v z)
     (t2)  (x > y) < z = x > (y < z)
     (t3)  x > (y > z) = (x > y + x < y + x v y) > z
     (t4)  x > (y v z) - (x*y) v z + x v (y*z) - (x v y) < z = 0
+
+A dendriform algebra is an NS-algebra without vee (`Dendriform`, with
+vee None): t1-t3 read without the vee terms are its axioms d1-d3, and
+t4 vanishes.  A generalized Rota-Baxter operator is in the same way the
+twisted case with phi = 0, so one checker, one derivation and one
+identity operator serve both.
 """
 
 from __future__ import annotations
@@ -31,62 +32,50 @@ from .operators import (LinearMap, OperatorInstance, induced_products, is_grb,
                         is_trb)
 
 
-class Dendriform:
-    """Two product tensors on a module; validity is what check_dendriform
-    decides, so raw (possibly broken) tensors can be wrapped for testing.
-    The products are kept in their field's integer encoding."""
-
-    succ = decoded("_succ")
-    prec = decoded("_prec")
-
-    def __init__(self, field, succ, prec, labels=None):
-        succ = Encoded.of(field, succ)
-        prec = Encoded.of(field, prec)
-        if len(succ.shape) != 3 or len(set(succ.shape)) != 1 or succ.shape != prec.shape:
-            raise InputError("dendriform product tensors must be equal-shape cubes")
-        self.field = field
-        self._succ = succ
-        self._prec = prec
-        self.dim = succ.shape[0]
-        self.labels = list(labels) if labels is not None else [f"m{i}" for i in range(self.dim)]
-
-    def _total(self):
-        return self._succ + self._prec
-
-    def total_tensor(self):
-        return self._total().objects
-
-    def __repr__(self):
-        return f"Dendriform(dim={self.dim})"
-
-
 class NSAlgebra:
-    """Three product tensors succ, prec, vee; see check_ns."""
+    """Product tensors succ, prec and vee on a module; vee=None is the
+    dendriform case (`Dendriform`).  Validity is what check_ns decides,
+    so raw (possibly broken) tensors can be wrapped for testing.  The
+    products are kept in their field's integer encoding."""
 
+    kind = "NS"
     succ = decoded("_succ")
     prec = decoded("_prec")
     vee = decoded("_vee")
 
     def __init__(self, field, succ, prec, vee, labels=None):
-        succ, prec, vee = (Encoded.of(field, t) for t in (succ, prec, vee))
-        if len(succ.shape) != 3 or len(set(succ.shape)) != 1 or \
-                succ.shape != prec.shape or succ.shape != vee.shape:
-            raise InputError("NS product tensors must be equal-shape cubes")
+        succ, prec = Encoded.of(field, succ), Encoded.of(field, prec)
+        vee = None if vee is None else Encoded.of(field, vee)
+        shape = succ.shape
+        if len(shape) != 3 or len(set(shape)) != 1 or any(
+                t.shape != shape for t in (prec, vee) if t is not None):
+            raise InputError(f"{self.kind} product tensors must be equal-shape cubes")
         self.field = field
         self._succ = succ
         self._prec = prec
         self._vee = vee
-        self.dim = succ.shape[0]
+        self.dim = shape[0]
         self.labels = list(labels) if labels is not None else [f"m{i}" for i in range(self.dim)]
 
     def _total(self):
-        return self._succ + self._prec + self._vee
+        return combine([(t, 1) for t in (self._succ, self._prec, self._vee)
+                        if t is not None])
 
     def total_tensor(self):
         return self._total().objects
 
     def __repr__(self):
-        return f"NSAlgebra(dim={self.dim})"
+        return f"{type(self).__name__}(dim={self.dim})"
+
+
+class Dendriform(NSAlgebra):
+    """Two product tensors succ and prec: an NS-algebra without vee; see
+    check_dendriform."""
+
+    kind = "dendriform"
+
+    def __init__(self, field, succ, prec, labels=None):
+        super().__init__(field, succ, prec, None, labels)
 
 
 @dataclass
@@ -104,29 +93,21 @@ class InducedActions:
 def check_dendriform(dend: Dendriform) -> Verdict:
     """All three axioms on every basis triple; reports every violated
     axiom (first witness per axiom), not just the first."""
-    failures = _axiom_failures(dend._succ, dend._prec, None)
-    if not failures:
-        return Verdict(True)
-    first = failures[0]
-    return Verdict(False, first[1], detail="; ".join(sorted({f[0] for f in failures})),
-                   failures=tuple(failures))
+    return _check(dend)
 
 
 def check_ns(ns: NSAlgebra) -> Verdict:
     """All four axioms on every basis triple; reports every violated axiom."""
-    failures = _axiom_failures(ns._succ, ns._prec, ns._vee)
-    if not failures:
-        return Verdict(True)
-    first = failures[0]
-    return Verdict(False, first[1], detail="; ".join(sorted({f[0] for f in failures})),
-                   failures=tuple(failures))
+    return _check(ns)
 
 
-def _axiom_failures(succ, prec, vee):
-    """Shared checker on encoded products: vee=None means dendriform,
-    else NS.  Returns one (axiom, (i,j,k), lhs, rhs) per violated axiom."""
-    total = succ + prec if vee is None else succ + prec + vee
-    names = ("t1", "t2", "t3", "t4") if vee is not None else ("d1", "d2", "d3")
+def _check(structure) -> Verdict:
+    """The axioms of an NS-algebra, or of a dendriform one when vee is
+    None, on encoded products; the failures hold one (axiom, (i,j,k),
+    lhs, rhs) per violated axiom."""
+    succ, prec, vee = structure._succ, structure._prec, structure._vee
+    total = structure._total()
+    names = ("d1", "d2", "d3") if vee is None else ("t1", "t2", "t3", "t4")
 
     def left_assoc(first, second):
         # [i,j,k,l]: (e_i FIRST e_j) SECOND e_k
@@ -150,38 +131,46 @@ def _axiom_failures(succ, prec, vee):
                                (left_assoc(total, vee), -1),
                                (right_assoc(vee, total), 1),
                                (left_assoc(vee, prec), -1)]), None))
-    verdicts = [(name, Verdict.compare(lhs, rhs, 3))
-                for name, (lhs, rhs) in zip(names, sides)]
-    return [(name, v.witness, v.lhs, v.rhs) for name, v in verdicts if not v]
+    failures = []
+    for name, (lhs, rhs) in zip(names, sides):
+        v = Verdict.compare(lhs, rhs, 3)
+        if not v:
+            failures.append((name, v.witness, v.lhs, v.rhs))
+    if not failures:
+        return Verdict(True)
+    return Verdict(False, failures[0][1],
+                   detail="; ".join(sorted({f[0] for f in failures})),
+                   failures=tuple(failures))
+
+
+def _derived(inst, check, kind):
+    """The products the instance induces on M, once `check` shows that
+    its operator is `kind` Rota-Baxter."""
+    report = check(inst)
+    if not report:
+        raise InputError(
+            f"operator is not {kind} Rota-Baxter; identity fails at "
+            f"basis pair {report.witness}")
+    return induced_products(inst)
 
 
 def dendriform_from_grb(inst: OperatorInstance) -> Dendriform:
     """m > n := p(m).n and m < n := m.p(n); needs a GRB instance."""
-    report = is_grb(inst)
-    if not report:
-        raise InputError(
-            f"operator is not generalized Rota-Baxter; identity fails at "
-            f"basis pair {report.witness}")
-    succ, prec, _ = induced_products(inst)
+    succ, prec, _ = _derived(inst, is_grb, "generalized")
     return Dendriform(inst.field, succ, prec, labels=inst.module.labels)
 
 
 def ns_from_trb(inst: OperatorInstance) -> NSAlgebra:
     """m > n := p(m).n, m < n := m.p(n), m v n := phi(p(m), p(n));
     needs a TRB instance."""
-    report = is_trb(inst)
-    if not report:
-        raise InputError(
-            f"operator is not twisted Rota-Baxter; identity fails at "
-            f"basis pair {report.witness}")
-    succ, prec, vee = induced_products(inst)
-    return NSAlgebra(inst.field, succ, prec, vee, labels=inst.module.labels)
+    return NSAlgebra(inst.field, *_derived(inst, is_trb, "twisted"),
+                     labels=inst.module.labels)
 
 
 def total_product(structure) -> Algebra:
     """The sum of the products as an associative Algebra (construction
     fails loudly if the structure's axioms do not hold)."""
-    checker = check_ns if isinstance(structure, NSAlgebra) else check_dendriform
+    checker = check_dendriform if structure._vee is None else check_ns
     report = checker(structure)
     if not report:
         raise InputError(f"structure axioms fail: {report.detail}")
@@ -200,21 +189,15 @@ def identity_operator(structure) -> OperatorInstance:
         raise InputError(f"induced actions fail bimodule axioms at {report.witness}")
     op = LinearMap(identity(structure.dim, structure.field),
                    source="M", target="A")
-    if isinstance(structure, NSAlgebra):
-        twist = Cochain(total, module, structure._vee)
-        return OperatorInstance(total, module, op, twist)
-    return OperatorInstance(total, module, op)
+    twist = None if structure._vee is None else \
+        Cochain(total, module, structure._vee)
+    return OperatorInstance(total, module, op, twist)
 
 
 def induced_actions(inst: OperatorInstance) -> InducedActions:
     """The actions of the induced algebra M_ass on A, for a GRB instance."""
-    report = is_grb(inst)
-    if not report:
-        raise InputError(
-            f"operator is not generalized Rota-Baxter; identity fails at "
-            f"basis pair {report.witness}")
-    A, M, P = inst.algebra, inst.module, inst.op.matrix
     m_ass = total_product(dendriform_from_grb(inst))
+    A, M, P = inst.algebra, inst.module, inst.op.matrix
     # left[j, i] = p(m_j) e_i - p(m_j . e_i); right[i, j] = e_i p(m_j) - p(e_i . m_j)
     left = (np.tensordot(P, A.c, axes=([1], [0]))
             - np.tensordot(M.right, P, axes=([2], [0])))

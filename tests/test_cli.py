@@ -387,3 +387,12 @@ def test_undecodable_json_is_exit_2(tmp_path, capsys, text, message):
     for verb in ("check-assoc", "check-grb"):
         code, out = run(capsys, verb, str(bad))
         assert code == 2 and "JSON parse error" in out and message in out
+
+
+@pytest.mark.parametrize("verb", ["check-reynolds", "check-nijenhuis", "aybe"])
+def test_document_without_algebra_is_exit_2(tmp_path, capsys, verb):
+    bad = tmp_path / "no-algebra.json"
+    bad.write_text(json.dumps({"field": "Q", "maps": {
+        "R": [[1]], "N": [[1]], "r": [[0]]}}))
+    code, out = run(capsys, verb, str(bad))
+    assert code == 2 and "document has no 'algebra' key" in out

@@ -1,7 +1,7 @@
 """Differential tests of the exact integer contraction kernel
-`linalg.contract` against object-dtype `np.tensordot`, which dispatches
-to the scalars' own exact arithmetic: equal values and equal scalar
-types, on the int64 path and on the Python-int fallback."""
+(`Encoded.dot`, decoded) against object-dtype `np.tensordot`, which
+dispatches to the scalars' own exact arithmetic: equal values and equal
+scalar types, on the int64 path and on the Python-int fallback."""
 
 import random
 from fractions import Fraction
@@ -13,10 +13,16 @@ from oracle import FnMap, agrees_with_tensor, oracle_circ, random_tensor
 from rbx import linalg
 from rbx.fields import QQ, PrimeField
 from rbx.gerstenhaber import ARITY_CAP, MultiMap, circ_i
-from rbx.linalg import contract, zeros
+from rbx.linalg import Encoded, zeros
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(7),
           PrimeField(2 ** 31 - 1)]
+
+
+def contract(field, a, b, axes):
+    """np.tensordot(a, b, axes) of tensors of `field` scalars: one integer
+    contraction of the encoded operands, decoded."""
+    return Encoded.of(field, a).dot(Encoded.of(field, b), axes).objects
 
 
 def assert_same(got, ref, field):
