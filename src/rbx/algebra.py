@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import InputError
 from .fields import field_of
-from .linalg import (Encoded, Span, common, decoded, first_nonzero_index,
-                     identity, pullback, rank, row_reduce, tensors_equal,
-                     zeros)
+from .linalg import (Encoded, common, decoded, first_nonzero_index, rank,
+                     row_reduce, zeros)
 
 
 @dataclass(frozen=True)
@@ -109,23 +108,18 @@ class Algebra:
 
     def unit(self):
         """Coordinates of the unit element, or None if non-unital."""
-        d, c = self.dim, self.c
-        one = identity(d, self.field)
-        # u e_j = e_j and e_j u = e_j, one row per (j, k) coefficient
-        rows = np.concatenate([c.reshape(d, d * d).T,
-                               c.transpose(0, 2, 1).reshape(d * d, d)])
-        rhs = np.concatenate([one.reshape(-1), one.reshape(-1)])
-        rref, pivots = row_reduce(np.column_stack([rows, rhs]))
+        d, c = self.dim, self._c
+        # u e_j = e_j and e_j u = e_j, one row per (j, k), over c's scale
+        rows = np.concatenate([c.ints.reshape(d, d * d).T,
+                               c.ints.transpose(0, 2, 1).reshape(d * d, d)])
+        rhs = np.tile(np.eye(d, dtype=object).reshape(-1) * c.scale, 2)
+        rref, pivots = row_reduce(
+            Encoded(self.field, np.column_stack([rows, rhs]), c.scale))
         if d in pivots:
             return None
-        sol = zeros(d, self.field)
-        sol[pivots] = rref[:len(pivots), d]
-        # the system may be underdetermined only if the unit is non-unique,
-        # which cannot happen; verify the candidate anyway
-        if not (tensors_equal(np.tensordot(sol, c, axes=([0], [0])), one)
-                and tensors_equal(np.tensordot(sol, c, axes=([0], [1])), one)):
-            return None
-        return sol
+        sol = np.zeros(d, dtype=rref.ints.dtype)
+        sol[pivots] = rref.ints[:len(pivots), d]
+        return Encoded(self.field, sol, rref.scale).objects
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, field={self.field.name})"
@@ -285,21 +279,27 @@ def subspace_closed(algebra: Algebra, basis_vectors) -> Verdict:
 
     Requires a linearly independent basis; on failure the witness is the
     first basis pair (i, j) whose product escapes, with the product vector
-    and its residual after elimination.
+    and its residual after elimination.  The empty basis spans {0}, which
+    is closed.
     """
     vecs = [np.asarray(v, dtype=object) for v in basis_vectors]
-    for v in vecs:
-        if v.shape != (algebra.dim,):
-            raise InputError("basis vector has wrong length")
-    span = Span(vecs)
-    if span.rank != len(vecs):
+    if any(v.shape != (algebra.dim,) for v in vecs):
+        raise InputError("basis vector has wrong length")
+    if not vecs:
+        return Verdict(True)
+    v = Encoded.of(algebra.field, np.array(vecs))
+    rref, pivots = row_reduce(v)
+    if len(pivots) != len(vecs):
         raise InputError("basis vectors are linearly dependent")
-    prods = pullback(algebra.c, np.array(vecs))
-    residuals = span.reduce(prods)
-    bad = first_nonzero_index(residuals, 2)
+    # prods[i, j] = v_i v_j, and its residual p - p[pivots] @ rref, which
+    # on the integers is p * d - p[pivots] @ R over the scale of p times d
+    prods = v.dot(v.dot(algebra._c, ([1], [0])), ([1], [1])).transpose(1, 0, 2)
+    residuals = prods - Encoded(prods.field, prods.ints[..., pivots],
+                                prods.scale).dot(rref, ([2], [0]))
+    bad = first_nonzero_index(residuals.differs(None), 2)
     if bad is None:
         return Verdict(True)
-    return Verdict(False, bad, lhs=prods[bad], rhs=residuals[bad],
+    return Verdict(False, bad, lhs=prods.at(bad), rhs=residuals.at(bad),
                    detail="product escapes the span")
 
 
@@ -312,14 +312,14 @@ def intertwiner_check(T, P, Q) -> Verdict:
     d = mat.shape[0]
     if mat.shape != (d, d):
         raise InputError("intertwiner must be an endomorphism")
-    if rank(mat) != d:
-        raise InputError("intertwiner is singular")
     field = field_of(mat)
+    t = Encoded.of(field, mat)
+    if rank(t) != d:
+        raise InputError("intertwiner is singular")
     pt, qt = (X._tensor if hasattr(X, "_tensor") else Encoded.of(field, X)
               for X in (P, Q))
     if pt.shape != (d, d, d) or qt.shape != (d, d, d):
         raise InputError("P and Q must be arity-2 maps on the same space")
-    t = Encoded.of(field, mat)
     # Q(Tx, Ty)[i, j, l] = sum_ab T[i, a] T[j, b] Q[a, b, l]
     image = t.dot(t.dot(qt, ([1], [0])), ([1], [1])).transpose(1, 0, 2)
     return Verdict.compare(pt.dot(t, ([2], [0])), image, 3)

@@ -145,23 +145,19 @@ def _document(args):
     return doc, schema.document_digest(doc)
 
 
-def _section(doc, name):
-    """The document's `name` section; InputError (exit 2) without one."""
-    value = getattr(doc, name)
-    if value is None:
-        raise InputError(f"document has no {name!r} key")
-    return value
+def _algebra_module(doc):
+    """The document's algebra and its bimodule, else the canonical one."""
+    algebra = doc.section("algebra")
+    return algebra, doc.bimodule if doc.bimodule is not None else \
+        canonical_bimodule(algebra)
 
 
 def _instance(doc, pi_name, phi_name=None):
-    if doc.algebra is None:
-        raise InputError("document has no algebra")
-    module = doc.bimodule if doc.bimodule is not None else \
-        canonical_bimodule(doc.algebra)
+    algebra, module = _algebra_module(doc)
     mat = schema.named_map(doc, pi_name)
     op = LinearMap(mat, source="M", target="A")
     cocycle = schema.cochain_object(doc, phi_name) if phi_name else None
-    return OperatorInstance(doc.algebra, module, op, cocycle)
+    return OperatorInstance(algebra, module, op, cocycle)
 
 
 def _ext_labels(algebra, module):
@@ -202,14 +198,14 @@ def cmd_check_trb(args):
 
 def cmd_check_reynolds(args):
     doc, digest = _document(args)
-    verdict = is_reynolds(_section(doc, "algebra"),
+    verdict = is_reynolds(doc.section("algebra"),
                           LinearMap(schema.named_map(doc, args.map)))
     return _verdict_report("check-reynolds", doc.field, verdict, digest)
 
 
 def cmd_check_nijenhuis(args):
     doc, digest = _document(args)
-    verdict = is_nijenhuis(_section(doc, "algebra"),
+    verdict = is_nijenhuis(doc.section("algebra"),
                            LinearMap(schema.named_map(doc, args.map)))
     return _verdict_report("check-nijenhuis", doc.field, verdict, digest)
 
@@ -225,7 +221,7 @@ def cmd_check_ns(args):
 def _check_structure(args, section, check):
     doc, digest = _document(args)
     return _verdict_report(args.command, doc.field,
-                           check(_section(doc, section)), digest)
+                           check(doc.section(section)), digest)
 
 
 def cmd_check_addexp(args):
@@ -318,10 +314,7 @@ def cmd_search(args):
     doc, digest = _document(args)
     if args.field:
         doc = _cast_document(doc, args.field)
-    if doc.algebra is None:
-        raise InputError("search needs an algebra")
-    module = doc.bimodule if doc.bimodule is not None else \
-        canonical_bimodule(doc.algebra)
+    algebra, module = _algebra_module(doc)
     cocycle = schema.cochain_object(doc, args.phi) if args.phi else None
     budget = args.budget
     if budget is None and os.environ.get("RBX_BUDGET"):
@@ -331,7 +324,7 @@ def cmd_search(args):
         except ValueError:
             raise InputError(
                 f"RBX_BUDGET must be a positive integer, got {raw!r}") from None
-    sols = search_operators(doc.algebra, module, args.kind,
+    sols = search_operators(algebra, module, args.kind,
                             cocycle=cocycle, budget=budget)
     fmt = [schema.format_tensor(doc.field, s) for s in sols]
     return Report("search", "pass", digest=digest,
@@ -355,7 +348,7 @@ def _cast_document(doc, field_name):
 
 def cmd_aybe(args):
     doc, digest = _document(args)
-    algebra = _section(doc, "algebra")
+    algebra = doc.section("algebra")
     res = Encoded.of(doc.field,
                      aybe_residual(algebra, schema.named_map(doc, args.r)))
     verdict = Verdict.compare(res, None, 3,

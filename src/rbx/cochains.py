@@ -53,7 +53,7 @@ class Cochain:
         return tensor
 
     def is_zero_map(self):
-        return self._tensor.is_zero()
+        return not self._tensor.differs(None).any()
 
     def __repr__(self):
         return f"Cochain(arity={self.arity}, A={self.algebra.dim}, M={self.module.dim})"

@@ -12,7 +12,8 @@ for the exact integer kernel (`linalg.Encoded`) that every identity
 check runs on.  F_p encodes canonical int64 representatives with scale
 1, reduces integer results mod p (`reduce`) and decodes by one reduction
 mod p; Q encodes the numerators over the common denominator of the
-entries, as Python ints, and leaves integer results as they are.
+entries, as Python ints, and leaves integer results as they are; its
+`divide`, the one division elimination needs, is exact floor division.
 Decoding builds one scalar per distinct value, which equal entries (most
 often the zeros) share.
 """
@@ -190,6 +191,10 @@ class RationalField:
         """Integer results need no reduction over Q."""
         return arr
 
+    def divide(self, arr, d):
+        """arr / d for an integer d that divides every entry: exact //."""
+        return arr // d
+
     def elements(self):
         raise InputError("Q is not enumerable; use a prime field for searches")
 
@@ -270,6 +275,10 @@ class PrimeField:
     def reduce(self, arr):
         """Canonical int64 representatives of an integer tensor."""
         return (arr % self.p).astype(np.int64, copy=False)
+
+    def divide(self, arr, d):
+        """arr / d mod p, by the inverse of d mod p (d is nonzero mod p)."""
+        return self.reduce(self.reduce(arr) * pow(int(d) % self.p, -1, self.p))
 
     def decode(self, arr, scale):
         """The F_p tensor of an integer tensor; `scale` is always 1."""

@@ -71,7 +71,7 @@ class MultiMap:
             Encoded.of(self.field, scalar), ([], [])))
 
     def is_zero_map(self):
-        return self._tensor.is_zero()
+        return not self._tensor.differs(None).any()
 
     def _compatible(self, other):
         if self._tensor.shape != other._tensor.shape:

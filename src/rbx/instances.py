@@ -14,8 +14,7 @@ from .algebra import Algebra, Bimodule, canonical_bimodule
 from .cochains import Cochain, coboundary
 from .errors import CapacityError, CharacteristicError, InputError
 from .fields import QQ
-from .linalg import (first_nonzero_index, identity, invert, is_zero, rank,
-                     zeros)
+from .linalg import Encoded, first_nonzero_index, identity, invert, rank, zeros
 from .operators import LinearMap, OperatorInstance, reynolds_as_twisted
 from .weyl import WeylPoly
 
@@ -82,32 +81,30 @@ def tensor_square(algebra: Algebra) -> OperatorInstance:
 def unit_section(algebra: Algebra, module: Bimodule, f: LinearMap, e) -> OperatorInstance:
     """An A-linear surjection f: M -> A with a section point f(e) = 1
     becomes a twisted operator with twist phi(a, b) = -a.e.b."""
-    e = np.asarray(e, dtype=object)
     unit = algebra.unit()
     if unit is None:
         raise InputError("unit_section needs a unital algebra")
     if f.matrix.shape != (module.dim, algebra.dim):
         raise InputError("f must map the module onto the algebra")
-    if not is_zero(f(e) - unit):
+    field = algebra.field
+    F, e = Encoded.of(field, f.matrix), Encoded.of(field, e)
+    if e.dot(F, ([0], [0])).differs(Encoded.of(field, unit)).any():
         raise InputError("f(e) is not the unit")
-    if rank(f.matrix) != algebra.dim:
+    if rank(F) != algebra.dim:
         raise InputError("f is not surjective")
-    F, c = f.matrix, algebra.c
+    L, R, c = module._left, module._right, algebra._c
     # [i, j, side, l] for a = e_i and m = m_j: f(a.m) vs a f(m), then
     # f(m.a) vs f(m) a
-    lhs = np.stack([np.tensordot(module.left, F, axes=([2], [0])),
-                    np.tensordot(module.right, F, axes=([2], [0])).transpose(1, 0, 2)],
-                   axis=2)
-    rhs = np.stack([np.tensordot(c, F, axes=([1], [1])).transpose(0, 2, 1),
-                    np.tensordot(F, c, axes=([1], [0])).transpose(1, 0, 2)],
-                   axis=2)
-    bad = first_nonzero_index(lhs - rhs, 3)
+    sides = [(L.dot(F, ([2], [0])), c.dot(F, ([1], [1])).transpose(0, 2, 1)),
+             (R.dot(F, ([2], [0])).transpose(1, 0, 2),
+              F.dot(c, ([1], [0])).transpose(1, 0, 2))]
+    bad = first_nonzero_index(
+        np.stack([a.differs(b) for a, b in sides], axis=2), 3)
     if bad is not None:
         side = ("left", "right")[bad[2]]
         raise InputError(f"f is not {side} A-linear at basis pair ({bad[0]},{bad[1]})")
     # phi[i, j] = -(e_i . e) . e_j
-    ae = np.tensordot(module.left, e, axes=([1], [0]))
-    phi = -np.tensordot(ae, module.right, axes=([1], [0]))
+    phi = -L.dot(e, ([1], [0])).dot(R, ([1], [0]))
     return OperatorInstance(algebra, module, f, Cochain(algebra, module, phi))
 
 
@@ -117,9 +114,9 @@ def invertible_cochain_instance(algebra: Algebra, module: Bimodule,
     p = w^{-1}: M -> A with twist -dw."""
     if omega.matrix.shape != (algebra.dim, module.dim):
         raise InputError("the 1-cochain must map A to M")
-    pi_matrix = invert(omega.matrix, algebra.field)
-    phi = -coboundary(Cochain(algebra, module, omega.matrix)).tensor
-    return OperatorInstance(algebra, module, LinearMap(pi_matrix, "M", "A"),
+    pi = invert(Encoded.of(algebra.field, omega.matrix))
+    phi = -coboundary(Cochain(algebra, module, omega.matrix))._tensor
+    return OperatorInstance(algebra, module, LinearMap(pi.objects, "M", "A"),
                             Cochain(algebra, module, phi))
 
 

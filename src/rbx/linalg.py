@@ -21,8 +21,10 @@ computed as tensors over all basis tuples at once, and
 The contractions the operator identities share (`pullback` here, the
 identity sides in `operators`) take a leading batch axis: exhaustive
 search evaluates a block of candidates at once, and a checker is the
-same evaluation on a block of one.  The object-dtype helpers (`is_zero`,
-`row_reduce`, `Span`, ...) serve the vector API and exact elimination.
+same evaluation on a block of one.  Exact elimination (`row_reduce`,
+`rank`, `invert`) is fraction-free on the same integers.  The
+object-dtype helpers (`zeros`, `identity`, `is_zero`, `tensors_equal`)
+serve the vector API and the tests' references.
 """
 
 from __future__ import annotations
@@ -48,13 +50,13 @@ def identity(n, field):
 
 
 def is_zero(arr):
-    return all(not bool(x) for x in np.asarray(arr, dtype=object).flat)
+    return first_nonzero_index(np.asarray(arr, dtype=object)) is None
 
 
 def tensors_equal(a, b):
     a = np.asarray(a, dtype=object)
     b = np.asarray(b, dtype=object)
-    return a.shape == b.shape and is_zero(a - b)
+    return a.shape == b.shape and first_nonzero_index(a - b) is None
 
 
 def first_nonzero_index(arr, k=None):
@@ -150,13 +152,11 @@ class Encoded:
         (a, b), _ = common(self, other)
         return reduce(a) != reduce(b)
 
-    def is_zero(self):
-        return not self.differs(None).any()
-
 
 def decoded(name):
     """A read-only attribute: the scalars of the Encoded attribute `name`."""
-    return property(lambda self: getattr(self, name).objects)
+    return property(lambda self: None if getattr(self, name) is None
+                    else getattr(self, name).objects)
 
 
 def tensordot(a, b, axes):
@@ -210,62 +210,52 @@ def pullback(t, m, n=None, inner=None):
     return np.swapaxes(out.reshape(*batch, -1, rows, k), -3, -2)
 
 
-def row_reduce(matrix):
-    """Reduced row echelon form over the exact scalar field.
-
-    Returns (rref, pivot_columns).  The input is not modified.
-    """
-    m = np.array(matrix, dtype=object, copy=True)
-    rows, cols = m.shape
-    pivots = []
-    r = 0
+def row_reduce(m):
+    """(rref, pivot_columns): the reduced row echelon form of an Encoded
+    matrix, by fraction-free Gauss-Jordan elimination (Bareiss) on its
+    integers.  A pivot step replaces every other row by lead * row -
+    row[c] * pivot_row over the previous lead; every entry stays a minor
+    of the input, so `field.divide` is exact.  Every pivot ends equal to
+    the last lead d: rref is the integer matrix over scale d."""
+    field = m.field
+    a = m.ints.astype(object)       # minors outgrow int64
+    rows, cols = a.shape
+    pivots, lead = [], 1
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if bool(m[i, c])), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        lead = m[r, c]
-        m[r] = np.array([x / lead for x in m[r]], dtype=object)
-        for i in range(rows):
-            if i != r and bool(m[i, c]):
-                m[i] = m[i] - m[r] * m[i, c]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == rows:
             break
-    return m, pivots
+        hits = np.flatnonzero(field.reduce(a[r:, c]))
+        if hits.size == 0:
+            continue
+        a[[r, r + hits[0]]] = a[[r + hits[0], r]]
+        prev, lead = lead, a[r, c]
+        rest = np.arange(rows) != r
+        a[rest] = field.divide(
+            lead * a[rest] - np.multiply.outer(a[rest, c], a[r]), prev)
+        pivots.append(c)
+    if field.char:                  # F_p encodings are over scale 1
+        a, lead = field.divide(a, lead), 1
+    elif lead < 0:
+        a, lead = -a, -lead
+    return Encoded(field, a, lead), pivots
 
 
-def rank(matrix):
-    return len(row_reduce(matrix)[1])
+def rank(m):
+    """The rank of an Encoded matrix."""
+    return len(row_reduce(m)[1])
 
 
-def invert(matrix, field):
-    """Exact inverse of a square matrix; raises InputError if singular."""
-    matrix = np.asarray(matrix, dtype=object)
-    n, m = matrix.shape
-    if n != m:
-        raise InputError(f"cannot invert a {n}x{m} matrix")
-    aug = np.concatenate([matrix, identity(n, field)], axis=1)
-    rref, pivots = row_reduce(aug)
+def invert(m):
+    """Exact inverse of a square Encoded matrix, encoded; raises
+    InputError if singular."""
+    n, k = m.shape
+    if n != k:
+        raise InputError(f"cannot invert a {n}x{k} matrix")
+    # [ints | scale * 1] reduces to [d * 1 | d * (ints / scale)^-1]
+    eye = np.eye(n, dtype=object) * m.scale
+    rref, pivots = row_reduce(
+        Encoded(m.field, np.concatenate([m.ints, eye], axis=1)))
     if pivots[:n] != list(range(n)):
         raise InputError("matrix is singular")
-    return rref[:, n:]
-
-
-class Span:
-    """A subspace given by spanning vectors, with exact membership tests."""
-
-    def __init__(self, vectors):
-        mat = np.array([np.asarray(v, dtype=object) for v in vectors], dtype=object)
-        self.rref, self.pivots = row_reduce(mat)
-        self.rank = len(self.pivots)
-
-    def reduce(self, vecs):
-        """Residual of each vector (the last axis of `vecs`) after
-        elimination against the span basis."""
-        v = np.array(vecs, dtype=object)
-        for r, c in enumerate(self.pivots):
-            v = v - np.multiply.outer(v[..., c], self.rref[r])
-        return v
+    return Encoded(m.field, rref.ints[:, n:], rref.scale)

@@ -27,8 +27,8 @@ from .algebra import (Algebra, Bimodule, Verdict, canonical_bimodule,
 from .cochains import Cochain, is_cocycle
 from .errors import CapacityError, CharacteristicError, InputError
 from .gerstenhaber import MultiMap, circ_i, half_square
-from .linalg import (Encoded, common, identity, is_zero, kernel_dtype,
-                     max_abs, pullback, zeros)
+from .linalg import (Encoded, common, identity, kernel_dtype, max_abs,
+                     pullback, zeros)
 
 SEARCH_BUDGET = 2 ** 20
 
@@ -377,16 +377,17 @@ def _aybe_residual(c, r):
 def r_tilde(algebra: Algebra, r) -> OperatorInstance:
     """The operator A* -> A, f |-> sum a_i f(b^i), of a skew-symmetric
     AYBE solution r, over the dual bimodule."""
-    r = np.asarray(r, dtype=object)
+    r = Encoded.of(algebra.field, r)
     d = algebra.dim
     if r.shape != (d, d):
         raise InputError(f"r must be a {d}x{d} tensor in A (x) A")
-    if not is_zero(r + r.T):
+    if (r + r.transpose(1, 0)).differs(None).any():
         raise InputError("r is not skew-symmetric")
-    if not _aybe(algebra, r).is_zero():
+    if _aybe(algebra, r).differs(None).any():
         raise InputError("r does not solve the associative Yang-Baxter equation")
     module = dual_module(algebra)
-    matrix = r.T.copy()  # row i = image of the i-th dual basis vector
+    # row i = image of the i-th dual basis vector
+    matrix = r.transpose(1, 0).objects
     return OperatorInstance(algebra, module,
                             LinearMap(matrix, source="A*", target="A"))
 

@@ -41,6 +41,13 @@ class Document:
     dendriform: Dendriform | None = None
     ns: NSAlgebra | None = None
 
+    def section(self, name):
+        """The `name` section; InputError (exit 2) without one."""
+        value = getattr(self, name)
+        if value is None:
+            raise InputError(f"document has no {name!r} key")
+        return value
+
 
 # the product sections: (key, class, product tensors)
 _STRUCTURES = (("dendriform", Dendriform, ("succ", "prec")),
@@ -247,17 +254,14 @@ def cochain_object(doc: Document, name: str) -> Cochain:
     entry = _named(doc.cochains, name, "cochain")
     if entry["inputs"] != "A":
         raise InputError(f"cochain {name!r} must have inputs 'A'")
-    if doc.algebra is None:
-        raise InputError("document has no algebra")
+    algebra = doc.section("algebra")
     if entry["output"] == "M":
-        if doc.bimodule is None:
-            raise InputError("document has no bimodule")
-        module = doc.bimodule
+        module = doc.section("bimodule")
     elif entry["output"] == "A":
-        module = canonical_bimodule(doc.algebra)
+        module = canonical_bimodule(algebra)
     else:
         raise InputError(f"cochain {name!r} must land in 'A' or 'M'")
-    return Cochain(doc.algebra, module, entry["tensor"])
+    return Cochain(algebra, module, entry["tensor"])
 
 
 def multimap_tensor(doc: Document, name: str):

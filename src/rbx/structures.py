@@ -27,7 +27,7 @@ from .algebra import Algebra, Bimodule, Verdict, bimodule_check
 from .cochains import Cochain
 from .errors import InputError
 from .linalg import (Encoded, combine, decoded, first_nonzero_index,
-                     identity, is_zero, pullback)
+                     identity)
 from .operators import (LinearMap, OperatorInstance, induced_products, is_grb,
                         is_trb)
 
@@ -197,38 +197,37 @@ def identity_operator(structure) -> OperatorInstance:
 def induced_actions(inst: OperatorInstance) -> InducedActions:
     """The actions of the induced algebra M_ass on A, for a GRB instance."""
     m_ass = total_product(dendriform_from_grb(inst))
-    A, M, P = inst.algebra, inst.module, inst.op.matrix
+    A, M, P = inst.algebra, inst.module, inst._op
     # left[j, i] = p(m_j) e_i - p(m_j . e_i); right[i, j] = e_i p(m_j) - p(e_i . m_j)
-    left = (np.tensordot(P, A.c, axes=([1], [0]))
-            - np.tensordot(M.right, P, axes=([2], [0])))
-    right = (np.tensordot(A.c, P, axes=([1], [1])).transpose(0, 2, 1)
-             - np.tensordot(M.left, P, axes=([2], [0])))
+    left = P.dot(A._c, ([1], [0])) - M._right.dot(P, ([2], [0]))
+    right = (A._c.dot(P, ([1], [1])).transpose(0, 2, 1)
+             - M._left.dot(P, ([2], [0])))
     module = Bimodule(m_ass, left, right, labels=A.labels, check=False)
     check = bimodule_check(m_ass, module)
     if not check:
         raise InputError(f"induced actions fail bimodule axioms at {check.witness}")
-    return InducedActions(m_ass, module, left, right)
+    return InducedActions(m_ass, module, module.left, module.right)
 
 
 def derivation_dual(inst: OperatorInstance, omega: LinearMap, z) -> OperatorInstance:
     """Dual operator of a GRB instance: a derivation W: A -> M with
     W(p(m)) = z m for a scalar z becomes a GRB operator A -> M_ass over
     the induced actions."""
-    A, M, p = inst.algebra, inst.module, inst.op
-    W = omega.matrix
-    if W.shape != (A.dim, M.dim):
+    A, M, field = inst.algebra, inst.module, inst.field
+    if omega.matrix.shape != (A.dim, M.dim):
         raise InputError("derivation must map A to M")
+    W = Encoded.of(field, omega.matrix)
     # [i, j, l]: W(e_i e_j) against W(e_i).e_j + e_i.W(e_j)
-    bad = first_nonzero_index(
-        np.tensordot(A.c, W, axes=([2], [0]))
-        - np.tensordot(W, M.right, axes=([1], [0]))
-        - np.tensordot(M.left, W, axes=([1], [1])).transpose(0, 2, 1), 2)
+    residual = combine([(A._c.dot(W, ([2], [0])), 1),
+                        (W.dot(M._right, ([1], [0])), -1),
+                        (M._left.dot(W, ([1], [1])).transpose(0, 2, 1), -1)])
+    bad = first_nonzero_index(residual.differs(None), 2)
     if bad is not None:
         raise InputError(
             f"map is not a derivation: W(ab) != W(a).b + a.W(b) at "
             f"basis pair ({bad[0]},{bad[1]})")
-    composed = np.dot(p.matrix, omega.matrix)
-    if not is_zero(composed - identity(M.dim, inst.field) * z):
+    if inst._op.dot(W, ([1], [0])).differs(
+            Encoded.of(field, identity(M.dim, field) * z)).any():
         raise InputError("W o p is not z times the identity on M")
     actions = induced_actions(inst)
     return OperatorInstance(actions.algebra, actions.module,
@@ -244,20 +243,20 @@ def grb_morphism_check(psi0: LinearMap, psi1: LinearMap,
         raise InputError("psi0 must map the source algebra to the target algebra")
     if psi1.matrix.shape != (src.module.dim, dst.module.dim):
         raise InputError("psi1 must map the source module to the target module")
-    square = np.dot(src.op.matrix, psi0.matrix) - np.dot(psi1.matrix, dst.op.matrix)
-    bad = first_nonzero_index(square)
+    f0, f1 = (Encoded.of(src.field, psi.matrix) for psi in (psi0, psi1))
+    bad = first_nonzero_index(src._op.dot(f0, ([1], [0])).differs(
+        f1.dot(dst._op, ([1], [0]))))
     if bad is not None:
         return Verdict(False, bad, detail="square does not commute")
-    f0, f1 = psi0.matrix, psi1.matrix
-    # [i, j, action, l] for a = e_i and m = m_j; the left action comes first
-    lhs = np.stack([
-        np.tensordot(src.module.left, f1, axes=([2], [0])),
-        np.tensordot(src.module.right, f1, axes=([2], [0])).transpose(1, 0, 2),
-    ], axis=2)
-    rhs = np.stack([pullback(dst.module.left, f0, f1),
-                    pullback(dst.module.right, f1, f0).transpose(1, 0, 2)],
-                   axis=2)
-    bad = first_nonzero_index(lhs - rhs, 3)
+    left, right = dst.module._left, dst.module._right
+    # [i, j, action, l] for a = e_i and m = m_j; the left action comes
+    # first: psi1(a.m) vs psi0(a).psi1(m), then psi1(m.a) vs psi1(m).psi0(a)
+    sides = [(src.module._left.dot(f1, ([2], [0])),
+              f1.dot(f0.dot(left, ([1], [0])), ([1], [1])).transpose(1, 0, 2)),
+             (src.module._right.dot(f1, ([2], [0])).transpose(1, 0, 2),
+              f0.dot(f1.dot(right, ([1], [0])), ([1], [1])))]
+    bad = first_nonzero_index(
+        np.stack([a.differs(b) for a, b in sides], axis=2), 3)
     if bad is None:
         return Verdict(True)
     return Verdict(False, bad[:2], detail=("left actions not intertwined",

@@ -147,6 +147,33 @@ def aybe_oracle(algebra, r):
 
 
 # ---------------------------------------------------------------------------
+# exact elimination on the scalars' own arithmetic
+
+def oracle_row_reduce(matrix):
+    """Reduced row echelon form by textbook Gauss-Jordan elimination, one
+    scalar division per entry: (rref as a list of rows, pivot columns)."""
+    n_rows, n_cols = matrix.shape
+    m = [list(row) for row in matrix]
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        pivot = next((i for i in range(r, n_rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        lead = m[r][c]
+        m[r] = [x / lead for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][c]:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+# ---------------------------------------------------------------------------
 # identity checkers, one basis tuple at a time
 #
 # Each evaluator returns None when the identity holds, else the

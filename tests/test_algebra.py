@@ -164,6 +164,12 @@ def test_subspace_closed_full_space(kx2_q):
     assert subspace_closed(S, [S.basis(i) for i in range(4)])
 
 
+def test_subspace_closed_empty_basis_spans_zero(kx2_q):
+    # {0} is closed under the product
+    assert subspace_closed(kx2_q, [])
+    assert subspace_closed(semidirect(kx2_q, canonical_bimodule(kx2_q)), [])
+
+
 def test_subspace_closed_rejects_dependent_basis(kx2_q):
     with pytest.raises(InputError):
         subspace_closed(kx2_q, [kx2_q.basis(0), kx2_q.basis(0)])

@@ -311,7 +311,8 @@ def test_trb_search_checks_the_twist_once(ts_file, capsys, monkeypatch):
 
 
 def test_trb_search_with_non_cocycle_twist_is_exit_2(ts_file, tmp_path, capsys):
-    doc = json.loads(open(ts_file).read())
+    with open(ts_file) as fh:
+        doc = json.load(fh)
     doc["cochains"]["phi"]["tensor"][0][0][0] = 1   # coboundary -2 at (0,0,1,1)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
@@ -389,10 +390,20 @@ def test_undecodable_json_is_exit_2(tmp_path, capsys, text, message):
         assert code == 2 and "JSON parse error" in out and message in out
 
 
-@pytest.mark.parametrize("verb", ["check-reynolds", "check-nijenhuis", "aybe"])
+@pytest.mark.parametrize("verb", ["check-reynolds", "check-nijenhuis", "aybe",
+                                  "check-grb", "check-trb", "check-addexp",
+                                  "residual", "flow", "derive-dendriform",
+                                  "derive-ns"])
 def test_document_without_algebra_is_exit_2(tmp_path, capsys, verb):
     bad = tmp_path / "no-algebra.json"
     bad.write_text(json.dumps({"field": "Q", "maps": {
         "R": [[1]], "N": [[1]], "r": [[0]]}}))
     code, out = run(capsys, verb, str(bad))
+    assert code == 2 and "document has no 'algebra' key" in out
+
+
+def test_search_without_algebra_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "no-algebra.json"
+    bad.write_text(json.dumps({"field": "Q", "maps": {"pi": [[1]]}}))
+    code, out = run(capsys, "search", str(bad), "--field", "F2", "--kind", "rb")
     assert code == 2 and "document has no 'algebra' key" in out

@@ -77,6 +77,12 @@ def test_ns_vee_zero_reduces_to_dendriform():
             bool(check_ns(NSAlgebra(QQ, succ, prec, zero)))
 
 
+def test_dendriform_vee_reads_none(mult_by_x_q):
+    D = dendriform_from_grb(mult_by_x_q)
+    assert D.vee is None
+    assert D.succ.shape == D.prec.shape == (2, 2, 2)
+
+
 def test_ns_from_trb_catalog_instances():
     for name, inst in catalog_trb_instances().items():
         ns = ns_from_trb(inst)
