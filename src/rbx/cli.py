@@ -5,6 +5,12 @@ holds, 1 means it fails (a witness is printed), 2 means an input,
 capacity or characteristic error.  `--json` emits a machine-readable
 report that is byte-stable for identical inputs apart from the timing
 field.  The environment variable RBX_BUDGET overrides the search budget.
+
+Start-up loads only what the verb runs.  The parser, `explain`, `--help`
+and usage errors need the standard library alone; every other verb
+imports the numeric core (numpy and rbx's core modules) in one place,
+`_import_core`, before its handler runs, and `catalog` also imports the
+instance catalog.
 """
 
 from __future__ import annotations
@@ -15,20 +21,30 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from . import schema
-from .algebra import Verdict, assoc_check, bimodule_check, canonical_bimodule
 from .errors import InputError, RbxError
-from .flows import addexp_check, exp_flow
-from .gerstenhaber import MultiMap, g_bracket
-from .instances import CATALOG, TruncatedInstance
-from .linalg import Encoded
-from .operators import (LinearMap, OperatorInstance, aybe_residual, is_grb,
-                        is_nijenhuis, is_reynolds, is_trb, search_operators,
-                        structure_residual)
-from .structures import (check_dendriform, check_ns, dendriform_from_grb,
-                         ns_from_trb)
+
+
+def _import_core():
+    """Bind the numeric core into this module, once per process."""
+    global schema, Verdict, assoc_check, bimodule_check, canonical_bimodule, \
+        addexp_check, exp_flow, MultiMap, g_bracket, Encoded, LinearMap, \
+        OperatorInstance, aybe_residual, is_grb, is_nijenhuis, is_reynolds, \
+        is_trb, search_operators, structure_residual, check_dendriform, \
+        check_ns, dendriform_from_grb, ns_from_trb
+    if "schema" in globals():
+        return
+    from . import schema
+    from .algebra import (Verdict, assoc_check, bimodule_check,
+                          canonical_bimodule)
+    from .flows import addexp_check, exp_flow
+    from .gerstenhaber import MultiMap, g_bracket
+    from .linalg import Encoded
+    from .operators import (LinearMap, OperatorInstance, aybe_residual,
+                            is_grb, is_nijenhuis, is_reynolds, is_trb,
+                            search_operators, structure_residual)
+    from .structures import (check_dendriform, check_ns, dendriform_from_grb,
+                             ns_from_trb)
+
 
 EXPLANATIONS = {
     "check-assoc": "associativity of the structure constants: "
@@ -107,9 +123,8 @@ def _fmt_witness(field, verdict: Verdict):
     for side, value in (("lhs", verdict.lhs), ("rhs", verdict.rhs)):
         if value is None:
             continue
-        arr = np.asarray(value, dtype=object)
-        out[side] = (field.format(value) if arr.ndim == 0
-                     else [field.format(x) for x in arr])
+        out[side] = (field.format(value) if getattr(value, "ndim", 0) == 0
+                     else [field.format(x) for x in value])
     return out
 
 
@@ -123,10 +138,10 @@ def _tensor_listing(tensor: Encoded, labels):
     """Nonzero coefficients of an encoded multimap tensor as text lines,
     in C order, found on its integers."""
     field = tensor.field
-    hits = np.flatnonzero(tensor.differs(None))
-    values = field.decode(tensor.ints.reshape(-1)[hits], tensor.scale)
+    hits = tensor.differs(None).nonzero()
+    values = field.decode(tensor.ints[hits], tensor.scale)
     lines = []
-    for *ins, out, value in zip(*np.unravel_index(hits, tensor.shape), values):
+    for *ins, out, value in zip(*hits, values):
         lines.append(f"({','.join(labels[i] for i in ins)}) -> {labels[out]}: "
                      f"{field.format(value)}")
     return lines or ["0 (zero map)"]
@@ -178,10 +193,8 @@ def cmd_check_assoc(args):
 
 def cmd_check_bimodule(args):
     doc, digest = _document(args)
-    if doc.algebra is None or doc.bimodule is None:
-        raise InputError("check-bimodule needs both an algebra and a bimodule")
-    return _verdict_report("check-bimodule", doc.field,
-                           bimodule_check(doc.algebra, doc.bimodule), digest)
+    verdict = bimodule_check(doc.section("algebra"), doc.section("bimodule"))
+    return _verdict_report("check-bimodule", doc.field, verdict, digest)
 
 
 def cmd_check_grb(args):
@@ -360,6 +373,8 @@ def cmd_aybe(args):
 
 
 def cmd_catalog(args):
+    from .instances import CATALOG
+
     if args.action == "list":
         lines = [f"{name}: {entry.description}"
                  + ("" if entry.emittable else " [not emittable]")
@@ -383,6 +398,8 @@ def cmd_catalog(args):
 
 
 def _document_from_built(built):
+    from .instances import TruncatedInstance
+
     if isinstance(built, TruncatedInstance):
         doc = schema.Document(built.algebra.field, algebra=built.algebra,
                               bimodule=built.module)
@@ -512,6 +529,8 @@ def _print_report(report, as_json):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command != "explain":
+        _import_core()
     start = time.perf_counter()
     try:
         report = args.handler(args)

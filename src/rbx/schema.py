@@ -67,12 +67,17 @@ def _parse_tensor(field, raw, shape, path):
     if flat.shape != shape:
         raise InputError(f"{path}: expected shape {shape}, got {flat.shape}")
     arr = np.empty(shape, dtype=object)
-    for idx in np.ndindex(shape):
+    out = arr.reshape(-1)
+    parsed = {}     # (type, literal) -> scalar; True == 1.0 == 1 as keys
+    for i, value in enumerate(flat.flat):
         try:
-            arr[idx] = field.parse(flat[idx])
-        except InputError as exc:
-            pos = "".join(f"[{i}]" for i in idx)
-            raise InputError(f"{path}{pos}: {exc}") from exc
+            out[i] = parsed[type(value), value]
+        except (KeyError, TypeError):   # a new literal, or an unhashable one
+            try:
+                out[i] = parsed[type(value), value] = field.parse(value)
+            except InputError as exc:
+                pos = "".join(f"[{j}]" for j in np.unravel_index(i, shape))
+                raise InputError(f"{path}{pos}: {exc}") from exc
     return arr
 
 

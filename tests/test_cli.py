@@ -1,4 +1,8 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -393,7 +397,7 @@ def test_undecodable_json_is_exit_2(tmp_path, capsys, text, message):
 @pytest.mark.parametrize("verb", ["check-reynolds", "check-nijenhuis", "aybe",
                                   "check-grb", "check-trb", "check-addexp",
                                   "residual", "flow", "derive-dendriform",
-                                  "derive-ns"])
+                                  "derive-ns", "check-bimodule"])
 def test_document_without_algebra_is_exit_2(tmp_path, capsys, verb):
     bad = tmp_path / "no-algebra.json"
     bad.write_text(json.dumps({"field": "Q", "maps": {
@@ -402,8 +406,115 @@ def test_document_without_algebra_is_exit_2(tmp_path, capsys, verb):
     assert code == 2 and "document has no 'algebra' key" in out
 
 
+def test_check_bimodule_without_bimodule_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "no-bimodule.json"
+    bad.write_text(json.dumps({"field": "Q",
+                               "algebra": {"dim": 1, "c": [[[1]]]}}))
+    code, out = run(capsys, "check-bimodule", str(bad))
+    assert code == 2 and "document has no 'bimodule' key" in out
+
+
 def test_search_without_algebra_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "no-algebra.json"
     bad.write_text(json.dumps({"field": "Q", "maps": {"pi": [[1]]}}))
     code, out = run(capsys, "search", str(bad), "--field", "F2", "--kind", "rb")
     assert code == 2 and "document has no 'algebra' key" in out
+
+
+# ---------------------------------------------------------------------------
+# start-up: each verb loads only what it runs
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+MODULES_AFTER_MAIN = """
+import contextlib, io, json, sys
+from rbx.cli import main
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    try:
+        main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def modules_after(*argv):
+    """The modules a fresh interpreter holds after one cli.main(argv)."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", MODULES_AFTER_MAIN, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return set(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("argv", [["explain", "check-trb"], ["--help"],
+                                  ["check-grb"]],
+                         ids=["explain", "help", "usage-error"])
+def test_parser_only_verbs_load_no_numpy(argv):
+    loaded = modules_after(*argv)
+    assert "rbx.cli" in loaded
+    assert "numpy" not in loaded and "rbx.schema" not in loaded
+
+
+def test_checking_verbs_load_no_catalog(mbx_file):
+    loaded = modules_after("check-grb", mbx_file)
+    assert {"numpy", "rbx.schema", "rbx.operators"} <= loaded
+    assert "rbx.instances" not in loaded and "rbx.weyl" not in loaded
+
+
+# every public name of the package before it became lazy, by the submodule
+# that defines it; a submodule is public under its own name
+EAGER_EXPORTS = {
+    "algebra": ["Algebra", "Bimodule", "Verdict", "assoc_check",
+                "bimodule_check", "canonical_bimodule", "dual_module",
+                "extension_product", "intertwiner_check", "semidirect",
+                "subspace_closed", "twisted_extension"],
+    "cochains": ["Cochain", "coboundary", "is_cocycle",
+                 "multiplication_cochain", "zero_cochain"],
+    "errors": ["CapacityError", "CharacteristicError", "InputError",
+               "RbxError"],
+    "fields": ["F2", "F3", "F5", "FpElement", "PrimeField", "QQ",
+               "RationalField"],
+    "flows": ["FlowResult", "addexp_check", "exp_flow", "hamiltonian_field"],
+    "gerstenhaber": ["MultiMap", "bar_circ", "circ_i", "derived_bracket",
+                     "from_algebra", "g_bracket", "jacobi_residual"],
+    "linalg": [],
+    "operators": ["LinearMap", "OperatorInstance", "aybe_residual",
+                  "graph_check", "is_classical_rb", "is_grb", "is_nijenhuis",
+                  "is_reynolds", "is_trb", "lift_cocycle", "lift_operator",
+                  "r_tilde", "reynolds_as_twisted", "search_operators",
+                  "structure_residual"],
+    "structures": ["Dendriform", "InducedActions", "NSAlgebra",
+                   "check_dendriform", "check_ns", "dendriform_from_grb",
+                   "derivation_dual", "grb_morphism_check",
+                   "identity_operator", "induced_actions", "ns_from_trb",
+                   "total_product"],
+    "weyl": ["WeylPoly"],
+}
+
+
+def test_lazy_package_keeps_every_public_name():
+    import rbx
+
+    for module, names in EAGER_EXPORTS.items():
+        sub = importlib.import_module(f"rbx.{module}")
+        for name in [module, *names]:
+            assert name in rbx.__all__ and name in dir(rbx)
+            assert getattr(rbx, name) is (sub if name == module
+                                          else getattr(sub, name))
+    assert sum(len(names) + 1 for names in EAGER_EXPORTS.values()) == 77
+    from rbx import QQ, is_trb
+    assert QQ is rbx.fields.QQ and is_trb is rbx.operators.is_trb
+    star = {}
+    exec("from rbx import *", star)
+    assert set(rbx.__all__) <= set(star)
+
+
+def test_lazy_package_refuses_unknown_names():
+    import rbx
+
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        rbx.no_such_name
+    with pytest.raises(ImportError):
+        exec("from rbx import no_such_name", {})

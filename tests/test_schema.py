@@ -1,17 +1,18 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbx.errors import InputError, RbxError
-from rbx.fields import QQ
+from rbx.fields import QQ, PrimeField
 from rbx.instances import kx2, mult_by_x_instance, tensor_square
 from rbx.linalg import tensors_equal
-from rbx.schema import (Document, cochain_object, document_digest,
-                        dump_document, load_document, load_raw_algebra,
-                        multimap_tensor, named_map)
+from rbx.schema import (Document, _parse_tensor, cochain_object,
+                        document_digest, dump_document, load_document,
+                        load_raw_algebra, multimap_tensor, named_map)
 
 KX2_DOC = """
 {
@@ -80,6 +81,58 @@ def test_bad_scalar_reports_index():
     with pytest.raises(InputError) as err:
         load_document(bad)
     assert "algebra.c[0][0][0]" in str(err.value)
+
+
+def per_entry_parse(field, flat, shape, path):
+    """Reference: one field.parse per entry, on an np.ndindex walk."""
+    arr = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        try:
+            arr[idx] = field.parse(flat[idx])
+        except InputError as exc:
+            pos = "".join(f"[{i}]" for i in idx)
+            raise InputError(f"{path}{pos}: {exc}") from exc
+    return arr
+
+
+def parse_outcome(parse, field, flat):
+    """(type, value) of every parsed entry, or the error text."""
+    try:
+        arr = parse(field, flat, flat.shape, "maps.t")
+    except InputError as exc:
+        return str(exc)
+    return [(type(x), x) for x in arr.flat]
+
+
+GOOD_LITERALS = [1, "1", "2/4", -3, 0, "0", 8, "-6/3", "1/3", 15, 7, "14/2",
+                 1, "1", "2/4", -3, 10 ** 30, "-1", 1, 0]
+# after a 1 in C order: True == 1.0 == 1 with equal hashes, so a cache keyed
+# by value alone would pass them; "1/7" is bad over F7 only
+BAD_LITERALS = [True, False, 1.0, 0.5, None, [1], {"a": 1}, "x", "1/0", "",
+                "1/7"]
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=lambda f: f.name)
+def test_parse_tensor_matches_a_per_entry_parse(field, monkeypatch):
+    flat = np.empty((4, 5), dtype=object)
+    flat.reshape(-1)[:] = GOOD_LITERALS
+    calls = []
+    parse = field.parse
+    monkeypatch.setattr(field, "parse", lambda v: calls.append(v) or parse(v))
+    assert parse_outcome(_parse_tensor, field, flat) == \
+        parse_outcome(per_entry_parse, field, flat)
+    # each distinct literal once: the reference made len(GOOD_LITERALS) calls
+    assert len(calls) == len(GOOD_LITERALS) + len({(type(v), v)
+                                                   for v in GOOD_LITERALS})
+    for bad in BAD_LITERALS:
+        for pos in ((2, 3), (3, 4)):
+            broken = flat.copy()
+            broken[pos] = bad
+            got = parse_outcome(_parse_tensor, field, broken)
+            assert got == parse_outcome(per_entry_parse, field, broken)
+            if bad != "1/7" or field.char == 7:
+                assert isinstance(got, str) and got.startswith(
+                    f"maps.t[{pos[0]}][{pos[1]}]: ")
 
 
 def test_prime_field_document():
