@@ -12,8 +12,6 @@ Algebra value is always genuinely associative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
@@ -22,7 +20,6 @@ from .linalg import (Encoded, common, decoded, first_nonzero_index, rank,
                      row_reduce, zeros)
 
 
-@dataclass(frozen=True)
 class Verdict:
     """Outcome of an identity check.
 
@@ -31,12 +28,14 @@ class Verdict:
     check passed.
     """
 
-    ok: bool
-    witness: tuple | None = None
-    lhs: object = None
-    rhs: object = None
-    detail: str = ""
-    failures: tuple = ()
+    def __init__(self, ok, witness=None, lhs=None, rhs=None, detail="",
+                 failures=()):
+        self.ok = ok
+        self.witness = witness
+        self.lhs = lhs
+        self.rhs = rhs
+        self.detail = detail
+        self.failures = failures
 
     def __bool__(self):
         return self.ok

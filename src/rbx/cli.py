@@ -2,11 +2,16 @@
 
 One verb = one library operation; exit code 0 means the checked property
 holds, 1 means it fails (a witness is printed), 2 means an input,
-capacity or characteristic error.  `--json` emits a machine-readable
-report that is byte-stable for identical inputs apart from the timing
-field.  The environment variable RBX_BUDGET overrides the search budget.
+capacity or characteristic error, or output that cannot be written (an
+`-o` path, a closed stdout).  `--json` emits a machine-readable report
+that is byte-stable for identical inputs apart from the timing field.
+The environment variable RBX_BUDGET overrides the search budget.
 
-Start-up loads only what the verb runs.  The parser, `explain`, `--help`
+Start-up loads only what the verb runs.  Each verb's arguments live in
+one table, `VERBS`; `main` builds the parser of the invoked verb alone,
+and the full parser of all verbs only for `--help`, an unknown or
+missing verb, or a top-level error such as an unrecognized argument, so
+help and usage texts read as before.  The parser, `explain`, `--help`
 and usage errors need the standard library alone; every other verb
 imports the numeric core (numpy and rbx's core modules) in one place,
 `_import_core`, before its handler runs, and `catalog` also imports the
@@ -316,8 +321,11 @@ def _derive(args, section, derive, *names):
 def _document_report(args, doc, detail, digest=None):
     """A pass report carrying `doc`, which is also written to --output."""
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(schema.dump_document(doc))
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(schema.dump_document(doc))
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
     return Report(args.command, "pass", digest=digest, detail=detail,
                   extra={"document": schema.document_to_obj(doc),
                          "written": args.output})
@@ -424,89 +432,94 @@ def cmd_explain(args):
 # ---------------------------------------------------------------------------
 # parser
 
+
+def _arg(*names, **options):
+    return names, options
+
+
+_FILE = _arg("file")
+_PI = _arg("--pi", default="pi")
+_PHI = _arg("--phi", default="phi")
+_NO_PHI = _arg("--phi", default=None)
+_OUTPUT = _arg("-o", "--output", default=None)
+
+# the arguments of each verb after --json, read by the verb's own parser and
+# by the full parser alike; verb v runs the handler cmd_v (dashes as
+# underscores), looked up by name when it runs, so that a function patched
+# onto this module is the one called
+VERBS = {
+    "check-assoc": [_FILE],
+    "check-bimodule": [_FILE],
+    "check-grb": [_FILE, _arg("--map", default="pi",
+                              help="name of the operator matrix")],
+    "check-trb": [_FILE, _PI, _PHI],
+    "check-reynolds": [_FILE, _arg("--map", default="R")],
+    "check-nijenhuis": [_FILE, _arg("--map", default="N")],
+    "check-dendriform": [_FILE],
+    "check-ns": [_FILE],
+    "check-addexp": [_FILE, _PI, _NO_PHI],
+    "residual": [_FILE, _PI, _NO_PHI],
+    "bracket": [_FILE, _arg("--f", required=True,
+                            help="name of a multimap cochain entry"),
+                _arg("--g", required=True)],
+    "flow": [_FILE, _PI, _NO_PHI, _arg(
+        "--emit-products", action="store_true",
+        help="also dump the M x M restriction of the flow")],
+    "derive-dendriform": [_FILE, _arg("--map", default="pi"), _OUTPUT],
+    "derive-ns": [_FILE, _PI, _PHI, _OUTPUT],
+    "search": [
+        _FILE,
+        _arg("--kind", required=True,
+             choices=["grb", "rb", "trb", "reynolds", "nijenhuis", "aybe"]),
+        _arg("--field", default=None,
+             help="override the document field (Q, F2, F3, F5, ...)"),
+        _arg("--phi", default=None, help="twist cochain for kind trb"),
+        _arg("--budget", type=int, default=None,
+             help="candidate-count cap (default: RBX_BUDGET or 2^20)")],
+    "aybe": [_FILE, _arg("--r", default="r", help="name of the A(x)A tensor")],
+    "catalog": [_arg("action", choices=["list", "emit"]),
+                _arg("name", nargs="?", default=None),
+                _arg("--degree", type=int, default=None), _OUTPUT],
+    "explain": [_arg("verb")],
+}
+
+
+def verb_parser(verb, sub=None):
+    """The parser of one verb: on its own, or added to the subparsers
+    `sub` of the full parser."""
+    if sub is None:
+        p = argparse.ArgumentParser(prog=f"rbx {verb}")
+    else:
+        p = sub.add_parser(verb, help=EXPLANATIONS.get(verb, ""))
+    p.set_defaults(command=verb)
+    p.add_argument("--json", action="store_true",
+                   help="emit a machine-readable report")
+    for names, options in VERBS[verb]:
+        p.add_argument(*names, **options)
+    return p
+
+
 def build_parser():
+    """The full parser, with every verb."""
     parser = argparse.ArgumentParser(
         prog="rbx",
         description="Exact verification of Rota-Baxter-type operator "
                     "identities, induced dendriform/NS structures, bracket "
                     "calculus and exponential flows.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, help=EXPLANATIONS.get(name, ""))
-        p.set_defaults(handler=handler)
-        p.add_argument("--json", action="store_true",
-                       help="emit a machine-readable report")
-        return p
-
-    p = add("check-assoc", cmd_check_assoc)
-    p.add_argument("file")
-    p = add("check-bimodule", cmd_check_bimodule)
-    p.add_argument("file")
-    p = add("check-grb", cmd_check_grb)
-    p.add_argument("file")
-    p.add_argument("--map", default="pi", help="name of the operator matrix")
-    p = add("check-trb", cmd_check_trb)
-    p.add_argument("file")
-    p.add_argument("--pi", default="pi")
-    p.add_argument("--phi", default="phi")
-    p = add("check-reynolds", cmd_check_reynolds)
-    p.add_argument("file")
-    p.add_argument("--map", default="R")
-    p = add("check-nijenhuis", cmd_check_nijenhuis)
-    p.add_argument("file")
-    p.add_argument("--map", default="N")
-    p = add("check-dendriform", cmd_check_dendriform)
-    p.add_argument("file")
-    p = add("check-ns", cmd_check_ns)
-    p.add_argument("file")
-    p = add("check-addexp", cmd_check_addexp)
-    p.add_argument("file")
-    p.add_argument("--pi", default="pi")
-    p.add_argument("--phi", default=None)
-    p = add("residual", cmd_residual)
-    p.add_argument("file")
-    p.add_argument("--pi", default="pi")
-    p.add_argument("--phi", default=None)
-    p = add("bracket", cmd_bracket)
-    p.add_argument("file")
-    p.add_argument("--f", required=True, help="name of a multimap cochain entry")
-    p.add_argument("--g", required=True)
-    p = add("flow", cmd_flow)
-    p.add_argument("file")
-    p.add_argument("--pi", default="pi")
-    p.add_argument("--phi", default=None)
-    p.add_argument("--emit-products", action="store_true",
-                   help="also dump the M x M restriction of the flow")
-    p = add("derive-dendriform", cmd_derive_dendriform)
-    p.add_argument("file")
-    p.add_argument("--map", default="pi")
-    p.add_argument("-o", "--output", default=None)
-    p = add("derive-ns", cmd_derive_ns)
-    p.add_argument("file")
-    p.add_argument("--pi", default="pi")
-    p.add_argument("--phi", default="phi")
-    p.add_argument("-o", "--output", default=None)
-    p = add("search", cmd_search)
-    p.add_argument("file")
-    p.add_argument("--kind", required=True,
-                   choices=["grb", "rb", "trb", "reynolds", "nijenhuis", "aybe"])
-    p.add_argument("--field", default=None,
-                   help="override the document field (Q, F2, F3, F5, ...)")
-    p.add_argument("--phi", default=None, help="twist cochain for kind trb")
-    p.add_argument("--budget", type=int, default=None,
-                   help="candidate-count cap (default: RBX_BUDGET or 2^20)")
-    p = add("aybe", cmd_aybe)
-    p.add_argument("file")
-    p.add_argument("--r", default="r", help="name of the A(x)A tensor")
-    p = add("catalog", cmd_catalog)
-    p.add_argument("action", choices=["list", "emit"])
-    p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("-o", "--output", default=None)
-    p = add("explain", cmd_explain)
-    p.add_argument("verb")
+    for verb in VERBS:
+        verb_parser(verb, sub)
     return parser
+
+
+def parse_args(argv):
+    """Arguments of `argv`, parsed by its verb's parser alone; the full
+    parser handles no known verb and words top-level errors."""
+    if argv and argv[0] in VERBS:
+        args, rest = verb_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _print_report(report, as_json):
@@ -527,17 +540,26 @@ def _print_report(report, as_json):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     if args.command != "explain":
         _import_core()
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     start = time.perf_counter()
     try:
-        report = args.handler(args)
+        report = handler(args)
     except RbxError as exc:
         report = Report(args.command, "error", detail=str(exc))
     report.timing_ms = round((time.perf_counter() - start) * 1000, 3)
-    _print_report(report, getattr(args, "json", False))
+    try:
+        _print_report(report, args.json)
+        sys.stdout.flush()
+    except OSError as exc:
+        # a closed or full stdout: say so once, where it can still be read,
+        # and send the rest of the output, and the flush at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"ERROR: {args.command} - cannot write stdout: {exc}",
+              file=sys.stderr)
+        return 2
     return report.exit_code
 
 

@@ -16,8 +16,6 @@ The test suite checks them against the scaled brackets over Q and F5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import Verdict
@@ -28,15 +26,15 @@ from .operators import (OperatorInstance, extension_mult_map,
                         induced_products, lift_cocycle, lift_operator)
 
 
-@dataclass
 class FlowResult:
     """The four flow terms and their sum, all arity-2 MultiMaps."""
 
-    theta: MultiMap       # Theta itself
-    order1: MultiMap      # [Theta, p^]
-    order2: MultiMap      # (1/2) X^2(Theta)
-    order3: MultiMap      # (1/6) X^3(Theta)
-    total: MultiMap
+    def __init__(self, theta, order1, order2, order3, total):
+        self.theta = theta      # Theta itself
+        self.order1 = order1    # [Theta, p^]
+        self.order2 = order2    # (1/2) X^2(Theta)
+        self.order3 = order3    # (1/6) X^3(Theta)
+        self.total = total
 
 
 def hamiltonian_field(theta: MultiMap, inst: OperatorInstance) -> MultiMap:

@@ -6,8 +6,6 @@ verification windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
 from .algebra import Algebra, Bimodule, canonical_bimodule
@@ -139,7 +137,6 @@ def reynolds_identity_instance(field) -> OperatorInstance:
 # ---------------------------------------------------------------------------
 # truncated polynomial integration
 
-@dataclass
 class TruncatedInstance:
     """A finite truncation of an infinite-dimensional example.
 
@@ -148,13 +145,14 @@ class TruncatedInstance:
     an honest quotient, so every pair is safe.
     """
 
-    name: str
-    degree: int
-    algebra: Algebra
-    module: Bimodule
-    op: LinearMap
-    omega: LinearMap
-    window: list = dc_field(default_factory=list)
+    def __init__(self, name, degree, algebra, module, op, omega, window=None):
+        self.name = name
+        self.degree = degree
+        self.algebra = algebra
+        self.module = module
+        self.op = op
+        self.omega = omega
+        self.window = [] if window is None else window
 
     def instance(self) -> OperatorInstance:
         return OperatorInstance(self.algebra, self.module, self.op)
@@ -295,12 +293,13 @@ def truncated_weyl(N) -> TruncatedWeyl:
 # ---------------------------------------------------------------------------
 # catalog registry (consumed by the CLI)
 
-@dataclass(frozen=True)
 class CatalogEntry:
-    description: str
-    build: object          # () or (degree) -> OperatorInstance | TruncatedInstance
-    takes_degree: bool = False
-    emittable: bool = True
+    def __init__(self, description, build, takes_degree=False,
+                 emittable=True):
+        self.description = description
+        self.build = build  # () or (degree) -> OperatorInstance | TruncatedInstance
+        self.takes_degree = takes_degree
+        self.emittable = emittable
 
 
 def _truncated_poly_entry(degree):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -31,15 +30,16 @@ from .fields import field_from_name, field_to_name
 from .structures import Dendriform, NSAlgebra
 
 
-@dataclass
 class Document:
-    field: object
-    algebra: Algebra | None = None
-    bimodule: Bimodule | None = None
-    maps: dict = dc_field(default_factory=dict)
-    cochains: dict = dc_field(default_factory=dict)
-    dendriform: Dendriform | None = None
-    ns: NSAlgebra | None = None
+    def __init__(self, field, algebra=None, bimodule=None, maps=None,
+                 cochains=None, dendriform=None, ns=None):
+        self.field = field
+        self.algebra = algebra
+        self.bimodule = bimodule
+        self.maps = {} if maps is None else maps
+        self.cochains = {} if cochains is None else cochains
+        self.dendriform = dendriform
+        self.ns = ns
 
     def section(self, name):
         """The `name` section; InputError (exit 2) without one."""

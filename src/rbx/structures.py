@@ -19,8 +19,6 @@ identity operator serve both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import Algebra, Bimodule, Verdict, bimodule_check
@@ -78,16 +76,16 @@ class Dendriform(NSAlgebra):
         super().__init__(field, succ, prec, None, labels)
 
 
-@dataclass
 class InducedActions:
     """Actions making A a bimodule over the induced algebra on M:
     m ._p a = p(m)a - p(m.a)  (left action of M_ass on A),
     a ._p m = ap(m) - p(a.m)  (right action)."""
 
-    algebra: Algebra            # the induced associative algebra M_ass
-    module: Bimodule            # A as an M_ass-bimodule
-    left: np.ndarray            # (dM, dA, dA)
-    right: np.ndarray           # (dA, dM, dA)
+    def __init__(self, algebra, module, left, right):
+        self.algebra = algebra      # the induced associative algebra M_ass
+        self.module = module        # A as an M_ass-bimodule
+        self.left = left            # (dM, dA, dA)
+        self.right = right          # (dA, dM, dA)
 
 
 def check_dendriform(dend: Dendriform) -> Verdict:

@@ -518,3 +518,118 @@ def test_lazy_package_refuses_unknown_names():
         rbx.no_such_name
     with pytest.raises(ImportError):
         exec("from rbx import no_such_name", {})
+
+
+def _modules_after_import(module):
+    """The modules a fresh interpreter holds after `import module`."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import json, sys, {module}; "
+                               "print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, timeout=120, check=True)
+    return set(json.loads(proc.stdout))
+
+
+def test_checking_verbs_and_the_catalog_load_no_dataclasses(mbx_file):
+    if "dataclasses" in _modules_after_import("numpy"):
+        pytest.skip("numpy itself loads dataclasses")
+    for argv in (["check-grb", mbx_file], ["catalog", "list"]):
+        loaded = modules_after(*argv)
+        assert "rbx.schema" in loaded and "dataclasses" not in loaded
+
+
+def count_parsers(monkeypatch):
+    """A list that grows by one for every ArgumentParser built."""
+    import argparse
+
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_a_verb_builds_its_own_parser_alone(mbx_file, capsys, monkeypatch):
+    built = count_parsers(monkeypatch)
+    assert run(capsys, "check-grb", mbx_file)[0] == 0
+    assert built == ["rbx check-grb"]
+
+
+def test_top_level_errors_are_worded_by_the_full_parser(mbx_file, capsys,
+                                                        monkeypatch):
+    from rbx.cli import VERBS
+
+    built = count_parsers(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["check-grb", mbx_file, "--bogus"])
+    assert exc.value.code == 2
+    # the verb's parser, then the full parser and its subparsers
+    assert built[:2] == ["rbx check-grb", "rbx"]
+    assert len(built) == 2 + len(VERBS) == 20
+    assert "usage: rbx [-h]" in capsys.readouterr().err
+
+
+# help and usage texts at COLUMNS=80, recorded from the 18-subparser parser
+# before verbs got parsers of their own
+with open(os.path.join(os.path.dirname(__file__),
+                       "cli_help_goldens.json"), encoding="utf-8") as fh:
+    HELP_GOLDENS = json.load(fh)
+
+
+@pytest.mark.skipif(
+    list(sys.version_info[:2]) != HELP_GOLDENS["python"],
+    reason="argparse wording differs between Python versions")
+@pytest.mark.parametrize("case", HELP_GOLDENS["cases"],
+                         ids=lambda case: " ".join(case["argv"]) or "none")
+def test_help_and_usage_texts_are_unchanged(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", str(HELP_GOLDENS["columns"]))
+    with pytest.raises(SystemExit) as exc:
+        main(list(case["argv"]))
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out, err) == \
+        (case["code"], case["stdout"], case["stderr"])
+
+
+# ---------------------------------------------------------------------------
+# output errors: exit 2 with one message, never a traceback
+
+
+def run_cli(*argv, unbuffered=False, **kwargs):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "rbx.cli", *argv], env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=120,
+                          **kwargs)
+
+
+# buffered, the report fails at the flush; unbuffered, at the first write
+@pytest.mark.parametrize("as_json, unbuffered", [(False, False), (True, True)],
+                         ids=["text-buffered", "json-unbuffered"])
+def test_closed_stdout_is_exit_2(mbx_file, as_json, unbuffered):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_cli("check-grb", mbx_file, *(["--json"] * as_json),
+                       unbuffered=unbuffered, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == ("ERROR: check-grb - cannot write stdout: "
+                           "[Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("argv", [["derive-dendriform", "{mbx}"],
+                                  ["catalog", "emit", "mult-by-x"]],
+                         ids=["derive-dendriform", "catalog-emit"])
+def test_output_into_a_missing_directory_is_exit_2(mbx_file, tmp_path, argv):
+    target = str(tmp_path / "missing" / "x.json")
+    proc = run_cli(*(a.format(mbx=mbx_file) for a in argv), "-o", target,
+                   stdout=subprocess.PIPE)
+    assert proc.returncode == 2 and proc.stderr == ""
+    assert proc.stdout == (f"ERROR: {argv[0]} - cannot write {target}: "
+                           f"[Errno 2] No such file or directory: "
+                           f"'{target}'\n")
