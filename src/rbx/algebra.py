@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InputError
 from .fields import field_of
 from .linalg import (Encoded, common, decoded, first_nonzero_index, rank,
-                     row_reduce, zeros)
+                     row_reduce)
 
 
 class Verdict:
@@ -91,20 +91,6 @@ class Algebra:
             raise InputError("label count does not match dimension")
         self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(self.dim)]
 
-    def mul(self, u, v):
-        """Product of two coordinate vectors."""
-        u = np.asarray(u, dtype=object)
-        v = np.asarray(v, dtype=object)
-        return np.dot(np.dot(u, self.c.reshape(self.dim, -1)).reshape(self.dim, self.dim).T, v)
-
-    def zero_vec(self):
-        return zeros(self.dim, self.field)
-
-    def basis(self, i):
-        vec = self.zero_vec()
-        vec[i] = self.field.one
-        return vec
-
     def unit(self):
         """Coordinates of the unit element, or None if non-unital."""
         d, c = self.dim, self._c
@@ -153,23 +139,6 @@ class Bimodule:
             report = bimodule_check(base, self)
             if not report:
                 raise InputError(f"bimodule axioms fail: {report.detail} at {report.witness}")
-
-    def act_left(self, a_vec, m_vec):
-        """a . m for coordinate vectors a in A, m in M."""
-        dA, dM = self.base.dim, self.dim
-        return np.dot(np.dot(a_vec, self.left.reshape(dA, -1)).reshape(dM, dM).T, m_vec)
-
-    def act_right(self, m_vec, a_vec):
-        dA, dM = self.base.dim, self.dim
-        return np.dot(np.dot(m_vec, self.right.reshape(dM, -1)).reshape(dA, dM).T, a_vec)
-
-    def zero_vec(self):
-        return zeros(self.dim, self.field)
-
-    def basis(self, i):
-        vec = self.zero_vec()
-        vec[i] = self.field.one
-        return vec
 
     def __repr__(self):
         return f"Bimodule(dim={self.dim}, over dim={self.base.dim})"

@@ -539,8 +539,25 @@ def _print_report(report, as_json):
             print(f"  {key}: {json.dumps(value, sort_keys=True)}")
 
 
+def _stdout_failed(command, exc):
+    """Exit 2 for a closed or full stdout: say so once on stderr, and send
+    the rest of the output, and the flush at exit, to the null device."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    print(f"ERROR: {command} - cannot write stdout: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = parse_args(argv)
+    except SystemExit:
+        try:    # argparse printed help or usage; flush it before exit does
+            sys.stdout.flush()
+        except OSError as exc:
+            verb = argv[0] if argv and argv[0] in VERBS else "rbx"
+            return _stdout_failed(verb, exc)
+        raise
     if args.command != "explain":
         _import_core()
     handler = globals()["cmd_" + args.command.replace("-", "_")]
@@ -554,12 +571,7 @@ def main(argv=None) -> int:
         _print_report(report, args.json)
         sys.stdout.flush()
     except OSError as exc:
-        # a closed or full stdout: say so once, where it can still be read,
-        # and send the rest of the output, and the flush at exit, nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"ERROR: {args.command} - cannot write stdout: {exc}",
-              file=sys.stderr)
-        return 2
+        return _stdout_failed(args.command, exc)
     return report.exit_code
 
 

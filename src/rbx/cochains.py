@@ -42,16 +42,6 @@ class Cochain:
         self._tensor = tensor
         self.arity = len(shape) - 1
 
-    def __call__(self, *vectors):
-        if len(vectors) != self.arity:
-            raise InputError(f"cochain of arity {self.arity} applied to "
-                             f"{len(vectors)} arguments")
-        tensor = self.tensor
-        for v in vectors:  # one input axis contracted per vector
-            tensor = np.tensordot(np.asarray(v, dtype=object), tensor,
-                                  axes=([0], [0]))
-        return tensor
-
     def is_zero_map(self):
         return not self._tensor.differs(None).any()
 

@@ -6,16 +6,17 @@ zero-tolerance comparison.  Rational scalars are ``fractions.Fraction``;
 prime-field scalars are :class:`FpElement` with canonical representatives
 in ``[0, p)``.
 
-Both fields also encode a tensor of their scalars as an integer tensor
-and a scale, and decode an integer tensor over a scale back to scalars,
-for the exact integer kernel (`linalg.Encoded`) that every identity
-check runs on.  F_p encodes canonical int64 representatives with scale
-1, reduces integer results mod p (`reduce`) and decodes by one reduction
-mod p; Q encodes the numerators over the common denominator of the
-entries, as Python ints, and leaves integer results as they are; its
-`divide`, the one division elimination needs, is exact floor division.
-Decoding builds one scalar per distinct value, which equal entries (most
-often the zeros) share.
+Both fields also `encode` a tensor of their scalars as an integer tensor
+and a scale, and `decode` an integer tensor over a scale back to
+scalars: the only two conversions between scalars and integers, for the
+exact integer kernel (`linalg.Encoded`) that every identity check runs
+on.  F_p encodes canonical int64 representatives with scale 1, reduces
+integer results mod p (`reduce`) and decodes by one reduction mod p; Q
+encodes the numerators over the common denominator of the entries, as
+Python ints, and leaves integer results as they are; its `divide`, the
+one division elimination needs, is exact floor division.  Decoding
+builds one scalar per distinct value, which equal entries (most often
+the zeros) share.
 """
 
 from __future__ import annotations
@@ -195,9 +196,6 @@ class RationalField:
         """arr / d for an integer d that divides every entry: exact //."""
         return arr // d
 
-    def elements(self):
-        raise InputError("Q is not enumerable; use a prime field for searches")
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -256,21 +254,12 @@ class PrimeField:
     def format(self, x):
         return x.val
 
-    def to_ints(self, arr, dtype):
-        """Canonical representatives of a tensor of F_p scalars, as an
-        integer tensor of `dtype` (np.int64, or object for Python ints)."""
+    def encode(self, arr):
+        """(representatives, 1): the canonical representatives of a
+        tensor of F_p scalars as an int64 tensor, over scale 1."""
         arr = np.asarray(arr, dtype=object)
         return np.array([x.val for x in arr.flat],
-                        dtype=dtype).reshape(arr.shape)
-
-    def from_ints(self, arr):
-        """The F_p tensor of an integer tensor, reduced mod p."""
-        return _from_values(np.asarray(arr) % self.p,
-                            lambda v: FpElement(v, self.p))
-
-    def encode(self, arr):
-        """(representatives, 1): `to_ints` in int64, scale 1."""
-        return self.to_ints(arr, np.int64), 1
+                        dtype=np.int64).reshape(arr.shape), 1
 
     def reduce(self, arr):
         """Canonical int64 representatives of an integer tensor."""
@@ -281,12 +270,10 @@ class PrimeField:
         return self.reduce(self.reduce(arr) * pow(int(d) % self.p, -1, self.p))
 
     def decode(self, arr, scale):
-        """The F_p tensor of an integer tensor; `scale` is always 1."""
-        return self.from_ints(arr)
-
-    def elements(self):
-        """All scalars in canonical order 0, 1, ..., p-1."""
-        return [FpElement(v, self.p) for v in range(self.p)]
+        """The F_p tensor of an integer tensor, reduced mod p; `scale` is
+        always 1."""
+        return _from_values(np.asarray(arr) % self.p,
+                            lambda v: FpElement(v, self.p))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

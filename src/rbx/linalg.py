@@ -22,9 +22,9 @@ The contractions the operator identities share (`pullback` here, the
 identity sides in `operators`) take a leading batch axis: exhaustive
 search evaluates a block of candidates at once, and a checker is the
 same evaluation on a block of one.  Exact elimination (`row_reduce`,
-`rank`, `invert`) is fraction-free on the same integers.  The
-object-dtype helpers (`zeros`, `identity`, `is_zero`, `tensors_equal`)
-serve the vector API and the tests' references.
+`rank`, `invert`) is fraction-free on the same integers.  Of the
+object-dtype helpers, the catalog builds with `zeros` and `identity`,
+and the benchmark's tracer wraps `is_zero` by name.
 """
 
 from __future__ import annotations
@@ -51,12 +51,6 @@ def identity(n, field):
 
 def is_zero(arr):
     return first_nonzero_index(np.asarray(arr, dtype=object)) is None
-
-
-def tensors_equal(a, b):
-    a = np.asarray(a, dtype=object)
-    b = np.asarray(b, dtype=object)
-    return a.shape == b.shape and first_nonzero_index(a - b) is None
 
 
 def first_nonzero_index(arr, k=None):

@@ -53,9 +53,6 @@ class LinearMap:
     def target_dim(self):
         return self.matrix.shape[1]
 
-    def __call__(self, vec):
-        return np.dot(np.asarray(vec, dtype=object), self.matrix)
-
     def __repr__(self):
         return f"LinearMap({self.source or self.source_dim}->{self.target or self.target_dim})"
 
@@ -471,5 +468,5 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
             lhs, rhs = _identity_sides(kind, block, c, left, right, twist)
             residual = lhs - rhs
         failing = (residual % p != 0).reshape(len(block), -1).any(axis=1)
-        solutions += list(field.from_ints(block[~failing]))
+        solutions += list(field.decode(block[~failing], 1))
     return solutions

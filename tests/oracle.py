@@ -1,12 +1,17 @@
 """Independent brute-force evaluators used as oracles by the test suite.
 
 Everything here works on plain Python lists with nested loops over basis
-tuples and shares no code with the library's tensordot-based engine; an
-agreement between the two is therefore meaningful evidence.
+tuples and shares no code with the library's tensordot-based engine: it
+calls no rbx function or method, and of rbx's objects reads only their
+tensors (`.c`, `.left`, `.right`), `.dim`, `.field` and the field's
+scalars (`zero`, `one`, `char`).  An agreement between the two is
+therefore meaningful evidence.
 """
 
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 
 class FnMap:
@@ -101,6 +106,72 @@ def agrees_with_tensor(fnmap: FnMap, tensor) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# vectors and tensors on the scalars' own arithmetic
+#
+# Vectors are lists of coordinates.  A product or an action with a basis
+# vector in one slot is a read of the tensor (e_i e_j is c[i, j], and
+# e_a . m_j is left[a, j]); these helpers cover the other slots.
+
+def elements(field):
+    """Every scalar of a prime field, in canonical order 0, 1, ..., p-1."""
+    assert field.char, "Q is not enumerable"
+    return [field.zero + v for v in range(field.char)]
+
+
+def basis(dim, i, field):
+    """The i-th coordinate vector of a dim-dimensional space."""
+    return [field.one if s == i else field.zero for s in range(dim)]
+
+
+def vec_mat(vec, mat, field):
+    """Row vector times matrix, as a list."""
+    return [sum((vec[a] * mat[a][b] for a in range(len(vec))), start=field.zero)
+            for b in range(len(mat[0]))]
+
+
+def bilinear(t, u, v, field):
+    """sum_ab u[a] v[b] t[a][b][:] for an (n, m, k) tensor t."""
+    n, m, k = t.shape
+    return [sum((u[a] * v[b] * t[a, b, l] for a in range(n) for b in range(m)),
+                start=field.zero) for l in range(k)]
+
+
+def multilinear(t, vectors, field):
+    """t(v_1, ..., v_n) for a tensor t of n input axes and one output
+    axis: the sum over index tuples of the coordinate products times t."""
+    out = [field.zero] * t.shape[-1]
+    support = ([i for i, x in enumerate(v) if x] for v in vectors)
+    for idx in product(*support):
+        coeff = field.one
+        for v, i in zip(vectors, idx):
+            coeff = coeff * v[i]
+        for l in range(len(out)):
+            out[l] = out[l] + coeff * t[idx + (l,)]
+    return out
+
+
+def add(*vecs):
+    return [sum(col[1:], start=col[0]) for col in zip(*vecs)]
+
+
+def neg(vec):
+    return [-x for x in vec]
+
+
+def induced_product(p, left, right, i, j, field):
+    """m_i . m_j = p(m_i).m_j + m_i.p(m_j) for the matrix p of an operator
+    M -> A (row i is p(m_i)) and the actions `left`, `right` of A on M."""
+    return add(vec_mat(p[i], left[:, j], field),
+               vec_mat(p[j], right[i], field))
+
+
+def tensors_equal(a, b):
+    """Equal shapes and equal entries, compared one scalar at a time."""
+    a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
+    return a.shape == b.shape and all(x == y for x, y in zip(a.flat, b.flat))
+
+
+# ---------------------------------------------------------------------------
 # random exact data
 
 def random_scalar(field, rng, small=True):
@@ -108,12 +179,10 @@ def random_scalar(field, rng, small=True):
         num = rng.randint(-3, 3)
         den = rng.randint(1, 3) if small else rng.randint(1, 9)
         return Fraction(num, den)
-    return field.from_int(rng.randint(0, field.char - 1))
+    return field.zero + rng.randint(0, field.char - 1)
 
 
 def random_tensor(shape, field, rng):
-    import numpy as np
-
     arr = np.empty(shape, dtype=object)
     for idx in np.ndindex(shape):
         arr[idx] = random_scalar(field, rng)
@@ -124,22 +193,21 @@ def aybe_oracle(algebra, r):
     """Triple-loop expansion of the Yang-Baxter residual from the formal
     sum representation r = sum r[s,t] e_s (x) e_t; independent of the
     library's coordinate formula."""
-    d = algebra.dim
-    field = algebra.field
+    d, c, field = algebra.dim, algebra.c, algebra.field
     out = [[[field.zero] * d for _ in range(d)] for _ in range(d)]
     pairs = [(s, t) for s in range(d) for t in range(d) if r[s, t]]
     for (s, t) in pairs:           # index i: a_i = e_s, b^i = e_t
         for (u, v) in pairs:       # index j: a_j = e_u, b^j = e_v
             coeff = r[s, t] * r[u, v]
-            prod = algebra.mul(algebra.basis(s), algebra.basis(u))
+            prod = c[s, u]
             for w in range(d):
                 if prod[w]:
                     out[w][v][t] = out[w][v][t] + coeff * prod[w]
-            prod = algebra.mul(algebra.basis(t), algebra.basis(u))
+            prod = c[t, u]
             for w in range(d):
                 if prod[w]:
                     out[s][w][v] = out[s][w][v] - coeff * prod[w]
-            prod = algebra.mul(algebra.basis(t), algebra.basis(v))
+            prod = c[t, v]
             for w in range(d):
                 if prod[w]:
                     out[u][s][w] = out[u][s][w] + coeff * prod[w]
@@ -179,27 +247,6 @@ def oracle_row_reduce(matrix):
 # Each evaluator returns None when the identity holds, else the
 # lexicographically first failing index tuple with both sides there.
 
-def _vec_mat(vec, mat, field):
-    """Row vector times matrix, as a list."""
-    return [sum((vec[a] * mat[a][b] for a in range(len(vec))), start=field.zero)
-            for b in range(len(mat[0]))]
-
-
-def _bilinear(t, u, v, field):
-    """sum_ab u[a] v[b] t[a][b][:] for an (n, m, k) tensor t."""
-    n, m, k = t.shape
-    return [sum((u[a] * v[b] * t[a, b, l] for a in range(n) for b in range(m)),
-                start=field.zero) for l in range(k)]
-
-
-def _add(*vecs):
-    return [sum(col[1:], start=col[0]) for col in zip(*vecs)]
-
-
-def _neg(vec):
-    return [-x for x in vec]
-
-
 def oracle_operator(field, c, left, right, p, phi=None):
     """GRB (phi None) or TRB: p(m)p(n) = p(p(m).n + m.p(n) [+ phi(p(m), p(n))])
     on basis pairs (i, j) of M; sides are vectors in A."""
@@ -207,14 +254,14 @@ def oracle_operator(field, c, left, right, p, phi=None):
     for i in range(dM):
         for j in range(dM):
             pm, pn = list(p[i]), list(p[j])
-            m = [field.one if s == i else field.zero for s in range(dM)]
-            n = [field.one if s == j else field.zero for s in range(dM)]
-            lhs = _bilinear(c, pm, pn, field)
-            inner = _add(_bilinear(left, pm, n, field),
-                         _bilinear(right, m, pn, field))
+            m = basis(dM, i, field)
+            n = basis(dM, j, field)
+            lhs = bilinear(c, pm, pn, field)
+            inner = add(bilinear(left, pm, n, field),
+                        bilinear(right, m, pn, field))
             if phi is not None:
-                inner = _add(inner, _bilinear(phi, pm, pn, field))
-            rhs = _vec_mat(inner, p, field)
+                inner = add(inner, bilinear(phi, pm, pn, field))
+            rhs = vec_mat(inner, p, field)
             if lhs != rhs:
                 return (i, j), lhs, rhs
     return None
@@ -225,13 +272,13 @@ def oracle_reynolds(field, c, r):
     d = r.shape[0]
     for i in range(d):
         for j in range(d):
-            a = [field.one if s == i else field.zero for s in range(d)]
-            b = [field.one if s == j else field.zero for s in range(d)]
+            a = basis(d, i, field)
+            b = basis(d, j, field)
             ra, rb = list(r[i]), list(r[j])
-            lhs = _bilinear(c, ra, rb, field)
-            rhs = _add(_vec_mat(_add(_bilinear(c, ra, b, field),
-                                     _bilinear(c, a, rb, field)), r, field),
-                       _neg(_vec_mat(lhs, r, field)))
+            lhs = bilinear(c, ra, rb, field)
+            rhs = add(vec_mat(add(bilinear(c, ra, b, field),
+                                  bilinear(c, a, rb, field)), r, field),
+                      neg(vec_mat(lhs, r, field)))
             if lhs != rhs:
                 return (i, j), lhs, rhs
     return None
@@ -242,14 +289,14 @@ def oracle_nijenhuis(field, c, n):
     d = n.shape[0]
     for i in range(d):
         for j in range(d):
-            a = [field.one if s == i else field.zero for s in range(d)]
-            b = [field.one if s == j else field.zero for s in range(d)]
+            a = basis(d, i, field)
+            b = basis(d, j, field)
             na, nb = list(n[i]), list(n[j])
-            lhs = _bilinear(c, na, nb, field)
-            ab = _bilinear(c, a, b, field)
-            rhs = _add(_vec_mat(_add(_bilinear(c, na, b, field),
-                                     _bilinear(c, a, nb, field)), n, field),
-                       _neg(_vec_mat(_vec_mat(ab, n, field), n, field)))
+            lhs = bilinear(c, na, nb, field)
+            ab = bilinear(c, a, b, field)
+            rhs = add(vec_mat(add(bilinear(c, na, b, field),
+                                  bilinear(c, a, nb, field)), n, field),
+                      neg(vec_mat(vec_mat(ab, n, field), n, field)))
             if lhs != rhs:
                 return (i, j), lhs, rhs
     return None
@@ -302,32 +349,30 @@ def oracle_dendriform(field, succ, prec, vee=None):
     its first failing triple: a list of (name, (i, j, k), lhs, rhs) in
     axiom order; t4 is a residual against zero, with rhs None."""
     d = succ.shape[0]
-    zero = field.zero
 
     def prod(t, x, y):
-        return _bilinear(t, x, y, field)
+        return bilinear(t, x, y, field)
 
     def total(x, y):
         parts = [prod(succ, x, y), prod(prec, x, y)]
         if vee is not None:
             parts.append(prod(vee, x, y))
-        return _add(*parts)
+        return add(*parts)
 
     names = ("d1", "d2", "d3") if vee is None else ("t1", "t2", "t3", "t4")
     found = {}
     for i, j, k in product(range(d), repeat=3):
-        x, y, z = ([field.one if s == t else zero for s in range(d)]
-                   for t in (i, j, k))
+        x, y, z = (basis(d, t, field) for t in (i, j, k))
         sides = [
             (prod(prec, prod(prec, x, y), z), prod(prec, x, total(y, z))),
             (prod(prec, prod(succ, x, y), z), prod(succ, x, prod(prec, y, z))),
             (prod(succ, x, prod(succ, y, z)), prod(succ, total(x, y), z)),
         ]
         if vee is not None:
-            resid = _add(prod(succ, x, prod(vee, y, z)),
-                         _neg(prod(vee, total(x, y), z)),
-                         prod(vee, x, total(y, z)),
-                         _neg(prod(prec, prod(vee, x, y), z)))
+            resid = add(prod(succ, x, prod(vee, y, z)),
+                        neg(prod(vee, total(x, y), z)),
+                        prod(vee, x, total(y, z)),
+                        neg(prod(prec, prod(vee, x, y), z)))
             sides.append((resid, None))
         for name, (lhs, rhs) in zip(names, sides):
             bad = any(lhs) if rhs is None else lhs != rhs

@@ -622,6 +622,22 @@ def test_closed_stdout_is_exit_2(mbx_file, as_json, unbuffered):
                            "[Errno 32] Broken pipe\n")
 
 
+# argparse writes the help into the buffer and exits; the flush then fails
+@pytest.mark.parametrize("argv, verb", [
+    (["--help"], "rbx"), (["check-grb", "--help"], "check-grb")],
+    ids=["top-level", "verb"])
+def test_help_into_a_closed_stdout_is_exit_2(argv, verb):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_cli(*argv, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"ERROR: {verb} - cannot write stdout: "
+                           "[Errno 32] Broken pipe\n")
+
+
 @pytest.mark.parametrize("argv", [["derive-dendriform", "{mbx}"],
                                   ["catalog", "emit", "mult-by-x"]],
                          ids=["derive-dendriform", "catalog-emit"])

@@ -3,14 +3,15 @@ import random
 import pytest
 
 from conftest import catalog_algebras
-from oracle import random_tensor
+from oracle import (add, basis, bilinear, multilinear, neg, random_tensor,
+                    tensors_equal, vec_mat)
 from rbx.algebra import assoc_check, canonical_bimodule, dual_module, extension_product
 from rbx.cochains import (Cochain, coboundary, is_cocycle,
                           multiplication_cochain, zero_cochain)
 from rbx.errors import CapacityError
 from rbx.fields import QQ
 from rbx.instances import kx2
-from rbx.linalg import identity, is_zero, tensors_equal
+from rbx.linalg import identity, is_zero
 
 
 def test_coboundary_of_zero(kx2_q):
@@ -37,13 +38,13 @@ def test_arity_one_matches_displayed_formula(kx2_q):
     M = dual_module(kx2_q)
     w = Cochain(kx2_q, M, random_tensor((2, 2), QQ, rng))
     d = coboundary(w)
-    for i in range(2):
-        a = kx2_q.basis(i)
-        for j in range(2):
-            b = kx2_q.basis(j)
-            direct = (M.act_left(a, w(b)) - w(kx2_q.mul(a, b))
-                      + M.act_right(w(a), b))
-            assert tensors_equal(d(a, b), direct)
+    c, W = kx2_q.c, w.tensor
+    for i in range(2):                  # a = e_i
+        for j in range(2):              # b = e_j
+            direct = add(vec_mat(W[j], M.left[i], QQ),
+                         neg(vec_mat(c[i, j], W, QQ)),
+                         vec_mat(W[i], M.right[:, j], QQ))
+            assert tensors_equal(d.tensor[i, j], direct)
 
 
 def test_arity_two_matches_displayed_formula(kx2_q):
@@ -52,13 +53,15 @@ def test_arity_two_matches_displayed_formula(kx2_q):
     M = canonical_bimodule(kx2_q)
     phi = Cochain(kx2_q, M, random_tensor((2, 2, 2), QQ, rng))
     d = coboundary(phi)
-    for i in range(2):
+    mu, P = kx2_q.c, phi.tensor
+    for i in range(2):                  # a, b, c = e_i, e_j, e_k
         for j in range(2):
             for k in range(2):
-                a, b, c = kx2_q.basis(i), kx2_q.basis(j), kx2_q.basis(k)
-                direct = (M.act_left(a, phi(b, c)) - phi(kx2_q.mul(a, b), c)
-                          + phi(a, kx2_q.mul(b, c)) - M.act_right(phi(a, b), c))
-                assert tensors_equal(d(a, b, c), direct)
+                direct = add(vec_mat(P[j, k], M.left[i], QQ),
+                             neg(vec_mat(mu[i, j], P[:, k], QQ)),
+                             vec_mat(mu[j, k], P[i], QQ),
+                             neg(vec_mat(P[i, j], M.right[:, k], QQ)))
+                assert tensors_equal(d.tensor[i, j, k], direct)
 
 
 def test_coboundary_squared_is_zero_random():
@@ -83,20 +86,23 @@ def test_coboundary_squared_arity_three_pointwise():
         for _ in range(5):
             phi = Cochain(A, M, random_tensor(
                 (A.dim,) * 3 + (M.dim,), A.field, rng))
-            psi = coboundary(phi)  # arity 4, exactly at the cap
+            psi = coboundary(phi).tensor  # arity 4, exactly at the cap
+            f = A.field
             for idx in itertools.product(range(A.dim), repeat=5):
-                vecs = [A.basis(i) for i in idx]
-                total = M.act_left(vecs[0], psi(*vecs[1:]))
+                vecs = [basis(A.dim, i, f) for i in idx]
+                total = bilinear(M.left, vecs[0],
+                                 multilinear(psi, vecs[1:], f), f)
                 sign = -1
                 for i in range(1, 5):
                     args = (vecs[:i - 1]
-                            + [A.mul(vecs[i - 1], vecs[i])]
+                            + [bilinear(A.c, vecs[i - 1], vecs[i], f)]
                             + vecs[i + 1:])
-                    term = psi(*args)
-                    total = total + term if sign > 0 else total - term
+                    term = multilinear(psi, args, f)
+                    total = add(total, term if sign > 0 else neg(term))
                     sign = -sign
-                last = M.act_right(psi(*vecs[:4]), vecs[4])
-                total = total + last if sign > 0 else total - last
+                last = bilinear(M.right, multilinear(psi, vecs[:4], f),
+                                vecs[4], f)
+                total = add(total, last if sign > 0 else neg(last))
                 assert is_zero(total), name
 
 

@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracle import oracle_row_reduce, random_scalar, random_tensor
+from oracle import (add, basis, bilinear, neg, oracle_row_reduce,
+                    random_scalar, random_tensor, tensors_equal, vec_mat)
 from rbx.algebra import (Algebra, canonical_bimodule, semidirect,
                          twisted_extension)
 from rbx.errors import InputError
@@ -25,8 +26,7 @@ from rbx.fields import F2, F3, F5, QQ, PrimeField
 from rbx.instances import (catalog_trb_instances, kx2, null_algebra,
                            tensor_square, truncated_polynomial, unit_section,
                            unit_section_tensor_example)
-from rbx.linalg import (Encoded, identity, invert, rank, row_reduce,
-                        tensors_equal, zeros)
+from rbx.linalg import Encoded, identity, invert, rank, row_reduce, zeros
 from rbx.operators import (LinearMap, OperatorInstance, graph_check, is_grb,
                            is_trb, r_tilde, search_operators)
 from rbx.structures import derivation_dual, grb_morphism_check, induced_actions
@@ -166,9 +166,10 @@ def test_unit_is_a_two_sided_unit_or_none(field):
                 assert u is None
                 continue
             assert all(type(x) is type(field.zero) for x in u)
-            for j in range(A.dim):
-                assert tensors_equal(A.mul(u, A.basis(j)), A.basis(j))
-                assert tensors_equal(A.mul(A.basis(j), u), A.basis(j))
+            for j in range(A.dim):      # u e_j = e_j = e_j u
+                e = basis(A.dim, j, field)
+                assert tensors_equal(vec_mat(u, A.c[:, j], field), e)
+                assert tensors_equal(vec_mat(u, A.c[j], field), e)
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +178,17 @@ def test_unit_is_a_two_sided_unit_or_none(field):
 
 def reference_graph_check(inst):
     """(witness, product, residual) of the first basis pair of the graph
-    {(p(m), m)} whose product escapes it, or None: products by
-    `Algebra.mul`, residuals by the reference elimination."""
+    {(p(m), m)} whose product escapes it, or None: products by basis
+    loops, residuals by the reference elimination."""
     if inst.cocycle is None:
         ext = semidirect(inst.algebra, inst.module)
     else:
         ext = twisted_extension(inst.algebra, inst.module, inst.cocycle)
-    basis = np.concatenate(
+    graph = np.concatenate(
         [inst.op.matrix, identity(inst.module.dim, inst.field)], axis=1)
-    rref, pivots = oracle_row_reduce(basis)
-    for i, j in np.ndindex(len(basis), len(basis)):
-        prod = list(ext.mul(basis[i], basis[j]))
+    rref, pivots = oracle_row_reduce(graph)
+    for i, j in np.ndindex(len(graph), len(graph)):
+        prod = bilinear(ext.c, graph[i], graph[j], inst.field)
         residual = list(prod)
         for row, c in zip(rref, pivots):
             residual = [x - prod[c] * y for x, y in zip(residual, row)]
@@ -283,14 +284,18 @@ def test_induced_actions_match_the_vector_api(field):
     for mat in search_operators(A, M, "grb")[:24]:
         inst = OperatorInstance(A, M, LinearMap(mat))
         actions = induced_actions(inst)
-        p = inst.op
+        p, c = inst.op.matrix, A.c
         for j, i in np.ndindex(M.dim, A.dim):
-            m, a = M.basis(j), A.basis(i)
-            # m ._p a = p(m) a - p(m . a), a ._p m = a p(m) - p(a . m)
+            # m = m_j, a = e_i: m ._p a = p(m) a - p(m . a) and
+            # a ._p m = a p(m) - p(a . m)
             assert_same_scalars(actions.left[j, i],
-                                A.mul(p(m), a) - p(M.act_right(m, a)), field)
+                                add(vec_mat(p[j], c[:, i], field),
+                                    neg(vec_mat(M.right[j, i], p, field))),
+                                field)
             assert_same_scalars(actions.right[i, j],
-                                A.mul(a, p(m)) - p(M.act_left(a, m)), field)
+                                add(vec_mat(p[j], c[i], field),
+                                    neg(vec_mat(M.left[i, j], p, field))),
+                                field)
 
 
 def test_r_tilde_over_f5():
@@ -309,19 +314,22 @@ def test_r_tilde_over_f5():
 
 
 def reference_morphism(psi0, psi1, src, dst):
-    """The first failure of grb_morphism_check by basis loops on the
-    vector API: (witness, detail), or None."""
+    """The first failure of grb_morphism_check by basis loops:
+    (witness, detail), or None."""
+    f0, f1, field = psi0.matrix, psi1.matrix, src.field
+    p, q = src.op.matrix, dst.op.matrix
     for i, l in np.ndindex(src.module.dim, dst.algebra.dim):
-        m = src.module.basis(i)
-        if psi0(src.op(m))[l] != dst.op(psi1(m))[l]:
+        # psi0(p(m_i)) against q(psi1(m_i))
+        if vec_mat(p[i], f0, field)[l] != vec_mat(f1[i], q, field)[l]:
             return (i, l), "square does not commute"
+    M, N = src.module, dst.module
     for i, j in np.ndindex(src.algebra.dim, src.module.dim):
-        a, m = src.algebra.basis(i), src.module.basis(j)
-        if not tensors_equal(psi1(src.module.act_left(a, m)),
-                             dst.module.act_left(psi0(a), psi1(m))):
+        # a = e_i, m = m_j
+        if not tensors_equal(vec_mat(M.left[i, j], f1, field),
+                             bilinear(N.left, f0[i], f1[j], field)):
             return (i, j), "left actions not intertwined"
-        if not tensors_equal(psi1(src.module.act_right(m, a)),
-                             dst.module.act_right(psi1(m), psi0(a))):
+        if not tensors_equal(vec_mat(M.right[j, i], f1, field),
+                             bilinear(N.right, f1[j], f0[i], field)):
             return (i, j), "right actions not intertwined"
     return None
 

@@ -3,14 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from oracle import random_tensor
+from oracle import induced_product, random_tensor, tensors_equal
 from rbx.algebra import canonical_bimodule, intertwiner_check
 from rbx.errors import InputError
 from rbx.fields import F2, F3, F5, QQ
 from rbx.gerstenhaber import g_bracket
 from rbx.instances import (catalog_trb_instances, kx2, mult_by_x_instance,
                            swap_instance, tensor_square, truncated_polynomial)
-from rbx.linalg import identity, is_zero, tensors_equal, zeros
+from rbx.linalg import identity, is_zero, zeros
 from rbx.operators import (LinearMap, OperatorInstance, extension_mult_map,
                            is_grb, is_trb, lift_cocycle, lift_operator,
                            semidirect_mult_map, structure_residual)
@@ -41,13 +41,12 @@ def test_hamiltonian_field_m_block_formula(mult_by_x_q):
     # X(mu^)((0,m),(0,n)) lands in the M-block with value p(m).n + m.p(n)
     inst = mult_by_x_instance(QQ)
     field_map = hamiltonian_field(extension_mult_map(inst), inst)
-    M, p, A = inst.module, inst.op, inst.algebra
+    M, p = inst.module, inst.op.matrix
     dA = 2
     for i in range(2):
         for j in range(2):
             got = field_map.tensor[dA + i, dA + j]
-            expected = M.act_left(p(M.basis(i)), M.basis(j)) + \
-                M.act_right(M.basis(i), p(M.basis(j)))
+            expected = induced_product(p, M.left, M.right, i, j, QQ)
             assert is_zero(got[:dA])
             assert tensors_equal(got[dA:], expected)
 

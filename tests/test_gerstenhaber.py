@@ -7,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import catalog_algebras
-from oracle import (FnMap, agrees_with_tensor, oracle_bar, oracle_bracket,
-                    oracle_circ, random_tensor)
+from oracle import (FnMap, add, agrees_with_tensor, bilinear, induced_product,
+                    neg, oracle_bar, oracle_bracket, oracle_circ,
+                    random_tensor, tensors_equal, vec_mat)
 from rbx.algebra import assoc_check, canonical_bimodule
 from rbx.errors import CapacityError, InputError
 from rbx.fields import F5, QQ, PrimeField
 from rbx.gerstenhaber import (MultiMap, bar_circ, circ_i, derived_bracket,
                               from_algebra, g_bracket, jacobi_residual)
 from rbx.instances import kx2
-from rbx.linalg import is_zero, tensors_equal, zeros
+from rbx.linalg import is_zero, zeros
 from rbx.operators import lift_operator, semidirect_mult_map
 
 
@@ -175,14 +176,10 @@ def test_derived_bracket_explicit_formula():
     half = derived_bracket(lift_operator(inst), lift_operator(inst),
                            semidirect_mult_map(inst)).scale(Fraction(1, 2))
     for i in range(2):
-        m = M.basis(i)
         for j in range(2):
-            n = M.basis(j)
-            pm = np.dot(m, pi)
-            pn = np.dot(n, pi)
-            a_part = (A.mul(pm, pn)
-                      - np.dot(M.act_left(pm, n), pi)
-                      - np.dot(M.act_right(m, pn), pi))
+            induced = induced_product(pi, M.left, M.right, i, j, QQ)
+            a_part = add(bilinear(A.c, pi[i], pi[j], QQ),
+                         neg(vec_mat(induced, pi, QQ)))
             got = half.tensor[2 + i, 2 + j]
             assert tensors_equal(got[:2], a_part)
             assert is_zero(got[2:])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracle import add, bilinear, induced_product, tensors_equal, vec_mat
 from rbx.algebra import bimodule_check, canonical_bimodule
 from rbx.cochains import is_cocycle
 from rbx.errors import CapacityError, CharacteristicError, InputError
@@ -12,7 +13,7 @@ from rbx.instances import (CATALOG, catalog_trb_instances, kx2,
                            tensor_square, truncated_polynomial,
                            truncated_weyl, unit_section,
                            unit_section_tensor_example)
-from rbx.linalg import identity, tensors_equal, zeros
+from rbx.linalg import identity, zeros
 from rbx.operators import LinearMap, is_grb, is_reynolds, is_trb
 from rbx.structures import check_ns, ns_from_trb
 from rbx.weyl import WeylPoly
@@ -34,22 +35,21 @@ def test_truncated_polynomial_operator_values():
 def test_truncated_polynomial_hand_pair():
     # pair (1, 1): p(1)p(1) = x^2 and p(p(1).1 + 1.p(1)) = p(2x) = x^2
     tp = truncated_polynomial(3)
-    A, M, p = tp.algebra, tp.module, tp.op
-    one = M.basis(0)
-    lhs = A.mul(p(one), p(one))
-    rhs = p(M.act_left(p(one), one) + M.act_right(one, p(one)))
+    A, M, p = tp.algebra, tp.module, tp.op.matrix
+    lhs = bilinear(A.c, p[0], p[0], QQ)
+    rhs = vec_mat(induced_product(p, M.left, M.right, 0, 0, QQ), p, QQ)
     assert tensors_equal(lhs, rhs)
     assert lhs[1] == Fraction(1)  # the x^2 coordinate
 
 
 def test_truncated_polynomial_leibniz_rule():
     tp = truncated_polynomial(5)
-    A, M, d = tp.algebra, tp.module, tp.omega
-    for i in range(A.dim):
+    A, M, d = tp.algebra, tp.module, tp.omega.matrix
+    for i in range(A.dim):              # a, b = e_i, e_j
         for j in range(A.dim):
-            a, b = A.basis(i), A.basis(j)
-            lhs = d(A.mul(a, b))
-            rhs = M.act_right(d(a), b) + M.act_left(a, d(b))
+            lhs = vec_mat(A.c[i, j], d, QQ)
+            rhs = add(vec_mat(d[i], M.right[:, j], QQ),
+                      vec_mat(d[j], M.left[i], QQ))
             assert tensors_equal(lhs, rhs)
 
 
@@ -212,10 +212,10 @@ def test_weyl_engine_cross_checks_structure_constants():
 def test_tensor_square_hand_pair():
     # (1(x)1, 1(x)1): lhs = 1, rhs = mu(1(x)1 + 1(x)1) + mu(-1(x)1) = 1
     ts = tensor_square(kx2(QQ))
-    M, p, A = ts.module, ts.op, ts.algebra
-    e = M.basis(0)
-    lhs = A.mul(p(e), p(e))
-    rhs = p(M.act_left(p(e), e) + M.act_right(e, p(e)) + ts.cocycle(p(e), p(e)))
+    M, p, A = ts.module, ts.op.matrix, ts.algebra
+    lhs = bilinear(A.c, p[0], p[0], QQ)
+    rhs = vec_mat(add(induced_product(p, M.left, M.right, 0, 0, QQ),
+                      bilinear(ts.cocycle.tensor, p[0], p[0], QQ)), p, QQ)
     assert tensors_equal(lhs, rhs)
     assert lhs[0] == Fraction(1)
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import enumeration_pairs
-from oracle import aybe_oracle, random_tensor
+from oracle import (add, aybe_oracle, bilinear, elements, induced_product,
+                    random_tensor, tensors_equal, vec_mat)
 from rbx.algebra import bimodule_check, canonical_bimodule
 from rbx.cochains import Cochain, zero_cochain
 from rbx.errors import CapacityError, CharacteristicError, InputError
@@ -15,7 +16,7 @@ from rbx.gerstenhaber import circ_i, g_bracket
 from rbx.instances import (ground_field_algebra, kx2, mult_by_x_instance,
                            mult_by_x_matrix, null_algebra, swap_instance,
                            tensor_square, truncated_polynomial)
-from rbx.linalg import identity, is_zero, tensors_equal, zeros
+from rbx.linalg import identity, is_zero, zeros
 from rbx.operators import (LinearMap, OperatorInstance, aybe_residual,
                            graph_check, is_classical_rb, is_grb,
                            is_nijenhuis, is_reynolds, is_trb, lift_cocycle,
@@ -83,12 +84,11 @@ def test_mult_by_x_is_grb_hand_expansion(mult_by_x_q):
     # direct substitution over all four basis pairs, by hand:
     # p(1)p(1) = x*x = 0 and p(p(1)1 + 1p(1)) = p(2x) = 2x^2 = 0, etc.
     assert is_grb(mult_by_x_q)
-    A, M, p = (mult_by_x_q.algebra, mult_by_x_q.module, mult_by_x_q.op)
+    A, M, p = (mult_by_x_q.algebra, mult_by_x_q.module, mult_by_x_q.op.matrix)
     for i in range(2):
         for j in range(2):
-            m, n = M.basis(i), M.basis(j)
-            lhs = A.mul(p(m), p(n))
-            rhs = p(M.act_left(p(m), n) + M.act_right(m, p(n)))
+            lhs = bilinear(A.c, p[i], p[j], QQ)
+            rhs = vec_mat(induced_product(p, M.left, M.right, i, j, QQ), p, QQ)
             assert tensors_equal(lhs, rhs)
 
 
@@ -233,7 +233,7 @@ def test_twist_insertion_identity():
 def test_graph_check_exhaustive_agreement_f2():
     A = kx2(F2)
     M = canonical_bimodule(A)
-    for entries in itertools.product(F2.elements(), repeat=4):
+    for entries in itertools.product(elements(F2), repeat=4):
         mat = np.array(entries, dtype=object).reshape(2, 2)
         inst = OperatorInstance(A, M, LinearMap(mat))
         assert bool(is_grb(inst)) == bool(graph_check(inst))
@@ -262,18 +262,18 @@ def test_grb_composed_with_bimodule_morphism(kx2_q):
     for _ in range(10):
         u = np.array([Fraction(rng.randint(-3, 3)) for _ in range(2)],
                      dtype=object)
-        f_mat = np.array([M.act_left(u, M.basis(j)) for j in range(2)],
+        # row j of f is f(m_j) = u . m_j
+        f_mat = np.array([vec_mat(u, M.left[:, j], QQ) for j in range(2)],
                          dtype=object)
-        # confirm f really is a bimodule morphism before composing
+        # confirm f really is a bimodule morphism before composing:
+        # f(a . m) = a . f(m) and f(m . a) = f(m) . a for a = e_i, m = m_j
         for i in range(2):
-            a = kx2_q.basis(i)
             for j in range(2):
-                m = M.basis(j)
-                fm = np.dot(m, f_mat)
-                assert tensors_equal(np.dot(M.act_left(a, m), f_mat),
-                                     M.act_left(a, fm))
-                assert tensors_equal(np.dot(M.act_right(m, a), f_mat),
-                                     M.act_right(fm, a))
+                fm = f_mat[j]
+                assert tensors_equal(vec_mat(M.left[i, j], f_mat, QQ),
+                                     vec_mat(fm, M.left[i], QQ))
+                assert tensors_equal(vec_mat(M.right[j, i], f_mat, QQ),
+                                     vec_mat(fm, M.right[:, i], QQ))
         composed = OperatorInstance(
             inst.algebra, inst.module,
             LinearMap(np.dot(f_mat, inst.op.matrix)))
@@ -283,13 +283,13 @@ def test_grb_composed_with_bimodule_morphism(kx2_q):
 def test_twisted_operator_is_algebra_homomorphism():
     # p(m x n) = p(m) p(n) for the induced product on M
     for inst in (tensor_square(kx2(QQ)), swap_instance(QQ)):
-        A, M, p = inst.algebra, inst.module, inst.op
+        A, M, p = inst.algebra, inst.module, inst.op.matrix
         for i in range(M.dim):
             for j in range(M.dim):
-                m, n = M.basis(i), M.basis(j)
-                times = (M.act_left(p(m), n) + M.act_right(m, p(n))
-                         + inst.cocycle(p(m), p(n)))
-                assert tensors_equal(p(times), A.mul(p(m), p(n)))
+                times = add(induced_product(p, M.left, M.right, i, j, QQ),
+                            bilinear(inst.cocycle.tensor, p[i], p[j], QQ))
+                assert tensors_equal(vec_mat(times, p, QQ),
+                                     bilinear(A.c, p[i], p[j], QQ))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +448,7 @@ def test_four_way_equivalence_on_enumeration_pairs():
         ext = semidirect(A, M)
         ext_mod = canonical_bimodule(ext)
         n_entries = M.dim * A.dim
-        for entries in itertools.product(field.elements(), repeat=n_entries):
+        for entries in itertools.product(elements(field), repeat=n_entries):
             mat = np.array(entries, dtype=object).reshape(M.dim, A.dim)
             inst = OperatorInstance(A, M, LinearMap(mat))
             direct = bool(is_grb(inst))

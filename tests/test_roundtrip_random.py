@@ -4,10 +4,9 @@ loaded values are exactly the originals."""
 import random
 from fractions import Fraction
 
-from oracle import random_tensor
+from oracle import random_tensor, tensors_equal
 from rbx.fields import F3, F5, QQ
 from rbx.instances import kx2, null_algebra
-from rbx.linalg import tensors_equal
 from rbx.schema import Document, dump_document, load_document, named_map
 
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import tensors_equal
 from rbx.errors import InputError, RbxError
 from rbx.fields import QQ, PrimeField
 from rbx.instances import kx2, mult_by_x_instance, tensor_square
-from rbx.linalg import tensors_equal
 from rbx.schema import (Document, _parse_tensor, cochain_object,
                         document_digest, dump_document, load_document,
                         load_raw_algebra, multimap_tensor, named_map)

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from oracle import random_tensor
+from oracle import induced_product, neg, random_tensor, tensors_equal, vec_mat
 from rbx.algebra import assoc_check, bimodule_check, canonical_bimodule
 from rbx.cochains import is_cocycle
 from rbx.errors import InputError
@@ -11,7 +11,7 @@ from rbx.fields import F2, QQ
 from rbx.gerstenhaber import g_bracket
 from rbx.instances import (catalog_trb_instances, kx2, mult_by_x_instance,
                            truncated_polynomial)
-from rbx.linalg import identity, is_zero, tensors_equal, zeros
+from rbx.linalg import identity, is_zero, zeros
 from rbx.operators import (LinearMap, OperatorInstance, is_grb, is_nijenhuis,
                            is_trb, lift_operator, search_operators,
                            semidirect_mult_map)
@@ -99,17 +99,15 @@ def test_ns_from_nijenhuis_operator(kx2_q):
         if not is_nijenhuis(kx2_q, LinearMap(mat)):
             continue
         found += 1
-        d = 2
+        d, c = 2, kx2_q.c
         succ = zeros((d, d, d), QQ)
         prec = zeros((d, d, d), QQ)
         vee = zeros((d, d, d), QQ)
-        for i in range(d):
+        for i in range(d):              # N(e_i) = mat[i]
             for j in range(d):
-                ni = np.dot(kx2_q.basis(i), mat)
-                nj = np.dot(kx2_q.basis(j), mat)
-                succ[i, j] = kx2_q.mul(ni, kx2_q.basis(j))
-                prec[i, j] = kx2_q.mul(kx2_q.basis(i), nj)
-                vee[i, j] = -np.dot(kx2_q.mul(kx2_q.basis(i), kx2_q.basis(j)), mat)
+                succ[i, j] = vec_mat(mat[i], c[:, j], QQ)
+                prec[i, j] = vec_mat(mat[j], c[i], QQ)
+                vee[i, j] = neg(vec_mat(c[i, j], mat, QQ))
         assert check_ns(NSAlgebra(QQ, succ, prec, vee))
     assert found
 
@@ -134,11 +132,10 @@ def test_total_product_matches_induced_product(mult_by_x_q):
     # m n = p(m).n + m.p(n)
     D = dendriform_from_grb(mult_by_x_q)
     alg = total_product(D)
-    M, p = mult_by_x_q.module, mult_by_x_q.op
+    M, p = mult_by_x_q.module, mult_by_x_q.op.matrix
     for i in range(2):
         for j in range(2):
-            m, n = M.basis(i), M.basis(j)
-            expected = M.act_left(p(m), n) + M.act_right(m, p(n))
+            expected = induced_product(p, M.left, M.right, i, j, QQ)
             assert tensors_equal(alg.c[i, j], expected)
 
 

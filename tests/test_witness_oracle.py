@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from oracle import (aybe_oracle, oracle_assoc, oracle_bimodule,
+from oracle import (aybe_oracle, elements, oracle_assoc, oracle_bimodule,
                     oracle_dendriform, oracle_nijenhuis, oracle_operator,
                     oracle_reynolds, random_scalar)
 from rbx.algebra import (Bimodule, assoc_check, bimodule_check,
@@ -218,7 +218,7 @@ def test_search_matches_brute_force_oracle(field):
         rows = (M or A).dim
         sols = search_operators(A, M, kind, cocycle=phi)
         brute = []
-        for entries in itertools.product(field.elements(), repeat=rows * A.dim):
+        for entries in itertools.product(elements(field), repeat=rows * A.dim):
             cand = np.array(entries, dtype=object).reshape(rows, A.dim)
             if oracle_accepts(kind, A, M, phi, cand):
                 brute.append(tuple(x.val for x in entries))
