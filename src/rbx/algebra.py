@@ -262,8 +262,7 @@ def subspace_closed(algebra: Algebra, basis_vectors) -> Verdict:
     # prods[i, j] = v_i v_j, and its residual p - p[pivots] @ rref, which
     # on the integers is p * d - p[pivots] @ R over the scale of p times d
     prods = v.dot(v.dot(algebra._c, ([1], [0])), ([1], [1])).transpose(1, 0, 2)
-    residuals = prods - Encoded(prods.field, prods.ints[..., pivots],
-                                prods.scale).dot(rref, ([2], [0]))
+    residuals = prods - prods[..., pivots].dot(rref, ([2], [0]))
     bad = first_nonzero_index(residuals.differs(None), 2)
     if bad is None:
         return Verdict(True)

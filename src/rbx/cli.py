@@ -291,8 +291,7 @@ def cmd_flow(args):
              for name, mm in terms.items()}
     if args.emit_products:
         dA = inst.algebra.dim
-        total = flow.total._tensor
-        block = Encoded(doc.field, total.ints[dA:, dA:, dA:], total.scale)
+        block = flow.total._tensor[dA:, dA:, dA:]
         extra["m_products"] = _tensor_listing(block, inst.module.labels)
     return Report("flow", "pass", digest=digest,
                   detail="flow terms computed; the flow exists for every "
@@ -484,11 +483,19 @@ VERBS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own write drops an OSError; main turns it into exit 2
+        file = file or sys.stdout
+        file.write(self.format_help())
+        file.flush()
+
+
 def verb_parser(verb, sub=None):
     """The parser of one verb: on its own, or added to the subparsers
     `sub` of the full parser."""
     if sub is None:
-        p = argparse.ArgumentParser(prog=f"rbx {verb}")
+        p = _Parser(prog=f"rbx {verb}")
     else:
         p = sub.add_parser(verb, help=EXPLANATIONS.get(verb, ""))
     p.set_defaults(command=verb)
@@ -501,7 +508,7 @@ def verb_parser(verb, sub=None):
 
 def build_parser():
     """The full parser, with every verb."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rbx",
         description="Exact verification of Rota-Baxter-type operator "
                     "identities, induced dendriform/NS structures, bracket "
@@ -551,13 +558,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parse_args(argv)
-    except SystemExit:
-        try:    # argparse printed help or usage; flush it before exit does
-            sys.stdout.flush()
-        except OSError as exc:
-            verb = argv[0] if argv and argv[0] in VERBS else "rbx"
-            return _stdout_failed(verb, exc)
-        raise
+    except OSError as exc:      # the help could not be written
+        return _stdout_failed(argv[0] if argv and argv[0] in VERBS else "rbx",
+                              exc)
     if args.command != "explain":
         _import_core()
     handler = globals()["cmd_" + args.command.replace("-", "_")]

@@ -10,8 +10,9 @@ Both fields also `encode` a tensor of their scalars as an integer tensor
 and a scale, and `decode` an integer tensor over a scale back to
 scalars: the only two conversions between scalars and integers, for the
 exact integer kernel (`linalg.Encoded`) that every identity check runs
-on.  F_p encodes canonical int64 representatives with scale 1, reduces
-integer results mod p (`reduce`) and decodes by one reduction mod p; Q
+on.  F_p encodes canonical int64 representatives with scale 1; the
+kernel's results may be any representatives, which `reduce` brings to
+canonical ones where the kernel needs them and decoding reduces too.  Q
 encodes the numerators over the common denominator of the entries, as
 Python ints, and leaves integer results as they are; its `divide`, the
 one division elimination needs, is exact floor division.  Decoding

@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import Verdict
 from .errors import InputError
 from .gerstenhaber import MultiMap, circ_i, g_bracket, half_square
-from .linalg import Encoded, first_nonzero_index
+from .linalg import first_nonzero_index
 from .operators import (OperatorInstance, extension_mult_map,
                         induced_products, lift_cocycle, lift_operator)
 
@@ -98,10 +98,9 @@ def addexp_check(inst: OperatorInstance) -> Verdict:
     succ, prec, vee = induced_products(inst)
     induced = succ + prec if vee is None else succ + prec + vee
     # [i, j, :] of the flow on (m_i, m_j): zero A-block, then the product
-    total = flow.total._tensor
-    block = total.ints[dA:, dA:]
-    leak = Encoded(inst.field, block[..., :dA], total.scale).differs(None)
-    product = Encoded(inst.field, block[..., dA:], total.scale)
+    block = flow.total._tensor[dA:, dA:]
+    leak = block[..., :dA].differs(None)
+    product = block[..., dA:]
     bad = first_nonzero_index(
         np.concatenate([leak, product.differs(induced)], axis=2), 2)
     if bad is None:

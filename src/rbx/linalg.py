@@ -2,13 +2,16 @@
 
 Every identity rbx decides runs on one exact integer kernel.  A tensor
 of field scalars is encoded once, by its field, as an integer tensor
-over a scale (`Encoded`): canonical representatives over scale 1 for
-F_p, numerators over the common denominator for Q.  Contractions
-(`Encoded.dot`) multiply the scales; signed sums (`combine`) and
+over a scale (`Encoded`): representatives over scale 1 for F_p,
+numerators over the common denominator for Q.  Products (`Encoded.dot`,
+`Encoded.matmul`) multiply the scales; signed sums (`combine`) and
 comparisons (`Encoded.differs`) first bring their operands to one scale
-(`common`).  All of them run on int64 when `kernel_dtype` proves that
-no entry can reach 2^63, and on Python-int object arrays otherwise, so
-nothing wraps and no scalar is boxed per multiply-add.  The field
+(`common`).  Each product and sum runs on int64 when `kernel_dtype`
+proves from its operands that no entry can reach 2^63, and on
+Python-int object arrays otherwise, so nothing wraps and no scalar is
+boxed per multiply-add.  Over F_p the representatives are reduced mod p
+only where a result needs it: in `differs`, in decoding, and before a
+product or sum that would otherwise need Python ints.  The field
 decodes a tensor back to Fraction or FpElement scalars only where a
 caller reads it (`Encoded.objects`), which for a verdict is the witness
 alone.
@@ -26,7 +29,6 @@ same evaluation on a block of one.  Exact elimination (`row_reduce`,
 object-dtype helpers, the catalog builds with `zeros` and `identity`,
 and the benchmark's tracer wraps `is_zero` by name.
 """
-
 from __future__ import annotations
 
 import math
@@ -80,7 +82,7 @@ def max_abs(ints):
     """The largest absolute value in an integer tensor (0 if empty)."""
     if ints.dtype == object:
         return max(map(abs, ints.flat), default=0)
-    return int(np.abs(ints).max(initial=0))
+    return max(int(ints.max(initial=0)), -int(ints.min(initial=0)))
 
 
 class Encoded:
@@ -119,13 +121,32 @@ class Encoded:
         """The scalars at index `idx`: a scalar, or a tensor of them."""
         return self.field.decode(np.asarray(self.ints[idx]), self.scale)[()]
 
-    def dot(self, other, axes):
-        """np.tensordot of two encoded tensors, exactly."""
-        return Encoded(self.field, self.field.reduce(
-            tensordot(self.ints, other.ints, axes)), self.scale * other.scale)
+    def __getitem__(self, idx):
+        return Encoded(self.field, self.ints[idx], self.scale)
 
     def transpose(self, *axes):
         return Encoded(self.field, self.ints.transpose(*axes), self.scale)
+
+    def swapaxes(self, a, b):
+        return Encoded(self.field, self.ints.swapaxes(a, b), self.scale)
+
+    def dot(self, other, axes):
+        """np.tensordot of two encoded tensors, exactly."""
+        terms = math.prod(self.shape[k] for k in axes[0])
+        return self._product(other, terms,
+                             lambda a, b: np.tensordot(a, b, axes))
+
+    def matmul(self, other):
+        """np.matmul of two encoded tensors (leading axes broadcast as
+        batch axes), exactly."""
+        return self._product(other, self.shape[-1], np.matmul)
+
+    def _product(self, other, terms, product):
+        """product(a, b) of the integers, each entry a sum of `terms`
+        products, in the dtype `kernel_dtype` proves for the operands."""
+        a, b = _exact(self.field, [self.ints, other.ints],
+                      lambda ints: kernel_dtype(terms, *map(max_abs, ints)))
+        return Encoded(self.field, product(a, b), self.scale * other.scale)
 
     def __add__(self, other):
         return combine([(self, 1), (other, 1)])
@@ -134,17 +155,14 @@ class Encoded:
         return combine([(self, 1), (other, -1)])
 
     def __neg__(self):
-        return Encoded(self.field, self.field.reduce(-self.ints), self.scale)
+        return Encoded(self.field, -self.ints, self.scale)
 
     def differs(self, other):
         """Boolean tensor of the entries where self != other (other=None:
         where self != 0), decided on the integers over the common scale,
         mod p over F_p."""
-        reduce = self.field.reduce
-        if other is None:
-            return reduce(self.ints) != 0
-        (a, b), _ = common(self, other)
-        return reduce(a) != reduce(b)
+        diff = self if other is None else self - other
+        return self.field.reduce(diff.ints) != 0
 
 
 def decoded(name):
@@ -153,27 +171,27 @@ def decoded(name):
                     else getattr(self, name).objects)
 
 
-def tensordot(a, b, axes):
-    """np.tensordot of two integer tensors, with `axes` a pair of axis
-    lists, in int64 when `kernel_dtype` proves the bound and on Python
-    ints otherwise."""
-    terms = math.prod(a.shape[k] for k in axes[0])
-    dtype = kernel_dtype(terms, max_abs(a), max_abs(b))
-    return np.tensordot(a.astype(dtype, copy=False),
-                        b.astype(dtype, copy=False), axes)
+def _exact(field, ints, dtype_of):
+    """The integer tensors `ints` cast to `dtype_of(ints)`; over F_p they
+    are first reduced mod p when that dtype would otherwise be object."""
+    dtype = dtype_of(ints)
+    if dtype is object and field.char:
+        ints = [field.reduce(a) for a in ints]
+        dtype = dtype_of(ints)
+    return [a.astype(dtype, copy=False) for a in ints]
 
 
 def combine(terms):
     """The signed sum of (Encoded, sign) terms of one field and shape,
     over the lcm of their scales."""
-    ints, scale = common(*(t for t, _ in terms))
-    dtype = kernel_dtype(1, sum(map(max_abs, ints)))
-    total = 0
-    for a, (_, sign) in zip(ints, terms):
-        a = a.astype(dtype, copy=False)
-        total = total + a if sign > 0 else total - a
     field = terms[0][0].field
-    return Encoded(field, field.reduce(total), scale)
+    ints, scale = common(*(t for t, _ in terms))
+    first, *rest = _exact(field, ints, lambda ints: kernel_dtype(
+        1, sum(map(max_abs, ints))))
+    total = first if terms[0][1] > 0 else -first
+    for a, (_, sign) in zip(rest, terms[1:]):
+        total = total + a if sign > 0 else total - a
+    return Encoded(field, total, scale)
 
 
 def common(*tensors):
@@ -189,19 +207,16 @@ def common(*tensors):
     return [out[id(t)] for t in tensors], scale
 
 
-def pullback(t, m, n=None, inner=None):
-    """t(m_i, n_j) for every row i of m and row j of n (default: m):
-    out[..., i, j] = sum_ab m[..., i, a] n[..., j, b] t[a, b] for an
-    arity-2 tensor t; leading axes of m and n are batch axes.  `inner`,
-    when the caller has it, is the first step m.t:
+def pullback(t, m, inner=None):
+    """t(m_i, m_j) for every pair of rows i, j of m, all Encoded:
+    out[..., i, j] = sum_ab m[..., i, a] m[..., j, b] t[a, b] for an
+    arity-2 tensor t; leading axes of m are batch axes.  `inner`, when
+    the caller has it, is the first step m.t:
     inner[..., i, b] = sum_a m[..., i, a] t[a, b]."""
     if inner is None:
-        inner = np.tensordot(m, t, axes=([-1], [0]))
-    *batch, rows, b, k = inner.shape
-    # one matrix product per batch entry: n[j, b] against inner as [b, (i, k)]
-    flat = np.swapaxes(inner, -3, -2).reshape(*batch, b, rows * k)
-    out = np.matmul(m if n is None else n, flat)
-    return np.swapaxes(out.reshape(*batch, -1, rows, k), -3, -2)
+        inner = m.dot(t, ([-1], [0]))
+    # out[..., i] = m @ inner[..., i], one small product per (batch, i)
+    return m[..., None, :, :].matmul(inner)
 
 
 def row_reduce(m):
@@ -252,4 +267,4 @@ def invert(m):
         Encoded(m.field, np.concatenate([m.ints, eye], axis=1)))
     if pivots[:n] != list(range(n)):
         raise InputError("matrix is singular")
-    return Encoded(m.field, rref.ints[:, n:], rref.scale)
+    return rref[:, n:]

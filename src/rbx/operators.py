@@ -11,10 +11,10 @@ with phi a Hochschild 2-cocycle.  Reynolds operators are TRB with M = A
 and phi = -mu; classical Rota-Baxter operators are GRB with M = A.
 
 Each identity is written once (`_identity_sides`, `_aybe_residual`) as
-two-operand integer contractions that accept a leading batch axis: the
-exhaustive search runs them on blocks of candidates, and a checker is
-the same evaluation on a block of one.  Over Q every input is encoded
-over one common scale s, so a side built from k inputs is over s^k.
+products and sums of `linalg.Encoded` tensors that accept a leading
+batch axis: the exhaustive search runs them on blocks of candidates,
+and a checker is the same evaluation on a block of one.  The kernel
+picks the integer dtype and carries the scales of every step.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .algebra import (Algebra, Bimodule, Verdict, canonical_bimodule,
 from .cochains import Cochain, is_cocycle
 from .errors import CapacityError, CharacteristicError, InputError
 from .gerstenhaber import MultiMap, circ_i, half_square
-from .linalg import (Encoded, common, identity, kernel_dtype, max_abs,
-                     pullback, zeros)
+from .linalg import Encoded, combine, identity, pullback, zeros
 
 SEARCH_BUDGET = 2 ** 20
 
@@ -151,94 +150,58 @@ def semidirect_mult_map(inst: OperatorInstance) -> MultiMap:
 # ---------------------------------------------------------------------------
 # checkers
 
-def _induced_products(matrix, left, right, twist=None):
-    """The NS products a map p: M -> A (rows of `matrix` are the p(m_i))
-    induces on M, as [..., i, j, l] tensors: m_i > m_j = p(m_i).m_j,
-    m_i < m_j = m_i.p(m_j) and, given a twist phi, m_i v m_j =
-    phi(p(m_i), p(m_j)) (None without one).  Leading axes of `matrix`
-    are batch axes."""
-    succ = np.tensordot(matrix, left, axes=([-1], [0]))
-    prec = np.swapaxes(np.tensordot(matrix, right, axes=([-1], [1])), -3, -2)
-    vee = None if twist is None else pullback(twist, matrix)
+def _induced_products(op, left, right, twist=None):
+    """The NS products a map p: M -> A (rows of the Encoded `op` are the
+    p(m_i)) induces on M, as [..., i, j, l] tensors: m_i > m_j =
+    p(m_i).m_j, m_i < m_j = m_i.p(m_j) and, given a twist phi, m_i v m_j =
+    phi(p(m_i), p(m_j)) (None without one).  Leading axes of `op` are
+    batch axes."""
+    succ = op.dot(left, ([-1], [0]))
+    prec = op.dot(right, ([-1], [1])).swapaxes(-3, -2)
+    vee = None if twist is None else pullback(twist, op)
     return succ, prec, vee
 
 
-def _then(tensor, matrix):
-    """The map of `matrix` applied to the last axis of `tensor`, batch
-    entry by batch entry."""
-    return np.matmul(tensor, matrix[..., None, :, :])
+def _then(tensor, op):
+    """The map of `op` applied to the last axis of `tensor`, batch entry
+    by batch entry."""
+    return tensor.matmul(op[..., None, :, :])
 
 
-def _identity_sides(kind, matrix, c, left=None, right=None, twist=None,
-                    scale=1):
+def _identity_sides(kind, op, c, left=None, right=None, twist=None):
     """The two sides p(m)p(n) and p(m > n + m < n + ...) of an operator
     kind's identity, each an [..., i, j, l] tensor over the basis pairs
-    (i, j), for an operator matrix or a [..., rows, cols] stack of them.
-    `c`, the module actions `left`/`right` (None: M = A), the twist and
-    the matrix are integer tensors over the common `scale`, in a dtype
-    `_kernel_dtype` proves; both sides are over scale^4 when the kind has
-    a twist term (TRB, Reynolds), which carries one more input than the
-    others, and over scale^3 otherwise."""
+    (i, j), for an Encoded operator matrix or a [..., rows, cols] stack
+    of them.  `c`, the module actions `left`/`right` (None: M = A) and
+    the twist are Encoded."""
     if left is None:
         left = right = c
-    succ, prec, vee = _induced_products(matrix, left, right, twist)
+    succ, prec, vee = _induced_products(op, left, right, twist)
     # for M = A, succ[i, b] = p(m_i) e_b is the first step of p(m_i) p(m_j)
-    lhs = pullback(c, matrix, inner=succ if left is c else None)
-    inner = succ + prec
+    lhs = pullback(c, op, inner=succ if left is c else None)
+    terms = [(succ, 1), (prec, 1)]
     if kind == "reynolds":      # the twist -mu: m v n = -p(m)p(n)
-        inner = inner * scale - lhs
+        terms.append((lhs, -1))
     elif kind == "nijenhuis":   # N(a)N(b) = N(N(a)b + aN(b) - N(ab))
-        inner = inner - _then(c, matrix)
+        terms.append((_then(c, op), -1))
     elif vee is not None:
-        inner = inner * scale + vee
-    if kind == "reynolds" or vee is not None:
-        lhs = lhs * scale
-    return lhs, _then(inner, matrix)
-
-
-def _kernel_dtype(p, d):
-    """The identities' integer dtype: over dimensions <= d, every
-    intermediate entry of every kind's residual (and of the AYBE
-    residual) is a signed sum of at most 4 d^3 products of at most four
-    factors, each at most p - 1: canonical representatives over F_p, or
-    over Q the input numerators and their common scale."""
-    return kernel_dtype(4 * d ** 3, *[p - 1] * 4)
-
-
-def _kernel_inputs(d, bound, *tensors):
-    """Encoded `tensors` (None passes through) as integer tensors over
-    their common scale, in the dtype `_kernel_dtype` proves for factors
-    at most max(bound, the scale, the entries); repeated tensors stay
-    one array.  Returns (tensors, scale)."""
-    ints, scale = common(*[t for t in tensors if t is not None])
-    dtype = _kernel_dtype(max(bound, scale, *map(max_abs, ints)) + 1, d)
-    cast = {}
-    ints = iter([cast.setdefault(id(a), a.astype(dtype)) for a in ints])
-    return [None if t is None else next(ints) for t in tensors], scale
+        terms.append((vee, 1))
+    return lhs, _then(combine(terms), op)
 
 
 def _check(kind, op, c, left=None, right=None, twist=None):
     """A checker: the search's evaluation of the kind's identity on a
     block of one encoded operator."""
-    (m, c, left, right, twist), s = _kernel_inputs(
-        max(op.shape), 0, op, c, left, right, twist)
-    scale = s ** (4 if kind == "reynolds" or twist is not None else 3)
-    lhs, rhs = (Encoded(op.field, side[0], scale) for side in
-                _identity_sides(kind, m[None], c, left, right, twist, s))
-    return Verdict.compare(lhs, rhs, 2)
+    lhs, rhs = _identity_sides(kind, op[None], c, left, right, twist)
+    return Verdict.compare(lhs[0], rhs[0], 2)
 
 
 def induced_products(inst: OperatorInstance):
-    """The NS products of the instance (`_induced_products`), encoded:
-    succ and prec over s^2, vee over s^3 (None without a twist)."""
-    M, field = inst.module, inst.field
+    """The NS products of the instance (`_induced_products`), encoded;
+    vee is None without a twist."""
+    M = inst.module
     twist = None if inst.cocycle is None else inst.cocycle._tensor
-    (m, left, right, twist), s = _kernel_inputs(
-        max(inst._op.shape), 0, inst._op, M._left, M._right, twist)
-    succ, prec, vee = _induced_products(m, left, right, twist)
-    return (Encoded(field, field.reduce(succ), s ** 2),
-            Encoded(field, field.reduce(prec), s ** 2),
-            None if vee is None else Encoded(field, field.reduce(vee), s ** 3))
+    return _induced_products(inst._op, M._left, M._right, twist)
 
 
 def is_grb(inst: OperatorInstance) -> Verdict:
@@ -349,26 +312,25 @@ def aybe_residual(algebra: Algebra, r) -> np.ndarray:
 
 
 def _aybe(algebra, r) -> Encoded:
-    """`aybe_residual` in the integer encoding, over s^3."""
+    """`aybe_residual` in the integer encoding."""
     r = Encoded.of(algebra.field, r)
     d = algebra.dim
     if r.shape != (d, d):
         raise InputError(f"r must be a {d}x{d} tensor in A (x) A")
-    (c, r), s = _kernel_inputs(d, 0, algebra._c, r)
-    return Encoded(algebra.field, _aybe_residual(c, r), s ** 3)
+    return _aybe_residual(algebra._c, r)
 
 
 def _aybe_residual(c, r):
     """The AYBE residual as a [..., u, v, w] tensor for r, or a [..., d, d]
-    stack of them, over the structure constants c (one scalar type)."""
+    stack of them, over the structure constants c, all Encoded."""
     # with r = sum r[s, t] e_s (x) e_t, each term as a [u, v, w] tensor:
     # t1 = sum r[s,w] r[t,v] c[s,t,u], t2 = sum r[u,t] r[s,w] c[t,s,v],
     # t3 = sum r[v,s] r[u,t] c[s,t,w]
-    right = np.tensordot(r, c, axes=([-1], [0]))        # [u, s, v]
-    t1 = np.swapaxes(pullback(c, np.swapaxes(r, -2, -1)), -3, -1)
-    t2 = _then(np.swapaxes(right, -2, -1), r)
-    t3 = np.swapaxes(pullback(c, r, inner=right), -3, -2)
-    return t1 - t2 + t3
+    right = r.dot(c, ([-1], [0]))                       # [u, s, v]
+    t1 = pullback(c, r.swapaxes(-2, -1)).swapaxes(-3, -1)
+    t2 = _then(right.swapaxes(-2, -1), r)
+    t3 = pullback(c, r, inner=right).swapaxes(-3, -2)
+    return combine([(t1, 1), (t2, -1), (t3, 1)])
 
 
 def r_tilde(algebra: Algebra, r) -> OperatorInstance:
@@ -407,11 +369,8 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
 
     Candidates are maps M -> A (grb/trb), endomorphisms of A
     (rb/reynolds/nijenhuis), or tensors in A (x) A (aybe).  They are
-    decided in blocks: the kind's residual is evaluated on a stack of
-    candidates by the checkers' contractions, on canonical
-    representatives, and reduced mod p once.  The integers are int64
-    when `_kernel_dtype` proves no entry can overflow, Python ints
-    otherwise.
+    decided in blocks: the kind's two sides are evaluated on a stack of
+    candidates by the checkers' contractions and compared mod p once.
     """
     if kind not in _CHECKERS:
         raise InputError(f"unknown search kind {kind!r}; one of {_CHECKERS}")
@@ -445,28 +404,23 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
         # the module and the twist are validated once, on the zero map
         OperatorInstance(algebra, module, LinearMap(zeros(shape, field)), twist)
 
-    d = max(shape)
-    actions = (module._left, module._right) if kind in ("grb", "trb") \
-        else (None, None)
-    (c, left, right, twist), _ = _kernel_inputs(
-        d, p - 1, algebra._c, *actions,
-        None if twist is None else twist._tensor)
-    dtype = c.dtype
+    c = algebra._c
+    actions = (module._left, module._right) if kind in ("grb", "trb") else ()
+    twist = None if twist is None else twist._tensor
     # candidate k has the base-p digits of k, most significant first:
     # the order of itertools.product over the flattened entries
     index_dtype = np.int64 if total < 2 ** 63 else object
     powers = np.array([p ** e for e in range(n_entries - 1, -1, -1)],
                       dtype=index_dtype)
-    step = max(1, min(SEARCH_BLOCK, BLOCK_ENTRIES // d ** 3))
+    step = max(1, min(SEARCH_BLOCK, BLOCK_ENTRIES // max(shape) ** 3))
     solutions = []
     for start in range(0, total, step):
         index = np.arange(start, min(start + step, total), dtype=index_dtype)
-        block = (index[:, None] // powers % p).reshape(-1, *shape).astype(dtype)
+        block = Encoded(field, (index[:, None] // powers % p).reshape(-1, *shape))
         if kind == "aybe":
-            residual = _aybe_residual(c, block)
+            lhs, rhs = _aybe_residual(c, block), None
         else:
-            lhs, rhs = _identity_sides(kind, block, c, left, right, twist)
-            residual = lhs - rhs
-        failing = (residual % p != 0).reshape(len(block), -1).any(axis=1)
-        solutions += list(field.decode(block[~failing], 1))
+            lhs, rhs = _identity_sides(kind, block, c, *actions, twist=twist)
+        failing = lhs.differs(rhs).reshape(block.shape[0], -1).any(axis=1)
+        solutions += list(block[~failing].objects)
     return solutions

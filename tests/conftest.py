@@ -5,10 +5,11 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from rbx.algebra import canonical_bimodule, dual_module
+from rbx.algebra import Algebra, canonical_bimodule, dual_module
 from rbx.fields import F2, F3, F5, QQ
 from rbx.instances import (ground_field_algebra, kx2, mult_by_x_instance,
                            null_algebra)
+from rbx.linalg import zeros
 
 
 @pytest.fixture
@@ -35,6 +36,14 @@ def catalog_algebras():
         ("null2/Q", null_algebra(QQ, 2)),
         ("field/F3", ground_field_algebra(F3)),
     ]
+
+
+def upper_triangular(field):
+    """The 2x2 upper triangular matrices, basis E11, E12, E22: a
+    non-commutative algebra, so left and right actions differ."""
+    c = zeros((3, 3, 3), field)
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 2, 1] = c[2, 2, 2] = field.one
+    return Algebra(field, c, labels=["E11", "E12", "E22"])
 
 
 def enumeration_pairs():

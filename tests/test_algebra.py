@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import upper_triangular
 from oracle import basis, neg, tensors_equal, vec_mat
 from rbx.algebra import (Algebra, Bimodule, assoc_check, bimodule_check,
                          canonical_bimodule, dual_module, extension_product,
@@ -206,13 +207,14 @@ def test_unit_detection():
 
 
 def test_dual_module_actions_match_definition(kx2_q):
-    # (a.f)(b) = f(ba) and (f.a)(b) = f(ab), checked pointwise
-    D = dual_module(kx2_q)
-    c = kx2_q.c
-    for s in range(2):                  # a = e_s
-        for i in range(2):              # f = e_i*
-            af, fa = D.left[s, i], D.right[i, s]
-            for j in range(2):          # b = e_j
-                ba, ab = c[j, s], c[s, j]
-                assert af[j] == ba[i]
-                assert fa[j] == ab[i]
+    # (a.f)(b) = f(ba) and (f.a)(b) = f(ab), checked pointwise; on the
+    # non-commutative upper triangular algebra ba and ab differ
+    for A in (kx2_q, upper_triangular(QQ)):
+        D, c, d = dual_module(A), A.c, A.dim
+        for s in range(d):                  # a = e_s
+            for i in range(d):              # f = e_i*
+                af, fa = D.left[s, i], D.right[i, s]
+                for j in range(d):          # b = e_j
+                    ba, ab = c[j, s], c[s, j]
+                    assert af[j] == ba[i]
+                    assert fa[j] == ab[i]

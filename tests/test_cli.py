@@ -622,15 +622,17 @@ def test_closed_stdout_is_exit_2(mbx_file, as_json, unbuffered):
                            "[Errno 32] Broken pipe\n")
 
 
-# argparse writes the help into the buffer and exits; the flush then fails
-@pytest.mark.parametrize("argv, verb", [
-    (["--help"], "rbx"), (["check-grb", "--help"], "check-grb")],
-    ids=["top-level", "verb"])
-def test_help_into_a_closed_stdout_is_exit_2(argv, verb):
+# buffered, the help fails at the flush; unbuffered, at its write, which
+# argparse's own printing would drop
+@pytest.mark.parametrize("argv, verb, unbuffered", [
+    (["--help"], "rbx", False), (["check-grb", "--help"], "check-grb", False),
+    (["--help"], "rbx", True), (["check-grb", "--help"], "check-grb", True)],
+    ids=["top-level", "verb", "top-level-unbuffered", "verb-unbuffered"])
+def test_help_into_a_closed_stdout_is_exit_2(argv, verb, unbuffered):
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = run_cli(*argv, stdout=write)
+        proc = run_cli(*argv, unbuffered=unbuffered, stdout=write)
     finally:
         os.close(write)
     assert proc.returncode == 2

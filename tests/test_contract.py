@@ -1,7 +1,9 @@
 """Differential tests of the exact integer contraction kernel
-(`Encoded.dot`, decoded) against object-dtype `np.tensordot`, which
+(`Encoded.dot` and `Encoded.matmul`, and the views `transpose`,
+`swapaxes` and indexing, decoded) against object-dtype numpy, which
 dispatches to the scalars' own exact arithmetic: equal values and equal
-scalar types, on the int64 path and on the Python-int fallback."""
+scalar types, on the int64 path and on the Python-int fallback, and
+with F_p reduction deferred across a chain of contractions."""
 
 import random
 from fractions import Fraction
@@ -48,15 +50,14 @@ def slots(dim_range):
 
 
 def spy_dtypes(monkeypatch):
-    """Record the dtype of every integer contraction `contract` runs."""
+    """Record the dtype of every integer contraction (tensordot or matmul)
+    the kernel runs."""
     seen = []
-    real = np.tensordot
-
-    def spy(a, b, axes):
-        seen.append(a.dtype)
-        return real(a, b, axes)
-
-    monkeypatch.setattr(linalg.np, "tensordot", spy)
+    for name in ("tensordot", "matmul"):
+        def spy(a, b, *axes, real=getattr(np, name)):
+            seen.append(a.dtype)
+            return real(a, b, *axes)
+        monkeypatch.setattr(linalg.np, name, spy)
     return seen
 
 
@@ -132,3 +133,85 @@ def test_contract_shares_one_scalar_per_distinct_value():
     out = contract(QQ, a, a, ([1], [0]))
     assert out[0, 0] == Fraction(1, 4)
     assert len({id(x) for x in out.flat}) == 2
+
+
+# ---------------------------------------------------------------------------
+# matmul and the views, against object-dtype numpy
+
+VIEW_FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(2 ** 31 - 1)]
+
+
+def large(shape, field, rng):
+    """Entries that force Python ints past two-term sums: Q numerators
+    near 2^62, or p - 1 everywhere over F_p."""
+    t = np.empty(shape, dtype=object)
+    if field.char:
+        t[...] = field.from_int(-1)
+    else:
+        t.flat = [Fraction(rng.choice((1, -1)) * (2 ** 62 - rng.randint(0, 9)),
+                           rng.choice((1, 1, 3, 7))) for _ in range(t.size)]
+    return t
+
+
+@pytest.mark.parametrize("field", VIEW_FIELDS, ids=lambda f: f.name)
+def test_matmul_matches_object_matmul(field):
+    rng = random.Random(field.char + 11)
+    for make in (random_tensor, large):
+        a, b = make((2, 3, 4), field, rng), make((2, 4, 3), field, rng)
+        assert_same(Encoded.of(field, a).matmul(Encoded.of(field, b)).objects,
+                    np.matmul(a, b), field)
+        # an operator stack applied to the last axis of a batched tensor
+        t, m = make((2, 3, 2, 4), field, rng), make((2, 4, 3), field, rng)
+        got = Encoded.of(field, t).matmul(Encoded.of(field, m)[..., None, :, :])
+        assert_same(got.objects, np.matmul(t, m[..., None, :, :]), field)
+
+
+def test_matmul_falls_back_to_python_ints(monkeypatch):
+    rng = random.Random(12)
+    big = PrimeField(2 ** 31 - 1)
+    cases = []
+    for field, inner in ((QQ, 2), (QQ, 3), (big, 2), (big, 3)):
+        a, b = large((2, 2, inner), field, rng), large((2, inner, 2), field, rng)
+        cases.append((field, a, b, np.matmul(a, b)))
+    seen = spy_dtypes(monkeypatch)
+    for field, a, b, ref in cases:
+        got = Encoded.of(field, a).matmul(Encoded.of(field, b))
+        assert_same(got.objects, ref, field)
+    # 2 (p-1)^2 < 2^63 <= 3 (p-1)^2
+    assert seen == [object, object, np.int64, object]
+
+
+@pytest.mark.parametrize("field", VIEW_FIELDS, ids=lambda f: f.name)
+def test_views_match_object_numpy(field):
+    rng = random.Random(field.char + 13)
+    for make in (random_tensor, large):
+        a, b = make((2, 3, 3), field, rng), make((3, 4), field, rng)
+        # a product: a scale above 1 over Q, unreduced integers over F_p
+        enc = Encoded.of(field, a).dot(Encoded.of(field, b), ([2], [0]))
+        ref = np.tensordot(a, b, ([2], [0]))
+        assert_same(enc.swapaxes(-1, 0).objects, ref.swapaxes(-1, 0), field)
+        assert_same(enc.transpose(1, 2, 0).objects, ref.transpose(1, 2, 0),
+                    field)
+        for idx in ((1,), (slice(None), 2), (..., [0, 3]), (..., None, 1),
+                    (np.array([True, False]),), (0, slice(1, None), [2, 0])):
+            assert_same(enc[idx].objects, ref[idx], field)
+
+
+def test_deferred_reduction_across_a_chain_of_contractions(monkeypatch):
+    field = PrimeField(2 ** 31 - 1)
+    rng = random.Random(14)
+    ms = [large((2, 2), field, rng), random_tensor((2, 2), field, rng),
+          large((2, 2), field, rng), random_tensor((2, 2), field, rng)]
+    refs = [ms[0]]
+    for m in ms[1:]:
+        refs.append(np.tensordot(refs[-1], m, ([1], [0])))
+    seen = spy_dtypes(monkeypatch)
+    out = Encoded.of(field, ms[0])
+    for m, ref in zip(ms[1:], refs[1:]):
+        out = out.dot(Encoded.of(field, m), ([1], [0]))
+        assert_same(out.objects, ref, field)
+        if len(seen) == 1:
+            assert linalg.max_abs(out.ints) >= field.p      # left unreduced
+    # each product past the first would need Python ints unreduced; its
+    # operands are reduced mod p first and it stays in int64
+    assert seen == [np.int64] * 3

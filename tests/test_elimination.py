@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import upper_triangular
 from oracle import (add, basis, bilinear, neg, oracle_row_reduce,
                     random_scalar, random_tensor, tensors_equal, vec_mat)
 from rbx.algebra import (Algebra, canonical_bimodule, semidirect,
@@ -267,14 +268,6 @@ def test_derivation_dual_over_each_field(field):
         derivation_dual(tp.instance(), LinearMap(bad), field.one)
     with pytest.raises(InputError, match="z times the identity"):
         derivation_dual(tp.instance(), tp.omega, field.from_int(2))
-
-
-def upper_triangular(field):
-    """The 2x2 upper triangular matrices, basis E11, E12, E22: a
-    non-commutative algebra, so left and right actions differ."""
-    c = zeros((3, 3, 3), field)
-    c[0, 0, 0] = c[0, 1, 1] = c[1, 2, 1] = c[2, 2, 2] = field.one
-    return Algebra(field, c, labels=["E11", "E12", "E22"])
 
 
 @pytest.mark.parametrize("field", (F2, F3), ids=lambda f: f.name)

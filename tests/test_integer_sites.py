@@ -13,6 +13,7 @@ on the dtype of every contraction.  The Q scale rule (sides compared as
 lhs * rhs_scale against rhs * lhs_scale) has its own tests.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -188,6 +189,29 @@ def spy_dtypes(monkeypatch):
     return seen
 
 
+def spy_products(monkeypatch):
+    """Record every tensordot and matmul the kernel runs: the dtypes of
+    its operands and the dtype `kernel_dtype` proves for them."""
+    seen = []
+    real_dot, real_matmul = np.tensordot, np.matmul
+
+    def record(a, b, terms):
+        bounds = map(linalg.max_abs, (a, b))
+        seen.append((a.dtype, b.dtype, linalg.kernel_dtype(terms, *bounds)))
+
+    def dot(a, b, axes):
+        record(a, b, math.prod(a.shape[k] for k in axes[0]))
+        return real_dot(a, b, axes)
+
+    def matmul(a, b):
+        record(a, b, a.shape[-1])
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(linalg.np, "tensordot", dot)
+    monkeypatch.setattr(linalg.np, "matmul", matmul)
+    return seen
+
+
 def near_2_62(shape, rng):
     arr = np.empty(shape, dtype=object)
     arr.flat = [Fraction(rng.choice((1, -1)) * (2 ** 62 - rng.randint(0, 9)),
@@ -297,33 +321,45 @@ def test_operator_identities_match_oracle_and_object_path(field):
 
 
 def test_operator_identities_fall_back_to_python_ints(monkeypatch):
+    # each contraction picks its own dtype: over F_(2^31-1) the two-term
+    # products of a dimension-2 case fit int64 once their operands are
+    # reduced mod p, so the fallback is forced there at dimension 3
     rng = random.Random(63)
     checks = []
-    for field, make in ((QQ, lambda s: near_2_62(s, rng)), (BIG, top)):
-        A = null_algebra(field, 2)
-        c = make((2, 2, 2))
+    for field, make, d in ((QQ, lambda s: near_2_62(s, rng), 2),
+                           (BIG, top, 2), (BIG, top, 3)):
+        A = null_algebra(field, d)
+        c = make((d, d, d))
         A._c = Encoded.of(field, c)           # a non-associative product
-        M = Bimodule(A, make((2, 2, 2)), make((2, 2, 2)), check=False)
-        p = make((2, 2))
-        phi = Cochain(A, M, make((2, 2, 2)))
+        M = Bimodule(A, make((d, d, d)), make((d, d, d)), check=False)
+        p = make((d, d))
+        phi = Cochain(A, M, make((d, d, d)))
         inst = OperatorInstance.__new__(OperatorInstance)
         inst.algebra, inst.module, inst.op = A, M, LinearMap(p)
         inst._op, inst.cocycle = Encoded.of(field, p), None
-        checks.append((field, lambda inst=inst: is_grb(inst),
+        case = (field, d)
+        checks.append((case, lambda inst=inst: is_grb(inst),
                        ref_sides("grb", p, c, M.left, M.right)))
         twisted = OperatorInstance.__new__(OperatorInstance)
         twisted.__dict__.update(inst.__dict__, cocycle=phi)
-        checks.append((field, lambda twisted=twisted: is_trb(twisted),
+        checks.append((case, lambda twisted=twisted: is_trb(twisted),
                        ref_sides("trb", p, c, M.left, M.right, phi.tensor)))
         for kind, check in (("reynolds", is_reynolds),
                             ("nijenhuis", is_nijenhuis)):
-            checks.append((field, lambda check=check, A=A, p=p:
+            checks.append((case, lambda check=check, A=A, p=p:
                            check(A, LinearMap(p)),
                            ref_sides(kind, p, c)))
-    seen = spy_dtypes(monkeypatch)
-    for field, run, sides in checks:
-        same_verdict(run(), ref_compare(*sides, 2), field)
-    assert seen and all(dt == object for dt in seen)
+    seen = spy_products(monkeypatch)
+    python_ints = {}
+    for case, run, sides in checks:
+        start = len(seen)
+        same_verdict(run(), ref_compare(*sides, 2), case[0])
+        calls = seen[start:]
+        assert calls and all(a == b == dt for a, b, dt in calls)
+        python_ints[case] = python_ints.get(case, 0) + sum(
+            dt == object for _, _, dt in calls)
+    assert python_ints[(QQ, 2)] and python_ints[(BIG, 3)]
+    assert python_ints[(BIG, 2)] == 0
 
 
 def test_trb_with_a_fractional_twist_keeps_the_extra_scale():

@@ -8,6 +8,7 @@ import pytest
 from conftest import enumeration_pairs
 from oracle import (add, aybe_oracle, bilinear, elements, induced_product,
                     random_tensor, tensors_equal, vec_mat)
+from rbx import linalg
 from rbx.algebra import bimodule_check, canonical_bimodule
 from rbx.cochains import Cochain, zero_cochain
 from rbx.errors import CapacityError, CharacteristicError, InputError
@@ -413,17 +414,22 @@ def test_search_rb_reynolds_nijenhuis_kinds():
     assert len(rey) >= 2
 
 
-def test_search_falls_back_to_python_ints_past_the_int64_bound():
-    from rbx.operators import _kernel_dtype
-
-    assert _kernel_dtype(7, kx2(PrimeField(7)).dim) is np.int64
-    p = 65537                   # 4 * 1^3 * (p - 1)^4 = 2^66
-    assert _kernel_dtype(p, 1) is object
+def test_f65537_search_runs_in_int64(monkeypatch):
+    # each contraction is bounded by its own operands, reduced mod p first
+    # when that keeps it in int64; at d = 1 every sum has a single term
+    seen = []
+    for name in ("tensordot", "matmul"):
+        def spy(a, b, *axes, real=getattr(np, name)):
+            seen.append((a.dtype, b.dtype))
+            return real(a, b, *axes)
+        monkeypatch.setattr(linalg.np, name, spy)
+    p = 65537
     G = ground_field_algebra(PrimeField(p))
     nij = search_operators(G, None, "nijenhuis", budget=p)
     assert [s[0, 0].val for s in nij] == list(range(p))
     rb = search_operators(G, None, "rb", budget=p)
     assert [s.tolist() for s in rb] == [[[0]]]
+    assert seen and all(dt == np.int64 for pair in seen for dt in pair)
 
 
 def test_search_trb_kind():
