@@ -8,7 +8,8 @@ a zero-tolerance identity on basis tuples, with brute-force enumeration
 over F_p available as an independent oracle.
 
 The package is lazy (PEP 562): `import rbx` loads no submodule, and a
-public name imports its submodule, and with it numpy, on first use.
+public name imports its submodule on first use.  No submodule imports
+numpy when it loads; see `linalg` for when numpy is imported.
 `from rbx import X`, `rbx.X`, `dir(rbx)` and `from rbx import *` see
 every name below.
 """

@@ -5,19 +5,17 @@ e_i * e_j = sum_k c[i,j,k] e_k; a bimodule over it carries left/right
 action tensors.  Each tensor is encoded once, at construction, in its
 field's integer encoding (`linalg.Encoded`), and every identity is
 decided on those integers; the public `.c`, `.left` and `.right` are
-object-dtype tensors of exact scalars, decoded on first use where the
-kernel built them.  Algebras are validated on construction, so an
-Algebra value is always genuinely associative.
+object-dtype tensors of exact scalars, decoded (and numpy imported) on
+first read.  Algebras are validated on construction, so an Algebra value
+is always genuinely associative.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import InputError
 from .fields import field_of
-from .linalg import (Encoded, common, decoded, first_nonzero_index, rank,
-                     row_reduce)
+from .linalg import (Encoded, IntTensor, _np, common, decoded, embed,
+                     first_difference, first_nonzero_index, rank, row_reduce)
 
 
 class Verdict:
@@ -94,16 +92,19 @@ class Algebra:
     def unit(self):
         """Coordinates of the unit element, or None if non-unital."""
         d, c = self.dim, self._c
-        # u e_j = e_j and e_j u = e_j, one row per (j, k), over c's scale
-        rows = np.concatenate([c.ints.reshape(d, d * d).T,
-                               c.ints.transpose(0, 2, 1).reshape(d * d, d)])
-        rhs = np.tile(np.eye(d, dtype=object).reshape(-1) * c.scale, 2)
-        rref, pivots = row_reduce(
-            Encoded(self.field, np.column_stack([rows, rhs]), c.scale))
+        # u e_j = e_j and e_j u = e_j, one row per (j, k) and one per
+        # (i, k), with the identity over c's scale on the right
+        eye = IntTensor((d * d,), [c.scale * (k % (d + 1) == 0)
+                                   for k in range(d * d)])
+        top, bottom, lhs = slice(None, d * d), slice(d * d, None), slice(None, d)
+        rows = embed((2 * d * d, d + 1), [
+            ((top, lhs), c.ints.transpose(1, 2, 0).reshape(d * d, d)),
+            ((bottom, lhs), c.ints.transpose(0, 2, 1).reshape(d * d, d)),
+            ((top, d), eye), ((bottom, d), eye)])
+        rref, pivots = row_reduce(Encoded(self.field, rows, c.scale))
         if d in pivots:
             return None
-        sol = np.zeros(d, dtype=rref.ints.dtype)
-        sol[pivots] = rref.ints[:len(pivots), d]
+        sol = embed((d,), [((pivots,), rref.ints[:len(pivots), d])])
         return Encoded(self.field, sol, rref.scale).objects
 
     def __repr__(self):
@@ -174,8 +175,7 @@ def bimodule_check(algebra: Algebra, module: Bimodule) -> Verdict:
     rhs = [L.dot(L, ([2], [1])).transpose(2, 0, 1, 3),
            R.dot(R, ([2], [0])).transpose(1, 2, 0, 3),
            R.dot(L, ([2], [1])).transpose(2, 1, 0, 3)]
-    bad = first_nonzero_index(
-        np.stack([a.differs(b) for a, b in zip(lhs, rhs)], axis=3), 5)
+    bad = first_difference(zip(lhs, rhs), 3)
     if bad is None:
         return Verdict(True)
     i, j, k, axiom, l = bad
@@ -209,14 +209,10 @@ def extension(algebra: Algebra, module: Bimodule, twist=None) -> Encoded:
                 f"expected {(dA, dA, dM)}")
         blocks.append(twist)
     ints, scale = common(*blocks)
-    d = dA + dM
-    c = np.zeros((d, d, d), dtype=np.result_type(*ints))
-    c[:dA, :dA, :dA] = ints[0]
-    c[:dA, dA:, dA:] = ints[1]
-    c[dA:, :dA, dA:] = ints[2]
-    if twist is not None:
-        c[:dA, :dA, dA:] = ints[3]
-    return Encoded(algebra.field, c, scale)
+    A, M = slice(None, dA), slice(dA, None)
+    places = [(A, A, A), (A, M, M), (M, A, M), (A, A, M)]
+    return Encoded(algebra.field,
+                   embed((dA + dM,) * 3, list(zip(places, ints))), scale)
 
 
 def _ext_labels(algebra, module):
@@ -250,6 +246,7 @@ def subspace_closed(algebra: Algebra, basis_vectors) -> Verdict:
     and its residual after elimination.  The empty basis spans {0}, which
     is closed.
     """
+    np = _np()
     vecs = [np.asarray(v, dtype=object) for v in basis_vectors]
     if any(v.shape != (algebra.dim,) for v in vecs):
         raise InputError("basis vector has wrong length")
@@ -275,7 +272,7 @@ def intertwiner_check(T, P, Q) -> Verdict:
 
     T must be an invertible endomorphism of the common space.
     """
-    mat = np.asarray(T.matrix if hasattr(T, "matrix") else T, dtype=object)
+    mat = _np().asarray(T.matrix if hasattr(T, "matrix") else T, dtype=object)
     d = mat.shape[0]
     if mat.shape != (d, d):
         raise InputError("intertwiner must be an endomorphism")

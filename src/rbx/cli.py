@@ -13,9 +13,12 @@ and the full parser of all verbs only for `--help`, an unknown or
 missing verb, or a top-level error such as an unrecognized argument, so
 help and usage texts read as before.  The parser, `explain`, `--help`
 and usage errors need the standard library alone; every other verb
-imports the numeric core (numpy and rbx's core modules) in one place,
-`_import_core`, before its handler runs, and `catalog` also imports the
-instance catalog.
+imports rbx's core modules in one place, `_import_core`, before its
+handler runs.  No core module imports numpy when it loads: the checking
+verbs decide their identities on the kernel's pure-Python integers, and
+numpy is imported only by a product too large for them (see `linalg`),
+by `search` once it enumerates, and by `catalog emit`, which builds the
+instance catalog.  `catalog list` reads the catalog's table alone.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import json
 import os
 import sys
 import time
+from itertools import product
 
 from .errors import InputError, RbxError
 
@@ -33,7 +37,7 @@ def _import_core():
     """Bind the numeric core into this module, once per process."""
     global schema, Verdict, assoc_check, bimodule_check, canonical_bimodule, \
         addexp_check, exp_flow, MultiMap, g_bracket, Encoded, LinearMap, \
-        OperatorInstance, aybe_residual, is_grb, is_nijenhuis, is_reynolds, \
+        OperatorInstance, aybe_encoded, is_grb, is_nijenhuis, is_reynolds, \
         is_trb, search_operators, structure_residual, check_dendriform, \
         check_ns, dendriform_from_grb, ns_from_trb
     if "schema" in globals():
@@ -44,7 +48,7 @@ def _import_core():
     from .flows import addexp_check, exp_flow
     from .gerstenhaber import MultiMap, g_bracket
     from .linalg import Encoded
-    from .operators import (LinearMap, OperatorInstance, aybe_residual,
+    from .operators import (LinearMap, OperatorInstance, aybe_encoded,
                             is_grb, is_nijenhuis, is_reynolds, is_trb,
                             search_operators, structure_residual)
     from .structures import (check_dendriform, check_ns, dendriform_from_grb,
@@ -128,8 +132,8 @@ def _fmt_witness(field, verdict: Verdict):
     for side, value in (("lhs", verdict.lhs), ("rhs", verdict.rhs)):
         if value is None:
             continue
-        out[side] = (field.format(value) if getattr(value, "ndim", 0) == 0
-                     else [field.format(x) for x in value])
+        out[side] = ([field.format(x) for x in value]
+                     if isinstance(value, list) else field.format(value))
     return out
 
 
@@ -141,14 +145,14 @@ def _verdict_report(command, field, verdict: Verdict, digest, extra=None):
 
 def _tensor_listing(tensor: Encoded, labels):
     """Nonzero coefficients of an encoded multimap tensor as text lines,
-    in C order, found on its integers."""
-    field = tensor.field
-    hits = tensor.differs(None).nonzero()
-    values = field.decode(tensor.ints[hits], tensor.scale)
+    in C order, found and formatted on its integers."""
+    field, scale = tensor.field, tensor.scale
     lines = []
-    for *ins, out, value in zip(*hits, values):
-        lines.append(f"({','.join(labels[i] for i in ins)}) -> {labels[out]}: "
-                     f"{field.format(value)}")
+    for (*ins, out), n in zip(product(*map(range, tensor.shape)),
+                              field.reduce(tensor.ints).ravel().tolist()):
+        if n:
+            lines.append(f"({','.join(labels[i] for i in ins)}) -> "
+                         f"{labels[out]}: {field.format_int(n, scale)}")
     return lines or ["0 (zero map)"]
 
 
@@ -369,8 +373,7 @@ def _cast_document(doc, field_name):
 def cmd_aybe(args):
     doc, digest = _document(args)
     algebra = doc.section("algebra")
-    res = Encoded.of(doc.field,
-                     aybe_residual(algebra, schema.named_map(doc, args.r)))
+    res = aybe_encoded(algebra, schema.named_map(doc, args.r))
     verdict = Verdict.compare(res, None, 3,
                               detail="associative Yang-Baxter residual is nonzero")
     lines = _tensor_listing(res, algebra.labels) \
@@ -380,14 +383,16 @@ def cmd_aybe(args):
 
 
 def cmd_catalog(args):
-    from .instances import CATALOG
-
     if args.action == "list":
-        lines = [f"{name}: {entry.description}"
-                 + ("" if entry.emittable else " [not emittable]")
-                 for name, entry in sorted(CATALOG.items())]
+        from .catalog import TABLE
+
+        lines = [f"{name}: {description}"
+                 + ("" if emittable else " [not emittable]")
+                 for name, (description, emittable) in sorted(TABLE.items())]
         return Report("catalog", "pass", detail="catalog instances",
                       extra={"instances": lines})
+    from .instances import CATALOG
+
     name = args.name
     if name is None:
         raise InputError("catalog emit needs an instance name")

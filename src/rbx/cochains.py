@@ -16,12 +16,10 @@ it.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .algebra import Algebra, Bimodule, Verdict
 from .errors import CapacityError, InputError
 from .gerstenhaber import ARITY_CAP
-from .linalg import Encoded, combine, decoded
+from .linalg import Encoded, combine, decoded, embed
 
 
 class Cochain:
@@ -76,15 +74,14 @@ def is_cocycle(cochain: Cochain) -> Verdict:
     """True iff the coboundary vanishes; witness is the first nonzero
     coefficient index of d(cochain)."""
     d = coboundary(cochain)._tensor
-    zero = Encoded(d.field, np.zeros(d.shape, dtype=np.int64))
+    zero = Encoded(d.field, embed(d.shape, []))
     return Verdict.compare(d, zero, len(d.shape),
                            detail="coboundary does not vanish")
 
 
 def zero_cochain(algebra: Algebra, module: Bimodule, arity: int) -> Cochain:
     return Cochain(algebra, module, Encoded(
-        algebra.field, np.zeros((algebra.dim,) * arity + (module.dim,),
-                                dtype=np.int64)))
+        algebra.field, embed((algebra.dim,) * arity + (module.dim,), [])))
 
 
 def multiplication_cochain(algebra: Algebra) -> Cochain:

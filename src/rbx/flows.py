@@ -16,12 +16,10 @@ The test suite checks them against the scaled brackets over Q and F5.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .algebra import Verdict
 from .errors import InputError
 from .gerstenhaber import MultiMap, circ_i, g_bracket, half_square
-from .linalg import first_nonzero_index
+from .linalg import first_difference
 from .operators import (OperatorInstance, extension_mult_map,
                         induced_products, lift_cocycle, lift_operator)
 
@@ -99,13 +97,12 @@ def addexp_check(inst: OperatorInstance) -> Verdict:
     induced = succ + prec if vee is None else succ + prec + vee
     # [i, j, :] of the flow on (m_i, m_j): zero A-block, then the product
     block = flow.total._tensor[dA:, dA:]
-    leak = block[..., :dA].differs(None)
     product = block[..., dA:]
-    bad = first_nonzero_index(
-        np.concatenate([leak, product.differs(induced)], axis=2), 2)
+    bad = first_difference([(block[..., :dA], None), (product, induced)], 2)
     if bad is None:
         return Verdict(True)
-    if leak[bad].any():
-        return Verdict(False, bad, detail="flow leaks into the A-block")
-    return Verdict(False, bad, lhs=product.at(bad), rhs=induced.at(bad),
+    if bad[2] == 0:
+        return Verdict(False, bad[:2], detail="flow leaks into the A-block")
+    return Verdict(False, bad[:2], lhs=product.at(bad[:2]),
+                   rhs=induced.at(bad[:2]),
                    detail="M-restriction differs from the induced product")

@@ -83,7 +83,7 @@ class MultiMap:
 
 def from_algebra(algebra):
     """The multiplication of an algebra as an arity-2 MultiMap."""
-    return MultiMap(algebra.field, algebra.c)
+    return MultiMap(algebra.field, algebra._c)
 
 
 def circ_i(f: MultiMap, g: MultiMap, i: int) -> MultiMap:

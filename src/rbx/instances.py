@@ -6,13 +6,13 @@ verification windows.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .algebra import Algebra, Bimodule, canonical_bimodule
+from .catalog import TABLE
 from .cochains import Cochain, coboundary
 from .errors import CapacityError, CharacteristicError, InputError
 from .fields import QQ
-from .linalg import Encoded, first_nonzero_index, identity, invert, rank, zeros
+from .linalg import (Encoded, _np, first_difference, identity, invert, rank,
+                     zeros)
 from .operators import LinearMap, OperatorInstance, reynolds_as_twisted
 from .weyl import WeylPoly
 
@@ -66,8 +66,9 @@ def tensor_square(algebra: Algebra) -> OperatorInstance:
     one = identity(d, algebra.field)
     # basis e_u (x) e_v at u * d + v: a.(u (x) v) = au (x) v and
     # (u (x) v).a = u (x) va
-    left = np.multiply.outer(c, one).transpose(0, 1, 3, 2, 4).reshape(d, d * d, d * d)
-    right = np.multiply.outer(one, c).transpose(0, 2, 3, 1, 4).reshape(d * d, d, d * d)
+    outer = _np().multiply.outer
+    left = outer(c, one).transpose(0, 1, 3, 2, 4).reshape(d, d * d, d * d)
+    right = outer(one, c).transpose(0, 2, 3, 1, 4).reshape(d * d, d, d * d)
     labels = [f"{p}(x){q}" for p in algebra.labels for q in algebra.labels]
     module = Bimodule(algebra, left, right, labels=labels)
     mu = c.reshape(d * d, d).copy()
@@ -96,8 +97,7 @@ def unit_section(algebra: Algebra, module: Bimodule, f: LinearMap, e) -> Operato
     sides = [(L.dot(F, ([2], [0])), c.dot(F, ([1], [1])).transpose(0, 2, 1)),
              (R.dot(F, ([2], [0])).transpose(1, 0, 2),
               F.dot(c, ([1], [0])).transpose(1, 0, 2))]
-    bad = first_nonzero_index(
-        np.stack([a.differs(b) for a, b in sides], axis=2), 3)
+    bad = first_difference(sides, 2)
     if bad is not None:
         side = ("left", "right")[bad[2]]
         raise InputError(f"f is not {side} A-linear at basis pair ({bad[0]},{bad[1]})")
@@ -306,33 +306,21 @@ def _truncated_poly_entry(degree):
     return truncated_polynomial(degree if degree is not None else 4)
 
 
-CATALOG = {
-    "mult-by-x": CatalogEntry(
-        "multiplication by x on k[x]/(x^2): a classical Rota-Baxter operator",
-        lambda: mult_by_x_instance(QQ)),
-    "tensor-square": CatalogEntry(
-        "the multiplication A(x)A -> A of k[x]/(x^2) as a twisted operator "
-        "with twist -a(x)b",
-        lambda: tensor_square(kx2(QQ))),
-    "unit-section": CatalogEntry(
-        "the A-linear surjection mu: A(x)A -> A with section 1(x)1, twist "
-        "-a.e.b, on k[x]/(x^2)",
-        lambda: unit_section_tensor_example(QQ)),
-    "swap-cochain": CatalogEntry(
-        "inverse of the invertible 1-cochain swapping 1 and x on k[x]/(x^2)",
-        lambda: swap_instance(QQ)),
-    "reynolds-id": CatalogEntry(
-        "the identity Reynolds operator on k[x]/(x^2) as a twisted operator",
-        lambda: reynolds_identity_instance(QQ)),
-    "truncated-poly": CatalogEntry(
-        "termwise integration on truncated polynomials (degree flag, >= 3)",
-        _truncated_poly_entry, takes_degree=True),
-    "weyl": CatalogEntry(
-        "integration on the Weyl algebra W<x,y>; verified on a safe window "
-        "by the exact normal-ordering engine (degree flag, >= 4)",
-        lambda degree=None: truncated_weyl(degree if degree is not None else 8),
-        takes_degree=True, emittable=False),
+# name -> (builder, takes a degree); descriptions and emittable flags
+# come from the one table `catalog.TABLE`
+_BUILDERS = {
+    "mult-by-x": (lambda: mult_by_x_instance(QQ), False),
+    "tensor-square": (lambda: tensor_square(kx2(QQ)), False),
+    "unit-section": (lambda: unit_section_tensor_example(QQ), False),
+    "swap-cochain": (lambda: swap_instance(QQ), False),
+    "reynolds-id": (lambda: reynolds_identity_instance(QQ), False),
+    "truncated-poly": (_truncated_poly_entry, True),
+    "weyl": (lambda degree=None: truncated_weyl(
+        degree if degree is not None else 8), True),
 }
+
+CATALOG = {name: CatalogEntry(description, *_BUILDERS[name], emittable)
+           for name, (description, emittable) in TABLE.items()}
 
 
 def unit_section_tensor_example(field) -> OperatorInstance:

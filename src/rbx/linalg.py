@@ -1,4 +1,4 @@
-"""Exact linear algebra on numpy tensors of field scalars.
+"""Exact linear algebra on integer tensors of encoded field scalars.
 
 Every identity rbx decides runs on one exact integer kernel.  A tensor
 of field scalars is encoded once, by its field, as an integer tensor
@@ -6,39 +6,244 @@ over a scale (`Encoded`): representatives over scale 1 for F_p,
 numerators over the common denominator for Q.  Products (`Encoded.dot`,
 `Encoded.matmul`) multiply the scales; signed sums (`combine`) and
 comparisons (`Encoded.differs`) first bring their operands to one scale
-(`common`).  Each product and sum runs on int64 when `kernel_dtype`
-proves from its operands that no entry can reach 2^63, and on
-Python-int object arrays otherwise, so nothing wraps and no scalar is
-boxed per multiply-add.  Over F_p the representatives are reduced mod p
-only where a result needs it: in `differs`, in decoding, and before a
-product or sum that would otherwise need Python ints.  The field
-decodes a tensor back to Fraction or FpElement scalars only where a
-caller reads it (`Encoded.objects`), which for a verdict is the witness
-alone.
+(`common`).  The field decodes a tensor back to Fraction or FpElement
+scalars only where a caller reads it (`Encoded.objects`, `Encoded.at`),
+which for a verdict is the witness alone.
+
+The integers have two backends.  Encoding (and the schema loader) builds
+an `IntTensor`: a shape and the flat C-order list of its Python ints,
+with only the operations `Encoded` uses.  `Encoded._product` is the one
+place that picks the backend: a product runs in pure Python when both
+operands are IntTensors and its dense work (multiply-adds times output
+entries) is at most `PURE_WORK`, visiting only nonzero entries.
+Otherwise both operands move to numpy for good (numpy is imported there
+on first use), and the product runs on int64 when `kernel_dtype` proves
+from its operands that no entry can reach 2^63, on Python-int object
+arrays otherwise; over F_p the operands are first reduced mod p when
+that keeps it in int64.  A sum with a numpy term moves its terms to
+numpy and picks its dtype by the same rule.  The exhaustive search
+builds its candidate blocks with numpy, so its products stay there,
+and elimination (`row_reduce`, `rank`, `invert`, fraction-free) runs on
+numpy.
 
 Every identity is a residual of two contractions: the two sides are
 computed as tensors over all basis tuples at once, and
-`first_nonzero_index` finds the witness, the first index in C order
-(that is, lexicographic order) at which the sides differ.
-
-The contractions the operator identities share (`pullback` here, the
-identity sides in `operators`) take a leading batch axis: exhaustive
-search evaluates a block of candidates at once, and a checker is the
-same evaluation on a block of one.  Exact elimination (`row_reduce`,
-`rank`, `invert`) is fraction-free on the same integers.  Of the
-object-dtype helpers, the catalog builds with `zeros` and `identity`,
-and the benchmark's tracer wraps `is_zero` by name.
+`first_nonzero_index` (or `first_difference`, for several residuals)
+finds the witness, the first index in C order (that is, lexicographic
+order) at which the sides differ.  The contractions the operator
+identities share (`pullback` here, the identity sides in `operators`)
+take a leading batch axis: exhaustive search evaluates a block of
+candidates at once, and a checker is the same evaluation on a block of
+one.  Of the object-dtype helpers, the catalog builds with `zeros` and
+`identity`, and the benchmark's tracer wraps `is_zero` by name.
 """
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from itertools import compress, count
+from operator import add, sub
 
 from .errors import InputError
 
+# A dense pure product costs about 80 ns per unit of work on a shared
+# 2-CPU x86_64 VM (Python 3.11), so one at this bound takes about 20 ms:
+# a product of the size at which pure Python would cost as much as
+# importing numpy (100-180 ms there, about 1.5e6 units) goes to numpy
+# with room for the several products of one check.
+# Sparse operands run faster than that (10 to 40 times at 10% density
+# and 8 to 20 dimensions).  The benchmark's checking verbs stay below
+# the bound (their largest product, a bracket on a 10-dimensional space,
+# is 1e5), while a dense 14-dimensional associativity check (5.4e5) and
+# the flows on degree-30 polynomials (1.3e7) go to numpy.
+PURE_WORK = 2 ** 18
+
+
+def _np():
+    """numpy, imported on first use."""
+    import numpy
+    return numpy
+
+
+def _strides(shape):
+    return [math.prod(shape[k + 1:]) for k in range(len(shape))]
+
+
+def _offsets(base, picks):
+    """base + sum_k i_k * stride_k over every choice of an i_k from the
+    (stride_k, indices_k) picks, in C order."""
+    offsets = [base]
+    for stride, indices in picks:
+        offsets = [o + i * stride for o in offsets for i in indices]
+    return offsets
+
+
+def unravel(pos, shape):
+    """The index in `shape` of flat C-order position `pos`."""
+    idx = []
+    for n in reversed(shape):
+        pos, i = divmod(pos, n)
+        idx.append(i)
+    return tuple(reversed(idx))
+
+
+def nested(flat, shape):
+    """The nested lists of a flat C-order list of entries of `shape`."""
+    if len(shape) < 2:
+        return list(flat) if shape else flat[0]
+    step = len(flat) // shape[0] if shape[0] else 0
+    return [nested(flat[i * step:(i + 1) * step], shape[1:])
+            for i in range(shape[0])]
+
+
+class IntTensor:
+    """A pure-Python integer tensor: `shape` and `flat`, its Python ints
+    in C order.  Views copy.  Sums take a tensor of the same shape; `*`,
+    `%` and `!=` take an int."""
+
+    __slots__ = ("shape", "flat")
+
+    def __init__(self, shape, flat):
+        self.shape, self.flat = tuple(shape), flat
+
+    def tolist(self):
+        return nested(self.flat, self.shape)
+
+    def reshape(self, *shape):
+        return IntTensor(shape, self.flat)
+
+    def ravel(self):
+        return IntTensor((len(self.flat),), self.flat)
+
+    def _take(self, base, picks):
+        return IntTensor([len(ix) for _, ix in picks],
+                         list(map(self.flat.__getitem__, _offsets(base, picks))))
+
+    def transpose(self, *axes):
+        strides = _strides(self.shape)
+        return self._take(0, [(strides[k], range(self.shape[k]))
+                              for k in axes or range(len(self.shape))[::-1]])
+
+    def swapaxes(self, a, b):
+        axes = list(range(len(self.shape)))
+        axes[a], axes[b] = axes[b], axes[a]
+        return self.transpose(*axes)
+
+    def __getitem__(self, idx):
+        """numpy's indexing by ints, slices, None, one Ellipsis and one
+        list or boolean mask (whose axis comes first, as in numpy, when a
+        slice or None separates it from an int)."""
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        at = next((k for k, i in enumerate(idx) if i is Ellipsis), len(idx))
+        fill = len(self.shape) - sum(i is not None for i in idx) + (at < len(idx))
+        idx = idx[:at] + (slice(None),) * fill + idx[at + 1:]
+        dims = iter(zip(self.shape, _strides(self.shape)))
+        base, picks, listed = 0, [], None
+        for i in idx:
+            n, stride = (1, 0) if i is None else next(dims)
+            if i is None or isinstance(i, slice):
+                picks.append((stride, range(*(i or slice(None)).indices(n))))
+            elif hasattr(i, "__len__"):
+                listed = len(picks)
+                picks.append((stride, [k for k, b in enumerate(i) if b]
+                              if getattr(i, "dtype", None) == bool
+                              else [k % n for k in i]))
+            elif -n <= i < n:
+                base += i % n * stride
+            else:
+                raise IndexError(f"index {i} is out of bounds for size {n}")
+        fixed = [k for k, i in enumerate(idx)
+                 if i is not None and not isinstance(i, slice)]
+        if listed is not None and fixed[-1] - fixed[0] >= len(fixed):
+            picks.insert(0, picks.pop(listed))
+        return self._take(base, picks)
+
+    def __add__(self, other):
+        return IntTensor(self.shape, list(map(add, self.flat, other.flat)))
+
+    def __sub__(self, other):
+        return IntTensor(self.shape, list(map(sub, self.flat, other.flat)))
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, factor):
+        return IntTensor(self.shape, [x * factor for x in self.flat])
+
+    def __mod__(self, p):
+        return IntTensor(self.shape, [x % p for x in self.flat])
+
+    def __ne__(self, zero):
+        return IntTensor(self.shape, [x != zero for x in self.flat])
+
+    def any(self):
+        return any(self.flat)
+
+
+def _products(a, starts_a, b, starts_b, n, k, m):
+    """The flat n x m products of the n x k matrices at a[s:] and the
+    k x m matrices at b[t:] for each pair of starts (s, t), visiting only
+    the nonzero entries of both."""
+    out, rows_at = [], {}
+    for sa, sb in zip(starts_a, starts_b):
+        if sb not in rows_at:
+            rows_at[sb] = [[(j, v) for j, v in enumerate(b[r:r + m]) if v]
+                           for r in range(sb, sb + k * m, m)]
+        rows = rows_at[sb]
+        for i in range(sa, sa + n * k, k):
+            acc = [0] * m
+            for x, row in zip(a[i:i + k], rows):
+                if x:
+                    for j, v in row:
+                        acc[j] += x * v
+            out += acc
+    return out
+
+
+def _tensordot(a, b, axes):
+    """np.tensordot of IntTensors: one transposed 2-D product."""
+    ax_a = [k % len(a.shape) for k in axes[0]]
+    ax_b = [k % len(b.shape) for k in axes[1]]
+    left = a.transpose(*(k for k in range(len(a.shape)) if k not in ax_a), *ax_a)
+    right = b.transpose(*ax_b, *(k for k in range(len(b.shape)) if k not in ax_b))
+    free_a, free_b = left.shape[:-len(ax_a) or None], right.shape[len(ax_b):]
+    n, k, m = math.prod(free_a), math.prod(right.shape[:len(ax_b)]), \
+        math.prod(free_b)
+    return IntTensor(free_a + free_b,
+                     _products(left.flat, [0], right.flat, [0], n, k, m))
+
+
+def _matmul(a, b):
+    """np.matmul of IntTensors, the leading axes broadcast."""
+    width = max(len(a.shape), len(b.shape))
+    batch_a, batch_b = ([1] * (width - len(t.shape)) + list(t.shape[:-2])
+                        for t in (a, b))
+    batch = list(map(max, batch_a, batch_b))
+    (n, k), m = a.shape[-2:], b.shape[-1]
+    starts = [_offsets(0, [(s * size if d > 1 else 0, range(e))
+                           for d, s, e in zip(dims, _strides(dims), batch)])
+              for dims, size in ((batch_a, n * k), (batch_b, k * m))]
+    return IntTensor(batch + [n, m], _products(a.flat, starts[0], b.flat,
+                                               starts[1], n, k, m))
+
+
+_PURE = {"tensordot": _tensordot, "matmul": _matmul}
+
+
+def to_numpy(ints):
+    """The integers as a numpy array: int64 where every entry fits, else
+    Python ints; numpy input passes through."""
+    if not isinstance(ints, IntTensor):
+        return ints
+    np = _np()
+    try:
+        arr = np.array(ints.flat, dtype=np.int64)
+    except OverflowError:
+        arr = np.array(ints.flat, dtype=object)
+    return arr.reshape(ints.shape)
+
 
 def zeros(shape, field):
+    np = _np()
     arr = np.empty(shape, dtype=object)
     arr[...] = field.zero
     return arr
@@ -52,19 +257,57 @@ def identity(n, field):
 
 
 def is_zero(arr):
-    return first_nonzero_index(np.asarray(arr, dtype=object)) is None
+    return first_nonzero_index(_np().asarray(arr, dtype=object)) is None
 
 
 def first_nonzero_index(arr, k=None):
     """Lexicographically first index over the leading `k` axes (default:
-    all) at which `arr` has a nonzero (or true) entry, or None."""
-    hits = np.asarray(arr).astype(bool)
-    if k is not None:
-        hits = hits.any(axis=tuple(range(k, hits.ndim)))
-    flat = np.flatnonzero(hits)
-    if flat.size == 0:
+    all) at which `arr` has a nonzero (or true) entry, or None: the
+    first such index over all axes, cut to its first k."""
+    if isinstance(arr, IntTensor):
+        shape = arr.shape
+        pos = next(compress(count(), arr.flat), None)
+    else:
+        hits = _np().asarray(arr).astype(bool)
+        shape, hits = hits.shape, hits.ravel()
+        pos = int(hits.argmax()) if hits.size else None
+        if pos is not None and not hits[pos]:
+            pos = None
+    if pos is None:
         return None
-    return tuple(int(i) for i in np.unravel_index(flat[0], hits.shape))
+    return unravel(pos, shape)[:k]
+
+
+def first_difference(pairs, k):
+    """The first index in C order of the differences of the (lhs, rhs)
+    pairs of Encoded tensors (rhs None: lhs against zero) stacked at axis
+    k: the pairs' common leading k axes, then the pair's position, then
+    its own remaining axes.  None when every pair agrees."""
+    hits = []
+    for n, (lhs, rhs) in enumerate(pairs):
+        idx = first_nonzero_index(lhs.differs(rhs))
+        if idx is not None:
+            hits.append(idx[:k] + (n,) + idx[k:])
+    return min(hits, default=None)
+
+
+def embed(shape, blocks):
+    """An integer tensor of `shape`, zero but for each (index, ints)
+    block written at its index (a tuple of ints, slices and one list);
+    pure when every block is."""
+    if all(isinstance(ints, IntTensor) for _, ints in blocks):
+        out = IntTensor(shape, [0] * math.prod(shape))
+        here = IntTensor(shape, list(range(len(out.flat))))
+        for index, ints in blocks:
+            for pos, value in zip(here[index].flat, ints.flat):
+                out.flat[pos] = value
+        return out
+    np = _np()
+    ints = [to_numpy(b) for _, b in blocks]
+    out = np.zeros(shape, dtype=np.result_type(*ints))
+    for (index, _), block in zip(blocks, ints):
+        out[index] = block
+    return out
 
 
 def kernel_dtype(terms, *bounds):
@@ -75,21 +318,21 @@ def kernel_dtype(terms, *bounds):
     limit = terms
     for bound in bounds:
         limit *= max(bound, 1)
-    return np.int64 if limit < 2 ** 63 else object
+    return _np().int64 if limit < 2 ** 63 else object
 
 
 def max_abs(ints):
     """The largest absolute value in an integer tensor (0 if empty)."""
-    if ints.dtype == object:
+    if isinstance(ints, IntTensor) or ints.dtype == object:
         return max(map(abs, ints.flat), default=0)
     return max(int(ints.max(initial=0)), -int(ints.min(initial=0)))
 
 
 class Encoded:
-    """A tensor of `field` scalars as the integer tensor `ints` over the
-    positive integer `scale`: entry x is ints / scale.  `objects`, the
-    tensor of scalars, is decoded on first use when the kernel built
-    the encoding."""
+    """A tensor of `field` scalars as the integer tensor `ints` (an
+    IntTensor or a numpy array) over the positive integer `scale`: entry
+    x is ints / scale.  `objects`, the tensor of scalars, is decoded on
+    first use when the kernel built the encoding."""
 
     __slots__ = ("field", "ints", "scale", "_objects")
 
@@ -101,16 +344,18 @@ class Encoded:
 
     @classmethod
     def of(cls, field, tensor):
-        """The encoding of a tensor of scalars; an Encoded passes through."""
+        """The encoding of a tensor of scalars, pure; an Encoded passes
+        through."""
         if isinstance(tensor, cls):
             return tensor
-        tensor = np.asarray(tensor, dtype=object)
-        return cls(field, *field.encode(tensor), tensor)
+        tensor = _np().asarray(tensor, dtype=object)
+        ints, scale = field.encode(list(tensor.flat))
+        return cls(field, IntTensor(tensor.shape, ints), scale, tensor)
 
     @property
     def objects(self):
         if self._objects is None:
-            self._objects = self.field.decode(self.ints, self.scale)
+            self._objects = self.field.decode(to_numpy(self.ints), self.scale)
         return self._objects
 
     @property
@@ -118,8 +363,14 @@ class Encoded:
         return self.ints.shape
 
     def at(self, idx):
-        """The scalars at index `idx`: a scalar, or a tensor of them."""
-        return self.field.decode(np.asarray(self.ints[idx]), self.scale)[()]
+        """The scalars at index `idx`: a scalar, or nested lists of them."""
+        sub = self.ints[idx]
+        values = sub.tolist() if hasattr(sub, "tolist") else sub
+
+        def scalars(x):
+            return [scalars(y) for y in x] if isinstance(x, list) else \
+                self.field.scalar(x, self.scale)
+        return scalars(values)
 
     def __getitem__(self, idx):
         return Encoded(self.field, self.ints[idx], self.scale)
@@ -133,20 +384,34 @@ class Encoded:
     def dot(self, other, axes):
         """np.tensordot of two encoded tensors, exactly."""
         terms = math.prod(self.shape[k] for k in axes[0])
-        return self._product(other, terms,
-                             lambda a, b: np.tensordot(a, b, axes))
+        work = math.prod(self.shape) * math.prod(other.shape) // max(terms, 1)
+        return self._product(other, terms, work, "tensordot", axes)
 
     def matmul(self, other):
         """np.matmul of two encoded tensors (leading axes broadcast as
         batch axes), exactly."""
-        return self._product(other, self.shape[-1], np.matmul)
+        # exact when one side's batch axes broadcast, as in the identities
+        (n, k), m = self.shape[-2:], other.shape[-1]
+        work = math.prod(self.shape[:-2]) * math.prod(other.shape[:-2]) \
+            * n * k * m
+        return self._product(other, k, work, "matmul")
 
-    def _product(self, other, terms, product):
-        """product(a, b) of the integers, each entry a sum of `terms`
-        products, in the dtype `kernel_dtype` proves for the operands."""
-        a, b = _exact(self.field, [self.ints, other.ints],
-                      lambda ints: kernel_dtype(terms, *map(max_abs, ints)))
-        return Encoded(self.field, product(a, b), self.scale * other.scale)
+    def _product(self, other, terms, work, name, *args):
+        """The product `name` (tensordot or matmul) of the integers, each
+        entry a sum of `terms` products: pure for pure operands and dense
+        work up to `PURE_WORK`, else on numpy in the dtype `kernel_dtype`
+        proves."""
+        a, b = self.ints, other.ints
+        if isinstance(a, IntTensor) and isinstance(b, IntTensor) and \
+                0 < work <= PURE_WORK:
+            ints = _PURE[name](a, b, *args)
+        else:
+            # converted once: later products find the numpy arrays
+            self.ints, other.ints = to_numpy(a), to_numpy(b)
+            a, b = _exact(self.field, [self.ints, other.ints],
+                          lambda ints: kernel_dtype(terms, *map(max_abs, ints)))
+            ints = getattr(_np(), name)(a, b, *args)
+        return Encoded(self.field, ints, self.scale * other.scale)
 
     def __add__(self, other):
         return combine([(self, 1), (other, 1)])
@@ -172,8 +437,9 @@ def decoded(name):
 
 
 def _exact(field, ints, dtype_of):
-    """The integer tensors `ints` cast to `dtype_of(ints)`; over F_p they
-    are first reduced mod p when that dtype would otherwise be object."""
+    """The numpy integer tensors `ints` cast to `dtype_of(ints)`; over F_p
+    they are first reduced mod p when that dtype would otherwise be
+    object."""
     dtype = dtype_of(ints)
     if dtype is object and field.char:
         ints = [field.reduce(a) for a in ints]
@@ -183,11 +449,16 @@ def _exact(field, ints, dtype_of):
 
 def combine(terms):
     """The signed sum of (Encoded, sign) terms of one field and shape,
-    over the lcm of their scales."""
+    over the lcm of their scales; pure when every term is."""
     field = terms[0][0].field
+    if not all(isinstance(t.ints, IntTensor) for t, _ in terms):
+        for t, _ in terms:          # converted once, as in _product
+            t.ints = to_numpy(t.ints)
     ints, scale = common(*(t for t, _ in terms))
-    first, *rest = _exact(field, ints, lambda ints: kernel_dtype(
-        1, sum(map(max_abs, ints))))
+    if not isinstance(ints[0], IntTensor):
+        ints = _exact(field, ints,
+                      lambda ints: kernel_dtype(1, sum(map(max_abs, ints))))
+    first, *rest = ints
     total = first if terms[0][1] > 0 else -first
     for a, (_, sign) in zip(rest, terms[1:]):
         total = total + a if sign > 0 else total - a
@@ -201,9 +472,10 @@ def common(*tensors):
     out = {}
     for t in tensors:
         if id(t) not in out:
-            factor = scale // t.scale
-            out[id(t)] = t.ints if factor == 1 else \
-                t.ints.astype(kernel_dtype(1, max_abs(t.ints), factor)) * factor
+            factor, ints = scale // t.scale, t.ints
+            if factor != 1 and not isinstance(ints, IntTensor):
+                ints = ints.astype(kernel_dtype(1, max_abs(ints), factor))
+            out[id(t)] = ints if factor == 1 else ints * factor
     return [out[id(t)] for t in tensors], scale
 
 
@@ -226,8 +498,9 @@ def row_reduce(m):
     row[c] * pivot_row over the previous lead; every entry stays a minor
     of the input, so `field.divide` is exact.  Every pivot ends equal to
     the last lead d: rref is the integer matrix over scale d."""
+    np = _np()
     field = m.field
-    a = m.ints.astype(object)       # minors outgrow int64
+    a = to_numpy(m.ints).astype(object)       # minors outgrow int64
     rows, cols = a.shape
     pivots, lead = [], 1
     for c in range(cols):
@@ -258,13 +531,14 @@ def rank(m):
 def invert(m):
     """Exact inverse of a square Encoded matrix, encoded; raises
     InputError if singular."""
+    np = _np()
     n, k = m.shape
     if n != k:
         raise InputError(f"cannot invert a {n}x{k} matrix")
     # [ints | scale * 1] reduces to [d * 1 | d * (ints / scale)^-1]
     eye = np.eye(n, dtype=object) * m.scale
     rref, pivots = row_reduce(
-        Encoded(m.field, np.concatenate([m.ints, eye], axis=1)))
+        Encoded(m.field, np.concatenate([to_numpy(m.ints), eye], axis=1)))
     if pivots[:n] != list(range(n)):
         raise InputError("matrix is singular")
     return rref[:, n:]

@@ -14,12 +14,11 @@ Each identity is written once (`_identity_sides`, `_aybe_residual`) as
 products and sums of `linalg.Encoded` tensors that accept a leading
 batch axis: the exhaustive search runs them on blocks of candidates,
 and a checker is the same evaluation on a block of one.  The kernel
-picks the integer dtype and carries the scales of every step.
+picks the backend and the integer dtype and carries the scales of every
+step; the search builds its blocks with numpy, so it runs there.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .algebra import (Algebra, Bimodule, Verdict, canonical_bimodule,
                       dual_module, extension, semidirect, subspace_closed,
@@ -27,30 +26,46 @@ from .algebra import (Algebra, Bimodule, Verdict, canonical_bimodule,
 from .cochains import Cochain, is_cocycle
 from .errors import CapacityError, CharacteristicError, InputError
 from .gerstenhaber import MultiMap, circ_i, half_square
-from .linalg import Encoded, combine, identity, pullback, zeros
+from .linalg import Encoded, _np, combine, embed, identity, pullback, zeros
 
 SEARCH_BUDGET = 2 ** 20
 
 
 class LinearMap:
     """Linear map between coordinate spaces, matrix of shape
-    (source_dim, target_dim), row convention: image(v) = v @ matrix."""
+    (source_dim, target_dim), row convention: image(v) = v @ matrix.
+    The matrix is a tensor of scalars, or an Encoded one that `.matrix`
+    decodes on first read."""
 
     def __init__(self, matrix, source="", target=""):
-        matrix = np.asarray(matrix, dtype=object)
-        if matrix.ndim != 2:
+        if not isinstance(matrix, Encoded):
+            matrix = _np().asarray(matrix, dtype=object)
+        if len(matrix.shape) != 2:
             raise InputError(f"linear map needs a matrix, got shape {matrix.shape}")
-        self.matrix = matrix
+        self._matrix = matrix
         self.source = source
         self.target = target
 
     @property
+    def matrix(self):
+        if isinstance(self._matrix, Encoded):
+            self._matrix = self._matrix.objects
+        return self._matrix
+
+    @property
+    def shape(self):
+        return self._matrix.shape
+
+    def encoded(self, field):
+        return Encoded.of(field, self._matrix)
+
+    @property
     def source_dim(self):
-        return self.matrix.shape[0]
+        return self.shape[0]
 
     @property
     def target_dim(self):
-        return self.matrix.shape[1]
+        return self.shape[1]
 
     def __repr__(self):
         return f"LinearMap({self.source or self.source_dim}->{self.target or self.target_dim})"
@@ -67,12 +82,12 @@ class OperatorInstance:
                  cocycle: Cochain | None = None):
         if module.base.dim != algebra.dim:
             raise InputError("module is not over the instance algebra")
-        if op.matrix.shape != (module.dim, algebra.dim):
+        if op.shape != (module.dim, algebra.dim):
             raise InputError(
                 f"operator matrix must be {module.dim}x{algebra.dim} (M -> A), "
-                f"got {op.matrix.shape}")
+                f"got {op.shape}")
         if cocycle is not None:
-            if cocycle.arity != 2 or cocycle.tensor.shape != \
+            if cocycle.arity != 2 or cocycle._tensor.shape != \
                     (algebra.dim, algebra.dim, module.dim):
                 raise InputError("twist must be a 2-cochain A x A -> M")
             report = is_cocycle(cocycle)
@@ -83,7 +98,7 @@ class OperatorInstance:
         self.algebra = algebra
         self.module = module
         self.op = op
-        self._op = Encoded.of(algebra.field, op.matrix)
+        self._op = op.encoded(algebra.field)
         self.cocycle = cocycle
 
     @property
@@ -113,11 +128,9 @@ def _lift(inst, block, arity):
     `block` at the A-inputs, M-output corner (M-inputs, A-output for
     arity 1)."""
     dA, d = inst.algebra.dim, inst.ext_dim
-    ints = np.zeros((d,) * (arity + 1), dtype=block.ints.dtype)
-    if arity == 1:
-        ints[dA:, :dA] = block.ints
-    else:
-        ints[:dA, :dA, dA:] = block.ints
+    A, M = slice(None, dA), slice(dA, None)
+    index = (M, A) if arity == 1 else (A, A, M)
+    ints = embed((d,) * (arity + 1), [(index, block.ints)])
     return MultiMap(inst.field, Encoded(inst.field, ints, block.scale))
 
 
@@ -231,19 +244,17 @@ def is_reynolds(algebra: Algebra, op: LinearMap) -> Verdict:
     """R(a)R(b) = R(R(a)b + aR(b)) - R(R(a)R(b)) on basis pairs: the
     twisted identity with M = A and phi = -mu."""
     _expect_endo(algebra, op)
-    return _check("reynolds", Encoded.of(algebra.field, op.matrix),
-                  algebra._c)
+    return _check("reynolds", op.encoded(algebra.field), algebra._c)
 
 
 def is_nijenhuis(algebra: Algebra, op: LinearMap) -> Verdict:
     """N(a)N(b) = N(N(a)b + aN(b)) - N(N(ab)) on basis pairs."""
     _expect_endo(algebra, op)
-    return _check("nijenhuis", Encoded.of(algebra.field, op.matrix),
-                  algebra._c)
+    return _check("nijenhuis", op.encoded(algebra.field), algebra._c)
 
 
 def _expect_endo(algebra, op):
-    if op.matrix.shape != (algebra.dim, algebra.dim):
+    if op.shape != (algebra.dim, algebra.dim):
         raise InputError("operator must be an endomorphism of the algebra")
 
 
@@ -293,25 +304,25 @@ def graph_check(inst: OperatorInstance) -> Verdict:
     else:
         ext = twisted_extension(inst.algebra, inst.module, inst.cocycle)
     # row j is (op(m_j), m_j)
-    basis = np.concatenate([inst.op.matrix, identity(inst.module.dim, inst.field)],
-                           axis=1)
+    basis = _np().concatenate(
+        [inst.op.matrix, identity(inst.module.dim, inst.field)], axis=1)
     return subspace_closed(ext, basis)
 
 
 # ---------------------------------------------------------------------------
 # associative Yang-Baxter equation
 
-def aybe_residual(algebra: Algebra, r) -> np.ndarray:
+def aybe_residual(algebra: Algebra, r):
     """Residual tensor of the associative Yang-Baxter equation for
     r in A (x) A, as an element of A (x) A (x) A:
 
         sum a_i a_j (x) b^j (x) b^i  -  sum a_i (x) b^i a_j (x) b^j
             + sum a_j (x) a_i (x) b^i b^j
     """
-    return _aybe(algebra, r).objects
+    return aybe_encoded(algebra, r).objects
 
 
-def _aybe(algebra, r) -> Encoded:
+def aybe_encoded(algebra, r) -> Encoded:
     """`aybe_residual` in the integer encoding."""
     r = Encoded.of(algebra.field, r)
     d = algebra.dim
@@ -342,7 +353,7 @@ def r_tilde(algebra: Algebra, r) -> OperatorInstance:
         raise InputError(f"r must be a {d}x{d} tensor in A (x) A")
     if (r + r.transpose(1, 0)).differs(None).any():
         raise InputError("r is not skew-symmetric")
-    if _aybe(algebra, r).differs(None).any():
+    if aybe_encoded(algebra, r).differs(None).any():
         raise InputError("r does not solve the associative Yang-Baxter equation")
     module = dual_module(algebra)
     # row i = image of the i-th dual basis vector
@@ -404,6 +415,7 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
         # the module and the twist are validated once, on the zero map
         OperatorInstance(algebra, module, LinearMap(zeros(shape, field)), twist)
 
+    np = _np()
     c = algebra._c
     actions = (module._left, module._right) if kind in ("grb", "trb") else ()
     twist = None if twist is None else twist._tensor

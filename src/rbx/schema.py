@@ -14,6 +14,12 @@ A document is UTF-8 JSON with top-level keys:
 Scalars are integers or canonical fraction strings "num/den".  Parsing
 followed by serialization is bit-exact: the writer emits sorted keys,
 two-space indentation and canonical scalar forms.
+
+The loader parses the JSON lists straight into the kernel's pure integer
+encoding (`linalg.Encoded` over an `IntTensor`), parsing each distinct
+literal once, and the writer formats the canonical scalars from those
+integers (`field.format_int`); neither imports numpy.  The maps and
+cochain tensors of a loaded Document are Encoded.
 """
 
 from __future__ import annotations
@@ -21,12 +27,11 @@ from __future__ import annotations
 import hashlib
 import json
 
-import numpy as np
-
 from .algebra import Algebra, Bimodule, canonical_bimodule
 from .cochains import Cochain
 from .errors import InputError
 from .fields import field_from_name, field_to_name
+from .linalg import Encoded, IntTensor, nested, unravel
 from .structures import Dendriform, NSAlgebra
 
 
@@ -54,34 +59,55 @@ _STRUCTURES = (("dendriform", Dendriform, ("succ", "prec")),
                ("ns", NSAlgebra, ("succ", "prec", "vee")))
 
 
-def _array(raw, path):
-    try:
-        return np.asarray(raw, dtype=object)
-    except ValueError as exc:
-        raise InputError(f"{path}: ragged tensor ({exc})") from exc
+# numpy's limit on the number of axes: deeper lists are entries, and
+# shapes in error messages read as numpy's would
+_MAX_AXES = 64
+
+
+def _array(raw):
+    """(shape, entries in C order) of a nested-list tensor, its shape
+    found as numpy finds an object array's: an axis for each level at
+    which every item is a list, all of one length."""
+    shape, level = [], [raw]
+    while len(shape) < _MAX_AXES and level and \
+            all(type(x) is list for x in level):
+        n = len(level[0])
+        if any(len(x) != n for x in level):
+            break
+        shape.append(n)
+        level = [y for x in level for y in x]
+    return tuple(shape), level
 
 
 def _parse_tensor(field, raw, shape, path):
-    # shapes are compared before allocating: memory is bounded by the data
-    flat = _array(raw, path)
-    if flat.shape != shape:
-        raise InputError(f"{path}: expected shape {shape}, got {flat.shape}")
-    arr = np.empty(shape, dtype=object)
-    out = arr.reshape(-1)
+    """The Encoded tensor of a nested list of literals (or of its
+    `_array`); the shapes are compared before anything is parsed."""
+    got, flat = raw if isinstance(raw, tuple) else _array(raw)
+    if got != shape:
+        raise InputError(f"{path}: expected shape {shape}, got {got}")
+    out = []
     parsed = {}     # (type, literal) -> scalar; True == 1.0 == 1 as keys
-    for i, value in enumerate(flat.flat):
+    for i, value in enumerate(flat):
         try:
-            out[i] = parsed[type(value), value]
+            out.append(parsed[type(value), value])
         except (KeyError, TypeError):   # a new literal, or an unhashable one
             try:
-                out[i] = parsed[type(value), value] = field.parse(value)
+                scalar = parsed[type(value), value] = field.parse(value)
             except InputError as exc:
-                pos = "".join(f"[{j}]" for j in np.unravel_index(i, shape))
+                pos = "".join(f"[{j}]" for j in unravel(i, shape))
                 raise InputError(f"{path}{pos}: {exc}") from exc
-    return arr
+            out.append(scalar)
+    ints, scale = field.encode(out)
+    return Encoded(field, IntTensor(shape, ints), scale)
 
 
 def format_tensor(field, arr):
+    """Nested lists of the canonical forms of a tensor's scalars: an
+    Encoded one, formatted from its integers, or a tensor of scalars."""
+    if isinstance(arr, Encoded):
+        flat, scale = arr.ints.ravel().tolist(), arr.scale
+        forms = {n: field.format_int(n, scale) for n in set(flat)}
+        return nested([forms[n] for n in flat], arr.shape)
     if arr.ndim == 1:
         return [field.format(x) for x in arr]
     return [format_tensor(field, sub) for sub in arr]
@@ -166,10 +192,10 @@ def document_from_obj(raw) -> Document:
         doc.bimodule = Bimodule(doc.algebra, left, right, check=False)
 
     for name, raw_mat in _object(raw.get("maps", {}), "maps").items():
-        mat = _array(raw_mat, f"maps.{name}")
-        if mat.ndim != 2:
+        mat = _array(raw_mat)
+        if len(mat[0]) != 2:
             raise InputError(f"maps.{name}: expected a matrix")
-        doc.maps[name] = _parse_tensor(field, mat, mat.shape, f"maps.{name}")
+        doc.maps[name] = _parse_tensor(field, mat, mat[0], f"maps.{name}")
 
     for name, entry in _object(raw.get("cochains", {}), "cochains").items():
         path = f"cochains.{name}"
@@ -180,10 +206,10 @@ def document_from_obj(raw) -> Document:
             raise InputError(f"{path}: inputs must be 'A' or 'B', output 'A', 'M' or 'B'")
         in_dim = _space_dim(doc, inputs, path)
         out_dim = _space_dim(doc, output, path)
-        raw_tensor = _array(_require(entry, "tensor", path), f"{path}.tensor")
-        if arity > raw_tensor.ndim:  # refused before the shape is built
+        raw_tensor = _array(_require(entry, "tensor", path))
+        if arity > len(raw_tensor[0]):  # refused before the shape is built
             raise InputError(f"{path}.tensor: arity {arity} needs "
-                             f"{arity + 1} axes, got {raw_tensor.ndim}")
+                             f"{arity + 1} axes, got {len(raw_tensor[0])}")
         tensor = _parse_tensor(field, raw_tensor,
                                (in_dim,) * arity + (out_dim,), f"{path}.tensor")
         doc.cochains[name] = {"arity": arity, "inputs": inputs,
@@ -215,11 +241,11 @@ def document_to_obj(doc: Document) -> dict:
     obj = {"field": field_to_name(field)}
     if doc.algebra is not None:
         obj["algebra"] = {"dim": doc.algebra.dim,
-                          "c": format_tensor(field, doc.algebra.c)}
+                          "c": format_tensor(field, doc.algebra._c)}
     if doc.bimodule is not None:
         obj["bimodule"] = {"dim": doc.bimodule.dim,
-                           "left": format_tensor(field, doc.bimodule.left),
-                           "right": format_tensor(field, doc.bimodule.right)}
+                           "left": format_tensor(field, doc.bimodule._left),
+                           "right": format_tensor(field, doc.bimodule._right)}
     if doc.maps:
         obj["maps"] = {name: format_tensor(field, mat)
                        for name, mat in doc.maps.items()}
@@ -233,7 +259,8 @@ def document_to_obj(doc: Document) -> dict:
         structure = getattr(doc, section)
         if structure is not None:
             obj[section] = {"dim": structure.dim, **{
-                key: format_tensor(field, getattr(structure, key)) for key in keys}}
+                key: format_tensor(field, getattr(structure, "_" + key))
+                for key in keys}}
     return obj
 
 

@@ -19,13 +19,11 @@ identity operator serve both.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .algebra import Algebra, Bimodule, Verdict, bimodule_check
 from .cochains import Cochain
 from .errors import InputError
-from .linalg import (Encoded, combine, decoded, first_nonzero_index,
-                     identity)
+from .linalg import (Encoded, combine, decoded, first_difference,
+                     first_nonzero_index, identity)
 from .operators import (LinearMap, OperatorInstance, induced_products, is_grb,
                         is_trb)
 
@@ -253,8 +251,7 @@ def grb_morphism_check(psi0: LinearMap, psi1: LinearMap,
               f1.dot(f0.dot(left, ([1], [0])), ([1], [1])).transpose(1, 0, 2)),
              (src.module._right.dot(f1, ([2], [0])).transpose(1, 0, 2),
               f0.dot(f1.dot(right, ([1], [0])), ([1], [1])))]
-    bad = first_nonzero_index(
-        np.stack([a.differs(b) for a, b in sides], axis=2), 3)
+    bad = first_difference(sides, 2)
     if bad is None:
         return Verdict(True)
     return Verdict(False, bad[:2], detail=("left actions not intertwined",

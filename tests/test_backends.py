@@ -1,0 +1,338 @@
+"""The kernel's two integer backends against each other and the oracles.
+
+- Every operation of the pure-Python `IntTensor` against numpy on
+  object arrays of the same Python ints, with entries beyond 2^63.
+- `Encoded` products, sums and comparisons on the pure backend against
+  the same on numpy (`PURE_WORK` = -1), over Q, F2, F7 and F_(2^31-1).
+- The identity checkers against `tests/oracle.py` on both sides of the
+  work rule: the oracle tests of test_integer_sites and
+  test_witness_oracle run here with every product on numpy, and with a
+  rule that splits one identity's products between the backends (their
+  own runs keep the pure default).
+- The integer formatter against `field.format`, F_p reduction near
+  +-(2^63 - 1) against Python's %, and the loader's shape discovery
+  against numpy's.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import test_cochains
+import test_flows
+import test_gerstenhaber
+import test_integer_sites
+import test_witness_oracle
+from oracle import random_tensor
+from rbx import linalg
+from rbx.fields import QQ, FpElement, PrimeField
+from rbx.instances import kx2
+from rbx.linalg import (Encoded, IntTensor, combine, embed,
+                        first_difference, first_nonzero_index, max_abs,
+                        to_numpy)
+from rbx.schema import _array
+
+BIG = PrimeField(2 ** 31 - 1)
+FIELDS = (QQ, PrimeField(2), PrimeField(7), BIG)
+MAGNITUDES = (0, 0, 1, -1, 7, -30, 2 ** 40, -2 ** 62 - 3, 2 ** 63 + 5,
+              -2 ** 70, 3 ** 50)
+
+
+def ints(shape, rng, density=0.6):
+    """A pure tensor of entries of every magnitude, about `density` of
+    them nonzero."""
+    flat = [rng.choice(MAGNITUDES[2:]) if rng.random() < density else 0
+            for _ in range(int(np.prod(shape)))]
+    return IntTensor(shape, flat)
+
+
+def same(pure, ref):
+    """The pure tensor equals the numpy array: shape and Python ints."""
+    ref = np.asarray(ref, dtype=object)
+    assert isinstance(pure, IntTensor)
+    assert pure.shape == ref.shape
+    assert pure.flat == [int(x) for x in ref.flat]
+    assert all(type(x) in (int, bool) for x in pure.flat)
+
+
+def obj(t):
+    return np.array(t.flat, dtype=object).reshape(t.shape)
+
+
+# ---------------------------------------------------------------------------
+# IntTensor against numpy
+
+
+def test_views_match_numpy():
+    rng = random.Random(1)
+    t = ints((2, 3, 4), rng)
+    ref = obj(t)
+    for axes in itertools.permutations(range(3)):
+        same(t.transpose(*axes), ref.transpose(*axes))
+    same(t.transpose(), ref.transpose())
+    for a, b in ((0, 1), (-1, 0), (-3, -2), (2, 2)):
+        same(t.swapaxes(a, b), ref.swapaxes(a, b))
+    for idx in (1, -1, (0, 2), (0, 2, 3), (slice(None), -1),
+                (slice(1, None), slice(None, None, 2)), (..., 1),
+                (..., None, slice(1, 3)), (None, 0), (0, ..., 0),
+                (..., [3, 0, 0]), ([1, 0],), (1, slice(None), [2, 0]),
+                (0, slice(1, None), [2, 0]), ([1], 0, slice(None)),
+                (np.array([False, True]),), (slice(None), None, None, 2)):
+        same(t[idx], ref[idx])
+    assert t.tolist() == ref.tolist() and t.reshape(4, 6).tolist() == \
+        ref.reshape(4, 6).tolist()
+    assert IntTensor((2, 0), []).tolist() == [[], []]
+    with pytest.raises(IndexError):
+        t[2]
+
+
+def test_arithmetic_matches_numpy():
+    rng = random.Random(2)
+    a, b = ints((3, 4), rng), ints((3, 4), rng)
+    A, B = obj(a), obj(b)
+    same(a + b, A + B)
+    same(a - b, A - B)
+    same(-a, -A)
+    same(a * (2 ** 40 + 1), A * (2 ** 40 + 1))
+    for field in FIELDS[1:]:
+        same(a % field.p, A % field.p)
+        same(field.reduce(a), A % field.p)
+    same(a != 0, A != 0)
+    assert a.any() and not IntTensor((2,), [0, 0]).any()
+    assert max_abs(a) == max(abs(x) for x in A.flat) == max_abs(A)
+    assert max_abs(IntTensor((0,), [])) == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tensordot_matches_numpy(seed):
+    rng = random.Random(seed)
+    cases = [((2, 3, 4), (4, 3, 2), ([2], [0])),
+             ((2, 3, 4), (4, 3, 2), ([1, 2], [1, 0])),
+             ((2, 3, 4), (3, 2), ([0, 1], [1, 0])),
+             ((2, 3), (3, 2, 2), ([-1], [0])),
+             ((3, 2), (2,), ([1], [0])),
+             ((2, 2), (3,), ([], []))]
+    for sa, sb, axes in cases:
+        for density in (0.1, 0.9):
+            a, b = ints(sa, rng, density), ints(sb, rng, density)
+            same(linalg._tensordot(a, b, axes),
+                 np.tensordot(obj(a), obj(b), axes))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_matmul_broadcasts_as_numpy(seed):
+    rng = random.Random(seed + 10)
+    cases = [((3, 4), (4, 2)), ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 3)),
+             ((2, 1, 3, 4), (5, 4, 2)), ((1, 2, 3), (4, 1, 3, 2))]
+    for sa, sb in cases:
+        a, b = ints(sa, rng, 0.5), ints(sb, rng, 0.5)
+        same(linalg._matmul(a, b), np.matmul(obj(a), obj(b)))
+
+
+def test_conversions_and_index_helpers():
+    rng = random.Random(3)
+    small = IntTensor((2, 2), [1, -2, 0, 2 ** 62])
+    assert to_numpy(small).dtype == np.int64
+    assert to_numpy(small).tolist() == small.tolist()
+    big = ints((2, 3), rng)
+    assert to_numpy(big).dtype == object and \
+        to_numpy(big).tolist() == big.tolist()
+    assert big.ravel().tolist() == to_numpy(big).ravel().tolist() == big.flat
+    for t in (big, IntTensor((2, 2), [0, 0, 0, 5]), IntTensor((2, 2), [0] * 4),
+              IntTensor((2, 0), [])):
+        for k in (None, 0, 1, 2):
+            assert first_nonzero_index(t, k) == \
+                first_nonzero_index(to_numpy(t), k)
+    assert first_nonzero_index(IntTensor((2, 2), [0, 0, 0, 5]), 1) == (1,)
+    for pos in range(24):
+        assert linalg.unravel(pos, (2, 3, 4)) == \
+            tuple(int(i) for i in np.unravel_index(pos, (2, 3, 4)))
+
+
+def test_embed_matches_numpy():
+    rng = random.Random(4)
+    block, corner = ints((2, 3), rng), ints((1, 2), rng)
+    places = [((slice(None, 2), slice(1, None)), block),
+              ((2, slice(None, 2)), IntTensor((2,), corner.flat)),
+              (([0, 2], 0), IntTensor((2,), [5, 2 ** 64]))]
+    pure = embed((3, 4), places)
+    ref = np.zeros((3, 4), dtype=object)
+    for index, t in places:
+        ref[index] = obj(t)
+    same(pure, ref)
+    mixed = embed((3, 4), [(i, to_numpy(t)) for i, t in places])
+    assert mixed.tolist() == ref.tolist()
+    same(embed((2, 2), []), np.zeros((2, 2), dtype=object))
+
+
+# ---------------------------------------------------------------------------
+# Encoded on the two backends
+
+
+def encoded(shape, field, rng, large):
+    """A pure encoding of random scalars; `large` gives Q numerators past
+    2^63 over a large scale, or p - 1 everywhere over F_p."""
+    if not large:
+        return Encoded.of(field, random_tensor(shape, field, rng))
+    t = np.empty(shape, dtype=object)
+    t.flat = [field.from_int(-1) if field.char else
+              Fraction(rng.choice((1, -1)) * (2 ** 65 + rng.randint(0, 9)),
+                       rng.choice((1, 3, 7, 11)))
+              for _ in range(t.size)]
+    return Encoded.of(field, t)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_encoded_operations_agree_on_both_backends(field, monkeypatch):
+    rng = random.Random(field.char % 1000 + 20)
+    for large in (False, True):
+        a, b = (encoded((2, 3, 3), field, rng, large) for _ in range(2))
+        m, t = encoded((3, 3), field, rng, large), \
+            encoded((3, 3, 2), field, rng, large)
+
+        def run():
+            prod = a.dot(b, ([2], [1]))
+            mat = a.matmul(m[None])
+            pulled = linalg.pullback(t, m)
+            total = combine([(prod, 1), (prod.transpose(2, 3, 0, 1), -1)])
+            diff = (mat - a).differs(None)
+            return [x.objects for x in (prod, mat, pulled, total)] + [
+                np.asarray(diff.tolist()),
+                first_difference([(mat, a), (prod, None)], 1),
+                prod.at((1, 0)), pulled.at((0, 1, 1))]
+
+        pure = run()
+        assert isinstance(a.dot(b, ([2], [1])).ints, IntTensor)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "PURE_WORK", -1)
+            assert not isinstance(a.dot(b, ([2], [1])).ints, IntTensor)
+            on_numpy = run()
+        for x, y in zip(pure, on_numpy):
+            if isinstance(x, np.ndarray):
+                assert x.shape == y.shape and x.tolist() == y.tolist()
+            else:
+                assert x == y
+
+
+# ---------------------------------------------------------------------------
+# the identities against the oracles on both sides of the work rule
+
+def fields_of(module):
+    return [(field,) for field in module.FIELDS]
+
+
+# (module, test, argument tuples): the identities' oracle tests
+ORACLE_TESTS = [
+    (test_integer_sites, name, fields_of(test_integer_sites))
+    for name in ("test_assoc_matches_oracle_and_object_path",
+                 "test_bimodule_matches_oracle_and_object_path",
+                 "test_operator_identities_match_oracle_and_object_path",
+                 "test_axioms_match_oracle_and_object_path",
+                 "test_multimap_sums_and_half_square_match_object_path",
+                 "test_addexp_restriction_compare_matches_object_path")] + [
+    (test_witness_oracle, name, fields_of(test_witness_oracle))
+    for name in ("test_operator_checkers_match_oracle",
+                 "test_assoc_check_matches_oracle",
+                 "test_bimodule_check_matches_oracle",
+                 "test_dendriform_and_ns_checkers_match_oracle")] + [
+    (test_cochains, name, [(kx2(QQ),)])
+    for name in ("test_arity_one_matches_displayed_formula",
+                 "test_arity_two_matches_displayed_formula",
+                 "test_is_cocycle_witness")] + [
+    (module, name, [()]) for module, name in (
+        (test_cochains, "test_twisted_extension_assoc_iff_cocycle"),
+        (test_flows, "test_addexp_equals_trb_verdict"),
+        (test_flows, "test_addexp_iff_residual_zero"),
+        (test_flows, "test_closed_forms_match_bracket_route"),
+        (test_gerstenhaber, "test_circ_matches_oracle_on_arity_two_pairs"),
+        (test_gerstenhaber, "test_bracket_matches_oracle_mixed_arities"))]
+CASES = [(module, name, args) for module, name, arglists in ORACLE_TESTS
+         for args in arglists]
+
+
+@pytest.mark.parametrize("work", [-1, 16], ids=["numpy", "split"])
+@pytest.mark.parametrize(
+    "module, name, args", CASES,
+    ids=[f"{m.__name__}.{n}" + (f"[{a[0].name}]" if hasattr(a[0], "name")
+                                else "") if a else f"{m.__name__}.{n}"
+         for m, n, a in CASES])
+def test_identities_match_oracles_on_both_sides(module, name, args, work,
+                                                monkeypatch):
+    monkeypatch.setattr(linalg, "PURE_WORK", work)
+    seen = []
+    real = linalg.Encoded._product
+
+    def product(self, other, terms, size, *rest):
+        out = real(self, other, terms, size, *rest)
+        seen.append(isinstance(out.ints, IntTensor))
+        return out
+
+    monkeypatch.setattr(linalg.Encoded, "_product", product)
+    test = getattr(module, name)
+    if "monkeypatch" in test.__code__.co_varnames[:test.__code__.co_argcount]:
+        args += (monkeypatch,)
+    test(*args)
+    if work < 0:
+        assert seen and True not in seen
+
+
+# ---------------------------------------------------------------------------
+# formatting from the integers, F_p reduction, shape discovery
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_format_int_matches_format_of_the_scalar(field):
+    numerators = (0, 1, -1, 6, -6, 12, -35, 2 ** 64 + 12, -(3 ** 41),
+                  field.char or 5, 7 * (field.char or 5) - 3)
+    for scale in ((1, 2, 6, 12, 35, 2 ** 70) if not field.char else (1,)):
+        for n in numerators:
+            want = field.format(field.scalar(n, scale))
+            got = field.format_int(n, scale)
+            assert got == want and type(got) is type(want)
+            if not field.char:
+                assert want == QQ.format(Fraction(n, scale))
+            else:
+                assert want == FpElement(n, field.p).val
+
+
+@pytest.mark.parametrize("field", (PrimeField(2), PrimeField(7), BIG),
+                         ids=lambda f: f.name)
+def test_int64_reduction_near_the_limits_matches_python(field):
+    p, top = field.p, 2 ** 63 - 1
+    # offsets 0..40 from each limit and around p and 2p from it
+    offsets = sorted({*range(41), *(m * p + d for m in (1, 2)
+                                    for d in range(-2, 3))})
+    near = [top - k for k in offsets] + [-top + k for k in offsets] + \
+        [-top - 1, 0, 1, -1, p, -p, 2 * p - 1]
+    for values in (near, near[:len(offsets)], near[len(offsets):]):
+        arr = np.array(values, dtype=np.int64)
+        got = field.reduce(arr)
+        assert got.dtype == np.int64
+        assert got.tolist() == [v % p for v in values]
+        assert arr.tolist() == values            # the input is left alone
+    block = np.arange(-2 ** 15, 2 ** 15, dtype=np.int64).reshape(2, -1) * 31
+    assert field.reduce(block).tolist() == \
+        [[v % p for v in row] for row in block.tolist()]
+
+
+RAW = [[[1, 2], [3]], [[1, 2], 3], [[[1], [2]], [[3], [4, 5]]], [], [[], []],
+       [[], 1], 5, "ab", {"a": 1}, [{"a": 1}, {"b": 2}], [[1, 2], [3, 4]],
+       [[[1, 2]], [[3, 4]]], [None], [[1, [2]], [3, [4]]],
+       [[[[1]], [[2]]], [[[3]], [4]]], [[], [[]]], [[[], []], [[], []]],
+       [[1, "x"], [True, 2.5]]]
+
+
+def test_shape_discovery_matches_numpy():
+    deep = 1
+    for _ in range(70):
+        deep = [deep]
+    for raw in RAW + [deep]:
+        shape, flat = _array(raw)
+        ref = np.asarray(raw, dtype=object)
+        assert shape == ref.shape
+        assert len(flat) == ref.size
+        if ref.ndim <= 32:              # numpy's .flat stops at 32 axes
+            assert all(x == y for x, y in zip(flat, ref.flat))

@@ -50,14 +50,15 @@ def slots(dim_range):
 
 
 def spy_dtypes(monkeypatch):
-    """Record the dtype of every integer contraction (tensordot or matmul)
-    the kernel runs."""
+    """Send every product to numpy and record the dtype of every integer
+    contraction (tensordot or matmul) the kernel runs there."""
+    monkeypatch.setattr(linalg, "PURE_WORK", -1)
     seen = []
     for name in ("tensordot", "matmul"):
         def spy(a, b, *axes, real=getattr(np, name)):
             seen.append(a.dtype)
             return real(a, b, *axes)
-        monkeypatch.setattr(linalg.np, name, spy)
+        monkeypatch.setattr(np, name, spy)
     return seen
 
 

@@ -127,9 +127,9 @@ def test_row_reduce_is_exact_past_int64():
 @pytest.mark.parametrize("field", (QQ, F7), ids=lambda f: f.name)
 def test_row_reduce_leaves_its_input_alone(field):
     m = Encoded.of(field, random_matrix(field, random.Random(4), 4, 5))
-    before = m.ints.copy()
+    before = m.ints.tolist()
     row_reduce(m)
-    assert (m.ints == before).all()
+    assert m.ints.tolist() == before
 
 
 # ---------------------------------------------------------------------------

@@ -107,9 +107,9 @@ def test_fp_int_tensor_round_trip():
 
     arr = np.array([[F5.from_int(3), F5.zero], [F5.one, F5.from_int(4)]],
                    dtype=object)
-    ints, scale = F5.encode(arr)
-    assert ints.dtype == np.int64 and ints.tolist() == [[3, 0], [1, 4]]
+    ints, scale = F5.encode(list(arr.flat))
+    assert ints == [3, 0, 1, 4] and all(type(n) is int for n in ints)
     assert scale == 1
-    back = F5.decode(ints - 10, 1)            # reduced mod p
+    back = F5.decode(np.array(ints).reshape(2, 2) - 10, 1)   # reduced mod p
     assert back.tolist() == arr.tolist()
     assert all(type(x.val) is int for x in back.flat)

@@ -177,7 +177,9 @@ def pairs(field):
 
 
 def spy_dtypes(monkeypatch):
-    """Record the dtype of every tensordot the kernel runs."""
+    """Send every product to numpy and record the dtype of every
+    tensordot the kernel runs there."""
+    monkeypatch.setattr(linalg, "PURE_WORK", -1)
     seen = []
     real = np.tensordot
 
@@ -185,13 +187,15 @@ def spy_dtypes(monkeypatch):
         seen.append(np.asarray(a).dtype)
         return real(a, b, axes)
 
-    monkeypatch.setattr(linalg.np, "tensordot", spy)
+    monkeypatch.setattr(np, "tensordot", spy)
     return seen
 
 
 def spy_products(monkeypatch):
-    """Record every tensordot and matmul the kernel runs: the dtypes of
-    its operands and the dtype `kernel_dtype` proves for them."""
+    """Send every product to numpy and record every tensordot and matmul
+    the kernel runs there: the dtypes of its operands and the dtype
+    `kernel_dtype` proves for them."""
+    monkeypatch.setattr(linalg, "PURE_WORK", -1)
     seen = []
     real_dot, real_matmul = np.tensordot, np.matmul
 
@@ -207,9 +211,14 @@ def spy_products(monkeypatch):
         record(a, b, a.shape[-1])
         return real_matmul(a, b)
 
-    monkeypatch.setattr(linalg.np, "tensordot", dot)
-    monkeypatch.setattr(linalg.np, "matmul", matmul)
+    monkeypatch.setattr(np, "tensordot", dot)
+    monkeypatch.setattr(np, "matmul", matmul)
     return seen
+
+
+def on_numpy(enc):
+    """The same encoding with its integers in a numpy array."""
+    return Encoded(enc.field, linalg.to_numpy(enc.ints), enc.scale)
 
 
 def near_2_62(shape, rng):
@@ -444,7 +453,8 @@ def test_multimap_sums_and_half_square_fall_back_to_python_ints(monkeypatch):
     rng = random.Random(65)
     f, g = near_2_62((2, 2, 2), rng), near_2_62((2, 2, 2), rng)
     p = near_2_62((2, 2), rng)
-    F, G, P = MultiMap(QQ, f), MultiMap(QQ, g), MultiMap(QQ, p)
+    # the operands on numpy, where a sum picks its dtype
+    F, G, P = (MultiMap(QQ, on_numpy(Encoded.of(QQ, t))) for t in (f, g, p))
     first, second = ref_circ(f, p, 1), ref_circ(f, p, 2)
     both = ref_circ(first, p, 2)
     half = both - ref_circ(p, first, 1) - ref_circ(p, second, 1)

@@ -1,0 +1,130 @@
+"""Checking verbs import no numpy; the search does.
+
+Every invocation of the benchmark's cli-small and flow-heavy plans but
+the searches that enumerate and `catalog emit` (which builds the
+instance catalog) runs in an interpreter where importing numpy fails.
+Its reports equal, apart from `timing_ms`, those of a normal run and of
+a run with every product sent to numpy (`PURE_WORK` = -1).
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from rbx import cli, linalg
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import workloads  # noqa: E402  (bench/workloads.py: the plans)
+
+RUN_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None          # any import of numpy raises ImportError
+from rbx.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    out.append([rc, buf.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def numpy_free(argv):
+    """Every invocation but an enumerating search and `catalog emit`."""
+    if argv[0] == "search":
+        return "--budget" in argv
+    return argv[:2] != ["catalog", "emit"]
+
+
+def write_documents(plan, workdir):
+    """The plan's documents, emitted and derived as the benchmark does."""
+    emitted = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for instance, degree, out in plan.emits:
+            argv = ["catalog", "emit", instance, "-o", os.path.join(workdir, out)]
+            if degree is not None:
+                argv += ["--degree", str(degree)]
+            assert cli.main(argv) == 0
+            with open(os.path.join(workdir, out)) as fh:
+                emitted[out] = json.load(fh)
+    for name, make in plan.docs.items():
+        with open(os.path.join(workdir, name), "w") as fh:
+            fh.write(json.dumps(make(emitted), indent=2, sort_keys=True) + "\n")
+
+
+def reports(outputs):
+    """(exit code, report without timing_ms) of each output."""
+    out = []
+    for rc, text in outputs:
+        report = json.loads(text)
+        report.pop("timing_ms")
+        out.append((rc, report))
+    return out
+
+
+def in_process(argvs, workdir):
+    here = os.getcwd()
+    os.chdir(workdir)
+    try:
+        outputs = []
+        for argv in argvs:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                rc = cli.main(argv)
+            outputs.append((rc, buf.getvalue()))
+        return outputs
+    finally:
+        os.chdir(here)
+
+
+@pytest.mark.parametrize("name", ["cli-small", "flow-heavy"])
+def test_checking_verbs_run_without_numpy(name, tmp_path, monkeypatch):
+    plan = workloads.plan(name, 1)
+    argvs = [inv.argv + ["--json"] for inv in plan.invocations
+             if numpy_free(inv.argv)]
+    assert len(argvs) == {"cli-small": 19, "flow-heavy": 9}[name]
+    runs = {}
+    for run in ("blocked", "normal", "numpy"):
+        workdir = tmp_path / run
+        workdir.mkdir()
+        write_documents(plan, str(workdir))
+        if run == "blocked":
+            proc = subprocess.run(
+                [sys.executable, "-c", RUN_WITHOUT_NUMPY, json.dumps(argvs)],
+                cwd=workdir, env=dict(os.environ, PYTHONPATH=os.path.join(
+                    ROOT, "src")), capture_output=True, text=True,
+                timeout=300, check=True)
+            outputs = json.loads(proc.stdout)
+        else:
+            with monkeypatch.context() as patch:
+                if run == "numpy":
+                    patch.setattr(linalg, "PURE_WORK", -1)
+                outputs = in_process(argvs, workdir)
+        runs[run] = reports(outputs)
+    assert runs["blocked"] == runs["normal"] == runs["numpy"]
+    # the plans exercise both verdicts
+    assert {rc for rc, _ in runs["normal"]} >= {0, 1}
+
+
+def test_search_imports_numpy(tmp_path):
+    doc = tmp_path / "null2.json"
+    doc.write_text(json.dumps(workloads._null(2)))
+    script = ("import contextlib, io, sys\n"
+              "from rbx.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    rc = main(sys.argv[1:])\n"
+              "print(rc, 'numpy' in sys.modules)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "search", str(doc), "--kind", "rb",
+         "--field", "F2"],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["0", "True"]

@@ -422,7 +422,7 @@ def test_f65537_search_runs_in_int64(monkeypatch):
         def spy(a, b, *axes, real=getattr(np, name)):
             seen.append((a.dtype, b.dtype))
             return real(a, b, *axes)
-        monkeypatch.setattr(linalg.np, name, spy)
+        monkeypatch.setattr(np, name, spy)
     p = 65537
     G = ground_field_algebra(PrimeField(p))
     nij = search_operators(G, None, "nijenhuis", budget=p)

@@ -41,7 +41,7 @@ def test_scalars_parse_exactly():
     half = named_map(doc, "half")
     from fractions import Fraction
 
-    assert half[0, 0] == Fraction(1, 2)
+    assert half.objects[0, 0] == Fraction(1, 2)
     assert doc.algebra.c[0, 0, 0] == Fraction(1)
 
 
@@ -96,12 +96,17 @@ def per_entry_parse(field, flat, shape, path):
 
 
 def parse_outcome(parse, field, flat):
-    """(type, value) of every parsed entry, or the error text."""
+    """(type, value) of every parsed entry, or the error text; the
+    schema's parser gets the entries with their shape, as `_array`
+    gives them."""
+    if parse is _parse_tensor:
+        flat = (flat.shape, list(flat.flat))
     try:
-        arr = parse(field, flat, flat.shape, "maps.t")
+        arr = parse(field, flat, flat[0] if isinstance(flat, tuple)
+                    else flat.shape, "maps.t")
     except InputError as exc:
         return str(exc)
-    return [(type(x), x) for x in arr.flat]
+    return [(type(x), x) for x in getattr(arr, "objects", arr).flat]
 
 
 GOOD_LITERALS = [1, "1", "2/4", -3, 0, "0", 8, "-6/3", "1/3", 15, 7, "14/2",
@@ -162,7 +167,7 @@ def test_load_raw_algebra_skips_validation():
     text = ('{"field": "Q", "algebra": {"dim": 2, '
             '"c": [[[0, 1], [1, 0]], [[0, 0], [0, 0]]]}}')
     field, c, _ = load_raw_algebra(text)
-    assert c[0, 0, 1] == 1
+    assert c.at((0, 0, 1)) == 1
     with pytest.raises(InputError):
         load_document(text)  # the full loader enforces associativity
 
@@ -177,8 +182,9 @@ def test_document_from_instance_objects():
     loaded = load_document(text)
     assert tensors_equal(loaded.algebra.c, inst.algebra.c)
     assert tensors_equal(loaded.bimodule.left, inst.module.left)
-    assert tensors_equal(named_map(loaded, "pi"), inst.op.matrix)
-    assert tensors_equal(loaded.cochains["phi"]["tensor"], inst.cocycle.tensor)
+    assert tensors_equal(named_map(loaded, "pi").objects, inst.op.matrix)
+    assert tensors_equal(loaded.cochains["phi"]["tensor"].objects,
+                         inst.cocycle.tensor)
 
 
 def test_dendriform_and_ns_documents():
