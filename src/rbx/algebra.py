@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import InputError
 from .fields import field_of
-from .linalg import (Encoded, IntTensor, _np, common, decoded, embed,
+from .linalg import (Encoded, _np, common, decoded, embed, eye,
                      first_difference, first_nonzero_index, rank, row_reduce)
 
 
@@ -91,21 +91,25 @@ class Algebra:
 
     def unit(self):
         """Coordinates of the unit element, or None if non-unital."""
+        unit = self._unit()
+        return None if unit is None else unit.objects
+
+    def _unit(self):
+        """`unit`, encoded."""
         d, c = self.dim, self._c
         # u e_j = e_j and e_j u = e_j, one row per (j, k) and one per
         # (i, k), with the identity over c's scale on the right
-        eye = IntTensor((d * d,), [c.scale * (k % (d + 1) == 0)
-                                   for k in range(d * d)])
+        one = eye(d, c.scale).reshape(d * d)
         top, bottom, lhs = slice(None, d * d), slice(d * d, None), slice(None, d)
         rows = embed((2 * d * d, d + 1), [
             ((top, lhs), c.ints.transpose(1, 2, 0).reshape(d * d, d)),
             ((bottom, lhs), c.ints.transpose(0, 2, 1).reshape(d * d, d)),
-            ((top, d), eye), ((bottom, d), eye)])
+            ((top, d), one), ((bottom, d), one)])
         rref, pivots = row_reduce(Encoded(self.field, rows, c.scale))
         if d in pivots:
             return None
         sol = embed((d,), [((pivots,), rref.ints[:len(pivots), d])])
-        return Encoded(self.field, sol, rref.scale).objects
+        return Encoded(self.field, sol, rref.scale)
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, field={self.field.name})"
@@ -241,20 +245,23 @@ def twisted_extension(algebra: Algebra, module: Bimodule, cocycle) -> Algebra:
 def subspace_closed(algebra: Algebra, basis_vectors) -> Verdict:
     """Is the span of `basis_vectors` closed under the product?
 
-    Requires a linearly independent basis; on failure the witness is the
-    first basis pair (i, j) whose product escapes, with the product vector
-    and its residual after elimination.  The empty basis spans {0}, which
-    is closed.
+    The basis is a list of vectors of scalars, or an Encoded matrix whose
+    rows are the vectors.  It must be linearly independent; on failure the
+    witness is the first basis pair (i, j) whose product escapes, with the
+    product vector and its residual after elimination.  The empty basis
+    spans {0}, which is closed.
     """
-    np = _np()
-    vecs = [np.asarray(v, dtype=object) for v in basis_vectors]
-    if any(v.shape != (algebra.dim,) for v in vecs):
-        raise InputError("basis vector has wrong length")
-    if not vecs:
-        return Verdict(True)
-    v = Encoded.of(algebra.field, np.array(vecs))
+    v = basis_vectors
+    if not isinstance(v, Encoded):
+        np = _np()
+        vecs = [np.asarray(x, dtype=object) for x in v]
+        if any(x.shape != (algebra.dim,) for x in vecs):
+            raise InputError("basis vector has wrong length")
+        if not vecs:
+            return Verdict(True)
+        v = Encoded.of(algebra.field, np.array(vecs))
     rref, pivots = row_reduce(v)
-    if len(pivots) != len(vecs):
+    if len(pivots) != v.shape[0]:
         raise InputError("basis vectors are linearly dependent")
     # prods[i, j] = v_i v_j, and its residual p - p[pivots] @ rref, which
     # on the integers is p * d - p[pivots] @ R over the scale of p times d

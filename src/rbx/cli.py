@@ -12,13 +12,13 @@ one table, `VERBS`; `main` builds the parser of the invoked verb alone,
 and the full parser of all verbs only for `--help`, an unknown or
 missing verb, or a top-level error such as an unrecognized argument, so
 help and usage texts read as before.  The parser, `explain`, `--help`
-and usage errors need the standard library alone; every other verb
-imports rbx's core modules in one place, `_import_core`, before its
-handler runs.  No core module imports numpy when it loads: the checking
-verbs decide their identities on the kernel's pure-Python integers, and
-numpy is imported only by a product too large for them (see `linalg`),
-by `search` once it enumerates, and by `catalog emit`, which builds the
-instance catalog.  `catalog list` reads the catalog's table alone.
+and usage errors need the standard library alone, and `catalog list`
+the catalog's table alone; every other verb imports rbx's core modules
+in one place, `_import_core`, before its handler runs.  No core module
+imports numpy when it loads: the checking verbs and `catalog emit` work
+on the kernel's pure-Python integers, and numpy is imported only by a
+product too large for them (see `linalg`) and by `search` once it
+enumerates.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import InputError, RbxError
 def _import_core():
     """Bind the numeric core into this module, once per process."""
     global schema, Verdict, assoc_check, bimodule_check, canonical_bimodule, \
-        addexp_check, exp_flow, MultiMap, g_bracket, Encoded, LinearMap, \
+        addexp_check, exp_flow, MultiMap, g_bracket, LinearMap, \
         OperatorInstance, aybe_encoded, is_grb, is_nijenhuis, is_reynolds, \
         is_trb, search_operators, structure_residual, check_dendriform, \
         check_ns, dendriform_from_grb, ns_from_trb
@@ -47,7 +47,6 @@ def _import_core():
                           canonical_bimodule)
     from .flows import addexp_check, exp_flow
     from .gerstenhaber import MultiMap, g_bracket
-    from .linalg import Encoded
     from .operators import (LinearMap, OperatorInstance, aybe_encoded,
                             is_grb, is_nijenhuis, is_reynolds, is_trb,
                             search_operators, structure_residual)
@@ -143,7 +142,7 @@ def _verdict_report(command, field, verdict: Verdict, digest, extra=None):
                   detail=verdict.detail, digest=digest, extra=extra)
 
 
-def _tensor_listing(tensor: Encoded, labels):
+def _tensor_listing(tensor, labels):
     """Nonzero coefficients of an encoded multimap tensor as text lines,
     in C order, found and formatted on its integers."""
     field, scale = tensor.field, tensor.scale
@@ -195,8 +194,7 @@ def _ext_labels(algebra, module):
 
 def cmd_check_assoc(args):
     field, c, raw = schema.load_raw_algebra(_load(args.file))
-    return _verdict_report("check-assoc", field,
-                           assoc_check(Encoded.of(field, c)),
+    return _verdict_report("check-assoc", field, assoc_check(c),
                            schema.raw_digest(raw))
 
 
@@ -410,20 +408,17 @@ def cmd_catalog(args):
 
 
 def _document_from_built(built):
+    """The document of a catalog instance, with its encoded tensors."""
     from .instances import TruncatedInstance
 
+    field = built.algebra.field
+    doc = schema.Document(field, algebra=built.algebra, bimodule=built.module)
+    doc.maps["pi"] = built.op.encoded(field)
     if isinstance(built, TruncatedInstance):
-        doc = schema.Document(built.algebra.field, algebra=built.algebra,
-                              bimodule=built.module)
-        doc.maps["pi"] = built.op.matrix
-        doc.maps["omega"] = built.omega.matrix
-        return doc
-    inst = built
-    doc = schema.Document(inst.field, algebra=inst.algebra, bimodule=inst.module)
-    doc.maps["pi"] = inst.op.matrix
-    if inst.cocycle is not None:
+        doc.maps["omega"] = built.omega.encoded(field)
+    elif built.cocycle is not None:
         doc.cochains["phi"] = {"arity": 2, "inputs": "A", "output": "M",
-                               "tensor": inst.cocycle.tensor}
+                               "tensor": built.cocycle._tensor}
     return doc
 
 
@@ -566,7 +561,7 @@ def main(argv=None) -> int:
     except OSError as exc:      # the help could not be written
         return _stdout_failed(argv[0] if argv and argv[0] in VERBS else "rbx",
                               exc)
-    if args.command != "explain":
+    if args.command != "explain" and getattr(args, "action", None) != "list":
         _import_core()
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     start = time.perf_counter()

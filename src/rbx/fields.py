@@ -16,8 +16,9 @@ representatives with scale 1; the kernel's results may be any
 representatives, which `reduce` brings to canonical ones where the
 kernel needs them and decoding reduces too.  Q encodes the numerators
 over the common denominator of the entries and leaves integer results
-as they are; its `divide`, the one division elimination needs, is exact
-floor division.  Decoding builds one scalar per distinct value, which
+as they are.  `divide` is the one division elimination needs, on a row
+of Python ints: exact floor division over Q, multiplication by the
+inverse mod p over F_p.  Decoding builds one scalar per distinct value, which
 equal entries (most often the zeros) share.  Only `decode`, `field_of`
 and the reduction of numpy tensors import numpy.
 """
@@ -201,9 +202,10 @@ class RationalField:
         """Integer results need no reduction over Q."""
         return arr
 
-    def divide(self, arr, d):
-        """arr / d for an integer d that divides every entry: exact //."""
-        return arr // d
+    def divide(self, row, d):
+        """row / d for a list of ints and an int d that divides every
+        entry: exact //."""
+        return [x // d for x in row]
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -291,9 +293,11 @@ class PrimeField:
         q *= p
         return np.subtract(arr, q, out=q)
 
-    def divide(self, arr, d):
-        """arr / d mod p, by the inverse of d mod p (d is nonzero mod p)."""
-        return self.reduce(self.reduce(arr) * pow(int(d) % self.p, -1, self.p))
+    def divide(self, row, d):
+        """row / d mod p for a list of ints, by the inverse of d mod p (d
+        is nonzero mod p), as canonical representatives."""
+        inverse, p = pow(d, -1, self.p), self.p
+        return [x * inverse % p for x in row]
 
     def decode(self, arr, scale):
         """The F_p tensor of an integer tensor, reduced mod p; `scale` is

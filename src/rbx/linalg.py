@@ -1,13 +1,14 @@
 """Exact linear algebra on integer tensors of encoded field scalars.
 
-Every identity rbx decides runs on one exact integer kernel.  A tensor
-of field scalars is encoded once, by its field, as an integer tensor
-over a scale (`Encoded`): representatives over scale 1 for F_p,
-numerators over the common denominator for Q.  Products (`Encoded.dot`,
-`Encoded.matmul`) multiply the scales; signed sums (`combine`) and
-comparisons (`Encoded.differs`) first bring their operands to one scale
-(`common`).  The field decodes a tensor back to Fraction or FpElement
-scalars only where a caller reads it (`Encoded.objects`, `Encoded.at`),
+Every identity rbx decides runs on one exact integer kernel, and its
+one tensor form is `Encoded`: a tensor of field scalars encoded, by its
+field, as an integer tensor over a scale (representatives over scale 1
+for F_p, numerators over the common denominator for Q).  Products
+(`Encoded.dot`, `Encoded.matmul`) multiply the scales; signed sums
+(`combine`) and comparisons (`Encoded.differs`) first bring their
+operands to one scale (`common`).  Fraction or FpElement scalars exist
+only at the public boundary: `Encoded.of` encodes them, and the field
+decodes them where a caller reads them (`Encoded.objects`, `Encoded.at`),
 which for a verdict is the witness alone.
 
 The integers have two backends.  Encoding (and the schema loader) builds
@@ -22,9 +23,9 @@ from its operands that no entry can reach 2^63, on Python-int object
 arrays otherwise; over F_p the operands are first reduced mod p when
 that keeps it in int64.  A sum with a numpy term moves its terms to
 numpy and picks its dtype by the same rule.  The exhaustive search
-builds its candidate blocks with numpy, so its products stay there,
-and elimination (`row_reduce`, `rank`, `invert`, fraction-free) runs on
-numpy.
+builds its candidate blocks with numpy, so its products stay there.
+Elimination (`row_reduce`, `rank`, `invert`, fraction-free) runs on
+rows of Python ints.
 
 Every identity is a residual of two contractions: the two sides are
 computed as tensors over all basis tuples at once, and
@@ -34,8 +35,8 @@ order) at which the sides differ.  The contractions the operator
 identities share (`pullback` here, the identity sides in `operators`)
 take a leading batch axis: exhaustive search evaluates a block of
 candidates at once, and a checker is the same evaluation on a block of
-one.  Of the object-dtype helpers, the catalog builds with `zeros` and
-`identity`, and the benchmark's tracer wraps `is_zero` by name.
+one.  The one object-dtype helper, `is_zero`, stays because the
+benchmark's tracer wraps it by name.
 """
 from __future__ import annotations
 
@@ -93,6 +94,21 @@ def nested(flat, shape):
     step = len(flat) // shape[0] if shape[0] else 0
     return [nested(flat[i * step:(i + 1) * step], shape[1:])
             for i in range(shape[0])]
+
+
+def _array(raw):
+    """(shape, entries in C order) of a nested-list tensor, its shape
+    found as numpy finds an object array's: an axis for each level at
+    which every item is a list, all of one length, up to numpy's limit
+    of 64 axes (deeper lists are entries)."""
+    shape, level = [], [raw]
+    while len(shape) < 64 and level and all(type(x) is list for x in level):
+        n = len(level[0])
+        if any(len(x) != n for x in level):
+            break
+        shape.append(n)
+        level = [y for x in level for y in x]
+    return tuple(shape), level
 
 
 class IntTensor:
@@ -242,18 +258,11 @@ def to_numpy(ints):
     return arr.reshape(ints.shape)
 
 
-def zeros(shape, field):
-    np = _np()
-    arr = np.empty(shape, dtype=object)
-    arr[...] = field.zero
-    return arr
-
-
-def identity(n, field):
-    arr = zeros((n, n), field)
-    for i in range(n):
-        arr[i, i] = field.one
-    return arr
+def eye(n, value=1):
+    """The n x n IntTensor with `value` on its diagonal, zero elsewhere."""
+    flat = [0] * (n * n)
+    flat[::n + 1] = [value] * n
+    return IntTensor((n, n), flat)
 
 
 def is_zero(arr):
@@ -332,25 +341,27 @@ class Encoded:
     """A tensor of `field` scalars as the integer tensor `ints` (an
     IntTensor or a numpy array) over the positive integer `scale`: entry
     x is ints / scale.  `objects`, the tensor of scalars, is decoded on
-    first use when the kernel built the encoding."""
+    first use."""
 
     __slots__ = ("field", "ints", "scale", "_objects")
 
-    def __init__(self, field, ints, scale=1, objects=None):
+    def __init__(self, field, ints, scale=1):
         self.field = field
         self.ints = ints
         self.scale = scale
-        self._objects = objects
+        self._objects = None
 
     @classmethod
     def of(cls, field, tensor):
-        """The encoding of a tensor of scalars, pure; an Encoded passes
+        """The pure encoding of a tensor of scalars: a scalar, nested
+        lists (shaped by `_array`) or a numpy array; an Encoded passes
         through."""
         if isinstance(tensor, cls):
             return tensor
-        tensor = _np().asarray(tensor, dtype=object)
-        ints, scale = field.encode(list(tensor.flat))
-        return cls(field, IntTensor(tensor.shape, ints), scale, tensor)
+        shape, flat = (tensor.shape, tensor.ravel().tolist()) \
+            if hasattr(tensor, "shape") else _array(tensor)
+        ints, scale = field.encode(flat)
+        return cls(field, IntTensor(shape, ints), scale)
 
     @property
     def objects(self):
@@ -361,6 +372,9 @@ class Encoded:
     @property
     def shape(self):
         return self.ints.shape
+
+    def reshape(self, *shape):
+        return Encoded(self.field, self.ints.reshape(*shape), self.scale)
 
     def at(self, idx):
         """The scalars at index `idx`: a scalar, or nested lists of them."""
@@ -493,34 +507,33 @@ def pullback(t, m, inner=None):
 
 def row_reduce(m):
     """(rref, pivot_columns): the reduced row echelon form of an Encoded
-    matrix, by fraction-free Gauss-Jordan elimination (Bareiss) on its
-    integers.  A pivot step replaces every other row by lead * row -
+    matrix, by fraction-free Gauss-Jordan elimination (Bareiss) on rows of
+    Python ints.  A pivot step replaces every other row by lead * row -
     row[c] * pivot_row over the previous lead; every entry stays a minor
     of the input, so `field.divide` is exact.  Every pivot ends equal to
     the last lead d: rref is the integer matrix over scale d."""
-    np = _np()
-    field = m.field
-    a = to_numpy(m.ints).astype(object)       # minors outgrow int64
-    rows, cols = a.shape
+    field, (rows, cols) = m.field, m.shape
+    a = field.reduce(m.ints).tolist()
     pivots, lead = [], 1
     for c in range(cols):
         r = len(pivots)
-        if r == rows:
-            break
-        hits = np.flatnonzero(field.reduce(a[r:, c]))
-        if hits.size == 0:
+        hit = next((i for i in range(r, rows) if a[i][c]), None)
+        if hit is None:
             continue
-        a[[r, r + hits[0]]] = a[[r + hits[0], r]]
-        prev, lead = lead, a[r, c]
-        rest = np.arange(rows) != r
-        a[rest] = field.divide(
-            lead * a[rest] - np.multiply.outer(a[rest, c], a[r]), prev)
+        a[r], a[hit] = a[hit], a[r]
+        prev, lead, pivot = lead, a[r][c], a[r]
+        for i, row in enumerate(a):
+            if i != r:
+                x = row[c]
+                a[i] = field.divide(
+                    [lead * y - x * z for y, z in zip(row, pivot)], prev)
         pivots.append(c)
     if field.char:                  # F_p encodings are over scale 1
-        a, lead = field.divide(a, lead), 1
+        a, lead = [field.divide(row, lead) for row in a], 1
     elif lead < 0:
-        a, lead = -a, -lead
-    return Encoded(field, a, lead), pivots
+        a, lead = [[-x for x in row] for row in a], -lead
+    flat = [x for row in a for x in row]
+    return Encoded(field, IntTensor((rows, cols), flat), lead), pivots
 
 
 def rank(m):
@@ -531,14 +544,14 @@ def rank(m):
 def invert(m):
     """Exact inverse of a square Encoded matrix, encoded; raises
     InputError if singular."""
-    np = _np()
     n, k = m.shape
     if n != k:
         raise InputError(f"cannot invert a {n}x{k} matrix")
     # [ints | scale * 1] reduces to [d * 1 | d * (ints / scale)^-1]
-    eye = np.eye(n, dtype=object) * m.scale
-    rref, pivots = row_reduce(
-        Encoded(m.field, np.concatenate([to_numpy(m.ints), eye], axis=1)))
+    rows = slice(None)
+    rref, pivots = row_reduce(Encoded(m.field, embed((n, 2 * n), [
+        ((rows, slice(None, n)), m.ints),
+        ((rows, slice(n, None)), eye(n, m.scale))])))
     if pivots[:n] != list(range(n)):
         raise InputError("matrix is singular")
     return rref[:, n:]

@@ -26,7 +26,7 @@ from .algebra import (Algebra, Bimodule, Verdict, canonical_bimodule,
 from .cochains import Cochain, is_cocycle
 from .errors import CapacityError, CharacteristicError, InputError
 from .gerstenhaber import MultiMap, circ_i, half_square
-from .linalg import Encoded, _np, combine, embed, identity, pullback, zeros
+from .linalg import Encoded, _np, combine, embed, eye, pullback
 
 SEARCH_BUDGET = 2 ** 20
 
@@ -303,10 +303,11 @@ def graph_check(inst: OperatorInstance) -> Verdict:
         ext = semidirect(inst.algebra, inst.module)
     else:
         ext = twisted_extension(inst.algebra, inst.module, inst.cocycle)
-    # row j is (op(m_j), m_j)
-    basis = _np().concatenate(
-        [inst.op.matrix, identity(inst.module.dim, inst.field)], axis=1)
-    return subspace_closed(ext, basis)
+    # row j is (op(m_j), m_j), over the scale of op
+    op, dA, dM = inst._op, inst.algebra.dim, inst.module.dim
+    A, M = (slice(None), slice(None, dA)), (slice(None), slice(dA, None))
+    basis = embed((dM, dA + dM), [(A, op.ints), (M, eye(dM, op.scale))])
+    return subspace_closed(ext, Encoded(inst.field, basis, op.scale))
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +356,9 @@ def r_tilde(algebra: Algebra, r) -> OperatorInstance:
         raise InputError("r is not skew-symmetric")
     if aybe_encoded(algebra, r).differs(None).any():
         raise InputError("r does not solve the associative Yang-Baxter equation")
-    module = dual_module(algebra)
     # row i = image of the i-th dual basis vector
-    matrix = r.transpose(1, 0).objects
-    return OperatorInstance(algebra, module,
-                            LinearMap(matrix, source="A*", target="A"))
+    return OperatorInstance(algebra, dual_module(algebra), LinearMap(
+        r.transpose(1, 0), source="A*", target="A"))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +412,8 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
     twist = cocycle if kind == "trb" else None
     if kind != "aybe":
         # the module and the twist are validated once, on the zero map
-        OperatorInstance(algebra, module, LinearMap(zeros(shape, field)), twist)
+        zero = Encoded(field, embed(shape, []))
+        OperatorInstance(algebra, module, LinearMap(zero), twist)
 
     np = _np()
     c = algebra._c

@@ -31,7 +31,7 @@ from .algebra import Algebra, Bimodule, canonical_bimodule
 from .cochains import Cochain
 from .errors import InputError
 from .fields import field_from_name, field_to_name
-from .linalg import Encoded, IntTensor, nested, unravel
+from .linalg import Encoded, IntTensor, _array, nested, unravel
 from .structures import Dendriform, NSAlgebra
 
 
@@ -59,26 +59,6 @@ _STRUCTURES = (("dendriform", Dendriform, ("succ", "prec")),
                ("ns", NSAlgebra, ("succ", "prec", "vee")))
 
 
-# numpy's limit on the number of axes: deeper lists are entries, and
-# shapes in error messages read as numpy's would
-_MAX_AXES = 64
-
-
-def _array(raw):
-    """(shape, entries in C order) of a nested-list tensor, its shape
-    found as numpy finds an object array's: an axis for each level at
-    which every item is a list, all of one length."""
-    shape, level = [], [raw]
-    while len(shape) < _MAX_AXES and level and \
-            all(type(x) is list for x in level):
-        n = len(level[0])
-        if any(len(x) != n for x in level):
-            break
-        shape.append(n)
-        level = [y for x in level for y in x]
-    return tuple(shape), level
-
-
 def _parse_tensor(field, raw, shape, path):
     """The Encoded tensor of a nested list of literals (or of its
     `_array`); the shapes are compared before anything is parsed."""
@@ -102,15 +82,12 @@ def _parse_tensor(field, raw, shape, path):
 
 
 def format_tensor(field, arr):
-    """Nested lists of the canonical forms of a tensor's scalars: an
-    Encoded one, formatted from its integers, or a tensor of scalars."""
-    if isinstance(arr, Encoded):
-        flat, scale = arr.ints.ravel().tolist(), arr.scale
-        forms = {n: field.format_int(n, scale) for n in set(flat)}
-        return nested([forms[n] for n in flat], arr.shape)
-    if arr.ndim == 1:
-        return [field.format(x) for x in arr]
-    return [format_tensor(field, sub) for sub in arr]
+    """Nested lists of the canonical forms of a tensor's scalars,
+    formatted from the integers of its encoding (`Encoded.of`)."""
+    arr = Encoded.of(field, arr)
+    flat, scale = arr.ints.ravel().tolist(), arr.scale
+    forms = {n: field.format_int(n, scale) for n in set(flat)}
+    return nested([forms[n] for n in flat], arr.shape)
 
 
 def _object(value, path):

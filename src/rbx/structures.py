@@ -22,8 +22,8 @@ from __future__ import annotations
 from .algebra import Algebra, Bimodule, Verdict, bimodule_check
 from .cochains import Cochain
 from .errors import InputError
-from .linalg import (Encoded, combine, decoded, first_difference,
-                     first_nonzero_index, identity)
+from .linalg import (Encoded, combine, decoded, eye, first_difference,
+                     first_nonzero_index)
 from .operators import (LinearMap, OperatorInstance, induced_products, is_grb,
                         is_trb)
 
@@ -183,7 +183,7 @@ def identity_operator(structure) -> OperatorInstance:
     report = bimodule_check(total, module)
     if not report:
         raise InputError(f"induced actions fail bimodule axioms at {report.witness}")
-    op = LinearMap(identity(structure.dim, structure.field),
+    op = LinearMap(Encoded(structure.field, eye(structure.dim)),
                    source="M", target="A")
     twist = None if structure._vee is None else \
         Cochain(total, module, structure._vee)
@@ -210,9 +210,9 @@ def derivation_dual(inst: OperatorInstance, omega: LinearMap, z) -> OperatorInst
     W(p(m)) = z m for a scalar z becomes a GRB operator A -> M_ass over
     the induced actions."""
     A, M, field = inst.algebra, inst.module, inst.field
-    if omega.matrix.shape != (A.dim, M.dim):
+    if omega.shape != (A.dim, M.dim):
         raise InputError("derivation must map A to M")
-    W = Encoded.of(field, omega.matrix)
+    W = omega.encoded(field)
     # [i, j, l]: W(e_i e_j) against W(e_i).e_j + e_i.W(e_j)
     residual = combine([(A._c.dot(W, ([2], [0])), 1),
                         (W.dot(M._right, ([1], [0])), -1),
@@ -222,12 +222,13 @@ def derivation_dual(inst: OperatorInstance, omega: LinearMap, z) -> OperatorInst
         raise InputError(
             f"map is not a derivation: W(ab) != W(a).b + a.W(b) at "
             f"basis pair ({bad[0]},{bad[1]})")
+    (n,), scale = field.encode([field.zero + z])     # z may be an int
     if inst._op.dot(W, ([1], [0])).differs(
-            Encoded.of(field, identity(M.dim, field) * z)).any():
+            Encoded(field, eye(M.dim, n), scale)).any():
         raise InputError("W o p is not z times the identity on M")
     actions = induced_actions(inst)
     return OperatorInstance(actions.algebra, actions.module,
-                            LinearMap(omega.matrix, source="A", target="M_ass"))
+                            LinearMap(W, source="A", target="M_ass"))
 
 
 def grb_morphism_check(psi0: LinearMap, psi1: LinearMap,
@@ -235,11 +236,11 @@ def grb_morphism_check(psi0: LinearMap, psi1: LinearMap,
     """Morphism of operator instances: the square psi0 o p = p' o psi1
     commutes and psi1 intertwines the actions:
     psi1(a.m) = psi0(a).psi1(m) and psi1(m.a) = psi1(m).psi0(a)."""
-    if psi0.matrix.shape != (src.algebra.dim, dst.algebra.dim):
+    if psi0.shape != (src.algebra.dim, dst.algebra.dim):
         raise InputError("psi0 must map the source algebra to the target algebra")
-    if psi1.matrix.shape != (src.module.dim, dst.module.dim):
+    if psi1.shape != (src.module.dim, dst.module.dim):
         raise InputError("psi1 must map the source module to the target module")
-    f0, f1 = (Encoded.of(src.field, psi.matrix) for psi in (psi0, psi1))
+    f0, f1 = (psi.encoded(src.field) for psi in (psi0, psi1))
     bad = first_nonzero_index(src._op.dot(f0, ([1], [0])).differs(
         f1.dot(dst._op, ([1], [0]))))
     if bad is not None:

@@ -112,6 +112,21 @@ def agrees_with_tensor(fnmap: FnMap, tensor) -> bool:
 # vector in one slot is a read of the tensor (e_i e_j is c[i, j], and
 # e_a . m_j is left[a, j]); these helpers cover the other slots.
 
+def zeros(shape, field):
+    """An object array of `shape` filled with the field's zero."""
+    arr = np.empty(shape, dtype=object)
+    arr[...] = field.zero
+    return arr
+
+
+def identity(n, field):
+    """The n x n identity matrix of the field's scalars."""
+    arr = zeros((n, n), field)
+    for i in range(n):
+        arr[i, i] = field.one
+    return arr
+
+
 def elements(field):
     """Every scalar of a prime field, in canonical order 0, 1, ..., p-1."""
     assert field.char, "Q is not enumerable"

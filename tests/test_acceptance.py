@@ -11,8 +11,8 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import catalog_algebras, enumeration_pairs
-from oracle import (add, aybe_oracle, bilinear, elements, induced_product,
-                    random_tensor, tensors_equal)
+from oracle import (add, aybe_oracle, bilinear, elements, identity,
+                    induced_product, random_tensor, tensors_equal, zeros)
 from rbx.algebra import (assoc_check, bimodule_check, canonical_bimodule,
                          extension_product, intertwiner_check, semidirect)
 from rbx.cochains import Cochain, coboundary, is_cocycle
@@ -21,7 +21,7 @@ from rbx.flows import addexp_check, exp_flow, flow_truncation
 from rbx.gerstenhaber import MultiMap, g_bracket, jacobi_residual
 from rbx.instances import (catalog_trb_instances, kx2, mult_by_x_instance,
                            truncated_weyl, truncated_polynomial)
-from rbx.linalg import identity, is_zero, zeros
+from rbx.linalg import is_zero
 from rbx.operators import (LinearMap, OperatorInstance, aybe_residual,
                            extension_mult_map, graph_check, is_grb,
                            is_reynolds, is_trb, lift_cocycle, lift_matrix,

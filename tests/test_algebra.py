@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import upper_triangular
-from oracle import basis, neg, tensors_equal, vec_mat
+from oracle import basis, identity, neg, tensors_equal, vec_mat, zeros
 from rbx.algebra import (Algebra, Bimodule, assoc_check, bimodule_check,
                          canonical_bimodule, dual_module, extension_product,
                          intertwiner_check, semidirect, subspace_closed,
@@ -12,7 +12,7 @@ from rbx.cochains import Cochain, is_cocycle, zero_cochain
 from rbx.errors import InputError
 from rbx.fields import F2, QQ
 from rbx.instances import kx2, mult_by_x_matrix, null_algebra
-from rbx.linalg import identity, is_zero, zeros
+from rbx.linalg import is_zero
 
 
 def test_assoc_check_kx2_passes(kx2_q):

@@ -30,10 +30,9 @@ from oracle import random_tensor
 from rbx import linalg
 from rbx.fields import QQ, FpElement, PrimeField
 from rbx.instances import kx2
-from rbx.linalg import (Encoded, IntTensor, combine, embed,
+from rbx.linalg import (Encoded, IntTensor, _array, combine, embed,
                         first_difference, first_nonzero_index, max_abs,
                         to_numpy)
-from rbx.schema import _array
 
 BIG = PrimeField(2 ** 31 - 1)
 FIELDS = (QQ, PrimeField(2), PrimeField(7), BIG)
@@ -336,3 +335,22 @@ def test_shape_discovery_matches_numpy():
         assert len(flat) == ref.size
         if ref.ndim <= 32:              # numpy's .flat stops at 32 axes
             assert all(x == y for x, y in zip(flat, ref.flat))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_encoded_of_keeps_the_shape_of_an_array(field):
+    """An object array keeps its shape, empty axes included, and encodes
+    as the nested lists of its scalars do."""
+    for shape in [(0, 3), (3, 0), (2, 0, 4), (), (2, 3)]:
+        arr = np.empty(shape, dtype=object)
+        arr[...] = field.zero
+        enc = Encoded.of(field, arr)
+        assert enc.shape == shape and enc.ints.flat == [0] * arr.size
+        assert enc.objects.shape == shape
+    arr = random_tensor((2, 3), field, random.Random(3))
+    from_lists = Encoded.of(field, arr.tolist())
+    from_array = Encoded.of(field, arr)
+    assert from_lists.shape == from_array.shape == (2, 3)
+    assert (from_lists.ints.flat, from_lists.scale) == \
+        (from_array.ints.flat, from_array.scale)
+    assert from_array.objects.tolist() == arr.tolist()

@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from rbx.cli import main
+from rbx.instances import DEGREE_CAP
 
 
 def run(capsys, *argv):
@@ -263,6 +265,16 @@ def test_catalog_emit_truncated_poly(tmp_path, capsys):
     assert code == 0
     code, _ = run(capsys, "check-grb", str(path), "--map", "pi")
     assert code == 0
+
+
+@pytest.mark.parametrize("degree", [DEGREE_CAP + 1, 100000])
+def test_truncated_poly_past_the_degree_cap_is_exit_2(capsys, degree):
+    assert DEGREE_CAP >= 30
+    start = time.perf_counter()
+    code, out = run(capsys, "catalog", "emit", "truncated-poly",
+                    "--degree", str(degree))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and f"exceeds the cap {DEGREE_CAP}" in out
 
 
 def test_explain_every_verb(capsys):
@@ -533,9 +545,16 @@ def _modules_after_import(module):
 def test_checking_verbs_and_the_catalog_load_no_dataclasses(mbx_file):
     if "dataclasses" in _modules_after_import("numpy"):
         pytest.skip("numpy itself loads dataclasses")
-    for argv in (["check-grb", mbx_file], ["catalog", "list"]):
+    for argv in (["check-grb", mbx_file], ["catalog", "emit", "mult-by-x"]):
         loaded = modules_after(*argv)
         assert "rbx.schema" in loaded and "dataclasses" not in loaded
+
+
+def test_catalog_list_loads_no_core():
+    loaded = modules_after("catalog", "list")
+    assert "rbx.catalog" in loaded
+    assert "rbx.schema" not in loaded and "rbx.linalg" not in loaded
+    assert "numpy" not in loaded
 
 
 def count_parsers(monkeypatch):

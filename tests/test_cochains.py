@@ -3,15 +3,15 @@ import random
 import pytest
 
 from conftest import catalog_algebras
-from oracle import (add, basis, bilinear, multilinear, neg, random_tensor,
-                    tensors_equal, vec_mat)
+from oracle import (add, basis, bilinear, identity, multilinear, neg,
+                    random_tensor, tensors_equal, vec_mat)
 from rbx.algebra import assoc_check, canonical_bimodule, dual_module, extension_product
 from rbx.cochains import (Cochain, coboundary, is_cocycle,
                           multiplication_cochain, zero_cochain)
 from rbx.errors import CapacityError
 from rbx.fields import QQ
 from rbx.instances import kx2
-from rbx.linalg import identity, is_zero
+from rbx.linalg import is_zero
 
 
 def test_coboundary_of_zero(kx2_q):

@@ -11,11 +11,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracle import FnMap, agrees_with_tensor, oracle_circ, random_tensor
+from oracle import FnMap, agrees_with_tensor, oracle_circ, random_tensor, zeros
 from rbx import linalg
 from rbx.fields import QQ, PrimeField
 from rbx.gerstenhaber import ARITY_CAP, MultiMap, circ_i
-from rbx.linalg import Encoded, zeros
+from rbx.linalg import Encoded
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(7),
           PrimeField(2 ** 31 - 1)]

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from conftest import upper_triangular
-from oracle import (add, basis, bilinear, neg, oracle_row_reduce,
-                    random_scalar, random_tensor, tensors_equal, vec_mat)
+from oracle import (add, basis, bilinear, identity, neg, oracle_row_reduce,
+                    random_scalar, random_tensor, tensors_equal, vec_mat,
+                    zeros)
 from rbx.algebra import (Algebra, canonical_bimodule, semidirect,
                          twisted_extension)
 from rbx.errors import InputError
@@ -27,7 +28,7 @@ from rbx.fields import F2, F3, F5, QQ, PrimeField
 from rbx.instances import (catalog_trb_instances, kx2, null_algebra,
                            tensor_square, truncated_polynomial, unit_section,
                            unit_section_tensor_example)
-from rbx.linalg import Encoded, identity, invert, rank, row_reduce, zeros
+from rbx.linalg import Encoded, invert, rank, row_reduce
 from rbx.operators import (LinearMap, OperatorInstance, graph_check, is_grb,
                            is_trb, r_tilde, search_operators)
 from rbx.structures import derivation_dual, grb_morphism_check, induced_actions
@@ -268,6 +269,10 @@ def test_derivation_dual_over_each_field(field):
         derivation_dual(tp.instance(), LinearMap(bad), field.one)
     with pytest.raises(InputError, match="z times the identity"):
         derivation_dual(tp.instance(), tp.omega, field.from_int(2))
+    # z may be a Python int, read in the field: 1 + 7 is 1 in F7
+    assert is_grb(derivation_dual(tp.instance(), tp.omega, 1 + field.char))
+    with pytest.raises(InputError, match="z times the identity"):
+        derivation_dual(tp.instance(), tp.omega, 2)
 
 
 @pytest.mark.parametrize("field", (F2, F3), ids=lambda f: f.name)

@@ -3,14 +3,15 @@ import random
 import numpy as np
 import pytest
 
-from oracle import induced_product, random_tensor, tensors_equal
+from oracle import (identity, induced_product, random_tensor, tensors_equal,
+                    zeros)
 from rbx.algebra import canonical_bimodule, intertwiner_check
 from rbx.errors import InputError
 from rbx.fields import F2, F3, F5, QQ
 from rbx.gerstenhaber import g_bracket
 from rbx.instances import (catalog_trb_instances, kx2, mult_by_x_instance,
                            swap_instance, tensor_square, truncated_polynomial)
-from rbx.linalg import identity, is_zero, zeros
+from rbx.linalg import is_zero
 from rbx.operators import (LinearMap, OperatorInstance, extension_mult_map,
                            is_grb, is_trb, lift_cocycle, lift_operator,
                            semidirect_mult_map, structure_residual)

@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import catalog_algebras
-from oracle import (FnMap, add, agrees_with_tensor, bilinear, induced_product,
-                    neg, oracle_bar, oracle_bracket, oracle_circ,
-                    random_tensor, tensors_equal, vec_mat)
+from oracle import (FnMap, add, agrees_with_tensor, bilinear, identity,
+                    induced_product, neg, oracle_bar, oracle_bracket,
+                    oracle_circ, random_tensor, tensors_equal, vec_mat, zeros)
 from rbx.algebra import assoc_check, canonical_bimodule
 from rbx.errors import CapacityError, InputError
 from rbx.fields import F5, QQ, PrimeField
 from rbx.gerstenhaber import (MultiMap, bar_circ, circ_i, derived_bracket,
                               from_algebra, g_bracket, jacobi_residual)
 from rbx.instances import kx2
-from rbx.linalg import is_zero, zeros
+from rbx.linalg import is_zero
 from rbx.operators import lift_operator, semidirect_mult_map
 
 
@@ -166,7 +166,6 @@ def test_derived_bracket_explicit_formula():
     # (1/2)[p^,p^]_mu^((a,m),(b,n)) = (p(m)p(n) - p(p(m).n) - p(m.p(n)), 0)
     from rbx.instances import kx2
     from rbx.operators import LinearMap, OperatorInstance
-    from rbx.linalg import identity
 
     A = kx2(QQ)
     M = canonical_bimodule(A)
@@ -188,7 +187,6 @@ def test_derived_bracket_explicit_formula():
 def test_derived_bracket_identity_operator_value(kx2_q):
     # p = id on k[x]/(x^2): the half residual at ((0,e0),(0,e0)) is (-e0, 0)
     from rbx.operators import LinearMap, OperatorInstance
-    from rbx.linalg import identity
 
     inst = OperatorInstance(kx2_q, canonical_bimodule(kx2_q),
                             LinearMap(identity(2, QQ)))

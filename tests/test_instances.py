@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracle import add, bilinear, induced_product, tensors_equal, vec_mat
+from conftest import upper_triangular
+from oracle import (add, bilinear, identity, induced_product, tensors_equal,
+                    vec_mat, zeros)
 from rbx.algebra import bimodule_check, canonical_bimodule
 from rbx.cochains import is_cocycle
 from rbx.errors import CapacityError, CharacteristicError, InputError
@@ -13,7 +15,6 @@ from rbx.instances import (CATALOG, catalog_trb_instances, kx2,
                            tensor_square, truncated_polynomial,
                            truncated_weyl, unit_section,
                            unit_section_tensor_example)
-from rbx.linalg import identity, zeros
 from rbx.operators import LinearMap, is_grb, is_reynolds, is_trb
 from rbx.structures import check_ns, ns_from_trb
 from rbx.weyl import WeylPoly
@@ -228,6 +229,17 @@ def test_tensor_square_cocycle_and_ns():
 
 def test_tensor_square_over_prime_field():
     assert is_trb(tensor_square(kx2(F5)))
+
+
+def test_tensor_square_actions_on_a_noncommutative_algebra():
+    # e_u (x) e_v at u * d + v: a.(u (x) v) = au (x) v, (u (x) v).a = u (x) va
+    A = upper_triangular(QQ)
+    ts = tensor_square(A)
+    assert is_trb(ts)
+    d, c, M = A.dim, A.c, ts.module
+    for a, u, v, s, t in itertools.product(range(d), repeat=5):
+        assert M.left[a, u * d + v, s * d + t] == c[a, u, s] * (v == t)
+        assert M.right[u * d + v, a, s * d + t] == (u == s) * c[v, a, t]
 
 
 def test_unit_section_tensor_example():

@@ -22,7 +22,7 @@ import pytest
 
 from oracle import (oracle_assoc, oracle_bimodule, oracle_dendriform,
                     oracle_nijenhuis, oracle_operator, oracle_reynolds,
-                    random_scalar)
+                    random_scalar, zeros)
 from rbx import cli, linalg
 from rbx.algebra import (Bimodule, Verdict, assoc_check, bimodule_check,
                          canonical_bimodule, dual_module)
@@ -33,7 +33,7 @@ from rbx.gerstenhaber import MultiMap, half_square
 from rbx import flows
 from rbx.instances import (kx2, mult_by_x_instance, null_algebra,
                            tensor_square, truncated_polynomial)
-from rbx.linalg import Encoded, first_nonzero_index, zeros
+from rbx.linalg import Encoded, first_nonzero_index
 from rbx.operators import (LinearMap, OperatorInstance, graph_check, is_grb,
                            is_nijenhuis, is_reynolds, is_trb,
                            lift_operator, semidirect_mult_map)

@@ -1,10 +1,13 @@
-"""Checking verbs import no numpy; the search does.
+"""Checking verbs and `catalog emit` import no numpy; the search does.
 
 Every invocation of the benchmark's cli-small and flow-heavy plans but
-the searches that enumerate and `catalog emit` (which builds the
-instance catalog) runs in an interpreter where importing numpy fails.
-Its reports equal, apart from `timing_ms`, those of a normal run and of
-a run with every product sent to numpy (`PURE_WORK` = -1).
+the searches that enumerate runs in an interpreter where importing
+numpy fails, `catalog emit` included, since the catalog builds its
+instances on the integer encoding.  Its reports equal, apart from
+`timing_ms`, those of a normal run and of a run with every product sent
+to numpy (`PURE_WORK` = -1).  Every emittable catalog instance, and
+truncated-poly at degrees 3 to 8, emits the same bytes without numpy as
+in a normal run.
 """
 
 import contextlib
@@ -17,6 +20,7 @@ import sys
 import pytest
 
 from rbx import cli, linalg
+from rbx.catalog import TABLE
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -38,10 +42,8 @@ print(json.dumps(out))
 
 
 def numpy_free(argv):
-    """Every invocation but an enumerating search and `catalog emit`."""
-    if argv[0] == "search":
-        return "--budget" in argv
-    return argv[:2] != ["catalog", "emit"]
+    """Every invocation but an enumerating search."""
+    return argv[0] != "search" or "--budget" in argv
 
 
 def write_documents(plan, workdir):
@@ -90,7 +92,7 @@ def test_checking_verbs_run_without_numpy(name, tmp_path, monkeypatch):
     plan = workloads.plan(name, 1)
     argvs = [inv.argv + ["--json"] for inv in plan.invocations
              if numpy_free(inv.argv)]
-    assert len(argvs) == {"cli-small": 19, "flow-heavy": 9}[name]
+    assert len(argvs) == {"cli-small": 20, "flow-heavy": 9}[name]
     runs = {}
     for run in ("blocked", "normal", "numpy"):
         workdir = tmp_path / run
@@ -112,6 +114,31 @@ def test_checking_verbs_run_without_numpy(name, tmp_path, monkeypatch):
     assert runs["blocked"] == runs["normal"] == runs["numpy"]
     # the plans exercise both verdicts
     assert {rc for rc, _ in runs["normal"]} >= {0, 1}
+
+
+def emits():
+    """The argv of every emittable catalog instance, truncated-poly also
+    at degrees 3 to 8."""
+    out = [["catalog", "emit", name] for name, (_, emittable)
+           in sorted(TABLE.items()) if emittable]
+    return out + [["catalog", "emit", "truncated-poly", "--degree", str(n)]
+                  for n in range(3, 9)]
+
+
+def test_catalog_emits_the_same_bytes_without_numpy(tmp_path):
+    argvs = [argv + ["-o", str(tmp_path / f"blocked-{k}.json")]
+             for k, argv in enumerate(emits())]
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_WITHOUT_NUMPY, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True, text=True, timeout=300, check=True)
+    assert [rc for rc, _ in json.loads(proc.stdout)] == [0] * len(argvs)
+    for k, argv in enumerate(emits()):
+        normal = tmp_path / f"normal-{k}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv + ["-o", str(normal)]) == 0
+        assert (tmp_path / f"blocked-{k}.json").read_bytes() == \
+            normal.read_bytes(), argv
 
 
 def test_search_imports_numpy(tmp_path):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import enumeration_pairs
-from oracle import (add, aybe_oracle, bilinear, elements, induced_product,
-                    random_tensor, tensors_equal, vec_mat)
+from oracle import (add, aybe_oracle, bilinear, elements, identity,
+                    induced_product, random_tensor, tensors_equal, vec_mat,
+                    zeros)
 from rbx import linalg
 from rbx.algebra import bimodule_check, canonical_bimodule
 from rbx.cochains import Cochain, zero_cochain
@@ -17,7 +18,7 @@ from rbx.gerstenhaber import circ_i, g_bracket
 from rbx.instances import (ground_field_algebra, kx2, mult_by_x_instance,
                            mult_by_x_matrix, null_algebra, swap_instance,
                            tensor_square, truncated_polynomial)
-from rbx.linalg import identity, is_zero, zeros
+from rbx.linalg import is_zero
 from rbx.operators import (LinearMap, OperatorInstance, aybe_residual,
                            graph_check, is_classical_rb, is_grb,
                            is_nijenhuis, is_reynolds, is_trb, lift_cocycle,

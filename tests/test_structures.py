@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from oracle import induced_product, neg, random_tensor, tensors_equal, vec_mat
+from oracle import (identity, induced_product, neg, random_tensor,
+                    tensors_equal, vec_mat, zeros)
 from rbx.algebra import assoc_check, bimodule_check, canonical_bimodule
 from rbx.cochains import is_cocycle
 from rbx.errors import InputError
@@ -11,7 +12,7 @@ from rbx.fields import F2, QQ
 from rbx.gerstenhaber import g_bracket
 from rbx.instances import (catalog_trb_instances, kx2, mult_by_x_instance,
                            truncated_polynomial)
-from rbx.linalg import identity, is_zero, zeros
+from rbx.linalg import is_zero
 from rbx.operators import (LinearMap, OperatorInstance, is_grb, is_nijenhuis,
                            is_trb, lift_operator, search_operators,
                            semidirect_mult_map)
