@@ -7,20 +7,19 @@ prime-field scalars are :class:`FpElement` with canonical representatives
 in ``[0, p)``.
 
 Both fields also `encode` a flat list of their scalars as a list of
-integers and a scale, and `decode` an integer tensor over a scale back
-to scalars (`scalar` decodes one integer, `format_int` writes its
-canonical JSON form without building a scalar): the conversions between
-scalars and integers, for the exact integer kernel (`linalg.Encoded`)
-that every identity check runs on.  F_p encodes canonical
-representatives with scale 1; the kernel's results may be any
-representatives, which `reduce` brings to canonical ones where the
-kernel needs them and decoding reduces too.  Q encodes the numerators
-over the common denominator of the entries and leaves integer results
-as they are.  `divide` is the one division elimination needs, on a row
-of Python ints: exact floor division over Q, multiplication by the
-inverse mod p over F_p.  Decoding builds one scalar per distinct value, which
-equal entries (most often the zeros) share.  Only `decode`, `field_of`
-and the reduction of numpy tensors import numpy.
+integers and a scale, and turn an integer over a scale back into a
+scalar (`scalar`; `format_int` writes its canonical JSON form without
+building one): the conversions between scalars and integers, for the
+exact integer kernel (`linalg.Encoded`) that every identity check runs
+on.  F_p encodes canonical representatives with scale 1; the kernel's
+results may be any representatives, which `reduce` brings to canonical
+ones where the kernel needs them, on IntTensors and int64 numpy arrays
+alike.  Q encodes the numerators over the common denominator of the
+entries and leaves integer results as they are.  `divide` is the one
+division elimination needs, on a row of Python ints: exact floor
+division over Q, multiplication by the inverse mod p over F_p.
+`Encoded.objects` decodes a whole tensor with one `scalar` call per
+distinct value.  Only `field_of` imports numpy.
 """
 
 from __future__ import annotations
@@ -118,16 +117,6 @@ class FpElement:
         return str(self.val)
 
 
-def _from_values(arr, make):
-    """Object tensor holding make(v) at each entry v of the integer tensor
-    `arr`, with one call, and one shared scalar, per distinct value."""
-    np = _np()
-    values, index = np.unique(arr, return_inverse=True)
-    scalars = np.empty(len(values), dtype=object)
-    scalars[:] = [make(int(v)) for v in values]
-    return scalars[np.reshape(index, -1)].reshape(np.shape(arr))
-
-
 def _is_prime(n):
     if n < 2:
         return False
@@ -185,10 +174,6 @@ class RationalField:
         den, the lcm of their denominators."""
         den = math.lcm(*{x.denominator for x in scalars})
         return [x.numerator * (den // x.denominator) for x in scalars], den
-
-    def decode(self, arr, scale):
-        """The rational tensor arr / scale of a numpy integer tensor."""
-        return _from_values(arr, lambda n: Fraction(n, scale))
 
     def scalar(self, n, scale):
         return Fraction(n, scale)
@@ -278,32 +263,24 @@ class PrimeField:
         return n % self.p
 
     def reduce(self, arr):
-        """Canonical representatives of an integer tensor: int64 for a
-        numpy one.  On int64, a - (a // p) * p, in place, is exact and
-        several times faster than numpy's %, except for entries within
-        p of -2^63, where (a // p) * p would leave int64."""
+        """Canonical representatives of an integer tensor, an IntTensor or
+        an int64 numpy one.  On int64, a - (a // p) * p, in place, is
+        exact and several times faster than numpy's %, except for entries
+        within p of -2^63, where (a // p) * p would leave int64."""
         p = self.p
-        if isinstance(arr, IntTensor):
-            return arr % p
-        np = _np()
-        if arr.dtype != np.int64 or not arr.ndim or \
+        if isinstance(arr, IntTensor) or \
                 (arr.size and arr.min() < -2 ** 63 + p):
-            return (arr % p).astype(np.int64, copy=False)
+            return arr % p
         q = arr // p
-        q *= p
-        return np.subtract(arr, q, out=q)
+        q *= -p
+        q += arr
+        return q
 
     def divide(self, row, d):
         """row / d mod p for a list of ints, by the inverse of d mod p (d
         is nonzero mod p), as canonical representatives."""
         inverse, p = pow(d, -1, self.p), self.p
         return [x * inverse % p for x in row]
-
-    def decode(self, arr, scale):
-        """The F_p tensor of an integer tensor, reduced mod p; `scale` is
-        always 1."""
-        return _from_values(_np().asarray(arr) % self.p,
-                            lambda v: FpElement(v, self.p))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -11,21 +11,20 @@ only at the public boundary: `Encoded.of` encodes them, and the field
 decodes them where a caller reads them (`Encoded.objects`, `Encoded.at`),
 which for a verdict is the witness alone.
 
-The integers have two backends.  Encoding (and the schema loader) builds
+The integers have two forms.  Encoding (and the schema loader) builds
 an `IntTensor`: a shape and the flat C-order list of its Python ints,
-with only the operations `Encoded` uses.  `Encoded._product` is the one
-place that picks the backend: a product runs in pure Python when both
-operands are IntTensors and its dense work (multiply-adds times output
-entries) is at most `PURE_WORK`, visiting only nonzero entries.
-Otherwise both operands move to numpy for good (numpy is imported there
-on first use), and the product runs on int64 when `kernel_dtype` proves
-from its operands that no entry can reach 2^63, on Python-int object
-arrays otherwise; over F_p the operands are first reduced mod p when
-that keeps it in int64.  A sum with a numpy term moves its terms to
-numpy and picks its dtype by the same rule.  The exhaustive search
-builds its candidate blocks with numpy, so its products stay there.
-Elimination (`row_reduce`, `rank`, `invert`, fraction-free) runs on
-rows of Python ints.
+with only the operations `Encoded` uses; numpy (imported on first use)
+holds int64 arrays only.  `Encoded._product` picks the backend: a
+product runs in pure Python when both operands are IntTensors and its
+dense work (multiply-adds times output entries) is at most `PURE_WORK`,
+visiting only nonzero entries.  Otherwise it runs on int64 numpy when
+`fits_int64` shows from its operands that no entry can reach 2^63 (over
+F_p after reducing them mod p, if need be), and the operands stay
+converted; else it runs pure, on Python ints.  Sums and rescalings with
+a numpy term follow the same rule.  The exhaustive search builds its
+candidate blocks on numpy, so its products stay there.  Elimination
+(`row_reduce`, `rank`, `invert`, fraction-free) runs on rows of Python
+ints.
 
 Every identity is a residual of two contractions: the two sides are
 computed as tensors over all basis tuples at once, and
@@ -203,9 +202,9 @@ def _products(a, starts_a, b, starts_b, n, k, m):
     for sa, sb in zip(starts_a, starts_b):
         if sb not in rows_at:
             rows_at[sb] = [[(j, v) for j, v in enumerate(b[r:r + m]) if v]
-                           for r in range(sb, sb + k * m, m)]
+                           for r in range(sb, sb + k * m, m or 1)]
         rows = rows_at[sb]
-        for i in range(sa, sa + n * k, k):
+        for i in range(sa, sa + n * k, k) if k else [sa] * n:
             acc = [0] * m
             for x, row in zip(a[i:i + k], rows):
                 if x:
@@ -233,7 +232,7 @@ def _matmul(a, b):
     width = max(len(a.shape), len(b.shape))
     batch_a, batch_b = ([1] * (width - len(t.shape)) + list(t.shape[:-2])
                         for t in (a, b))
-    batch = list(map(max, batch_a, batch_b))
+    batch = [x if y == 1 else y for x, y in zip(batch_a, batch_b)]
     (n, k), m = a.shape[-2:], b.shape[-1]
     starts = [_offsets(0, [(s * size if d > 1 else 0, range(e))
                            for d, s, e in zip(dims, _strides(dims), batch)])
@@ -246,16 +245,19 @@ _PURE = {"tensordot": _tensordot, "matmul": _matmul}
 
 
 def to_numpy(ints):
-    """The integers as a numpy array: int64 where every entry fits, else
-    Python ints; numpy input passes through."""
+    """The integers as an int64 numpy array; numpy input passes through.
+    Callers convert only what `fits_int64` has shown int64 holds."""
     if not isinstance(ints, IntTensor):
         return ints
     np = _np()
-    try:
-        arr = np.array(ints.flat, dtype=np.int64)
-    except OverflowError:
-        arr = np.array(ints.flat, dtype=object)
-    return arr.reshape(ints.shape)
+    return np.array(ints.flat, dtype=np.int64).reshape(ints.shape)
+
+
+def to_pure(ints):
+    """The integers as an IntTensor; an IntTensor passes through."""
+    if isinstance(ints, IntTensor):
+        return ints
+    return IntTensor(ints.shape, ints.ravel().tolist())
 
 
 def eye(n, value=1):
@@ -302,37 +304,35 @@ def first_difference(pairs, k):
 
 def embed(shape, blocks):
     """An integer tensor of `shape`, zero but for each (index, ints)
-    block written at its index (a tuple of ints, slices and one list);
-    pure when every block is."""
-    if all(isinstance(ints, IntTensor) for _, ints in blocks):
+    block written at its index (a tuple of ints, slices and one list):
+    on int64 numpy when some block is numpy and int64 holds every block,
+    pure otherwise."""
+    ints = [b for _, b in blocks]
+    if all(isinstance(b, IntTensor) for b in ints) or \
+            not fits_int64(1, max(map(max_abs, ints))):
         out = IntTensor(shape, [0] * math.prod(shape))
         here = IntTensor(shape, list(range(len(out.flat))))
-        for index, ints in blocks:
-            for pos, value in zip(here[index].flat, ints.flat):
+        for (index, _), b in zip(blocks, ints):
+            for pos, value in zip(here[index].flat, to_pure(b).flat):
                 out.flat[pos] = value
         return out
     np = _np()
-    ints = [to_numpy(b) for _, b in blocks]
-    out = np.zeros(shape, dtype=np.result_type(*ints))
-    for (index, _), block in zip(blocks, ints):
-        out[index] = block
+    out = np.zeros(shape, dtype=np.int64)
+    for (index, _), b in zip(blocks, ints):
+        out[index] = to_numpy(b)
     return out
 
 
-def kernel_dtype(terms, *bounds):
-    """np.int64 when every signed sum of `terms` products of factors
-    bounded in absolute value by `bounds` stays below 2^63, else object
-    (Python ints): an integer contraction in the returned dtype never
-    wraps."""
-    limit = terms
-    for bound in bounds:
-        limit *= max(bound, 1)
-    return _np().int64 if limit < 2 ** 63 else object
+def fits_int64(terms, *bounds):
+    """Whether every signed sum of `terms` products of factors bounded in
+    absolute value by `bounds` stays below 2^63, and so does each bound:
+    the factors and an integer contraction of them on int64 never wrap."""
+    return terms * math.prod(max(bound, 1) for bound in bounds) < 2 ** 63
 
 
 def max_abs(ints):
     """The largest absolute value in an integer tensor (0 if empty)."""
-    if isinstance(ints, IntTensor) or ints.dtype == object:
+    if isinstance(ints, IntTensor):
         return max(map(abs, ints.flat), default=0)
     return max(int(ints.max(initial=0)), -int(ints.min(initial=0)))
 
@@ -366,7 +366,21 @@ class Encoded:
     @property
     def objects(self):
         if self._objects is None:
-            self._objects = self.field.decode(to_numpy(self.ints), self.scale)
+            # one field.scalar per distinct canonical integer; read-only,
+            # as a write would not reach the integers the checks run on
+            np, ints = _np(), self.field.reduce(self.ints)
+            if isinstance(ints, IntTensor):
+                at = {v: k for k, v in enumerate(dict.fromkeys(ints.flat))}
+                values = list(at)
+                index = np.fromiter(map(at.__getitem__, ints.flat), np.intp,
+                                    len(ints.flat))
+            else:
+                values, index = np.unique(ints, return_inverse=True)
+                values = values.tolist()
+            scalars = np.empty(len(values), dtype=object)
+            scalars[:] = [self.field.scalar(v, self.scale) for v in values]
+            self._objects = scalars[index.reshape(-1)].reshape(self.shape)
+            self._objects.flags.writeable = False
         return self._objects
 
     @property
@@ -413,19 +427,21 @@ class Encoded:
     def _product(self, other, terms, work, name, *args):
         """The product `name` (tensordot or matmul) of the integers, each
         entry a sum of `terms` products: pure for pure operands and dense
-        work up to `PURE_WORK`, else on numpy in the dtype `kernel_dtype`
-        proves."""
+        work up to `PURE_WORK`, else on int64 numpy where `_exact` shows
+        int64 holds it, else pure."""
         a, b = self.ints, other.ints
-        if isinstance(a, IntTensor) and isinstance(b, IntTensor) and \
-                0 < work <= PURE_WORK:
-            ints = _PURE[name](a, b, *args)
-        else:
-            # converted once: later products find the numpy arrays
-            self.ints, other.ints = to_numpy(a), to_numpy(b)
-            a, b = _exact(self.field, [self.ints, other.ints],
-                          lambda ints: kernel_dtype(terms, *map(max_abs, ints)))
-            ints = getattr(_np(), name)(a, b, *args)
-        return Encoded(self.field, ints, self.scale * other.scale)
+        scale = self.scale * other.scale
+        if not (isinstance(a, IntTensor) and isinstance(b, IntTensor)
+                and work <= PURE_WORK):
+            arrays = _exact(self.field, [a, b],
+                            lambda *bounds: fits_int64(terms, *bounds))
+            if arrays is not None:
+                # converted once: later products find the numpy arrays
+                self.ints, other.ints = a, b = arrays
+                return Encoded(self.field, getattr(_np(), name)(a, b, *args),
+                               scale)
+            a, b = to_pure(a), to_pure(b)
+        return Encoded(self.field, _PURE[name](a, b, *args), scale)
 
     def __add__(self, other):
         return combine([(self, 1), (other, 1)])
@@ -450,28 +466,28 @@ def decoded(name):
                     else getattr(self, name).objects)
 
 
-def _exact(field, ints, dtype_of):
-    """The numpy integer tensors `ints` cast to `dtype_of(ints)`; over F_p
-    they are first reduced mod p when that dtype would otherwise be
-    object."""
-    dtype = dtype_of(ints)
-    if dtype is object and field.char:
+def _exact(field, ints, fits):
+    """The integer tensors `ints` as int64 arrays when `fits` holds of
+    their largest absolute values, else None; over F_p they are first
+    reduced mod p when they do not fit as they are."""
+    if not fits(*map(max_abs, ints)):
+        if not field.char:
+            return None
         ints = [field.reduce(a) for a in ints]
-        dtype = dtype_of(ints)
-    return [a.astype(dtype, copy=False) for a in ints]
+        if not fits(*map(max_abs, ints)):
+            return None
+    return [to_numpy(a) for a in ints]
 
 
 def combine(terms):
     """The signed sum of (Encoded, sign) terms of one field and shape,
-    over the lcm of their scales; pure when every term is."""
+    over the lcm of their scales: pure when every term is or when int64
+    cannot hold the sum, on int64 numpy otherwise."""
     field = terms[0][0].field
-    if not all(isinstance(t.ints, IntTensor) for t, _ in terms):
-        for t, _ in terms:          # converted once, as in _product
-            t.ints = to_numpy(t.ints)
     ints, scale = common(*(t for t, _ in terms))
-    if not isinstance(ints[0], IntTensor):
-        ints = _exact(field, ints,
-                      lambda ints: kernel_dtype(1, sum(map(max_abs, ints))))
+    if not all(isinstance(a, IntTensor) for a in ints):
+        ints = _exact(field, ints, lambda *bounds: fits_int64(1, sum(bounds))) \
+            or list(map(to_pure, ints))
     first, *rest = ints
     total = first if terms[0][1] > 0 else -first
     for a, (_, sign) in zip(rest, terms[1:]):
@@ -481,14 +497,16 @@ def combine(terms):
 
 def common(*tensors):
     """The integer tensors of Encoded `tensors` over one scale, the lcm of
-    theirs, and that scale.  Repeated tensors give one array."""
+    theirs, and that scale.  Repeated tensors give one array; a numpy one
+    that int64 cannot rescale goes pure."""
     scale = math.lcm(*(t.scale for t in tensors))
     out = {}
     for t in tensors:
         if id(t) not in out:
             factor, ints = scale // t.scale, t.ints
-            if factor != 1 and not isinstance(ints, IntTensor):
-                ints = ints.astype(kernel_dtype(1, max_abs(ints), factor))
+            if factor != 1 and not isinstance(ints, IntTensor) and \
+                    not fits_int64(1, max_abs(ints), factor):
+                ints = to_pure(ints)
             out[id(t)] = ints if factor == 1 else ints * factor
     return [out[id(t)] for t in tensors], scale
 

@@ -14,8 +14,8 @@ Each identity is written once (`_identity_sides`, `_aybe_residual`) as
 products and sums of `linalg.Encoded` tensors that accept a leading
 batch axis: the exhaustive search runs them on blocks of candidates,
 and a checker is the same evaluation on a block of one.  The kernel
-picks the backend and the integer dtype and carries the scales of every
-step; the search builds its blocks with numpy, so it runs there.
+picks the backend and carries the scales of every step; the search
+builds its blocks of candidates on int64 numpy, so it runs there.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ SEARCH_BUDGET = 2 ** 20
 class LinearMap:
     """Linear map between coordinate spaces, matrix of shape
     (source_dim, target_dim), row convention: image(v) = v @ matrix.
-    The matrix is a tensor of scalars, or an Encoded one that `.matrix`
-    decodes on first read."""
+    The matrix is a tensor of scalars, or an Encoded one, which `.matrix`
+    reads as its (cached) decoded scalars and `encoded` returns as it is."""
 
     def __init__(self, matrix, source="", target=""):
         if not isinstance(matrix, Encoded):
@@ -49,7 +49,7 @@ class LinearMap:
     @property
     def matrix(self):
         if isinstance(self._matrix, Encoded):
-            self._matrix = self._matrix.objects
+            return self._matrix.objects
         return self._matrix
 
     @property
@@ -375,7 +375,8 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
                      cocycle: Cochain | None = None, budget: int | None = None):
     """Enumerate all candidates of the given kind over a prime field, in
     lexicographic order of the flattened matrix entries, and return those
-    passing the kind's checker.
+    passing the kind's checker.  A space of p^n >= 2^63 candidates, past
+    the int64 candidate index, is refused whatever the budget.
 
     Candidates are maps M -> A (grb/trb), endomorphisms of A
     (rb/reynolds/nijenhuis), or tensors in A (x) A (aybe).  They are
@@ -403,6 +404,10 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
     n_entries = shape[0] * shape[1]
     p = field.char
     total = p ** n_entries
+    if total >= 2 ** 63:
+        raise CapacityError(
+            f"search space {p}^{n_entries} = {total} has 2^63 or more "
+            f"candidates, past the int64 candidate index")
     if total > budget:
         raise CapacityError(
             f"search space {p}^{n_entries} = {total} exceeds the "
@@ -421,13 +426,12 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
     twist = None if twist is None else twist._tensor
     # candidate k has the base-p digits of k, most significant first:
     # the order of itertools.product over the flattened entries
-    index_dtype = np.int64 if total < 2 ** 63 else object
     powers = np.array([p ** e for e in range(n_entries - 1, -1, -1)],
-                      dtype=index_dtype)
+                      dtype=np.int64)
     step = max(1, min(SEARCH_BLOCK, BLOCK_ENTRIES // max(shape) ** 3))
     solutions = []
     for start in range(0, total, step):
-        index = np.arange(start, min(start + step, total), dtype=index_dtype)
+        index = np.arange(start, min(start + step, total), dtype=np.int64)
         block = Encoded(field, (index[:, None] // powers % p).reshape(-1, *shape))
         if kind == "aybe":
             lhs, rhs = _aybe_residual(c, block), None

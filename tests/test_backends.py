@@ -3,12 +3,14 @@
 - Every operation of the pure-Python `IntTensor` against numpy on
   object arrays of the same Python ints, with entries beyond 2^63.
 - `Encoded` products, sums and comparisons on the pure backend against
-  the same on numpy (`PURE_WORK` = -1), over Q, F2, F7 and F_(2^31-1).
+  the same with every product int64 holds on numpy (`PURE_WORK` = -1),
+  over Q, F2, F7 and F_(2^31-1).
 - The identity checkers against `tests/oracle.py` on both sides of the
   work rule: the oracle tests of test_integer_sites and
-  test_witness_oracle run here with every product on numpy, and with a
-  rule that splits one identity's products between the backends (their
-  own runs keep the pure default).
+  test_witness_oracle run here with every product int64 holds on numpy
+  (and only those), and with a rule that splits one identity's products
+  between the backends (their own runs keep the pure default).  A spy
+  sees only int64 operands reach numpy's contractions.
 - The integer formatter against `field.format`, F_p reduction near
   +-(2^63 - 1) against Python's %, and the loader's shape discovery
   against numpy's.
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 import test_cochains
+import test_contract
 import test_flows
 import test_gerstenhaber
 import test_integer_sites
@@ -32,7 +35,7 @@ from rbx.fields import QQ, FpElement, PrimeField
 from rbx.instances import kx2
 from rbx.linalg import (Encoded, IntTensor, _array, combine, embed,
                         first_difference, first_nonzero_index, max_abs,
-                        to_numpy)
+                        to_numpy, to_pure)
 
 BIG = PrimeField(2 ** 31 - 1)
 FIELDS = (QQ, PrimeField(2), PrimeField(7), BIG)
@@ -113,7 +116,10 @@ def test_tensordot_matches_numpy(seed):
              ((2, 3, 4), (3, 2), ([0, 1], [1, 0])),
              ((2, 3), (3, 2, 2), ([-1], [0])),
              ((3, 2), (2,), ([1], [0])),
-             ((2, 2), (3,), ([], []))]
+             ((2, 2), (3,), ([], [])),
+             ((2, 0), (0, 3), ([1], [0])),
+             ((2, 3), (3, 0), ([1], [0])),
+             ((0, 3), (3, 2), ([1], [0]))]
     for sa, sb, axes in cases:
         for density in (0.1, 0.9):
             a, b = ints(sa, rng, density), ints(sb, rng, density)
@@ -125,7 +131,9 @@ def test_tensordot_matches_numpy(seed):
 def test_matmul_broadcasts_as_numpy(seed):
     rng = random.Random(seed + 10)
     cases = [((3, 4), (4, 2)), ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 3)),
-             ((2, 1, 3, 4), (5, 4, 2)), ((1, 2, 3), (4, 1, 3, 2))]
+             ((2, 1, 3, 4), (5, 4, 2)), ((1, 2, 3), (4, 1, 3, 2)),
+             ((0, 2, 2), (2, 2)), ((3, 1, 2, 2), (0, 2, 2)), ((2, 0), (0, 2)),
+             ((2, 3), (3, 0))]
     for sa, sb in cases:
         a, b = ints(sa, rng, 0.5), ints(sb, rng, 0.5)
         same(linalg._matmul(a, b), np.matmul(obj(a), obj(b)))
@@ -136,15 +144,20 @@ def test_conversions_and_index_helpers():
     small = IntTensor((2, 2), [1, -2, 0, 2 ** 62])
     assert to_numpy(small).dtype == np.int64
     assert to_numpy(small).tolist() == small.tolist()
+    same(to_pure(to_numpy(small)), obj(small))
+    assert to_pure(small) is small and to_numpy(to_numpy(small)).dtype == np.int64
     big = ints((2, 3), rng)
-    assert to_numpy(big).dtype == object and \
-        to_numpy(big).tolist() == big.tolist()
-    assert big.ravel().tolist() == to_numpy(big).ravel().tolist() == big.flat
+    assert max_abs(big) >= 2 ** 63
+    with pytest.raises(OverflowError):          # numpy holds int64 only
+        to_numpy(big)
+    assert big.ravel().tolist() == obj(big).ravel().tolist() == big.flat
     for t in (big, IntTensor((2, 2), [0, 0, 0, 5]), IntTensor((2, 2), [0] * 4),
               IntTensor((2, 0), [])):
         for k in (None, 0, 1, 2):
-            assert first_nonzero_index(t, k) == \
-                first_nonzero_index(to_numpy(t), k)
+            assert first_nonzero_index(t, k) == first_nonzero_index(obj(t), k)
+            if max_abs(t) < 2 ** 63:
+                assert first_nonzero_index(t, k) == \
+                    first_nonzero_index(to_numpy(t), k)
     assert first_nonzero_index(IntTensor((2, 2), [0, 0, 0, 5]), 1) == (1,)
     for pos in range(24):
         assert linalg.unravel(pos, (2, 3, 4)) == \
@@ -162,8 +175,19 @@ def test_embed_matches_numpy():
     for index, t in places:
         ref[index] = obj(t)
     same(pure, ref)
-    mixed = embed((3, 4), [(i, to_numpy(t)) for i, t in places])
-    assert mixed.tolist() == ref.tolist()
+    # numpy blocks where int64 holds them: a block past int64 keeps the
+    # embedding pure
+    mixed = embed((3, 4), [(i, to_numpy(t) if max_abs(t) < 2 ** 63 else t)
+                           for i, t in places])
+    same(mixed, ref)
+    small = [(i, IntTensor(t.shape, [x % 1000 for x in t.flat]))
+             for i, t in places]
+    ref = np.zeros((3, 4), dtype=object)
+    for index, t in small:
+        ref[index] = obj(t)
+    on_numpy = embed((3, 4), [(i, to_numpy(t)) for i, t in small[:2]] +
+                     small[2:])
+    assert on_numpy.dtype == np.int64 and on_numpy.tolist() == ref.tolist()
     same(embed((2, 2), []), np.zeros((2, 2), dtype=object))
 
 
@@ -207,7 +231,12 @@ def test_encoded_operations_agree_on_both_backends(field, monkeypatch):
         assert isinstance(a.dot(b, ([2], [1])).ints, IntTensor)
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "PURE_WORK", -1)
-            assert not isinstance(a.dot(b, ([2], [1])).ints, IntTensor)
+            # a product past int64 stays pure: Q numerators past 2^63, or
+            # three-term sums of (p-1)^2 over F_(2^31-1)
+            past = not linalg.fits_int64(3, *(max_abs(field.reduce(x.ints))
+                                              for x in (a, b)))
+            assert past == (field in (QQ, BIG)) or not large
+            assert isinstance(a.dot(b, ([2], [1])).ints, IntTensor) == past
             on_numpy = run()
         for x, y in zip(pure, on_numpy):
             if isinstance(x, np.ndarray):
@@ -252,6 +281,14 @@ CASES = [(module, name, args) for module, name, arglists in ORACLE_TESTS
          for args in arglists]
 
 
+def run_test(module, name, args, monkeypatch):
+    """Run another module's test, passing it `monkeypatch` if it takes it."""
+    test = getattr(module, name)
+    if "monkeypatch" in test.__code__.co_varnames[:test.__code__.co_argcount]:
+        args += (monkeypatch,)
+    test(*args)
+
+
 @pytest.mark.parametrize("work", [-1, 16], ids=["numpy", "split"])
 @pytest.mark.parametrize(
     "module, name, args", CASES,
@@ -265,17 +302,75 @@ def test_identities_match_oracles_on_both_sides(module, name, args, work,
     real = linalg.Encoded._product
 
     def product(self, other, terms, size, *rest):
+        bounds = [max_abs(self.field.reduce(x.ints)) for x in (self, other)]
         out = real(self, other, terms, size, *rest)
-        seen.append(isinstance(out.ints, IntTensor))
+        seen.append((isinstance(out.ints, IntTensor),
+                     linalg.fits_int64(terms, *bounds)))
         return out
 
     monkeypatch.setattr(linalg.Encoded, "_product", product)
-    test = getattr(module, name)
-    if "monkeypatch" in test.__code__.co_varnames[:test.__code__.co_argcount]:
-        args += (monkeypatch,)
-    test(*args)
+    run_test(module, name, args, monkeypatch)
     if work < 0:
-        assert seen and True not in seen
+        # numpy for every product int64 holds (mod p over F_p), pure for
+        # every other one
+        assert seen and all(pure != fits for pure, fits in seen)
+
+
+# the F_(2^31-1) oracle tests and the fallbacks past int64 (Q numerators
+# near 2^62, all-(p-1) tensors over F_(2^31-1))
+INT64_CASES = [(test_integer_sites, name, (BIG,)) for name in (
+    "test_assoc_matches_oracle_and_object_path",
+    "test_bimodule_matches_oracle_and_object_path",
+    "test_operator_identities_match_oracle_and_object_path",
+    "test_axioms_match_oracle_and_object_path",
+    "test_multimap_sums_and_half_square_match_object_path",
+    "test_addexp_restriction_compare_matches_object_path")] + [
+    (test_integer_sites, name, ()) for name in (
+        "test_assoc_and_bimodule_fall_back_to_python_ints",
+        "test_f_2_31_minus_1_assoc_is_int64_at_d_2_and_pure_at_d_3",
+        "test_operator_identities_fall_back_to_python_ints",
+        "test_axioms_fall_back_to_python_ints",
+        "test_multimap_sums_and_half_square_fall_back_to_python_ints",
+        "test_addexp_falls_back_to_python_ints")] + [
+    (test_contract, name, args) for name, args in (
+        ("test_contract_matches_object_tensordot_at_every_slot", (BIG,)),
+        ("test_matmul_matches_object_matmul", (QQ,)),
+        ("test_matmul_matches_object_matmul", (BIG,)),
+        ("test_views_match_object_numpy", (QQ,)),
+        ("test_views_match_object_numpy", (BIG,)),
+        ("test_q_numerators_near_2_62_fall_back_to_python_ints", ()),
+        ("test_f_2_31_minus_1_switches_to_python_ints_past_d_2", ()),
+        ("test_matmul_falls_back_to_python_ints", ()),
+        ("test_deferred_reduction_across_a_chain_of_contractions", ()))]
+
+
+@pytest.mark.parametrize(
+    "module, name, args", INT64_CASES,
+    ids=[f"{m.__name__}.{n}" + (f"[{a[0].name}]" if a else "")
+         for m, n, a in INT64_CASES])
+def test_numpy_contracts_only_int64(module, name, args, monkeypatch):
+    """With every product int64 holds on numpy, the kernel's numpy
+    contractions (tensordot, matmul) see int64 operands and nothing else
+    (some tests see none: every product there is past int64).  The spy
+    is the numpy the kernel imports, so the tests' own object-dtype
+    references, and their own spies, pass by it."""
+    monkeypatch.setattr(linalg, "PURE_WORK", -1)
+    seen = []
+
+    class KernelNumpy:
+        def __getattr__(self, attr):
+            real = getattr(np, attr)
+            if attr not in ("tensordot", "matmul"):
+                return real
+
+            def spy(a, b, *rest):
+                seen.append((a.dtype, b.dtype))
+                return real(a, b, *rest)
+            return spy
+
+    monkeypatch.setattr(linalg, "_np", KernelNumpy)
+    run_test(module, name, args, monkeypatch)
+    assert all(a == b == np.int64 for a, b in seen)
 
 
 # ---------------------------------------------------------------------------

@@ -671,3 +671,17 @@ def test_output_into_a_missing_directory_is_exit_2(mbx_file, tmp_path, argv):
     assert proc.stdout == (f"ERROR: {argv[0]} - cannot write {target}: "
                            f"[Errno 2] No such file or directory: "
                            f"'{target}'\n")
+
+
+def test_search_past_the_int64_candidate_index_is_exit_2(tmp_path):
+    """2^64 candidates, every one passing on the null algebra, are refused
+    at once whatever the budget, not enumerated until killed."""
+    path = tmp_path / "null8.json"
+    path.write_text(json.dumps(
+        {"field": "Q", "algebra": {"dim": 8, "c": [[[0] * 8] * 8] * 8}}))
+    start = time.perf_counter()
+    proc = run_cli("search", str(path), "--kind", "rb", "--field", "F2",
+                   "--budget", str(2 ** 64), stdout=subprocess.PIPE)
+    assert time.perf_counter() - start < 0.5
+    assert proc.returncode == 2
+    assert f"search space 2^64 = {2 ** 64}" in proc.stdout

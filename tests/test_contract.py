@@ -2,8 +2,9 @@
 (`Encoded.dot` and `Encoded.matmul`, and the views `transpose`,
 `swapaxes` and indexing, decoded) against object-dtype numpy, which
 dispatches to the scalars' own exact arithmetic: equal values and equal
-scalar types, on the int64 path and on the Python-int fallback, and
-with F_p reduction deferred across a chain of contractions."""
+scalar types, on the int64 path and on the Python-int fallback (the
+pure kernel, for a product int64 cannot hold), and with F_p reduction
+deferred across a chain of contractions."""
 
 import random
 from fractions import Fraction
@@ -49,16 +50,24 @@ def slots(dim_range):
                         yield dim, m, n, i
 
 
-def spy_dtypes(monkeypatch):
-    """Send every product to numpy and record the dtype of every integer
-    contraction (tensordot or matmul) the kernel runs there."""
+def spy_routes(monkeypatch):
+    """Send every product int64 holds to numpy and record the route of
+    every integer contraction (tensordot or matmul): "int64" on numpy,
+    whose two operands must be int64, or "pure" in the Python-int
+    kernel."""
     monkeypatch.setattr(linalg, "PURE_WORK", -1)
     seen = []
     for name in ("tensordot", "matmul"):
         def spy(a, b, *axes, real=getattr(np, name)):
-            seen.append(a.dtype)
+            assert a.dtype == b.dtype == np.int64
+            seen.append("int64")
+            return real(a, b, *axes)
+
+        def pure(a, b, *axes, real=linalg._PURE[name]):
+            seen.append("pure")
             return real(a, b, *axes)
         monkeypatch.setattr(np, name, spy)
+        monkeypatch.setitem(linalg._PURE, name, pure)
     return seen
 
 
@@ -107,10 +116,10 @@ def test_q_numerators_near_2_62_fall_back_to_python_ints(monkeypatch):
                                rng.choice((1, 1, 3, 7)))
                       for _ in range(t.size)]
         cases.append((f, g, ([i - 1], [n]), np.tensordot(f, g, ([i - 1], [n]))))
-    seen = spy_dtypes(monkeypatch)
+    seen = spy_routes(monkeypatch)
     for f, g, axes, ref in cases:
         assert_same(contract(QQ, f, g, axes), ref, QQ)
-    assert seen and all(dt == object for dt in seen)
+    assert seen and all(route == "pure" for route in seen)
 
 
 def test_f_2_31_minus_1_switches_to_python_ints_past_d_2(monkeypatch):
@@ -121,11 +130,11 @@ def test_f_2_31_minus_1_switches_to_python_ints_past_d_2(monkeypatch):
         a = zeros((dim, dim), field)
         a[...] = top
         refs[dim] = (a, np.tensordot(a, a, ([1], [0])))
-    seen = spy_dtypes(monkeypatch)
+    seen = spy_routes(monkeypatch)
     for dim, (a, ref) in refs.items():
         assert_same(contract(field, a, a, ([1], [0])), ref, field)
     # 2 (p-1)^2 < 2^63 <= 3 (p-1)^2
-    assert seen == [np.int64, object]
+    assert seen == ["int64", "pure"]
 
 
 def test_contract_shares_one_scalar_per_distinct_value():
@@ -174,12 +183,12 @@ def test_matmul_falls_back_to_python_ints(monkeypatch):
     for field, inner in ((QQ, 2), (QQ, 3), (big, 2), (big, 3)):
         a, b = large((2, 2, inner), field, rng), large((2, inner, 2), field, rng)
         cases.append((field, a, b, np.matmul(a, b)))
-    seen = spy_dtypes(monkeypatch)
+    seen = spy_routes(monkeypatch)
     for field, a, b, ref in cases:
         got = Encoded.of(field, a).matmul(Encoded.of(field, b))
         assert_same(got.objects, ref, field)
     # 2 (p-1)^2 < 2^63 <= 3 (p-1)^2
-    assert seen == [object, object, np.int64, object]
+    assert seen == ["pure", "pure", "int64", "pure"]
 
 
 @pytest.mark.parametrize("field", VIEW_FIELDS, ids=lambda f: f.name)
@@ -206,7 +215,7 @@ def test_deferred_reduction_across_a_chain_of_contractions(monkeypatch):
     refs = [ms[0]]
     for m in ms[1:]:
         refs.append(np.tensordot(refs[-1], m, ([1], [0])))
-    seen = spy_dtypes(monkeypatch)
+    seen = spy_routes(monkeypatch)
     out = Encoded.of(field, ms[0])
     for m, ref in zip(ms[1:], refs[1:]):
         out = out.dot(Encoded.of(field, m), ([1], [0]))
@@ -215,4 +224,4 @@ def test_deferred_reduction_across_a_chain_of_contractions(monkeypatch):
             assert linalg.max_abs(out.ints) >= field.p      # left unreduced
     # each product past the first would need Python ints unreduced; its
     # operands are reduced mod p first and it stays in int64
-    assert seen == [np.int64] * 3
+    assert seen == ["int64"] * 3

@@ -6,6 +6,7 @@ import pytest
 from rbx.errors import CharacteristicError, InputError
 from rbx.fields import (F2, F3, F5, FpElement, PrimeField, QQ,
                         field_from_name, field_to_name)
+from rbx.linalg import Encoded, IntTensor
 
 
 def test_fp_canonical_representatives():
@@ -110,6 +111,31 @@ def test_fp_int_tensor_round_trip():
     ints, scale = F5.encode(list(arr.flat))
     assert ints == [3, 0, 1, 4] and all(type(n) is int for n in ints)
     assert scale == 1
-    back = F5.decode(np.array(ints).reshape(2, 2) - 10, 1)   # reduced mod p
-    assert back.tolist() == arr.tolist()
-    assert all(type(x.val) is int for x in back.flat)
+    for raw in (np.array(ints).reshape(2, 2) - 10,          # reduced mod p
+                IntTensor((2, 2), [n + 5 * 2 ** 70 for n in ints])):
+        back = Encoded(F5, raw).objects
+        assert back.tolist() == arr.tolist()
+        assert all(type(x.val) is int for x in back.flat)
+
+
+@pytest.mark.parametrize("raw", [
+    [7, -3, 0, 12, 2, 5, -5, 2 ** 70],
+    [2 ** 62, -2 ** 62, 3, -2, 8, 0, 13, 5]])
+def test_fp_objects_of_unreduced_integers_are_canonical_and_shared(raw):
+    """`Encoded.objects` over F_p on unreduced integers, pure or int64:
+    canonical entries, and one shared scalar per canonical value."""
+    import numpy as np
+
+    forms = [IntTensor((2, 4), raw)]
+    if max(map(abs, raw)) < 2 ** 63:
+        forms.append(np.array(raw, dtype=np.int64).reshape(2, 4))
+    for ints in forms:
+        objects = Encoded(F5, ints).objects
+        assert objects.shape == (2, 4)
+        assert [x.val for x in objects.flat] == [n % 5 for n in raw]
+        assert all(type(x) is FpElement and type(x.val) is int
+                   for x in objects.flat)
+        by_value = {}
+        for x in objects.flat:
+            assert by_value.setdefault(x.val, x) is x
+        assert len({id(x) for x in objects.flat}) == len({n % 5 for n in raw})

@@ -7,9 +7,10 @@ Each site is compared with the nested-loop evaluators of oracle.py and
 with an object-dtype reference, the same contractions on the scalars'
 own arithmetic (the evaluation rbx ran before the encoding), over Q, F2,
 F5, F7 and F_(2^31-1): verdict, witness, both sides and their scalar
-types.  The Python-int fallback is forced at each site with Q numerators
-near 2^62 and all-(p-1) tensors over F_(2^31-1), and observed with a spy
-on the dtype of every contraction.  The Q scale rule (sides compared as
+types.  The Python-int fallback (the pure kernel, for products and sums
+int64 cannot hold) is forced at each site with Q numerators near 2^62
+and all-(p-1) tensors over F_(2^31-1), and observed with a spy on the
+route of every contraction.  The Q scale rule (sides compared as
 lhs * rhs_scale against rhs * lhs_scale) has its own tests.
 """
 
@@ -33,11 +34,12 @@ from rbx.gerstenhaber import MultiMap, half_square
 from rbx import flows
 from rbx.instances import (kx2, mult_by_x_instance, null_algebra,
                            tensor_square, truncated_polynomial)
-from rbx.linalg import Encoded, first_nonzero_index
+from rbx.linalg import Encoded, IntTensor, first_nonzero_index
 from rbx.operators import (LinearMap, OperatorInstance, graph_check, is_grb,
                            is_nijenhuis, is_reynolds, is_trb,
                            lift_operator, semidirect_mult_map)
 from rbx.structures import Dendriform, NSAlgebra, check_dendriform, check_ns
+from test_contract import spy_routes
 
 BIG = PrimeField(2 ** 31 - 1)
 FIELDS = (QQ, F2, F5, PrimeField(7), BIG)
@@ -176,55 +178,40 @@ def pairs(field):
     return out
 
 
-def spy_dtypes(monkeypatch):
-    """Send every product to numpy and record the dtype of every
-    tensordot the kernel runs there."""
-    monkeypatch.setattr(linalg, "PURE_WORK", -1)
-    seen = []
-    real = np.tensordot
-
-    def spy(a, b, axes):
-        seen.append(np.asarray(a).dtype)
-        return real(a, b, axes)
-
-    monkeypatch.setattr(np, "tensordot", spy)
-    return seen
-
-
 def spy_products(monkeypatch):
-    """Send every product to numpy and record every tensordot and matmul
-    the kernel runs there: the dtypes of its operands and the dtype
-    `kernel_dtype` proves for them."""
+    """Send every product int64 holds to numpy and record every product
+    the kernel runs: ("int64" or "pure", terms, the two operands)."""
     monkeypatch.setattr(linalg, "PURE_WORK", -1)
     seen = []
-    real_dot, real_matmul = np.tensordot, np.matmul
 
-    def record(a, b, terms):
-        bounds = map(linalg.max_abs, (a, b))
-        seen.append((a.dtype, b.dtype, linalg.kernel_dtype(terms, *bounds)))
+    def spy(route, real, terms_of):
+        def run(a, b, *axes):
+            seen.append((route, terms_of(a, *axes), a, b))
+            return real(a, b, *axes)
+        return run
 
-    def dot(a, b, axes):
-        record(a, b, math.prod(a.shape[k] for k in axes[0]))
-        return real_dot(a, b, axes)
+    def dot_terms(a, axes):
+        return math.prod(a.shape[k] for k in axes[0])
 
-    def matmul(a, b):
-        record(a, b, a.shape[-1])
-        return real_matmul(a, b)
+    def matmul_terms(a):
+        return a.shape[-1]
 
-    monkeypatch.setattr(np, "tensordot", dot)
-    monkeypatch.setattr(np, "matmul", matmul)
+    for name, terms_of in (("tensordot", dot_terms), ("matmul", matmul_terms)):
+        monkeypatch.setattr(np, name, spy("int64", getattr(np, name), terms_of))
+        monkeypatch.setitem(linalg._PURE, name,
+                            spy("pure", linalg._PURE[name], terms_of))
     return seen
 
 
 def on_numpy(enc):
-    """The same encoding with its integers in a numpy array."""
+    """The same encoding with its integers in an int64 numpy array."""
     return Encoded(enc.field, linalg.to_numpy(enc.ints), enc.scale)
 
 
-def near_2_62(shape, rng):
+def near_2_62(shape, rng, denominators=(1, 1, 3, 7)):
     arr = np.empty(shape, dtype=object)
     arr.flat = [Fraction(rng.choice((1, -1)) * (2 ** 62 - rng.randint(0, 9)),
-                         rng.choice((1, 1, 3, 7))) for _ in range(arr.size)]
+                         rng.choice(denominators)) for _ in range(arr.size)]
     return arr
 
 
@@ -280,21 +267,21 @@ def test_assoc_and_bimodule_fall_back_to_python_ints(monkeypatch):
     A = null_algebra(QQ, 2)
     L, R = near_2_62((2, 2, 2), rng), near_2_62((2, 2, 2), rng)
     bimodule_ref = ref_bimodule(A.c, L, R)
-    seen = spy_dtypes(monkeypatch)
+    seen = spy_routes(monkeypatch)
     for c, ref in zip(cases, refs):
         field = BIG if isinstance(c.flat[0], FpElement) else QQ
         same_verdict(assoc_check(c), ref, field)
     assert bimodule_check(A, Bimodule(A, L, R, check=False)).witness == \
         bimodule_ref
-    assert seen and all(dt == object for dt in seen)
+    assert seen and all(route == "pure" for route in seen)
 
 
-def test_f_2_31_minus_1_assoc_is_int64_at_d_2_and_object_at_d_3(monkeypatch):
-    seen = spy_dtypes(monkeypatch)
+def test_f_2_31_minus_1_assoc_is_int64_at_d_2_and_pure_at_d_3(monkeypatch):
+    seen = spy_routes(monkeypatch)
     for d in (2, 3):
         assert assoc_check(top((d, d, d)))
     # d (p-1)^2 < 2^63 exactly for d <= 2
-    assert seen == [np.int64, np.int64, object, object]
+    assert seen == ["int64", "int64", "pure", "pure"]
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +317,7 @@ def test_operator_identities_match_oracle_and_object_path(field):
 
 
 def test_operator_identities_fall_back_to_python_ints(monkeypatch):
-    # each contraction picks its own dtype: over F_(2^31-1) the two-term
+    # each contraction picks its own route: over F_(2^31-1) the two-term
     # products of a dimension-2 case fit int64 once their operands are
     # reduced mod p, so the fallback is forced there at dimension 3
     rng = random.Random(63)
@@ -364,9 +351,15 @@ def test_operator_identities_fall_back_to_python_ints(monkeypatch):
         start = len(seen)
         same_verdict(run(), ref_compare(*sides, 2), case[0])
         calls = seen[start:]
-        assert calls and all(a == b == dt for a, b, dt in calls)
+        assert calls
+        # numpy exactly when int64 holds the operands reduced mod p, and
+        # then on int64 operands
+        for route, terms, a, b in calls:
+            bounds = [linalg.max_abs(case[0].reduce(x)) for x in (a, b)]
+            assert (route == "int64") == linalg.fits_int64(terms, *bounds)
+            assert route == "pure" or a.dtype == b.dtype == np.int64
         python_ints[case] = python_ints.get(case, 0) + sum(
-            dt == object for _, _, dt in calls)
+            route == "pure" for route, *_ in calls)
     assert python_ints[(QQ, 2)] and python_ints[(BIG, 3)]
     assert python_ints[(BIG, 2)] == 0
 
@@ -418,14 +411,14 @@ def test_axioms_fall_back_to_python_ints(monkeypatch):
     cases = [(QQ, [near_2_62((2, 2, 2), rng) for _ in range(3)]),
              (BIG, [top((3, 3, 3)) for _ in range(3)])]
     refs = [ref_axioms(*t) for _, t in cases]
-    seen = spy_dtypes(monkeypatch)
+    seen = spy_routes(monkeypatch)
     for (field, tensors), ref in zip(cases, refs):
         verdict = check_ns(NSAlgebra(field, *tensors))
         assert [f[:2] for f in verdict.failures] == [f[:2] for f in ref]
         for got, want in zip(verdict.failures, ref):
             same_scalars(got[2], want[2], field)
             same_scalars(got[3], want[3], field)
-    assert seen and all(dt == object for dt in seen)
+    assert seen and all(route == "pure" for route in seen)
 
 
 # ---------------------------------------------------------------------------
@@ -451,22 +444,25 @@ def test_multimap_sums_and_half_square_match_object_path(field):
 
 def test_multimap_sums_and_half_square_fall_back_to_python_ints(monkeypatch):
     rng = random.Random(65)
-    f, g = near_2_62((2, 2, 2), rng), near_2_62((2, 2, 2), rng)
-    p = near_2_62((2, 2), rng)
-    # the operands on numpy, where a sum picks its dtype
+    # numerators near 2^62 over the scales 3, 7 and 1: each fits int64
+    f, g = near_2_62((2, 2, 2), rng, (3,)), near_2_62((2, 2, 2), rng, (7,))
+    p = near_2_62((2, 2), rng, (1,))
+    # the operands on numpy, from where a sum int64 cannot hold goes pure
     F, G, P = (MultiMap(QQ, on_numpy(Encoded.of(QQ, t))) for t in (f, g, p))
     first, second = ref_circ(f, p, 1), ref_circ(f, p, 2)
     both = ref_circ(first, p, 2)
     half = both - ref_circ(p, first, 1) - ref_circ(p, second, 1)
-    seen = spy_dtypes(monkeypatch)
+    seen = spy_routes(monkeypatch)
     # the sum of two numerators near 2^62 over different scales needs more
     # than 63 bits: the sum itself is held in Python ints
-    for got, want in (((F + G), f + g), ((F - G), f - g), ((-F), -f)):
-        assert got._tensor.ints.dtype == object
+    for got, want in (((F + G), f + g), ((F - G), f - g)):
+        assert isinstance(got._tensor.ints, IntTensor)
         same_scalars(got.tensor, want, QQ)
+    assert (-F)._tensor.ints.dtype == np.int64
+    same_scalars((-F).tensor, -f, QQ)
     for got, want in zip(half_square(F, P), (half, first, second, both)):
         same_scalars(got.tensor, want, QQ)
-    assert seen and all(dt == object for dt in seen)
+    assert seen and all(route == "pure" for route in seen)
     T = MultiMap(BIG, top((3, 3, 3)))
     same_scalars((T + T).tensor, top((3, 3, 3)) + top((3, 3, 3)), BIG)
     same_scalars((T - T).tensor, zeros((3, 3, 3), BIG), BIG)
@@ -515,10 +511,10 @@ def test_addexp_falls_back_to_python_ints(monkeypatch):
     perturbed = scaled_truncated(4, QQ, big)
     perturbed.op.matrix[0, 1] = Fraction(1, 5)
     perturbed._op = Encoded.of(QQ, perturbed.op.matrix)
-    seen = spy_dtypes(monkeypatch)
+    seen = spy_routes(monkeypatch)
     assert addexp_check(inst)
     assert not addexp_check(perturbed)
-    assert seen and object in seen
+    assert seen and "pure" in seen
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +522,14 @@ def test_addexp_falls_back_to_python_ints(monkeypatch):
 
 
 def test_equal_fractions_over_different_scales_compare_equal():
-    nums = np.array([[3, -1], [0, 5]], dtype=object)
+    nums = np.array([[3, -1], [0, 5]], dtype=np.int64)
     assert Verdict.compare(Encoded(QQ, nums, 2), Encoded(QQ, nums * 3, 6), 2)
     assert Verdict.compare(Encoded(QQ, nums * 7, 14),
                            Encoded(QQ, nums * 5, 10), 1)
 
 
 def test_one_numerator_off_fails_at_the_lexicographic_witness():
-    nums = np.array([[3, -1], [0, 5]], dtype=object)
+    nums = np.array([[3, -1], [0, 5]], dtype=np.int64)
     off = nums * 3
     off[1, 1] += 1
     off[1, 0] -= 1

@@ -18,7 +18,7 @@ from rbx.gerstenhaber import circ_i, g_bracket
 from rbx.instances import (ground_field_algebra, kx2, mult_by_x_instance,
                            mult_by_x_matrix, null_algebra, swap_instance,
                            tensor_square, truncated_polynomial)
-from rbx.linalg import is_zero
+from rbx.linalg import Encoded, is_zero
 from rbx.operators import (LinearMap, OperatorInstance, aybe_residual,
                            graph_check, is_classical_rb, is_grb,
                            is_nijenhuis, is_reynolds, is_trb, lift_cocycle,
@@ -396,6 +396,27 @@ def test_search_budget():
     A = kx2(F2)
     with pytest.raises(CapacityError):
         search_operators(A, canonical_bimodule(A), "grb", budget=8)
+
+
+def test_matrix_read_keeps_the_stored_encoding():
+    """`.matrix` decodes a stored Encoded once and keeps it stored: a
+    later `encoded` returns that Encoded, not a re-encoding of scalars."""
+    op = mult_by_x_instance(QQ).op
+    enc = op.encoded(QQ)
+    assert isinstance(enc, Encoded)
+    matrix = op.matrix
+    assert matrix is op.matrix is enc.objects
+    assert matrix.tolist() == [[0, 1], [0, 0]]
+    assert op.encoded(QQ) is enc
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[0, 0] = 7        # would not reach the encoding the checks use
+
+
+def test_search_past_the_int64_index_is_refused_whatever_the_budget():
+    N = null_algebra(F2, 8)
+    for budget in (2 ** 64, 2 ** 70):
+        with pytest.raises(CapacityError, match=r"2\^64 = 18446744073709551616"):
+            search_operators(N, None, "rb", budget=budget)
 
 
 def test_search_requires_prime_field(kx2_q):
