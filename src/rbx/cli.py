@@ -15,10 +15,10 @@ help and usage texts read as before.  The parser, `explain`, `--help`
 and usage errors need the standard library alone, and `catalog list`
 the catalog's table alone; every other verb imports rbx's core modules
 in one place, `_import_core`, before its handler runs.  No core module
-imports numpy when it loads: the checking verbs and `catalog emit` work
-on the kernel's pure-Python integers, and numpy is imported only by a
-product too large for them (see `linalg`) and by `search` once it
-enumerates.
+imports numpy when it loads: the checking verbs, `catalog emit` and a
+small `search` work on the kernel's pure-Python integers, and numpy is
+imported only by a product or a search too large for them (see
+`linalg`).  A search's solutions are formatted from their integers.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import json
 import os
 import sys
 import time
-from itertools import product
+from itertools import compress, count
 
 from .errors import InputError, RbxError
 
@@ -38,8 +38,8 @@ def _import_core():
     global schema, Verdict, assoc_check, bimodule_check, canonical_bimodule, \
         addexp_check, exp_flow, MultiMap, g_bracket, LinearMap, \
         OperatorInstance, aybe_encoded, is_grb, is_nijenhuis, is_reynolds, \
-        is_trb, search_operators, structure_residual, check_dendriform, \
-        check_ns, dendriform_from_grb, ns_from_trb
+        is_trb, search_rows, structure_residual, check_dendriform, \
+        check_ns, dendriform_from_grb, ns_from_trb, nested, unravel
     if "schema" in globals():
         return
     from . import schema
@@ -47,9 +47,10 @@ def _import_core():
                           canonical_bimodule)
     from .flows import addexp_check, exp_flow
     from .gerstenhaber import MultiMap, g_bracket
+    from .linalg import nested, unravel
     from .operators import (LinearMap, OperatorInstance, aybe_encoded,
                             is_grb, is_nijenhuis, is_reynolds, is_trb,
-                            search_operators, structure_residual)
+                            search_rows, structure_residual)
     from .structures import (check_dendriform, check_ns, dendriform_from_grb,
                              ns_from_trb)
 
@@ -146,12 +147,12 @@ def _tensor_listing(tensor, labels):
     """Nonzero coefficients of an encoded multimap tensor as text lines,
     in C order, found and formatted on its integers."""
     field, scale = tensor.field, tensor.scale
+    flat = field.reduce(tensor.ints).ravel().tolist()
     lines = []
-    for (*ins, out), n in zip(product(*map(range, tensor.shape)),
-                              field.reduce(tensor.ints).ravel().tolist()):
-        if n:
-            lines.append(f"({','.join(labels[i] for i in ins)}) -> "
-                         f"{labels[out]}: {field.format_int(n, scale)}")
+    for pos in compress(count(), flat):
+        *ins, out = unravel(pos, tensor.shape)
+        lines.append(f"({','.join(labels[i] for i in ins)}) -> "
+                     f"{labels[out]}: {field.format_int(flat[pos], scale)}")
     return lines or ["0 (zero map)"]
 
 
@@ -346,11 +347,12 @@ def cmd_search(args):
         except ValueError:
             raise InputError(
                 f"RBX_BUDGET must be a positive integer, got {raw!r}") from None
-    sols = search_operators(algebra, module, args.kind,
-                            cocycle=cocycle, budget=budget)
-    fmt = [schema.format_tensor(doc.field, s) for s in sols]
+    shape, rows = search_rows(algebra, module, args.kind,
+                              cocycle=cocycle, budget=budget)
+    fmt = [nested([doc.field.format_int(n, 1) for n in row], shape)
+           for row in rows]
     return Report("search", "pass", digest=digest,
-                  detail=f"{len(sols)} solution(s) of kind {args.kind!r} in "
+                  detail=f"{len(rows)} solution(s) of kind {args.kind!r} in "
                          f"canonical order",
                   extra={"solutions": fmt})
 

@@ -21,8 +21,11 @@ visiting only nonzero entries.  Otherwise it runs on int64 numpy when
 `fits_int64` shows from its operands that no entry can reach 2^63 (over
 F_p after reducing them mod p, if need be), and the operands stay
 converted; else it runs pure, on Python ints.  Sums and rescalings with
-a numpy term follow the same rule.  The exhaustive search builds its
-candidate blocks on numpy, so its products stay there.  Elimination
+a numpy term follow the same rule.  The exhaustive search applies the
+rule to its whole dense work: a small search builds its candidate
+blocks as IntTensors, and every product of it runs pure (a block of
+small matrices with the candidates innermost, `_columns`); a larger
+one builds int64 numpy blocks, so its products run there.  Elimination
 (`row_reduce`, `rank`, `invert`, fraction-free) runs on rows of Python
 ints.
 
@@ -40,8 +43,8 @@ benchmark's tracer wraps it by name.
 from __future__ import annotations
 
 import math
-from itertools import compress, count
-from operator import add, sub
+from itertools import chain, compress, count
+from operator import add, mul, sub
 
 from .errors import InputError
 
@@ -54,7 +57,11 @@ from .errors import InputError
 # and 8 to 20 dimensions).  The benchmark's checking verbs stay below
 # the bound (their largest product, a bracket on a 10-dimensional space,
 # is 1e5), while a dense 14-dimensional associativity check (5.4e5) and
-# the flows on degree-30 polynomials (1.3e7) go to numpy.
+# the flows on degree-30 polynomials (1.3e7) go to numpy.  A search
+# counts its whole dense work against the bound: the benchmark's largest
+# (mult-by-x over F7, 2,401 candidates of 80 units each, and null3 rb
+# over F2, 512 of 324) stay pure, while mult-by-x over F11 (1.2e6) goes
+# to numpy.
 PURE_WORK = 2 ** 18
 
 
@@ -196,8 +203,13 @@ class IntTensor:
 
 def _products(a, starts_a, b, starts_b, n, k, m):
     """The flat n x m products of the n x k matrices at a[s:] and the
-    k x m matrices at b[t:] for each pair of starts (s, t), visiting only
-    the nonzero entries of both."""
+    k x m matrices at b[t:] for each pair of starts (s, t), pair after
+    pair.  Up to n * k * m pairs loop over rows, visiting only the
+    nonzero entries of both; more pairs (a search's block of small
+    matrices) loop over the index triples, each a product of operand
+    columns gathered over all pairs."""
+    if len(starts_a) > n * k * m:
+        return _columns(a, starts_a, b, starts_b, n, k, m)
     out, rows_at = [], {}
     for sa, sb in zip(starts_a, starts_b):
         if sb not in rows_at:
@@ -214,6 +226,26 @@ def _products(a, starts_a, b, starts_b, n, k, m):
     return out
 
 
+def _columns(a, starts_a, b, starts_b, n, k, m):
+    """`_products` with the pairs innermost: entry (i, l) of every
+    product at once, as sums over j of a[s + i k + j] b[t + j m + l]
+    mapped over the pairs."""
+    def gather(flat, starts, size):
+        return [list(map(flat.__getitem__, [s + q for s in starts]))
+                for q in range(size)]
+    cols_a, cols_b = gather(a, starts_a, n * k), gather(b, starts_b, k * m)
+    zero, out = [0] * len(starts_a), []
+    for i in range(n):
+        row = cols_a[i * k:(i + 1) * k]
+        for col in range(m):
+            acc = None
+            for x, y in zip(row, cols_b[col::m]):
+                term = map(mul, x, y)
+                acc = term if acc is None else map(add, acc, term)
+            out.append(zero if acc is None else list(acc))
+    return list(chain.from_iterable(zip(*out)))
+
+
 def _tensordot(a, b, axes):
     """np.tensordot of IntTensors: one transposed 2-D product."""
     ax_a = [k % len(a.shape) for k in axes[0]]
@@ -227,12 +259,20 @@ def _tensordot(a, b, axes):
                      _products(left.flat, [0], right.flat, [0], n, k, m))
 
 
+def _broadcast(shape_a, shape_b):
+    """The batch axes of np.matmul operands of shapes `shape_a` and
+    `shape_b`, each padded with leading 1s to one length, and the batch
+    shape they broadcast to."""
+    width = max(len(shape_a), len(shape_b))
+    batch_a, batch_b = ([1] * (width - len(s)) + list(s[:-2])
+                        for s in (shape_a, shape_b))
+    return batch_a, batch_b, [x if y == 1 else y
+                              for x, y in zip(batch_a, batch_b)]
+
+
 def _matmul(a, b):
     """np.matmul of IntTensors, the leading axes broadcast."""
-    width = max(len(a.shape), len(b.shape))
-    batch_a, batch_b = ([1] * (width - len(t.shape)) + list(t.shape[:-2])
-                        for t in (a, b))
-    batch = [x if y == 1 else y for x, y in zip(batch_a, batch_b)]
+    batch_a, batch_b, batch = _broadcast(a.shape, b.shape)
     (n, k), m = a.shape[-2:], b.shape[-1]
     starts = [_offsets(0, [(s * size if d > 1 else 0, range(e))
                            for d, s, e in zip(dims, _strides(dims), batch)])
@@ -418,10 +458,8 @@ class Encoded:
     def matmul(self, other):
         """np.matmul of two encoded tensors (leading axes broadcast as
         batch axes), exactly."""
-        # exact when one side's batch axes broadcast, as in the identities
         (n, k), m = self.shape[-2:], other.shape[-1]
-        work = math.prod(self.shape[:-2]) * math.prod(other.shape[:-2]) \
-            * n * k * m
+        work = math.prod(_broadcast(self.shape, other.shape)[2]) * n * k * m
         return self._product(other, k, work, "matmul")
 
     def _product(self, other, terms, work, name, *args):

@@ -15,10 +15,15 @@ products and sums of `linalg.Encoded` tensors that accept a leading
 batch axis: the exhaustive search runs them on blocks of candidates,
 and a checker is the same evaluation on a block of one.  The kernel
 picks the backend and carries the scales of every step; the search
-builds its blocks of candidates on int64 numpy, so it runs there.
+builds its blocks of candidates on the pure kernel when its whole dense
+work is at most `linalg.PURE_WORK`, and on int64 numpy otherwise, and
+keeps the passing candidates as integers (`search_rows`).
 """
 
 from __future__ import annotations
+
+import math
+from itertools import chain, compress, islice, product
 
 from .algebra import (Algebra, Bimodule, Verdict, canonical_bimodule,
                       dual_module, extension, semidirect, subspace_closed,
@@ -26,7 +31,9 @@ from .algebra import (Algebra, Bimodule, Verdict, canonical_bimodule,
 from .cochains import Cochain, is_cocycle
 from .errors import CapacityError, CharacteristicError, InputError
 from .gerstenhaber import MultiMap, circ_i, half_square
-from .linalg import Encoded, _np, combine, embed, eye, pullback
+from . import linalg
+from .linalg import (Encoded, IntTensor, _np, combine, embed, eye,
+                     pullback)
 
 SEARCH_BUDGET = 2 ** 20
 
@@ -375,13 +382,43 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
                      cocycle: Cochain | None = None, budget: int | None = None):
     """Enumerate all candidates of the given kind over a prime field, in
     lexicographic order of the flattened matrix entries, and return those
-    passing the kind's checker.  A space of p^n >= 2^63 candidates, past
-    the int64 candidate index, is refused whatever the budget.
+    passing the kind's checker, as tensors of scalars: `search_rows`,
+    decoded."""
+    shape, rows = search_rows(algebra, module, kind, cocycle, budget)
+    ints = IntTensor((len(rows), *shape), list(chain.from_iterable(rows)))
+    return list(Encoded(algebra.field, ints).objects)
+
+
+def _candidate_work(kind, dim, rows, shared, twisted):
+    """The dense work (as `Encoded.dot`/`matmul` count it) of one
+    candidate's products in `_identity_sides` or `_aybe_residual`, for
+    an algebra of dimension `dim` and candidates with `rows` rows;
+    `shared`: the left action is the product, whose pullback reuses the
+    induced product's first step."""
+    if kind == "aybe":
+        return 5 * dim ** 4
+    work = 3 * dim * rows ** 3 + (rows * dim) ** 2 \
+        + (0 if shared else rows * dim ** 3)
+    if twisted:
+        work += (rows * dim) ** 2 + dim * rows ** 3
+    return work + (dim ** 4 if kind == "nijenhuis" else 0)
+
+
+def search_rows(algebra: Algebra, module: Bimodule | None, kind: str,
+                cocycle: Cochain | None = None, budget: int | None = None):
+    """(shape, rows): the candidates of `search_operators` that pass, each
+    the flat tuple or list of its canonical integer representatives.  A
+    space of p^n >= 2^63 candidates, past the int64 candidate index, is
+    refused whatever the budget.
 
     Candidates are maps M -> A (grb/trb), endomorphisms of A
     (rb/reynolds/nijenhuis), or tensors in A (x) A (aybe).  They are
     decided in blocks: the kind's two sides are evaluated on a stack of
     candidates by the checkers' contractions and compared mod p once.
+    A search whose whole dense work, the candidate count times one
+    candidate's, is at most `linalg.PURE_WORK` builds its blocks on the
+    pure kernel; any other builds int64 numpy blocks, so its products
+    run there.
     """
     if kind not in _CHECKERS:
         raise InputError(f"unknown search kind {kind!r}; one of {_CHECKERS}")
@@ -420,23 +457,39 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
         zero = Encoded(field, embed(shape, []))
         OperatorInstance(algebra, module, LinearMap(zero), twist)
 
-    np = _np()
     c = algebra._c
     actions = (module._left, module._right) if kind in ("grb", "trb") else ()
     twist = None if twist is None else twist._tensor
+    pure = total * _candidate_work(
+        kind, algebra.dim, shape[0], kind != "aybe" and module._left is c,
+        twist is not None) <= linalg.PURE_WORK
     # candidate k has the base-p digits of k, most significant first:
     # the order of itertools.product over the flattened entries
-    powers = np.array([p ** e for e in range(n_entries - 1, -1, -1)],
-                      dtype=np.int64)
+    if pure:
+        candidates = product(range(p), repeat=n_entries)
+    else:
+        np = _np()
+        powers = np.array([p ** e for e in range(n_entries - 1, -1, -1)],
+                          dtype=np.int64)
     step = max(1, min(SEARCH_BLOCK, BLOCK_ENTRIES // max(shape) ** 3))
-    solutions = []
+    rows = []
     for start in range(0, total, step):
-        index = np.arange(start, min(start + step, total), dtype=np.int64)
-        block = Encoded(field, (index[:, None] // powers % p).reshape(-1, *shape))
+        size = min(step, total - start)
+        if pure:
+            digits = list(islice(candidates, size))
+            ints = IntTensor((size, *shape), list(chain.from_iterable(digits)))
+        else:
+            index = np.arange(start, start + size, dtype=np.int64)
+            ints = (index[:, None] // powers % p).reshape(-1, *shape)
+        block = Encoded(field, ints)
         if kind == "aybe":
             lhs, rhs = _aybe_residual(c, block), None
         else:
             lhs, rhs = _identity_sides(kind, block, c, *actions, twist=twist)
-        failing = lhs.differs(rhs).reshape(block.shape[0], -1).any(axis=1)
-        solutions += list(block[~failing].objects)
-    return solutions
+        failing = lhs.differs(rhs)
+        failing = failing.reshape(size, math.prod(failing.shape[1:]))
+        if pure:
+            rows += compress(digits, [not any(x) for x in failing.tolist()])
+        else:
+            rows += ints[~failing.any(axis=1)].reshape(-1, n_entries).tolist()
+    return shape, rows

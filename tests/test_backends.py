@@ -17,6 +17,7 @@
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -137,6 +138,64 @@ def test_matmul_broadcasts_as_numpy(seed):
     for sa, sb in cases:
         a, b = ints(sa, rng, 0.5), ints(sb, rng, 0.5)
         same(linalg._matmul(a, b), np.matmul(obj(a), obj(b)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_innermost_products_match_numpy(seed, monkeypatch):
+    """A matmul with more (start_a, start_b) pairs than n * k * m index
+    triples loops over the triples, the pairs innermost: broadcast batch
+    on either side or both, and k, n or m zero."""
+    rng = random.Random(seed + 20)
+    taken = []
+    real = linalg._columns
+
+    def spy(a, starts_a, b, starts_b, n, k, m):
+        taken.append(len(starts_a))
+        return real(a, starts_a, b, starts_b, n, k, m)
+
+    monkeypatch.setattr(linalg, "_columns", spy)
+    cases = [((9, 2, 2), (2, 2)), ((2, 2), (9, 2, 2)), ((9, 2, 2), (9, 2, 2)),
+             ((5, 1, 2, 2), (1, 4, 2, 2)), ((30, 1, 3, 3), (30, 3, 3, 3)),
+             ((3, 3, 3), (20, 1, 3, 3)), ((6, 2, 0), (6, 0, 3)),
+             ((6, 0, 2), (6, 2, 3)), ((6, 2, 2), (6, 2, 0)),
+             ((0, 2, 2), (2, 2)), ((2, 2), (4, 0, 2, 2))]
+    for sa, sb in cases:
+        a, b = ints(sa, rng, 0.5), ints(sb, rng, 0.5)
+        pairs = math.prod(np.broadcast_shapes(sa[:-2], sb[:-2]))
+        taken.clear()
+        same(linalg._matmul(a, b), np.matmul(obj(a), obj(b)))
+        n, k, m = sa[-2], sa[-1], sb[-1]
+        assert taken == ([pairs] if pairs > n * k * m else []), (sa, sb)
+    # no pairs at all, taken directly (tensordot's one pair of empty
+    # matrices takes it too: test_tensordot_matches_numpy)
+    assert real([1, 2, 3, 4], [], [5, 6, 7, 8], [], 2, 2, 1) == []
+
+
+@pytest.mark.parametrize("size", [64, 512])
+def test_batched_pullback_counts_its_batch_once(size, monkeypatch):
+    """The work of a batched pullback at d = 2 is its batch times one
+    candidate's, so a block of candidates stays on the pure kernel."""
+    rng = random.Random(size)
+    field = PrimeField(7)
+    t = Encoded.of(field, random_tensor((2, 2, 2), field, rng))
+    block = Encoded(field, IntTensor((size, 2, 2), [
+        rng.randrange(7) for _ in range(size * 4)]))
+    works = []
+    real = linalg.Encoded._product
+
+    def spy(self, other, terms, work, *rest):
+        works.append(work)
+        return real(self, other, terms, work, *rest)
+
+    monkeypatch.setattr(linalg.Encoded, "_product", spy)
+    pulled = linalg.pullback(t, block)
+    assert isinstance(pulled.ints, IntTensor)
+    batched, works[:] = works[:], []
+    linalg.pullback(t, block[:1])
+    assert batched == [size * w for w in works]
+    for j in (0, size - 1):
+        assert pulled[j].objects.tolist() == \
+            linalg.pullback(t, block[j]).objects.tolist()
 
 
 def test_conversions_and_index_helpers():

@@ -1,13 +1,14 @@
-"""Checking verbs and `catalog emit` import no numpy; the search does.
+"""Checking verbs, small searches and `catalog emit` import no numpy.
 
-Every invocation of the benchmark's cli-small and flow-heavy plans but
-the searches that enumerate runs in an interpreter where importing
-numpy fails, `catalog emit` included, since the catalog builds its
-instances on the integer encoding.  Its reports equal, apart from
-`timing_ms`, those of a normal run and of a run with every product sent
-to numpy (`PURE_WORK` = -1).  Every emittable catalog instance, and
-truncated-poly at degrees 3 to 8, emits the same bytes without numpy as
-in a normal run.
+Every invocation of the benchmark's three plans runs in an interpreter
+where importing numpy fails: `catalog emit`, since the catalog builds
+its instances on the integer encoding, and every search, since each
+one's whole dense work is within `linalg.PURE_WORK`.  Its reports
+equal, apart from `timing_ms`, those of a normal run and of a run with
+every product and every search block sent to numpy (`PURE_WORK` = -1).
+A search past the rule (mult-by-x over F11) does import numpy.  Every
+emittable catalog instance, and truncated-poly at degrees 3 to 8, emits
+the same bytes without numpy as in a normal run.
 """
 
 import contextlib
@@ -39,11 +40,6 @@ for argv in json.loads(sys.argv[1]):
     out.append([rc, buf.getvalue()])
 print(json.dumps(out))
 """
-
-
-def numpy_free(argv):
-    """Every invocation but an enumerating search."""
-    return argv[0] != "search" or "--budget" in argv
 
 
 def write_documents(plan, workdir):
@@ -87,12 +83,13 @@ def in_process(argvs, workdir):
         os.chdir(here)
 
 
-@pytest.mark.parametrize("name", ["cli-small", "flow-heavy"])
-def test_checking_verbs_run_without_numpy(name, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", ["cli-small", "flow-heavy", "search"])
+def test_plans_run_without_numpy(name, tmp_path, monkeypatch):
     plan = workloads.plan(name, 1)
-    argvs = [inv.argv + ["--json"] for inv in plan.invocations
-             if numpy_free(inv.argv)]
-    assert len(argvs) == {"cli-small": 20, "flow-heavy": 9}[name]
+    argvs = [inv.argv + ["--json"] for inv in plan.invocations]
+    assert len(argvs) == {"cli-small": 24, "flow-heavy": 13, "search": 9}[name]
+    assert sum(argv[0] == "search" for argv in argvs) == \
+        {"cli-small": 5, "flow-heavy": 4, "search": 9}[name]
     runs = {}
     for run in ("blocked", "normal", "numpy"):
         workdir = tmp_path / run
@@ -112,8 +109,9 @@ def test_checking_verbs_run_without_numpy(name, tmp_path, monkeypatch):
                 outputs = in_process(argvs, workdir)
         runs[run] = reports(outputs)
     assert runs["blocked"] == runs["normal"] == runs["numpy"]
-    # the plans exercise both verdicts
-    assert {rc for rc, _ in runs["normal"]} >= {0, 1}
+    # the checking plans exercise both verdicts; every search passes
+    assert {rc for rc, _ in runs["normal"]} >= \
+        ({0} if name == "search" else {0, 1})
 
 
 def emits():
@@ -141,17 +139,19 @@ def test_catalog_emits_the_same_bytes_without_numpy(tmp_path):
             normal.read_bytes(), argv
 
 
-def test_search_imports_numpy(tmp_path):
-    doc = tmp_path / "null2.json"
-    doc.write_text(json.dumps(workloads._null(2)))
+def test_search_past_the_pure_rule_imports_numpy(tmp_path):
+    """mult-by-x over F11: 14,641 candidates of 80 units of work each."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["catalog", "emit", "mult-by-x", "-o",
+                         str(tmp_path / "mult-by-x.json")]) == 0
     script = ("import contextlib, io, sys\n"
               "from rbx.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    rc = main(sys.argv[1:])\n"
               "print(rc, 'numpy' in sys.modules)\n")
     proc = subprocess.run(
-        [sys.executable, "-c", script, "search", str(doc), "--kind", "rb",
-         "--field", "F2"],
+        [sys.executable, "-c", script, "search", str(tmp_path / "mult-by-x.json"),
+         "--kind", "nijenhuis", "--field", "F11"],
         env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
         capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.split() == ["0", "True"]

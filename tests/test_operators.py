@@ -9,8 +9,8 @@ from conftest import enumeration_pairs
 from oracle import (add, aybe_oracle, bilinear, elements, identity,
                     induced_product, random_tensor, tensors_equal, vec_mat,
                     zeros)
-from rbx import linalg
-from rbx.algebra import bimodule_check, canonical_bimodule
+from rbx import linalg, operators
+from rbx.algebra import bimodule_check, canonical_bimodule, dual_module
 from rbx.cochains import Cochain, zero_cochain
 from rbx.errors import CapacityError, CharacteristicError, InputError
 from rbx.fields import F2, F3, QQ, PrimeField
@@ -410,6 +410,41 @@ def test_matrix_read_keeps_the_stored_encoding():
     assert op.encoded(QQ) is enc
     with pytest.raises(ValueError, match="read-only"):
         matrix[0, 0] = 7        # would not reach the encoding the checks use
+
+
+def test_candidate_work_is_what_the_products_count(monkeypatch):
+    """The search's pure rule counts, from shapes, the work that the
+    identity's products count on a block of one candidate."""
+    works = []
+    real = linalg.Encoded._product
+
+    def spy(self, other, terms, work, *rest):
+        works.append(work)
+        return real(self, other, terms, work, *rest)
+
+    monkeypatch.setattr(linalg.Encoded, "_product", spy)
+    rng = random.Random(5)
+    K, N, ts = kx2(F3), null_algebra(F2, 3), tensor_square(kx2(F2))
+    dual = dual_module(K)
+    cases = [(kind, K, (), None) for kind in ("rb", "reynolds", "nijenhuis",
+                                              "aybe")] + [
+        ("rb", N, (), None), ("grb", K, (K._c, K._c), None),
+        ("grb", K, (dual._left, dual._right), None),
+        ("grb", ts.algebra, (ts.module._left, ts.module._right), None),
+        ("trb", ts.algebra, (ts.module._left, ts.module._right),
+         ts.cocycle._tensor)]
+    for kind, A, actions, twist in cases:
+        rows = actions[0].shape[1] if actions else A.dim
+        op = Encoded(A.field, linalg.IntTensor((1, rows, A.dim), [
+            rng.randrange(A.field.p) for _ in range(rows * A.dim)]))
+        works.clear()
+        if kind == "aybe":
+            operators._aybe_residual(A._c, op)
+        else:
+            operators._identity_sides(kind, op, A._c, *actions, twist=twist)
+        shared = kind != "aybe" and (not actions or actions[0] is A._c)
+        assert sum(works) == operators._candidate_work(
+            kind, A.dim, rows, shared, twist is not None), kind
 
 
 def test_search_past_the_int64_index_is_refused_whatever_the_budget():

@@ -18,11 +18,13 @@ from oracle import (aybe_oracle, elements, oracle_assoc, oracle_bimodule,
                     oracle_reynolds, random_scalar)
 from rbx.algebra import (Bimodule, assoc_check, bimodule_check,
                          canonical_bimodule, dual_module)
+from rbx import linalg, operators
 from rbx.cochains import Cochain, coboundary
 from rbx.fields import F2, F3, F5, QQ, FpElement
 from rbx.instances import kx2, null_algebra, tensor_square
 from rbx.operators import (LinearMap, OperatorInstance, is_grb, is_nijenhuis,
-                           is_reynolds, is_trb, search_operators)
+                           is_reynolds, is_trb, search_operators,
+                           search_rows)
 from rbx.structures import Dendriform, NSAlgebra, check_dendriform, check_ns
 
 FIELDS = (QQ, F2, F3, F5)
@@ -210,18 +212,33 @@ def oracle_accepts(kind, A, M, phi, p):
                            None if phi is None else phi.tensor) is None
 
 
+def no_numpy():
+    raise AssertionError("the pure search route reached numpy")
+
+
+@pytest.mark.parametrize("route", ("pure", "numpy"))
 @pytest.mark.parametrize("field", (F2, F3, F5), ids=lambda f: f.name)
-def test_search_matches_brute_force_oracle(field):
+def test_search_matches_brute_force_oracle(field, route, monkeypatch):
+    """Both search routes: every block and product on the pure kernel,
+    which reaches no numpy, and every block on int64 numpy."""
+    monkeypatch.setattr(linalg, "PURE_WORK", 2 ** 62 if route == "pure" else -1)
     rng = random.Random(field.char * 100 + 19)
     kinds = set()
     for kind, A, M, phi in search_cases(field, rng):
         rows = (M or A).dim
+        with monkeypatch.context() as patch:
+            if route == "pure":
+                patch.setattr(linalg, "_np", no_numpy)
+                patch.setattr(operators, "_np", no_numpy)
+            shape, found = search_rows(A, M, kind, cocycle=phi)
         sols = search_operators(A, M, kind, cocycle=phi)
         brute = []
         for entries in itertools.product(elements(field), repeat=rows * A.dim):
             cand = np.array(entries, dtype=object).reshape(rows, A.dim)
             if oracle_accepts(kind, A, M, phi, cand):
                 brute.append(tuple(x.val for x in entries))
+        assert shape == (rows, A.dim)
+        assert [tuple(row) for row in found] == brute, kind
         assert [tuple(x.val for x in s.flat) for s in sols] == brute, kind
         assert all(s.shape == (rows, A.dim) for s in sols)
         assert all(type(x) is FpElement and x.p == field.char
