@@ -13,8 +13,10 @@ and the full parser of all verbs only for `--help`, an unknown or
 missing verb, or a top-level error such as an unrecognized argument, so
 help and usage texts read as before.  The parser, `explain`, `--help`
 and usage errors need the standard library alone, and `catalog list`
-the catalog's table alone; every other verb imports rbx's core modules
-in one place, `_import_core`, before its handler runs.  No core module
+the catalog's table alone; every other verb binds the seven core
+modules into this module in one place, `_import_core`, before its
+handler runs, and calls through them (`operators.is_grb`), so a
+function patched onto a core module is the one it calls.  No core module
 imports numpy when it loads: the checking verbs, `catalog emit` and a
 small `search` work on the kernel's pure-Python integers, and numpy is
 imported only by a product or a search too large for them (see
@@ -34,25 +36,10 @@ from .errors import InputError, RbxError
 
 
 def _import_core():
-    """Bind the numeric core into this module, once per process."""
-    global schema, Verdict, assoc_check, bimodule_check, canonical_bimodule, \
-        addexp_check, exp_flow, MultiMap, g_bracket, LinearMap, \
-        OperatorInstance, aybe_encoded, is_grb, is_nijenhuis, is_reynolds, \
-        is_trb, search_rows, structure_residual, check_dendriform, \
-        check_ns, dendriform_from_grb, ns_from_trb, nested, unravel
-    if "schema" in globals():
-        return
-    from . import schema
-    from .algebra import (Verdict, assoc_check, bimodule_check,
-                          canonical_bimodule)
-    from .flows import addexp_check, exp_flow
-    from .gerstenhaber import MultiMap, g_bracket
-    from .linalg import nested, unravel
-    from .operators import (LinearMap, OperatorInstance, aybe_encoded,
-                            is_grb, is_nijenhuis, is_reynolds, is_trb,
-                            search_rows, structure_residual)
-    from .structures import (check_dendriform, check_ns, dendriform_from_grb,
-                             ns_from_trb)
+    """Bind the numeric core's modules into this module."""
+    global algebra, flows, gerstenhaber, linalg, operators, schema, structures
+    from . import (algebra, flows, gerstenhaber, linalg, operators, schema,
+                   structures)
 
 
 EXPLANATIONS = {
@@ -125,7 +112,7 @@ class Report:
         return obj
 
 
-def _fmt_witness(field, verdict: Verdict):
+def _fmt_witness(field, verdict):
     if verdict.witness is None:
         return None
     out = {"index": list(verdict.witness)}
@@ -137,7 +124,7 @@ def _fmt_witness(field, verdict: Verdict):
     return out
 
 
-def _verdict_report(command, field, verdict: Verdict, digest, extra=None):
+def _verdict_report(command, field, verdict, digest, extra=None):
     return Report(command, "pass" if verdict.ok else "fail",
                   witness=_fmt_witness(field, verdict),
                   detail=verdict.detail, digest=digest, extra=extra)
@@ -150,7 +137,7 @@ def _tensor_listing(tensor, labels):
     flat = field.reduce(tensor.ints).ravel().tolist()
     lines = []
     for pos in compress(count(), flat):
-        *ins, out = unravel(pos, tensor.shape)
+        *ins, out = linalg.unravel(pos, tensor.shape)
         lines.append(f"({','.join(labels[i] for i in ins)}) -> "
                      f"{labels[out]}: {field.format_int(flat[pos], scale)}")
     return lines or ["0 (zero map)"]
@@ -171,22 +158,22 @@ def _document(args):
 
 def _algebra_module(doc):
     """The document's algebra and its bimodule, else the canonical one."""
-    algebra = doc.section("algebra")
-    return algebra, doc.bimodule if doc.bimodule is not None else \
-        canonical_bimodule(algebra)
+    alg = doc.section("algebra")
+    return alg, doc.bimodule if doc.bimodule is not None else \
+        algebra.canonical_bimodule(alg)
 
 
 def _instance(doc, pi_name, phi_name=None):
-    algebra, module = _algebra_module(doc)
+    alg, module = _algebra_module(doc)
     mat = schema.named_map(doc, pi_name)
-    op = LinearMap(mat, source="M", target="A")
+    op = operators.LinearMap(mat, source="M", target="A")
     cocycle = schema.cochain_object(doc, phi_name) if phi_name else None
-    return OperatorInstance(algebra, module, op, cocycle)
+    return operators.OperatorInstance(alg, module, op, cocycle)
 
 
-def _ext_labels(algebra, module):
+def _ext_labels(alg, module):
     """Basis labels of A (+) M, the module's marked with "m:"."""
-    return list(algebra.labels) + [f"m:{l}" for l in module.labels]
+    return list(alg.labels) + [f"m:{l}" for l in module.labels]
 
 
 # ---------------------------------------------------------------------------
@@ -195,78 +182,74 @@ def _ext_labels(algebra, module):
 
 def cmd_check_assoc(args):
     field, c, raw = schema.load_raw_algebra(_load(args.file))
-    return _verdict_report("check-assoc", field, assoc_check(c),
+    return _verdict_report("check-assoc", field, algebra.assoc_check(c),
                            schema.raw_digest(raw))
 
 
-def cmd_check_bimodule(args):
+def _verdict(args, decide):
+    """The report of a verdict verb: the verdict `decide` reaches on the
+    verb's document."""
     doc, digest = _document(args)
-    verdict = bimodule_check(doc.section("algebra"), doc.section("bimodule"))
-    return _verdict_report("check-bimodule", doc.field, verdict, digest)
+    return _verdict_report(args.command, doc.field, decide(doc), digest)
+
+
+def cmd_check_bimodule(args):
+    return _verdict(args, lambda doc: algebra.bimodule_check(
+        doc.section("algebra"), doc.section("bimodule")))
 
 
 def cmd_check_grb(args):
-    doc, digest = _document(args)
-    verdict = is_grb(_instance(doc, args.map))
-    return _verdict_report("check-grb", doc.field, verdict, digest)
+    return _verdict(args, lambda doc: operators.is_grb(
+        _instance(doc, args.map)))
 
 
 def cmd_check_trb(args):
-    doc, digest = _document(args)
-    verdict = is_trb(_instance(doc, args.pi, args.phi))
-    return _verdict_report("check-trb", doc.field, verdict, digest)
+    return _verdict(args, lambda doc: operators.is_trb(
+        _instance(doc, args.pi, args.phi)))
 
 
 def cmd_check_reynolds(args):
-    doc, digest = _document(args)
-    verdict = is_reynolds(doc.section("algebra"),
-                          LinearMap(schema.named_map(doc, args.map)))
-    return _verdict_report("check-reynolds", doc.field, verdict, digest)
+    return _verdict(args, lambda doc: operators.is_reynolds(
+        doc.section("algebra"),
+        operators.LinearMap(schema.named_map(doc, args.map))))
 
 
 def cmd_check_nijenhuis(args):
-    doc, digest = _document(args)
-    verdict = is_nijenhuis(doc.section("algebra"),
-                           LinearMap(schema.named_map(doc, args.map)))
-    return _verdict_report("check-nijenhuis", doc.field, verdict, digest)
+    return _verdict(args, lambda doc: operators.is_nijenhuis(
+        doc.section("algebra"),
+        operators.LinearMap(schema.named_map(doc, args.map))))
 
 
 def cmd_check_dendriform(args):
-    return _check_structure(args, "dendriform", check_dendriform)
+    return _verdict(args, lambda doc: structures.check_dendriform(
+        doc.section("dendriform")))
 
 
 def cmd_check_ns(args):
-    return _check_structure(args, "ns", check_ns)
-
-
-def _check_structure(args, section, check):
-    doc, digest = _document(args)
-    return _verdict_report(args.command, doc.field,
-                           check(doc.section(section)), digest)
+    return _verdict(args, lambda doc: structures.check_ns(doc.section("ns")))
 
 
 def cmd_check_addexp(args):
-    doc, digest = _document(args)
-    verdict = addexp_check(_instance(doc, args.pi, args.phi))
-    return _verdict_report("check-addexp", doc.field, verdict, digest)
+    return _verdict(args, lambda doc: flows.addexp_check(
+        _instance(doc, args.pi, args.phi)))
 
 
 def cmd_residual(args):
     doc, digest = _document(args)
     inst = _instance(doc, args.pi, args.phi)
-    res = structure_residual(inst)._tensor
+    res = operators.structure_residual(inst)._tensor
     lines = _tensor_listing(res, _ext_labels(inst.algebra, inst.module))
-    verdict = Verdict.compare(res, None, len(res.shape),
-                              detail="structure residual is nonzero")
+    verdict = algebra.Verdict.compare(res, None, len(res.shape),
+                                      detail="structure residual is nonzero")
     return _verdict_report("residual", doc.field, verdict, digest,
                            extra={"residual": lines})
 
 
 def cmd_bracket(args):
     doc, digest = _document(args)
-    f = MultiMap(doc.field, schema.multimap_tensor(doc, args.f))
-    g = MultiMap(doc.field, schema.multimap_tensor(doc, args.g))
-    result = g_bracket(f, g)
+    f = gerstenhaber.MultiMap(doc.field, schema.multimap_tensor(doc, args.f))
+    g = gerstenhaber.MultiMap(doc.field, schema.multimap_tensor(doc, args.g))
+    result = gerstenhaber.g_bracket(f, g)
     dim = result.dim
     if doc.algebra is not None and doc.algebra.dim == dim:
         labels = doc.algebra.labels
@@ -284,14 +267,10 @@ def cmd_bracket(args):
 def cmd_flow(args):
     doc, digest = _document(args)
     inst = _instance(doc, args.pi, args.phi)
-    flow = exp_flow(inst)
+    flow = flows.exp_flow(inst)
     labels = _ext_labels(inst.algebra, inst.module)
-    terms = {
-        "theta": flow.theta, "order1": flow.order1,
-        "order2": flow.order2, "order3": flow.order3, "total": flow.total,
-    }
-    extra = {name: _tensor_listing(mm._tensor, labels)
-             for name, mm in terms.items()}
+    extra = {name: _tensor_listing(getattr(flow, name)._tensor, labels)
+             for name in ("theta", "order1", "order2", "order3", "total")}
     if args.emit_products:
         dA = inst.algebra.dim
         block = flow.total._tensor[dA:, dA:, dA:]
@@ -303,11 +282,12 @@ def cmd_flow(args):
 
 
 def cmd_derive_dendriform(args):
-    return _derive(args, "dendriform", dendriform_from_grb, args.map)
+    return _derive(args, "dendriform", structures.dendriform_from_grb,
+                   args.map)
 
 
 def cmd_derive_ns(args):
-    return _derive(args, "ns", ns_from_trb, args.pi, args.phi)
+    return _derive(args, "ns", structures.ns_from_trb, args.pi, args.phi)
 
 
 def _derive(args, section, derive, *names):
@@ -337,7 +317,7 @@ def cmd_search(args):
     doc, digest = _document(args)
     if args.field:
         doc = _cast_document(doc, args.field)
-    algebra, module = _algebra_module(doc)
+    alg, module = _algebra_module(doc)
     cocycle = schema.cochain_object(doc, args.phi) if args.phi else None
     budget = args.budget
     if budget is None and os.environ.get("RBX_BUDGET"):
@@ -347,9 +327,9 @@ def cmd_search(args):
         except ValueError:
             raise InputError(
                 f"RBX_BUDGET must be a positive integer, got {raw!r}") from None
-    shape, rows = search_rows(algebra, module, args.kind,
-                              cocycle=cocycle, budget=budget)
-    fmt = [nested([doc.field.format_int(n, 1) for n in row], shape)
+    shape, rows = operators.search_rows(alg, module, args.kind,
+                                        cocycle=cocycle, budget=budget)
+    fmt = [linalg.nested([doc.field.format_int(n, 1) for n in row], shape)
            for row in rows]
     return Report("search", "pass", digest=digest,
                   detail=f"{len(rows)} solution(s) of kind {args.kind!r} in "
@@ -372,11 +352,11 @@ def _cast_document(doc, field_name):
 
 def cmd_aybe(args):
     doc, digest = _document(args)
-    algebra = doc.section("algebra")
-    res = aybe_encoded(algebra, schema.named_map(doc, args.r))
-    verdict = Verdict.compare(res, None, 3,
-                              detail="associative Yang-Baxter residual is nonzero")
-    lines = _tensor_listing(res, algebra.labels) \
+    alg = doc.section("algebra")
+    res = operators.aybe_encoded(alg, schema.named_map(doc, args.r))
+    verdict = algebra.Verdict.compare(
+        res, None, 3, detail="associative Yang-Baxter residual is nonzero")
+    lines = _tensor_listing(res, alg.labels) \
         if not verdict else ["0 (solution)"]
     return _verdict_report("aybe", doc.field, verdict, digest,
                            extra={"residual": lines})
@@ -384,6 +364,9 @@ def cmd_aybe(args):
 
 def cmd_catalog(args):
     if args.action == "list":
+        if (args.name, args.degree, args.output) != (None, None, None):
+            raise InputError("catalog list takes no instance name, --degree "
+                             "or --output")
         from .catalog import TABLE
 
         lines = [f"{name}: {description}"
@@ -404,6 +387,8 @@ def cmd_catalog(args):
         raise InputError(
             f"{name!r} has no finite structure-constant form; its checks "
             f"run through the exact normal-ordering engine")
+    if args.degree is not None and not entry.takes_degree:
+        raise InputError(f"{name!r} takes no --degree")
     built = entry.build(args.degree) if entry.takes_degree else entry.build()
     return _document_report(args, _document_from_built(built),
                             f"instance {name!r} in the shared schema")

@@ -14,20 +14,20 @@ which for a verdict is the witness alone.
 The integers have two forms.  Encoding (and the schema loader) builds
 an `IntTensor`: a shape and the flat C-order list of its Python ints,
 with only the operations `Encoded` uses; numpy (imported on first use)
-holds int64 arrays only.  `Encoded._product` picks the backend: a
-product runs in pure Python when both operands are IntTensors and its
-dense work (multiply-adds times output entries) is at most `PURE_WORK`,
-visiting only nonzero entries.  Otherwise it runs on int64 numpy when
-`fits_int64` shows from its operands that no entry can reach 2^63 (over
-F_p after reducing them mod p, if need be), and the operands stay
-converted; else it runs pure, on Python ints.  Sums and rescalings with
-a numpy term follow the same rule.  The exhaustive search applies the
-rule to its whole dense work: a small search builds its candidate
-blocks as IntTensors, and every product of it runs pure (a block of
-small matrices with the candidates innermost, `_columns`); a larger
-one builds int64 numpy blocks, so its products run there.  Elimination
-(`row_reduce`, `rank`, `invert`, fraction-free) runs on rows of Python
-ints.
+holds int64 arrays only.  One function, `_route`, picks the backend of
+every product (`Encoded._product`) and sum (`combine`): pure Python when
+all operands are IntTensors and the product's dense work (multiply-adds
+times output entries) is at most `PURE_WORK`, visiting only nonzero
+entries; else int64 numpy when `fits_int64` shows from the operands that
+no entry can reach 2^63 (over F_p after reducing them mod p, if need
+be), and a product's operands stay converted; else pure, on Python ints.
+A numpy term that int64 cannot rescale goes pure.  The exhaustive
+search applies the rule to its whole dense work: a small search builds
+its candidate blocks as IntTensors, and every product of it runs pure (a
+block of small matrices with the candidates innermost, `_columns`); a
+larger one builds int64 numpy blocks, so its products run there.
+Elimination (`row_reduce`, `rank`, `invert`, fraction-free) runs on rows
+of Python ints.
 
 Every identity is a residual of two contractions: the two sides are
 computed as tensors over all basis tuples at once, and
@@ -152,31 +152,23 @@ class IntTensor:
 
     def __getitem__(self, idx):
         """numpy's indexing by ints, slices, None, one Ellipsis and one
-        list or boolean mask (whose axis comes first, as in numpy, when a
-        slice or None separates it from an int)."""
+        list of ints, whose axis stays in its place."""
         idx = idx if isinstance(idx, tuple) else (idx,)
         at = next((k for k, i in enumerate(idx) if i is Ellipsis), len(idx))
         fill = len(self.shape) - sum(i is not None for i in idx) + (at < len(idx))
         idx = idx[:at] + (slice(None),) * fill + idx[at + 1:]
         dims = iter(zip(self.shape, _strides(self.shape)))
-        base, picks, listed = 0, [], None
+        base, picks = 0, []
         for i in idx:
             n, stride = (1, 0) if i is None else next(dims)
             if i is None or isinstance(i, slice):
                 picks.append((stride, range(*(i or slice(None)).indices(n))))
             elif hasattr(i, "__len__"):
-                listed = len(picks)
-                picks.append((stride, [k for k, b in enumerate(i) if b]
-                              if getattr(i, "dtype", None) == bool
-                              else [k % n for k in i]))
+                picks.append((stride, [k % n for k in i]))
             elif -n <= i < n:
                 base += i % n * stride
             else:
                 raise IndexError(f"index {i} is out of bounds for size {n}")
-        fixed = [k for k, i in enumerate(idx)
-                 if i is not None and not isinstance(i, slice)]
-        if listed is not None and fixed[-1] - fixed[0] >= len(fixed):
-            picks.insert(0, picks.pop(listed))
         return self._take(base, picks)
 
     def __add__(self, other):
@@ -432,8 +424,7 @@ class Encoded:
 
     def at(self, idx):
         """The scalars at index `idx`: a scalar, or nested lists of them."""
-        sub = self.ints[idx]
-        values = sub.tolist() if hasattr(sub, "tolist") else sub
+        values = self.ints[idx].tolist()
 
         def scalars(x):
             return [scalars(y) for y in x] if isinstance(x, list) else \
@@ -464,22 +455,15 @@ class Encoded:
 
     def _product(self, other, terms, work, name, *args):
         """The product `name` (tensordot or matmul) of the integers, each
-        entry a sum of `terms` products: pure for pure operands and dense
-        work up to `PURE_WORK`, else on int64 numpy where `_exact` shows
-        int64 holds it, else pure."""
-        a, b = self.ints, other.ints
+        entry a sum of `terms` products, on the backend `_route` picks."""
+        a, b = _route(self.field, [self.ints, other.ints],
+                      lambda *bounds: fits_int64(terms, *bounds), work)
         scale = self.scale * other.scale
-        if not (isinstance(a, IntTensor) and isinstance(b, IntTensor)
-                and work <= PURE_WORK):
-            arrays = _exact(self.field, [a, b],
-                            lambda *bounds: fits_int64(terms, *bounds))
-            if arrays is not None:
-                # converted once: later products find the numpy arrays
-                self.ints, other.ints = a, b = arrays
-                return Encoded(self.field, getattr(_np(), name)(a, b, *args),
-                               scale)
-            a, b = to_pure(a), to_pure(b)
-        return Encoded(self.field, _PURE[name](a, b, *args), scale)
+        if isinstance(a, IntTensor):
+            return Encoded(self.field, _PURE[name](a, b, *args), scale)
+        # converted once: later products find the numpy arrays
+        self.ints, other.ints = a, b
+        return Encoded(self.field, getattr(_np(), name)(a, b, *args), scale)
 
     def __add__(self, other):
         return combine([(self, 1), (other, 1)])
@@ -504,29 +488,30 @@ def decoded(name):
                     else getattr(self, name).objects)
 
 
-def _exact(field, ints, fits):
-    """The integer tensors `ints` as int64 arrays when `fits` holds of
-    their largest absolute values, else None; over F_p they are first
-    reduced mod p when they do not fit as they are."""
-    if not fits(*map(max_abs, ints)):
-        if not field.char:
-            return None
-        ints = [field.reduce(a) for a in ints]
-        if not fits(*map(max_abs, ints)):
-            return None
-    return [to_numpy(a) for a in ints]
+def _route(field, ints, fits, work=None):
+    """The integer operands `ints` of one product, of dense `work`, or
+    of one sum (work None) on the backend it runs on: as they are when
+    all are IntTensors and the work is at most `PURE_WORK`; else as
+    int64 arrays when `fits` holds of their largest absolute values, over
+    F_p after reducing them mod p if they do not fit as they are; else as
+    IntTensors."""
+    if work is not None and work > PURE_WORK or \
+            not all(isinstance(a, IntTensor) for a in ints):
+        if fits(*map(max_abs, ints)):
+            return [to_numpy(a) for a in ints]
+        reduced = [field.reduce(a) for a in ints] if field.char else None
+        if reduced and fits(*map(max_abs, reduced)):
+            return [to_numpy(a) for a in reduced]
+    return [to_pure(a) for a in ints]
 
 
 def combine(terms):
     """The signed sum of (Encoded, sign) terms of one field and shape,
-    over the lcm of their scales: pure when every term is or when int64
-    cannot hold the sum, on int64 numpy otherwise."""
+    over the lcm of their scales, on the backend `_route` picks."""
     field = terms[0][0].field
     ints, scale = common(*(t for t, _ in terms))
-    if not all(isinstance(a, IntTensor) for a in ints):
-        ints = _exact(field, ints, lambda *bounds: fits_int64(1, sum(bounds))) \
-            or list(map(to_pure, ints))
-    first, *rest = ints
+    first, *rest = _route(field, ints,
+                          lambda *bounds: fits_int64(1, sum(bounds)))
     total = first if terms[0][1] > 0 else -first
     for a, (_, sign) in zip(rest, terms[1:]):
         total = total + a if sign > 0 else total - a

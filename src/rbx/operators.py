@@ -409,7 +409,8 @@ def search_rows(algebra: Algebra, module: Bimodule | None, kind: str,
     """(shape, rows): the candidates of `search_operators` that pass, each
     the flat tuple or list of its canonical integer representatives.  A
     space of p^n >= 2^63 candidates, past the int64 candidate index, is
-    refused whatever the budget.
+    refused whatever the budget.  Kind trb needs the twist `cocycle`, and
+    every other kind refuses one.
 
     Candidates are maps M -> A (grb/trb), endomorphisms of A
     (rb/reynolds/nijenhuis), or tensors in A (x) A (aybe).  They are
@@ -451,15 +452,16 @@ def search_rows(algebra: Algebra, module: Bimodule | None, kind: str,
             f"budget {budget}")
     if kind == "trb" and cocycle is None:
         raise InputError("search kind 'trb' needs the twist cochain")
-    twist = cocycle if kind == "trb" else None
+    if kind != "trb" and cocycle is not None:
+        raise InputError(f"search kind {kind!r} takes no twist cochain")
     if kind != "aybe":
         # the module and the twist are validated once, on the zero map
         zero = Encoded(field, embed(shape, []))
-        OperatorInstance(algebra, module, LinearMap(zero), twist)
+        OperatorInstance(algebra, module, LinearMap(zero), cocycle)
 
     c = algebra._c
     actions = (module._left, module._right) if kind in ("grb", "trb") else ()
-    twist = None if twist is None else twist._tensor
+    twist = None if cocycle is None else cocycle._tensor
     pure = total * _candidate_work(
         kind, algebra.dim, shape[0], kind != "aybe" and module._left is c,
         twist is not None) <= linalg.PURE_WORK

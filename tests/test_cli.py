@@ -267,6 +267,22 @@ def test_catalog_emit_truncated_poly(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["emit", "mult-by-x", "--degree", "5"], "'mult-by-x' takes no --degree"),
+    (["list", "foo"], "catalog list takes no instance name"),
+    (["list", "--degree", "3"], "catalog list takes no instance name"),
+    (["list", "foo", "--degree", "3", "-o", "x.json"],
+     "catalog list takes no instance name"),
+    (["list", "-o", "x.json"], "--output")])
+def test_catalog_arguments_it_cannot_use_are_exit_2(tmp_path, capsys,
+                                                    monkeypatch, argv,
+                                                    message):
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "catalog", *argv)
+    assert code == 2 and message in out
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("degree", [DEGREE_CAP + 1, 100000])
 def test_truncated_poly_past_the_degree_cap_is_exit_2(capsys, degree):
     assert DEGREE_CAP >= 30
@@ -337,6 +353,26 @@ def test_trb_search_with_non_cocycle_twist_is_exit_2(ts_file, tmp_path, capsys):
     assert code == 2
     assert "twist is not a Hochschild cocycle; coboundary nonzero at " \
         "(0, 0, 1, 1)" in out
+
+
+@pytest.mark.parametrize("kind", ["grb", "rb", "reynolds", "nijenhuis",
+                                  "aybe"])
+def test_search_with_a_twist_on_an_untwisted_kind_is_exit_2(tmp_path, capsys,
+                                                            kind):
+    path = tmp_path / "q1.json"
+    path.write_text(json.dumps({
+        "field": "Q", "algebra": {"dim": 1, "c": [[[1]]]},
+        "maps": {"pi": [[1]]},
+        "cochains": {"phi": {"arity": 2, "inputs": "A", "output": "A",
+                             "tensor": [[[0]]]}}}))
+    code, out = run(capsys, "search", str(path), "--kind", kind,
+                    "--field", "F2", "--phi", "phi")
+    assert code == 2
+    assert out == f"ERROR: search - search kind '{kind}' takes no twist " \
+        f"cochain\n"
+    code, out = run(capsys, "search", str(path), "--kind", kind,
+                    "--field", "F2")
+    assert code == 0 and out.startswith("PASS: search")
 
 
 def test_fp_scalar_with_zero_denominator_is_exit_2(tmp_path, capsys):

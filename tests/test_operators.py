@@ -489,6 +489,18 @@ def test_f65537_search_runs_in_int64(monkeypatch):
     assert seen and all(dt == np.int64 for pair in seen for dt in pair)
 
 
+@pytest.mark.parametrize("kind", ["grb", "rb", "reynolds", "nijenhuis",
+                                  "aybe"])
+def test_search_refuses_a_twist_on_untwisted_kinds(kind):
+    A = kx2(F2)
+    M = canonical_bimodule(A)
+    with pytest.raises(InputError, match=f"search kind '{kind}' takes no "
+                                         f"twist cochain"):
+        operators.search_rows(A, M, kind, cocycle=Cochain(A, M, -A.c))
+    with pytest.raises(InputError, match="'trb' needs the twist cochain"):
+        operators.search_rows(A, M, "trb")
+
+
 def test_search_trb_kind():
     A = kx2(F2)
     M = canonical_bimodule(A)

@@ -3,12 +3,17 @@
 `bench/tracing.py` patches every (module, name) pair of its `GROUPS`
 table, and every verb's `cmd_*` handler, by name, so a renamed or deleted
 function breaks a traced benchmark run.  The table is read from the
-file's syntax tree; the tracer itself is not imported.
+file's syntax tree; the tracer itself is not imported.  The wrappers
+replace a function by identity in every `rbx.*` namespace, so the CLI
+must call what those namespaces hold when it runs.
 """
 
 import ast
 import importlib
 import os
+import sys
+
+import pytest
 
 from rbx import cli
 
@@ -43,3 +48,41 @@ def test_every_verb_has_its_handler():
     for verb in cli.VERBS:
         handler = getattr(cli, "cmd_" + verb.replace("-", "_"), None)
         assert callable(handler), verb
+
+
+def wrap_everywhere(monkeypatch, module, name, reached):
+    """Wrap `module.name` as the tracer does: the wrapper replaces the
+    function, found by identity, in every `rbx.*` namespace that binds it,
+    and notes `name` in `reached` when called."""
+    original = getattr(module, name)
+
+    def traced(*args, **kwargs):
+        reached.add(name)
+        return original(*args, **kwargs)
+
+    for ns_name, ns in list(sys.modules.items()):
+        if ns is not None and (ns_name == "rbx" or ns_name.startswith("rbx.")):
+            for attr, value in list(vars(ns).items()):
+                if value is original:
+                    monkeypatch.setattr(ns, attr, traced)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["check-assoc"], {"assoc_check"}),
+    (["check-grb"], {"load_document", "is_grb"}),
+    (["flow"], {"load_document", "circ_i"}),
+    (["search", "--kind", "rb", "--field", "F2"], {"load_document"})])
+def test_the_cli_reaches_the_traced_functions(tmp_path, capsys, monkeypatch,
+                                              argv, expected):
+    path = str(tmp_path / "mbx.json")
+    assert cli.main(["catalog", "emit", "mult-by-x", "-o", path]) == 0
+    cli._import_core()
+    reached = set()
+    for module, name in (("algebra", "assoc_check"), ("operators", "is_grb"),
+                         ("gerstenhaber", "circ_i"),
+                         ("schema", "load_document")):
+        wrap_everywhere(monkeypatch, importlib.import_module("rbx." + module),
+                        name, reached)
+    assert cli.main([argv[0], path, *argv[1:]]) in (0, 1)
+    capsys.readouterr()
+    assert expected <= reached
