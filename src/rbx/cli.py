@@ -20,7 +20,7 @@ function patched onto a core module is the one it calls.  No core module
 imports numpy when it loads: the checking verbs, `catalog emit` and a
 small `search` work on the kernel's pure-Python integers, and numpy is
 imported only by a product or a search too large for them (see
-`linalg`).  A search's solutions are formatted from their integers.
+`linalg`).  A search's solutions are written by `schema.format_tensor`.
 """
 
 from __future__ import annotations
@@ -327,21 +327,19 @@ def cmd_search(args):
         except ValueError:
             raise InputError(
                 f"RBX_BUDGET must be a positive integer, got {raw!r}") from None
-    shape, rows = operators.search_rows(alg, module, args.kind,
-                                        cocycle=cocycle, budget=budget)
-    fmt = [linalg.nested([doc.field.format_int(n, 1) for n in row], shape)
-           for row in rows]
+    found = operators.search_rows(alg, module, args.kind, cocycle=cocycle,
+                                  budget=budget)
     return Report("search", "pass", digest=digest,
-                  detail=f"{len(rows)} solution(s) of kind {args.kind!r} in "
-                         f"canonical order",
-                  extra={"solutions": fmt})
+                  detail=f"{found.shape[0]} solution(s) of kind {args.kind!r} "
+                         f"in canonical order",
+                  extra={"solutions": schema.format_tensor(doc.field, found)})
 
 
 def _cast_document(doc, field_name):
     """Reinterpret the document's scalars over another field (e.g. F2)."""
     if field_name == "Q":
         spec = "Q"
-    elif field_name.upper().startswith("F") and field_name[1:].isdigit():
+    elif field_name.upper().startswith("F") and field_name[1:].isdecimal():
         spec = {"Fp": int(field_name[1:])}
     else:
         raise InputError(f"unknown field name {field_name!r}; use Q or F<p>")
@@ -363,45 +361,44 @@ def cmd_aybe(args):
 
 
 def cmd_catalog(args):
+    from .catalog import TABLE
+
     if args.action == "list":
         if (args.name, args.degree, args.output) != (None, None, None):
             raise InputError("catalog list takes no instance name, --degree "
                              "or --output")
-        from .catalog import TABLE
-
         lines = [f"{name}: {description}"
                  + ("" if emittable else " [not emittable]")
-                 for name, (description, emittable) in sorted(TABLE.items())]
+                 for name, (description, emittable, _)
+                 in sorted(TABLE.items())]
         return Report("catalog", "pass", detail="catalog instances",
                       extra={"instances": lines})
-    from .instances import CATALOG
+    from .instances import BUILDERS
 
     name = args.name
     if name is None:
         raise InputError("catalog emit needs an instance name")
-    if name not in CATALOG:
+    if name not in TABLE:
         raise InputError(f"unknown catalog instance {name!r} "
                          f"(try: rbx catalog list)")
-    entry = CATALOG[name]
-    if not entry.emittable:
+    _, emittable, takes_degree = TABLE[name]
+    if not emittable:
         raise InputError(
             f"{name!r} has no finite structure-constant form; its checks "
             f"run through the exact normal-ordering engine")
-    if args.degree is not None and not entry.takes_degree:
+    if args.degree is not None and not takes_degree:
         raise InputError(f"{name!r} takes no --degree")
-    built = entry.build(args.degree) if entry.takes_degree else entry.build()
+    built = BUILDERS[name](args.degree) if takes_degree else BUILDERS[name]()
     return _document_report(args, _document_from_built(built),
                             f"instance {name!r} in the shared schema")
 
 
 def _document_from_built(built):
     """The document of a catalog instance, with its encoded tensors."""
-    from .instances import TruncatedInstance
-
     field = built.algebra.field
     doc = schema.Document(field, algebra=built.algebra, bimodule=built.module)
     doc.maps["pi"] = built.op.encoded(field)
-    if isinstance(built, TruncatedInstance):
+    if hasattr(built, "omega"):
         doc.maps["omega"] = built.omega.encoded(field)
     elif built.cocycle is not None:
         doc.cochains["phi"] = {"arity": 2, "inputs": "A", "output": "M",

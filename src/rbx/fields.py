@@ -163,6 +163,9 @@ class RationalField:
                 raise InputError(f"bad rational scalar {value!r}: {exc}") from exc
         raise InputError(f"expected scalar, got {value!r}")
 
+    def is_scalar(self, x):
+        return type(x) in (int, Fraction)
+
     def format(self, x):
         """Canonical JSON form: int when integral, else 'num/den'."""
         if x.denominator == 1:
@@ -246,6 +249,9 @@ class PrimeField:
                 raise InputError(
                     f"bad {self.name} scalar {value!r}: {exc}") from exc
         raise InputError(f"expected scalar, got {value!r}")
+
+    def is_scalar(self, x):
+        return type(x) is FpElement and x.p == self.p
 
     def format(self, x):
         return x.val

@@ -9,7 +9,6 @@ catalog builds and emits its small instances without numpy.
 from __future__ import annotations
 
 from .algebra import Algebra, Bimodule, canonical_bimodule
-from .catalog import TABLE
 from .cochains import Cochain, coboundary
 from .errors import CapacityError, CharacteristicError, InputError
 from .fields import QQ
@@ -294,34 +293,17 @@ def truncated_weyl(N) -> TruncatedWeyl:
 # ---------------------------------------------------------------------------
 # catalog registry (consumed by the CLI)
 
-class CatalogEntry:
-    def __init__(self, description, build, takes_degree=False,
-                 emittable=True):
-        self.description = description
-        self.build = build  # () or (degree) -> OperatorInstance | TruncatedInstance
-        self.takes_degree = takes_degree
-        self.emittable = emittable
-
-
-def _truncated_poly_entry(degree):
-    return truncated_polynomial(degree if degree is not None else 4)
-
-
-# name -> (builder, takes a degree); descriptions and emittable flags
-# come from the one table `catalog.TABLE`
-_BUILDERS = {
-    "mult-by-x": (lambda: mult_by_x_instance(QQ), False),
-    "tensor-square": (lambda: tensor_square(kx2(QQ)), False),
-    "unit-section": (lambda: unit_section_tensor_example(QQ), False),
-    "swap-cochain": (lambda: swap_instance(QQ), False),
-    "reynolds-id": (lambda: reynolds_identity_instance(QQ), False),
-    "truncated-poly": (_truncated_poly_entry, True),
-    "weyl": (lambda degree=None: truncated_weyl(
-        degree if degree is not None else 8), True),
+# name -> builder, called with a degree (None: the default) when its
+# `catalog.TABLE` row says it takes one
+BUILDERS = {
+    "mult-by-x": lambda: mult_by_x_instance(QQ),
+    "tensor-square": lambda: tensor_square(kx2(QQ)),
+    "unit-section": lambda: unit_section_tensor_example(QQ),
+    "swap-cochain": lambda: swap_instance(QQ),
+    "reynolds-id": lambda: reynolds_identity_instance(QQ),
+    "truncated-poly": lambda n: truncated_polynomial(4 if n is None else n),
+    "weyl": lambda n: truncated_weyl(8 if n is None else n),
 }
-
-CATALOG = {name: CatalogEntry(description, *_BUILDERS[name], emittable)
-           for name, (description, emittable) in TABLE.items()}
 
 
 def unit_section_tensor_example(field) -> OperatorInstance:

@@ -7,9 +7,9 @@ for F_p, numerators over the common denominator for Q).  Products
 (`Encoded.dot`, `Encoded.matmul`) multiply the scales; signed sums
 (`combine`) and comparisons (`Encoded.differs`) first bring their
 operands to one scale (`common`).  Fraction or FpElement scalars exist
-only at the public boundary: `Encoded.of` encodes them, and the field
-decodes them where a caller reads them (`Encoded.objects`, `Encoded.at`),
-which for a verdict is the witness alone.
+only at the public boundary: `Encoded.of` encodes them, refusing any of
+another field (`is_scalar`), and the field decodes them where a caller
+reads them (`Encoded.objects`, `Encoded.at`), the witness of a verdict.
 
 The integers have two forms.  Encoding (and the schema loader) builds
 an `IntTensor`: a shape and the flat C-order list of its Python ints,
@@ -43,7 +43,7 @@ benchmark's tracer wraps it by name.
 from __future__ import annotations
 
 import math
-from itertools import chain, compress, count
+from itertools import chain, compress, count, filterfalse
 from operator import add, mul, sub
 
 from .errors import InputError
@@ -163,12 +163,14 @@ class IntTensor:
             n, stride = (1, 0) if i is None else next(dims)
             if i is None or isinstance(i, slice):
                 picks.append((stride, range(*(i or slice(None)).indices(n))))
+            elif any(type(k).__name__ in ("bool", "bool_") or not -n <= k < n
+                     for k in (i if hasattr(i, "__len__") else [i])):
+                # bools, Python's or numpy's, are a mask to numpy
+                raise IndexError(f"index {i!r}: want ints in [-{n}, {n})")
             elif hasattr(i, "__len__"):
                 picks.append((stride, [k % n for k in i]))
-            elif -n <= i < n:
-                base += i % n * stride
             else:
-                raise IndexError(f"index {i} is out of bounds for size {n}")
+                base += i % n * stride
         return self._take(base, picks)
 
     def __add__(self, other):
@@ -385,13 +387,17 @@ class Encoded:
 
     @classmethod
     def of(cls, field, tensor):
-        """The pure encoding of a tensor of scalars: a scalar, nested
-        lists (shaped by `_array`) or a numpy array; an Encoded passes
-        through."""
+        """The pure encoding of a tensor of `field` scalars, refusing any
+        other: a scalar, nested lists (shaped by `_array`) or a numpy
+        array; an Encoded passes through, decoded if of another field."""
         if isinstance(tensor, cls):
-            return tensor
+            if tensor.field == field:
+                return tensor
+            tensor = tensor.objects     # scalars the check below refuses
         shape, flat = (tensor.shape, tensor.ravel().tolist()) \
             if hasattr(tensor, "shape") else _array(tensor)
+        for x in filterfalse(field.is_scalar, flat):
+            raise InputError(f"entries must be {field.name} scalars: {x!r}")
         ints, scale = field.encode(flat)
         return cls(field, IntTensor(shape, ints), scale)
 

@@ -17,7 +17,7 @@ and a checker is the same evaluation on a block of one.  The kernel
 picks the backend and carries the scales of every step; the search
 builds its blocks of candidates on the pure kernel when its whole dense
 work is at most `linalg.PURE_WORK`, and on int64 numpy otherwise, and
-keeps the passing candidates as integers (`search_rows`).
+returns the passing candidates as one Encoded stack (`search_rows`).
 """
 
 from __future__ import annotations
@@ -382,11 +382,9 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
                      cocycle: Cochain | None = None, budget: int | None = None):
     """Enumerate all candidates of the given kind over a prime field, in
     lexicographic order of the flattened matrix entries, and return those
-    passing the kind's checker, as tensors of scalars: `search_rows`,
-    decoded."""
-    shape, rows = search_rows(algebra, module, kind, cocycle, budget)
-    ints = IntTensor((len(rows), *shape), list(chain.from_iterable(rows)))
-    return list(Encoded(algebra.field, ints).objects)
+    passing the kind's checker, as tensors of scalars: the entries of
+    `search_rows`, decoded."""
+    return list(search_rows(algebra, module, kind, cocycle, budget).objects)
 
 
 def _candidate_work(kind, dim, rows, shared, twisted):
@@ -406,11 +404,11 @@ def _candidate_work(kind, dim, rows, shared, twisted):
 
 def search_rows(algebra: Algebra, module: Bimodule | None, kind: str,
                 cocycle: Cochain | None = None, budget: int | None = None):
-    """(shape, rows): the candidates of `search_operators` that pass, each
-    the flat tuple or list of its canonical integer representatives.  A
-    space of p^n >= 2^63 candidates, past the int64 candidate index, is
-    refused whatever the budget.  Kind trb needs the twist `cocycle`, and
-    every other kind refuses one.
+    """The passing candidates of `search_operators` as one Encoded stack
+    of shape (solutions, *candidate shape), over scale 1, on an IntTensor
+    of canonical representatives.  A space of p^n >= 2^63 candidates,
+    past the int64 candidate index, is refused whatever the budget.  Kind
+    trb needs the twist `cocycle`, and every other kind refuses one.
 
     Candidates are maps M -> A (grb/trb), endomorphisms of A
     (rb/reynolds/nijenhuis), or tensors in A (x) A (aybe).  They are
@@ -430,15 +428,11 @@ def search_rows(algebra: Algebra, module: Bimodule | None, kind: str,
         budget = SEARCH_BUDGET
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise InputError(f"search budget must be a positive integer, got {budget!r}")
-    if kind in ("grb", "trb"):
-        if module is None:
-            raise InputError(f"search kind {kind!r} needs a bimodule")
-        shape = (module.dim, algebra.dim)
-    elif kind == "aybe":
-        shape = (algebra.dim, algebra.dim)
-    else:
-        shape = (algebra.dim, algebra.dim)
+    if kind not in ("grb", "trb"):
         module = canonical_bimodule(algebra)
+    elif module is None:
+        raise InputError(f"search kind {kind!r} needs a bimodule")
+    shape = (module.dim, algebra.dim)
     n_entries = shape[0] * shape[1]
     p = field.char
     total = p ** n_entries
@@ -474,7 +468,7 @@ def search_rows(algebra: Algebra, module: Bimodule | None, kind: str,
         powers = np.array([p ** e for e in range(n_entries - 1, -1, -1)],
                           dtype=np.int64)
     step = max(1, min(SEARCH_BLOCK, BLOCK_ENTRIES // max(shape) ** 3))
-    rows = []
+    passed = []
     for start in range(0, total, step):
         size = min(step, total - start)
         if pure:
@@ -491,7 +485,8 @@ def search_rows(algebra: Algebra, module: Bimodule | None, kind: str,
         failing = lhs.differs(rhs)
         failing = failing.reshape(size, math.prod(failing.shape[1:]))
         if pure:
-            rows += compress(digits, [not any(x) for x in failing.tolist()])
+            passed += chain.from_iterable(compress(
+                digits, [not any(x) for x in failing.tolist()]))
         else:
-            rows += ints[~failing.any(axis=1)].reshape(-1, n_entries).tolist()
-    return shape, rows
+            passed += ints[~failing.any(axis=1)].ravel().tolist()
+    return Encoded(field, IntTensor((len(passed) // n_entries, *shape), passed))

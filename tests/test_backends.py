@@ -14,6 +14,8 @@
 - The integer formatter against `field.format`, F_p reduction near
   +-(2^63 - 1) against Python's %, and the loader's shape discovery
   against numpy's.
+- Index lists numpy would not wrap (out of range, or bools) and scalars
+  of another field raise, at the kernel's door.
 """
 
 import itertools
@@ -32,11 +34,15 @@ import test_integer_sites
 import test_witness_oracle
 from oracle import random_tensor
 from rbx import linalg
+from rbx.algebra import Algebra, canonical_bimodule
+from rbx.errors import InputError
 from rbx.fields import QQ, FpElement, PrimeField
+from rbx.gerstenhaber import MultiMap
 from rbx.instances import kx2
 from rbx.linalg import (Encoded, IntTensor, _array, combine, embed,
                         first_difference, first_nonzero_index, max_abs,
                         to_numpy, to_pure)
+from rbx.operators import LinearMap, OperatorInstance
 
 BIG = PrimeField(2 ** 31 - 1)
 FIELDS = (QQ, PrimeField(2), PrimeField(7), BIG)
@@ -92,6 +98,16 @@ def test_views_match_numpy():
     assert IntTensor((2, 0), []).tolist() == [[], []]
     with pytest.raises(IndexError):
         t[2]
+
+
+@pytest.mark.parametrize("idx", (
+    [5], [-3], [True, False], [0, True], np.array([False, True]),
+    [np.True_, np.False_], (0, [2])), ids=repr)
+def test_list_index_refuses_what_numpy_would_not_wrap(idx):
+    """numpy raises on an entry outside [-n, n) and reads bools as a
+    mask; IntTensor raises on both, where it wrapped them before."""
+    with pytest.raises(IndexError):
+        IntTensor((2, 2), [1, 2, 3, 4])[idx]
 
 
 def test_arithmetic_matches_numpy():
@@ -510,3 +526,23 @@ def test_encoded_of_keeps_the_shape_of_an_array(field):
     assert (from_lists.ints.flat, from_lists.scale) == \
         (from_array.ints.flat, from_array.scale)
     assert from_array.objects.tolist() == arr.tolist()
+
+
+F5, F7 = PrimeField(5), PrimeField(7)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: OperatorInstance(kx2(F5), canonical_bimodule(kx2(F5)), LinearMap(
+        [[F7.zero, F7.from_int(6)], [F7.zero, F7.zero]])),
+    lambda: MultiMap(F5, [[[1]]]),
+    lambda: Algebra(QQ, [[[F5.one]]]),
+    lambda: Encoded.of(QQ, [1, True]),
+    lambda: Encoded.of(QQ, [Fraction(1, 2), 0.5]),
+    lambda: Encoded.of(F5, Encoded.of(F7, [F7.one])),
+], ids=["F7-scalars-over-F5", "int-over-F5", "F5-scalar-over-Q",
+        "bool-over-Q", "float-over-Q", "F7-Encoded-over-F5"])
+def test_encoded_of_refuses_scalars_of_another_field(build):
+    """A scalar keeps its value at the library's door or is refused: an
+    F7 6 is no F5 1."""
+    with pytest.raises(InputError, match="must be F5 scalars|must be Q scalars"):
+        build()

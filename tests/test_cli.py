@@ -115,6 +115,14 @@ def test_search_canonical_order(mbx_file, capsys):
     assert out2 == out  # deterministic output
 
 
+def test_search_field_name_needs_decimal_digits(mbx_file, capsys):
+    """A superscript two is a digit to str.isdigit but not to int: exit 2,
+    not a traceback read as exit 1 ("property fails")."""
+    code, out = run(capsys, "search", mbx_file, "--field", "F\u00b2",
+                    "--kind", "grb")
+    assert code == 2 and "unknown field name" in out
+
+
 def test_search_budget_env(mbx_file, capsys, monkeypatch):
     monkeypatch.setenv("RBX_BUDGET", "4")
     code, out = run(capsys, "search", mbx_file, "--field", "F2", "--kind", "grb")

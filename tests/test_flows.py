@@ -236,7 +236,7 @@ BUILDS = {"truncated-poly-5": lambda: truncated_polynomial(5).instance(),
 
 # circ_i calls per function on (truncated-poly-5, swap-cochain): no
 # insertion is computed twice or left unused
-CIRC_I_CALLS = [(addexp_check, 8, 13), (exp_flow, 8, 8),
+CIRC_I_CALLS = [(addexp_check, 7, 12), (exp_flow, 7, 7),
                 (structure_residual, 5, 8), (flow_truncation, 3, 8)]
 
 

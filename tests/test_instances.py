@@ -11,7 +11,8 @@ from rbx.algebra import bimodule_check, canonical_bimodule
 from rbx.cochains import is_cocycle
 from rbx.errors import CapacityError, CharacteristicError, InputError
 from rbx.fields import F3, F5, QQ
-from rbx.instances import (CATALOG, catalog_trb_instances, kx2,
+from rbx.catalog import TABLE
+from rbx.instances import (BUILDERS, catalog_trb_instances, kx2,
                            tensor_square, truncated_polynomial,
                            truncated_weyl, unit_section,
                            unit_section_tensor_example)
@@ -285,6 +286,8 @@ def test_catalog_every_instance_passes_its_checker():
 
 
 def test_catalog_registry_builders():
-    for name, entry in CATALOG.items():
-        built = entry.build(6) if entry.takes_degree else entry.build()
+    assert set(BUILDERS) == set(TABLE)
+    for name, (_, _, takes_degree) in TABLE.items():
+        build = BUILDERS[name]
+        built = build(6) if takes_degree else build()
         assert built is not None, name

@@ -6,7 +6,8 @@ its instances on the integer encoding, and every search, since each
 one's whole dense work is within `linalg.PURE_WORK`.  Its reports
 equal, apart from `timing_ms`, those of a normal run and of a run with
 every product and every search block sent to numpy (`PURE_WORK` = -1).
-A search past the rule (mult-by-x over F11) does import numpy.  Every
+A search past the rule (mult-by-x over F11) does import numpy, and its
+report lists the expected 231 solutions.  Every
 emittable catalog instance, and truncated-poly at degrees 3 to 8, emits
 the same bytes without numpy as in a normal run.
 """
@@ -117,7 +118,7 @@ def test_plans_run_without_numpy(name, tmp_path, monkeypatch):
 def emits():
     """The argv of every emittable catalog instance, truncated-poly also
     at degrees 3 to 8."""
-    out = [["catalog", "emit", name] for name, (_, emittable)
+    out = [["catalog", "emit", name] for name, (_, emittable, _)
            in sorted(TABLE.items()) if emittable]
     return out + [["catalog", "emit", "truncated-poly", "--degree", str(n)]
                   for n in range(3, 9)]
@@ -140,18 +141,29 @@ def test_catalog_emits_the_same_bytes_without_numpy(tmp_path):
 
 
 def test_search_past_the_pure_rule_imports_numpy(tmp_path):
-    """mult-by-x over F11: 14,641 candidates of 80 units of work each."""
+    """mult-by-x over F11: 14,641 candidates of 80 units of work each,
+    decided on int64 numpy, and its report."""
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["catalog", "emit", "mult-by-x", "-o",
                          str(tmp_path / "mult-by-x.json")]) == 0
-    script = ("import contextlib, io, sys\n"
+    script = ("import contextlib, io, json, sys\n"
               "from rbx.cli import main\n"
-              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "buf = io.StringIO()\n"
+              "with contextlib.redirect_stdout(buf):\n"
               "    rc = main(sys.argv[1:])\n"
-              "print(rc, 'numpy' in sys.modules)\n")
+              "print(json.dumps([rc, 'numpy' in sys.modules, buf.getvalue()]))\n")
     proc = subprocess.run(
         [sys.executable, "-c", script, "search", str(tmp_path / "mult-by-x.json"),
-         "--kind", "nijenhuis", "--field", "F11"],
+         "--kind", "nijenhuis", "--field", "F11", "--json"],
         env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
         capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.split() == ["0", "True"]
+    rc, numpy_loaded, out = json.loads(proc.stdout)
+    assert (rc, numpy_loaded) == (0, True)
+    report = json.loads(out)
+    solutions = report["solutions"]
+    assert report["detail"] == \
+        "231 solution(s) of kind 'nijenhuis' in canonical order"
+    assert len(solutions) == 231
+    assert solutions[:3] == [[[0, 0], [0, 0]], [[0, 0], [0, 1]],
+                             [[0, 0], [0, 2]]]
+    assert solutions[-1] == [[10, 10], [0, 10]]

@@ -6,7 +6,7 @@ import pytest
 
 from rbx.algebra import Verdict
 from rbx.flows import FlowResult
-from rbx.instances import CatalogEntry, TruncatedInstance
+from rbx.instances import TruncatedInstance
 from rbx.schema import Document
 from rbx.structures import InducedActions
 
@@ -20,8 +20,6 @@ RECORDS = [
     (InducedActions, ["algebra", "module", "left", "right"], {}),
     (TruncatedInstance, ["name", "degree", "algebra", "module", "op",
                          "omega"], {"window": []}),
-    (CatalogEntry, ["description", "build"], {"takes_degree": False,
-                                              "emittable": True}),
 ]
 
 

@@ -230,15 +230,17 @@ def test_search_matches_brute_force_oracle(field, route, monkeypatch):
             if route == "pure":
                 patch.setattr(linalg, "_np", no_numpy)
                 patch.setattr(operators, "_np", no_numpy)
-            shape, found = search_rows(A, M, kind, cocycle=phi)
+            found = search_rows(A, M, kind, cocycle=phi)
         sols = search_operators(A, M, kind, cocycle=phi)
         brute = []
         for entries in itertools.product(elements(field), repeat=rows * A.dim):
             cand = np.array(entries, dtype=object).reshape(rows, A.dim)
             if oracle_accepts(kind, A, M, phi, cand):
                 brute.append(tuple(x.val for x in entries))
-        assert shape == (rows, A.dim)
-        assert [tuple(row) for row in found] == brute, kind
+        # one Encoded stack over scale 1, on an IntTensor on either route
+        assert isinstance(found.ints, linalg.IntTensor) and found.scale == 1
+        assert found.shape == (len(brute), rows, A.dim)
+        assert found.ints.flat == list(itertools.chain(*brute)), kind
         assert [tuple(x.val for x in s.flat) for s in sols] == brute, kind
         assert all(s.shape == (rows, A.dim) for s in sols)
         assert all(type(x) is FpElement and x.p == field.char
