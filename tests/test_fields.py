@@ -139,3 +139,83 @@ def test_fp_objects_of_unreduced_integers_are_canonical_and_shared(raw):
         for x in objects.flat:
             assert by_value.setdefault(x.val, x) is x
         assert len({id(x) for x in objects.flat}) == len({n % 5 for n in raw})
+
+
+FIELDS = [QQ, F2, PrimeField(7), PrimeField(2 ** 31 - 1)]
+FIELD_IDS = ["Q", "F2", "F7", "F2147483647"]
+
+
+def _literal(field, raw):
+    """The canonical literal of a parsed scalar, computed by hand: the
+    reduced 'n/d' (or n) over Q, n / d mod p over F_p."""
+    frac = Fraction(raw)
+    if field.char == 0:
+        return frac.numerator if frac.denominator == 1 else str(frac)
+    p = field.char
+    return frac.numerator * pow(frac.denominator, -1, p) % p
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("raw", [0, 3, 12, -1, -5, 2 ** 40, "4", "3/5",
+                                 "-3/5", "6/9", "-14/21", "-9/3"])
+def test_parse_is_scalar_of_its_encoding_and_formats_canonically(field, raw):
+    """parse, scalar, encode, format and format_int agree on one literal,
+    over Q and over small and large primes."""
+    x = field.parse(raw)
+    assert field.is_scalar(x)
+    (n,), scale = field.encode([x])
+    assert field.scalar(n, scale) == x
+    assert field.format(x) == _literal(field, raw) == field.format_int(n, scale)
+    assert type(field.format(x)) is type(_literal(field, raw))
+    assert field.parse(field.format(x)) == x
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_zero_one_and_from_int(field):
+    assert field.zero == field.from_int(0) and not field.zero
+    assert field.one == field.from_int(1) and field.one
+    assert field.is_scalar(field.zero) and field.is_scalar(field.one)
+    assert field.format(field.zero) == 0 and field.format(field.one) == 1
+    for n in (-3, 2, 10 ** 12):
+        x = field.from_int(n)
+        assert field.is_scalar(x) and x == field.parse(n)
+        assert field.format(x) == (n if field.char == 0 else n % field.char)
+    assert field.one + field.one == field.from_int(2)
+    assert field.zero - field.one == field.from_int(-1)
+
+
+def test_fields_equal_and_hash_by_characteristic():
+    built = [QQ, PrimeField(2), PrimeField(7), PrimeField(2 ** 31 - 1)]
+    again = [type(QQ)(), PrimeField(2), PrimeField(7), PrimeField(2 ** 31 - 1)]
+    for a, b in zip(built, again):
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert not a != b
+    assert F2 == PrimeField(2) and {F2: "x"}[PrimeField(2)] == "x"
+    assert len(set(built + again)) == 4
+    for i, a in enumerate(built):
+        for b in built[i + 1:]:
+            assert a != b and b != a
+    assert QQ != 0 and F2 != 2 and QQ != "Q" and F2 != {"Fp": 2}
+
+
+@pytest.mark.parametrize("field, raw, message", [
+    (QQ, True, "expected scalar, got True"),
+    (QQ, 1.5, "expected scalar, got 1.5"),
+    (QQ, None, "expected scalar, got None"),
+    (QQ, "x", "bad rational scalar 'x': Invalid literal for Fraction: 'x'"),
+    (QQ, "1/0", "bad rational scalar '1/0': Fraction(1, 0)"),
+    (PrimeField(7), True, "expected scalar, got True"),
+    (PrimeField(7), 1.5, "expected scalar, got 1.5"),
+    (PrimeField(7), [1], "expected scalar, got [1]"),
+    (PrimeField(7), "x",
+     "bad F7 scalar 'x': Invalid literal for Fraction: 'x'"),
+    (PrimeField(7), "1/0", "bad F7 scalar '1/0': Fraction(1, 0)"),
+    (F2, "1/2", "bad F2 scalar '1/2': division by zero in F2"),
+    (PrimeField(2 ** 31 - 1), False, "expected scalar, got False"),
+    (PrimeField(2 ** 31 - 1), "1/0",
+     "bad F2147483647 scalar '1/0': Fraction(1, 0)"),
+])
+def test_parse_error_texts(field, raw, message):
+    with pytest.raises(InputError) as info:
+        field.parse(raw)
+    assert str(info.value) == message
