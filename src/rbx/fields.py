@@ -20,6 +20,12 @@ division elimination needs, on a row of Python ints: exact floor
 division over Q, multiplication by the inverse mod p over F_p.
 `Encoded.objects` decodes a whole tensor with one `scalar` call per
 distinct value.  Only `field_of` imports numpy.
+
+The two fields share one body, `Field`: `from_int`, `zero` and `one`
+build scalars through `scalar`; `parse` reads a schema literal through
+`Fraction` and `from_int`; `format` is `format_int` of the scalar's own
+encoding, so each field writes its canonical form once; fields are equal
+when their characteristics are.  Each field keeps only what differs.
 """
 
 from __future__ import annotations
@@ -128,49 +134,60 @@ def _is_prime(n):
     return True
 
 
-class RationalField:
+class Field:
+    """The members Q and F_p share, written once over each field's own
+    `char`, `name`, `scalar`, `encode` and `format_int`."""
+
+    @property
+    def zero(self):
+        return self.from_int(0)
+
+    @property
+    def one(self):
+        return self.from_int(1)
+
+    def from_int(self, n):
+        return self.scalar(n, 1)
+
+    def parse(self, value):
+        """Parse a schema scalar: an int, or a string 'num' / 'num/den'
+        (over F_p when den is invertible mod p)."""
+        if isinstance(value, int) and not isinstance(value, bool):
+            return self.from_int(value)
+        if not isinstance(value, str):
+            raise InputError(f"expected scalar, got {value!r}")
+        try:
+            frac = Fraction(value)
+            return self.from_int(frac.numerator) / frac.denominator
+        except (ValueError, ZeroDivisionError) as exc:
+            kind = "rational" if self.char == 0 else self.name
+            raise InputError(f"bad {kind} scalar {value!r}: {exc}") from exc
+
+    def format(self, x):
+        """Canonical JSON form: `format_int` of the scalar's encoding."""
+        (n,), scale = self.encode([x])
+        return self.format_int(n, scale)
+
+    def __eq__(self, other):
+        return isinstance(other, Field) and other.char == self.char
+
+    def __hash__(self):
+        return hash(self.char)
+
+
+class RationalField(Field):
     """The field Q with Fraction scalars."""
 
     char = 0
     name = "Q"
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
 
     def inverse_int(self, n):
         if n == 0:
             raise ZeroDivisionError("inverse of 0")
         return Fraction(1, n)
 
-    def parse(self, value):
-        """Parse a schema scalar: an int, or a string 'num' / 'num/den'."""
-        if isinstance(value, bool):
-            raise InputError(f"expected scalar, got {value!r}")
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            try:
-                return Fraction(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputError(f"bad rational scalar {value!r}: {exc}") from exc
-        raise InputError(f"expected scalar, got {value!r}")
-
     def is_scalar(self, x):
         return type(x) in (int, Fraction)
-
-    def format(self, x):
-        """Canonical JSON form: int when integral, else 'num/den'."""
-        if x.denominator == 1:
-            return int(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
 
     def encode(self, scalars):
         """(numerators, den): a list of rationals as Python ints over
@@ -182,7 +199,7 @@ class RationalField:
         return Fraction(n, scale)
 
     def format_int(self, n, scale):
-        """`format` of n / scale."""
+        """n / scale as an int when integral, else 'num/den'."""
         g = math.gcd(n, scale)
         return n // g if g == scale else f"{n // g}/{scale // g}"
 
@@ -195,17 +212,11 @@ class RationalField:
         entry: exact //."""
         return [x // d for x in row]
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
-
     def __repr__(self):
         return "RationalField()"
 
 
-class PrimeField:
+class PrimeField(Field):
     """The field F_p for a prime p below 2^31."""
 
     def __init__(self, p):
@@ -218,43 +229,14 @@ class PrimeField:
         self.char = p
         self.name = f"F{p}"
 
-    @property
-    def zero(self):
-        return FpElement(0, self.p)
-
-    @property
-    def one(self):
-        return FpElement(1, self.p)
-
-    def from_int(self, n):
-        return FpElement(n, self.p)
-
     def inverse_int(self, n):
         if n % self.p == 0:
             raise CharacteristicError(
                 f"1/{n} does not exist in characteristic {self.p}")
         return FpElement(pow(n % self.p, -1, self.p), self.p)
 
-    def parse(self, value):
-        if isinstance(value, bool):
-            raise InputError(f"expected scalar, got {value!r}")
-        if isinstance(value, int):
-            return FpElement(value, self.p)
-        if isinstance(value, str):
-            try:
-                # allows "3", and "1/2" when 2 is invertible mod p
-                frac = Fraction(value)
-                return FpElement(frac.numerator, self.p) / frac.denominator
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InputError(
-                    f"bad {self.name} scalar {value!r}: {exc}") from exc
-        raise InputError(f"expected scalar, got {value!r}")
-
     def is_scalar(self, x):
         return type(x) is FpElement and x.p == self.p
-
-    def format(self, x):
-        return x.val
 
     def encode(self, scalars):
         """(representatives, 1): the canonical representatives of a list
@@ -265,7 +247,7 @@ class PrimeField:
         return FpElement(n, self.p)
 
     def format_int(self, n, scale):
-        """`format` of the scalar of n (scale is 1)."""
+        """The canonical representative of n (scale is 1)."""
         return n % self.p
 
     def reduce(self, arr):
@@ -287,12 +269,6 @@ class PrimeField:
         is nonzero mod p), as canonical representatives."""
         inverse, p = pow(d, -1, self.p), self.p
         return [x * inverse % p for x in row]
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
 
     def __repr__(self):
         return f"PrimeField({self.p})"

@@ -97,7 +97,8 @@ class OperatorInstance:
             if cocycle.arity != 2 or cocycle._tensor.shape != \
                     (algebra.dim, algebra.dim, module.dim):
                 raise InputError("twist must be a 2-cochain A x A -> M")
-            report = is_cocycle(cocycle)
+            # in C^2(A, M) of this instance, whatever module it came with
+            report = is_cocycle(Cochain(algebra, module, cocycle._tensor))
             if not report:
                 raise InputError(
                     f"twist is not a Hochschild cocycle; coboundary nonzero "

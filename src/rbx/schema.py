@@ -129,9 +129,7 @@ def load_raw_algebra(text: str):
     Returns (field, c, raw) with the decoded document raw for
     `raw_digest`."""
     raw = decode(text)
-    if not isinstance(raw, dict) or "field" not in raw:
-        raise InputError("document root must be an object with a 'field' key")
-    field = field_from_name(raw["field"])
+    field = _root_field(raw)
     if "algebra" not in raw:
         raise InputError("document has no 'algebra' key")
     return (field, *_cubes(field, raw, "algebra", "c"), raw)
@@ -145,12 +143,17 @@ def _cubes(field, raw, section, *keys):
                           f"{section}.{key}") for key in keys]
 
 
-def document_from_obj(raw) -> Document:
+def _root_field(raw):
+    """The field of a decoded document; the one check of its root."""
     if not isinstance(raw, dict):
         raise InputError("document root must be a JSON object")
     if "field" not in raw:
         raise InputError("document is missing the 'field' key")
-    field = field_from_name(raw["field"])
+    return field_from_name(raw["field"])
+
+
+def document_from_obj(raw) -> Document:
+    field = _root_field(raw)
     doc = Document(field)
 
     if "algebra" in raw:

@@ -363,6 +363,29 @@ def test_trb_search_with_non_cocycle_twist_is_exit_2(ts_file, tmp_path, capsys):
         "(0, 0, 1, 1)" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-trb"], ["derive-ns"], ["residual", "--phi", "phi"],
+    ["check-addexp", "--phi", "phi"], ["flow", "--phi", "phi"],
+    ["search", "--kind", "trb", "--field", "F3", "--phi", "phi"]])
+def test_twist_landing_in_a_is_checked_in_the_document_module(
+        tmp_path, capsys, argv):
+    """kx2 with its dual module and phi = -mu given with output 'A': a
+    cocycle in C^2(A, A), used as an M-valued twist, where it is none."""
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps({
+        "field": "Q",
+        "algebra": {"dim": 2, "c": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]},
+        "bimodule": {"dim": 2, "left": [[[1, 0], [0, 1]], [[0, 0], [1, 0]]],
+                     "right": [[[1, 0], [0, 0]], [[0, 1], [1, 0]]]},
+        "maps": {"pi": [[0, 0], [0, 0]]},
+        "cochains": {"phi": {"arity": 2, "inputs": "A", "output": "A",
+                             "tensor": [[[-1, 0], [0, -1]],
+                                        [[0, -1], [0, 0]]]}}}))
+    code, out = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, f"ERROR: {argv[0]} - twist is not a Hochschild "
+                              f"cocycle; coboundary nonzero at (0, 0, 1, 1)\n")
+
+
 @pytest.mark.parametrize("kind", ["grb", "rb", "reynolds", "nijenhuis",
                                   "aybe"])
 def test_search_with_a_twist_on_an_untwisted_kind_is_exit_2(tmp_path, capsys,
@@ -448,6 +471,24 @@ def test_undecodable_json_is_exit_2(tmp_path, capsys, text, message):
     for verb in ("check-assoc", "check-grb"):
         code, out = run(capsys, verb, str(bad))
         assert code == 2 and "JSON parse error" in out and message in out
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "document root must be a JSON object"),
+    ("3", "document root must be a JSON object"),
+    ("{}", "document is missing the 'field' key"),
+    ('{"algebra": {"dim": 1, "c": [[[1]]]}}',
+     "document is missing the 'field' key"),
+    ('{"field": "R"}', "unknown field name 'R'"),
+])
+def test_document_root_is_checked_once(tmp_path, capsys, text, message):
+    """check-assoc reads the raw algebra, check-grb the whole document;
+    both refuse a bad root with the same words."""
+    bad = tmp_path / "root.json"
+    bad.write_text(text)
+    for verb in ("check-assoc", "check-grb"):
+        code, out = run(capsys, verb, str(bad))
+        assert (code, out) == (2, f"ERROR: {verb} - {message}\n")
 
 
 @pytest.mark.parametrize("verb", ["check-reynolds", "check-nijenhuis", "aybe",

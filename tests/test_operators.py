@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -125,6 +126,19 @@ def test_trb_zero_twist_delegates_to_grb(kx2_q):
         twisted = OperatorInstance(kx2_q, M, LinearMap(mat),
                                    zero_cochain(kx2_q, M, 2))
         assert bool(is_grb(plain)) == bool(is_trb(twisted))
+
+
+def test_twist_is_checked_in_the_instance_module(kx2_q):
+    """-mu is a cocycle in C^2(A, A), not in C^2(A, A*): a twist built on
+    the canonical module is checked against the instance's own module."""
+    A, dual = kx2_q, dual_module(kx2_q)
+    minus_mu = Cochain(A, canonical_bimodule(A), -A.c)
+    op = LinearMap(zeros((2, 2), QQ))
+    assert is_trb(OperatorInstance(A, canonical_bimodule(A), op, minus_mu))
+    with pytest.raises(InputError, match=re.escape(
+            "twist is not a Hochschild cocycle; coboundary nonzero at "
+            "(0, 0, 1, 1)")):
+        OperatorInstance(A, dual, op, minus_mu)
 
 
 def test_mu_as_twisted_operator():
