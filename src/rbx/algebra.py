@@ -13,9 +13,8 @@ is always genuinely associative.
 from __future__ import annotations
 
 from .errors import InputError
-from .fields import field_of
-from .linalg import (Encoded, _np, common, decoded, embed, eye,
-                     first_difference, first_nonzero_index, rank, row_reduce)
+from .linalg import (Encoded, common, decoded, embed, eye, first_difference,
+                     first_nonzero_index, rank, row_reduce)
 
 
 class Verdict:
@@ -51,16 +50,13 @@ class Verdict:
                    rhs=None if rhs is None else rhs.at(idx), detail=detail)
 
 
-def assoc_check(c) -> Verdict:
-    """Associativity of a structure-constant tensor on all basis triples:
-    an `Encoded` tensor, or a tensor of scalars over the field of its
-    entries (`fields.field_of`).
+def assoc_check(c: Encoded) -> Verdict:
+    """Associativity of an `Encoded` structure-constant tensor on all
+    basis triples.
 
     Reports the first failing (i, j, k, l) in lexicographic order, with
     the l-th coefficient of (e_i e_j) e_k and e_i (e_j e_k).
     """
-    if not isinstance(c, Encoded):
-        c = Encoded.of(field_of(c), c)
     if len(c.shape) != 3 or len(set(c.shape)) != 1:
         raise InputError(f"structure constants must be cubic, got shape {c.shape}")
     # [i,j,k,l]: (e_i e_j) e_k and e_i (e_j e_k)
@@ -230,12 +226,11 @@ def semidirect(algebra: Algebra, module: Bimodule) -> Algebra:
 
 
 def twisted_extension(algebra: Algebra, module: Bimodule, cocycle) -> Algebra:
-    """A (+)_phi M for a 2-cochain phi; associative iff phi is a cocycle,
-    and the Algebra constructor enforces exactly that."""
-    tensor = cocycle._tensor if hasattr(cocycle, "_tensor") else cocycle
+    """A (+)_phi M for a 2-cochain phi, a `Cochain`; associative iff phi
+    is a cocycle, and the Algebra constructor enforces exactly that."""
+    ext = extension(algebra, module, cocycle._tensor)
     try:
-        return Algebra(algebra.field, extension(algebra, module, tensor),
-                       labels=_ext_labels(algebra, module))
+        return Algebra(algebra.field, ext, labels=_ext_labels(algebra, module))
     except InputError as exc:
         raise InputError(
             f"twisted extension is not associative (the 2-cochain is "
@@ -253,13 +248,11 @@ def subspace_closed(algebra: Algebra, basis_vectors) -> Verdict:
     """
     v = basis_vectors
     if not isinstance(v, Encoded):
-        np = _np()
-        vecs = [np.asarray(x, dtype=object) for x in v]
-        if any(x.shape != (algebra.dim,) for x in vecs):
-            raise InputError("basis vector has wrong length")
-        if not vecs:
+        if not len(v):
             return Verdict(True)
-        v = Encoded.of(algebra.field, np.array(vecs))
+        v = Encoded.of(algebra.field, [list(x) for x in v])
+    if len(v.shape) != 2 or v.shape[1] != algebra.dim:
+        raise InputError("basis vector has wrong length")
     rref, pivots = row_reduce(v)
     if len(pivots) != v.shape[0]:
         raise InputError("basis vectors are linearly dependent")
@@ -275,22 +268,17 @@ def subspace_closed(algebra: Algebra, basis_vectors) -> Verdict:
 
 
 def intertwiner_check(T, P, Q) -> Verdict:
-    """Does T intertwine the arity-2 maps P and Q: T(P(x,y)) = Q(Tx,Ty)?
+    """Does T intertwine the arity-2 MultiMaps P and Q: T(P(x,y)) = Q(Tx,Ty)?
 
-    T must be an invertible endomorphism of the common space.
+    T must be an invertible endomorphism of the common space, over P's field.
     """
-    mat = _np().asarray(T.matrix if hasattr(T, "matrix") else T, dtype=object)
-    d = mat.shape[0]
-    if mat.shape != (d, d):
+    t = Encoded.of(P.field, T)
+    if t.shape != (P.dim, P.dim):
         raise InputError("intertwiner must be an endomorphism")
-    field = field_of(mat)
-    t = Encoded.of(field, mat)
-    if rank(t) != d:
+    if rank(t) != P.dim:
         raise InputError("intertwiner is singular")
-    pt, qt = (X._tensor if hasattr(X, "_tensor") else Encoded.of(field, X)
-              for X in (P, Q))
-    if pt.shape != (d, d, d) or qt.shape != (d, d, d):
+    if (P.arity, Q.arity, Q.dim) != (2, 2, P.dim):
         raise InputError("P and Q must be arity-2 maps on the same space")
     # Q(Tx, Ty)[i, j, l] = sum_ab T[i, a] T[j, b] Q[a, b, l]
-    image = t.dot(t.dot(qt, ([1], [0])), ([1], [1])).transpose(1, 0, 2)
-    return Verdict.compare(pt.dot(t, ([2], [0])), image, 3)
+    image = t.dot(t.dot(Q._tensor, ([1], [0])), ([1], [1])).transpose(1, 0, 2)
+    return Verdict.compare(P._tensor.dot(t, ([2], [0])), image, 3)

@@ -474,6 +474,13 @@ class _Parser(argparse.ArgumentParser):
         file.write(self.format_help())
         file.flush()
 
+    def error(self, message):
+        try:
+            super().error(message)
+        except SystemExit as exc:   # for the --json report (`parse_args`)
+            exc.usage = message
+            raise
+
 
 def verb_parser(verb, sub=None):
     """The parser of one verb: on its own, or added to the subparsers
@@ -506,11 +513,17 @@ def build_parser():
 def parse_args(argv):
     """Arguments of `argv`, parsed by its verb's parser alone; the full
     parser handles no known verb and words top-level errors."""
-    if argv and argv[0] in VERBS:
-        args, rest = verb_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    try:
+        if argv and argv[0] in VERBS:
+            args, rest = verb_parser(argv[0]).parse_known_args(argv[1:])
+            if not rest:
+                return args
+        return build_parser().parse_args(argv)
+    except SystemExit as exc:   # a verb's usage error, reported under --json
+        if hasattr(exc, "usage") and "--json" in argv[1:] and argv[0] in VERBS:
+            _print_report(Report(argv[0], "error", detail=exc.usage), True)
+            sys.stdout.flush()
+        raise
 
 
 def _print_report(report, as_json):
@@ -542,7 +555,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parse_args(argv)
-    except OSError as exc:      # the help could not be written
+    except OSError as exc:      # the help or a usage report was not written
         return _stdout_failed(argv[0] if argv and argv[0] in VERBS else "rbx",
                               exc)
     if args.command != "explain" and getattr(args, "action", None) != "list":

@@ -19,7 +19,7 @@ entries and leaves integer results as they are.  `divide` is the one
 division elimination needs, on a row of Python ints: exact floor
 division over Q, multiplication by the inverse mod p over F_p.
 `Encoded.objects` decodes a whole tensor with one `scalar` call per
-distinct value.  Only `field_of` imports numpy.
+distinct value.
 
 The two fields share one body, `Field`: `from_int`, `zero` and `one`
 build scalars through `scalar`; `parse` reads a schema literal through
@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 
 from .errors import CharacteristicError, InputError
-from .linalg import IntTensor, _np
+from .linalg import IntTensor
 
 
 class FpElement:
@@ -287,19 +287,6 @@ def field_from_name(name):
     if isinstance(name, dict) and set(name) == {"Fp"}:
         return PrimeField(name["Fp"])
     raise InputError(f"unknown field name {name!r}")
-
-
-def field_of(arr):
-    """The field whose scalars fill the tensor `arr`: Q for Fraction
-    entries (and for an empty tensor), F_p for FpElement entries mod p.
-    Entries of any other type, or of two fields, raise InputError."""
-    kinds = {(type(x), getattr(x, "p", None))
-             for x in _np().asarray(arr, dtype=object).flat}
-    if kinds <= {(Fraction, None)}:
-        return QQ
-    if len(kinds) == 1 and next(iter(kinds))[0] is FpElement:
-        return PrimeField(next(iter(kinds))[1])
-    raise InputError("tensor entries must be scalars of one field")
 
 
 def field_to_name(field):

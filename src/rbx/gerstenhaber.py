@@ -96,9 +96,6 @@ def circ_i(f: MultiMap, g: MultiMap, i: int) -> MultiMap:
             f"composite arity {m + n - 1} exceeds the cap {ARITY_CAP}")
     if f.dim != g.dim:
         raise InputError("multimaps live on different spaces")
-    if f.field != g.field:
-        raise InputError(f"multimaps are over different fields, "
-                         f"{f.field.name} and {g.field.name}")
     # contract g's output axis into f's input slot i-1
     t = f._tensor.dot(g._tensor, ([i - 1], [n]))
     # axes now: f-inputs before slot, f-inputs after slot, f-output, g-inputs

@@ -6,10 +6,12 @@ field, as an integer tensor over a scale (representatives over scale 1
 for F_p, numerators over the common denominator for Q).  Products
 (`Encoded.dot`, `Encoded.matmul`) multiply the scales; signed sums
 (`combine`) and comparisons (`Encoded.differs`) first bring their
-operands to one scale (`common`).  Fraction or FpElement scalars exist
-only at the public boundary: `Encoded.of` encodes them, refusing any of
-another field (`is_scalar`), and the field decodes them where a caller
-reads them (`Encoded.objects`, `Encoded.at`), the witness of a verdict.
+operands to one scale (`common`).  Where tensors meet, in `_product` and
+`common`, is the one field check: tensors of two fields are refused
+(`_one_field`).  Fraction or FpElement scalars exist only at the public
+boundary: `Encoded.of` encodes them, refusing any of another field
+(`is_scalar`), and the field decodes them where a caller reads them
+(`Encoded.objects`, `Encoded.at`), the witness of a verdict.
 
 The integers have two forms.  Encoding (and the schema loader) builds
 an `IntTensor`: a shape and the flat C-order list of its Python ints,
@@ -389,11 +391,12 @@ class Encoded:
     def of(cls, field, tensor):
         """The pure encoding of a tensor of `field` scalars, refusing any
         other: a scalar, nested lists (shaped by `_array`) or a numpy
-        array; an Encoded passes through, decoded if of another field."""
+        array; an Encoded of `field` passes through."""
         if isinstance(tensor, cls):
-            if tensor.field == field:
-                return tensor
-            tensor = tensor.objects     # scalars the check below refuses
+            if tensor.field != field:
+                raise InputError(f"entries must be {field.name} scalars, "
+                                 f"not {tensor.field.name} ones")
+            return tensor
         shape, flat = (tensor.shape, tensor.ravel().tolist()) \
             if hasattr(tensor, "shape") else _array(tensor)
         for x in filterfalse(field.is_scalar, flat):
@@ -462,7 +465,7 @@ class Encoded:
     def _product(self, other, terms, work, name, *args):
         """The product `name` (tensordot or matmul) of the integers, each
         entry a sum of `terms` products, on the backend `_route` picks."""
-        a, b = _route(self.field, [self.ints, other.ints],
+        a, b = _route(_one_field([self, other]), [self.ints, other.ints],
                       lambda *bounds: fits_int64(terms, *bounds), work)
         scale = self.scale * other.scale
         if isinstance(a, IntTensor):
@@ -511,6 +514,15 @@ def _route(field, ints, fits, work=None):
     return [to_pure(a) for a in ints]
 
 
+def _one_field(tensors):
+    """The field of the Encoded `tensors`, refusing tensors of two."""
+    for t in tensors:
+        if t.field != tensors[0].field:
+            raise InputError(f"tensors are over different fields, "
+                             f"{tensors[0].field.name} and {t.field.name}")
+    return tensors[0].field
+
+
 def combine(terms):
     """The signed sum of (Encoded, sign) terms of one field and shape,
     over the lcm of their scales, on the backend `_route` picks."""
@@ -525,9 +537,10 @@ def combine(terms):
 
 
 def common(*tensors):
-    """The integer tensors of Encoded `tensors` over one scale, the lcm of
-    theirs, and that scale.  Repeated tensors give one array; a numpy one
-    that int64 cannot rescale goes pure."""
+    """The integer tensors of Encoded `tensors` of one field (`_one_field`)
+    over one scale, the lcm of theirs, and that scale.  Repeated tensors
+    give one array; a numpy one that int64 cannot rescale goes pure."""
+    _one_field(tensors)
     scale = math.lcm(*(t.scale for t in tensors))
     out = {}
     for t in tensors:

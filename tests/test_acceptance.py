@@ -21,7 +21,7 @@ from rbx.flows import addexp_check, exp_flow, flow_truncation
 from rbx.gerstenhaber import MultiMap, g_bracket, jacobi_residual
 from rbx.instances import (catalog_trb_instances, kx2, mult_by_x_instance,
                            truncated_weyl, truncated_polynomial)
-from rbx.linalg import is_zero
+from rbx.linalg import Encoded, is_zero
 from rbx.operators import (LinearMap, OperatorInstance, aybe_residual,
                            extension_mult_map, graph_check, is_grb,
                            is_reynolds, is_trb, lift_cocycle, lift_matrix,
@@ -77,7 +77,7 @@ def test_criterion_2_dendriform_soundness():
             produced += 1
             dend = dendriform_from_grb(inst)
             assert check_dendriform(dend), name
-            assert assoc_check(dend.total_tensor()), name
+            assert assoc_check(Encoded.of(A.field, dend.total_tensor())), name
     report(2, produced > 0,
            f"all {produced} enumerated operators induce valid dendriform "
            f"structures with associative total products")
@@ -88,7 +88,7 @@ def test_criterion_3_ns_soundness():
     for name, inst in catalog_trb_instances().items():
         ns = ns_from_trb(inst)
         assert check_ns(ns), name
-        assert assoc_check(ns.total_tensor()), name
+        assert assoc_check(Encoded.of(inst.field, ns.total_tensor())), name
         lifted = identity_operator(ns)
         assert lifted.cocycle is not None and is_cocycle(lifted.cocycle), name
         names.append(name)
@@ -148,8 +148,9 @@ def test_criterion_5_gerstenhaber_calculus():
         else:
             tensor = random_tensor((dim, dim, dim), field, rng)
         S = MultiMap(field, tensor)
-        assert g_bracket(S, S).is_zero_map() == bool(assoc_check(tensor))
-        associative_seen += bool(assoc_check(tensor))
+        assert g_bracket(S, S).is_zero_map() == \
+            bool(assoc_check(Encoded.of(field, tensor)))
+        associative_seen += bool(assoc_check(Encoded.of(field, tensor)))
         square_checked += 1
     report(5, triples == 200 and square_checked == 100 and associative_seen,
            f"graded antisymmetry/Jacobi/Leibniz on {triples} random triples; "
@@ -179,7 +180,8 @@ def test_criterion_6_hochschild():
             tensor = coboundary(Cochain(A, M, random_tensor((2, 2), QQ, rng))).tensor
         phi = Cochain(A, M, tensor)
         cocycle_report = is_cocycle(phi)
-        assoc_report = assoc_check(extension_product(A, M, tensor))
+        assoc_report = assoc_check(
+            Encoded.of(QQ, extension_product(A, M, tensor)))
         assert bool(cocycle_report) == bool(assoc_report)
         if cocycle_report:
             cocycles += 1

@@ -12,15 +12,15 @@ from rbx.cochains import Cochain, is_cocycle, zero_cochain
 from rbx.errors import InputError
 from rbx.fields import F2, QQ
 from rbx.instances import kx2, mult_by_x_matrix, null_algebra
-from rbx.linalg import is_zero
+from rbx.linalg import Encoded, IntTensor, is_zero, to_numpy
 
 
 def test_assoc_check_kx2_passes(kx2_q):
-    assert assoc_check(kx2_q.c)
+    assert assoc_check(Encoded.of(QQ, kx2_q.c))
 
 
 def test_assoc_check_null_product_passes():
-    assert assoc_check(zeros((3, 3, 3), QQ))
+    assert assoc_check(Encoded.of(QQ, zeros((3, 3, 3), QQ)))
 
 
 def test_assoc_check_failure_witness():
@@ -30,7 +30,7 @@ def test_assoc_check_failure_witness():
     c = zeros((2, 2, 2), QQ)
     c[0, 0, 1] = QQ.one
     c[0, 1, 0] = QQ.one
-    report = assoc_check(c)
+    report = assoc_check(Encoded.of(QQ, c))
     assert not report
     assert report.witness == (0, 0, 0, 0)
     assert report.lhs == 0 and report.rhs == 1
@@ -38,7 +38,7 @@ def test_assoc_check_failure_witness():
 
 def test_assoc_check_shape_error():
     with pytest.raises(InputError):
-        assoc_check(zeros((2, 2, 3), QQ))
+        assoc_check(Encoded.of(QQ, zeros((2, 2, 3), QQ)))
 
 
 def test_algebra_constructor_rejects_nonassociative():
@@ -90,7 +90,7 @@ def test_semidirect_associativity_all_catalog_pairs():
     for A in (kx2(QQ), kx2(F2), null_algebra(QQ, 2)):
         for M in (canonical_bimodule(A), dual_module(A)):
             S = semidirect(A, M)  # Algebra constructor re-checks associativity
-            assert assoc_check(S.c)
+            assert assoc_check(Encoded.of(A.field, S.c))
 
 
 def test_twisted_extension_zero_cocycle_matches_semidirect(kx2_q):
@@ -110,7 +110,7 @@ def test_twisted_extension_unit_twist_is_associative(kx2_q):
         for j in range(2):
             phi[i, j] = neg(vec_mat(ae, M.right[:, j], QQ))  # -(e_i . e) . e_j
     assert is_cocycle(Cochain(kx2_q, M, phi))
-    assert assoc_check(extension_product(kx2_q, M, phi))
+    assert assoc_check(Encoded.of(QQ, extension_product(kx2_q, M, phi)))
 
 
 def test_twisted_extension_non_cocycle_fails_assoc(kx2_q):
@@ -127,7 +127,8 @@ def test_twisted_extension_non_cocycle_fails_assoc(kx2_q):
         if is_cocycle(cochain):
             continue
         found = True
-        assert not assoc_check(extension_product(kx2_q, M, phi))
+        assert not assoc_check(
+            Encoded.of(QQ, extension_product(kx2_q, M, phi)))
         with pytest.raises(InputError):
             twisted_extension(kx2_q, M, cochain)
         break
@@ -170,6 +171,17 @@ def test_subspace_closed_empty_basis_spans_zero(kx2_q):
     # {0} is closed under the product
     assert subspace_closed(kx2_q, [])
     assert subspace_closed(semidirect(kx2_q, canonical_bimodule(kx2_q)), [])
+
+
+@pytest.mark.parametrize("entries", [[0, 1, 0, 0, 0, 1], [1, 0, 0, 0, 1, 0]])
+def test_subspace_closed_refuses_a_basis_of_the_wrong_width(kx2_q, entries):
+    # width 3 in a 4-dimensional algebra, in each input form
+    S = semidirect(kx2_q, canonical_bimodule(kx2_q))
+    ints = IntTensor((2, 3), entries)
+    for basis in (Encoded(QQ, ints), Encoded(QQ, to_numpy(ints)),
+                  [entries[:3], entries[3:]]):
+        with pytest.raises(InputError, match="basis vector has wrong length"):
+            subspace_closed(S, basis)
 
 
 def test_subspace_closed_rejects_dependent_basis(kx2_q):

@@ -15,7 +15,8 @@
   +-(2^63 - 1) against Python's %, and the loader's shape discovery
   against numpy's.
 - Index lists numpy would not wrap (out of range, or bools) and scalars
-  of another field raise, at the kernel's door.
+  of another field raise, at the kernel's door; tensors of two fields
+  raise where they meet, in a product or a sum.
 """
 
 import itertools
@@ -32,17 +33,20 @@ import test_flows
 import test_gerstenhaber
 import test_integer_sites
 import test_witness_oracle
-from oracle import random_tensor
+from oracle import identity, random_tensor
 from rbx import linalg
-from rbx.algebra import Algebra, canonical_bimodule
+from rbx.algebra import (Algebra, bimodule_check, canonical_bimodule,
+                         intertwiner_check, semidirect, twisted_extension)
+from rbx.cochains import zero_cochain
 from rbx.errors import InputError
 from rbx.fields import QQ, FpElement, PrimeField
-from rbx.gerstenhaber import MultiMap
-from rbx.instances import kx2
+from rbx.gerstenhaber import MultiMap, from_algebra
+from rbx.instances import kx2, mult_by_x_instance, mult_by_x_matrix
 from rbx.linalg import (Encoded, IntTensor, _array, combine, embed,
                         first_difference, first_nonzero_index, max_abs,
                         to_numpy, to_pure)
-from rbx.operators import LinearMap, OperatorInstance
+from rbx.operators import LinearMap, OperatorInstance, is_grb
+from rbx.structures import grb_morphism_check
 
 BIG = PrimeField(2 ** 31 - 1)
 FIELDS = (QQ, PrimeField(2), PrimeField(7), BIG)
@@ -545,4 +549,40 @@ def test_encoded_of_refuses_scalars_of_another_field(build):
     """A scalar keeps its value at the library's door or is refused: an
     F7 6 is no F5 1."""
     with pytest.raises(InputError, match="must be F5 scalars|must be Q scalars"):
+        build()
+
+
+def _mixed(build):
+    """build(A, M) on kx2 over Q and the canonical bimodule of kx2 over F5."""
+    return lambda: build(kx2(QQ), canonical_bimodule(kx2(F5)))
+
+
+def _intertwiner(P, Q):
+    return intertwiner_check(identity(2, P.field), P, Q)
+
+
+ZERO_F5 = MultiMap(F5, [[[F5.zero] * 2] * 2] * 2)
+FIVE_MU = from_algebra(kx2(QQ)).scale(QQ.from_int(5))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _intertwiner(ZERO_F5, FIVE_MU),
+    lambda: _intertwiner(FIVE_MU, ZERO_F5),
+    lambda: grb_morphism_check(
+        LinearMap(identity(2, QQ)), LinearMap(identity(2, QQ)),
+        mult_by_x_instance(QQ), mult_by_x_instance(F5)),
+    lambda: from_algebra(kx2(QQ)) + from_algebra(kx2(F5)),
+    lambda: from_algebra(kx2(QQ)) - from_algebra(kx2(F5)),
+    _mixed(semidirect),
+    _mixed(lambda A, M: twisted_extension(A, M, zero_cochain(A, M, 2))),
+    _mixed(bimodule_check),
+    _mixed(lambda A, M: is_grb(OperatorInstance(
+        A, M, LinearMap(mult_by_x_matrix(QQ))))),
+], ids=["intertwiner-F5-Q", "intertwiner-Q-F5", "grb-morphism",
+        "multimap-sum", "multimap-difference", "semidirect",
+        "twisted-extension", "bimodule-check", "is-grb"])
+def test_tensors_of_two_fields_are_refused_where_they_meet(build):
+    """No verdict or structure is computed from tensors of Q and F5: the
+    kernel refuses them in its products and sums."""
+    with pytest.raises(InputError, match="different fields"):
         build()

@@ -676,6 +676,28 @@ def test_top_level_errors_are_worded_by_the_full_parser(mbx_file, capsys,
     assert "usage: rbx [-h]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, detail", [
+    (["check-grb", "{mbx}", "--phi", "phi"],
+     "unrecognized arguments: --phi phi"),
+    (["check-grb"], "the following arguments are required: file")],
+    ids=["full-parser", "verb-parser"])
+def test_usage_error_under_json_also_writes_an_error_report(mbx_file, capsys,
+                                                            argv, detail):
+    argv = [a.format(mbx=mbx_file) for a in argv]
+    with pytest.raises(SystemExit) as plain:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: {detail}\n")
+    with pytest.raises(SystemExit) as as_json:
+        main([*argv, "--json"])
+    # the same usage text on stderr, and the report on stdout
+    out, json_err = capsys.readouterr()
+    assert plain.value.code == as_json.value.code == 2 and json_err == err
+    assert json.loads(out) == {
+        "command": "check-grb", "verdict": "error", "detail": detail,
+        "witness": None, "input_digest": None, "timing_ms": None}
+
+
 # help and usage texts at COLUMNS=80, recorded from the 18-subparser parser
 # before verbs got parsers of their own
 with open(os.path.join(os.path.dirname(__file__),

@@ -128,6 +128,12 @@ def run_main(argv):
             code = main(argv)
         except SystemExit as exc:        # argparse's usage errors
             assert exc.code == 2, (argv, exc.code, err.getvalue())
+            # every argv here has --json after its verb: one error report
+            # with argparse's message, which stderr ends with
+            report = json.loads(out.getvalue())
+            assert (report["command"], report["verdict"]) == \
+                (argv[0], "error"), argv
+            assert err.getvalue().endswith(f"error: {report['detail']}\n")
             return None
     return code, out.getvalue()
 

@@ -234,10 +234,11 @@ def test_assoc_matches_oracle_and_object_path(field):
             if trial:
                 idx = tuple(rng.randrange(s) for s in c.shape)
                 c[idx] = c[idx] + random_scalar(field, rng)
-            same_verdict(assoc_check(c), ref_assoc(c), field,
-                         oracle_assoc(field, c))
+            same_verdict(assoc_check(Encoded.of(field, c)), ref_assoc(c),
+                         field, oracle_assoc(field, c))
         c = sparse(A.c.shape, field, rng, 0.4)
-        same_verdict(assoc_check(c), ref_assoc(c), field, oracle_assoc(field, c))
+        same_verdict(assoc_check(Encoded.of(field, c)), ref_assoc(c), field,
+                     oracle_assoc(field, c))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -270,7 +271,7 @@ def test_assoc_and_bimodule_fall_back_to_python_ints(monkeypatch):
     seen = spy_routes(monkeypatch)
     for c, ref in zip(cases, refs):
         field = BIG if isinstance(c.flat[0], FpElement) else QQ
-        same_verdict(assoc_check(c), ref, field)
+        same_verdict(assoc_check(Encoded.of(field, c)), ref, field)
     assert bimodule_check(A, Bimodule(A, L, R, check=False)).witness == \
         bimodule_ref
     assert seen and all(route == "pure" for route in seen)
@@ -279,7 +280,7 @@ def test_assoc_and_bimodule_fall_back_to_python_ints(monkeypatch):
 def test_f_2_31_minus_1_assoc_is_int64_at_d_2_and_pure_at_d_3(monkeypatch):
     seen = spy_routes(monkeypatch)
     for d in (2, 3):
-        assert assoc_check(top((d, d, d)))
+        assert assoc_check(Encoded.of(BIG, top((d, d, d))))
     # d (p-1)^2 < 2^63 exactly for d <= 2
     assert seen == ["int64", "int64", "pure", "pure"]
 

@@ -12,7 +12,7 @@ from rbx.fields import F2, QQ
 from rbx.gerstenhaber import g_bracket
 from rbx.instances import (catalog_trb_instances, kx2, mult_by_x_instance,
                            truncated_polynomial)
-from rbx.linalg import is_zero
+from rbx.linalg import Encoded, is_zero
 from rbx.operators import (LinearMap, OperatorInstance, is_grb, is_nijenhuis,
                            is_trb, lift_operator, search_operators,
                            semidirect_mult_map)
@@ -88,7 +88,7 @@ def test_ns_from_trb_catalog_instances():
     for name, inst in catalog_trb_instances().items():
         ns = ns_from_trb(inst)
         assert check_ns(ns), name
-        assert assoc_check(ns.total_tensor()), name
+        assert assoc_check(Encoded.of(inst.field, ns.total_tensor())), name
 
 
 def test_ns_from_nijenhuis_operator(kx2_q):
@@ -302,7 +302,7 @@ def test_every_enumerated_grb_gives_valid_dendriform():
         inst = OperatorInstance(A, M, LinearMap(mat))
         D = dendriform_from_grb(inst)
         assert check_dendriform(D)
-        assert assoc_check(D.total_tensor())
+        assert assoc_check(Encoded.of(F2, D.total_tensor()))
 
 
 def test_every_enumerated_twisted_operator_gives_valid_ns():
@@ -318,4 +318,4 @@ def test_every_enumerated_twisted_operator_gives_valid_ns():
         inst = OperatorInstance(A, M, LinearMap(mat), phi)
         ns = ns_from_trb(inst)
         assert check_ns(ns)
-        assert assoc_check(ns.total_tensor())
+        assert assoc_check(Encoded.of(F2, ns.total_tensor()))
