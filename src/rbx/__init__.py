@@ -42,7 +42,6 @@ _EXPORTS = {
                    "derivation_dual", "grb_morphism_check",
                    "identity_operator", "induced_actions", "ns_from_trb",
                    "total_product"),
-    "weyl": ("WeylPoly",),
 }
 
 # public name -> the submodule that defines it (a submodule names itself)

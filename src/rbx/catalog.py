@@ -1,7 +1,9 @@
 """The instance catalog's table: each name with its description, whether
 `catalog emit` can write it (a finite structure-constant form), and
 whether its builder takes a degree.  `rbx catalog list` reads it without
-importing numpy or `instances.BUILDERS`, the builder of each name.
+importing numpy or `instances.BUILDERS`, the builder of each emittable
+name.  The `weyl` row has no builder: it names the paper's second
+example, which the test suite checks with its own engine.
 """
 
 TABLE = {

@@ -26,6 +26,7 @@ imported only by a product or a search too large for them (see
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -470,7 +471,7 @@ VERBS = {
 class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):
         # argparse's own write drops an OSError; main turns it into exit 2
-        file = file or sys.stdout
+        file = file or _stdout()
         file.write(self.format_help())
         file.flush()
 
@@ -522,7 +523,7 @@ def parse_args(argv):
     except SystemExit as exc:   # a verb's usage error, reported under --json
         if hasattr(exc, "usage") and "--json" in argv[1:] and argv[0] in VERBS:
             _print_report(Report(argv[0], "error", detail=exc.usage), True)
-            sys.stdout.flush()
+            _stdout().flush()
         raise
 
 
@@ -543,10 +544,19 @@ def _print_report(report, as_json):
             print(f"  {key}: {json.dumps(value, sort_keys=True)}")
 
 
+def _stdout():
+    """sys.stdout; None there means fd 1 was closed when Python started,
+    which is an unwritable stdout."""
+    if sys.stdout is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    return sys.stdout
+
+
 def _stdout_failed(command, exc):
     """Exit 2 for a closed or full stdout: say so once on stderr, and send
     the rest of the output, and the flush at exit, to the null device."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if sys.stdout is not None:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     print(f"ERROR: {command} - cannot write stdout: {exc}", file=sys.stderr)
     return 2
 
@@ -569,7 +579,7 @@ def main(argv=None) -> int:
     report.timing_ms = round((time.perf_counter() - start) * 1000, 3)
     try:
         _print_report(report, args.json)
-        sys.stdout.flush()
+        _stdout().flush()
     except OSError as exc:
         return _stdout_failed(args.command, exc)
     return report.exit_code

@@ -1,9 +1,12 @@
 """Concrete instances at desk scale: small algebras, the canonical
-operator examples on them, and truncations of the two infinite-dimensional
-examples (polynomial integration and the Weyl algebra) with explicit safe
-verification windows.  Structure constants, actions, operators and twists
-are built directly in the integer encoding (`linalg.Encoded`), so the
-catalog builds and emits its small instances without numpy.
+operator examples on them, and the truncation of polynomial integration,
+the paper's first infinite-dimensional example.  `BUILDERS` builds each
+emittable row of `catalog.TABLE`.  The second example, integration on the
+Weyl algebra, has no finite structure-constant form; the test suite
+checks it with its own exact engine (`tests/weyl.py`).  Structure
+constants, actions, operators and twists are built directly in the
+integer encoding (`linalg.Encoded`), so the catalog builds and emits its
+small instances without numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from .fields import QQ
 from .linalg import (Encoded, IntTensor, embed, eye, first_difference,
                      invert, rank)
 from .operators import LinearMap, OperatorInstance, reynolds_as_twisted
-from .weyl import WeylPoly
 
 
 # ---------------------------------------------------------------------------
@@ -36,16 +38,6 @@ def kx2(field) -> Algebra:
 def null_algebra(field, dim) -> Algebra:
     """All products zero."""
     return Algebra(field, _ones(field, (dim, dim, dim), []))
-
-
-def ground_field_algebra(field) -> Algebra:
-    """The field itself as a one-dimensional unital algebra."""
-    return Algebra(field, _ones(field, (1, 1, 1), [(0, 0, 0)]), labels=["1"])
-
-
-def mult_by_x_matrix(field):
-    """Multiplication by x on k[x]/(x^2): 1 |-> x, x |-> 0."""
-    return mult_by_x_instance(field).op.matrix
 
 
 def mult_by_x_instance(field) -> OperatorInstance:
@@ -135,21 +127,15 @@ def reynolds_identity_instance(field) -> OperatorInstance:
 # truncated polynomial integration
 
 class TruncatedInstance:
-    """A finite truncation of an infinite-dimensional example.
+    """A finite truncation of an infinite-dimensional example: the
+    operator `op` and its inverse `omega`.  The polynomial truncation is
+    an honest quotient, so every identity check on it is exact."""
 
-    `window` lists the module basis pairs on which identity checks involve
-    no truncated-away terms; for the polynomial instance the truncation is
-    an honest quotient, so every pair is safe.
-    """
-
-    def __init__(self, name, degree, algebra, module, op, omega, window=None):
-        self.name = name
-        self.degree = degree
+    def __init__(self, algebra, module, op, omega):
         self.algebra = algebra
         self.module = module
         self.op = op
         self.omega = omega
-        self.window = [] if window is None else window
 
     def instance(self) -> OperatorInstance:
         return OperatorInstance(self.algebra, self.module, self.op)
@@ -187,114 +173,16 @@ def truncated_polynomial(N, field=QQ) -> TruncatedInstance:
     pi, om = eye(N), eye(N)
     pi.flat[::N + 1] = ints
     om.flat[::N + 1] = range(1, N + 1)
-    window = [(i, j) for i in range(N) for j in range(N)]
-    return TruncatedInstance(
-        "truncated-poly", N, A, M,
-        LinearMap(Encoded(field, pi, scale), "M", "A"),
-        LinearMap(Encoded(field, om), "A", "M"), window)
-
-
-# ---------------------------------------------------------------------------
-# truncated Weyl algebra (via the exact normal-ordering engine)
-
-class TruncatedWeyl:
-    """W<x, y> truncated at total degree N for cataloging purposes.
-
-    The finite basis is {x^i y^j : i+j <= N}; identity checks are
-    evaluated in the exact normal-ordering engine (no truncation), so a
-    verdict on a pair is a genuine statement about the full Weyl algebra.
-    `safe_window()` lists the pairs whose verification also stays inside
-    this instance's own basis.  Requests for out-of-basis monomials raise
-    a CapacityError naming the overflow.
-    """
-
-    def __init__(self, N):
-        if N < 4:
-            raise InputError("truncated_weyl needs degree N >= 4")
-        self.degree = N
-        self.basis = [(i, j) for i in range(N + 1) for j in range(N + 1 - i)]
-
-    def monomial(self, i, j) -> WeylPoly:
-        if i + j > self.degree:
-            raise CapacityError(
-                f"monomial x^{i} y^{j} exceeds truncation degree {self.degree}")
-        return WeylPoly.monomial(i, j)
-
-    def require_in_basis(self, poly: WeylPoly, context: str):
-        for (i, j) in sorted(poly.terms):
-            if i + j > self.degree:
-                raise CapacityError(
-                    f"{context} overflows the degree-{self.degree} basis at "
-                    f"monomial x^{i} y^{j}")
-        return poly
-
-    def instance_integral(self, i, j) -> WeylPoly:
-        """Integration as a partial map on the instance basis."""
-        return self.require_in_basis(self.monomial(i, j).integrate_y(),
-                                     f"integral of x^{i} y^{j}")
-
-    def safe_window(self):
-        """Pairs whose Rota-Baxter verification monomials all fit the basis."""
-        return [(a, b) for a in self.basis for b in self.basis
-                if (a[0] + a[1]) + (b[0] + b[1]) + 2 <= self.degree]
-
-    # ---- exact identity checks (full Weyl algebra, no truncation) ----
-
-    @staticmethod
-    def rb_identity_holds(a: WeylPoly, b: WeylPoly) -> bool:
-        """int(a) int(b) == int( int(a) b + a int(b) )."""
-        ia, ib = a.integrate_y(), b.integrate_y()
-        return ia * ib == (ia * b + a * ib).integrate_y()
-
-    @staticmethod
-    def commutator_recovers(a: WeylPoly) -> bool:
-        """[x, int(a) dy] == a."""
-        return a.integrate_y().ad_x() == a
-
-    @staticmethod
-    def times(a: WeylPoly, b: WeylPoly) -> WeylPoly:
-        """Induced product on M: a x b = int(a) b + a int(b)."""
-        return a.integrate_y() * b + a * b.integrate_y()
-
-    @staticmethod
-    def act_m_on_a(m: WeylPoly, a: WeylPoly) -> WeylPoly:
-        """m ._p a = int(m) a - int(m a)."""
-        return m.integrate_y() * a - (m * a).integrate_y()
-
-    @staticmethod
-    def act_a_on_m(a: WeylPoly, m: WeylPoly) -> WeylPoly:
-        """a ._p m = a int(m) - int(a m)."""
-        return a * m.integrate_y() - (a * m).integrate_y()
-
-    @classmethod
-    def dual_grb_identity_holds(cls, a: WeylPoly, b: WeylPoly) -> bool:
-        """ad_x as an operator into the induced algebra:
-        ad(a) x ad(b) == ad( ad(a)._p b + a ._p ad(b) )."""
-        da, db = a.ad_x(), b.ad_x()
-        lhs = cls.times(da, db)
-        rhs = (cls.act_m_on_a(da, b) + cls.act_a_on_m(a, db)).ad_x()
-        return lhs == rhs
-
-    @staticmethod
-    def nijenhuis_identity_holds(a: WeylPoly, b: WeylPoly) -> bool:
-        """N = int o ad_x satisfies the associative Nijenhuis identity."""
-
-        def nmap(p):
-            return p.ad_x().integrate_y()
-
-        na, nb = nmap(a), nmap(b)
-        return na * nb == nmap(na * b + a * nb) - nmap(nmap(a * b))
-
-
-def truncated_weyl(N) -> TruncatedWeyl:
-    return TruncatedWeyl(N)
+    return TruncatedInstance(A, M,
+                             LinearMap(Encoded(field, pi, scale), "M", "A"),
+                             LinearMap(Encoded(field, om), "A", "M"))
 
 
 # ---------------------------------------------------------------------------
 # catalog registry (consumed by the CLI)
 
-# name -> builder, called with a degree (None: the default) when its
-# `catalog.TABLE` row says it takes one
+# emittable name -> builder, called with a degree (None: the default)
+# when its `catalog.TABLE` row says it takes one
 BUILDERS = {
     "mult-by-x": lambda: mult_by_x_instance(QQ),
     "tensor-square": lambda: tensor_square(kx2(QQ)),
@@ -302,7 +190,6 @@ BUILDERS = {
     "swap-cochain": lambda: swap_instance(QQ),
     "reynolds-id": lambda: reynolds_identity_instance(QQ),
     "truncated-poly": lambda n: truncated_polynomial(4 if n is None else n),
-    "weyl": lambda n: truncated_weyl(8 if n is None else n),
 }
 
 
@@ -312,14 +199,3 @@ def unit_section_tensor_example(field) -> OperatorInstance:
     # coordinates of 1(x)1 in the (u,v)-ordered basis
     e = Encoded(field, eye(ts.module.dim)[0])
     return unit_section(ts.algebra, ts.module, ts.op, e)
-
-
-def catalog_trb_instances(field=QQ):
-    """The twisted catalog: mu-as-twisted, invertible-cochain, unit-section,
-    Reynolds-as-twisted."""
-    return {
-        "tensor-square": tensor_square(kx2(field)),
-        "swap-cochain": swap_instance(field),
-        "unit-section": unit_section_tensor_example(field),
-        "reynolds-id": reynolds_identity_instance(field),
-    }

@@ -126,11 +126,6 @@ class OperatorInstance:
 # ---------------------------------------------------------------------------
 # lifts to A (+) M
 
-def lift_matrix(inst: OperatorInstance):
-    """Matrix of the lift (a, m) |-> (op(m), 0) on A (+) M."""
-    return lift_operator(inst).tensor
-
-
 def _lift(inst, block, arity):
     """An arity-`arity` MultiMap on A (+) M, zero but for the encoded
     `block` at the A-inputs, M-output corner (M-inputs, A-output for

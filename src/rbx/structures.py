@@ -57,9 +57,6 @@ class NSAlgebra:
         return combine([(t, 1) for t in (self._succ, self._prec, self._vee)
                         if t is not None])
 
-    def total_tensor(self):
-        return self._total().objects
-
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
 

@@ -8,8 +8,9 @@ sys.path.insert(0, os.path.dirname(__file__))
 from oracle import zeros
 from rbx.algebra import Algebra, canonical_bimodule, dual_module
 from rbx.fields import F2, F3, F5, QQ
-from rbx.instances import (ground_field_algebra, kx2, mult_by_x_instance,
-                           null_algebra)
+from rbx.instances import (kx2, mult_by_x_instance, null_algebra,
+                           reynolds_identity_instance, swap_instance,
+                           tensor_square, unit_section_tensor_example)
 
 
 @pytest.fixture
@@ -25,6 +26,22 @@ def kx2_f2():
 @pytest.fixture
 def mult_by_x_q():
     return mult_by_x_instance(QQ)
+
+
+def ground_field_algebra(field):
+    """The field itself as a one-dimensional unital algebra."""
+    return Algebra(field, [[[field.one]]], labels=["1"])
+
+
+def catalog_trb_instances(field=QQ):
+    """The twisted catalog: mu-as-twisted, invertible-cochain, unit-section,
+    Reynolds-as-twisted."""
+    return {
+        "tensor-square": tensor_square(kx2(field)),
+        "swap-cochain": swap_instance(field),
+        "unit-section": unit_section_tensor_example(field),
+        "reynolds-id": reynolds_identity_instance(field),
+    }
 
 
 def catalog_algebras():

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import catalog_algebras, enumeration_pairs
+from conftest import (catalog_algebras, catalog_trb_instances,
+                      enumeration_pairs)
 from oracle import (add, aybe_oracle, bilinear, elements, identity,
                     induced_product, random_tensor, tensors_equal, zeros)
 from rbx.algebra import (assoc_check, bimodule_check, canonical_bimodule,
@@ -19,17 +20,16 @@ from rbx.cochains import Cochain, coboundary, is_cocycle
 from rbx.fields import F2, F5, QQ
 from rbx.flows import addexp_check, exp_flow, flow_truncation
 from rbx.gerstenhaber import MultiMap, g_bracket, jacobi_residual
-from rbx.instances import (catalog_trb_instances, kx2, mult_by_x_instance,
-                           truncated_weyl, truncated_polynomial)
+from rbx.instances import kx2, mult_by_x_instance, truncated_polynomial
 from rbx.linalg import Encoded, is_zero
 from rbx.operators import (LinearMap, OperatorInstance, aybe_residual,
                            extension_mult_map, graph_check, is_grb,
-                           is_reynolds, is_trb, lift_cocycle, lift_matrix,
-                           lift_operator, r_tilde, reynolds_as_twisted,
-                           structure_residual, twist_insertion)
+                           is_reynolds, is_trb, lift_cocycle, lift_operator,
+                           r_tilde, reynolds_as_twisted, structure_residual,
+                           twist_insertion)
 from rbx.structures import (check_dendriform, check_ns, dendriform_from_grb,
                             identity_operator, ns_from_trb, total_product)
-from rbx.weyl import WeylPoly
+from weyl import WeylPoly, truncated_weyl
 
 
 def report(criterion, ok, message):
@@ -56,7 +56,7 @@ def test_criterion_1_four_way_grb_equivalence():
             direct = bool(is_grb(inst))
             graph = bool(graph_check(inst))
             lifted = bool(is_grb(OperatorInstance(
-                ext, ext_mod, LinearMap(lift_matrix(inst)))))
+                ext, ext_mod, LinearMap(lift_operator(inst).tensor))))
             verdicts = {direct, graph, lifted}
             if A.field.char > 2:
                 verdicts.add(structure_residual(inst).is_zero_map())
@@ -77,7 +77,7 @@ def test_criterion_2_dendriform_soundness():
             produced += 1
             dend = dendriform_from_grb(inst)
             assert check_dendriform(dend), name
-            assert assoc_check(Encoded.of(A.field, dend.total_tensor())), name
+            assert assoc_check(dend._total()), name
     report(2, produced > 0,
            f"all {produced} enumerated operators induce valid dendriform "
            f"structures with associative total products")
@@ -88,7 +88,7 @@ def test_criterion_3_ns_soundness():
     for name, inst in catalog_trb_instances().items():
         ns = ns_from_trb(inst)
         assert check_ns(ns), name
-        assert assoc_check(Encoded.of(inst.field, ns.total_tensor())), name
+        assert assoc_check(ns._total()), name
         lifted = identity_operator(ns)
         assert lifted.cocycle is not None and is_cocycle(lifted.cocycle), name
         names.append(name)

@@ -11,7 +11,7 @@ from rbx.algebra import (Algebra, Bimodule, assoc_check, bimodule_check,
 from rbx.cochains import Cochain, is_cocycle, zero_cochain
 from rbx.errors import InputError
 from rbx.fields import F2, QQ
-from rbx.instances import kx2, mult_by_x_matrix, null_algebra
+from rbx.instances import kx2, mult_by_x_instance, null_algebra
 from rbx.linalg import Encoded, IntTensor, is_zero, to_numpy
 
 
@@ -137,7 +137,7 @@ def test_twisted_extension_non_cocycle_fails_assoc(kx2_q):
 
 def test_subspace_closed_graph_of_mult_by_x(kx2_q):
     S = semidirect(kx2_q, canonical_bimodule(kx2_q))
-    pi = mult_by_x_matrix(QQ)
+    pi = mult_by_x_instance(QQ).op.matrix
     basis = []
     for j in range(2):
         vec = zeros(4, QQ)

@@ -41,7 +41,7 @@ from rbx.cochains import zero_cochain
 from rbx.errors import InputError
 from rbx.fields import QQ, FpElement, PrimeField
 from rbx.gerstenhaber import MultiMap, from_algebra
-from rbx.instances import kx2, mult_by_x_instance, mult_by_x_matrix
+from rbx.instances import kx2, mult_by_x_instance
 from rbx.linalg import (Encoded, IntTensor, _array, combine, embed,
                         first_difference, first_nonzero_index, max_abs,
                         to_numpy, to_pure)
@@ -577,7 +577,7 @@ FIVE_MU = from_algebra(kx2(QQ)).scale(QQ.from_int(5))
     _mixed(lambda A, M: twisted_extension(A, M, zero_cochain(A, M, 2))),
     _mixed(bimodule_check),
     _mixed(lambda A, M: is_grb(OperatorInstance(
-        A, M, LinearMap(mult_by_x_matrix(QQ))))),
+        A, M, LinearMap(mult_by_x_instance(QQ).op.matrix)))),
 ], ids=["intertwiner-F5-Q", "intertwiner-Q-F5", "grb-morphism",
         "multimap-sum", "multimap-difference", "semidirect",
         "twisted-extension", "bimodule-check", "is-grb"])

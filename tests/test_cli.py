@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -259,11 +260,56 @@ def test_json_reports_stable_modulo_timing(ts_file, capsys):
     assert r1["input_digest"]
 
 
-def test_catalog_list_and_weyl_not_emittable(capsys):
+# `rbx catalog list` byte for byte, as the benchmark pins its digest
+CATALOG_LINES = [
+    "mult-by-x: multiplication by x on k[x]/(x^2): a classical Rota-Baxter "
+    "operator",
+    "reynolds-id: the identity Reynolds operator on k[x]/(x^2) as a twisted "
+    "operator",
+    "swap-cochain: inverse of the invertible 1-cochain swapping 1 and x on "
+    "k[x]/(x^2)",
+    "tensor-square: the multiplication A(x)A -> A of k[x]/(x^2) as a twisted "
+    "operator with twist -a(x)b",
+    "truncated-poly: termwise integration on truncated polynomials (degree "
+    "flag, >= 3)",
+    "unit-section: the A-linear surjection mu: A(x)A -> A with section "
+    "1(x)1, twist -a.e.b, on k[x]/(x^2)",
+    "weyl: integration on the Weyl algebra W<x,y>; verified on a safe window "
+    "by the exact normal-ordering engine (degree flag, >= 4) [not emittable]",
+]
+
+
+def without_timing(out):
+    return re.sub(r'\n  "timing_ms": [0-9.]+,', "", out)
+
+
+def test_catalog_list_bytes(capsys):
     code, out = run(capsys, "catalog", "list")
-    assert code == 0 and "mult-by-x" in out and "weyl" in out
+    assert code == 0
+    assert out == "PASS: catalog - catalog instances\n  instances:\n" + \
+        "".join(f"    {line}\n" for line in CATALOG_LINES)
+    code, out = run(capsys, "catalog", "list", "--json")
+    assert code == 0
+    assert without_timing(out) == """{
+  "command": "catalog",
+  "detail": "catalog instances",
+  "input_digest": null,
+  "instances": [
+%s
+  ],
+  "verdict": "pass",
+  "witness": null
+}
+""" % ",\n".join(f'    "{line}"' for line in CATALOG_LINES)
+
+
+def test_catalog_emit_weyl_is_exit_2(capsys):
+    message = ("'weyl' has no finite structure-constant form; its checks "
+               "run through the exact normal-ordering engine")
     code, out = run(capsys, "catalog", "emit", "weyl")
-    assert code == 2
+    assert (code, out) == (2, f"ERROR: catalog - {message}\n")
+    code, out = run(capsys, "catalog", "emit", "weyl", "--json")
+    assert code == 2 and json.loads(out)["detail"] == message
 
 
 def test_catalog_emit_truncated_poly(tmp_path, capsys):
@@ -557,7 +603,7 @@ def test_parser_only_verbs_load_no_numpy(argv):
 def test_checking_verbs_load_no_catalog(mbx_file):
     loaded = modules_after("check-grb", mbx_file)
     assert {"rbx.schema", "rbx.operators"} <= loaded
-    assert "rbx.instances" not in loaded and "rbx.weyl" not in loaded
+    assert "rbx.instances" not in loaded
     assert "numpy" not in loaded
 
 
@@ -588,7 +634,6 @@ EAGER_EXPORTS = {
                    "derivation_dual", "grb_morphism_check",
                    "identity_operator", "induced_actions", "ns_from_trb",
                    "total_product"],
-    "weyl": ["WeylPoly"],
 }
 
 
@@ -601,7 +646,7 @@ def test_lazy_package_keeps_every_public_name():
             assert name in rbx.__all__ and name in dir(rbx)
             assert getattr(rbx, name) is (sub if name == module
                                           else getattr(sub, name))
-    assert sum(len(names) + 1 for names in EAGER_EXPORTS.values()) == 77
+    assert sum(len(names) + 1 for names in EAGER_EXPORTS.values()) == 75
     from rbx import QQ, is_trb
     assert QQ is rbx.fields.QQ and is_trb is rbx.operators.is_trb
     star = {}
@@ -616,6 +661,14 @@ def test_lazy_package_refuses_unknown_names():
         rbx.no_such_name
     with pytest.raises(ImportError):
         exec("from rbx import no_such_name", {})
+
+
+def test_the_weyl_engine_is_not_in_the_package():
+    import rbx
+
+    assert "weyl" not in rbx.__all__ and "WeylPoly" not in rbx.__all__
+    with pytest.raises(ModuleNotFoundError):
+        import rbx.weyl  # noqa: F401
 
 
 def _modules_after_import(module):
@@ -723,14 +776,16 @@ def test_help_and_usage_texts_are_unchanged(case, capsys, monkeypatch):
 # output errors: exit 2 with one message, never a traceback
 
 
-def run_cli(*argv, unbuffered=False, **kwargs):
+def run_cli(*argv, unbuffered=False, close_stdout=False, **kwargs):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = SRC
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run([sys.executable, "-m", "rbx.cli", *argv], env=env,
-                          stderr=subprocess.PIPE, text=True, timeout=120,
-                          **kwargs)
+    cmd = [sys.executable, "-m", "rbx.cli", *argv]
+    if close_stdout:    # as `>&-` does: the child starts with no fd 1
+        cmd = ["sh", "-c", 'exec "$@" >&-', "sh", *cmd]
+    return subprocess.run(cmd, env=env, stderr=subprocess.PIPE, text=True,
+                          timeout=120, **kwargs)
 
 
 # buffered, the report fails at the flush; unbuffered, at the first write
@@ -765,6 +820,23 @@ def test_help_into_a_closed_stdout_is_exit_2(argv, verb, unbuffered):
     assert proc.returncode == 2
     assert proc.stderr == (f"ERROR: {verb} - cannot write stdout: "
                            "[Errno 32] Broken pipe\n")
+
+
+# with no fd 1 at start-up, sys.stdout is None; the usage error's report
+# under --json is written after argparse's usage text on stderr
+@pytest.mark.parametrize("argv, verb, usage", [
+    (["check-grb", "{mbx}", "--json"], "check-grb", ""),
+    (["catalog", "list"], "catalog", ""),
+    (["--help"], "rbx", ""),
+    (["check-grb", "--json"], "check-grb",
+     "usage: rbx check-grb [-h] [--json] [--map MAP] file\n"
+     "rbx check-grb: error: the following arguments are required: file\n")],
+    ids=["report", "catalog-list", "help", "usage-error-json"])
+def test_stdout_closed_at_start_is_exit_2(mbx_file, argv, verb, usage):
+    proc = run_cli(*(a.format(mbx=mbx_file) for a in argv), close_stdout=True)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"{usage}ERROR: {verb} - cannot write stdout: "
+                           "[Errno 9] Bad file descriptor\n")
 
 
 @pytest.mark.parametrize("argv", [["derive-dendriform", "{mbx}"],

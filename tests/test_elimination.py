@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import upper_triangular
+from conftest import catalog_trb_instances, upper_triangular
 from oracle import (add, basis, bilinear, identity, neg, oracle_row_reduce,
                     random_scalar, random_tensor, tensors_equal, vec_mat,
                     zeros)
@@ -25,8 +25,8 @@ from rbx.algebra import (Algebra, canonical_bimodule, semidirect,
                          twisted_extension)
 from rbx.errors import InputError
 from rbx.fields import F2, F3, F5, QQ, PrimeField
-from rbx.instances import (catalog_trb_instances, kx2, null_algebra,
-                           tensor_square, truncated_polynomial, unit_section,
+from rbx.instances import (kx2, null_algebra, tensor_square,
+                           truncated_polynomial, unit_section,
                            unit_section_tensor_example)
 from rbx.linalg import Encoded, invert, rank, row_reduce
 from rbx.operators import (LinearMap, OperatorInstance, graph_check, is_grb,

@@ -3,14 +3,15 @@ import random
 import numpy as np
 import pytest
 
+from conftest import catalog_trb_instances
 from oracle import (identity, induced_product, random_tensor, tensors_equal,
                     zeros)
 from rbx.algebra import canonical_bimodule, intertwiner_check
 from rbx.errors import InputError
 from rbx.fields import F2, F3, F5, QQ
 from rbx.gerstenhaber import g_bracket
-from rbx.instances import (catalog_trb_instances, kx2, mult_by_x_instance,
-                           swap_instance, tensor_square, truncated_polynomial)
+from rbx.instances import (kx2, mult_by_x_instance, swap_instance,
+                           tensor_square, truncated_polynomial)
 from rbx.linalg import is_zero
 from rbx.operators import (LinearMap, OperatorInstance, extension_mult_map,
                            is_grb, is_trb, lift_cocycle, lift_operator,
@@ -156,9 +157,7 @@ def test_flow_works_over_small_characteristic():
     for field in (F2, F3):
         A = kx2(field)
         M = canonical_bimodule(A)
-        from rbx.instances import mult_by_x_matrix
-
-        mats = [mult_by_x_matrix(field), identity(2, field)]
+        mats = [mult_by_x_instance(field).op.matrix, identity(2, field)]
         mats += [random_tensor((2, 2), field, rng) for _ in range(6)]
         for mat in mats:
             inst = OperatorInstance(A, M, LinearMap(mat))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import upper_triangular
+from conftest import catalog_trb_instances, upper_triangular
 from oracle import (add, bilinear, identity, induced_product, tensors_equal,
                     vec_mat, zeros)
 from rbx.algebra import bimodule_check, canonical_bimodule
@@ -12,13 +12,11 @@ from rbx.cochains import is_cocycle
 from rbx.errors import CapacityError, CharacteristicError, InputError
 from rbx.fields import F3, F5, QQ
 from rbx.catalog import TABLE
-from rbx.instances import (BUILDERS, catalog_trb_instances, kx2,
-                           tensor_square, truncated_polynomial,
-                           truncated_weyl, unit_section,
-                           unit_section_tensor_example)
+from rbx.instances import (BUILDERS, kx2, tensor_square, truncated_polynomial,
+                           unit_section, unit_section_tensor_example)
 from rbx.operators import LinearMap, is_grb, is_reynolds, is_trb
 from rbx.structures import check_ns, ns_from_trb
-from rbx.weyl import WeylPoly
+from weyl import WeylPoly, truncated_weyl
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +284,8 @@ def test_catalog_every_instance_passes_its_checker():
 
 
 def test_catalog_registry_builders():
-    assert set(BUILDERS) == set(TABLE)
-    for name, (_, _, takes_degree) in TABLE.items():
-        build = BUILDERS[name]
-        built = build(6) if takes_degree else build()
+    assert set(BUILDERS) == {name for name, (_, emittable, _) in TABLE.items()
+                             if emittable}
+    for name, build in BUILDERS.items():
+        built = build(6) if TABLE[name][2] else build()
         assert built is not None, name

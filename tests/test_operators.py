@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import enumeration_pairs
+from conftest import enumeration_pairs, ground_field_algebra
 from oracle import (add, aybe_oracle, bilinear, elements, identity,
                     induced_product, random_tensor, tensors_equal, vec_mat,
                     zeros)
@@ -16,16 +16,15 @@ from rbx.cochains import Cochain, zero_cochain
 from rbx.errors import CapacityError, CharacteristicError, InputError
 from rbx.fields import F2, F3, QQ, PrimeField
 from rbx.gerstenhaber import circ_i, g_bracket
-from rbx.instances import (ground_field_algebra, kx2, mult_by_x_instance,
-                           mult_by_x_matrix, null_algebra, swap_instance,
-                           tensor_square, truncated_polynomial)
+from rbx.instances import (kx2, mult_by_x_instance, null_algebra,
+                           swap_instance, tensor_square, truncated_polynomial)
 from rbx.linalg import Encoded, is_zero
 from rbx.operators import (LinearMap, OperatorInstance, aybe_residual,
                            graph_check, is_classical_rb, is_grb,
                            is_nijenhuis, is_reynolds, is_trb, lift_cocycle,
-                           lift_matrix, lift_operator, r_tilde,
-                           reynolds_as_twisted, search_operators,
-                           structure_residual, twist_insertion)
+                           lift_operator, r_tilde, reynolds_as_twisted,
+                           search_operators, structure_residual,
+                           twist_insertion)
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +48,7 @@ def test_lift_squares_to_zero_for_random_operators(kx2_q):
 
 def test_lift_values(mult_by_x_q):
     # p(a) = x a: p^(e0, e1) = (p(e1), 0) = (0,0); p^(e0, e0) = (e1, 0)
-    mat = lift_matrix(mult_by_x_q)
+    mat = lift_operator(mult_by_x_q).tensor
     vec = np.dot(np.array([QQ.one, QQ.zero, QQ.zero, QQ.one], dtype=object), mat)
     assert is_zero(vec)
     vec = np.dot(np.array([QQ.one, QQ.zero, QQ.one, QQ.zero], dtype=object), mat)
@@ -392,7 +391,7 @@ def test_search_kx2_f2_contains_known_solutions():
     A = kx2(F2)
     sols = search_operators(A, canonical_bimodule(A), "grb")
     assert any(is_zero(s) for s in sols)
-    assert any(is_zero(s - mult_by_x_matrix(F2)) for s in sols)
+    assert any(is_zero(s - mult_by_x_instance(F2).op.matrix) for s in sols)
     # cross-checked against the independent graph criterion
     for s in sols:
         assert graph_check(OperatorInstance(A, canonical_bimodule(A),
@@ -543,7 +542,7 @@ def test_four_way_equivalence_on_enumeration_pairs():
             direct = bool(is_grb(inst))
             graph = bool(graph_check(inst))
             lifted = bool(is_grb(OperatorInstance(
-                ext, ext_mod, LinearMap(lift_matrix(inst)))))
+                ext, ext_mod, LinearMap(lift_operator(inst).tensor))))
             assert direct == graph == lifted, name
             if field.char > 2:
                 assert direct == structure_residual(inst).is_zero_map(), name

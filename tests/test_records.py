@@ -18,8 +18,7 @@ RECORDS = [
                            "cochains": {}, "dendriform": None, "ns": None}),
     (FlowResult, ["theta", "order1", "order2", "order3", "total"], {}),
     (InducedActions, ["algebra", "module", "left", "right"], {}),
-    (TruncatedInstance, ["name", "degree", "algebra", "module", "op",
-                         "omega"], {"window": []}),
+    (TruncatedInstance, ["algebra", "module", "op", "omega"], {}),
 ]
 
 
@@ -48,10 +47,6 @@ def test_default_containers_are_not_shared():
     first, second = Document("Q"), Document("Q")
     first.maps["pi"] = first.cochains["phi"] = object()
     assert second.maps == {} and second.cochains == {}
-    first = TruncatedInstance("tp", 2, None, None, None, None)
-    second = TruncatedInstance("tp", 2, None, None, None, None)
-    first.window.append((0, 0))
-    assert second.window == []
 
 
 def test_verdict_truth():
