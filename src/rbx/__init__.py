@@ -32,16 +32,15 @@ _EXPORTS = {
     "gerstenhaber": ("MultiMap", "bar_circ", "circ_i", "derived_bracket",
                      "from_algebra", "g_bracket", "jacobi_residual"),
     "linalg": (),
-    "operators": ("LinearMap", "OperatorInstance", "aybe_residual",
-                  "graph_check", "is_classical_rb", "is_grb", "is_nijenhuis",
-                  "is_reynolds", "is_trb", "lift_cocycle", "lift_operator",
-                  "r_tilde", "reynolds_as_twisted", "search_operators",
+    "operators": ("OperatorInstance", "aybe_residual", "graph_check",
+                  "is_classical_rb", "is_grb", "is_nijenhuis", "is_reynolds",
+                  "is_trb", "lift_cocycle", "lift_operator", "r_tilde",
+                  "reynolds_as_twisted", "search_operators",
                   "structure_residual"),
-    "structures": ("Dendriform", "InducedActions", "NSAlgebra",
-                   "check_dendriform", "check_ns", "dendriform_from_grb",
-                   "derivation_dual", "grb_morphism_check",
-                   "identity_operator", "induced_actions", "ns_from_trb",
-                   "total_product"),
+    "structures": ("Dendriform", "NSAlgebra", "check_dendriform",
+                   "check_ns", "dendriform_from_grb", "derivation_dual",
+                   "grb_morphism_check", "identity_operator",
+                   "induced_actions", "ns_from_trb", "total_product"),
 }
 
 # public name -> the submodule that defines it (a submodule names itself)

@@ -166,10 +166,9 @@ def _algebra_module(doc):
 
 def _instance(doc, pi_name, phi_name=None):
     alg, module = _algebra_module(doc)
-    mat = schema.named_map(doc, pi_name)
-    op = operators.LinearMap(mat, source="M", target="A")
     cocycle = schema.cochain_object(doc, phi_name) if phi_name else None
-    return operators.OperatorInstance(alg, module, op, cocycle)
+    return operators.OperatorInstance(
+        alg, module, schema.named_map(doc, pi_name), cocycle)
 
 
 def _ext_labels(alg, module):
@@ -211,14 +210,12 @@ def cmd_check_trb(args):
 
 def cmd_check_reynolds(args):
     return _verdict(args, lambda doc: operators.is_reynolds(
-        doc.section("algebra"),
-        operators.LinearMap(schema.named_map(doc, args.map))))
+        doc.section("algebra"), schema.named_map(doc, args.map)))
 
 
 def cmd_check_nijenhuis(args):
     return _verdict(args, lambda doc: operators.is_nijenhuis(
-        doc.section("algebra"),
-        operators.LinearMap(schema.named_map(doc, args.map))))
+        doc.section("algebra"), schema.named_map(doc, args.map)))
 
 
 def cmd_check_dendriform(args):
@@ -385,8 +382,7 @@ def cmd_catalog(args):
     _, emittable, takes_degree = TABLE[name]
     if not emittable:
         raise InputError(
-            f"{name!r} has no finite structure-constant form; its checks "
-            f"run through the exact normal-ordering engine")
+            f"{name!r} has no finite structure-constant form")
     if args.degree is not None and not takes_degree:
         raise InputError(f"{name!r} takes no --degree")
     built = BUILDERS[name](args.degree) if takes_degree else BUILDERS[name]()
@@ -396,11 +392,11 @@ def cmd_catalog(args):
 
 def _document_from_built(built):
     """The document of a catalog instance, with its encoded tensors."""
-    field = built.algebra.field
-    doc = schema.Document(field, algebra=built.algebra, bimodule=built.module)
-    doc.maps["pi"] = built.op.encoded(field)
-    if hasattr(built, "omega"):
-        doc.maps["omega"] = built.omega.encoded(field)
+    doc = schema.Document(built.algebra.field, algebra=built.algebra,
+                          bimodule=built.module)
+    doc.maps["pi"] = built._op
+    if hasattr(built, "_omega"):
+        doc.maps["omega"] = built._omega
     elif built.cocycle is not None:
         doc.cochains["phi"] = {"arity": 2, "inputs": "A", "output": "M",
                                "tensor": built.cocycle._tensor}

@@ -6,7 +6,8 @@ Weyl algebra, has no finite structure-constant form; the test suite
 checks it with its own exact engine (`tests/weyl.py`).  Structure
 constants, actions, operators and twists are built directly in the
 integer encoding (`linalg.Encoded`), so the catalog builds and emits its
-small instances without numpy.
+small instances without numpy; the maps the builders take are matrices
+(see `operators`).
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from .algebra import Algebra, Bimodule, canonical_bimodule
 from .cochains import Cochain, coboundary
 from .errors import CapacityError, CharacteristicError, InputError
 from .fields import QQ
-from .linalg import (Encoded, IntTensor, embed, eye, first_difference,
-                     invert, rank)
-from .operators import LinearMap, OperatorInstance, reynolds_as_twisted
+from .linalg import (Encoded, IntTensor, decoded, embed, eye,
+                     first_difference, invert, rank)
+from .operators import OperatorInstance, reynolds_as_twisted
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +44,8 @@ def null_algebra(field, dim) -> Algebra:
 def mult_by_x_instance(field) -> OperatorInstance:
     """The classical Rota-Baxter operator a |-> x a on k[x]/(x^2)."""
     A = kx2(field)
-    return OperatorInstance(A, canonical_bimodule(A), LinearMap(
-        _ones(field, (2, 2), [(0, 1)]), "M", "A"))
+    return OperatorInstance(A, canonical_bimodule(A),
+                            _ones(field, (2, 2), [(0, 1)]))
 
 
 # ---------------------------------------------------------------------------
@@ -63,21 +64,20 @@ def tensor_square(algebra: Algebra) -> OperatorInstance:
     module = Bimodule(algebra, left.reshape(d, d * d, d * d),
                       right.reshape(d * d, d, d * d), labels=labels)
     phi = -Encoded(field, eye(d * d)).reshape(d, d, d * d)
-    return OperatorInstance(algebra, module,
-                            LinearMap(c.reshape(d * d, d), "A(x)A", "A"),
+    return OperatorInstance(algebra, module, c.reshape(d * d, d),
                             Cochain(algebra, module, phi))
 
 
-def unit_section(algebra: Algebra, module: Bimodule, f: LinearMap, e) -> OperatorInstance:
+def unit_section(algebra: Algebra, module: Bimodule, f, e) -> OperatorInstance:
     """An A-linear surjection f: M -> A with a section point f(e) = 1
     becomes a twisted operator with twist phi(a, b) = -a.e.b."""
     unit = algebra._unit()
     if unit is None:
         raise InputError("unit_section needs a unital algebra")
-    if f.shape != (module.dim, algebra.dim):
-        raise InputError("f must map the module onto the algebra")
     field = algebra.field
-    F, e = f.encoded(field), Encoded.of(field, e)
+    F, e = Encoded.of(field, f), Encoded.of(field, e)
+    if F.shape != (module.dim, algebra.dim):
+        raise InputError("f must map the module onto the algebra")
     if e.dot(F, ([0], [0])).differs(unit).any():
         raise InputError("f(e) is not the unit")
     if rank(F) != algebra.dim:
@@ -94,18 +94,18 @@ def unit_section(algebra: Algebra, module: Bimodule, f: LinearMap, e) -> Operato
         raise InputError(f"f is not {side} A-linear at basis pair ({bad[0]},{bad[1]})")
     # phi[i, j] = -(e_i . e) . e_j
     phi = -L.dot(e, ([1], [0])).dot(R, ([1], [0]))
-    return OperatorInstance(algebra, module, f, Cochain(algebra, module, phi))
+    return OperatorInstance(algebra, module, F, Cochain(algebra, module, phi))
 
 
 def invertible_cochain_instance(algebra: Algebra, module: Bimodule,
-                                omega: LinearMap) -> OperatorInstance:
-    """An invertible 1-cochain w: A -> M yields the twisted operator
-    p = w^{-1}: M -> A with twist -dw."""
-    if omega.shape != (algebra.dim, module.dim):
+                                omega) -> OperatorInstance:
+    """An invertible 1-cochain w: A -> M (the matrix `omega`) yields the
+    twisted operator p = w^{-1}: M -> A with twist -dw."""
+    w = Encoded.of(algebra.field, omega)
+    if w.shape != (algebra.dim, module.dim):
         raise InputError("the 1-cochain must map A to M")
-    w = omega.encoded(algebra.field)
     phi = -coboundary(Cochain(algebra, module, w))._tensor
-    return OperatorInstance(algebra, module, LinearMap(invert(w), "M", "A"),
+    return OperatorInstance(algebra, module, invert(w),
                             Cochain(algebra, module, phi))
 
 
@@ -113,14 +113,13 @@ def swap_instance(field) -> OperatorInstance:
     """The swap 1 <-> x on k[x]/(x^2) as an invertible 1-cochain."""
     A = kx2(field)
     swap = _ones(field, (2, 2), [(0, 1), (1, 0)])
-    return invertible_cochain_instance(A, canonical_bimodule(A),
-                                       LinearMap(swap, "A", "M"))
+    return invertible_cochain_instance(A, canonical_bimodule(A), swap)
 
 
 def reynolds_identity_instance(field) -> OperatorInstance:
     """R = id on k[x]/(x^2) viewed as a twisted operator (twist -mu)."""
     A = kx2(field)
-    return reynolds_as_twisted(A, LinearMap(Encoded(field, eye(2)), "A", "A"))
+    return reynolds_as_twisted(A, Encoded(field, eye(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +127,21 @@ def reynolds_identity_instance(field) -> OperatorInstance:
 
 class TruncatedInstance:
     """A finite truncation of an infinite-dimensional example: the
-    operator `op` and its inverse `omega`.  The polynomial truncation is
-    an honest quotient, so every identity check on it is exact."""
+    operator matrix `op` and its inverse `omega`, kept encoded and read
+    as scalars, read-only.  The polynomial truncation is an honest
+    quotient, so every identity check on it is exact."""
+
+    op = decoded("_op")
+    omega = decoded("_omega")
 
     def __init__(self, algebra, module, op, omega):
         self.algebra = algebra
         self.module = module
-        self.op = op
-        self.omega = omega
+        self._op = Encoded.of(algebra.field, op)
+        self._omega = Encoded.of(algebra.field, omega)
 
     def instance(self) -> OperatorInstance:
-        return OperatorInstance(self.algebra, self.module, self.op)
+        return OperatorInstance(self.algebra, self.module, self._op)
 
 
 # The largest degree truncated_polynomial builds (N^3 entries per tensor):
@@ -173,9 +176,8 @@ def truncated_polynomial(N, field=QQ) -> TruncatedInstance:
     pi, om = eye(N), eye(N)
     pi.flat[::N + 1] = ints
     om.flat[::N + 1] = range(1, N + 1)
-    return TruncatedInstance(A, M,
-                             LinearMap(Encoded(field, pi, scale), "M", "A"),
-                             LinearMap(Encoded(field, om), "A", "M"))
+    return TruncatedInstance(A, M, Encoded(field, pi, scale),
+                             Encoded(field, om))
 
 
 # ---------------------------------------------------------------------------
@@ -198,4 +200,4 @@ def unit_section_tensor_example(field) -> OperatorInstance:
     ts = tensor_square(kx2(field))
     # coordinates of 1(x)1 in the (u,v)-ordered basis
     e = Encoded(field, eye(ts.module.dim)[0])
-    return unit_section(ts.algebra, ts.module, ts.op, e)
+    return unit_section(ts.algebra, ts.module, ts._op, e)

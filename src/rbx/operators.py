@@ -10,6 +10,11 @@ The defining identities, for a linear map p: M -> A over an A-bimodule M:
 with phi a Hochschild 2-cocycle.  Reynolds operators are TRB with M = A
 and phi = -mu; classical Rota-Baxter operators are GRB with M = A.
 
+An operator is its matrix, (dim M, dim A) in the row convention
+image(v) = v @ p, given as nested lists, a numpy array of scalars or an
+Encoded tensor: each entry point reads it once with `Encoded.of`, and
+`OperatorInstance.op` is a read-only view of the integers checked.
+
 Each identity is written once (`_identity_sides`, `_aybe_residual`) as
 products and sums of `linalg.Encoded` tensors that accept a leading
 batch axis: the exhaustive search runs them on blocks of candidates,
@@ -32,63 +37,27 @@ from .cochains import Cochain, is_cocycle
 from .errors import CapacityError, CharacteristicError, InputError
 from .gerstenhaber import MultiMap, circ_i, half_square
 from . import linalg
-from .linalg import (Encoded, IntTensor, _np, combine, embed, eye,
+from .linalg import (Encoded, IntTensor, _np, combine, decoded, embed, eye,
                      pullback)
 
 SEARCH_BUDGET = 2 ** 20
 
 
-class LinearMap:
-    """Linear map between coordinate spaces, matrix of shape
-    (source_dim, target_dim), row convention: image(v) = v @ matrix.
-    The matrix is a tensor of scalars, or an Encoded one, which `.matrix`
-    reads as its (cached) decoded scalars and `encoded` returns as it is."""
-
-    def __init__(self, matrix, source="", target=""):
-        if not isinstance(matrix, Encoded):
-            matrix = _np().asarray(matrix, dtype=object)
-        if len(matrix.shape) != 2:
-            raise InputError(f"linear map needs a matrix, got shape {matrix.shape}")
-        self._matrix = matrix
-        self.source = source
-        self.target = target
-
-    @property
-    def matrix(self):
-        if isinstance(self._matrix, Encoded):
-            return self._matrix.objects
-        return self._matrix
-
-    @property
-    def shape(self):
-        return self._matrix.shape
-
-    def encoded(self, field):
-        return Encoded.of(field, self._matrix)
-
-    @property
-    def source_dim(self):
-        return self.shape[0]
-
-    @property
-    def target_dim(self):
-        return self.shape[1]
-
-    def __repr__(self):
-        return f"LinearMap({self.source or self.source_dim}->{self.target or self.target_dim})"
-
-
 class OperatorInstance:
-    """A linear map op: M -> A, optionally with a 2-cocycle twist.
+    """A linear map op: M -> A, optionally with a 2-cocycle twist; the
+    matrix is kept encoded, and `op` reads its scalars, read-only.
 
     The cocycle condition is enforced here, not in is_trb: a twisted
     operator only makes sense against a genuine Hochschild cocycle.
     """
 
-    def __init__(self, algebra: Algebra, module: Bimodule, op: LinearMap,
+    op = decoded("_op")
+
+    def __init__(self, algebra: Algebra, module: Bimodule, op,
                  cocycle: Cochain | None = None):
         if module.base.dim != algebra.dim:
             raise InputError("module is not over the instance algebra")
+        op = Encoded.of(algebra.field, op)
         if op.shape != (module.dim, algebra.dim):
             raise InputError(
                 f"operator matrix must be {module.dim}x{algebra.dim} (M -> A), "
@@ -105,8 +74,7 @@ class OperatorInstance:
                     f"at {report.witness}")
         self.algebra = algebra
         self.module = module
-        self.op = op
-        self._op = op.encoded(algebra.field)
+        self._op = op
         self.cocycle = cocycle
 
     @property
@@ -237,31 +205,32 @@ def is_trb(inst: OperatorInstance) -> Verdict:
                   inst.cocycle._tensor)
 
 
-def is_classical_rb(algebra: Algebra, op: LinearMap) -> Verdict:
+def is_classical_rb(algebra: Algebra, op) -> Verdict:
     """Classical weight-zero Rota-Baxter identity: the M = A case."""
-    inst = OperatorInstance(algebra, canonical_bimodule(algebra), op)
-    return is_grb(inst)
+    return is_grb(OperatorInstance(algebra, canonical_bimodule(algebra), op))
 
 
-def is_reynolds(algebra: Algebra, op: LinearMap) -> Verdict:
+def is_reynolds(algebra: Algebra, op) -> Verdict:
     """R(a)R(b) = R(R(a)b + aR(b)) - R(R(a)R(b)) on basis pairs: the
     twisted identity with M = A and phi = -mu."""
-    _expect_endo(algebra, op)
-    return _check("reynolds", op.encoded(algebra.field), algebra._c)
+    return _check("reynolds", _square(algebra, op), algebra._c)
 
 
-def is_nijenhuis(algebra: Algebra, op: LinearMap) -> Verdict:
+def is_nijenhuis(algebra: Algebra, op) -> Verdict:
     """N(a)N(b) = N(N(a)b + aN(b)) - N(N(ab)) on basis pairs."""
-    _expect_endo(algebra, op)
-    return _check("nijenhuis", op.encoded(algebra.field), algebra._c)
+    return _check("nijenhuis", _square(algebra, op), algebra._c)
 
 
-def _expect_endo(algebra, op):
-    if op.shape != (algebra.dim, algebra.dim):
-        raise InputError("operator must be an endomorphism of the algebra")
+def _square(algebra, m,
+            refusal="operator must be an endomorphism of the algebra"):
+    """The encoded matrix `m`, refused unless it is dim A x dim A."""
+    m = Encoded.of(algebra.field, m)
+    if m.shape != (algebra.dim, algebra.dim):
+        raise InputError(refusal)
+    return m
 
 
-def reynolds_as_twisted(algebra: Algebra, op: LinearMap) -> OperatorInstance:
+def reynolds_as_twisted(algebra: Algebra, op) -> OperatorInstance:
     """A Reynolds candidate viewed as a twisted operator: M = A, twist -mu."""
     module = canonical_bimodule(algebra)
     phi = Cochain(algebra, module, -algebra._c)
@@ -328,10 +297,8 @@ def aybe_residual(algebra: Algebra, r):
 
 def aybe_encoded(algebra, r) -> Encoded:
     """`aybe_residual` in the integer encoding."""
-    r = Encoded.of(algebra.field, r)
     d = algebra.dim
-    if r.shape != (d, d):
-        raise InputError(f"r must be a {d}x{d} tensor in A (x) A")
+    r = _square(algebra, r, f"r must be a {d}x{d} tensor in A (x) A")
     return _aybe_residual(algebra._c, r)
 
 
@@ -351,17 +318,14 @@ def _aybe_residual(c, r):
 def r_tilde(algebra: Algebra, r) -> OperatorInstance:
     """The operator A* -> A, f |-> sum a_i f(b^i), of a skew-symmetric
     AYBE solution r, over the dual bimodule."""
-    r = Encoded.of(algebra.field, r)
     d = algebra.dim
-    if r.shape != (d, d):
-        raise InputError(f"r must be a {d}x{d} tensor in A (x) A")
+    r = _square(algebra, r, f"r must be a {d}x{d} tensor in A (x) A")
     if (r + r.transpose(1, 0)).differs(None).any():
         raise InputError("r is not skew-symmetric")
     if aybe_encoded(algebra, r).differs(None).any():
         raise InputError("r does not solve the associative Yang-Baxter equation")
     # row i = image of the i-th dual basis vector
-    return OperatorInstance(algebra, dual_module(algebra), LinearMap(
-        r.transpose(1, 0), source="A*", target="A"))
+    return OperatorInstance(algebra, dual_module(algebra), r.transpose(1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +411,7 @@ def search_rows(algebra: Algebra, module: Bimodule | None, kind: str,
     if kind != "aybe":
         # the module and the twist are validated once, on the zero map
         zero = Encoded(field, embed(shape, []))
-        OperatorInstance(algebra, module, LinearMap(zero), cocycle)
+        OperatorInstance(algebra, module, zero, cocycle)
 
     c = algebra._c
     actions = (module._left, module._right) if kind in ("grb", "trb") else ()

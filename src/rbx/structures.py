@@ -15,6 +15,8 @@ vee None): t1-t3 read without the vee terms are its axioms d1-d3, and
 t4 vanishes.  A generalized Rota-Baxter operator is in the same way the
 twisted case with phi = 0, so one checker, one derivation and one
 identity operator serve both.
+`induced_actions` returns A as a `Bimodule` over the induced algebra
+M_ass; the maps the functions take are matrices (see `operators`).
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from .cochains import Cochain
 from .errors import InputError
 from .linalg import (Encoded, combine, decoded, eye, first_difference,
                      first_nonzero_index)
-from .operators import (LinearMap, OperatorInstance, induced_products, is_grb,
-                        is_trb)
+from .operators import OperatorInstance, induced_products, is_grb, is_trb
 
 
 class NSAlgebra:
@@ -69,18 +70,6 @@ class Dendriform(NSAlgebra):
 
     def __init__(self, field, succ, prec, labels=None):
         super().__init__(field, succ, prec, None, labels)
-
-
-class InducedActions:
-    """Actions making A a bimodule over the induced algebra on M:
-    m ._p a = p(m)a - p(m.a)  (left action of M_ass on A),
-    a ._p m = ap(m) - p(a.m)  (right action)."""
-
-    def __init__(self, algebra, module, left, right):
-        self.algebra = algebra      # the induced associative algebra M_ass
-        self.module = module        # A as an M_ass-bimodule
-        self.left = left            # (dM, dA, dA)
-        self.right = right          # (dA, dM, dA)
 
 
 def check_dendriform(dend: Dendriform) -> Verdict:
@@ -180,15 +169,17 @@ def identity_operator(structure) -> OperatorInstance:
     report = bimodule_check(total, module)
     if not report:
         raise InputError(f"induced actions fail bimodule axioms at {report.witness}")
-    op = LinearMap(Encoded(structure.field, eye(structure.dim)),
-                   source="M", target="A")
+    op = Encoded(structure.field, eye(structure.dim))
     twist = None if structure._vee is None else \
         Cochain(total, module, structure._vee)
     return OperatorInstance(total, module, op, twist)
 
 
-def induced_actions(inst: OperatorInstance) -> InducedActions:
-    """The actions of the induced algebra M_ass on A, for a GRB instance."""
+def induced_actions(inst: OperatorInstance) -> Bimodule:
+    """A as a bimodule over the induced algebra M_ass (its `base`), for a
+    GRB instance:
+    m ._p a = p(m)a - p(m.a)  (left action of M_ass on A, (dM, dA, dA)),
+    a ._p m = ap(m) - p(a.m)  (right action, (dA, dM, dA))."""
     m_ass = total_product(dendriform_from_grb(inst))
     A, M, P = inst.algebra, inst.module, inst._op
     # left[j, i] = p(m_j) e_i - p(m_j . e_i); right[i, j] = e_i p(m_j) - p(e_i . m_j)
@@ -199,17 +190,17 @@ def induced_actions(inst: OperatorInstance) -> InducedActions:
     check = bimodule_check(m_ass, module)
     if not check:
         raise InputError(f"induced actions fail bimodule axioms at {check.witness}")
-    return InducedActions(m_ass, module, module.left, module.right)
+    return module
 
 
-def derivation_dual(inst: OperatorInstance, omega: LinearMap, z) -> OperatorInstance:
-    """Dual operator of a GRB instance: a derivation W: A -> M with
-    W(p(m)) = z m for a scalar z becomes a GRB operator A -> M_ass over
-    the induced actions."""
+def derivation_dual(inst: OperatorInstance, omega, z) -> OperatorInstance:
+    """Dual operator of a GRB instance: a derivation W: A -> M (the
+    matrix `omega`) with W(p(m)) = z m, for z an int or a scalar of the
+    field, becomes a GRB operator A -> M_ass over the induced actions."""
     A, M, field = inst.algebra, inst.module, inst.field
-    if omega.shape != (A.dim, M.dim):
+    W = Encoded.of(field, omega)
+    if W.shape != (A.dim, M.dim):
         raise InputError("derivation must map A to M")
-    W = omega.encoded(field)
     # [i, j, l]: W(e_i e_j) against W(e_i).e_j + e_i.W(e_j)
     residual = combine([(A._c.dot(W, ([2], [0])), 1),
                         (W.dot(M._right, ([1], [0])), -1),
@@ -219,25 +210,27 @@ def derivation_dual(inst: OperatorInstance, omega: LinearMap, z) -> OperatorInst
         raise InputError(
             f"map is not a derivation: W(ab) != W(a).b + a.W(b) at "
             f"basis pair ({bad[0]},{bad[1]})")
-    (n,), scale = field.encode([field.zero + z])     # z may be an int
+    z = field.from_int(z) if type(z) is int else z
+    if not field.is_scalar(z):
+        raise InputError(f"z must be an int or a scalar of {field.name}: {z!r}")
+    (n,), scale = field.encode([z])
     if inst._op.dot(W, ([1], [0])).differs(
             Encoded(field, eye(M.dim, n), scale)).any():
         raise InputError("W o p is not z times the identity on M")
     actions = induced_actions(inst)
-    return OperatorInstance(actions.algebra, actions.module,
-                            LinearMap(W, source="A", target="M_ass"))
+    return OperatorInstance(actions.base, actions, W)
 
 
-def grb_morphism_check(psi0: LinearMap, psi1: LinearMap,
-                       src: OperatorInstance, dst: OperatorInstance) -> Verdict:
+def grb_morphism_check(psi0, psi1, src: OperatorInstance,
+                       dst: OperatorInstance) -> Verdict:
     """Morphism of operator instances: the square psi0 o p = p' o psi1
     commutes and psi1 intertwines the actions:
     psi1(a.m) = psi0(a).psi1(m) and psi1(m.a) = psi1(m).psi0(a)."""
-    if psi0.shape != (src.algebra.dim, dst.algebra.dim):
+    f0, f1 = (Encoded.of(src.field, psi) for psi in (psi0, psi1))
+    if f0.shape != (src.algebra.dim, dst.algebra.dim):
         raise InputError("psi0 must map the source algebra to the target algebra")
-    if psi1.shape != (src.module.dim, dst.module.dim):
+    if f1.shape != (src.module.dim, dst.module.dim):
         raise InputError("psi1 must map the source module to the target module")
-    f0, f1 = (psi.encoded(src.field) for psi in (psi0, psi1))
     bad = first_nonzero_index(src._op.dot(f0, ([1], [0])).differs(
         f1.dot(dst._op, ([1], [0]))))
     if bad is not None:

@@ -22,7 +22,7 @@ from rbx.flows import addexp_check, exp_flow, flow_truncation
 from rbx.gerstenhaber import MultiMap, g_bracket, jacobi_residual
 from rbx.instances import kx2, mult_by_x_instance, truncated_polynomial
 from rbx.linalg import Encoded, is_zero
-from rbx.operators import (LinearMap, OperatorInstance, aybe_residual,
+from rbx.operators import (OperatorInstance, aybe_residual,
                            extension_mult_map, graph_check, is_grb,
                            is_reynolds, is_trb, lift_cocycle, lift_operator,
                            r_tilde, reynolds_as_twisted, structure_residual,
@@ -52,11 +52,11 @@ def test_criterion_1_four_way_grb_equivalence():
         ext_mod = canonical_bimodule(ext)
         for mat in enumerate_operators(A, M):
             candidates += 1
-            inst = OperatorInstance(A, M, LinearMap(mat))
+            inst = OperatorInstance(A, M, mat)
             direct = bool(is_grb(inst))
             graph = bool(graph_check(inst))
             lifted = bool(is_grb(OperatorInstance(
-                ext, ext_mod, LinearMap(lift_operator(inst).tensor))))
+                ext, ext_mod, lift_operator(inst).tensor)))
             verdicts = {direct, graph, lifted}
             if A.field.char > 2:
                 verdicts.add(structure_residual(inst).is_zero_map())
@@ -71,7 +71,7 @@ def test_criterion_2_dendriform_soundness():
     produced = 0
     for name, A, M in enumeration_pairs():
         for mat in enumerate_operators(A, M):
-            inst = OperatorInstance(A, M, LinearMap(mat))
+            inst = OperatorInstance(A, M, mat)
             if not is_grb(inst):
                 continue
             produced += 1
@@ -101,15 +101,15 @@ def test_criterion_4_reynolds_equals_twisted_with_minus_mu():
     matched = 0
     for entries in itertools.product(elements(F2), repeat=4):
         mat = np.array(entries, dtype=object).reshape(2, 2)
-        plain = bool(is_reynolds(A, LinearMap(mat)))
-        twisted = bool(is_trb(reynolds_as_twisted(A, LinearMap(mat))))
+        plain = bool(is_reynolds(A, mat))
+        twisted = bool(is_trb(reynolds_as_twisted(A, mat)))
         assert plain == twisted, mat
         matched += 1
     AQ = kx2(QQ)
     lambdas = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1),
                Fraction(1, 2), Fraction(3), Fraction(-2, 3)]
     for lam in lambdas:
-        verdict = bool(is_reynolds(AQ, LinearMap(identity(2, QQ) * lam)))
+        verdict = bool(is_reynolds(AQ, identity(2, QQ) * lam))
         assert verdict == (lam in (0, 1)), lam
     report(4, matched == 16,
            f"Reynolds <-> twisted(-mu) on all 16 endomorphisms over F2; "
@@ -233,7 +233,7 @@ def _flow_clauses(inst):
     # (v): the truncated flow restricted to M-pairs is the induced product
     truncated = flow_truncation(inst)
     dA = inst.algebra.dim
-    M, p, field = inst.module, inst.op.matrix, inst.field
+    M, p, field = inst.module, inst.op, inst.field
     for i in range(M.dim):
         for j in range(M.dim):
             got = truncated.tensor[dA + i, dA + j]
@@ -253,7 +253,7 @@ def test_criterion_8_flow_corollary():
     candidates = rb_candidates = 0
     for name, A, M in enumeration_pairs():
         for mat in enumerate_operators(A, M):
-            inst = OperatorInstance(A, M, LinearMap(mat))
+            inst = OperatorInstance(A, M, mat)
             rb_candidates += _flow_clauses(inst)
             candidates += 1
     for name, inst in catalog_trb_instances().items():
@@ -295,10 +295,10 @@ def test_criterion_10_twisted_structure_equation():
     # negative cases: operators that are not (twisted) Rota-Baxter
     A = kx2(QQ)
     M = canonical_bimodule(A)
-    instances["identity-plain"] = OperatorInstance(A, M, LinearMap(identity(2, QQ)))
+    instances["identity-plain"] = OperatorInstance(A, M, identity(2, QQ))
     swap_phi = catalog_trb_instances()["swap-cochain"].cocycle
     instances["identity-with-swap-twist"] = OperatorInstance(
-        A, M, LinearMap(identity(2, QQ)), swap_phi)
+        A, M, identity(2, QQ), swap_phi)
     instances["mult-by-x"] = mult_by_x_instance(QQ)
     instances["truncated-poly"] = truncated_polynomial(4).instance()
 

@@ -137,7 +137,7 @@ def test_twisted_extension_non_cocycle_fails_assoc(kx2_q):
 
 def test_subspace_closed_graph_of_mult_by_x(kx2_q):
     S = semidirect(kx2_q, canonical_bimodule(kx2_q))
-    pi = mult_by_x_instance(QQ).op.matrix
+    pi = mult_by_x_instance(QQ).op
     basis = []
     for j in range(2):
         vec = zeros(4, QQ)

@@ -45,7 +45,7 @@ from rbx.instances import kx2, mult_by_x_instance
 from rbx.linalg import (Encoded, IntTensor, _array, combine, embed,
                         first_difference, first_nonzero_index, max_abs,
                         to_numpy, to_pure)
-from rbx.operators import LinearMap, OperatorInstance, is_grb
+from rbx.operators import OperatorInstance, is_grb
 from rbx.structures import grb_morphism_check
 
 BIG = PrimeField(2 ** 31 - 1)
@@ -536,8 +536,8 @@ F5, F7 = PrimeField(5), PrimeField(7)
 
 
 @pytest.mark.parametrize("build", [
-    lambda: OperatorInstance(kx2(F5), canonical_bimodule(kx2(F5)), LinearMap(
-        [[F7.zero, F7.from_int(6)], [F7.zero, F7.zero]])),
+    lambda: OperatorInstance(kx2(F5), canonical_bimodule(kx2(F5)),
+                             [[F7.zero, F7.from_int(6)], [F7.zero, F7.zero]]),
     lambda: MultiMap(F5, [[[1]]]),
     lambda: Algebra(QQ, [[[F5.one]]]),
     lambda: Encoded.of(QQ, [1, True]),
@@ -568,8 +568,7 @@ FIVE_MU = from_algebra(kx2(QQ)).scale(QQ.from_int(5))
 @pytest.mark.parametrize("build", [
     lambda: _intertwiner(ZERO_F5, FIVE_MU),
     lambda: _intertwiner(FIVE_MU, ZERO_F5),
-    lambda: grb_morphism_check(
-        LinearMap(identity(2, QQ)), LinearMap(identity(2, QQ)),
+    lambda: grb_morphism_check(identity(2, QQ), identity(2, QQ),
         mult_by_x_instance(QQ), mult_by_x_instance(F5)),
     lambda: from_algebra(kx2(QQ)) + from_algebra(kx2(F5)),
     lambda: from_algebra(kx2(QQ)) - from_algebra(kx2(F5)),
@@ -577,7 +576,7 @@ FIVE_MU = from_algebra(kx2(QQ)).scale(QQ.from_int(5))
     _mixed(lambda A, M: twisted_extension(A, M, zero_cochain(A, M, 2))),
     _mixed(bimodule_check),
     _mixed(lambda A, M: is_grb(OperatorInstance(
-        A, M, LinearMap(mult_by_x_instance(QQ).op.matrix)))),
+        A, M, mult_by_x_instance(QQ).op))),
 ], ids=["intertwiner-F5-Q", "intertwiner-Q-F5", "grb-morphism",
         "multimap-sum", "multimap-difference", "semidirect",
         "twisted-extension", "bimodule-check", "is-grb"])

@@ -8,10 +8,11 @@ rank-deficient and zero matrices over Q, F2, F5, F7 and F_(2^31-1).
 `unit_section`, `derivation_dual`, `induced_actions`, `r_tilde` and
 `grb_morphism_check` are checked over Q and prime fields against
 references built from the vector API (`Algebra.mul`, `Bimodule.act_*`,
-`LinearMap.__call__`) and the reference elimination.
+the operator matrices) and the reference elimination.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from rbx.instances import (kx2, null_algebra, tensor_square,
                            truncated_polynomial, unit_section,
                            unit_section_tensor_example)
 from rbx.linalg import Encoded, invert, rank, row_reduce
-from rbx.operators import (LinearMap, OperatorInstance, graph_check, is_grb,
+from rbx.operators import (OperatorInstance, graph_check, is_grb,
                            is_trb, r_tilde, search_operators)
 from rbx.structures import derivation_dual, grb_morphism_check, induced_actions
 
@@ -187,7 +188,7 @@ def reference_graph_check(inst):
     else:
         ext = twisted_extension(inst.algebra, inst.module, inst.cocycle)
     graph = np.concatenate(
-        [inst.op.matrix, identity(inst.module.dim, inst.field)], axis=1)
+        [inst.op, identity(inst.module.dim, inst.field)], axis=1)
     rref, pivots = oracle_row_reduce(graph)
     for i, j in np.ndindex(len(graph), len(graph)):
         prod = bilinear(ext.c, graph[i], graph[j], inst.field)
@@ -200,11 +201,10 @@ def reference_graph_check(inst):
 
 
 def perturbed(inst, rng):
-    pi = inst.op.matrix.copy()
+    pi = inst.op.copy()
     i, j = rng.randrange(pi.shape[0]), rng.randrange(pi.shape[1])
     pi[i, j] = pi[i, j] + inst.field.from_int(rng.randint(1, 4))
-    return OperatorInstance(inst.algebra, inst.module, LinearMap(pi),
-                            inst.cocycle)
+    return OperatorInstance(inst.algebra, inst.module, pi, inst.cocycle)
 
 
 @pytest.mark.parametrize("field", (QQ, F5, F7), ids=lambda f: f.name)
@@ -242,20 +242,20 @@ def test_unit_section_over_each_field(field):
     assert is_trb(unit_section_tensor_example(field))
     A = kx2(field)
     M = canonical_bimodule(A)
-    inst = unit_section(A, M, LinearMap(identity(2, field)), A.unit())
+    inst = unit_section(A, M, identity(2, field), A.unit())
     assert tensors_equal(inst.cocycle.tensor, -A.c)
     not_e = zeros(2, field)
     not_e[1] = field.one
     with pytest.raises(InputError, match="not the unit"):
-        unit_section(A, M, LinearMap(identity(2, field)), not_e)
+        unit_section(A, M, identity(2, field), not_e)
     shear = identity(2, field)      # 1 -> 1, x -> 1 + x
     shear[1, 0] = field.one
     with pytest.raises(InputError, match="not left A-linear"):
-        unit_section(A, M, LinearMap(shear), A.unit())
+        unit_section(A, M, shear, A.unit())
     degenerate = zeros((2, 2), field)
     degenerate[0, 0] = field.one
     with pytest.raises(InputError, match="surjective"):
-        unit_section(A, M, LinearMap(degenerate), A.unit())
+        unit_section(A, M, degenerate, A.unit())
 
 
 @pytest.mark.parametrize("field", (QQ, F7), ids=lambda f: f.name)
@@ -263,10 +263,10 @@ def test_derivation_dual_over_each_field(field):
     tp = truncated_polynomial(5, field)
     dual = derivation_dual(tp.instance(), tp.omega, field.one)
     assert is_grb(dual)
-    bad = tp.omega.matrix.copy()
+    bad = tp.omega.copy()
     bad[0, 0] = bad[0, 0] + field.one
     with pytest.raises(InputError, match="not a derivation"):
-        derivation_dual(tp.instance(), LinearMap(bad), field.one)
+        derivation_dual(tp.instance(), bad, field.one)
     with pytest.raises(InputError, match="z times the identity"):
         derivation_dual(tp.instance(), tp.omega, field.from_int(2))
     # z may be a Python int, read in the field: 1 + 7 is 1 in F7
@@ -275,14 +275,25 @@ def test_derivation_dual_over_each_field(field):
         derivation_dual(tp.instance(), tp.omega, 2)
 
 
+@pytest.mark.parametrize("field, z", [
+    (QQ, F7.one), (QQ, 1.0), (QQ, True), (F7, Fraction(1, 2)), (F7, 1.0),
+    (F7, "x")], ids=["Q-F7", "Q-float", "Q-bool", "F7-Fraction",
+                     "F7-float", "F7-str"])
+def test_derivation_dual_refuses_a_foreign_z(field, z):
+    tp = truncated_polynomial(4, field)
+    with pytest.raises(InputError, match=re.escape(
+            f"z must be an int or a scalar of {field.name}: {z!r}")):
+        derivation_dual(tp.instance(), tp.omega, z)
+
+
 @pytest.mark.parametrize("field", (F2, F3), ids=lambda f: f.name)
 def test_induced_actions_match_the_vector_api(field):
     A = upper_triangular(field)
     M = canonical_bimodule(A)
     for mat in search_operators(A, M, "grb")[:24]:
-        inst = OperatorInstance(A, M, LinearMap(mat))
+        inst = OperatorInstance(A, M, mat)
         actions = induced_actions(inst)
-        p, c = inst.op.matrix, A.c
+        p, c = inst.op, A.c
         for j, i in np.ndindex(M.dim, A.dim):
             # m = m_j, a = e_i: m ._p a = p(m) a - p(m . a) and
             # a ._p m = a p(m) - p(a . m)
@@ -301,7 +312,7 @@ def test_r_tilde_over_f5():
     r = zeros((2, 2), F5)
     r[0, 1], r[1, 0] = F5.from_int(2), F5.from_int(3)
     inst = r_tilde(A, r)
-    assert_same_scalars(inst.op.matrix, r.T, F5)
+    assert_same_scalars(inst.op, r.T, F5)
     r[1, 0] = F5.from_int(2)
     with pytest.raises(InputError, match="skew"):
         r_tilde(A, r)
@@ -314,8 +325,8 @@ def test_r_tilde_over_f5():
 def reference_morphism(psi0, psi1, src, dst):
     """The first failure of grb_morphism_check by basis loops:
     (witness, detail), or None."""
-    f0, f1, field = psi0.matrix, psi1.matrix, src.field
-    p, q = src.op.matrix, dst.op.matrix
+    f0, f1, field = psi0, psi1, src.field
+    p, q = src.op, dst.op
     for i, l in np.ndindex(src.module.dim, dst.algebra.dim):
         # psi0(p(m_i)) against q(psi1(m_i))
         if vec_mat(p[i], f0, field)[l] != vec_mat(f1[i], q, field)[l]:
@@ -338,26 +349,24 @@ def test_morphism_of_the_tensor_square_instance(field):
     # of mu keeps the square commuting, and most such N break an action
     ts = tensor_square(kx2(field))
     inst = OperatorInstance(ts.algebra, ts.module, ts.op)
-    psi0 = LinearMap(identity(2, field))
+    psi0 = identity(2, field)
     details = set()
     for r in range(4):
         for row in ((0, 1, -1, 0), (0, 0, 0, 1)):
             f1 = identity(4, field)
             f1[r] = f1[r] + np.array([field.from_int(x) for x in row],
                                      dtype=object)
-            psi1 = LinearMap(f1)
-            verdict = grb_morphism_check(psi0, psi1, inst, inst)
-            ref = reference_morphism(psi0, psi1, inst, inst)
+            verdict = grb_morphism_check(psi0, f1, inst, inst)
+            ref = reference_morphism(psi0, f1, inst, inst)
             if ref is None:
                 assert verdict
             else:
                 assert (verdict.witness, verdict.detail) == ref
             details.add(verdict.detail)
     swapped = identity(2, field)[::-1].copy()
-    verdict = grb_morphism_check(LinearMap(swapped), LinearMap(identity(4, field)),
-                                 inst, inst)
+    verdict = grb_morphism_check(swapped, identity(4, field), inst, inst)
     assert (verdict.witness, verdict.detail) == reference_morphism(
-        LinearMap(swapped), LinearMap(identity(4, field)), inst, inst)
+        swapped, identity(4, field), inst, inst)
     details.add(verdict.detail)
     assert details == {"", "square does not commute",
                        "left actions not intertwined",

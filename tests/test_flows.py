@@ -13,7 +13,7 @@ from rbx.gerstenhaber import g_bracket
 from rbx.instances import (kx2, mult_by_x_instance, swap_instance,
                            tensor_square, truncated_polynomial)
 from rbx.linalg import is_zero
-from rbx.operators import (LinearMap, OperatorInstance, extension_mult_map,
+from rbx.operators import (OperatorInstance, extension_mult_map,
                            is_grb, is_trb, lift_cocycle, lift_operator,
                            semidirect_mult_map, structure_residual)
 from rbx.flows import (addexp_check, exp_flow, flow_truncation,
@@ -26,15 +26,15 @@ def random_instance(field, rng, twisted=False):
     M = canonical_bimodule(A)
     mat = random_tensor((2, 2), field, rng)
     if not twisted:
-        return OperatorInstance(A, M, LinearMap(mat))
+        return OperatorInstance(A, M, mat)
     from rbx.cochains import Cochain
 
-    return OperatorInstance(A, M, LinearMap(mat), Cochain(A, M, -A.c))
+    return OperatorInstance(A, M, mat, Cochain(A, M, -A.c))
 
 
 def test_hamiltonian_field_zero_operator(kx2_q):
     inst = OperatorInstance(kx2_q, canonical_bimodule(kx2_q),
-                            LinearMap(zeros((2, 2), QQ)))
+                            zeros((2, 2), QQ))
     theta = extension_mult_map(inst)
     assert hamiltonian_field(theta, inst).is_zero_map()
 
@@ -43,7 +43,7 @@ def test_hamiltonian_field_m_block_formula(mult_by_x_q):
     # X(mu^)((0,m),(0,n)) lands in the M-block with value p(m).n + m.p(n)
     inst = mult_by_x_instance(QQ)
     field_map = hamiltonian_field(extension_mult_map(inst), inst)
-    M, p = inst.module, inst.op.matrix
+    M, p = inst.module, inst.op
     dA = 2
     for i in range(2):
         for j in range(2):
@@ -68,8 +68,7 @@ def test_hamiltonian_field_linear_in_theta(mult_by_x_q):
 def test_flow_zero_operator_is_theta():
     ts = tensor_square(kx2(QQ))
     inst = OperatorInstance(ts.algebra, ts.module,
-                            LinearMap(zeros(ts.op.matrix.shape, QQ)),
-                            ts.cocycle)
+                            zeros(ts.op.shape, QQ), ts.cocycle)
     flow = exp_flow(inst)
     assert tensors_equal(flow.total.tensor, flow.theta.tensor)
 
@@ -157,10 +156,10 @@ def test_flow_works_over_small_characteristic():
     for field in (F2, F3):
         A = kx2(field)
         M = canonical_bimodule(A)
-        mats = [mult_by_x_instance(field).op.matrix, identity(2, field)]
+        mats = [mult_by_x_instance(field).op, identity(2, field)]
         mats += [random_tensor((2, 2), field, rng) for _ in range(6)]
         for mat in mats:
-            inst = OperatorInstance(A, M, LinearMap(mat))
+            inst = OperatorInstance(A, M, mat)
             flow = exp_flow(inst)
             assert g_bracket(flow.total, flow.total).is_zero_map()
             T = identity(4, field) + lift_operator(inst).tensor
@@ -175,8 +174,7 @@ def test_addexp_catalog_trb_instances():
 
 
 def test_addexp_identity_not_grb(kx2_q):
-    inst = OperatorInstance(kx2_q, canonical_bimodule(kx2_q),
-                            LinearMap(identity(2, QQ)))
+    inst = OperatorInstance(kx2_q, canonical_bimodule(kx2_q), identity(2, QQ))
     report = addexp_check(inst)
     assert not report
     # the obstruction is the nonzero structure residual
@@ -186,8 +184,7 @@ def test_addexp_identity_not_grb(kx2_q):
 def test_addexp_zero_operator_with_cocycle():
     ts = tensor_square(kx2(QQ))
     inst = OperatorInstance(ts.algebra, ts.module,
-                            LinearMap(zeros(ts.op.matrix.shape, QQ)),
-                            ts.cocycle)
+                            zeros(ts.op.shape, QQ), ts.cocycle)
     assert addexp_check(inst)
 
 

@@ -165,13 +165,13 @@ def test_derived_bracket_grb_residual_is_zero(mult_by_x_q):
 def test_derived_bracket_explicit_formula():
     # (1/2)[p^,p^]_mu^((a,m),(b,n)) = (p(m)p(n) - p(p(m).n) - p(m.p(n)), 0)
     from rbx.instances import kx2
-    from rbx.operators import LinearMap, OperatorInstance
+    from rbx.operators import OperatorInstance
 
     A = kx2(QQ)
     M = canonical_bimodule(A)
     rng = random.Random(28)
     pi = random_tensor((2, 2), QQ, rng)
-    inst = OperatorInstance(A, M, LinearMap(pi))
+    inst = OperatorInstance(A, M, pi)
     half = derived_bracket(lift_operator(inst), lift_operator(inst),
                            semidirect_mult_map(inst)).scale(Fraction(1, 2))
     for i in range(2):
@@ -186,10 +186,9 @@ def test_derived_bracket_explicit_formula():
 
 def test_derived_bracket_identity_operator_value(kx2_q):
     # p = id on k[x]/(x^2): the half residual at ((0,e0),(0,e0)) is (-e0, 0)
-    from rbx.operators import LinearMap, OperatorInstance
+    from rbx.operators import OperatorInstance
 
-    inst = OperatorInstance(kx2_q, canonical_bimodule(kx2_q),
-                            LinearMap(identity(2, QQ)))
+    inst = OperatorInstance(kx2_q, canonical_bimodule(kx2_q), identity(2, QQ))
     half = derived_bracket(lift_operator(inst), lift_operator(inst),
                            semidirect_mult_map(inst)).scale(Fraction(1, 2))
     got = half.tensor[2, 2]

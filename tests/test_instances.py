@@ -14,7 +14,7 @@ from rbx.fields import F3, F5, QQ
 from rbx.catalog import TABLE
 from rbx.instances import (BUILDERS, kx2, tensor_square, truncated_polynomial,
                            unit_section, unit_section_tensor_example)
-from rbx.operators import LinearMap, is_grb, is_reynolds, is_trb
+from rbx.operators import is_grb, is_reynolds, is_trb
 from rbx.structures import check_ns, ns_from_trb
 from weyl import WeylPoly, truncated_weyl
 
@@ -24,7 +24,7 @@ from weyl import WeylPoly, truncated_weyl
 
 def test_truncated_polynomial_operator_values():
     tp = truncated_polynomial(3)
-    pi = tp.op.matrix
+    pi = tp.op
     # p(1) = x, p(x) = x^2/2, p(x^2) = x^3/3
     assert pi[0, 0] == Fraction(1)
     assert pi[1, 1] == Fraction(1, 2)
@@ -35,7 +35,7 @@ def test_truncated_polynomial_operator_values():
 def test_truncated_polynomial_hand_pair():
     # pair (1, 1): p(1)p(1) = x^2 and p(p(1).1 + 1.p(1)) = p(2x) = x^2
     tp = truncated_polynomial(3)
-    A, M, p = tp.algebra, tp.module, tp.op.matrix
+    A, M, p = tp.algebra, tp.module, tp.op
     lhs = bilinear(A.c, p[0], p[0], QQ)
     rhs = vec_mat(induced_product(p, M.left, M.right, 0, 0, QQ), p, QQ)
     assert tensors_equal(lhs, rhs)
@@ -44,7 +44,7 @@ def test_truncated_polynomial_hand_pair():
 
 def test_truncated_polynomial_leibniz_rule():
     tp = truncated_polynomial(5)
-    A, M, d = tp.algebra, tp.module, tp.omega.matrix
+    A, M, d = tp.algebra, tp.module, tp.omega
     for i in range(A.dim):              # a, b = e_i, e_j
         for j in range(A.dim):
             lhs = vec_mat(A.c[i, j], d, QQ)
@@ -56,8 +56,8 @@ def test_truncated_polynomial_leibniz_rule():
 def test_truncated_polynomial_bimodule_and_inverses():
     tp = truncated_polynomial(4)
     assert bimodule_check(tp.algebra, tp.module)
-    assert tensors_equal(np.dot(tp.op.matrix, tp.omega.matrix), identity(4, QQ))
-    assert tensors_equal(np.dot(tp.omega.matrix, tp.op.matrix), identity(4, QQ))
+    assert tensors_equal(np.dot(tp.op, tp.omega), identity(4, QQ))
+    assert tensors_equal(np.dot(tp.omega, tp.op), identity(4, QQ))
 
 
 def test_truncated_polynomial_characteristic_guard():
@@ -212,7 +212,7 @@ def test_weyl_engine_cross_checks_structure_constants():
 def test_tensor_square_hand_pair():
     # (1(x)1, 1(x)1): lhs = 1, rhs = mu(1(x)1 + 1(x)1) + mu(-1(x)1) = 1
     ts = tensor_square(kx2(QQ))
-    M, p, A = ts.module, ts.op.matrix, ts.algebra
+    M, p, A = ts.module, ts.op, ts.algebra
     lhs = bilinear(A.c, p[0], p[0], QQ)
     rhs = vec_mat(add(induced_product(p, M.left, M.right, 0, 0, QQ),
                       bilinear(ts.cocycle.tensor, p[0], p[0], QQ)), p, QQ)
@@ -249,10 +249,10 @@ def test_unit_section_identity_recovers_reynolds():
     # M = A, f = id, e = 1: phi(a,b) = -ab, so f is the identity Reynolds
     A = kx2(QQ)
     M = canonical_bimodule(A)
-    inst = unit_section(A, M, LinearMap(identity(2, QQ)), A.unit())
+    inst = unit_section(A, M, identity(2, QQ), A.unit())
     assert tensors_equal(inst.cocycle.tensor, -A.c)
     assert is_trb(inst)
-    assert is_reynolds(A, LinearMap(identity(2, QQ)))
+    assert is_reynolds(A, identity(2, QQ))
 
 
 def test_unit_section_rejects_broken_hypotheses():
@@ -262,16 +262,16 @@ def test_unit_section_rejects_broken_hypotheses():
     not_e = zeros(2, QQ)
     not_e[1] = QQ.one
     with pytest.raises(InputError):
-        unit_section(A, M, LinearMap(identity(2, QQ)), not_e)  # f(e) != 1
+        unit_section(A, M, identity(2, QQ), not_e)  # f(e) != 1
     swap = zeros((2, 2), QQ)
     swap[0, 1] = QQ.one
     swap[1, 0] = QQ.one
     with pytest.raises(InputError):
-        unit_section(A, M, LinearMap(swap), e)  # not A-linear
+        unit_section(A, M, swap, e)  # not A-linear
     degenerate = zeros((2, 2), QQ)
     degenerate[0, 0] = QQ.one
     with pytest.raises(InputError):
-        unit_section(A, M, LinearMap(degenerate), A.unit())  # not surjective
+        unit_section(A, M, degenerate, A.unit())  # not surjective
 
 
 def test_catalog_every_instance_passes_its_checker():

@@ -35,7 +35,7 @@ from rbx import flows
 from rbx.instances import (kx2, mult_by_x_instance, null_algebra,
                            tensor_square, truncated_polynomial)
 from rbx.linalg import Encoded, IntTensor, first_nonzero_index
-from rbx.operators import (LinearMap, OperatorInstance, graph_check, is_grb,
+from rbx.operators import (OperatorInstance, graph_check, is_grb,
                            is_nijenhuis, is_reynolds, is_trb,
                            lift_operator, semidirect_mult_map)
 from rbx.structures import Dendriform, NSAlgebra, check_dendriform, check_ns
@@ -297,21 +297,21 @@ def test_operator_identities_match_oracle_and_object_path(field):
         for _ in range(4):
             p = sparse((M.dim, A.dim), field, rng, rng.choice((0.3, 0.8)))
             ref = ref_compare(*ref_sides("grb", p, A.c, M.left, M.right), 2)
-            same_verdict(is_grb(OperatorInstance(A, M, LinearMap(p))), ref,
+            same_verdict(is_grb(OperatorInstance(A, M, p)), ref,
                          field, oracle_operator(field, A.c, M.left, M.right, p))
             failing += ref is not None
             phi = coboundary(Cochain(A, M, sparse((A.dim, M.dim), field, rng)))
             ref = ref_compare(*ref_sides("trb", p, A.c, M.left, M.right,
                                          phi.tensor), 2)
-            same_verdict(is_trb(OperatorInstance(A, M, LinearMap(p), phi)),
+            same_verdict(is_trb(OperatorInstance(A, M, p, phi)),
                          ref, field, oracle_operator(field, A.c, M.left,
                                                      M.right, p, phi.tensor))
             if M.left is A.c:
                 r = sparse((A.dim, A.dim), field, rng)
-                same_verdict(is_reynolds(A, LinearMap(r)),
+                same_verdict(is_reynolds(A, r),
                              ref_compare(*ref_sides("reynolds", r, A.c), 2),
                              field, oracle_reynolds(field, A.c, r))
-                same_verdict(is_nijenhuis(A, LinearMap(r)),
+                same_verdict(is_nijenhuis(A, r),
                              ref_compare(*ref_sides("nijenhuis", r, A.c), 2),
                              field, oracle_nijenhuis(field, A.c, r))
     assert failing
@@ -331,9 +331,7 @@ def test_operator_identities_fall_back_to_python_ints(monkeypatch):
         M = Bimodule(A, make((d, d, d)), make((d, d, d)), check=False)
         p = make((d, d))
         phi = Cochain(A, M, make((d, d, d)))
-        inst = OperatorInstance.__new__(OperatorInstance)
-        inst.algebra, inst.module, inst.op = A, M, LinearMap(p)
-        inst._op, inst.cocycle = Encoded.of(field, p), None
+        inst = OperatorInstance(A, M, p)
         case = (field, d)
         checks.append((case, lambda inst=inst: is_grb(inst),
                        ref_sides("grb", p, c, M.left, M.right)))
@@ -343,8 +341,7 @@ def test_operator_identities_fall_back_to_python_ints(monkeypatch):
                        ref_sides("trb", p, c, M.left, M.right, phi.tensor)))
         for kind, check in (("reynolds", is_reynolds),
                             ("nijenhuis", is_nijenhuis)):
-            checks.append((case, lambda check=check, A=A, p=p:
-                           check(A, LinearMap(p)),
+            checks.append((case, lambda check=check, A=A, p=p: check(A, p),
                            ref_sides(kind, p, c)))
     seen = spy_products(monkeypatch)
     python_ints = {}
@@ -371,15 +368,15 @@ def test_trb_with_a_fractional_twist_keeps_the_extra_scale():
     ts = tensor_square(kx2(QQ))
     A, M = ts.algebra, ts.module
     phi = Cochain(A, M, ts.cocycle.tensor * Fraction(1, 3))
-    for p in (ts.op.matrix * Fraction(1, 2), ts.op.matrix * Fraction(3, 2)):
-        verdict = is_trb(OperatorInstance(A, M, LinearMap(p), phi))
+    for p in (ts.op * Fraction(1, 2), ts.op * Fraction(3, 2)):
+        verdict = is_trb(OperatorInstance(A, M, p, phi))
         ref = ref_compare(*ref_sides("trb", p, A.c, M.left, M.right,
                                      phi.tensor), 2)
         assert ref is not None
         same_verdict(verdict, ref, QQ,
                      oracle_operator(QQ, A.c, M.left, M.right, p, phi.tensor))
     # p = 3 mu with twist -(1/3) a(x)b is twisted Rota-Baxter again
-    assert is_trb(OperatorInstance(A, M, LinearMap(ts.op.matrix * 3), phi))
+    assert is_trb(OperatorInstance(A, M, ts.op * 3, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +473,7 @@ def test_multimap_sums_and_half_square_fall_back_to_python_ints(monkeypatch):
 def scaled_truncated(N, field, scale):
     """Termwise integration times `scale`: Rota-Baxter of weight zero."""
     tp = truncated_polynomial(N, field)
-    return OperatorInstance(tp.algebra, tp.module,
-                            LinearMap(tp.op.matrix * scale))
+    return OperatorInstance(tp.algebra, tp.module, tp.op * scale)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
@@ -509,9 +505,9 @@ def test_addexp_restriction_compare_matches_object_path(field, monkeypatch):
 def test_addexp_falls_back_to_python_ints(monkeypatch):
     big = Fraction(2 ** 62 - 1, 3)
     inst = scaled_truncated(4, QQ, big)
-    perturbed = scaled_truncated(4, QQ, big)
-    perturbed.op.matrix[0, 1] = Fraction(1, 5)
-    perturbed._op = Encoded.of(QQ, perturbed.op.matrix)
+    p = inst.op.copy()
+    p[0, 1] = Fraction(1, 5)
+    perturbed = OperatorInstance(inst.algebra, inst.module, p)
     seen = spy_routes(monkeypatch)
     assert addexp_check(inst)
     assert not addexp_check(perturbed)
@@ -578,9 +574,9 @@ def test_graph_check_agrees_with_is_grb_on_degree_6():
     tp = truncated_polynomial(6)
     inst = tp.instance()
     assert graph_check(inst) and is_grb(inst)
-    p = tp.op.matrix.copy()
+    p = tp.op.copy()
     p[2, 4] = Fraction(1, 7)
-    bent = OperatorInstance(tp.algebra, tp.module, LinearMap(p))
+    bent = OperatorInstance(tp.algebra, tp.module, p)
     assert not is_grb(bent)
     assert not graph_check(bent)
 

@@ -9,7 +9,9 @@ every product and every search block sent to numpy (`PURE_WORK` = -1).
 A search past the rule (mult-by-x over F11) does import numpy, and its
 report lists the expected 231 solutions.  Every
 emittable catalog instance, and truncated-poly at degrees 3 to 8, emits
-the same bytes without numpy as in a normal run.
+the same bytes without numpy as in a normal run.  The library's checks
+on nested-list matrices (`library_verdicts.py`) reach the same verdicts
+without numpy as in a normal run.
 """
 
 import contextlib
@@ -167,3 +169,28 @@ def test_search_past_the_pure_rule_imports_numpy(tmp_path):
     assert solutions[:3] == [[[0, 0], [0, 0]], [[0, 0], [0, 1]],
                              [[0, 0], [0, 2]]]
     assert solutions[-1] == [[10, 10], [0, 10]]
+
+
+def test_library_checks_nested_lists_without_numpy():
+    """OperatorInstance and is_grb, is_reynolds, is_nijenhuis,
+    dendriform_from_grb, grb_morphism_check and derivation_dual on
+    nested-list matrices over Q and F5."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    blocked, normal = (subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tests", "library_verdicts.py"),
+         *flags], env=env, capture_output=True, text=True, timeout=120,
+        check=True).stdout for flags in (["--without-numpy"], []))
+    assert blocked == normal
+    results = dict(line.split(": ", 1) for line in normal.splitlines())
+    failing = {"is_grb bent", "is_reynolds bent", "is_nijenhuis bent",
+               "grb_morphism_check swap"}
+    for field in ("Q", "F5"):
+        assert results.pop(f"{field} derivation_dual z=2") == \
+            "'W o p is not z times the identity on M'"
+        for name in ("is_grb x", "is_reynolds x", "is_nijenhuis x",
+                     "is_reynolds one", "is_nijenhuis one",
+                     "dendriform_from_grb x", "grb_morphism_check id",
+                     "derivation_dual", *failing):
+            assert results.pop(f"{field} {name}").startswith(
+                "(False" if name in failing else "(True"), (field, name)
+    assert results == {}

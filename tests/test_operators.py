@@ -19,12 +19,11 @@ from rbx.gerstenhaber import circ_i, g_bracket
 from rbx.instances import (kx2, mult_by_x_instance, null_algebra,
                            swap_instance, tensor_square, truncated_polynomial)
 from rbx.linalg import Encoded, is_zero
-from rbx.operators import (LinearMap, OperatorInstance, aybe_residual,
-                           graph_check, is_classical_rb, is_grb,
-                           is_nijenhuis, is_reynolds, is_trb, lift_cocycle,
-                           lift_operator, r_tilde, reynolds_as_twisted,
-                           search_operators, structure_residual,
-                           twist_insertion)
+from rbx.operators import (OperatorInstance, aybe_residual, graph_check,
+                           is_classical_rb, is_grb, is_nijenhuis, is_reynolds,
+                           is_trb, lift_cocycle, lift_operator, r_tilde,
+                           reynolds_as_twisted, search_operators,
+                           structure_residual, twist_insertion)
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +31,7 @@ from rbx.operators import (LinearMap, OperatorInstance, aybe_residual,
 
 def test_lift_of_zero_operator(kx2_q):
     inst = OperatorInstance(kx2_q, canonical_bimodule(kx2_q),
-                            LinearMap(zeros((2, 2), QQ)))
+                            zeros((2, 2), QQ))
     assert lift_operator(inst).is_zero_map()
 
 
@@ -40,8 +39,7 @@ def test_lift_squares_to_zero_for_random_operators(kx2_q):
     rng = random.Random(41)
     M = canonical_bimodule(kx2_q)
     for _ in range(10):
-        inst = OperatorInstance(kx2_q, M,
-                                LinearMap(random_tensor((2, 2), QQ, rng)))
+        inst = OperatorInstance(kx2_q, M, random_tensor((2, 2), QQ, rng))
         p_hat = lift_operator(inst)
         assert circ_i(p_hat, p_hat, 1).is_zero_map()
 
@@ -78,7 +76,7 @@ def test_lift_cocycle_requires_twist(mult_by_x_q):
 
 def test_zero_operator_is_grb(kx2_q):
     inst = OperatorInstance(kx2_q, canonical_bimodule(kx2_q),
-                            LinearMap(zeros((2, 2), QQ)))
+                            zeros((2, 2), QQ))
     assert is_grb(inst)
 
 
@@ -86,7 +84,7 @@ def test_mult_by_x_is_grb_hand_expansion(mult_by_x_q):
     # direct substitution over all four basis pairs, by hand:
     # p(1)p(1) = x*x = 0 and p(p(1)1 + 1p(1)) = p(2x) = 2x^2 = 0, etc.
     assert is_grb(mult_by_x_q)
-    A, M, p = (mult_by_x_q.algebra, mult_by_x_q.module, mult_by_x_q.op.matrix)
+    A, M, p = (mult_by_x_q.algebra, mult_by_x_q.module, mult_by_x_q.op)
     for i in range(2):
         for j in range(2):
             lhs = bilinear(A.c, p[i], p[j], QQ)
@@ -95,8 +93,7 @@ def test_mult_by_x_is_grb_hand_expansion(mult_by_x_q):
 
 
 def test_identity_not_grb_over_q(kx2_q):
-    inst = OperatorInstance(kx2_q, canonical_bimodule(kx2_q),
-                            LinearMap(identity(2, QQ)))
+    inst = OperatorInstance(kx2_q, canonical_bimodule(kx2_q), identity(2, QQ))
     report = is_grb(inst)
     assert not report
     assert report.witness == (0, 0)
@@ -121,9 +118,8 @@ def test_trb_zero_twist_delegates_to_grb(kx2_q):
     M = canonical_bimodule(kx2_q)
     for _ in range(10):
         mat = random_tensor((2, 2), QQ, rng)
-        plain = OperatorInstance(kx2_q, M, LinearMap(mat))
-        twisted = OperatorInstance(kx2_q, M, LinearMap(mat),
-                                   zero_cochain(kx2_q, M, 2))
+        plain = OperatorInstance(kx2_q, M, mat)
+        twisted = OperatorInstance(kx2_q, M, mat, zero_cochain(kx2_q, M, 2))
         assert bool(is_grb(plain)) == bool(is_trb(twisted))
 
 
@@ -132,7 +128,7 @@ def test_twist_is_checked_in_the_instance_module(kx2_q):
     the canonical module is checked against the instance's own module."""
     A, dual = kx2_q, dual_module(kx2_q)
     minus_mu = Cochain(A, canonical_bimodule(A), -A.c)
-    op = LinearMap(zeros((2, 2), QQ))
+    op = zeros((2, 2), QQ)
     assert is_trb(OperatorInstance(A, canonical_bimodule(A), op, minus_mu))
     with pytest.raises(InputError, match=re.escape(
             "twist is not a Hochschild cocycle; coboundary nonzero at "
@@ -154,21 +150,21 @@ def test_inverse_cochain_is_twisted(kx2_q):
 
 
 def test_reynolds_trivial_cases(kx2_q):
-    assert is_reynolds(kx2_q, LinearMap(identity(2, QQ)))
-    assert is_reynolds(kx2_q, LinearMap(zeros((2, 2), QQ)))
+    assert is_reynolds(kx2_q, identity(2, QQ))
+    assert is_reynolds(kx2_q, zeros((2, 2), QQ))
 
 
 def test_reynolds_scalar_multiples_of_identity(kx2_q):
     # lambda id is Reynolds iff lambda^3 = lambda^2, i.e. lambda in {0, 1}
     for lam in [0, 1, 2, -1, Fraction(1, 2), Fraction(-3, 2)]:
         expected = lam in (0, 1)
-        op = LinearMap(identity(2, QQ) * Fraction(lam))
+        op = identity(2, QQ) * Fraction(lam)
         assert bool(is_reynolds(kx2_q, op)) == expected
 
 
 def test_nijenhuis_trivial_cases(kx2_q):
-    assert is_nijenhuis(kx2_q, LinearMap(identity(2, QQ)))
-    assert is_nijenhuis(kx2_q, LinearMap(zeros((2, 2), QQ)))
+    assert is_nijenhuis(kx2_q, identity(2, QQ))
+    assert is_nijenhuis(kx2_q, zeros((2, 2), QQ))
 
 
 def test_nijenhuis_from_derivation_duality():
@@ -176,7 +172,7 @@ def test_nijenhuis_from_derivation_duality():
     # which satisfies the Nijenhuis identity trivially; the Weyl instance
     # exercises the nontrivial case in test_instances
     tp = truncated_polynomial(4)
-    n = LinearMap(np.dot(tp.omega.matrix, tp.op.matrix))
+    n = np.dot(tp.omega, tp.op)
     assert is_nijenhuis(tp.algebra, n)
 
 
@@ -184,8 +180,8 @@ def test_reynolds_equals_twisted_with_minus_mu(kx2_q):
     rng = random.Random(43)
     for _ in range(20):
         mat = random_tensor((2, 2), QQ, rng)
-        plain = is_reynolds(kx2_q, LinearMap(mat))
-        twisted = is_trb(reynolds_as_twisted(kx2_q, LinearMap(mat)))
+        plain = is_reynolds(kx2_q, mat)
+        twisted = is_trb(reynolds_as_twisted(kx2_q, mat))
         assert bool(plain) == bool(twisted)
 
 
@@ -197,8 +193,7 @@ def test_structure_residual_zero_iff_grb(kx2_q):
     M = canonical_bimodule(kx2_q)
     seen = {True: 0, False: 0}
     for _ in range(20):
-        inst = OperatorInstance(kx2_q, M,
-                                LinearMap(random_tensor((2, 2), QQ, rng)))
+        inst = OperatorInstance(kx2_q, M, random_tensor((2, 2), QQ, rng))
         zero = structure_residual(inst).is_zero_map()
         verdict = bool(is_grb(inst))
         assert zero == verdict
@@ -208,8 +203,7 @@ def test_structure_residual_zero_iff_grb(kx2_q):
 
 def test_structure_residual_identity_value(kx2_q):
     # p = id: residual((0,e0),(0,e0)) = (-e0, 0)
-    inst = OperatorInstance(kx2_q, canonical_bimodule(kx2_q),
-                            LinearMap(identity(2, QQ)))
+    inst = OperatorInstance(kx2_q, canonical_bimodule(kx2_q), identity(2, QQ))
     res = structure_residual(inst)
     got = res.tensor[2, 2]
     assert got[0] == Fraction(-1) and is_zero(got[1:])
@@ -221,15 +215,14 @@ def test_structure_residual_twisted_catalog_zero():
 
 def test_structure_residual_characteristic_guards():
     A2 = kx2(F2)
-    inst = OperatorInstance(A2, canonical_bimodule(A2),
-                            LinearMap(zeros((2, 2), F2)))
+    inst = OperatorInstance(A2, canonical_bimodule(A2), zeros((2, 2), F2))
     with pytest.raises(CharacteristicError):
         structure_residual(inst)
     A3 = kx2(F3)
     M3 = canonical_bimodule(A3)
-    ok = OperatorInstance(A3, M3, LinearMap(zeros((2, 2), F3)))
+    ok = OperatorInstance(A3, M3, zeros((2, 2), F3))
     assert structure_residual(ok).is_zero_map()  # 1/2 exists in F3
-    twisted = OperatorInstance(A3, M3, LinearMap(zeros((2, 2), F3)),
+    twisted = OperatorInstance(A3, M3, zeros((2, 2), F3),
                                zero_cochain(A3, M3, 2))
     with pytest.raises(CharacteristicError):
         structure_residual(twisted)  # 1/6 does not exist in F3
@@ -250,7 +243,7 @@ def test_graph_check_exhaustive_agreement_f2():
     M = canonical_bimodule(A)
     for entries in itertools.product(elements(F2), repeat=4):
         mat = np.array(entries, dtype=object).reshape(2, 2)
-        inst = OperatorInstance(A, M, LinearMap(mat))
+        inst = OperatorInstance(A, M, mat)
         assert bool(is_grb(inst)) == bool(graph_check(inst))
 
 
@@ -259,8 +252,7 @@ def test_graph_check_twisted_instance():
 
 
 def test_graph_check_identity_fails_over_q(kx2_q):
-    inst = OperatorInstance(kx2_q, canonical_bimodule(kx2_q),
-                            LinearMap(identity(2, QQ)))
+    inst = OperatorInstance(kx2_q, canonical_bimodule(kx2_q), identity(2, QQ))
     assert not graph_check(inst)
 
 
@@ -290,15 +282,14 @@ def test_grb_composed_with_bimodule_morphism(kx2_q):
                 assert tensors_equal(vec_mat(M.right[j, i], f_mat, QQ),
                                      vec_mat(fm, M.right[:, i], QQ))
         composed = OperatorInstance(
-            inst.algebra, inst.module,
-            LinearMap(np.dot(f_mat, inst.op.matrix)))
+            inst.algebra, inst.module, np.dot(f_mat, inst.op))
         assert is_grb(composed)
 
 
 def test_twisted_operator_is_algebra_homomorphism():
     # p(m x n) = p(m) p(n) for the induced product on M
     for inst in (tensor_square(kx2(QQ)), swap_instance(QQ)):
-        A, M, p = inst.algebra, inst.module, inst.op.matrix
+        A, M, p = inst.algebra, inst.module, inst.op
         for i in range(M.dim):
             for j in range(M.dim):
                 times = add(induced_product(p, M.left, M.right, i, j, QQ),
@@ -341,7 +332,7 @@ def test_aybe_residual_matches_triple_loop_oracle(kx2_q):
 def test_r_tilde_zero(kx2_q):
     inst = r_tilde(kx2_q, zeros((2, 2), QQ))
     assert is_grb(inst)
-    assert is_zero(inst.op.matrix)
+    assert is_zero(inst.op)
 
 
 def test_r_tilde_dual_bimodule_passes_check(kx2_q):
@@ -391,11 +382,10 @@ def test_search_kx2_f2_contains_known_solutions():
     A = kx2(F2)
     sols = search_operators(A, canonical_bimodule(A), "grb")
     assert any(is_zero(s) for s in sols)
-    assert any(is_zero(s - mult_by_x_instance(F2).op.matrix) for s in sols)
+    assert any(is_zero(s - mult_by_x_instance(F2).op) for s in sols)
     # cross-checked against the independent graph criterion
     for s in sols:
-        assert graph_check(OperatorInstance(A, canonical_bimodule(A),
-                                            LinearMap(s)))
+        assert graph_check(OperatorInstance(A, canonical_bimodule(A), s))
 
 
 def test_search_orders_lexicographically():
@@ -412,17 +402,59 @@ def test_search_budget():
 
 
 def test_matrix_read_keeps_the_stored_encoding():
-    """`.matrix` decodes a stored Encoded once and keeps it stored: a
-    later `encoded` returns that Encoded, not a re-encoding of scalars."""
-    op = mult_by_x_instance(QQ).op
-    enc = op.encoded(QQ)
-    assert isinstance(enc, Encoded)
-    matrix = op.matrix
-    assert matrix is op.matrix is enc.objects
+    """`.op` decodes the stored Encoded once and keeps it stored: every
+    read is the same view of the integers the checks run on."""
+    inst = mult_by_x_instance(QQ)
+    assert isinstance(inst._op, Encoded)
+    matrix = inst.op
+    assert matrix is inst.op is inst._op.objects
     assert matrix.tolist() == [[0, 1], [0, 0]]
-    assert op.encoded(QQ) is enc
     with pytest.raises(ValueError, match="read-only"):
         matrix[0, 0] = 7        # would not reach the encoding the checks use
+
+
+def test_checks_decide_on_the_matrix_op_shows(kx2_q):
+    """A held matrix cannot be written, so `is_grb` decides on the
+    scalars `op` shows: writing [[1, 1], [0, 0]] into the matrix of a
+    GRB operator would leave a verdict that a fresh instance of the
+    shown matrix contradicts."""
+    M = canonical_bimodule(kx2_q)
+    inst = OperatorInstance(kx2_q, M, [[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="read-only"):
+        inst.op[0, 0] = 1
+    assert inst.op.tolist() == [[0, 1], [0, 0]]
+    assert is_grb(inst) and is_grb(OperatorInstance(kx2_q, M, inst.op))
+    assert not is_grb(OperatorInstance(kx2_q, M, [[1, 1], [0, 0]]))
+
+
+def test_a_non_matrix_is_refused_where_a_matrix_is_read(kx2_q):
+    """Every entry point reads its matrix once and refuses any other
+    shape, here a vector, by its own shape check."""
+    from rbx.instances import invertible_cochain_instance, unit_section
+    from rbx.structures import derivation_dual, grb_morphism_check
+
+    A, M, v = kx2_q, canonical_bimodule(kx2_q), [0, 1]
+    inst = mult_by_x_instance(QQ)
+    for build, message in [
+            (lambda: OperatorInstance(A, M, v), "operator matrix must be"),
+            (lambda: is_reynolds(A, v), "endomorphism"),
+            (lambda: is_nijenhuis(A, v), "endomorphism"),
+            (lambda: r_tilde(A, v), "r must be a 2x2 tensor"),
+            (lambda: derivation_dual(inst, v, 1), "derivation must map"),
+            (lambda: grb_morphism_check(v, v, inst, inst), "psi0 must map"),
+            (lambda: unit_section(A, M, v, A.unit()), "f must map"),
+            (lambda: invertible_cochain_instance(A, M, v), "1-cochain")]:
+        with pytest.raises(InputError, match=message):
+            build()
+
+
+def test_r_tilde_operator_is_read_only():
+    A = null_algebra(QQ, 2)            # every skew r solves the AYBE
+    inst = r_tilde(A, [[0, 1], [-1, 0]])
+    assert inst.op is inst._op.objects
+    assert inst.op.tolist() == [[0, -1], [1, 0]]
+    with pytest.raises(ValueError, match="read-only"):
+        inst.op[0, 0] = 1
 
 
 def test_candidate_work_is_what_the_products_count(monkeypatch):
@@ -477,9 +509,9 @@ def test_search_rb_reynolds_nijenhuis_kinds():
     rb = search_operators(A, None, "rb")
     rey = search_operators(A, None, "reynolds")
     nij = search_operators(A, None, "nijenhuis")
-    assert all(is_classical_rb(A, LinearMap(s)) for s in rb)
-    assert all(is_reynolds(A, LinearMap(s)) for s in rey)
-    assert all(is_nijenhuis(A, LinearMap(s)) for s in nij)
+    assert all(is_classical_rb(A, s) for s in rb)
+    assert all(is_reynolds(A, s) for s in rey)
+    assert all(is_nijenhuis(A, s) for s in nij)
     assert len(nij) >= 2  # identity and zero at least
     assert len(rey) >= 2
 
@@ -538,11 +570,11 @@ def test_four_way_equivalence_on_enumeration_pairs():
         n_entries = M.dim * A.dim
         for entries in itertools.product(elements(field), repeat=n_entries):
             mat = np.array(entries, dtype=object).reshape(M.dim, A.dim)
-            inst = OperatorInstance(A, M, LinearMap(mat))
+            inst = OperatorInstance(A, M, mat)
             direct = bool(is_grb(inst))
             graph = bool(graph_check(inst))
             lifted = bool(is_grb(OperatorInstance(
-                ext, ext_mod, LinearMap(lift_operator(inst).tensor))))
+                ext, ext_mod, lift_operator(inst).tensor)))
             assert direct == graph == lifted, name
             if field.char > 2:
                 assert direct == structure_residual(inst).is_zero_map(), name

@@ -1,14 +1,15 @@
 """The record classes: plain classes with the constructor signatures and
 defaults of the dataclasses they replaced, a fresh container per instance
-where the default is a container, and a Verdict that is truthy iff ok."""
+where the default is a container, and a Verdict that is truthy iff ok.
+`TruncatedInstance` keeps its constructor signature and holds its
+matrices encoded, read as read-only scalars."""
 
 import pytest
 
 from rbx.algebra import Verdict
 from rbx.flows import FlowResult
-from rbx.instances import TruncatedInstance
+from rbx.instances import TruncatedInstance, truncated_polynomial
 from rbx.schema import Document
-from rbx.structures import InducedActions
 
 # class, its required parameters, its optional parameters with defaults
 RECORDS = [
@@ -17,8 +18,6 @@ RECORDS = [
     (Document, ["field"], {"algebra": None, "bimodule": None, "maps": {},
                            "cochains": {}, "dendriform": None, "ns": None}),
     (FlowResult, ["theta", "order1", "order2", "order3", "total"], {}),
-    (InducedActions, ["algebra", "module", "left", "right"], {}),
-    (TruncatedInstance, ["algebra", "module", "op", "omega"], {}),
 ]
 
 
@@ -41,6 +40,25 @@ def test_construction_and_defaults(cls, required, optional):
     if required:
         with pytest.raises(TypeError):
             cls(*(values[name] for name in required[:-1]))
+
+
+def test_truncated_instance_views_its_encoded_matrices():
+    tp = truncated_polynomial(3)
+    values = {"algebra": tp.algebra, "module": tp.module,
+              "op": tp.op.tolist(), "omega": tp.omega.tolist()}
+    positional = TruncatedInstance(*values.values())
+    for built in (positional, TruncatedInstance(**values)):
+        assert built.algebra is tp.algebra and built.module is tp.module
+        for name in ("op", "omega"):
+            view = getattr(built, name)
+            assert view is getattr(built, "_" + name).objects
+            assert view.tolist() == values[name]
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = 1
+    with pytest.raises(TypeError):
+        TruncatedInstance(*values.values(), object())
+    with pytest.raises(TypeError):
+        TruncatedInstance(*list(values.values())[:-1])
 
 
 def test_default_containers_are_not_shared():

@@ -175,14 +175,14 @@ def test_load_raw_algebra_skips_validation():
 def test_document_from_instance_objects():
     inst = tensor_square(kx2(QQ))
     doc = Document(inst.field, algebra=inst.algebra, bimodule=inst.module)
-    doc.maps["pi"] = inst.op.matrix
+    doc.maps["pi"] = inst.op
     doc.cochains["phi"] = {"arity": 2, "inputs": "A", "output": "M",
                            "tensor": inst.cocycle.tensor}
     text = dump_document(doc)
     loaded = load_document(text)
     assert tensors_equal(loaded.algebra.c, inst.algebra.c)
     assert tensors_equal(loaded.bimodule.left, inst.module.left)
-    assert tensors_equal(named_map(loaded, "pi").objects, inst.op.matrix)
+    assert tensors_equal(named_map(loaded, "pi").objects, inst.op)
     assert tensors_equal(loaded.cochains["phi"]["tensor"].objects,
                          inst.cocycle.tensor)
 

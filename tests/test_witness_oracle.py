@@ -23,9 +23,8 @@ from rbx.cochains import Cochain, coboundary
 from rbx.fields import F2, F3, F5, QQ, FpElement
 from rbx.instances import kx2, null_algebra, tensor_square
 from rbx.linalg import Encoded
-from rbx.operators import (LinearMap, OperatorInstance, is_grb, is_nijenhuis,
-                           is_reynolds, is_trb, search_operators,
-                           search_rows)
+from rbx.operators import (OperatorInstance, is_grb, is_nijenhuis, is_reynolds,
+                           is_trb, search_operators, search_rows)
 from rbx.structures import Dendriform, NSAlgebra, check_dendriform, check_ns
 
 FIELDS = (QQ, F2, F3, F5)
@@ -82,23 +81,22 @@ def test_operator_checkers_match_oracle(field):
         for _ in range(12):
             density = rng.choice((0.2, 0.5, 0.9))
             p = sparse_tensor((M.dim, A.dim), field, rng, density)
-            op = LinearMap(p)
-            verdict = is_grb(OperatorInstance(A, M, op))
+            verdict = is_grb(OperatorInstance(A, M, p))
             expected = oracle_operator(field, A.c, M.left, M.right, p)
             assert_matches(verdict, expected, field)
             failing += expected is not None
             # a coboundary is always a cocycle
             w = sparse_tensor((A.dim, M.dim), field, rng, density)
             phi = coboundary(Cochain(A, M, w))
-            verdict = is_trb(OperatorInstance(A, M, op, phi))
+            verdict = is_trb(OperatorInstance(A, M, p, phi))
             expected = oracle_operator(field, A.c, M.left, M.right, p,
                                        phi.tensor)
             assert_matches(verdict, expected, field)
             if M.left is A.c:
                 r = sparse_tensor((A.dim, A.dim), field, rng, density)
-                assert_matches(is_reynolds(A, LinearMap(r)),
+                assert_matches(is_reynolds(A, r),
                                oracle_reynolds(field, A.c, r), field)
-                assert_matches(is_nijenhuis(A, LinearMap(r)),
+                assert_matches(is_nijenhuis(A, r),
                                oracle_nijenhuis(field, A.c, r), field)
     assert failing
 
