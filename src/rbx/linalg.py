@@ -19,17 +19,20 @@ with only the operations `Encoded` uses; numpy (imported on first use)
 holds int64 arrays only.  One function, `_route`, picks the backend of
 every product (`Encoded._product`) and sum (`combine`): pure Python when
 all operands are IntTensors and the product's dense work (multiply-adds
-times output entries) is at most `PURE_WORK`, visiting only nonzero
-entries; else int64 numpy when `fits_int64` shows from the operands that
-no entry can reach 2^63 (over F_p after reducing them mod p, if need
-be), and a product's operands stay converted; else pure, on Python ints.
-A numpy term that int64 cannot rescale goes pure.  The exhaustive
-search applies the rule to its whole dense work: a small search builds
-its candidate blocks as IntTensors, and every product of it runs pure (a
-block of small matrices with the candidates innermost, `_columns`); a
+times output entries) is at most `PURE_WORK`; else int64 numpy when
+`fits_int64` shows from the operands that no entry can reach 2^63 (over
+F_p after reducing them mod p, if need be), and a product's operands
+stay converted; else pure, on Python ints.  A numpy term that int64
+cannot rescale goes pure.  A pure product reads an operand in
+contraction order in place (views copy lines as slices, `_gather`) and
+loops over rows, visiting only nonzero entries, or, with more rows than
+k * m (a tall tensordot, a block of small matrices), over the index
+triples with the rows innermost (`_columns`).  The exhaustive search
+applies the rule to its whole dense work: a small search builds its
+candidate blocks as IntTensors, and every product of it runs pure; a
 larger one builds int64 numpy blocks, so its products run there.
-Elimination (`row_reduce`, `rank`, `invert`, fraction-free) runs on rows
-of Python ints.
+Elimination (`row_reduce`, `rank`, `invert`, fraction-free) runs on
+rows of Python ints.
 
 Every identity is a residual of two contractions: the two sides are
 computed as tensors over all basis tuples at once, and
@@ -50,20 +53,21 @@ from operator import add, mul, sub
 
 from .errors import InputError
 
-# A dense pure product costs about 80 ns per unit of work on a shared
-# 2-CPU x86_64 VM (Python 3.11), so one at this bound takes about 20 ms:
-# a product of the size at which pure Python would cost as much as
-# importing numpy (100-180 ms there, about 1.5e6 units) goes to numpy
-# with room for the several products of one check.
-# Sparse operands run faster than that (10 to 40 times at 10% density
-# and 8 to 20 dimensions).  The benchmark's checking verbs stay below
-# the bound (their largest product, a bracket on a 10-dimensional space,
-# is 1e5), while a dense 14-dimensional associativity check (5.4e5) and
-# the flows on degree-30 polynomials (1.3e7) go to numpy.  A search
-# counts its whole dense work against the bound: the benchmark's largest
-# (mult-by-x over F7, 2,401 candidates of 80 units each, and null3 rb
-# over F2, 512 of 324) stay pure, while mult-by-x over F11 (1.2e6) goes
-# to numpy.
+# A dense pure product cost about 80 ns per unit of work on a shared
+# 2-CPU x86_64 VM (Python 3.11) when the bound was set (commit e7c5e0f),
+# so one at this bound took about 20 ms: a product of the size at which
+# pure Python would cost as much as importing numpy (100-180 ms there,
+# about 1.5e6 units) goes to numpy with room for the several products of
+# one check.  Sparse operands ran 10 to 40 times faster at 10% density
+# and 8 to 20 dimensions; the in-place kernel later read 140-220 ns and
+# 20 to 60 times on that VM, whose speed drifts by up to 2x.  The
+# benchmark's checking verbs stay below the bound (their largest
+# product, a bracket on a 10-dimensional space, is 1e5), while a dense
+# 14-dimensional associativity check (5.4e5) and the flows on degree-30
+# polynomials (1.3e7) go to numpy.  A search counts its whole dense work
+# against the bound: the benchmark's largest (mult-by-x over F7, 2,401
+# candidates of 80 units each, and null3 rb over F2, 512 of 324) stay
+# pure, while mult-by-x over F11 (1.2e6) goes to numpy.
 PURE_WORK = 2 ** 18
 
 
@@ -84,6 +88,39 @@ def _offsets(base, picks):
     for stride, indices in picks:
         offsets = [o + i * stride for o in offsets for i in indices]
     return offsets
+
+
+def _gather(flat, base, picks):
+    """`_offsets` read from `flat`, a line at a time: slices along the
+    longer end axis that is a range (interleaved when it is the first),
+    after folding axes of one entry and merging ranges that run on into
+    each other.  Only lists at both ends are read entry by entry."""
+    runs = []
+    for stride, ix in picks:
+        if isinstance(ix, range) and len(ix) == 1:
+            base += stride * ix.start
+        elif runs and isinstance(ix, range) and isinstance(runs[-1][1], range) \
+                and runs[-1][0] * runs[-1][1].step == stride * ix.step * len(ix):
+            outer, out = runs.pop()
+            base += outer * out.start + stride * ix.start
+            runs.append((stride * ix.step, range(len(out) * len(ix))))
+        else:
+            runs.append((stride, ix))
+    shape = [len(ix) for _, ix in runs]
+    ends = [k for k in (len(runs) - 1, 0)
+            if runs and isinstance(runs[k][1], range)]
+    if not ends or 0 in shape:
+        return list(map(flat.__getitem__, _offsets(base, runs)))
+    axis = max(ends, key=shape.__getitem__)
+    stride, ix = runs.pop(axis)
+    starts, n, step = _offsets(base + stride * ix.start, runs), shape[axis], \
+        stride * ix.step
+    # the stop of a line that steps down past entry 0 is None
+    lines = [flat[s:s + n * step if s + n * step >= 0 else None:step]
+             for s in starts] if step else [[flat[s]] * n for s in starts]
+    if len(lines) == 1:
+        return lines[0]
+    return list(chain.from_iterable(zip(*lines) if axis == 0 else lines))
 
 
 def unravel(pos, shape):
@@ -121,8 +158,9 @@ def _array(raw):
 
 class IntTensor:
     """A pure-Python integer tensor: `shape` and `flat`, its Python ints
-    in C order.  Views copy.  Sums take a tensor of the same shape; `*`,
-    `%` and `!=` take an int."""
+    in C order.  Transposes and indexing copy, reading `flat` a line at
+    a time (`_gather`); reshapes share it, and products read it in place.
+    Sums take a tensor of the same shape; `*`, `%` and `!=` take an int."""
 
     __slots__ = ("shape", "flat")
 
@@ -140,7 +178,7 @@ class IntTensor:
 
     def _take(self, base, picks):
         return IntTensor([len(ix) for _, ix in picks],
-                         list(map(self.flat.__getitem__, _offsets(base, picks))))
+                         _gather(self.flat, base, picks))
 
     def transpose(self, *axes):
         strides = _strides(self.shape)
@@ -197,17 +235,23 @@ class IntTensor:
         return any(self.flat)
 
 
-def _products(a, starts_a, b, starts_b, n, k, m):
+def _products(a, picks_a, b, picks_b, n, k, m):
     """The flat n x m products of the n x k matrices at a[s:] and the
     k x m matrices at b[t:] for each pair of starts (s, t), pair after
-    pair.  Up to n * k * m pairs loop over rows, visiting only the
-    nonzero entries of both; more pairs (a search's block of small
-    matrices) loop over the index triples, each a product of operand
-    columns gathered over all pairs."""
-    if len(starts_a) > n * k * m:
-        return _columns(a, starts_a, b, starts_b, n, k, m)
+    pair; each operand's starts are `_gather`'s batch picks, one per
+    batch axis (stride 0 where the axis broadcasts).  Up to k * m rows in
+    all loop over rows, visiting only the nonzero entries of both; more
+    rows (a search's block of small matrices, a tall tensordot) loop over
+    the index triples, each a product of operand columns gathered over
+    all pairs, or over all rows when they outnumber the pairs."""
+    pairs = math.prod(len(ix) for _, ix in picks_a)
+    if pairs * n > k * m:
+        if pairs < n:           # more rows than pairs: each row a pair
+            picks_a, picks_b, n = (picks_a + [(k, range(n))],
+                                   picks_b + [(0, range(n))], 1)
+        return _columns(a, picks_a, b, picks_b, n, k, m)
     out, rows_at = [], {}
-    for sa, sb in zip(starts_a, starts_b):
+    for sa, sb in zip(_offsets(0, picks_a), _offsets(0, picks_b)):
         if sb not in rows_at:
             rows_at[sb] = [[(j, v) for j, v in enumerate(b[r:r + m]) if v]
                            for r in range(sb, sb + k * m, m or 1)]
@@ -222,37 +266,44 @@ def _products(a, starts_a, b, starts_b, n, k, m):
     return out
 
 
-def _columns(a, starts_a, b, starts_b, n, k, m):
+def _columns(a, picks_a, b, picks_b, n, k, m):
     """`_products` with the pairs innermost: entry (i, l) of every
     product at once, as sums over j of a[s + i k + j] b[t + j m + l]
-    mapped over the pairs."""
-    def gather(flat, starts, size):
-        return [list(map(flat.__getitem__, [s + q for s in starts]))
-                for q in range(size)]
-    cols_a, cols_b = gather(a, starts_a, n * k), gather(b, starts_b, k * m)
-    zero, out = [0] * len(starts_a), []
+    mapped over the pairs, skipping the columns that are all zero."""
+    cols_a, cols_b = ([col if any(col) else None
+                       for col in (_gather(flat, q, picks) for q in range(size))]
+                      for flat, picks, size in ((a, picks_a, n * k),
+                                                (b, picks_b, k * m)))
+    zero, out = [0] * math.prod(len(ix) for _, ix in picks_a), []
     for i in range(n):
         row = cols_a[i * k:(i + 1) * k]
         for col in range(m):
             acc = None
             for x, y in zip(row, cols_b[col::m]):
-                term = map(mul, x, y)
-                acc = term if acc is None else map(add, acc, term)
+                if x and y:
+                    term = map(mul, x, y)
+                    acc = term if acc is None else map(add, acc, term)
             out.append(zero if acc is None else list(acc))
     return list(chain.from_iterable(zip(*out)))
 
 
+def _ordered(t, order):
+    """t transposed to `order`, or t itself when that is its own."""
+    return t if order == list(range(len(order))) else t.transpose(*order)
+
+
 def _tensordot(a, b, axes):
-    """np.tensordot of IntTensors: one transposed 2-D product."""
+    """np.tensordot of IntTensors: one 2-D product, read in place when
+    the operands are in contraction order."""
     ax_a = [k % len(a.shape) for k in axes[0]]
     ax_b = [k % len(b.shape) for k in axes[1]]
-    left = a.transpose(*(k for k in range(len(a.shape)) if k not in ax_a), *ax_a)
-    right = b.transpose(*ax_b, *(k for k in range(len(b.shape)) if k not in ax_b))
+    left = _ordered(a, [k for k in range(len(a.shape)) if k not in ax_a] + ax_a)
+    right = _ordered(b, ax_b + [k for k in range(len(b.shape)) if k not in ax_b])
     free_a, free_b = left.shape[:-len(ax_a) or None], right.shape[len(ax_b):]
     n, k, m = math.prod(free_a), math.prod(right.shape[:len(ax_b)]), \
         math.prod(free_b)
     return IntTensor(free_a + free_b,
-                     _products(left.flat, [0], right.flat, [0], n, k, m))
+                     _products(left.flat, [], right.flat, [], n, k, m))
 
 
 def _broadcast(shape_a, shape_b):
@@ -270,11 +321,11 @@ def _matmul(a, b):
     """np.matmul of IntTensors, the leading axes broadcast."""
     batch_a, batch_b, batch = _broadcast(a.shape, b.shape)
     (n, k), m = a.shape[-2:], b.shape[-1]
-    starts = [_offsets(0, [(s * size if d > 1 else 0, range(e))
-                           for d, s, e in zip(dims, _strides(dims), batch)])
-              for dims, size in ((batch_a, n * k), (batch_b, k * m))]
-    return IntTensor(batch + [n, m], _products(a.flat, starts[0], b.flat,
-                                               starts[1], n, k, m))
+    picks = [[(s * size if d > 1 else 0, range(e))
+              for d, s, e in zip(dims, _strides(dims), batch)]
+             for dims, size in ((batch_a, n * k), (batch_b, k * m))]
+    return IntTensor(batch + [n, m], _products(a.flat, picks[0], b.flat,
+                                               picks[1], n, k, m))
 
 
 _PURE = {"tensordot": _tensordot, "matmul": _matmul}

@@ -443,10 +443,12 @@ def search_rows(algebra: Algebra, module: Bimodule | None, kind: str,
         else:
             lhs, rhs = _identity_sides(kind, block, c, *actions, twist=twist)
         failing = lhs.differs(rhs)
-        failing = failing.reshape(size, math.prod(failing.shape[1:]))
+        width = math.prod(failing.shape[1:])
         if pure:
-            passed += chain.from_iterable(compress(
-                digits, [not any(x) for x in failing.tolist()]))
+            flat = failing.flat
+            passed += chain.from_iterable(compress(digits, [
+                not any(flat[j * width:(j + 1) * width]) for j in range(size)]))
         else:
+            failing = failing.reshape(size, width)
             passed += ints[~failing.any(axis=1)].ravel().tolist()
     return Encoded(field, IntTensor((len(passed) // n_entries, *shape), passed))

@@ -102,6 +102,32 @@ def test_views_match_numpy():
     assert IntTensor((2, 0), []).tolist() == [[], []]
     with pytest.raises(IndexError):
         t[2]
+    # the slice gather: a long batch axis first (its lines interleaved) or
+    # last, axes that run on into each other, negative steps, None axes
+    # and list indices
+    t = ints((7, 2, 3, 2), rng)
+    ref = obj(t)
+    for axes in itertools.permutations(range(4)):
+        same(t.transpose(*axes), ref.transpose(*axes))
+        same(t.transpose(*axes)[::-2, ..., None],
+             ref.transpose(*axes)[::-2, ..., None])
+    for a, b in itertools.product(range(-4, 4), repeat=2):
+        same(t.swapaxes(a, b), ref.swapaxes(a, b))
+    for idx in ((slice(None, None, -1),), (..., slice(None, None, -2)),
+                (slice(5, 0, -2), None, 1), (slice(None, None, -3), ...,
+                                            slice(None, None, -1)),
+                (None, ..., None), (..., None, 0), (None, slice(2, 3)),
+                ([6, 0, 3], ...), (..., [1, 0, 1]), ([0], ..., 1),
+                (slice(None), [1, 0], slice(None, None, -1)),
+                (slice(None, None, -1), 1, [2, 0]), (slice(1, 2), slice(0, 1)),
+                (slice(None), 0, 0, 0), ([3, 3], 0, 0, 0), (0, 1, 2, 1),
+                (..., slice(3, 3))):
+        same(t[idx], ref[idx])
+    same(t[2, :, [2, 0]], ref[2][:, [2, 0]])
+    u = ints((5,), rng)
+    for idx in ([4, 0, 0], slice(None, None, -1), slice(3, None, -2),
+                (None, slice(None, None, -1)), (slice(1, 4), None), None):
+        same(u[idx], obj(u)[idx])
 
 
 @pytest.mark.parametrize("idx", (
@@ -151,6 +177,73 @@ def test_tensordot_matches_numpy(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
+def test_tall_tensordots_run_columnwise(seed, monkeypatch):
+    """A tensordot with more rows n than k * m runs column-wise, the rows
+    innermost, at densities 0.1 and 0.9 and with k or m zero; an operand
+    already in contraction order is read in place, and no operand is
+    written."""
+    rng = random.Random(seed + 40)
+    taken, copied = [], []
+    columns, transpose = linalg._columns, IntTensor.transpose
+    monkeypatch.setattr(linalg, "_columns",
+                        lambda *args: taken.append(args) or columns(*args))
+    monkeypatch.setattr(IntTensor, "transpose",
+                        lambda t, *axes: copied.append(t) or transpose(t, *axes))
+    # (shape a, shape b, axes, operands transposed)
+    cases = [((9, 2), (2, 2), ([1], [0]), 0),
+             ((4, 3, 2), (2, 3), ([-1], [0]), 0),
+             ((2, 3, 4), (4,), ([2], [0]), 0),
+             ((3, 2, 5), (3, 2), ([0], [0]), 1),
+             ((2, 6, 2), (2, 2, 1), ([0, 2], [1, 0]), 2),
+             ((5, 0), (0, 2), ([1], [0]), 0),
+             ((7, 3), (3, 0), ([1], [0]), 0),
+             ((3, 4, 0), (0, 2), ([2], [0]), 0)]
+    for sa, sb, axes, transposed in cases:
+        for density in (0.1, 0.9):
+            a, b = ints(sa, rng, density), ints(sb, rng, density)
+            before = a.flat[:], b.flat[:]
+            taken.clear()
+            copied.clear()
+            same(linalg._tensordot(a, b, axes),
+                 np.tensordot(obj(a), obj(b), axes))
+            assert len(taken) == 1 and len(copied) == transposed, (sa, sb)
+            assert (a.flat, b.flat) == before
+
+
+def test_gather_matches_its_offsets():
+    """`_gather` on random picks, entry for entry as the offsets they
+    name: strides 0, equal or overlapping (no view has them, so runs that
+    seem to continue each other must not merge), steps either way, one
+    entry, no entry, and lists."""
+    rng = random.Random(6)
+    flat = list(range(1000, 1400))
+    for _ in range(2000):
+        picks = []
+        for _ in range(rng.randrange(5)):
+            stride, n = rng.choice((0, 1, 1, 2, 3, 4, 6, 12)), rng.randrange(5)
+            if rng.random() < 0.2:
+                ix = [rng.randrange(4) for _ in range(n)]
+            else:
+                step = rng.choice((1, 1, 2, -1, -2))
+                start = rng.randrange(4) + (2 * n if step < 0 else 0)
+                ix = range(start, start + step * n, step)
+            picks.append((stride, ix))
+        base = rng.randrange(10)
+        want = [flat[o] for o in linalg._offsets(base, picks)]
+        assert linalg._gather(flat, base, picks) == want, (base, picks)
+
+
+def test_views_copy():
+    """Writing into a view leaves the tensor as it was: the identity
+    transpose, `t[...]` and one whole line copy too."""
+    t = IntTensor((2, 3), list(range(6)))
+    for view in (t.transpose(0, 1), t[...], t[:], t[:, :, None], t[1],
+                 t[:, 2], t.swapaxes(1, 1), t[None], t.ravel()[::-1]):
+        view.flat[0] = -1
+        assert t.flat == list(range(6))
+
+
+@pytest.mark.parametrize("seed", range(4))
 def test_matmul_broadcasts_as_numpy(seed):
     rng = random.Random(seed + 10)
     cases = [((3, 4), (4, 2)), ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 3)),
@@ -164,33 +257,38 @@ def test_matmul_broadcasts_as_numpy(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_batch_innermost_products_match_numpy(seed, monkeypatch):
-    """A matmul with more (start_a, start_b) pairs than n * k * m index
-    triples loops over the triples, the pairs innermost: broadcast batch
-    on either side or both, and k, n or m zero."""
+    """A matmul with more rows, n for each (start_a, start_b) pair, than
+    k * m loops over the index triples, the pairs (or, when they are
+    fewer, the rows) innermost: broadcast batch on either side or both,
+    and k, n or m zero."""
     rng = random.Random(seed + 20)
     taken = []
     real = linalg._columns
 
-    def spy(a, starts_a, b, starts_b, n, k, m):
-        taken.append(len(starts_a))
-        return real(a, starts_a, b, starts_b, n, k, m)
+    def spy(a, picks_a, b, picks_b, n, k, m):
+        taken.append(math.prod(len(ix) for _, ix in picks_a) * n)
+        return real(a, picks_a, b, picks_b, n, k, m)
 
     monkeypatch.setattr(linalg, "_columns", spy)
     cases = [((9, 2, 2), (2, 2)), ((2, 2), (9, 2, 2)), ((9, 2, 2), (9, 2, 2)),
              ((5, 1, 2, 2), (1, 4, 2, 2)), ((30, 1, 3, 3), (30, 3, 3, 3)),
              ((3, 3, 3), (20, 1, 3, 3)), ((6, 2, 0), (6, 0, 3)),
              ((6, 0, 2), (6, 2, 3)), ((6, 2, 2), (6, 2, 0)),
-             ((0, 2, 2), (2, 2)), ((2, 2), (4, 0, 2, 2))]
+             ((0, 2, 2), (2, 2)), ((2, 2), (4, 0, 2, 2)),
+             # more rows than pairs: every row a pair of its own
+             ((2, 9, 2), (2, 2)), ((3, 1, 7, 2), (2, 2, 3)),
+             ((2, 9, 2), (2, 2, 0))]
     for sa, sb in cases:
         a, b = ints(sa, rng, 0.5), ints(sb, rng, 0.5)
         pairs = math.prod(np.broadcast_shapes(sa[:-2], sb[:-2]))
         taken.clear()
         same(linalg._matmul(a, b), np.matmul(obj(a), obj(b)))
         n, k, m = sa[-2], sa[-1], sb[-1]
-        assert taken == ([pairs] if pairs > n * k * m else []), (sa, sb)
-    # no pairs at all, taken directly (tensordot's one pair of empty
-    # matrices takes it too: test_tensordot_matches_numpy)
-    assert real([1, 2, 3, 4], [], [5, 6, 7, 8], [], 2, 2, 1) == []
+        assert taken == ([pairs * n] if pairs * n > k * m else []), (sa, sb)
+    # no pairs at all, taken directly (tensordot's rows with k or m zero
+    # take it too: test_tensordot_matches_numpy)
+    assert real([1, 2, 3, 4], [(4, range(0))], [5, 6, 7, 8], [(2, range(0))],
+                2, 2, 1) == []
 
 
 @pytest.mark.parametrize("size", [64, 512])

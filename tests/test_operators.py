@@ -557,6 +557,29 @@ def test_search_trb_kind():
         assert tensors_equal(s, t)
 
 
+@pytest.mark.parametrize("route", ("pure", "numpy"))
+@pytest.mark.parametrize("block", (1, 7))
+def test_search_blocks_decide_as_one_block(block, route, monkeypatch):
+    """Blocks of 1 and of 7 candidates (7 does not divide the 81 of kx2
+    over F3) pass the candidates that one block of the whole space
+    passes, for every kind, on both routes."""
+    monkeypatch.setattr(linalg, "PURE_WORK",
+                        2 ** 62 if route == "pure" else -1)
+    A = kx2(F3)
+    M = canonical_bimodule(A)
+    cases = [("grb", dual_module(A), None), ("trb", M, Cochain(A, M, -A.c)),
+             ("rb", None, None), ("reynolds", None, None),
+             ("nijenhuis", None, None), ("aybe", None, None)]
+    for kind, module, phi in cases:
+        whole = operators.search_rows(A, module, kind, cocycle=phi)
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "SEARCH_BLOCK", block)
+            blocked = operators.search_rows(A, module, kind, cocycle=phi)
+        assert 0 < whole.shape[0] < 81, kind
+        assert blocked.shape == whole.shape, kind
+        assert blocked.ints.flat == whole.ints.flat, kind
+
+
 # ---------------------------------------------------------------------------
 # the four-way equivalence, exhaustively
 

@@ -3,8 +3,9 @@ evaluators of oracle.py on random inputs over Q, F2, F3 and F5.
 
 Verdict, witness, both sides, detail and the failures tuple must agree
 exactly; the sides must hold scalars of the field itself, since the CLI
-formats them.  Exhaustive searches over F2, F3 and F5 must return exactly
-the brute-force list of candidates the evaluators accept, in order.
+formats them.  Exhaustive searches over F2, F3 and F5, and the
+benchmark's searches over F7 on kx2, must return exactly the
+brute-force list of candidates the evaluators accept, in order.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from rbx.algebra import (Bimodule, assoc_check, bimodule_check,
                          canonical_bimodule, dual_module)
 from rbx import linalg, operators
 from rbx.cochains import Cochain, coboundary
-from rbx.fields import F2, F3, F5, QQ, FpElement
+from rbx.fields import F2, F3, F5, QQ, FpElement, PrimeField
 from rbx.instances import kx2, null_algebra, tensor_square
 from rbx.linalg import Encoded
 from rbx.operators import (OperatorInstance, is_grb, is_nijenhuis, is_reynolds,
@@ -28,6 +29,7 @@ from rbx.operators import (OperatorInstance, is_grb, is_nijenhuis, is_reynolds,
 from rbx.structures import Dendriform, NSAlgebra, check_dendriform, check_ns
 
 FIELDS = (QQ, F2, F3, F5)
+F7 = PrimeField(7)
 
 
 def sparse_tensor(shape, field, rng, density=0.5):
@@ -199,6 +201,10 @@ def search_cases(field, rng):
             if field.char ** (case[1].dim * (case[2] or case[1]).dim) <= 625]
 
 
+# the benchmark's sparse searches: mult-by-x over F7, 2,401 candidates each
+F7_KINDS = ("nijenhuis", "reynolds", "aybe")
+
+
 def oracle_accepts(kind, A, M, phi, p):
     """The nested-loop verdict on one search candidate."""
     field = A.field
@@ -219,14 +225,17 @@ def no_numpy():
 
 
 @pytest.mark.parametrize("route", ("pure", "numpy"))
-@pytest.mark.parametrize("field", (F2, F3, F5), ids=lambda f: f.name)
+@pytest.mark.parametrize("field", (F2, F3, F5, F7), ids=lambda f: f.name)
 def test_search_matches_brute_force_oracle(field, route, monkeypatch):
     """Both search routes: every block and product on the pure kernel,
-    which reaches no numpy, and every block on int64 numpy."""
+    which reaches no numpy, and every block on int64 numpy.  Over F7, the
+    searches on the algebra of mult-by-x (kx2) that the benchmark runs."""
     monkeypatch.setattr(linalg, "PURE_WORK", 2 ** 62 if route == "pure" else -1)
     rng = random.Random(field.char * 100 + 19)
+    cases = [(kind, kx2(field), None, None) for kind in F7_KINDS] \
+        if field is F7 else search_cases(field, rng)
     kinds = set()
-    for kind, A, M, phi in search_cases(field, rng):
+    for kind, A, M, phi in cases:
         rows = (M or A).dim
         with monkeypatch.context() as patch:
             if route == "pure":
@@ -248,4 +257,5 @@ def test_search_matches_brute_force_oracle(field, route, monkeypatch):
         assert all(type(x) is FpElement and x.p == field.char
                    for s in sols for x in s.flat)
         kinds.add(kind)
-    assert kinds == {"grb", "rb", "trb", "reynolds", "nijenhuis", "aybe"}
+    assert kinds == (set(F7_KINDS) if field is F7 else
+                     {"grb", "rb", "trb", "reynolds", "nijenhuis", "aybe"})
