@@ -13,8 +13,8 @@ is always genuinely associative.
 from __future__ import annotations
 
 from .errors import InputError
-from .linalg import (Encoded, common, decoded, embed, eye, first_difference,
-                     first_nonzero_index, rank, row_reduce)
+from .linalg import (Encoded, common, decoded, einsum, embed, eye,
+                     first_difference, first_nonzero_index, rank, row_reduce)
 
 
 class Verdict:
@@ -59,9 +59,8 @@ def assoc_check(c: Encoded) -> Verdict:
     """
     if len(c.shape) != 3 or len(set(c.shape)) != 1:
         raise InputError(f"structure constants must be cubic, got shape {c.shape}")
-    # [i,j,k,l]: (e_i e_j) e_k and e_i (e_j e_k)
-    left = c.dot(c, ([2], [0]))
-    right = c.dot(c, ([1], [2])).transpose(0, 2, 3, 1)
+    left = einsum("ijm,mkl->ijkl", c, c)            # (e_i e_j) e_k
+    right = einsum("iml,jkm->ijkl", c, c)           # e_i (e_j e_k)
     return Verdict.compare(left, right, 4, detail="associativity fails")
 
 
@@ -169,12 +168,11 @@ def bimodule_check(algebra: Algebra, module: Bimodule) -> Verdict:
     if module.base is not algebra and module.base.dim != algebra.dim:
         raise InputError("module is not over the given algebra")
     c, L, R = algebra._c, module._left, module._right
-    # each side as [i, j, k, l]: a = e_i, b = e_j, m = m_k, coefficient l
-    lhs = [c.dot(L, ([2], [0])), c.dot(R, ([2], [1])),
-           L.dot(R, ([2], [0])).transpose(0, 2, 1, 3)]
-    rhs = [L.dot(L, ([2], [1])).transpose(2, 0, 1, 3),
-           R.dot(R, ([2], [0])).transpose(1, 2, 0, 3),
-           R.dot(L, ([2], [1])).transpose(2, 1, 0, 3)]
+    # a = e_i, b = e_j, m = m_k, coefficient l
+    lhs = [einsum("ijx,xkl->ijkl", c, L), einsum("ijx,kxl->ijkl", c, R),
+           einsum("ikx,xjl->ijkl", L, R)]
+    rhs = [einsum("jkx,ixl->ijkl", L, L), einsum("kix,xjl->ijkl", R, R),
+           einsum("kjx,ixl->ijkl", R, L)]
     bad = first_difference(zip(lhs, rhs), 3)
     if bad is None:
         return Verdict(True)
@@ -258,8 +256,8 @@ def subspace_closed(algebra: Algebra, basis_vectors) -> Verdict:
         raise InputError("basis vectors are linearly dependent")
     # prods[i, j] = v_i v_j, and its residual p - p[pivots] @ rref, which
     # on the integers is p * d - p[pivots] @ R over the scale of p times d
-    prods = v.dot(v.dot(algebra._c, ([1], [0])), ([1], [1])).transpose(1, 0, 2)
-    residuals = prods - prods[..., pivots].dot(rref, ([2], [0]))
+    prods = einsum("jb,ibl->ijl", v, einsum("ia,abl->ibl", v, algebra._c))
+    residuals = prods - einsum("ijp,pl->ijl", prods[..., pivots], rref)
     bad = first_nonzero_index(residuals.differs(None), 2)
     if bad is None:
         return Verdict(True)
@@ -279,6 +277,5 @@ def intertwiner_check(T, P, Q) -> Verdict:
         raise InputError("intertwiner is singular")
     if (P.arity, Q.arity, Q.dim) != (2, 2, P.dim):
         raise InputError("P and Q must be arity-2 maps on the same space")
-    # Q(Tx, Ty)[i, j, l] = sum_ab T[i, a] T[j, b] Q[a, b, l]
-    image = t.dot(t.dot(Q._tensor, ([1], [0])), ([1], [1])).transpose(1, 0, 2)
-    return Verdict.compare(P._tensor.dot(t, ([2], [0])), image, 3)
+    image = einsum("jb,ibl->ijl", t, einsum("ia,abl->ibl", t, Q._tensor))
+    return Verdict.compare(einsum("ijx,xl->ijl", P._tensor, t), image, 3)

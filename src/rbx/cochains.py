@@ -10,8 +10,9 @@ formula
 
 which at arity 1 gives a.f(b) - f(ab) + f(a).b and at arity 2 gives
 a.f(b,c) - f(ab,c) + f(a,bc) - f(a,b).c.  Cochains are kept in their
-field's integer encoding (`linalg.Encoded`) and the coboundary runs on
-it.
+field's integer encoding (`linalg.Encoded`), and each term of the
+coboundary is one `linalg.einsum` of it, its spec naming the inputs
+a_1..a_{n+1} in order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from .algebra import Algebra, Bimodule, Verdict
 from .errors import CapacityError, InputError
 from .gerstenhaber import ARITY_CAP
-from .linalg import Encoded, combine, decoded, embed
+from .linalg import Encoded, combine, decoded, einsum, embed
 
 
 class Cochain:
@@ -53,20 +54,14 @@ def coboundary(cochain: Cochain) -> Cochain:
     if n + 1 > ARITY_CAP:
         raise CapacityError(f"coboundary of arity {n} exceeds the arity cap {ARITY_CAP}")
     A, M = cochain.algebra, cochain.module
-    f = cochain._tensor
-    # a_1 . f(a_2, ..., a_{n+1}):  contract f's output with the left action;
-    # the axes are then (a_2..a_{n+1}, a_1, m'), so bring a_1 to the front
-    terms = [(f.dot(M._left, ([n], [1])).transpose(
-        n, *range(n), n + 1), 1)]
-    # inner products (-1)^i f(..., a_i a_{i+1}, ...)
-    for i in range(1, n + 1):
-        # contract c's output into input slot i-1 of f; the axes are then
-        # (a_i, a_{i+1}, a_1..a_{i-1}, a_{i+2}.., m')
-        term = A._c.dot(f, ([2], [i - 1]))
-        order = [*range(2, i + 1), 0, 1, *range(i + 1, n + 2)]
-        terms.append((term.transpose(*order), (-1) ** i))
-    # (-1)^{n+1} f(a_1, ..., a_n) . a_{n+1}; axes already (a_1..a_{n+1}, m')
-    terms.append((f.dot(M._right, ([n], [0])), (-1) ** (n + 1)))
+    f, a = cochain._tensor, "abcd"[:n + 1]      # a_1..a_{n+1}; x summed
+    # a_1 . f(a_2, ..., a_{n+1}), (-1)^i f(..., a_i a_{i+1}, ...) and
+    # (-1)^{n+1} f(a_1, ..., a_n) . a_{n+1}
+    terms = [(einsum(f"{a[1:]}x,{a[0]}xm->{a}m", f, M._left), 1)]
+    terms += [(einsum(f"{a[i - 1:i + 1]}x,{a[:i - 1]}x{a[i + 1:]}m->{a}m",
+                      A._c, f), (-1) ** i) for i in range(1, n + 1)]
+    terms.append((einsum(f"{a[:n]}x,x{a[n]}m->{a}m", f, M._right),
+                  (-1) ** (n + 1)))
     return Cochain(A, M, combine(terms))
 
 

@@ -23,8 +23,10 @@ arity-2 maps has a division-free closed form, valid over every field:
 `half_square` computes it for the flows and the structure residual.
 
 A MultiMap keeps its field's integer encoding (`linalg.Encoded`): every
-insertion is one exact integer contraction of the operands' encodings,
-and sums, differences and negation rescale to a common scale, so the
+insertion f o_i g is one `linalg.einsum` of the operands' encodings,
+whose spec names g's output letter in f's slot i and the composite's
+inputs in order; sums, differences and negation rescale to a common
+scale, and `scale` multiplies the integers and the scale.  So the
 bracket engine, the flows and the structure residual decode nothing;
 `.tensor` decodes on first use.
 """
@@ -32,7 +34,7 @@ bracket engine, the flows and the structure residual decode nothing;
 from __future__ import annotations
 
 from .errors import CapacityError, InputError
-from .linalg import Encoded, combine, decoded
+from .linalg import Encoded, combine, decoded, einsum, times
 
 ARITY_CAP = 4
 
@@ -67,8 +69,11 @@ class MultiMap:
         return MultiMap(self.field, -self._tensor)
 
     def scale(self, scalar):
-        return MultiMap(self.field, self._tensor.dot(
-            Encoded.of(self.field, scalar), ([], [])))
+        k, t = Encoded.of(self.field, scalar), self._tensor
+        if k.shape:
+            raise InputError(f"scale takes one scalar, not a {k.shape} tensor")
+        return MultiMap(self.field, Encoded(
+            self.field, times(t.ints, k.ints.flat[0]), t.scale * k.scale))
 
     def is_zero_map(self):
         return not self._tensor.differs(None).any()
@@ -96,14 +101,10 @@ def circ_i(f: MultiMap, g: MultiMap, i: int) -> MultiMap:
             f"composite arity {m + n - 1} exceeds the cap {ARITY_CAP}")
     if f.dim != g.dim:
         raise InputError("multimaps live on different spaces")
-    # contract g's output axis into f's input slot i-1
-    t = f._tensor.dot(g._tensor, ([i - 1], [n]))
-    # axes now: f-inputs before slot, f-inputs after slot, f-output, g-inputs
-    perm = (list(range(0, i - 1))
-            + list(range(m, m + n))
-            + list(range(i - 1, m - 1))
-            + [m - 1])
-    return MultiMap(f.field, t.transpose(*perm))
+    # g's output x fills f's input slot i
+    a, b = "abcd"[:m], "efgh"[:n]
+    spec = f"{a[:i - 1]}x{a[i:]}o,{b}x->{a[:i - 1]}{b}{a[i:]}o"
+    return MultiMap(f.field, einsum(spec, f._tensor, g._tensor))
 
 
 def half_square(theta: MultiMap, p: MultiMap):

@@ -16,7 +16,7 @@ from .algebra import Algebra, Bimodule, canonical_bimodule
 from .cochains import Cochain, coboundary
 from .errors import CapacityError, CharacteristicError, InputError
 from .fields import QQ
-from .linalg import (Encoded, IntTensor, decoded, embed, eye,
+from .linalg import (Encoded, IntTensor, decoded, einsum, embed, eye,
                      first_difference, invert, rank)
 from .operators import OperatorInstance, reynolds_as_twisted
 
@@ -58,8 +58,8 @@ def tensor_square(algebra: Algebra) -> OperatorInstance:
     one = Encoded(field, eye(d))
     # basis e_u (x) e_v at u * d + v: a.(u (x) v) = au (x) v and
     # (u (x) v).a = u (x) va
-    left = c.dot(one, ([], [])).transpose(0, 1, 3, 2, 4)
-    right = one.dot(c, ([], [])).transpose(0, 2, 3, 1, 4)
+    left = einsum("aux,vy->auvxy", c, one)
+    right = einsum("ux,vay->uvaxy", one, c)
     labels = [f"{p}(x){q}" for p in algebra.labels for q in algebra.labels]
     module = Bimodule(algebra, left.reshape(d, d * d, d * d),
                       right.reshape(d * d, d, d * d), labels=labels)
@@ -78,22 +78,21 @@ def unit_section(algebra: Algebra, module: Bimodule, f, e) -> OperatorInstance:
     F, e = Encoded.of(field, f), Encoded.of(field, e)
     if F.shape != (module.dim, algebra.dim):
         raise InputError("f must map the module onto the algebra")
-    if e.dot(F, ([0], [0])).differs(unit).any():
+    if einsum("x,xl->l", e, F).differs(unit).any():
         raise InputError("f(e) is not the unit")
     if rank(F) != algebra.dim:
         raise InputError("f is not surjective")
     L, R, c = module._left, module._right, algebra._c
     # [i, j, side, l] for a = e_i and m = m_j: f(a.m) vs a f(m), then
     # f(m.a) vs f(m) a
-    sides = [(L.dot(F, ([2], [0])), c.dot(F, ([1], [1])).transpose(0, 2, 1)),
-             (R.dot(F, ([2], [0])).transpose(1, 0, 2),
-              F.dot(c, ([1], [0])).transpose(1, 0, 2))]
+    sides = [(einsum("ijx,xl->ijl", L, F), einsum("ixl,jx->ijl", c, F)),
+             (einsum("jix,xl->ijl", R, F), einsum("jx,xil->ijl", F, c))]
     bad = first_difference(sides, 2)
     if bad is not None:
         side = ("left", "right")[bad[2]]
         raise InputError(f"f is not {side} A-linear at basis pair ({bad[0]},{bad[1]})")
     # phi[i, j] = -(e_i . e) . e_j
-    phi = -L.dot(e, ([1], [0])).dot(R, ([1], [0]))
+    phi = -einsum("iy,yjl->ijl", einsum("ixy,x->iy", L, e), R)
     return OperatorInstance(algebra, module, F, Cochain(algebra, module, phi))
 
 

@@ -3,34 +3,37 @@
 Every identity rbx decides runs on one exact integer kernel, and its
 one tensor form is `Encoded`: a tensor of field scalars encoded, by its
 field, as an integer tensor over a scale (representatives over scale 1
-for F_p, numerators over the common denominator for Q).  Products
-(`Encoded.dot`, `Encoded.matmul`) multiply the scales; signed sums
-(`combine`) and comparisons (`Encoded.differs`) first bring their
-operands to one scale (`common`).  Where tensors meet, in `_product` and
-`common`, is the one field check: tensors of two fields are refused
-(`_one_field`).  Fraction or FpElement scalars exist only at the public
-boundary: `Encoded.of` encodes them, refusing any of another field
-(`is_scalar`), and the field decodes them where a caller reads them
-(`Encoded.objects`, `Encoded.at`), the witness of a verdict.
+for F_p, numerators over the common denominator for Q).  Every
+contraction is one call, `einsum`, with numpy's subscripts; it
+multiplies the scales.  Signed sums (`combine`) and comparisons
+(`Encoded.differs`) first bring their operands to one scale (`common`).
+Where tensors meet, in `einsum` and `common`, is the one field check:
+tensors of two fields are refused (`_one_field`).  Fraction or FpElement
+scalars exist only at the public boundary: `Encoded.of` encodes them,
+refusing any of another field (`is_scalar`), and the field decodes them
+where a caller reads them (`Encoded.objects`, `Encoded.at`), the witness
+of a verdict.
 
 The integers have two forms.  Encoding (and the schema loader) builds
 an `IntTensor`: a shape and the flat C-order list of its Python ints,
 with only the operations `Encoded` uses; numpy (imported on first use)
 holds int64 arrays only.  One function, `_route`, picks the backend of
-every product (`Encoded._product`) and sum (`combine`): pure Python when
-all operands are IntTensors and the product's dense work (multiply-adds
-times output entries) is at most `PURE_WORK`; else int64 numpy when
+every product (`einsum`) and sum (`combine`): pure Python when all
+operands are IntTensors and the product's dense work (the product of
+all its letter sizes) is at most `PURE_WORK`; else int64 numpy when
 `fits_int64` shows from the operands that no entry can reach 2^63 (over
 F_p after reducing them mod p, if need be), and a product's operands
 stay converted; else pure, on Python ints.  A numpy term that int64
-cannot rescale goes pure.  A pure product reads an operand in
-contraction order in place (views copy lines as slices, `_gather`) and
-loops over rows, visiting only nonzero entries, or, with more rows than
-k * m (a tall tensordot, a block of small matrices), over the index
-triples with the rows innermost (`_columns`).  The exhaustive search
-applies the rule to its whole dense work: a small search builds its
-candidate blocks as IntTensors, and every product of it runs pure; a
-larger one builds int64 numpy blocks, so its products run there.
+cannot rescale goes pure.  `einsum` alone decides the axis layout of a
+product, with one plan for both backends: np.matmul, or the pure
+`_products`, reads an operand whose axes are in [batch, free,
+contracted] order in place (a view copies lines as slices, `_gather`).
+The pure one loops over rows, visiting only nonzero entries, or, with
+more rows than k * m (a tall product, a block of small matrices), over
+the index triples with the rows innermost (`_columns`).  The exhaustive
+search applies the rule to its whole dense work: a small search builds
+its candidate blocks as IntTensors, and every product of it runs pure;
+a larger one builds int64 numpy blocks, so its products run there.
 Elimination (`row_reduce`, `rank`, `invert`, fraction-free) runs on
 rows of Python ints.
 
@@ -38,16 +41,16 @@ Every identity is a residual of two contractions: the two sides are
 computed as tensors over all basis tuples at once, and
 `first_nonzero_index` (or `first_difference`, for several residuals)
 finds the witness, the first index in C order (that is, lexicographic
-order) at which the sides differ.  The contractions the operator
-identities share (`pullback` here, the identity sides in `operators`)
-take a leading batch axis: exhaustive search evaluates a block of
-candidates at once, and a checker is the same evaluation on a block of
-one.  The one object-dtype helper, `is_zero`, stays because the
-benchmark's tracer wraps it by name.
+order) at which the sides differ.  The operator identities' specs (in
+`operators`) take leading batch axes, "...": exhaustive search
+evaluates a block of candidates at once, and a checker is the same
+evaluation on one candidate.  The one object-dtype helper, `is_zero`,
+stays because the benchmark's tracer wraps it by name.
 """
 from __future__ import annotations
 
 import math
+import re
 from itertools import chain, compress, count, filterfalse
 from operator import add, mul, sub
 
@@ -94,7 +97,8 @@ def _gather(flat, base, picks):
     """`_offsets` read from `flat`, a line at a time: slices along the
     longer end axis that is a range (interleaved when it is the first),
     after folding axes of one entry and merging ranges that run on into
-    each other.  Only lists at both ends are read entry by entry."""
+    each other, and the rest repeated under a leading axis of stride 0.
+    Only lists at both ends are read entry by entry."""
     runs = []
     for stride, ix in picks:
         if isinstance(ix, range) and len(ix) == 1:
@@ -106,6 +110,8 @@ def _gather(flat, base, picks):
             runs.append((stride * ix.step, range(len(out) * len(ix))))
         else:
             runs.append((stride, ix))
+    if runs and runs[0][0] == 0:
+        return _gather(flat, base, runs[1:]) * len(runs[0][1])
     shape = [len(ix) for _, ix in runs]
     ends = [k for k in (len(runs) - 1, 0)
             if runs and isinstance(runs[k][1], range)]
@@ -185,24 +191,18 @@ class IntTensor:
         return self._take(0, [(strides[k], range(self.shape[k]))
                               for k in axes or range(len(self.shape))[::-1]])
 
-    def swapaxes(self, a, b):
-        axes = list(range(len(self.shape)))
-        axes[a], axes[b] = axes[b], axes[a]
-        return self.transpose(*axes)
-
     def __getitem__(self, idx):
-        """numpy's indexing by ints, slices, None, one Ellipsis and one
-        list of ints, whose axis stays in its place."""
+        """numpy's indexing by ints, slices, one Ellipsis and one list of
+        ints, whose axis stays in its place."""
         idx = idx if isinstance(idx, tuple) else (idx,)
         at = next((k for k, i in enumerate(idx) if i is Ellipsis), len(idx))
-        fill = len(self.shape) - sum(i is not None for i in idx) + (at < len(idx))
+        fill = len(self.shape) - len(idx) + (at < len(idx))
         idx = idx[:at] + (slice(None),) * fill + idx[at + 1:]
-        dims = iter(zip(self.shape, _strides(self.shape)))
         base, picks = 0, []
-        for i in idx:
-            n, stride = (1, 0) if i is None else next(dims)
-            if i is None or isinstance(i, slice):
-                picks.append((stride, range(*(i or slice(None)).indices(n))))
+        for i, n, stride in zip(idx, self.shape, _strides(self.shape),
+                                strict=True):
+            if isinstance(i, slice):
+                picks.append((stride, range(*i.indices(n))))
             elif any(type(k).__name__ in ("bool", "bool_") or not -n <= k < n
                      for k in (i if hasattr(i, "__len__") else [i])):
                 # bools, Python's or numpy's, are a mask to numpy
@@ -235,15 +235,21 @@ class IntTensor:
         return any(self.flat)
 
 
-def _products(a, picks_a, b, picks_b, n, k, m):
-    """The flat n x m products of the n x k matrices at a[s:] and the
-    k x m matrices at b[t:] for each pair of starts (s, t), pair after
-    pair; each operand's starts are `_gather`'s batch picks, one per
-    batch axis (stride 0 where the axis broadcasts).  Up to k * m rows in
-    all loop over rows, visiting only the nonzero entries of both; more
-    rows (a search's block of small matrices, a tall tensordot) loop over
-    the index triples, each a product of operand columns gathered over
-    all pairs, or over all rows when they outnumber the pairs."""
+def _products(x, y, n, k, m):
+    """The n x m products of the n x k matrices of x and the k x m
+    matrices of y, operands as `_operand` gives them: of int64 arrays,
+    np.matmul; of pure ones, (a, picks_a) and (b, picks_b), the flat list
+    of the products of the matrices at a[s:] and b[t:] for each pair of
+    starts (s, t), pair after pair, each operand's starts given by
+    `_gather`'s batch picks, one per batch axis (stride 0 where the axis
+    broadcasts).  Up to k * m rows in all loop over rows, visiting only
+    the nonzero entries of both; more rows (a search's block of small
+    matrices, a tall product) loop over the index triples, each a
+    product of operand columns gathered over all pairs, or over all rows
+    when they outnumber the pairs."""
+    if not isinstance(x, tuple):
+        return x @ y
+    (a, picks_a), (b, picks_b) = x, y
     pairs = math.prod(len(ix) for _, ix in picks_a)
     if pairs * n > k * m:
         if pairs < n:           # more rows than pairs: each row a pair
@@ -287,48 +293,85 @@ def _columns(a, picks_a, b, picks_b, n, k, m):
     return list(chain.from_iterable(zip(*out)))
 
 
-def _ordered(t, order):
-    """t transposed to `order`, or t itself when that is its own."""
-    return t if order == list(range(len(order))) else t.transpose(*order)
+def _subscripts(spec, *shapes):
+    """The labels of the operands and of the output of `spec`: its
+    letters after, for a leading "...", the ints -e..-1 of the e batch
+    axes, aligned at the right as numpy aligns them; and each label's size.
+    Refuses a spec that does not fit the shapes or repeats a letter in
+    one term, and a letter of one operand only that is not in the output
+    (numpy would sum over it)."""
+    ins, out = spec.split("->")
+    subs = ins.split(",") + [out]
+    dots = [len(shape) - len(s) + 3 if s[:3] == "..." else 0
+            for s, shape in zip(subs, shapes)]
+    dots.append(max(dots) if out[:3] == "..." else 0)
+    labels = [[*range(-e, 0), *s.lstrip(".")] for s, e in zip(subs, dots)]
+    (la, lb, lo), sizes = labels, {}
+    if not all(len(ls) == len(shape) and all(
+            sizes.setdefault(l, n) == n for l, n in zip(ls, shape))
+            for ls, shape in zip(labels, shapes)) or \
+            any(len(set(ls)) < len(ls) for ls in labels) or \
+            (set(la) ^ set(lb)) - set(lo) or not set(lo) <= set(sizes):
+        raise ValueError(f"einsum {spec!r} of shapes {shapes}: each letter "
+                         f"of one size, once per operand, and in both "
+                         f"operands or in the output")
+    return labels, sizes
 
 
-def _tensordot(a, b, axes):
-    """np.tensordot of IntTensors: one 2-D product, read in place when
-    the operands are in contraction order."""
-    ax_a = [k % len(a.shape) for k in axes[0]]
-    ax_b = [k % len(b.shape) for k in axes[1]]
-    left = _ordered(a, [k for k in range(len(a.shape)) if k not in ax_a] + ax_a)
-    right = _ordered(b, ax_b + [k for k in range(len(b.shape)) if k not in ax_b])
-    free_a, free_b = left.shape[:-len(ax_a) or None], right.shape[len(ax_b):]
-    n, k, m = math.prod(free_a), math.prod(right.shape[:len(ax_b)]), \
-        math.prod(free_b)
-    return IntTensor(free_a + free_b,
-                     _products(left.flat, [], right.flat, [], n, k, m))
+def _operand(ints, labels, lead, tail, sizes, dims):
+    """An operand as `_products` or np.matmul reads it: its labels in
+    `lead` first, then `tail` (rows then contracted, or contracted then
+    columns, of sizes `dims`).  A pure one is read in place, and copied
+    only when `tail` is not its last axes; it gives its flat list and a
+    (stride, range) pick per lead label, stride 0 where it lacks one."""
+    order = [labels.index(l) for l in lead + tail if l in labels]
+    if not isinstance(ints, IntTensor):
+        return ints.transpose(order).reshape(
+            [sizes[l] if l in labels else 1 for l in lead] + dims)
+    if labels[len(labels) - len(tail):] != tail:
+        ints, labels = ints.transpose(*order), [labels[k] for k in order]
+    strides = _strides(ints.shape)
+    return ints.flat, [(strides[labels.index(l)] if l in labels else 0,
+                        range(sizes[l])) for l in lead]
 
 
-def _broadcast(shape_a, shape_b):
-    """The batch axes of np.matmul operands of shapes `shape_a` and
-    `shape_b`, each padded with leading 1s to one length, and the batch
-    shape they broadcast to."""
-    width = max(len(shape_a), len(shape_b))
-    batch_a, batch_b = ([1] * (width - len(s)) + list(s[:-2])
-                        for s in (shape_a, shape_b))
-    return batch_a, batch_b, [x if y == 1 else y
-                              for x, y in zip(batch_a, batch_b)]
-
-
-def _matmul(a, b):
-    """np.matmul of IntTensors, the leading axes broadcast."""
-    batch_a, batch_b, batch = _broadcast(a.shape, b.shape)
-    (n, k), m = a.shape[-2:], b.shape[-1]
-    picks = [[(s * size if d > 1 else 0, range(e))
-              for d, s, e in zip(dims, _strides(dims), batch)]
-             for dims, size in ((batch_a, n * k), (batch_b, k * m))]
-    return IntTensor(batch + [n, m], _products(a.flat, picks[0], b.flat,
-                                               picks[1], n, k, m))
-
-
-_PURE = {"tensordot": _tensordot, "matmul": _matmul}
+def einsum(spec, a, b):
+    """The contraction `spec` of the Encoded tensors a and b, exactly:
+    numpy's subscripts restricted to letters, a leading "..." (batch
+    axes, which one operand may lack) and an explicit "->", as
+    "iml,jkm->ijkl" for e_i (e_j e_k).  One plan serves both backends:
+    the output's longest trailing run of letters of one operand only,
+    then of the other (both orders tried), is the n x m part of a matrix
+    product over the contracted letters, and its leading letters pick
+    batch entries, at stride 0 in an operand without the letter.  The
+    dense work is the product of all letter sizes, and an entry sums
+    the product of the contracted sizes."""
+    field = _one_field([a, b])
+    (la, lb, out), sizes = _subscripts(spec, a.shape, b.shape)
+    # each output letter of a only, of b only, or of both
+    tags = "".join("a" if l not in lb else "b" if l not in la else "-"
+                   for l in out)
+    runs = [re.search(run, tags) for run in ("a*b*$", "b*a*$")]
+    swap = len(runs[1][0]) > len(runs[0][0])
+    if swap:
+        a, b, la, lb = b, a, lb, la
+    start = runs[swap].start()
+    split = start + runs[swap][0].count("ab"[swap])
+    lead, rows, cols = out[:start], out[start:split], out[split:]
+    con = [l for l in la if l in lb and l not in out]
+    n, k, m = (math.prod(sizes[l] for l in part) for part in (rows, con, cols))
+    ints = _route(field, [a.ints, b.ints],
+                  lambda *bounds: fits_int64(k, *bounds),
+                  math.prod(sizes.values()))
+    x, y = (_operand(i, ls, lead, tail, sizes, dims) for i, ls, tail, dims
+            in zip(ints, (la, lb), (rows + con, con + cols), ([n, k], [k, m])))
+    shape, product = [sizes[l] for l in out], _products(x, y, n, k, m)
+    if isinstance(product, list):
+        product = IntTensor(shape, product)
+    else:
+        a.ints, b.ints = ints       # converted once, for later products
+        product = product.reshape(shape)
+    return Encoded(field, product, a.scale * b.scale)
 
 
 def to_numpy(ints):
@@ -497,34 +540,6 @@ class Encoded:
     def transpose(self, *axes):
         return Encoded(self.field, self.ints.transpose(*axes), self.scale)
 
-    def swapaxes(self, a, b):
-        return Encoded(self.field, self.ints.swapaxes(a, b), self.scale)
-
-    def dot(self, other, axes):
-        """np.tensordot of two encoded tensors, exactly."""
-        terms = math.prod(self.shape[k] for k in axes[0])
-        work = math.prod(self.shape) * math.prod(other.shape) // max(terms, 1)
-        return self._product(other, terms, work, "tensordot", axes)
-
-    def matmul(self, other):
-        """np.matmul of two encoded tensors (leading axes broadcast as
-        batch axes), exactly."""
-        (n, k), m = self.shape[-2:], other.shape[-1]
-        work = math.prod(_broadcast(self.shape, other.shape)[2]) * n * k * m
-        return self._product(other, k, work, "matmul")
-
-    def _product(self, other, terms, work, name, *args):
-        """The product `name` (tensordot or matmul) of the integers, each
-        entry a sum of `terms` products, on the backend `_route` picks."""
-        a, b = _route(_one_field([self, other]), [self.ints, other.ints],
-                      lambda *bounds: fits_int64(terms, *bounds), work)
-        scale = self.scale * other.scale
-        if isinstance(a, IntTensor):
-            return Encoded(self.field, _PURE[name](a, b, *args), scale)
-        # converted once: later products find the numpy arrays
-        self.ints, other.ints = a, b
-        return Encoded(self.field, getattr(_np(), name)(a, b, *args), scale)
-
     def __add__(self, other):
         return combine([(self, 1), (other, 1)])
 
@@ -596,24 +611,18 @@ def common(*tensors):
     out = {}
     for t in tensors:
         if id(t) not in out:
-            factor, ints = scale // t.scale, t.ints
-            if factor != 1 and not isinstance(ints, IntTensor) and \
-                    not fits_int64(1, max_abs(ints), factor):
-                ints = to_pure(ints)
-            out[id(t)] = ints if factor == 1 else ints * factor
+            factor = scale // t.scale
+            out[id(t)] = t.ints if factor == 1 else times(t.ints, factor)
     return [out[id(t)] for t in tensors], scale
 
 
-def pullback(t, m, inner=None):
-    """t(m_i, m_j) for every pair of rows i, j of m, all Encoded:
-    out[..., i, j] = sum_ab m[..., i, a] m[..., j, b] t[a, b] for an
-    arity-2 tensor t; leading axes of m are batch axes.  `inner`, when
-    the caller has it, is the first step m.t:
-    inner[..., i, b] = sum_a m[..., i, a] t[a, b]."""
-    if inner is None:
-        inner = m.dot(t, ([-1], [0]))
-    # out[..., i] = m @ inner[..., i], one small product per (batch, i)
-    return m[..., None, :, :].matmul(inner)
+def times(ints, factor):
+    """The integer tensor `ints` times the int `factor`, on Python ints
+    where int64 cannot hold it."""
+    if not isinstance(ints, IntTensor) and \
+            not fits_int64(1, max_abs(ints), abs(factor)):
+        ints = to_pure(ints)
+    return ints * factor
 
 
 def row_reduce(m):

@@ -16,10 +16,11 @@ Encoded tensor: each entry point reads it once with `Encoded.of`, and
 `OperatorInstance.op` is a read-only view of the integers checked.
 
 Each identity is written once (`_identity_sides`, `_aybe_residual`) as
-products and sums of `linalg.Encoded` tensors that accept a leading
-batch axis: the exhaustive search runs them on blocks of candidates,
-and a checker is the same evaluation on a block of one.  The kernel
-picks the backend and carries the scales of every step; the search
+`linalg.einsum` specs and sums of `linalg.Encoded` tensors, whose
+leading batch axes ("...") a stack of operators fills: the exhaustive
+search runs them on blocks of candidates, and a checker is the same
+evaluation on one operator.  The kernel lays out every product, picks
+the backend and carries the scales of every step; the search
 builds its blocks of candidates on the pure kernel when its whole dense
 work is at most `linalg.PURE_WORK`, and on int64 numpy otherwise, and
 returns the passing candidates as one Encoded stack (`search_rows`).
@@ -37,8 +38,8 @@ from .cochains import Cochain, is_cocycle
 from .errors import CapacityError, CharacteristicError, InputError
 from .gerstenhaber import MultiMap, circ_i, half_square
 from . import linalg
-from .linalg import (Encoded, IntTensor, _np, combine, decoded, embed, eye,
-                     pullback)
+from .linalg import (Encoded, IntTensor, _np, combine, decoded, einsum,
+                     embed, eye)
 
 SEARCH_BUDGET = 2 ** 20
 
@@ -136,48 +137,42 @@ def semidirect_mult_map(inst: OperatorInstance) -> MultiMap:
 
 def _induced_products(op, left, right, twist=None):
     """The NS products a map p: M -> A (rows of the Encoded `op` are the
-    p(m_i)) induces on M, as [..., i, j, l] tensors: m_i > m_j =
-    p(m_i).m_j, m_i < m_j = m_i.p(m_j) and, given a twist phi, m_i v m_j =
-    phi(p(m_i), p(m_j)) (None without one).  Leading axes of `op` are
-    batch axes."""
-    succ = op.dot(left, ([-1], [0]))
-    prec = op.dot(right, ([-1], [1])).swapaxes(-3, -2)
-    vee = None if twist is None else pullback(twist, op)
+    p(m_i)) induces on M: m_i > m_j = p(m_i).m_j, m_i < m_j = m_i.p(m_j)
+    and, given a twist phi, m_i v m_j = phi(p(m_i), p(m_j)) (None without
+    one).  Leading axes of `op` are batch axes."""
+    succ = einsum("...ia,ajl->...ijl", op, left)
+    prec = einsum("...ja,ial->...ijl", op, right)
+    vee = None if twist is None else einsum(
+        "...jb,...ibl->...ijl", op, einsum("...ia,abl->...ibl", op, twist))
     return succ, prec, vee
-
-
-def _then(tensor, op):
-    """The map of `op` applied to the last axis of `tensor`, batch entry
-    by batch entry."""
-    return tensor.matmul(op[..., None, :, :])
 
 
 def _identity_sides(kind, op, c, left=None, right=None, twist=None):
     """The two sides p(m)p(n) and p(m > n + m < n + ...) of an operator
-    kind's identity, each an [..., i, j, l] tensor over the basis pairs
-    (i, j), for an Encoded operator matrix or a [..., rows, cols] stack
-    of them.  `c`, the module actions `left`/`right` (None: M = A) and
-    the twist are Encoded."""
+    kind's identity over the basis pairs (i, j), for an Encoded operator
+    matrix or a [..., rows, cols] stack of them.  `c`, the module actions
+    `left`/`right` (None: M = A) and the twist are Encoded."""
     if left is None:
         left = right = c
     succ, prec, vee = _induced_products(op, left, right, twist)
-    # for M = A, succ[i, b] = p(m_i) e_b is the first step of p(m_i) p(m_j)
-    lhs = pullback(c, op, inner=succ if left is c else None)
+    # p(m_i) e_b, which is succ for M = A, then p(m_i) p(m_j)
+    inner = succ if left is c else einsum("...ia,abl->...ibl", op, c)
+    lhs = einsum("...jb,...ibl->...ijl", op, inner)
     terms = [(succ, 1), (prec, 1)]
     if kind == "reynolds":      # the twist -mu: m v n = -p(m)p(n)
         terms.append((lhs, -1))
     elif kind == "nijenhuis":   # N(a)N(b) = N(N(a)b + aN(b) - N(ab))
-        terms.append((_then(c, op), -1))
+        terms.append((einsum("ija,...al->...ijl", c, op), -1))
     elif vee is not None:
         terms.append((vee, 1))
-    return lhs, _then(combine(terms), op)
+    return lhs, einsum("...ija,...al->...ijl", combine(terms), op)
 
 
 def _check(kind, op, c, left=None, right=None, twist=None):
-    """A checker: the search's evaluation of the kind's identity on a
-    block of one encoded operator."""
-    lhs, rhs = _identity_sides(kind, op[None], c, left, right, twist)
-    return Verdict.compare(lhs[0], rhs[0], 2)
+    """A checker: the search's evaluation of the kind's identity on one
+    encoded operator, a stack without batch axes."""
+    lhs, rhs = _identity_sides(kind, op, c, left, right, twist)
+    return Verdict.compare(lhs, rhs, 2)
 
 
 def induced_products(inst: OperatorInstance):
@@ -305,13 +300,13 @@ def aybe_encoded(algebra, r) -> Encoded:
 def _aybe_residual(c, r):
     """The AYBE residual as a [..., u, v, w] tensor for r, or a [..., d, d]
     stack of them, over the structure constants c, all Encoded."""
-    # with r = sum r[s, t] e_s (x) e_t, each term as a [u, v, w] tensor:
+    # with r = sum r[s, t] e_s (x) e_t:
     # t1 = sum r[s,w] r[t,v] c[s,t,u], t2 = sum r[u,t] r[s,w] c[t,s,v],
     # t3 = sum r[v,s] r[u,t] c[s,t,w]
-    right = r.dot(c, ([-1], [0]))                       # [u, s, v]
-    t1 = pullback(c, r.swapaxes(-2, -1)).swapaxes(-3, -1)
-    t2 = _then(right.swapaxes(-2, -1), r)
-    t3 = pullback(c, r, inner=right).swapaxes(-3, -2)
+    right = einsum("...ut,tsv->...uvs", r, c)
+    t1 = einsum("...tv,...utw->...uvw", r, einsum("stu,...sw->...utw", c, r))
+    t2 = einsum("...uvs,...sw->...uvw", right, r)
+    t3 = einsum("...us,...vws->...uvw", r, right)
     return combine([(t1, 1), (t2, -1), (t3, 1)])
 
 
@@ -348,11 +343,11 @@ def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
 
 
 def _candidate_work(kind, dim, rows, shared, twisted):
-    """The dense work (as `Encoded.dot`/`matmul` count it) of one
+    """The dense work (as `linalg.einsum` counts it) of one
     candidate's products in `_identity_sides` or `_aybe_residual`, for
     an algebra of dimension `dim` and candidates with `rows` rows;
-    `shared`: the left action is the product, whose pullback reuses the
-    induced product's first step."""
+    `shared`: the left action is the product, so p(m_i) p(m_j) reuses
+    the induced product's first step."""
     if kind == "aybe":
         return 5 * dim ** 4
     work = 3 * dim * rows ** 3 + (rows * dim) ** 2 \

@@ -24,8 +24,8 @@ from __future__ import annotations
 from .algebra import Algebra, Bimodule, Verdict, bimodule_check
 from .cochains import Cochain
 from .errors import InputError
-from .linalg import (Encoded, combine, decoded, eye, first_difference,
-                     first_nonzero_index)
+from .linalg import (Encoded, combine, decoded, einsum, eye,
+                     first_difference, first_nonzero_index)
 from .operators import OperatorInstance, induced_products, is_grb, is_trb
 
 
@@ -91,13 +91,11 @@ def _check(structure) -> Verdict:
     total = structure._total()
     names = ("d1", "d2", "d3") if vee is None else ("t1", "t2", "t3", "t4")
 
-    def left_assoc(first, second):
-        # [i,j,k,l]: (e_i FIRST e_j) SECOND e_k
-        return first.dot(second, ([2], [0]))
+    def left_assoc(first, second):          # (e_i FIRST e_j) SECOND e_k
+        return einsum("ijx,xkl->ijkl", first, second)
 
-    def right_assoc(first, second):
-        # [i,j,k,l]: e_i FIRST (e_j SECOND e_k)
-        return first.dot(second, ([1], [2])).transpose(0, 2, 3, 1)
+    def right_assoc(first, second):         # e_i FIRST (e_j SECOND e_k)
+        return einsum("ixl,jkx->ijkl", first, second)
 
     sides = [
         # (x < y) < z  vs  x < (y > z + y < z [+ y v z])
@@ -183,9 +181,8 @@ def induced_actions(inst: OperatorInstance) -> Bimodule:
     m_ass = total_product(dendriform_from_grb(inst))
     A, M, P = inst.algebra, inst.module, inst._op
     # left[j, i] = p(m_j) e_i - p(m_j . e_i); right[i, j] = e_i p(m_j) - p(e_i . m_j)
-    left = P.dot(A._c, ([1], [0])) - M._right.dot(P, ([2], [0]))
-    right = (A._c.dot(P, ([1], [1])).transpose(0, 2, 1)
-             - M._left.dot(P, ([2], [0])))
+    left = einsum("ja,ail->jil", P, A._c) - einsum("jix,xl->jil", M._right, P)
+    right = einsum("ixl,jx->ijl", A._c, P) - einsum("ijx,xl->ijl", M._left, P)
     module = Bimodule(m_ass, left, right, labels=A.labels, check=False)
     check = bimodule_check(m_ass, module)
     if not check:
@@ -201,10 +198,10 @@ def derivation_dual(inst: OperatorInstance, omega, z) -> OperatorInstance:
     W = Encoded.of(field, omega)
     if W.shape != (A.dim, M.dim):
         raise InputError("derivation must map A to M")
-    # [i, j, l]: W(e_i e_j) against W(e_i).e_j + e_i.W(e_j)
-    residual = combine([(A._c.dot(W, ([2], [0])), 1),
-                        (W.dot(M._right, ([1], [0])), -1),
-                        (M._left.dot(W, ([1], [1])).transpose(0, 2, 1), -1)])
+    # W(e_i e_j) against W(e_i).e_j + e_i.W(e_j)
+    residual = combine([(einsum("ijx,xl->ijl", A._c, W), 1),
+                        (einsum("ix,xjl->ijl", W, M._right), -1),
+                        (einsum("ixl,jx->ijl", M._left, W), -1)])
     bad = first_nonzero_index(residual.differs(None), 2)
     if bad is not None:
         raise InputError(
@@ -214,7 +211,7 @@ def derivation_dual(inst: OperatorInstance, omega, z) -> OperatorInstance:
     if not field.is_scalar(z):
         raise InputError(f"z must be an int or a scalar of {field.name}: {z!r}")
     (n,), scale = field.encode([z])
-    if inst._op.dot(W, ([1], [0])).differs(
+    if einsum("ix,xj->ij", inst._op, W).differs(
             Encoded(field, eye(M.dim, n), scale)).any():
         raise InputError("W o p is not z times the identity on M")
     actions = induced_actions(inst)
@@ -231,17 +228,17 @@ def grb_morphism_check(psi0, psi1, src: OperatorInstance,
         raise InputError("psi0 must map the source algebra to the target algebra")
     if f1.shape != (src.module.dim, dst.module.dim):
         raise InputError("psi1 must map the source module to the target module")
-    bad = first_nonzero_index(src._op.dot(f0, ([1], [0])).differs(
-        f1.dot(dst._op, ([1], [0]))))
+    bad = first_nonzero_index(einsum("ix,xj->ij", src._op, f0).differs(
+        einsum("ix,xj->ij", f1, dst._op)))
     if bad is not None:
         return Verdict(False, bad, detail="square does not commute")
     left, right = dst.module._left, dst.module._right
     # [i, j, action, l] for a = e_i and m = m_j; the left action comes
     # first: psi1(a.m) vs psi0(a).psi1(m), then psi1(m.a) vs psi1(m).psi0(a)
-    sides = [(src.module._left.dot(f1, ([2], [0])),
-              f1.dot(f0.dot(left, ([1], [0])), ([1], [1])).transpose(1, 0, 2)),
-             (src.module._right.dot(f1, ([2], [0])).transpose(1, 0, 2),
-              f0.dot(f1.dot(right, ([1], [0])), ([1], [1])))]
+    sides = [(einsum("ijx,xl->ijl", src.module._left, f1),
+              einsum("jb,ibl->ijl", f1, einsum("ia,abl->ibl", f0, left))),
+             (einsum("jix,xl->ijl", src.module._right, f1),
+              einsum("ia,jal->ijl", f0, einsum("jb,bal->jal", f1, right)))]
     bad = first_difference(sides, 2)
     if bad is None:
         return Verdict(True)

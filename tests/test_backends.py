@@ -34,6 +34,7 @@ import test_gerstenhaber
 import test_integer_sites
 import test_witness_oracle
 from oracle import identity, random_tensor
+from test_contract import spy_products, tensordot_spec
 from rbx import linalg
 from rbx.algebra import (Algebra, bimodule_check, canonical_bimodule,
                          intertwiner_check, semidirect, twisted_extension)
@@ -42,7 +43,7 @@ from rbx.errors import InputError
 from rbx.fields import QQ, FpElement, PrimeField
 from rbx.gerstenhaber import MultiMap, from_algebra
 from rbx.instances import kx2, mult_by_x_instance
-from rbx.linalg import (Encoded, IntTensor, _array, combine, embed,
+from rbx.linalg import (Encoded, IntTensor, _array, combine, einsum, embed,
                         first_difference, first_nonzero_index, max_abs,
                         to_numpy, to_pure)
 from rbx.operators import OperatorInstance, is_grb
@@ -75,6 +76,11 @@ def obj(t):
     return np.array(t.flat, dtype=object).reshape(t.shape)
 
 
+def pure_einsum(spec, a, b):
+    """`einsum` of IntTensors, as the integers of Q scalars."""
+    return einsum(spec, Encoded(QQ, a), Encoded(QQ, b)).ints
+
+
 # ---------------------------------------------------------------------------
 # IntTensor against numpy
 
@@ -86,13 +92,10 @@ def test_views_match_numpy():
     for axes in itertools.permutations(range(3)):
         same(t.transpose(*axes), ref.transpose(*axes))
     same(t.transpose(), ref.transpose())
-    for a, b in ((0, 1), (-1, 0), (-3, -2), (2, 2)):
-        same(t.swapaxes(a, b), ref.swapaxes(a, b))
     for idx in (1, -1, (0, 2), (0, 2, 3), (slice(None), -1),
                 (slice(1, None), slice(None, None, 2)), (..., 1),
-                (..., None, slice(1, 3)), (None, 0), (0, ..., 0),
-                (..., [3, 0, 0]), ([1, 0],), ([1], 0, slice(None)),
-                (slice(None), None, None, 2)):
+                (..., slice(1, 3)), (0, ..., 0), (..., [3, 0, 0]), ([1, 0],),
+                ([1], 0, slice(None)), (slice(None), 2)):
         same(t[idx], ref[idx])
     # a list's axis stays in its place, where numpy would move it first
     same(t[1, :, [2, 0]], ref[1][:, [2, 0]])
@@ -103,21 +106,18 @@ def test_views_match_numpy():
     with pytest.raises(IndexError):
         t[2]
     # the slice gather: a long batch axis first (its lines interleaved) or
-    # last, axes that run on into each other, negative steps, None axes
-    # and list indices
+    # last, axes that run on into each other, negative steps and list
+    # indices
     t = ints((7, 2, 3, 2), rng)
     ref = obj(t)
     for axes in itertools.permutations(range(4)):
         same(t.transpose(*axes), ref.transpose(*axes))
-        same(t.transpose(*axes)[::-2, ..., None],
-             ref.transpose(*axes)[::-2, ..., None])
-    for a, b in itertools.product(range(-4, 4), repeat=2):
-        same(t.swapaxes(a, b), ref.swapaxes(a, b))
+        same(t.transpose(*axes)[::-2, ..., ::-1],
+             ref.transpose(*axes)[::-2, ..., ::-1])
     for idx in ((slice(None, None, -1),), (..., slice(None, None, -2)),
-                (slice(5, 0, -2), None, 1), (slice(None, None, -3), ...,
-                                            slice(None, None, -1)),
-                (None, ..., None), (..., None, 0), (None, slice(2, 3)),
-                ([6, 0, 3], ...), (..., [1, 0, 1]), ([0], ..., 1),
+                (slice(5, 0, -2), 1), (slice(None, None, -3), ...,
+                                       slice(None, None, -1)),
+                (..., 0), (slice(2, 3),), ([6, 0, 3], ...), (..., [1, 0, 1]), ([0], ..., 1),
                 (slice(None), [1, 0], slice(None, None, -1)),
                 (slice(None, None, -1), 1, [2, 0]), (slice(1, 2), slice(0, 1)),
                 (slice(None), 0, 0, 0), ([3, 3], 0, 0, 0), (0, 1, 2, 1),
@@ -126,7 +126,7 @@ def test_views_match_numpy():
     same(t[2, :, [2, 0]], ref[2][:, [2, 0]])
     u = ints((5,), rng)
     for idx in ([4, 0, 0], slice(None, None, -1), slice(3, None, -2),
-                (None, slice(None, None, -1)), (slice(1, 4), None), None):
+                slice(1, 4)):
         same(u[idx], obj(u)[idx])
 
 
@@ -158,30 +158,11 @@ def test_arithmetic_matches_numpy():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_tensordot_matches_numpy(seed):
-    rng = random.Random(seed)
-    cases = [((2, 3, 4), (4, 3, 2), ([2], [0])),
-             ((2, 3, 4), (4, 3, 2), ([1, 2], [1, 0])),
-             ((2, 3, 4), (3, 2), ([0, 1], [1, 0])),
-             ((2, 3), (3, 2, 2), ([-1], [0])),
-             ((3, 2), (2,), ([1], [0])),
-             ((2, 2), (3,), ([], [])),
-             ((2, 0), (0, 3), ([1], [0])),
-             ((2, 3), (3, 0), ([1], [0])),
-             ((0, 3), (3, 2), ([1], [0]))]
-    for sa, sb, axes in cases:
-        for density in (0.1, 0.9):
-            a, b = ints(sa, rng, density), ints(sb, rng, density)
-            same(linalg._tensordot(a, b, axes),
-                 np.tensordot(obj(a), obj(b), axes))
-
-
-@pytest.mark.parametrize("seed", range(4))
 def test_tall_tensordots_run_columnwise(seed, monkeypatch):
     """A tensordot with more rows n than k * m runs column-wise, the rows
     innermost, at densities 0.1 and 0.9 and with k or m zero; an operand
-    already in contraction order is read in place, and no operand is
-    written."""
+    already in contraction order is read in place, one out of it is
+    copied once, and no operand is written."""
     rng = random.Random(seed + 40)
     taken, copied = [], []
     columns, transpose = linalg._columns, IntTensor.transpose
@@ -204,7 +185,7 @@ def test_tall_tensordots_run_columnwise(seed, monkeypatch):
             before = a.flat[:], b.flat[:]
             taken.clear()
             copied.clear()
-            same(linalg._tensordot(a, b, axes),
+            same(pure_einsum(tensordot_spec(len(sa), len(sb), axes), a, b),
                  np.tensordot(obj(a), obj(b), axes))
             assert len(taken) == 1 and len(copied) == transposed, (sa, sb)
             assert (a.flat, b.flat) == before
@@ -237,29 +218,17 @@ def test_views_copy():
     """Writing into a view leaves the tensor as it was: the identity
     transpose, `t[...]` and one whole line copy too."""
     t = IntTensor((2, 3), list(range(6)))
-    for view in (t.transpose(0, 1), t[...], t[:], t[:, :, None], t[1],
-                 t[:, 2], t.swapaxes(1, 1), t[None], t.ravel()[::-1]):
+    for view in (t.transpose(0, 1), t[...], t[:], t[1], t[:, 2],
+                 t.ravel()[::-1]):
         view.flat[0] = -1
         assert t.flat == list(range(6))
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_matmul_broadcasts_as_numpy(seed):
-    rng = random.Random(seed + 10)
-    cases = [((3, 4), (4, 2)), ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 3)),
-             ((2, 1, 3, 4), (5, 4, 2)), ((1, 2, 3), (4, 1, 3, 2)),
-             ((0, 2, 2), (2, 2)), ((3, 1, 2, 2), (0, 2, 2)), ((2, 0), (0, 2)),
-             ((2, 3), (3, 0))]
-    for sa, sb in cases:
-        a, b = ints(sa, rng, 0.5), ints(sb, rng, 0.5)
-        same(linalg._matmul(a, b), np.matmul(obj(a), obj(b)))
-
-
-@pytest.mark.parametrize("seed", range(4))
 def test_batch_innermost_products_match_numpy(seed, monkeypatch):
-    """A matmul with more rows, n for each (start_a, start_b) pair, than
+    """A product with more rows, n for each (start_a, start_b) pair, than
     k * m loops over the index triples, the pairs (or, when they are
-    fewer, the rows) innermost: broadcast batch on either side or both,
+    fewer, the rows) innermost: batch letters on either side or both,
     and k, n or m zero."""
     rng = random.Random(seed + 20)
     taken = []
@@ -270,52 +239,65 @@ def test_batch_innermost_products_match_numpy(seed, monkeypatch):
         return real(a, picks_a, b, picks_b, n, k, m)
 
     monkeypatch.setattr(linalg, "_columns", spy)
-    cases = [((9, 2, 2), (2, 2)), ((2, 2), (9, 2, 2)), ((9, 2, 2), (9, 2, 2)),
-             ((5, 1, 2, 2), (1, 4, 2, 2)), ((30, 1, 3, 3), (30, 3, 3, 3)),
-             ((3, 3, 3), (20, 1, 3, 3)), ((6, 2, 0), (6, 0, 3)),
-             ((6, 0, 2), (6, 2, 3)), ((6, 2, 2), (6, 2, 0)),
-             ((0, 2, 2), (2, 2)), ((2, 2), (4, 0, 2, 2)),
+    # (spec, shape a, shape b): the output's last two letters are the
+    # rows i and the columns k of a product over j
+    cases = [("xij,jk->xik", (9, 2, 2), (2, 2)),
+             ("ij,xjk->xik", (2, 2), (9, 2, 2)),
+             ("xij,xjk->xik", (9, 2, 2), (9, 2, 2)),
+             ("xij,yjk->xyik", (5, 2, 2), (4, 2, 2)),
+             ("bij,bxjk->bxik", (30, 3, 3), (30, 3, 3, 3)),
+             ("yij,xjk->xyik", (3, 3, 3), (20, 3, 3)),
+             ("bij,bjk->bik", (6, 2, 0), (6, 0, 3)),
+             ("bij,bjk->bik", (6, 0, 2), (6, 2, 3)),
+             ("bij,bjk->bik", (6, 2, 2), (6, 2, 0)),
+             ("xij,jk->xik", (0, 2, 2), (2, 2)),
+             ("ij,xyjk->xyik", (2, 2), (4, 0, 2, 2)),
              # more rows than pairs: every row a pair of its own
-             ((2, 9, 2), (2, 2)), ((3, 1, 7, 2), (2, 2, 3)),
-             ((2, 9, 2), (2, 2, 0))]
-    for sa, sb in cases:
+             ("xij,xjk->xik", (2, 9, 2), (2, 2, 2)),
+             ("xij,yjk->xyik", (3, 7, 2), (2, 2, 3)),
+             ("xij,xjk->xik", (2, 9, 2), (2, 2, 0))]
+    for spec, sa, sb in cases:
         a, b = ints(sa, rng, 0.5), ints(sb, rng, 0.5)
-        pairs = math.prod(np.broadcast_shapes(sa[:-2], sb[:-2]))
+        ref = np.einsum(spec, obj(a), obj(b))
         taken.clear()
-        same(linalg._matmul(a, b), np.matmul(obj(a), obj(b)))
-        n, k, m = sa[-2], sa[-1], sb[-1]
-        assert taken == ([pairs * n] if pairs * n > k * m else []), (sa, sb)
-    # no pairs at all, taken directly (tensordot's rows with k or m zero
-    # take it too: test_tensordot_matches_numpy)
+        same(pure_einsum(spec, a, b), ref)
+        rows, k, m = math.prod(ref.shape[:-1]), sa[-1], ref.shape[-1]
+        assert taken == ([rows] if rows > k * m else []), spec
+    # no pairs at all, taken directly (tall products with k or m zero
+    # take it too: test_tall_tensordots_run_columnwise)
     assert real([1, 2, 3, 4], [(4, range(0))], [5, 6, 7, 8], [(2, range(0))],
                 2, 2, 1) == []
 
 
 @pytest.mark.parametrize("size", [64, 512])
 def test_batched_pullback_counts_its_batch_once(size, monkeypatch):
-    """The work of a batched pullback at d = 2 is its batch times one
-    candidate's, so a block of candidates stays on the pure kernel."""
+    """The work of a batched pullback, t(m_i, m_j), at d = 2 is its batch
+    times one candidate's, so a block of candidates stays on the pure
+    kernel."""
     rng = random.Random(size)
     field = PrimeField(7)
     t = Encoded.of(field, random_tensor((2, 2, 2), field, rng))
     block = Encoded(field, IntTensor((size, 2, 2), [
         rng.randrange(7) for _ in range(size * 4)]))
     works = []
-    real = linalg.Encoded._product
+    real = linalg._route
 
-    def spy(self, other, terms, work, *rest):
+    def spy(field, ints, fits, work=None):
         works.append(work)
-        return real(self, other, terms, work, *rest)
+        return real(field, ints, fits, work)
 
-    monkeypatch.setattr(linalg.Encoded, "_product", spy)
-    pulled = linalg.pullback(t, block)
+    def pullback(m):
+        return einsum("...jb,...ibl->...ijl", m,
+                      einsum("...ia,abl->...ibl", m, t))
+
+    monkeypatch.setattr(linalg, "_route", spy)
+    pulled = pullback(block)
     assert isinstance(pulled.ints, IntTensor)
     batched, works[:] = works[:], []
-    linalg.pullback(t, block[:1])
+    pullback(block[:1])
     assert batched == [size * w for w in works]
     for j in (0, size - 1):
-        assert pulled[j].objects.tolist() == \
-            linalg.pullback(t, block[j]).objects.tolist()
+        assert pulled[j].objects.tolist() == pullback(block[j]).objects.tolist()
 
 
 def test_conversions_and_index_helpers():
@@ -396,9 +378,9 @@ def test_encoded_operations_agree_on_both_backends(field, monkeypatch):
             encoded((3, 3, 2), field, rng, large)
 
         def run():
-            prod = a.dot(b, ([2], [1]))
-            mat = a.matmul(m[None])
-            pulled = linalg.pullback(t, m)
+            prod = einsum("xij,ykj->xiyk", a, b)
+            mat = einsum("xij,jk->xik", a, m)
+            pulled = einsum("jb,ibl->ijl", m, einsum("ia,abl->ibl", m, t))
             total = combine([(prod, 1), (prod.transpose(2, 3, 0, 1), -1)])
             diff = (mat - a).differs(None)
             return [x.objects for x in (prod, mat, pulled, total)] + [
@@ -407,7 +389,7 @@ def test_encoded_operations_agree_on_both_backends(field, monkeypatch):
                 prod.at((1, 0)), pulled.at((0, 1, 1))]
 
         pure = run()
-        assert isinstance(a.dot(b, ([2], [1])).ints, IntTensor)
+        assert isinstance(einsum("xij,ykj->xiyk", a, b).ints, IntTensor)
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "PURE_WORK", -1)
             # a product past int64 stays pure: Q numerators past 2^63, or
@@ -415,7 +397,8 @@ def test_encoded_operations_agree_on_both_backends(field, monkeypatch):
             past = not linalg.fits_int64(3, *(max_abs(field.reduce(x.ints))
                                               for x in (a, b)))
             assert past == (field in (QQ, BIG)) or not large
-            assert isinstance(a.dot(b, ([2], [1])).ints, IntTensor) == past
+            assert isinstance(einsum("xij,ykj->xiyk", a, b).ints,
+                              IntTensor) == past
             on_numpy = run()
         for x, y in zip(pure, on_numpy):
             if isinstance(x, np.ndarray):
@@ -478,16 +461,16 @@ def test_identities_match_oracles_on_both_sides(module, name, args, work,
                                                 monkeypatch):
     monkeypatch.setattr(linalg, "PURE_WORK", work)
     seen = []
-    real = linalg.Encoded._product
+    real = linalg._route
 
-    def product(self, other, terms, size, *rest):
-        bounds = [max_abs(self.field.reduce(x.ints)) for x in (self, other)]
-        out = real(self, other, terms, size, *rest)
-        seen.append((isinstance(out.ints, IntTensor),
-                     linalg.fits_int64(terms, *bounds)))
+    def route(field, ints, fits, work=None):
+        out = real(field, ints, fits, work)
+        if work is not None:            # a product, not a sum
+            seen.append((isinstance(out[0], IntTensor),
+                         fits(*(max_abs(field.reduce(x)) for x in ints))))
         return out
 
-    monkeypatch.setattr(linalg.Encoded, "_product", product)
+    monkeypatch.setattr(linalg, "_route", route)
     run_test(module, name, args, monkeypatch)
     if work < 0:
         # numpy for every product int64 holds (mod p over F_p), pure for
@@ -529,27 +512,16 @@ INT64_CASES = [(test_integer_sites, name, (BIG,)) for name in (
          for m, n, a in INT64_CASES])
 def test_numpy_contracts_only_int64(module, name, args, monkeypatch):
     """With every product int64 holds on numpy, the kernel's numpy
-    contractions (tensordot, matmul) see int64 operands and nothing else
-    (some tests see none: every product there is past int64).  The spy
-    is the numpy the kernel imports, so the tests' own object-dtype
-    references, and their own spies, pass by it."""
+    products (np.matmul) see int64 operands and nothing else (some tests
+    see none: every product there is past int64).  The spy is the
+    kernel's own product step, so the tests' own object-dtype
+    references pass by it, and their own spies wrap it."""
     monkeypatch.setattr(linalg, "PURE_WORK", -1)
     seen = []
-
-    class KernelNumpy:
-        def __getattr__(self, attr):
-            real = getattr(np, attr)
-            if attr not in ("tensordot", "matmul"):
-                return real
-
-            def spy(a, b, *rest):
-                seen.append((a.dtype, b.dtype))
-                return real(a, b, *rest)
-            return spy
-
-    monkeypatch.setattr(linalg, "_np", KernelNumpy)
+    # the spy asserts int64 operands of every numpy product
+    spy_products(monkeypatch, lambda route, *_: seen.append(route))
     run_test(module, name, args, monkeypatch)
-    assert all(a == b == np.int64 for a, b in seen)
+    assert seen
 
 
 # ---------------------------------------------------------------------------

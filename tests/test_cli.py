@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -301,6 +302,28 @@ def test_catalog_list_bytes(capsys):
   "witness": null
 }
 """ % ",\n".join(f'    "{line}"' for line in CATALOG_LINES)
+
+
+# SHA-256 of the --json reports, the timing line dropped, on
+# truncated-poly of degree 30: products past PURE_WORK, on int64 numpy
+DEGREE_30_REPORTS = {
+    "check-addexp":
+        "730703f3b478a63ed8778984742076cc1cbc9b881fc1ce1b73cdfa6ebb915c2d",
+    "flow": "c9f9785f762ec6d403c7fab974987024f96615a2c70190051ccfd10a689b1527",
+    "residual":
+        "719f1fea0445a48eed177c380cbc2c43a0785398cd9610c5c5578b22e86594a2",
+}
+
+
+def test_degree_30_reports_are_unchanged(tmp_path, capsys):
+    path = tmp_path / "tp30.json"
+    code, _ = run(capsys, "catalog", "emit", "truncated-poly", "--degree",
+                  "30", "-o", str(path))
+    assert code == 0
+    for verb, digest in DEGREE_30_REPORTS.items():
+        code, out = run(capsys, verb, str(path), "--json")
+        text = without_timing(out).encode()
+        assert (code, hashlib.sha256(text).hexdigest()) == (0, digest), verb
 
 
 def test_catalog_emit_weyl_is_exit_2(capsys):

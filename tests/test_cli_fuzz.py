@@ -1,12 +1,15 @@
 """Every CLI verb on small mutated documents, through `cli.main` in
 process: the exit code is 0, 1 or 2, nothing else leaves `main`, the
 `--json` report parses and every exit-2 report says why.  Each verb gets
-its own eleven examples."""
+its own eleven examples.  The mutations are picks from lists, so a
+seeded `random.Random` draws the same documents without Hypothesis
+(`seeded_runs`, for the numpy-free parity test)."""
 
 import contextlib
 import copy
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -51,54 +54,61 @@ def nested(shape, start):
     return [nested(shape[1:], start * 7 + i + 1) for i in range(shape[0])]
 
 
-@st.composite
-def cochain(draw):
-    arity = draw(st.integers(1, 4))
-    inputs = draw(st.sampled_from("AB"))
-    output = draw(st.sampled_from("AMB"))
+def cochain(pick):
+    arity = pick([1, 2, 3, 4])
+    inputs = pick("AB")
+    output = pick("AMB")
     shape = (DIMS[inputs],) * arity + (DIMS[output],)
     return {"arity": arity, "inputs": inputs, "output": output,
-            "tensor": nested(shape, draw(st.integers(0, 5)))}
+            "tensor": nested(shape, pick(range(6)))}
 
 
-@st.composite
-def document_run(draw, verb):
-    """(argv, document) of `verb` on a mutated copy of BASE."""
+def document_run(pick, verb):
+    """(argv, document) of `verb` on a mutated copy of BASE, each choice
+    `pick`ed from a sequence."""
     doc = copy.deepcopy(BASE)
-    doc["field"] = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
-    if draw(st.booleans()):
-        name = draw(st.sampled_from(sorted(doc["maps"])))
-        doc["maps"][name] = draw(st.sampled_from(BAD_MATRICES))
-    elif draw(st.booleans()):     # not invertible in F2 or F3
-        doc["maps"]["pi"][0][0] = draw(st.sampled_from(["1/2", "-1/3"]))
-    doc["algebra"] = draw(st.sampled_from([doc["algebra"]] * 4
-                                          + SMALL_ALGEBRAS))
-    if draw(st.booleans()):
-        doc["cochains"][draw(st.sampled_from(["phi", "f", "g"]))] = \
-            draw(cochain())
+    doc["field"] = FIELDS[pick(sorted(FIELDS))]
+    if pick([False, True]):
+        name = pick(sorted(doc["maps"]))
+        doc["maps"][name] = pick(BAD_MATRICES)
+    elif pick([False, True]):     # not invertible in F2 or F3
+        doc["maps"]["pi"][0][0] = pick(["1/2", "-1/3"])
+    doc["algebra"] = pick([doc["algebra"]] * 4 + SMALL_ALGEBRAS)
+    if pick([False, True]):
+        doc["cochains"][pick(["phi", "f", "g"])] = cochain(pick)
     argv = [verb, "--json"]
     options = [names[0] for names, _ in VERBS[verb] if names[0] != "file"]
     if verb == "search":
-        argv += ["--kind", draw(st.sampled_from(
-            ["grb", "rb", "trb", "reynolds", "nijenhuis", "aybe"]))]
-        if draw(st.booleans()):
-            argv += ["--field", draw(st.sampled_from(sorted(FIELDS)))]
+        argv += ["--kind", pick(["grb", "rb", "trb", "reynolds", "nijenhuis",
+                                 "aybe"])]
+        if pick([False, True]):
+            argv += ["--field", pick(sorted(FIELDS))]
         else:
-            doc["field"] = draw(st.sampled_from([{"Fp": 2}, {"Fp": 3}]))
-        if draw(st.booleans()):
+            doc["field"] = pick([{"Fp": 2}, {"Fp": 3}])
+        if pick([False, True]):
             argv += ["--phi", "phi"]
     for option in options:
-        if option in NAME_OPTIONS and draw(st.booleans()):
-            name = draw(st.sampled_from([NAME_OPTIONS[option], "nope"]))
-            argv += [option, name]
-    if verb in ("check-addexp", "residual", "flow") and draw(st.booleans()):
+        if option in NAME_OPTIONS and pick([False, True]):
+            argv += [option, pick([NAME_OPTIONS[option], "nope"])]
+    if verb in ("check-addexp", "residual", "flow") and pick([False, True]):
         argv += ["--phi", "phi"]
-    if verb in UNTWISTED and draw(st.booleans()):
+    if verb in UNTWISTED and pick([False, True]):
         argv += ["--phi", "phi"]          # argparse refuses it: exit 2
     if verb == "bracket":
-        argv += ["--f", draw(st.sampled_from(["f", "g", "phi", "nope"])),
-                 "--g", draw(st.sampled_from(["f", "g", "phi"]))]
+        argv += ["--f", pick(["f", "g", "phi", "nope"]),
+                 "--g", pick(["f", "g", "phi"])]
     return argv, doc
+
+
+@st.composite
+def drawn_run(draw, verb):
+    return document_run(lambda options: draw(st.sampled_from(options)), verb)
+
+
+def seeded_runs(verb, count, seed=0):
+    """`count` (argv, document) runs of `verb`, drawn by a seeded Random."""
+    rng = random.Random(f"{verb} {seed}")
+    return [document_run(rng.choice, verb) for _ in range(count)]
 
 
 RUNS = {
@@ -118,7 +128,7 @@ RUNS = {
 def runs(verb):
     if verb in RUNS:
         return RUNS[verb].map(lambda argv: ([*argv, "--json"], None))
-    return document_run(verb)
+    return drawn_run(verb)
 
 
 def run_main(argv):

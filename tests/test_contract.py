@@ -1,10 +1,10 @@
 """Differential tests of the exact integer contraction kernel
-(`Encoded.dot` and `Encoded.matmul`, and the views `transpose`,
-`swapaxes` and indexing, decoded) against object-dtype numpy, which
-dispatches to the scalars' own exact arithmetic: equal values and equal
-scalar types, on the int64 path and on the Python-int fallback (the
-pure kernel, for a product int64 cannot hold), and with F_p reduction
-deferred across a chain of contractions."""
+(`linalg.einsum`, and the views `transpose` and indexing, decoded)
+against object-dtype numpy, which dispatches to the scalars' own exact
+arithmetic: equal values and equal scalar types, on the pure kernel,
+on int64 numpy and on the Python-int fallback (the pure kernel, for a
+product int64 cannot hold), and with F_p reduction deferred across a
+chain of contractions."""
 
 import random
 from fractions import Fraction
@@ -16,16 +16,33 @@ from oracle import FnMap, agrees_with_tensor, oracle_circ, random_tensor, zeros
 from rbx import linalg
 from rbx.fields import QQ, PrimeField
 from rbx.gerstenhaber import ARITY_CAP, MultiMap, circ_i
-from rbx.linalg import Encoded
+from rbx.linalg import Encoded, IntTensor, einsum
 
 FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(7),
           PrimeField(2 ** 31 - 1)]
 
 
-def contract(field, a, b, axes):
-    """np.tensordot(a, b, axes) of tensors of `field` scalars: one integer
+def tensordot_spec(ndim_a, ndim_b, axes):
+    """The einsum spec of np.tensordot over `axes` of operands of
+    `ndim_a` and `ndim_b` axes."""
+    la, lb = list("abcdefg"[:ndim_a]), list("hijklmn"[:ndim_b])
+    axes = [[k % ndim for k in ax] for ax, ndim in zip(axes, (ndim_a, ndim_b))]
+    for x, y in zip(*axes):
+        lb[y] = la[x]
+    out = [l for k, l in enumerate(la) if k not in axes[0]] + \
+        [l for k, l in enumerate(lb) if k not in axes[1]]
+    return f"{''.join(la)},{''.join(lb)}->{''.join(out)}"
+
+
+def contracted(field, spec, a, b):
+    """einsum `spec` of tensors of `field` scalars: one integer
     contraction of the encoded operands, decoded."""
-    return Encoded.of(field, a).dot(Encoded.of(field, b), axes).objects
+    return einsum(spec, Encoded.of(field, a), Encoded.of(field, b)).objects
+
+
+def contract(field, a, b, axes):
+    """np.tensordot(a, b, axes), as `contracted`."""
+    return contracted(field, tensordot_spec(a.ndim, b.ndim, axes), a, b)
 
 
 def assert_same(got, ref, field):
@@ -50,24 +67,31 @@ def slots(dim_range):
                         yield dim, m, n, i
 
 
+def spy_products(monkeypatch, record):
+    """Call record(route, terms, a, b) on every product the kernel runs:
+    "int64" on numpy, whose two operands must be int64, or "pure" in the
+    Python-int kernel; `terms` products per entry, of the operands a and
+    b (IntTensors of the flat lists the pure kernel reads)."""
+    products = linalg._products
+
+    def spy(x, y, n, k, m):
+        if isinstance(x, tuple):
+            (a, _), (b, _) = x, y
+            record("pure", k, IntTensor((len(a),), a), IntTensor((len(b),), b))
+        else:
+            assert x.dtype == y.dtype == np.int64
+            assert x.shape[-2:] == (n, k) and y.shape[-2:] == (k, m)
+            record("int64", x.shape[-1], x, y)
+        return products(x, y, n, k, m)
+    monkeypatch.setattr(linalg, "_products", spy)
+
+
 def spy_routes(monkeypatch):
     """Send every product int64 holds to numpy and record the route of
-    every integer contraction (tensordot or matmul): "int64" on numpy,
-    whose two operands must be int64, or "pure" in the Python-int
-    kernel."""
+    every product (`spy_products`)."""
     monkeypatch.setattr(linalg, "PURE_WORK", -1)
     seen = []
-    for name in ("tensordot", "matmul"):
-        def spy(a, b, *axes, real=getattr(np, name)):
-            assert a.dtype == b.dtype == np.int64
-            seen.append("int64")
-            return real(a, b, *axes)
-
-        def pure(a, b, *axes, real=linalg._PURE[name]):
-            seen.append("pure")
-            return real(a, b, *axes)
-        monkeypatch.setattr(np, name, spy)
-        monkeypatch.setitem(linalg._PURE, name, pure)
+    spy_products(monkeypatch, lambda route, *_: seen.append(route))
     return seen
 
 
@@ -146,7 +170,7 @@ def test_contract_shares_one_scalar_per_distinct_value():
 
 
 # ---------------------------------------------------------------------------
-# matmul and the views, against object-dtype numpy
+# batched products and the views, against object-dtype numpy
 
 VIEW_FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(2 ** 31 - 1)]
 
@@ -168,12 +192,12 @@ def test_matmul_matches_object_matmul(field):
     rng = random.Random(field.char + 11)
     for make in (random_tensor, large):
         a, b = make((2, 3, 4), field, rng), make((2, 4, 3), field, rng)
-        assert_same(Encoded.of(field, a).matmul(Encoded.of(field, b)).objects,
+        assert_same(contracted(field, "...ij,...jk->...ik", a, b),
                     np.matmul(a, b), field)
         # an operator stack applied to the last axis of a batched tensor
         t, m = make((2, 3, 2, 4), field, rng), make((2, 4, 3), field, rng)
-        got = Encoded.of(field, t).matmul(Encoded.of(field, m)[..., None, :, :])
-        assert_same(got.objects, np.matmul(t, m[..., None, :, :]), field)
+        assert_same(contracted(field, "...xij,...jk->...xik", t, m),
+                    np.matmul(t, m[..., None, :, :]), field)
 
 
 def test_matmul_falls_back_to_python_ints(monkeypatch):
@@ -185,8 +209,7 @@ def test_matmul_falls_back_to_python_ints(monkeypatch):
         cases.append((field, a, b, np.matmul(a, b)))
     seen = spy_routes(monkeypatch)
     for field, a, b, ref in cases:
-        got = Encoded.of(field, a).matmul(Encoded.of(field, b))
-        assert_same(got.objects, ref, field)
+        assert_same(contracted(field, "...ij,...jk->...ik", a, b), ref, field)
     # 2 (p-1)^2 < 2^63 <= 3 (p-1)^2
     assert seen == ["pure", "pure", "int64", "pure"]
 
@@ -197,12 +220,13 @@ def test_views_match_object_numpy(field):
     for make in (random_tensor, large):
         a, b = make((2, 3, 3), field, rng), make((3, 4), field, rng)
         # a product: a scale above 1 over Q, unreduced integers over F_p
-        enc = Encoded.of(field, a).dot(Encoded.of(field, b), ([2], [0]))
+        enc = einsum("ijx,xk->ijk", Encoded.of(field, a), Encoded.of(field, b))
         ref = np.tensordot(a, b, ([2], [0]))
-        assert_same(enc.swapaxes(-1, 0).objects, ref.swapaxes(-1, 0), field)
+        assert_same(enc.transpose(2, 1, 0).objects, ref.transpose(2, 1, 0),
+                    field)
         assert_same(enc.transpose(1, 2, 0).objects, ref.transpose(1, 2, 0),
                     field)
-        for idx in ((1,), (slice(None), 2), (..., [0, 3]), (..., None, 1),
+        for idx in ((1,), (slice(None), 2), (..., [0, 3]), (..., 1),
                     (0, [2, 0]), ([1, 0], slice(1, None))):
             assert_same(enc[idx].objects, ref[idx], field)
 
@@ -218,10 +242,74 @@ def test_deferred_reduction_across_a_chain_of_contractions(monkeypatch):
     seen = spy_routes(monkeypatch)
     out = Encoded.of(field, ms[0])
     for m, ref in zip(ms[1:], refs[1:]):
-        out = out.dot(Encoded.of(field, m), ([1], [0]))
+        out = einsum("ij,jk->ik", out, Encoded.of(field, m))
         assert_same(out.objects, ref, field)
         if len(seen) == 1:
             assert linalg.max_abs(out.ints) >= field.p      # left unreduced
     # each product past the first would need Python ints unreduced; its
     # operands are reduced mod p first and it stays in int64
     assert seen == ["int64"] * 3
+
+
+# ---------------------------------------------------------------------------
+# einsum against object-dtype np.einsum
+
+# contractions, batch letters in both operands or one ("broadcast"),
+# "..." in both operands or one, outer products and 0-d operands
+SPECS = ["ij,jk->ik", "ki,kj->ij", "iml,jkm->ijkl", "ijm,mkl->ijkl",
+         "ixl,jx->ijl", "...ia,ajl->...ijl", "...ja,ial->...ijl",
+         "...jb,...ibl->...ijl", "ija,...al->...ijl", "...us,...vws->...uvw",
+         "stu,...sw->...utw", "aux,vy->auvxy", "bij,jk->bik",
+         "xij,yjk->xyik", "ixy,yxj->ij", "xiy,yxj->ij", "ij,ij->ij", "i,i->",
+         ",ij->ij", "i,->i", ",->", "x,xl->l"]
+
+
+def shapes(spec, rng):
+    """Random operand shapes of `spec`: sizes 0 to 3 for each letter, and
+    0 to 2 batch axes of sizes 1 to 3 for "..."."""
+    size = {l: rng.choice((0, 1, 2, 2, 3, 3)) for l in spec if l.isalpha()}
+    batch = [rng.randint(1, 3) for _ in range(rng.randint(0, 2))]
+    return [tuple(batch if s.startswith("...") else []) +
+            tuple(size[l] for l in s.lstrip(".")) for s in
+            spec.split("->")[0].split(",")]
+
+
+# F_p entries below 2^31 - 1 stay within int64, and over F_(2^31 - 1)
+# sums of 3 or more terms leave it
+ROUTES = [(field, route) for field, routes in (
+    (QQ, "pure int64 past-int64"), (PrimeField(2), "pure int64"),
+    (PrimeField(7), "pure int64"), (PrimeField(2 ** 31 - 1), "pure past-int64"))
+    for route in routes.split()]
+
+
+@pytest.mark.parametrize("field, route", ROUTES,
+                         ids=[f"{f.name}-{r}" for f, r in ROUTES])
+def test_einsum_matches_object_einsum(field, route, monkeypatch):
+    """Every spec on 20 random shapes: equal values, scalars of the field,
+    and the route asked for: the pure kernel, int64 numpy (every product
+    int64 holds on numpy) or Python ints past int64 (Q numerators near
+    2^62, or p - 1 everywhere over F_(2^31-1))."""
+    rng = random.Random(f"{field.name} {route}")
+    make = large if route == "past-int64" else random_tensor
+    seen = spy_routes(monkeypatch) if route != "pure" else []
+    for spec in SPECS:
+        for _ in range(20):
+            a, b = (make(shape, field, rng) for shape in shapes(spec, rng))
+            ref = np.asarray(np.einsum(spec, a, b), dtype=object)
+            before = len(seen)
+            got = contracted(field, spec, a, b)
+            assert got.shape == ref.shape, spec
+            assert all(type(x) is type(field.zero) and x == y
+                       for x, y in zip(got.flat, ref.flat)), spec
+            if route == "int64":
+                assert seen[before:] == ["int64"], spec
+    if route == "past-int64":
+        assert "pure" in seen
+
+
+def test_einsum_refuses_a_sum_over_one_operand():
+    """A letter of one operand only must be in the output: numpy would
+    sum over it, the kernel refuses."""
+    a = Encoded.of(QQ, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="in both operands or in the output"):
+        einsum("ij,jk->i", a, a)

@@ -16,7 +16,8 @@ from rbx.fields import F5, QQ, PrimeField
 from rbx.gerstenhaber import (MultiMap, bar_circ, circ_i, derived_bracket,
                               from_algebra, g_bracket, jacobi_residual)
 from rbx.instances import kx2
-from rbx.linalg import Encoded, is_zero
+from rbx import linalg
+from rbx.linalg import Encoded, IntTensor, is_zero
 from rbx.operators import lift_operator, semidirect_mult_map
 
 
@@ -294,3 +295,22 @@ def test_square_zero_derivation_of_grb(mult_by_x_q):
         for _ in range(5):
             g = rand_map(4, arity, QQ, rng)
             assert d(d(g)).is_zero_map()
+
+
+def test_scale_multiplies_by_one_scalar():
+    """`scale` multiplies the integers and the scale, over Q and F_p, on
+    pure and on int64 integers, and on Python ints where int64 cannot
+    hold the product; a tensor in place of the scalar is refused, not
+    read as its first entry."""
+    for field, scalar in ((QQ, Fraction(-3, 4)), (F5, F5.from_int(3))):
+        mu = from_algebra(kx2(field))
+        want = (mu.tensor * scalar).tolist()
+        assert mu.scale(scalar).tensor.tolist() == want
+        on_numpy = MultiMap(field, Encoded(field, linalg.to_numpy(
+            mu._tensor.ints), mu._tensor.scale))
+        assert on_numpy.scale(scalar).tensor.tolist() == want
+        with pytest.raises(InputError, match="one scalar"):
+            mu.scale([scalar, scalar])
+    # past int64 on numpy: the product goes to Python ints
+    big = MultiMap(QQ, Encoded(QQ, linalg.to_numpy(IntTensor((1, 1), [2 ** 62]))))
+    assert big.scale(Fraction(3)).tensor.tolist() == [[3 * 2 ** 62]]

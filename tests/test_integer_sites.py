@@ -14,7 +14,6 @@ route of every contraction.  The Q scale rule (sides compared as
 lhs * rhs_scale against rhs * lhs_scale) has its own tests.
 """
 
-import math
 import random
 from fractions import Fraction
 
@@ -39,7 +38,7 @@ from rbx.operators import (OperatorInstance, graph_check, is_grb,
                            is_nijenhuis, is_reynolds, is_trb,
                            lift_operator, semidirect_mult_map)
 from rbx.structures import Dendriform, NSAlgebra, check_dendriform, check_ns
-from test_contract import spy_routes
+from test_contract import spy_products as spy_kernel, spy_routes
 
 BIG = PrimeField(2 ** 31 - 1)
 FIELDS = (QQ, F2, F5, PrimeField(7), BIG)
@@ -183,23 +182,7 @@ def spy_products(monkeypatch):
     the kernel runs: ("int64" or "pure", terms, the two operands)."""
     monkeypatch.setattr(linalg, "PURE_WORK", -1)
     seen = []
-
-    def spy(route, real, terms_of):
-        def run(a, b, *axes):
-            seen.append((route, terms_of(a, *axes), a, b))
-            return real(a, b, *axes)
-        return run
-
-    def dot_terms(a, axes):
-        return math.prod(a.shape[k] for k in axes[0])
-
-    def matmul_terms(a):
-        return a.shape[-1]
-
-    for name, terms_of in (("tensordot", dot_terms), ("matmul", matmul_terms)):
-        monkeypatch.setattr(np, name, spy("int64", getattr(np, name), terms_of))
-        monkeypatch.setitem(linalg._PURE, name,
-                            spy("pure", linalg._PURE[name], terms_of))
+    spy_kernel(monkeypatch, lambda *call: seen.append(call))
     return seen
 
 
@@ -556,6 +539,7 @@ def ref_listing(field, tensor, labels):
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=lambda f: f.name)
 def test_tensor_listing_matches_an_entry_walk(field):
+    cli._import_core()                  # as a verb would, run alone too
     rng = random.Random(field.char + 6)
     labels = ["a", "b", "c"]
     for arity in (1, 2, 3):

@@ -11,7 +11,8 @@ report lists the expected 231 solutions.  Every
 emittable catalog instance, and truncated-poly at degrees 3 to 8, emits
 the same bytes without numpy as in a normal run.  The library's checks
 on nested-list matrices (`library_verdicts.py`) reach the same verdicts
-without numpy as in a normal run.
+without numpy as in a normal run, and so does every verb but `search` on
+the CLI fuzz's mutated documents.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ import pytest
 
 from rbx import cli, linalg
 from rbx.catalog import TABLE
+from test_cli_fuzz import seeded_runs
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -39,7 +41,10 @@ out = []
 for argv in json.loads(sys.argv[1]):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        rc = main(argv)
+        try:
+            rc = main(argv)
+        except SystemExit as exc:       # argparse's usage errors
+            rc = exc.code
     out.append([rc, buf.getvalue()])
 print(json.dumps(out))
 """
@@ -78,8 +83,12 @@ def in_process(argvs, workdir):
         outputs = []
         for argv in argvs:
             buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                rc = cli.main(argv)
+            with contextlib.redirect_stdout(buf), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    rc = cli.main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
             outputs.append((rc, buf.getvalue()))
         return outputs
     finally:
@@ -194,3 +203,24 @@ def test_library_checks_nested_lists_without_numpy():
             assert results.pop(f"{field} {name}").startswith(
                 "(False" if name in failing else "(True"), (field, name)
     assert results == {}
+
+
+def test_fuzz_documents_give_the_same_reports_without_numpy(tmp_path):
+    """Every verb that reads a document, but `search`, on eleven of the
+    CLI fuzz's mutated documents each, drawn by a seeded Random: the
+    reports of one child with numpy blocked equal, apart from
+    `timing_ms`, those in process."""
+    argvs = []
+    for verb in sorted(set(cli.VERBS) - {"catalog", "explain", "search"}):
+        for k, (argv, doc) in enumerate(seeded_runs(verb, 11)):
+            path = tmp_path / f"{verb}-{k}.json"
+            path.write_text(json.dumps(doc))
+            argvs.append([argv[0], str(path), *argv[1:]])
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_WITHOUT_NUMPY, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True, text=True, timeout=300, check=True)
+    blocked = reports(json.loads(proc.stdout))
+    assert blocked == reports(in_process(argvs, str(tmp_path)))
+    # the documents reach every verdict
+    assert {rc for rc, _ in blocked} == {0, 1, 2}

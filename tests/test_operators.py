@@ -24,6 +24,7 @@ from rbx.operators import (OperatorInstance, aybe_residual, graph_check,
                            is_trb, lift_cocycle, lift_operator, r_tilde,
                            reynolds_as_twisted, search_operators,
                            structure_residual, twist_insertion)
+from test_contract import spy_products
 
 
 # ---------------------------------------------------------------------------
@@ -461,13 +462,14 @@ def test_candidate_work_is_what_the_products_count(monkeypatch):
     """The search's pure rule counts, from shapes, the work that the
     identity's products count on a block of one candidate."""
     works = []
-    real = linalg.Encoded._product
+    real = linalg._route
 
-    def spy(self, other, terms, work, *rest):
-        works.append(work)
-        return real(self, other, terms, work, *rest)
+    def spy(field, ints, fits, work=None):
+        if work is not None:            # a product, not a sum
+            works.append(work)
+        return real(field, ints, fits, work)
 
-    monkeypatch.setattr(linalg.Encoded, "_product", spy)
+    monkeypatch.setattr(linalg, "_route", spy)
     rng = random.Random(5)
     K, N, ts = kx2(F3), null_algebra(F2, 3), tensor_square(kx2(F2))
     dual = dual_module(K)
@@ -519,19 +521,15 @@ def test_search_rb_reynolds_nijenhuis_kinds():
 def test_f65537_search_runs_in_int64(monkeypatch):
     # each contraction is bounded by its own operands, reduced mod p first
     # when that keeps it in int64; at d = 1 every sum has a single term
-    seen = []
-    for name in ("tensordot", "matmul"):
-        def spy(a, b, *axes, real=getattr(np, name)):
-            seen.append((a.dtype, b.dtype))
-            return real(a, b, *axes)
-        monkeypatch.setattr(np, name, spy)
+    seen = []       # the spy asserts int64 operands of numpy products
+    spy_products(monkeypatch, lambda route, *_: seen.append(route))
     p = 65537
     G = ground_field_algebra(PrimeField(p))
     nij = search_operators(G, None, "nijenhuis", budget=p)
     assert [s[0, 0].val for s in nij] == list(range(p))
     rb = search_operators(G, None, "rb", budget=p)
     assert [s.tolist() for s in rb] == [[[0]]]
-    assert seen and all(dt == np.int64 for pair in seen for dt in pair)
+    assert "int64" in seen
 
 
 @pytest.mark.parametrize("kind", ["grb", "rb", "reynolds", "nijenhuis",
