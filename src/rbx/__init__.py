@@ -9,7 +9,8 @@ over F_p available as an independent oracle.
 
 The package is lazy (PEP 562): `import rbx` loads no submodule, and a
 public name imports its submodule on first use.  No submodule imports
-numpy when it loads; see `linalg` for when numpy is imported.
+numpy, `hashlib` or `fractions` when it loads; see `linalg` for when
+numpy is imported, and `fields` for when `fractions` is.
 `from rbx import X`, `rbx.X`, `dir(rbx)` and `from rbx import *` see
 every name below.
 """

@@ -20,7 +20,11 @@ function patched onto a core module is the one it calls.  No core module
 imports numpy when it loads: the checking verbs, `catalog emit` and a
 small `search` work on the kernel's pure-Python integers, and numpy is
 imported only by a product or a search too large for them (see
-`linalg`).  A search's solutions are written by `schema.format_tensor`.
+`linalg`).  Nor does one import `hashlib` (OpenSSL) or `fractions`
+(`decimal`): the digests use CPython's built-in SHA-256, and literals
+are read straight to integers, so a `Fraction` is built, and `fractions`
+imported, only for a witness over Q.  A search's solutions are written
+by `schema.format_tensor`.
 """
 
 from __future__ import annotations

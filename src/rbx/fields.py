@@ -21,20 +21,38 @@ division over Q, multiplication by the inverse mod p over F_p.
 `Encoded.objects` decodes a whole tensor with one `scalar` call per
 distinct value.
 
+A schema literal is read straight to integers: `literal` gives the
+field's pair for n/d (`ratio`: lowest terms over Q, (n * d^-1 mod p, 1)
+over F_p), and `encode_pairs` encodes a list of pairs as `encode` does
+their scalars, so a loaded tensor and a catalog instance are built
+without a scalar.  Only a literal outside ints and ASCII 'num' /
+'num/den', or one that fails, goes through `Fraction`, which words the
+error.  `fractions` is imported where a `Fraction` is built (`scalar`
+over Q), not when this module loads.
+
 The two fields share one body, `Field`: `from_int`, `zero` and `one`
-build scalars through `scalar`; `parse` reads a schema literal through
-`Fraction` and `from_int`; `format` is `format_int` of the scalar's own
-encoding, so each field writes its canonical form once; fields are equal
-when their characteristics are.  Each field keeps only what differs.
+build scalars through `scalar`; `parse` is `scalar` of `literal`;
+`format` is `format_int` of the scalar's own encoding, so each field
+writes its canonical form once; fields are equal when their
+characteristics are.  Each field keeps only what differs.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import re
 
-from .errors import CharacteristicError, InputError
+from .errors import InputError
 from .linalg import IntTensor
+
+# a canonical literal: 'num' or 'num/den' in ASCII digits
+_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _fraction():
+    """`fractions.Fraction`, imported where one is built."""
+    from fractions import Fraction
+    return Fraction
 
 
 class FpElement:
@@ -150,18 +168,41 @@ class Field:
         return self.scalar(n, 1)
 
     def parse(self, value):
-        """Parse a schema scalar: an int, or a string 'num' / 'num/den'
-        (over F_p when den is invertible mod p)."""
+        """The scalar of a schema literal (`literal`)."""
+        return self.scalar(*self.literal(value))
+
+    def literal(self, value):
+        """The `ratio` pair of a schema scalar: an int, or a string 'num' /
+        'num/den' (over F_p when den is invertible mod p).  Ints and ASCII
+        'num' / 'num/den' are read straight to integers; any other string,
+        and every one that fails, goes through `Fraction`, which words the
+        error."""
         if isinstance(value, int) and not isinstance(value, bool):
-            return self.from_int(value)
+            return self.ratio(value, 1)
         if not isinstance(value, str):
             raise InputError(f"expected scalar, got {value!r}")
+        match = _CANONICAL.fullmatch(value)
+        if match:
+            try:
+                n, d = int(match[1]), int(match[2] or 1)
+                if d:
+                    return self.ratio(n, d)
+            except ValueError:  # past int's digit limit, or p divides d
+                pass
         try:
-            frac = Fraction(value)
-            return self.from_int(frac.numerator) / frac.denominator
+            frac = _fraction()(value)
+            (n,), d = self.encode(
+                [self.from_int(frac.numerator) / frac.denominator])
         except (ValueError, ZeroDivisionError) as exc:
             kind = "rational" if self.char == 0 else self.name
             raise InputError(f"bad {kind} scalar {value!r}: {exc}") from exc
+        return n, d
+
+    def encode_pairs(self, pairs):
+        """(ints, scale) of a list of `ratio` pairs, as `encode` gives
+        their scalars': the numerators over the lcm of the denominators."""
+        den = math.lcm(*{d for _, d in pairs})
+        return [n * (den // d) for n, d in pairs], den
 
     def format(self, x):
         """Canonical JSON form: `format_int` of the scalar's encoding."""
@@ -181,13 +222,13 @@ class RationalField(Field):
     char = 0
     name = "Q"
 
-    def inverse_int(self, n):
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return Fraction(1, n)
-
     def is_scalar(self, x):
-        return type(x) in (int, Fraction)
+        return type(x) is int or type(x) is _fraction()
+
+    def ratio(self, n, d):
+        """n/d (d > 0) in lowest terms."""
+        g = math.gcd(n, d)
+        return n // g, d // g
 
     def encode(self, scalars):
         """(numerators, den): a list of rationals as Python ints over
@@ -196,12 +237,12 @@ class RationalField(Field):
         return [x.numerator * (den // x.denominator) for x in scalars], den
 
     def scalar(self, n, scale):
-        return Fraction(n, scale)
+        return _fraction()(n, scale)
 
     def format_int(self, n, scale):
         """n / scale as an int when integral, else 'num/den'."""
-        g = math.gcd(n, scale)
-        return n // g if g == scale else f"{n // g}/{scale // g}"
+        n, d = self.ratio(n, scale)
+        return n if d == 1 else f"{n}/{d}"
 
     def reduce(self, arr):
         """Integer results need no reduction over Q."""
@@ -229,14 +270,12 @@ class PrimeField(Field):
         self.char = p
         self.name = f"F{p}"
 
-    def inverse_int(self, n):
-        if n % self.p == 0:
-            raise CharacteristicError(
-                f"1/{n} does not exist in characteristic {self.p}")
-        return FpElement(pow(n % self.p, -1, self.p), self.p)
-
     def is_scalar(self, x):
         return type(x) is FpElement and x.p == self.p
+
+    def ratio(self, n, d):
+        """n/d as (n * d^-1 mod p, 1); ValueError when p divides d."""
+        return n * pow(d, -1, self.p) % self.p, 1
 
     def encode(self, scalars):
         """(representatives, 1): the canonical representatives of a list

@@ -171,7 +171,7 @@ def truncated_polynomial(N, field=QQ) -> TruncatedInstance:
     M = Bimodule(A, left, left.transpose(1, 0, 2),
                  labels=[f"x^{i}" for i in range(N)])
     # diagonal: pi has the entries 1/(i+1), omega the entries i+1
-    ints, scale = field.encode([field.inverse_int(i + 1) for i in range(N)])
+    ints, scale = field.encode_pairs([field.ratio(1, i + 1) for i in range(N)])
     pi, om = eye(N), eye(N)
     pi.flat[::N + 1] = ints
     om.flat[::N + 1] = range(1, N + 1)

@@ -16,16 +16,29 @@ followed by serialization is bit-exact: the writer emits sorted keys,
 two-space indentation and canonical scalar forms.
 
 The loader parses the JSON lists straight into the kernel's pure integer
-encoding (`linalg.Encoded` over an `IntTensor`), parsing each distinct
-literal once, and the writer formats the canonical scalars from those
-integers (`field.format_int`); neither imports numpy.  The maps and
-cochain tensors of a loaded Document are Encoded.
+encoding (`linalg.Encoded` over an `IntTensor`), reading each distinct
+literal once to the field's integer pair (`field.literal`), and the
+writer formats the canonical scalars from those integers
+(`field.format_int`); neither imports numpy or builds a scalar.  The maps
+and cochain tensors of a loaded Document are Encoded.
+
+The digests are SHA-256 of the canonical dump, from CPython's built-in
+module (`_sha256` up to 3.11, `_sha2` from 3.12, `hashlib` only where
+neither is built), as `random` loads its sha512: `hashlib` would load
+OpenSSL's libcrypto on every verb's start for one small hash.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+
+try:
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .algebra import Algebra, Bimodule, canonical_bimodule
 from .cochains import Cochain
@@ -66,18 +79,18 @@ def _parse_tensor(field, raw, shape, path):
     if got != shape:
         raise InputError(f"{path}: expected shape {shape}, got {got}")
     out = []
-    parsed = {}     # (type, literal) -> scalar; True == 1.0 == 1 as keys
+    parsed = {}     # (type, literal) -> pair; True == 1.0 == 1 as keys
     for i, value in enumerate(flat):
         try:
             out.append(parsed[type(value), value])
         except (KeyError, TypeError):   # a new literal, or an unhashable one
             try:
-                scalar = parsed[type(value), value] = field.parse(value)
+                pair = parsed[type(value), value] = field.literal(value)
             except InputError as exc:
                 pos = "".join(f"[{j}]" for j in unravel(i, shape))
                 raise InputError(f"{path}{pos}: {exc}") from exc
-            out.append(scalar)
-    ints, scale = field.encode(out)
+            out.append(pair)
+    ints, scale = field.encode_pairs(out)
     return Encoded(field, IntTensor(shape, ints), scale)
 
 
@@ -251,13 +264,13 @@ def dump_document(doc: Document) -> str:
 
 def document_digest(doc: Document) -> str:
     """Stable content digest of the parsed document."""
-    return hashlib.sha256(dump_document(doc).encode()).hexdigest()
+    return sha256(dump_document(doc).encode()).hexdigest()
 
 
 def raw_digest(raw) -> str:
     """Digest of a decoded document that may not pass semantic
     validation: canonical dump of the raw JSON value."""
-    return hashlib.sha256(
+    return sha256(
         (json.dumps(raw, indent=2, sort_keys=True) + "\n").encode()).hexdigest()
 
 

@@ -629,6 +629,102 @@ def test_checking_verbs_load_no_catalog(mbx_file):
     assert "numpy" not in loaded
 
 
+# standard-library modules a verb's start-up does without: hashlib loads
+# OpenSSL's libcrypto, fractions loads decimal
+HEAVY_STDLIB = {"hashlib", "_hashlib", "fractions", "decimal"}
+
+
+@pytest.fixture
+def tp5_file(tmp_path, capsys):
+    path = tmp_path / "tp5.json"
+    code, _ = run(capsys, "catalog", "emit", "truncated-poly", "--degree", "5",
+                  "-o", str(path))
+    assert code == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("verb", ["check-assoc", "check-grb", "flow",
+                                  "search-F7", "emit-truncated-poly"])
+def test_passing_verbs_load_no_hashlib_or_fractions(verb, mbx_file, tp5_file,
+                                                    tmp_path, capsys):
+    """Digests, literals (tp5's pi holds "1/2" .. "1/5") and the catalog's
+    1/i run on the standard library's sha256 and on integers."""
+    argv = {"check-assoc": ["check-assoc", mbx_file],
+            "check-grb": ["check-grb", mbx_file],
+            "flow": ["flow", tp5_file],
+            "search-F7": ["search", mbx_file, "--kind", "rb", "--field", "F7"],
+            "emit-truncated-poly": ["catalog", "emit", "truncated-poly",
+                                    "-o", str(tmp_path / "tp.json")]}[verb]
+    assert run(capsys, *argv)[0] == 0
+    loaded = modules_after(*argv)
+    assert "rbx.schema" in loaded and not loaded & HEAVY_STDLIB
+
+
+HALF_WITNESS_TEXT = """\
+FAIL: check-grb
+  witness: {"index": [0, 0], "lhs": ["1/4", 0], "rhs": ["1/2", 0]}
+"""
+HALF_WITNESS_JSON = """\
+{
+  "command": "check-grb",
+  "detail": "",
+  "input_digest": \
+"42fe7d3b5d60dde255e60207d56e2f1b654c3e42f7f738f36c469232c647224b",
+  "verdict": "fail",
+  "witness": {
+    "index": [
+      0,
+      0
+    ],
+    "lhs": [
+      "1/4",
+      0
+    ],
+    "rhs": [
+      "1/2",
+      0
+    ]
+  }
+}
+"""
+
+
+def test_a_failing_q_witness_builds_its_fractions(mbx_file, tmp_path, capsys):
+    with open(mbx_file) as fh:
+        doc = json.load(fh)
+    doc["maps"]["pi"] = [["1/2", 0], [0, 0]]
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "check-grb", str(path)) == (1, HALF_WITNESS_TEXT)
+    code, out = run(capsys, "check-grb", str(path), "--json")
+    assert (code, without_timing(out)) == (1, HALF_WITNESS_JSON)
+    loaded = modules_after("check-grb", str(path))
+    assert "fractions" in loaded and "hashlib" not in loaded
+
+
+DIGESTS_WITHOUT_BUILTIN_SHA256 = """
+import contextlib, io, json, sys
+sys.modules["_sha256"] = sys.modules["_sha2"] = None    # imports now fail
+from rbx.cli import main
+for argv in (["check-assoc", sys.argv[1]], ["check-grb", sys.argv[1]]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main([*argv, "--json"])
+    print(json.loads(out.getvalue())["input_digest"])
+print("hashlib" in sys.modules)
+"""
+
+
+def test_digests_fall_back_to_hashlib(mbx_file, capsys):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", DIGESTS_WITHOUT_BUILTIN_SHA256, mbx_file],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    expected = [json.loads(run(capsys, verb, mbx_file, "--json")[1])
+                ["input_digest"] for verb in ("check-assoc", "check-grb")]
+    assert proc.stdout.split() == [*expected, "True"]
+
+
 # every public name of the package before it became lazy, by the submodule
 # that defines it; a submodule is public under its own name
 EAGER_EXPORTS = {

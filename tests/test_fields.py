@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rbx.errors import CharacteristicError, InputError
+from rbx.errors import InputError
 from rbx.fields import (F2, F3, F5, FpElement, PrimeField, QQ,
                         field_from_name, field_to_name)
 from rbx.linalg import Encoded, IntTensor
@@ -38,13 +38,6 @@ def test_prime_validation():
         PrimeField(4)
     with pytest.raises(InputError):
         PrimeField(1)
-
-
-def test_inverse_int():
-    assert QQ.inverse_int(6) == Fraction(1, 6)
-    assert F5.inverse_int(2) == FpElement(3, 5)
-    with pytest.raises(CharacteristicError):
-        F3.inverse_int(6)
 
 
 def test_parse_format_roundtrip_q():
@@ -168,6 +161,20 @@ def test_parse_is_scalar_of_its_encoding_and_formats_canonically(field, raw):
     assert field.format(x) == _literal(field, raw) == field.format_int(n, scale)
     assert type(field.format(x)) is type(_literal(field, raw))
     assert field.parse(field.format(x)) == x
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_pairs_encode_as_their_scalars(field):
+    """`ratio` then `encode_pairs` gives the integers and scale that
+    `encode` gives the scalars n/d."""
+    pairs = [(n, d) for n in (0, 1, -3, 6, 2 ** 70) for d in (1, 3, 6, 9, 11)
+             if field.char == 0 or d % field.char]
+    assert field.encode_pairs([field.ratio(n, d) for n, d in pairs]) == \
+        field.encode([field.from_int(n) / d for n, d in pairs])
+    assert field.encode_pairs([]) == field.encode([]) == ([], 1)
+    if field.char:
+        with pytest.raises(ValueError):
+            field.ratio(1, field.char)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

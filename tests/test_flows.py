@@ -132,19 +132,19 @@ def test_closed_forms_match_bracket_route():
             assert tensors_equal(flow.order1.tensor, order1.tensor)
             assert tensors_equal(
                 half.tensor,
-                g_bracket(order1, p_hat).scale(field.inverse_int(2)).tensor)
+                g_bracket(order1, p_hat).scale(field.parse("1/2")).tensor)
             assert tensors_equal(
                 sixth.tensor,
                 g_bracket(g_bracket(order1, p_hat), p_hat).scale(
-                    field.inverse_int(6)).tensor)
+                    field.parse("1/6")).tensor)
             # the structure residual is the scaled nested brackets:
             # (1/2)[[mu^,p^],p^] (+ (1/6)[[[phi^,p^],p^],p^] when twisted)
             expected = g_bracket(g_bracket(semidirect_mult_map(inst), p_hat),
-                                 p_hat).scale(field.inverse_int(2))
+                                 p_hat).scale(field.parse("1/2"))
             if twisted:
                 triple = g_bracket(g_bracket(g_bracket(
                     lift_cocycle(inst), p_hat), p_hat), p_hat)
-                expected = expected + triple.scale(field.inverse_int(6))
+                expected = expected + triple.scale(field.parse("1/6"))
             assert tensors_equal(structure_residual(inst).tensor,
                                  expected.tensor)
 

@@ -1,5 +1,6 @@
 import copy
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracle import tensors_equal
 from rbx.errors import InputError, RbxError
-from rbx.fields import QQ, PrimeField
+from rbx.fields import F2, QQ, PrimeField
 from rbx.instances import kx2, mult_by_x_instance, tensor_square
 from rbx.schema import (Document, _parse_tensor, cochain_object,
                         document_digest, dump_document, load_document,
@@ -83,12 +84,26 @@ def test_bad_scalar_reports_index():
     assert "algebra.c[0][0][0]" in str(err.value)
 
 
+def fraction_parse(field, value):
+    """Reference: a literal through `Fraction`, to one scalar."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return field.from_int(value)
+    if not isinstance(value, str):
+        raise InputError(f"expected scalar, got {value!r}")
+    try:
+        frac = Fraction(value)
+        return field.from_int(frac.numerator) / frac.denominator
+    except (ValueError, ZeroDivisionError) as exc:
+        kind = "rational" if field.char == 0 else field.name
+        raise InputError(f"bad {kind} scalar {value!r}: {exc}") from exc
+
+
 def per_entry_parse(field, flat, shape, path):
-    """Reference: one field.parse per entry, on an np.ndindex walk."""
+    """Reference: one `fraction_parse` per entry, on an np.ndindex walk."""
     arr = np.empty(shape, dtype=object)
     for idx in np.ndindex(shape):
         try:
-            arr[idx] = field.parse(flat[idx])
+            arr[idx] = fraction_parse(field, flat[idx])
         except InputError as exc:
             pos = "".join(f"[{i}]" for i in idx)
             raise InputError(f"{path}{pos}: {exc}") from exc
@@ -96,9 +111,9 @@ def per_entry_parse(field, flat, shape, path):
 
 
 def parse_outcome(parse, field, flat):
-    """(type, value) of every parsed entry, or the error text; the
-    schema's parser gets the entries with their shape, as `_array`
-    gives them."""
+    """The integers and scale of the parsed entries with the (type, value)
+    of every scalar, or the error text; the schema's parser gets the
+    entries with their shape, as `_array` gives them."""
     if parse is _parse_tensor:
         flat = (flat.shape, list(flat.flat))
     try:
@@ -106,38 +121,55 @@ def parse_outcome(parse, field, flat):
                     else flat.shape, "maps.t")
     except InputError as exc:
         return str(exc)
-    return [(type(x), x) for x in getattr(arr, "objects", arr).flat]
+    if parse is _parse_tensor:
+        (ints, scale), objects = (arr.ints.ravel().tolist(), arr.scale), \
+            arr.objects
+    else:
+        (ints, scale), objects = field.encode(list(arr.flat)), arr
+    return ([(type(n), n) for n in ints], scale,
+            [(type(x), x) for x in objects.flat])
 
 
-GOOD_LITERALS = [1, "1", "2/4", -3, 0, "0", 8, "-6/3", "1/3", 15, 7, "14/2",
-                 1, "1", "2/4", -3, 10 ** 30, "-1", 1, 0]
-# after a 1 in C order: True == 1.0 == 1 with equal hashes, so a cache keyed
-# by value alone would pass them; "1/7" is bad over F7 only
-BAD_LITERALS = [True, False, 1.0, 0.5, None, [1], {"a": 1}, "x", "1/0", "",
-                "1/7"]
+# valid over every field below: no denominator is even or a multiple of 7
+GOOD_LITERALS = [1, "1", "3/9", -3, 0, "0", 8, "-6/3", "1/3", 15, 7, "15/5",
+                 1, "1", "3/9", -3, 10 ** 30, "-1", 1, 0]
+# read to the same integer over every field: an exponent, signs, leading
+# zeros, a fraction to reduce, a non-ASCII digit and 10**30
+INTEGRAL = ["1e3", "+3", "-0", "007", "-6/3", "\u0661", 10 ** 30]
+# refused over every field; True == 1.0 == 1 with equal hashes follow a 1
+# in C order, so a cache keyed by value alone would pass them
+REFUSED = [True, False, 1.0, 0.5, None, [1], {"a": 1}, "x", "1/0", ""]
+# and spaces, a decimal, an underscore and fractions some field refuses
+# ("1/2" and "2/4" over F2, "1/7" over F7)
+LITERALS = [" 1/2 ", "0.5", "1_000", "2/4", "1/7", *INTEGRAL, *REFUSED]
 
 
-@pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=lambda f: f.name)
+@pytest.mark.parametrize("field", (QQ, F2, PrimeField(7),
+                                   PrimeField(2 ** 31 - 1)),
+                         ids=lambda f: f.name)
 def test_parse_tensor_matches_a_per_entry_parse(field, monkeypatch):
     flat = np.empty((4, 5), dtype=object)
     flat.reshape(-1)[:] = GOOD_LITERALS
     calls = []
-    parse = field.parse
-    monkeypatch.setattr(field, "parse", lambda v: calls.append(v) or parse(v))
-    assert parse_outcome(_parse_tensor, field, flat) == \
-        parse_outcome(per_entry_parse, field, flat)
-    # each distinct literal once: the reference made len(GOOD_LITERALS) calls
-    assert len(calls) == len(GOOD_LITERALS) + len({(type(v), v)
-                                                   for v in GOOD_LITERALS})
-    for bad in BAD_LITERALS:
+    literal = field.literal
+    monkeypatch.setattr(field, "literal",
+                        lambda v: calls.append(v) or literal(v))
+    got = parse_outcome(_parse_tensor, field, flat)
+    assert got == parse_outcome(per_entry_parse, field, flat)
+    assert not isinstance(got, str)
+    # each distinct literal once
+    assert len(calls) == len({(type(v), v) for v in GOOD_LITERALS})
+    for value in LITERALS:
         for pos in ((2, 3), (3, 4)):
-            broken = flat.copy()
-            broken[pos] = bad
-            got = parse_outcome(_parse_tensor, field, broken)
-            assert got == parse_outcome(per_entry_parse, field, broken)
-            if bad != "1/7" or field.char == 7:
-                assert isinstance(got, str) and got.startswith(
-                    f"maps.t[{pos[0]}][{pos[1]}]: ")
+            changed = flat.copy()
+            changed[pos] = value
+            got = parse_outcome(_parse_tensor, field, changed)
+            assert got == parse_outcome(per_entry_parse, field, changed)
+            if isinstance(got, str):
+                assert value not in INTEGRAL, value
+                assert got.startswith(f"maps.t[{pos[0]}][{pos[1]}]: ")
+            elif value in REFUSED or (value, field.char) == ("1/7", 7):
+                pytest.fail(f"{value!r} was read over {field.name}")
 
 
 def test_prime_field_document():
