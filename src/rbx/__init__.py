@@ -20,28 +20,23 @@ import importlib
 # submodule -> the public names it lends the package
 _EXPORTS = {
     "algebra": ("Algebra", "Bimodule", "Verdict", "assoc_check",
-                "bimodule_check", "canonical_bimodule", "dual_module",
-                "extension_product", "intertwiner_check", "semidirect",
-                "subspace_closed", "twisted_extension"),
-    "cochains": ("Cochain", "coboundary", "is_cocycle",
-                 "multiplication_cochain", "zero_cochain"),
+                "bimodule_check", "canonical_bimodule"),
+    "cochains": ("Cochain", "coboundary", "is_cocycle"),
     "errors": ("CapacityError", "CharacteristicError", "InputError",
                "RbxError"),
     "fields": ("F2", "F3", "F5", "FpElement", "PrimeField", "QQ",
                "RationalField"),
     "flows": ("FlowResult", "addexp_check", "exp_flow", "hamiltonian_field"),
-    "gerstenhaber": ("MultiMap", "bar_circ", "circ_i", "derived_bracket",
-                     "from_algebra", "g_bracket", "jacobi_residual"),
+    "gerstenhaber": ("MultiMap", "bar_circ", "circ_i", "g_bracket"),
     "linalg": (),
-    "operators": ("OperatorInstance", "aybe_residual", "graph_check",
-                  "is_classical_rb", "is_grb", "is_nijenhuis", "is_reynolds",
-                  "is_trb", "lift_cocycle", "lift_operator", "r_tilde",
-                  "reynolds_as_twisted", "search_operators",
-                  "structure_residual"),
+    "operators": ("OperatorInstance", "aybe_residual", "is_classical_rb",
+                  "is_grb", "is_nijenhuis", "is_reynolds", "is_trb",
+                  "lift_cocycle", "lift_operator", "reynolds_as_twisted",
+                  "search_operators", "structure_residual"),
     "structures": ("Dendriform", "NSAlgebra", "check_dendriform",
                    "check_ns", "dendriform_from_grb", "derivation_dual",
-                   "grb_morphism_check", "identity_operator",
-                   "induced_actions", "ns_from_trb", "total_product"),
+                   "grb_morphism_check", "induced_actions", "ns_from_trb",
+                   "total_product"),
 }
 
 # public name -> the submodule that defines it (a submodule names itself)

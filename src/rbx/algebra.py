@@ -1,4 +1,6 @@
-"""Finite-dimensional associative algebras, bimodules, and extensions.
+"""Finite-dimensional associative algebras and bimodules: the
+associativity and bimodule checks, the canonical bimodule, and the
+product tensor of an abelian extension A (+)_phi M (`extension`).
 
 An algebra is a dim x dim x dim structure-constant tensor c with
 e_i * e_j = sum_k c[i,j,k] e_k; a bimodule over it carries left/right
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from .errors import InputError
 from .linalg import (Encoded, common, decoded, einsum, embed, eye,
-                     first_difference, first_nonzero_index, rank, row_reduce)
+                     first_difference, first_nonzero_index, row_reduce)
 
 
 class Verdict:
@@ -150,14 +152,6 @@ def canonical_bimodule(algebra: Algebra) -> Bimodule:
                     check=False)
 
 
-def dual_module(algebra: Algebra) -> Bimodule:
-    """The dual space A* with (a.f)(b) = f(ba) and (f.a)(b) = f(ab):
-    left[s, i, j] = c[j, s, i] and right[i, s, j] = c[s, j, i]."""
-    c = algebra._c
-    return Bimodule(algebra, c.transpose(1, 2, 0), c.transpose(2, 0, 1),
-                    labels=[f"{l}*" for l in algebra.labels], check=False)
-
-
 def bimodule_check(algebra: Algebra, module: Bimodule) -> Verdict:
     """The three bimodule axioms on all basis triples.
 
@@ -184,19 +178,15 @@ _BIMODULE_AXIOMS = ("(ab).m != a.(b.m)", "m.(ab) != (m.a).b",
                     "(a.m).b != a.(m.b)")
 
 
-def extension_product(algebra: Algebra, module: Bimodule, cocycle_tensor=None):
-    """Raw product tensor on A (+) M:
-    (a,m)*(b,n) = (ab, a.n + m.b [+ phi(a,b)]).
-
-    Returns the (d,d,d) tensor with the A-block first; no associativity
-    gate, so callers can probe non-cocycle extensions.
-    """
-    return extension(algebra, module, cocycle_tensor).objects
-
-
 def extension(algebra: Algebra, module: Bimodule, twist=None) -> Encoded:
-    """`extension_product` in the integer encoding, over the common scale
-    of the blocks; `twist` is a 2-cochain tensor, encoded or not."""
+    """Product tensor on A (+) M, (a,m)*(b,n) = (ab, a.n + m.b [+ phi(a,b)]),
+    with the A-block first, over the common scale of the blocks; `twist`
+    is a 2-cochain tensor phi, encoded or not.
+
+    No associativity gate, so callers can probe non-cocycle twists;
+    `Algebra(field, extension(A, M, phi))` is the extension A (+)_phi M,
+    associative iff phi is a cocycle.
+    """
     dA, dM = algebra.dim, module.dim
     blocks = [algebra._c, module._left, module._right]
     if twist is not None:
@@ -211,71 +201,3 @@ def extension(algebra: Algebra, module: Bimodule, twist=None) -> Encoded:
     places = [(A, A, A), (A, M, M), (M, A, M), (A, A, M)]
     return Encoded(algebra.field,
                    embed((dA + dM,) * 3, list(zip(places, ints))), scale)
-
-
-def _ext_labels(algebra, module):
-    return list(algebra.labels) + list(module.labels)
-
-
-def semidirect(algebra: Algebra, module: Bimodule) -> Algebra:
-    """The trivial abelian extension A (+)_0 M."""
-    return Algebra(algebra.field, extension(algebra, module),
-                   labels=_ext_labels(algebra, module))
-
-
-def twisted_extension(algebra: Algebra, module: Bimodule, cocycle) -> Algebra:
-    """A (+)_phi M for a 2-cochain phi, a `Cochain`; associative iff phi
-    is a cocycle, and the Algebra constructor enforces exactly that."""
-    ext = extension(algebra, module, cocycle._tensor)
-    try:
-        return Algebra(algebra.field, ext, labels=_ext_labels(algebra, module))
-    except InputError as exc:
-        raise InputError(
-            f"twisted extension is not associative (the 2-cochain is "
-            f"not a cocycle): {exc}") from exc
-
-
-def subspace_closed(algebra: Algebra, basis_vectors) -> Verdict:
-    """Is the span of `basis_vectors` closed under the product?
-
-    The basis is a list of vectors of scalars, or an Encoded matrix whose
-    rows are the vectors.  It must be linearly independent; on failure the
-    witness is the first basis pair (i, j) whose product escapes, with the
-    product vector and its residual after elimination.  The empty basis
-    spans {0}, which is closed.
-    """
-    v = basis_vectors
-    if not isinstance(v, Encoded):
-        if not len(v):
-            return Verdict(True)
-        v = Encoded.of(algebra.field, [list(x) for x in v])
-    if len(v.shape) != 2 or v.shape[1] != algebra.dim:
-        raise InputError("basis vector has wrong length")
-    rref, pivots = row_reduce(v)
-    if len(pivots) != v.shape[0]:
-        raise InputError("basis vectors are linearly dependent")
-    # prods[i, j] = v_i v_j, and its residual p - p[pivots] @ rref, which
-    # on the integers is p * d - p[pivots] @ R over the scale of p times d
-    prods = einsum("jb,ibl->ijl", v, einsum("ia,abl->ibl", v, algebra._c))
-    residuals = prods - einsum("ijp,pl->ijl", prods[..., pivots], rref)
-    bad = first_nonzero_index(residuals.differs(None), 2)
-    if bad is None:
-        return Verdict(True)
-    return Verdict(False, bad, lhs=prods.at(bad), rhs=residuals.at(bad),
-                   detail="product escapes the span")
-
-
-def intertwiner_check(T, P, Q) -> Verdict:
-    """Does T intertwine the arity-2 MultiMaps P and Q: T(P(x,y)) = Q(Tx,Ty)?
-
-    T must be an invertible endomorphism of the common space, over P's field.
-    """
-    t = Encoded.of(P.field, T)
-    if t.shape != (P.dim, P.dim):
-        raise InputError("intertwiner must be an endomorphism")
-    if rank(t) != P.dim:
-        raise InputError("intertwiner is singular")
-    if (P.arity, Q.arity, Q.dim) != (2, 2, P.dim):
-        raise InputError("P and Q must be arity-2 maps on the same space")
-    image = einsum("jb,ibl->ijl", t, einsum("ia,abl->ibl", t, Q._tensor))
-    return Verdict.compare(einsum("ijx,xl->ijl", P._tensor, t), image, 3)

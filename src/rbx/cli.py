@@ -2,9 +2,10 @@
 
 One verb = one library operation; exit code 0 means the checked property
 holds, 1 means it fails (a witness is printed), 2 means an input,
-capacity or characteristic error, or output that cannot be written (an
-`-o` path, a closed stdout).  `--json` emits a machine-readable report
-that is byte-stable for identical inputs apart from the timing field.
+capacity or characteristic error, output that cannot be written (an
+`-o` path, a closed stdout), or a handler that ran out of memory.
+`--json` emits a machine-readable report that is byte-stable for
+identical inputs apart from the timing field.
 The environment variable RBX_BUDGET overrides the search budget.
 
 Start-up loads only what the verb runs.  Each verb's arguments live in
@@ -342,7 +343,12 @@ def _cast_document(doc, field_name):
     if field_name == "Q":
         spec = "Q"
     elif field_name.upper().startswith("F") and field_name[1:].isdecimal():
-        spec = {"Fp": int(field_name[1:])}
+        try:
+            spec = {"Fp": int(field_name[1:])}
+        except ValueError:      # past int's digit limit
+            raise InputError(
+                f"F_p needs a prime modulus below 2^31, got one of "
+                f"{len(field_name) - 1} digits") from None
     else:
         raise InputError(f"unknown field name {field_name!r}; use Q or F<p>")
     obj = schema.document_to_obj(doc)
@@ -576,6 +582,8 @@ def main(argv=None) -> int:
         report = handler(args)
     except RbxError as exc:
         report = Report(args.command, "error", detail=str(exc))
+    except MemoryError:         # the last resort: the input outgrew memory
+        report = Report(args.command, "error", detail="out of memory")
     report.timing_ms = round((time.perf_counter() - start) * 1000, 3)
     try:
         _print_report(report, args.json)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from .algebra import Algebra, Bimodule, Verdict
 from .errors import CapacityError, InputError
 from .gerstenhaber import ARITY_CAP
-from .linalg import Encoded, combine, decoded, einsum, embed
+from .linalg import Encoded, combine, decoded, einsum
 
 
 class Cochain:
@@ -71,15 +71,3 @@ def is_cocycle(cochain: Cochain) -> Verdict:
     d = coboundary(cochain)._tensor
     return Verdict.compare(d, None, len(d.shape),
                            detail="coboundary does not vanish")
-
-
-def zero_cochain(algebra: Algebra, module: Bimodule, arity: int) -> Cochain:
-    return Cochain(algebra, module, Encoded(
-        algebra.field, embed((algebra.dim,) * arity + (module.dim,), [])))
-
-
-def multiplication_cochain(algebra: Algebra) -> Cochain:
-    """The product of A as an element of C^2(A, A)."""
-    from .algebra import canonical_bimodule
-
-    return Cochain(algebra, canonical_bimodule(algebra), algebra._c)

@@ -1,7 +1,6 @@
 """Graded space of multilinear maps on a coordinate space B with the
-Gerstenhaber calculus: insertion compositions, the bar-circle product,
-the graded-commutator bracket, derived brackets, and the graded-Jacobi
-residual.
+Gerstenhaber calculus: insertion compositions, the bar-circle product
+and the graded-commutator bracket.
 
 A MultiMap of arity m on a d-dimensional space is a tensor of shape
 (d,)*m + (d,); the last axis indexes the output.  The bracket of maps of
@@ -13,7 +12,6 @@ Conventions (degree of an arity-m map is m):
     (f o_i g)(b_1..b_{m+n-1}) = f(b_1,..,b_{i-1}, g(b_i..b_{i+n-1}), ..)
     f obar g  = sum_{i=1}^{m} (-1)^{(i-1)(n-1)} f o_i g
     [f, g]    = f obar g - (-1)^{(m-1)(n-1)} g obar f
-    [f, g]_S  = [[S, f], g]          (derived bracket, for [S,S]=0)
 
 For an arity-1 p with p o p = 0 and X = [., p], the half term of X^2 on
 arity-2 maps has a division-free closed form, valid over every field:
@@ -86,11 +84,6 @@ class MultiMap:
         return f"MultiMap(arity={self.arity}, dim={self.dim})"
 
 
-def from_algebra(algebra):
-    """The multiplication of an algebra as an arity-2 MultiMap."""
-    return MultiMap(algebra.field, algebra._c)
-
-
 def circ_i(f: MultiMap, g: MultiMap, i: int) -> MultiMap:
     """Insertion of g into the i-th slot of f (1-based)."""
     m, n = f.arity, g.arity
@@ -132,27 +125,3 @@ def g_bracket(f: MultiMap, g: MultiMap) -> MultiMap:
     if (f.arity - 1) * (g.arity - 1) % 2:
         return fg + gf
     return fg - gf
-
-
-def derived_bracket(f: MultiMap, g: MultiMap, square: MultiMap) -> MultiMap:
-    """[f, g]_S = [[S, f], g] for an arity-2 S with [S,S] = 0."""
-    if square.arity != 2:
-        raise InputError("derived bracket needs an arity-2 structure map")
-    if not g_bracket(square, square).is_zero_map():
-        raise InputError("structure map is not square-zero: [S,S] != 0")
-    return g_bracket(g_bracket(square, f), g)
-
-
-def jacobi_residual(f: MultiMap, g: MultiMap, h: MultiMap) -> MultiMap:
-    """Signed three-term sum of the graded Jacobi identity; identically
-    zero for a genuine graded Lie bracket:
-
-    (-1)^{(m-1)(l-1)}[[f,g],h] + (-1)^{(l-1)(n-1)}[[h,f],g]
-        + (-1)^{(n-1)(m-1)}[[g,h],f]
-    """
-    m, n, l = f.arity, g.arity, h.arity
-    return MultiMap(f.field, combine([
-        (g_bracket(g_bracket(f, g), h)._tensor, (-1) ** ((m - 1) * (l - 1))),
-        (g_bracket(g_bracket(h, f), g)._tensor, (-1) ** ((l - 1) * (n - 1))),
-        (g_bracket(g_bracket(g, h), f)._tensor, (-1) ** ((n - 1) * (m - 1))),
-    ]))

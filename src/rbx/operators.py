@@ -31,15 +31,12 @@ from __future__ import annotations
 import math
 from itertools import chain, compress, islice, product
 
-from .algebra import (Algebra, Bimodule, Verdict, canonical_bimodule,
-                      dual_module, extension, semidirect, subspace_closed,
-                      twisted_extension)
+from .algebra import Algebra, Bimodule, Verdict, canonical_bimodule, extension
 from .cochains import Cochain, is_cocycle
 from .errors import CapacityError, CharacteristicError, InputError
 from .gerstenhaber import MultiMap, circ_i, half_square
 from . import linalg
-from .linalg import (Encoded, IntTensor, _np, combine, decoded, einsum,
-                     embed, eye)
+from .linalg import Encoded, IntTensor, _np, combine, decoded, einsum, embed
 
 SEARCH_BUDGET = 2 ** 20
 
@@ -264,19 +261,6 @@ def twist_insertion(inst: OperatorInstance) -> MultiMap:
     return circ_i(p_hat, both, 1)
 
 
-def graph_check(inst: OperatorInstance) -> Verdict:
-    """Is the graph {(op(m), m)} a subalgebra of the (twisted) extension?"""
-    if inst.cocycle is None:
-        ext = semidirect(inst.algebra, inst.module)
-    else:
-        ext = twisted_extension(inst.algebra, inst.module, inst.cocycle)
-    # row j is (op(m_j), m_j), over the scale of op
-    op, dA, dM = inst._op, inst.algebra.dim, inst.module.dim
-    A, M = (slice(None), slice(None, dA)), (slice(None), slice(dA, None))
-    basis = embed((dM, dA + dM), [(A, op.ints), (M, eye(dM, op.scale))])
-    return subspace_closed(ext, Encoded(inst.field, basis, op.scale))
-
-
 # ---------------------------------------------------------------------------
 # associative Yang-Baxter equation
 
@@ -308,19 +292,6 @@ def _aybe_residual(c, r):
     t2 = einsum("...uvs,...sw->...uvw", right, r)
     t3 = einsum("...us,...vws->...uvw", r, right)
     return combine([(t1, 1), (t2, -1), (t3, 1)])
-
-
-def r_tilde(algebra: Algebra, r) -> OperatorInstance:
-    """The operator A* -> A, f |-> sum a_i f(b^i), of a skew-symmetric
-    AYBE solution r, over the dual bimodule."""
-    d = algebra.dim
-    r = _square(algebra, r, f"r must be a {d}x{d} tensor in A (x) A")
-    if (r + r.transpose(1, 0)).differs(None).any():
-        raise InputError("r is not skew-symmetric")
-    if aybe_encoded(algebra, r).differs(None).any():
-        raise InputError("r does not solve the associative Yang-Baxter equation")
-    # row i = image of the i-th dual basis vector
-    return OperatorInstance(algebra, dual_module(algebra), r.transpose(1, 0))
 
 
 # ---------------------------------------------------------------------------

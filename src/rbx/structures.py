@@ -1,6 +1,7 @@
 """Dendriform and NS-algebras: axiom checkers, construction from
 (twisted) Rota-Baxter operators, induced associative products and
-bimodule actions, and instance-level functor round-trips.
+bimodule actions, derivation duality, and morphisms of operator
+instances.
 
 NS axioms, for products succ (>), prec (<) and vee (v), with
 x*y = x>y + x<y + x v y:
@@ -13,8 +14,8 @@ x*y = x>y + x<y + x v y:
 A dendriform algebra is an NS-algebra without vee (`Dendriform`, with
 vee None): t1-t3 read without the vee terms are its axioms d1-d3, and
 t4 vanishes.  A generalized Rota-Baxter operator is in the same way the
-twisted case with phi = 0, so one checker, one derivation and one
-identity operator serve both.
+twisted case with phi = 0, so one checker and one derivation serve
+both.
 `induced_actions` returns A as a `Bimodule` over the induced algebra
 M_ass; the maps the functions take are matrices (see `operators`).
 """
@@ -22,7 +23,6 @@ M_ass; the maps the functions take are matrices (see `operators`).
 from __future__ import annotations
 
 from .algebra import Algebra, Bimodule, Verdict, bimodule_check
-from .cochains import Cochain
 from .errors import InputError
 from .linalg import (Encoded, combine, decoded, einsum, eye,
                      first_difference, first_nonzero_index)
@@ -155,22 +155,6 @@ def total_product(structure) -> Algebra:
     if not report:
         raise InputError(f"structure axioms fail: {report.detail}")
     return Algebra(structure.field, structure._total(), labels=structure.labels)
-
-
-def identity_operator(structure) -> OperatorInstance:
-    """The identity map of a dendriform (resp. NS) algebra onto its total
-    algebra, as a GRB (resp. TRB) instance: e.x = e > x, x.e = x < e, and
-    for NS input the twist is the vee product."""
-    total = total_product(structure)
-    module = Bimodule(total, structure._succ, structure._prec,
-                      labels=structure.labels, check=False)
-    report = bimodule_check(total, module)
-    if not report:
-        raise InputError(f"induced actions fail bimodule axioms at {report.witness}")
-    op = Encoded(structure.field, eye(structure.dim))
-    twist = None if structure._vee is None else \
-        Cochain(total, module, structure._vee)
-    return OperatorInstance(total, module, op, twist)
 
 
 def induced_actions(inst: OperatorInstance) -> Bimodule:

@@ -6,7 +6,8 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from oracle import zeros
-from rbx.algebra import Algebra, canonical_bimodule, dual_module
+from propositions import dual_module
+from rbx.algebra import Algebra, canonical_bimodule
 from rbx.fields import F2, F3, F5, QQ
 from rbx.instances import (kx2, mult_by_x_instance, null_algebra,
                            reynolds_identity_instance, swap_instance,

@@ -282,6 +282,35 @@ def oracle_operator(field, c, left, right, p, phi=None):
     return None
 
 
+def oracle_graph_check(field, c, left, right, p, phi=None):
+    """Is the graph {(p(m), m)} of p: M -> A a subalgebra of A (+)_phi M,
+    where (a, m)(b, n) = (ab, a.n + m.b [+ phi(a, b)])?  On basis pairs
+    (i, j) of the graph: its product, by basis loops, and that product's
+    residual after the reference elimination of the graph's rows; the
+    pair escapes the graph when the residual is nonzero.  Sides are
+    vectors in A (+) M."""
+    dM = p.shape[0]
+    graph = [list(p[i]) + basis(dM, i, field) for i in range(dM)]
+    rref, pivots = oracle_row_reduce(np.array(graph, dtype=object))
+    for i in range(dM):
+        for j in range(dM):
+            pm, pn = list(p[i]), list(p[j])
+            m = basis(dM, i, field)
+            n = basis(dM, j, field)
+            inner = add(bilinear(left, pm, n, field),
+                        bilinear(right, m, pn, field))
+            if phi is not None:
+                inner = add(inner, bilinear(phi, pm, pn, field))
+            prod = bilinear(c, pm, pn, field) + inner     # A, then M
+            residual = prod
+            for row, col in zip(rref, pivots):
+                residual = [x - prod[col] * y
+                            for x, y in zip(residual, row)]
+            if any(residual):
+                return (i, j), prod, residual
+    return None
+
+
 def oracle_reynolds(field, c, r):
     """R(a)R(b) = R(R(a)b + aR(b)) - R(R(a)R(b)) on basis pairs."""
     d = r.shape[0]

@@ -13,22 +13,24 @@ import numpy as np
 from conftest import (catalog_algebras, catalog_trb_instances,
                       enumeration_pairs)
 from oracle import (add, aybe_oracle, bilinear, elements, identity,
-                    induced_product, random_tensor, tensors_equal, zeros)
-from rbx.algebra import (assoc_check, bimodule_check, canonical_bimodule,
-                         extension_product, intertwiner_check, semidirect)
+                    induced_product, oracle_graph_check, random_tensor,
+                    tensors_equal, zeros)
+from propositions import (identity_operator, intertwiner_check,
+                          jacobi_residual, r_tilde)
+from rbx.algebra import (Algebra, assoc_check, bimodule_check,
+                         canonical_bimodule, extension)
 from rbx.cochains import Cochain, coboundary, is_cocycle
 from rbx.fields import F2, F5, QQ
 from rbx.flows import addexp_check, exp_flow, flow_truncation
-from rbx.gerstenhaber import MultiMap, g_bracket, jacobi_residual
+from rbx.gerstenhaber import MultiMap, g_bracket
 from rbx.instances import kx2, mult_by_x_instance, truncated_polynomial
 from rbx.linalg import Encoded, is_zero
 from rbx.operators import (OperatorInstance, aybe_residual,
-                           extension_mult_map, graph_check, is_grb,
-                           is_reynolds, is_trb, lift_cocycle, lift_operator,
-                           r_tilde, reynolds_as_twisted, structure_residual,
-                           twist_insertion)
+                           extension_mult_map, is_grb, is_reynolds, is_trb,
+                           lift_cocycle, lift_operator, reynolds_as_twisted,
+                           structure_residual, twist_insertion)
 from rbx.structures import (check_dendriform, check_ns, dendriform_from_grb,
-                            identity_operator, ns_from_trb, total_product)
+                            ns_from_trb, total_product)
 from weyl import WeylPoly, truncated_weyl
 
 
@@ -48,13 +50,14 @@ def test_criterion_1_four_way_grb_equivalence():
     candidates = 0
     grb_count = 0
     for name, A, M in enumeration_pairs():
-        ext = semidirect(A, M)
+        ext = Algebra(A.field, extension(A, M))
         ext_mod = canonical_bimodule(ext)
         for mat in enumerate_operators(A, M):
             candidates += 1
             inst = OperatorInstance(A, M, mat)
             direct = bool(is_grb(inst))
-            graph = bool(graph_check(inst))
+            graph = oracle_graph_check(A.field, A.c, M.left, M.right,
+                                       mat) is None
             lifted = bool(is_grb(OperatorInstance(
                 ext, ext_mod, lift_operator(inst).tensor)))
             verdicts = {direct, graph, lifted}
@@ -180,8 +183,7 @@ def test_criterion_6_hochschild():
             tensor = coboundary(Cochain(A, M, random_tensor((2, 2), QQ, rng))).tensor
         phi = Cochain(A, M, tensor)
         cocycle_report = is_cocycle(phi)
-        assoc_report = assoc_check(
-            Encoded.of(QQ, extension_product(A, M, tensor)))
+        assoc_report = assoc_check(extension(A, M, tensor))
         assert bool(cocycle_report) == bool(assoc_report)
         if cocycle_report:
             cocycles += 1

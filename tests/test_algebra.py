@@ -3,16 +3,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import upper_triangular
-from oracle import basis, identity, neg, tensors_equal, vec_mat, zeros
+from oracle import identity, neg, tensors_equal, vec_mat, zeros
+from propositions import dual_module, intertwiner_check
 from rbx.algebra import (Algebra, Bimodule, assoc_check, bimodule_check,
-                         canonical_bimodule, dual_module, extension_product,
-                         intertwiner_check, semidirect, subspace_closed,
-                         twisted_extension)
-from rbx.cochains import Cochain, is_cocycle, zero_cochain
+                         canonical_bimodule, extension)
+from rbx.cochains import Cochain, is_cocycle
 from rbx.errors import InputError
 from rbx.fields import F2, QQ
-from rbx.instances import kx2, mult_by_x_instance, null_algebra
-from rbx.linalg import Encoded, IntTensor, is_zero, to_numpy
+from rbx.gerstenhaber import MultiMap
+from rbx.instances import kx2, null_algebra
+from rbx.linalg import Encoded, is_zero
 
 
 def test_assoc_check_kx2_passes(kx2_q):
@@ -74,30 +74,29 @@ def test_bimodule_check_scaled_left_action_fails(kx2_q):
 
 
 def test_semidirect_product_values(kx2_q):
-    S = semidirect(kx2_q, canonical_bimodule(kx2_q))
+    S = extension(kx2_q, canonical_bimodule(kx2_q)).objects
     # (e0, 0) * (0, e0) = (0, e0): basis 0 times basis 2 gives basis 2
-    prod = S.c[0, 2]
+    prod = S[0, 2]
     expected = zeros(4, QQ)
     expected[2] = QQ.one
     assert tensors_equal(prod, expected)
     # (0,m)*(0,n) = 0 for all m, n
     for i in (2, 3):
         for j in (2, 3):
-            assert is_zero(S.c[i, j])
+            assert is_zero(S[i, j])
 
 
 def test_semidirect_associativity_all_catalog_pairs():
     for A in (kx2(QQ), kx2(F2), null_algebra(QQ, 2)):
         for M in (canonical_bimodule(A), dual_module(A)):
-            S = semidirect(A, M)  # Algebra constructor re-checks associativity
-            assert assoc_check(Encoded.of(A.field, S.c))
+            assert assoc_check(extension(A, M))
 
 
 def test_twisted_extension_zero_cocycle_matches_semidirect(kx2_q):
     M = canonical_bimodule(kx2_q)
-    plain = semidirect(kx2_q, M)
-    twisted = twisted_extension(kx2_q, M, zero_cochain(kx2_q, M, 2))
-    assert tensors_equal(plain.c, twisted.c)
+    plain = extension(kx2_q, M)
+    twisted = extension(kx2_q, M, zeros((2, 2, 2), QQ))
+    assert tensors_equal(plain.objects, twisted.objects)
 
 
 def test_twisted_extension_unit_twist_is_associative(kx2_q):
@@ -110,7 +109,7 @@ def test_twisted_extension_unit_twist_is_associative(kx2_q):
         for j in range(2):
             phi[i, j] = neg(vec_mat(ae, M.right[:, j], QQ))  # -(e_i . e) . e_j
     assert is_cocycle(Cochain(kx2_q, M, phi))
-    assert assoc_check(Encoded.of(QQ, extension_product(kx2_q, M, phi)))
+    assert assoc_check(extension(kx2_q, M, phi))
 
 
 def test_twisted_extension_non_cocycle_fails_assoc(kx2_q):
@@ -127,88 +126,27 @@ def test_twisted_extension_non_cocycle_fails_assoc(kx2_q):
         if is_cocycle(cochain):
             continue
         found = True
-        assert not assoc_check(
-            Encoded.of(QQ, extension_product(kx2_q, M, phi)))
+        assert not assoc_check(extension(kx2_q, M, phi))
         with pytest.raises(InputError):
-            twisted_extension(kx2_q, M, cochain)
+            Algebra(QQ, extension(kx2_q, M, phi))
         break
     assert found
 
 
-def test_subspace_closed_graph_of_mult_by_x(kx2_q):
-    S = semidirect(kx2_q, canonical_bimodule(kx2_q))
-    pi = mult_by_x_instance(QQ).op
-    basis = []
-    for j in range(2):
-        vec = zeros(4, QQ)
-        vec[:2] = pi[j]
-        vec[2 + j] = QQ.one
-        basis.append(vec)
-    assert subspace_closed(S, basis)
-
-
-def test_subspace_closed_graph_of_identity_fails(kx2_q):
-    S = semidirect(kx2_q, canonical_bimodule(kx2_q))
-    basis = []
-    for j in range(2):
-        vec = zeros(4, QQ)
-        vec[j] = QQ.one
-        vec[2 + j] = QQ.one
-        basis.append(vec)
-    report = subspace_closed(S, basis)
-    assert not report
-    # the offending pair is ((e0,e0),(e0,e0)): product (e0, 2 e0) escapes
-    assert report.witness == (0, 0)
-    assert report.lhs[0] == Fraction(1) and report.lhs[2] == Fraction(2)
-
-
-def test_subspace_closed_full_space(kx2_q):
-    S = semidirect(kx2_q, canonical_bimodule(kx2_q))
-    assert subspace_closed(S, [basis(4, i, QQ) for i in range(4)])
-
-
-def test_subspace_closed_empty_basis_spans_zero(kx2_q):
-    # {0} is closed under the product
-    assert subspace_closed(kx2_q, [])
-    assert subspace_closed(semidirect(kx2_q, canonical_bimodule(kx2_q)), [])
-
-
-@pytest.mark.parametrize("entries", [[0, 1, 0, 0, 0, 1], [1, 0, 0, 0, 1, 0]])
-def test_subspace_closed_refuses_a_basis_of_the_wrong_width(kx2_q, entries):
-    # width 3 in a 4-dimensional algebra, in each input form
-    S = semidirect(kx2_q, canonical_bimodule(kx2_q))
-    ints = IntTensor((2, 3), entries)
-    for basis in (Encoded(QQ, ints), Encoded(QQ, to_numpy(ints)),
-                  [entries[:3], entries[3:]]):
-        with pytest.raises(InputError, match="basis vector has wrong length"):
-            subspace_closed(S, basis)
-
-
-def test_subspace_closed_rejects_dependent_basis(kx2_q):
-    with pytest.raises(InputError):
-        subspace_closed(kx2_q, [basis(2, 0, QQ), basis(2, 0, QQ)])
-
-
 def test_intertwiner_identity(kx2_q):
-    from rbx.gerstenhaber import from_algebra
-
-    mu = from_algebra(kx2_q)
+    mu = MultiMap(QQ, kx2_q._c)
     assert intertwiner_check(identity(2, QQ), mu, mu)
 
 
 def test_intertwiner_detects_mismatch(kx2_q):
-    from rbx.gerstenhaber import from_algebra
-
-    mu = from_algebra(kx2_q)
-    null = from_algebra(null_algebra(QQ, 2))
+    mu = MultiMap(QQ, kx2_q._c)
+    null = MultiMap(QQ, null_algebra(QQ, 2)._c)
     report = intertwiner_check(identity(2, QQ), mu, null)
     assert not report
 
 
 def test_intertwiner_rejects_singular(kx2_q):
-    from rbx.gerstenhaber import from_algebra
-
-    mu = from_algebra(kx2_q)
+    mu = MultiMap(QQ, kx2_q._c)
     with pytest.raises(InputError):
         intertwiner_check(zeros((2, 2), QQ), mu, mu)
 

@@ -33,15 +33,15 @@ import test_flows
 import test_gerstenhaber
 import test_integer_sites
 import test_witness_oracle
-from oracle import identity, random_tensor
+from oracle import identity, random_tensor, zeros
+from propositions import intertwiner_check
 from test_contract import spy_products, tensordot_spec
 from rbx import linalg
 from rbx.algebra import (Algebra, bimodule_check, canonical_bimodule,
-                         intertwiner_check, semidirect, twisted_extension)
-from rbx.cochains import zero_cochain
+                         extension)
 from rbx.errors import InputError
 from rbx.fields import QQ, FpElement, PrimeField
-from rbx.gerstenhaber import MultiMap, from_algebra
+from rbx.gerstenhaber import MultiMap
 from rbx.instances import kx2, mult_by_x_instance
 from rbx.linalg import (Encoded, IntTensor, _array, combine, einsum, embed,
                         first_difference, first_nonzero_index, max_abs,
@@ -632,7 +632,7 @@ def _intertwiner(P, Q):
 
 
 ZERO_F5 = MultiMap(F5, [[[F5.zero] * 2] * 2] * 2)
-FIVE_MU = from_algebra(kx2(QQ)).scale(QQ.from_int(5))
+FIVE_MU = MultiMap(QQ, kx2(QQ)._c).scale(QQ.from_int(5))
 
 
 @pytest.mark.parametrize("build", [
@@ -640,10 +640,10 @@ FIVE_MU = from_algebra(kx2(QQ)).scale(QQ.from_int(5))
     lambda: _intertwiner(FIVE_MU, ZERO_F5),
     lambda: grb_morphism_check(identity(2, QQ), identity(2, QQ),
         mult_by_x_instance(QQ), mult_by_x_instance(F5)),
-    lambda: from_algebra(kx2(QQ)) + from_algebra(kx2(F5)),
-    lambda: from_algebra(kx2(QQ)) - from_algebra(kx2(F5)),
-    _mixed(semidirect),
-    _mixed(lambda A, M: twisted_extension(A, M, zero_cochain(A, M, 2))),
+    lambda: MultiMap(QQ, kx2(QQ)._c) + MultiMap(F5, kx2(F5)._c),
+    lambda: MultiMap(QQ, kx2(QQ)._c) - MultiMap(F5, kx2(F5)._c),
+    _mixed(extension),
+    _mixed(lambda A, M: extension(A, M, zeros((2, 2, 2), QQ))),
     _mixed(bimodule_check),
     _mixed(lambda A, M: is_grb(OperatorInstance(
         A, M, mult_by_x_instance(QQ).op))),

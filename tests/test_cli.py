@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -401,6 +402,23 @@ def test_huge_prime_modulus_is_exit_2(tmp_path, capsys):
     assert code == 2 and "2^31" in out
 
 
+@pytest.mark.parametrize("argv, env, message", [
+    (["--field", "F" + "7" * 5000], {},
+     "F_p needs a prime modulus below 2^31, got one of 5000 digits"),
+    (["--field", "F2"], {"RBX_BUDGET": "7" * 5000},
+     "RBX_BUDGET must be a positive integer, got '" + "7" * 5000 + "'")],
+    ids=["field", "budget"])
+def test_a_number_past_the_digit_limit_is_exit_2(mbx_file, capsys,
+                                                 monkeypatch, argv, env,
+                                                 message):
+    """5,000 digits, past int's limit of 4,300, in a search's --field or
+    RBX_BUDGET: refused with a message, not a ValueError traceback."""
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out = run(capsys, "search", mbx_file, "--kind", "rb", *argv)
+    assert (code, out) == (2, f"ERROR: search - {message}\n")
+
+
 def test_trb_search_checks_the_twist_once(ts_file, capsys, monkeypatch):
     import rbx.operators
 
@@ -725,32 +743,27 @@ def test_digests_fall_back_to_hashlib(mbx_file, capsys):
     assert proc.stdout.split() == [*expected, "True"]
 
 
-# every public name of the package before it became lazy, by the submodule
-# that defines it; a submodule is public under its own name
+# every public name of the package, by the submodule that defines it; a
+# submodule is public under its own name
 EAGER_EXPORTS = {
     "algebra": ["Algebra", "Bimodule", "Verdict", "assoc_check",
-                "bimodule_check", "canonical_bimodule", "dual_module",
-                "extension_product", "intertwiner_check", "semidirect",
-                "subspace_closed", "twisted_extension"],
-    "cochains": ["Cochain", "coboundary", "is_cocycle",
-                 "multiplication_cochain", "zero_cochain"],
+                "bimodule_check", "canonical_bimodule"],
+    "cochains": ["Cochain", "coboundary", "is_cocycle"],
     "errors": ["CapacityError", "CharacteristicError", "InputError",
                "RbxError"],
     "fields": ["F2", "F3", "F5", "FpElement", "PrimeField", "QQ",
                "RationalField"],
     "flows": ["FlowResult", "addexp_check", "exp_flow", "hamiltonian_field"],
-    "gerstenhaber": ["MultiMap", "bar_circ", "circ_i", "derived_bracket",
-                     "from_algebra", "g_bracket", "jacobi_residual"],
+    "gerstenhaber": ["MultiMap", "bar_circ", "circ_i", "g_bracket"],
     "linalg": [],
-    "operators": ["OperatorInstance", "aybe_residual", "graph_check",
-                  "is_classical_rb", "is_grb", "is_nijenhuis", "is_reynolds",
-                  "is_trb", "lift_cocycle", "lift_operator", "r_tilde",
-                  "reynolds_as_twisted", "search_operators",
-                  "structure_residual"],
+    "operators": ["OperatorInstance", "aybe_residual", "is_classical_rb",
+                  "is_grb", "is_nijenhuis", "is_reynolds", "is_trb",
+                  "lift_cocycle", "lift_operator", "reynolds_as_twisted",
+                  "search_operators", "structure_residual"],
     "structures": ["Dendriform", "NSAlgebra", "check_dendriform",
                    "check_ns", "dendriform_from_grb", "derivation_dual",
-                   "grb_morphism_check", "identity_operator",
-                   "induced_actions", "ns_from_trb", "total_product"],
+                   "grb_morphism_check", "induced_actions", "ns_from_trb",
+                   "total_product"],
 }
 
 
@@ -764,7 +777,7 @@ def test_lazy_package_keeps_every_public_name():
             assert getattr(rbx, name) is (sub if name == module
                                           else getattr(sub, name))
     assert len(rbx.__all__) == sum(
-        len(names) + 1 for names in EAGER_EXPORTS.values()) == 73
+        len(names) + 1 for names in EAGER_EXPORTS.values()) == 59
     from rbx import QQ, is_trb
     assert QQ is rbx.fields.QQ and is_trb is rbx.operators.is_trb
     star = {}
@@ -968,6 +981,35 @@ def test_output_into_a_missing_directory_is_exit_2(mbx_file, tmp_path, argv):
     assert proc.stdout == (f"ERROR: {argv[0]} - cannot write {target}: "
                            f"[Errno 2] No such file or directory: "
                            f"'{target}'\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS caps the address space on Linux")
+def test_running_out_of_memory_is_exit_2(mbx_file, tmp_path):
+    """check-assoc in a child whose address space is capped at 150 MB, on a
+    Q document of dimension 32 with entries n/m, 1 <= n, m <= 10^6: over
+    the shared scale its integers need about 640 MB, so the loader runs
+    out of memory.  That is a report naming the command, exit 2, with no
+    traceback; under the same cap a small document gets its answer."""
+    import resource
+
+    limit = 150 * 2 ** 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    rng, d = random.Random(1), 32
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps({"field": "Q", "algebra": {"dim": d, "c": [
+        [[f"{rng.randint(1, 10 ** 6)}/{rng.randint(1, 10 ** 6)}"
+          for _ in range(d)] for _ in range(d)] for _ in range(d)]}}))
+    small = run_cli("check-assoc", mbx_file, stdout=subprocess.PIPE,
+                    preexec_fn=cap)
+    assert (small.returncode, small.stdout) == (0, "PASS: check-assoc\n")
+    proc = run_cli("check-assoc", str(dense), stdout=subprocess.PIPE,
+                   preexec_fn=cap)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "ERROR: check-assoc - out of memory\n", "")
 
 
 def test_search_past_the_int64_candidate_index_is_exit_2(tmp_path):

@@ -4,20 +4,21 @@ import pytest
 
 from conftest import catalog_algebras
 from oracle import (add, basis, bilinear, identity, multilinear, neg,
-                    random_tensor, tensors_equal, vec_mat)
-from rbx.algebra import assoc_check, canonical_bimodule, dual_module, extension_product
-from rbx.cochains import (Cochain, coboundary, is_cocycle,
-                          multiplication_cochain, zero_cochain)
+                    random_tensor, tensors_equal, vec_mat, zeros)
+from propositions import dual_module
+from rbx.algebra import assoc_check, canonical_bimodule, extension
+from rbx.cochains import Cochain, coboundary, is_cocycle
 from rbx.errors import CapacityError
 from rbx.fields import QQ
 from rbx.instances import kx2
-from rbx.linalg import Encoded, is_zero
+from rbx.linalg import is_zero
 
 
 def test_coboundary_of_zero(kx2_q):
     M = canonical_bimodule(kx2_q)
     for arity in (1, 2, 3):
-        assert coboundary(zero_cochain(kx2_q, M, arity)).is_zero_map()
+        zero = Cochain(kx2_q, M, zeros((2,) * arity + (2,), QQ))
+        assert coboundary(zero).is_zero_map()
 
 
 def test_coboundary_of_identity_is_multiplication(kx2_q):
@@ -29,7 +30,7 @@ def test_coboundary_of_identity_is_multiplication(kx2_q):
 
 def test_multiplication_is_a_cocycle(kx2_q):
     # d(mu)(a,b,c) = a(bc) - (ab)c + a(bc) - (ab)c = 0 by associativity
-    assert is_cocycle(multiplication_cochain(kx2_q))
+    assert is_cocycle(Cochain(kx2_q, canonical_bimodule(kx2_q), kx2_q.c))
 
 
 def test_arity_one_matches_displayed_formula(kx2_q):
@@ -109,7 +110,7 @@ def test_coboundary_squared_arity_three_pointwise():
 def test_arity_cap():
     A = kx2(QQ)
     M = canonical_bimodule(A)
-    top = zero_cochain(A, M, 4)
+    top = Cochain(A, M, zeros((2,) * 4 + (2,), QQ))
     with pytest.raises(CapacityError):
         coboundary(top)
 
@@ -152,8 +153,7 @@ def test_twisted_extension_assoc_iff_cocycle():
                 tensor = coboundary(Cochain(A, M, random_tensor(
                     (A.dim, M.dim), A.field, rng))).tensor
             phi = Cochain(A, M, tensor)
-            ext_assoc = bool(assoc_check(
-                Encoded.of(A.field, extension_product(A, M, tensor))))
+            ext_assoc = bool(assoc_check(extension(A, M, tensor)))
             cocycle = bool(is_cocycle(phi))
             assert ext_assoc == cocycle, name
             cocycle_seen += cocycle

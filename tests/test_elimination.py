@@ -4,11 +4,11 @@ checks that use it.
 `row_reduce`, `rank` and `invert` are compared with the textbook
 Gauss-Jordan elimination of oracle.py on random wide, tall, square,
 rank-deficient and zero matrices over Q, F2, F5, F7 and F_(2^31-1).
-`Algebra.unit`, `graph_check` (through `subspace_closed`),
-`unit_section`, `derivation_dual`, `induced_actions`, `r_tilde` and
-`grb_morphism_check` are checked over Q and prime fields against
-references built from the vector API (`Algebra.mul`, `Bimodule.act_*`,
-the operator matrices) and the reference elimination.
+`Algebra.unit`, `unit_section`, `derivation_dual`, `induced_actions`,
+`r_tilde` and `grb_morphism_check` are checked over Q and prime fields
+against references built from the tensors, the operator matrices and
+the reference elimination; the graph criterion of oracle.py, on the
+same elimination, is checked against the operator identities.
 """
 
 import random
@@ -19,19 +19,18 @@ import numpy as np
 import pytest
 
 from conftest import catalog_trb_instances, upper_triangular
-from oracle import (add, basis, bilinear, identity, neg, oracle_row_reduce,
-                    random_scalar, random_tensor, tensors_equal, vec_mat,
-                    zeros)
-from rbx.algebra import (Algebra, canonical_bimodule, semidirect,
-                         twisted_extension)
+from oracle import (add, basis, bilinear, identity, neg, oracle_graph_check,
+                    oracle_row_reduce, random_scalar, random_tensor,
+                    tensors_equal, vec_mat, zeros)
+from propositions import r_tilde
+from rbx.algebra import Algebra, canonical_bimodule, extension
 from rbx.errors import InputError
 from rbx.fields import F2, F3, F5, QQ, PrimeField
-from rbx.instances import (kx2, null_algebra, tensor_square,
-                           truncated_polynomial, unit_section,
+from rbx.instances import (kx2, mult_by_x_instance, null_algebra,
+                           tensor_square, truncated_polynomial, unit_section,
                            unit_section_tensor_example)
 from rbx.linalg import Encoded, invert, rank, row_reduce
-from rbx.operators import (OperatorInstance, graph_check, is_grb,
-                           is_trb, r_tilde, search_operators)
+from rbx.operators import OperatorInstance, is_grb, is_trb, search_operators
 from rbx.structures import derivation_dual, grb_morphism_check, induced_actions
 
 F7 = PrimeField(7)
@@ -154,7 +153,8 @@ def base_change(algebra, rng):
 def test_unit_is_a_two_sided_unit_or_none(field):
     rng = random.Random(5)
     unital = [kx2(field), tensor_square(kx2(field)).algebra,
-              semidirect(kx2(field), canonical_bimodule(kx2(field)))]
+              Algebra(field, extension(kx2(field),
+                                       canonical_bimodule(kx2(field))))]
     non_unital = [null_algebra(field, 2)]
     if field.char == 0 or field.char > 4:
         non_unital.append(truncated_polynomial(4, field).algebra)
@@ -176,28 +176,7 @@ def test_unit_is_a_two_sided_unit_or_none(field):
 
 
 # ---------------------------------------------------------------------------
-# graph_check through subspace_closed
-
-
-def reference_graph_check(inst):
-    """(witness, product, residual) of the first basis pair of the graph
-    {(p(m), m)} whose product escapes it, or None: products by basis
-    loops, residuals by the reference elimination."""
-    if inst.cocycle is None:
-        ext = semidirect(inst.algebra, inst.module)
-    else:
-        ext = twisted_extension(inst.algebra, inst.module, inst.cocycle)
-    graph = np.concatenate(
-        [inst.op, identity(inst.module.dim, inst.field)], axis=1)
-    rref, pivots = oracle_row_reduce(graph)
-    for i, j in np.ndindex(len(graph), len(graph)):
-        prod = bilinear(ext.c, graph[i], graph[j], inst.field)
-        residual = list(prod)
-        for row, c in zip(rref, pivots):
-            residual = [x - prod[c] * y for x, y in zip(residual, row)]
-        if any(residual):
-            return (i, j), prod, residual
-    return None
+# the graph criterion
 
 
 def perturbed(inst, rng):
@@ -208,28 +187,27 @@ def perturbed(inst, rng):
 
 
 @pytest.mark.parametrize("field", (QQ, F5, F7), ids=lambda f: f.name)
-def test_graph_check_matches_the_identity_and_the_reference(field):
+def test_the_graph_is_closed_iff_the_identity_holds(field):
+    """The graph {(p(m), m)} is a subalgebra of A (+)_phi M exactly when p
+    is a GRB (phi None) or TRB operator: on mult-by-x, the twisted
+    catalog and truncated polynomials, and on perturbations of each."""
     rng = random.Random(6)
-    instances = list(catalog_trb_instances(field).values())
+    instances = [mult_by_x_instance(field),
+                 *catalog_trb_instances(field).values()]
     for N in (3, 4):
         if field.char == 0 or field.char > N:
             instances.append(truncated_polynomial(N, field).instance())
     failures = 0
     for inst in instances:
         for candidate in [inst] + [perturbed(inst, rng) for _ in range(3)]:
-            verdict = graph_check(candidate)
-            identity_holds = (is_grb if candidate.cocycle is None
-                              else is_trb)(candidate)
-            assert bool(verdict) == bool(identity_holds)
-            ref = reference_graph_check(candidate)
-            if ref is None:
-                assert verdict
-                continue
-            failures += 1
-            witness, prod, residual = ref
-            assert verdict.witness == witness
-            assert_same_scalars(verdict.lhs, prod, field)
-            assert_same_scalars(verdict.rhs, residual, field)
+            A, M = candidate.algebra, candidate.module
+            phi = None if candidate.cocycle is None else \
+                candidate.cocycle.tensor
+            escape = oracle_graph_check(field, A.c, M.left, M.right,
+                                        candidate.op, phi)
+            identity_holds = (is_grb if phi is None else is_trb)(candidate)
+            assert (escape is None) == bool(identity_holds)
+            failures += escape is not None
     assert failures
 
 

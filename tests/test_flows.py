@@ -6,7 +6,8 @@ import pytest
 from conftest import catalog_trb_instances
 from oracle import (identity, induced_product, random_tensor, tensors_equal,
                     zeros)
-from rbx.algebra import canonical_bimodule, intertwiner_check
+from propositions import intertwiner_check
+from rbx.algebra import canonical_bimodule
 from rbx.errors import InputError
 from rbx.fields import F2, F3, F5, QQ
 from rbx.gerstenhaber import g_bracket

@@ -23,9 +23,10 @@ import pytest
 from oracle import (oracle_assoc, oracle_bimodule, oracle_dendriform,
                     oracle_nijenhuis, oracle_operator, oracle_reynolds,
                     random_scalar, zeros)
+from propositions import dual_module
 from rbx import cli, linalg
 from rbx.algebra import (Bimodule, Verdict, assoc_check, bimodule_check,
-                         canonical_bimodule, dual_module)
+                         canonical_bimodule)
 from rbx.cochains import Cochain, coboundary
 from rbx.fields import F2, F5, QQ, FpElement, PrimeField
 from rbx.flows import addexp_check, exp_flow
@@ -34,7 +35,7 @@ from rbx import flows
 from rbx.instances import (kx2, mult_by_x_instance, null_algebra,
                            tensor_square, truncated_polynomial)
 from rbx.linalg import Encoded, IntTensor, first_nonzero_index
-from rbx.operators import (OperatorInstance, graph_check, is_grb,
+from rbx.operators import (OperatorInstance, is_grb,
                            is_nijenhuis, is_reynolds, is_trb,
                            lift_operator, semidirect_mult_map)
 from rbx.structures import Dendriform, NSAlgebra, check_dendriform, check_ns
@@ -524,7 +525,7 @@ def test_one_numerator_off_fails_at_the_lexicographic_witness():
 
 
 # ---------------------------------------------------------------------------
-# listings from the encoding, and graph_check at degree 6
+# listings from the encoding
 
 
 def ref_listing(field, tensor, labels):
@@ -552,17 +553,6 @@ def test_tensor_listing_matches_an_entry_walk(field):
             doubled = mm + mm
             assert cli._tensor_listing(doubled._tensor, labels) == \
                 ref_listing(field, tensor + tensor, labels)
-
-
-def test_graph_check_agrees_with_is_grb_on_degree_6():
-    tp = truncated_polynomial(6)
-    inst = tp.instance()
-    assert graph_check(inst) and is_grb(inst)
-    p = tp.op.copy()
-    p[2, 4] = Fraction(1, 7)
-    bent = OperatorInstance(tp.algebra, tp.module, p)
-    assert not is_grb(bent)
-    assert not graph_check(bent)
 
 
 def test_lift_and_semidirect_maps_are_encoded_once():

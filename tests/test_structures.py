@@ -6,6 +6,7 @@ import pytest
 from conftest import catalog_trb_instances
 from oracle import (identity, induced_product, neg, random_tensor,
                     tensors_equal, vec_mat, zeros)
+from propositions import identity_operator
 from rbx.algebra import assoc_check, bimodule_check, canonical_bimodule
 from rbx.cochains import is_cocycle
 from rbx.errors import InputError
@@ -18,8 +19,8 @@ from rbx.operators import (OperatorInstance, is_grb, is_nijenhuis,
                            semidirect_mult_map)
 from rbx.structures import (Dendriform, NSAlgebra, check_dendriform, check_ns,
                             dendriform_from_grb, derivation_dual,
-                            grb_morphism_check, identity_operator,
-                            induced_actions, ns_from_trb, total_product)
+                            grb_morphism_check, induced_actions,
+                            ns_from_trb, total_product)
 
 
 # ---------------------------------------------------------------------------

@@ -1,31 +1,41 @@
-"""The names the benchmark's tracer wraps exist in rbx.
+"""The names the benchmark reaches exist in rbx.
 
 `bench/tracing.py` patches every (module, name) pair of its `GROUPS`
 table, and every verb's `cmd_*` handler, by name, so a renamed or deleted
-function breaks a traced benchmark run.  The table is read from the
-file's syntax tree; the tracer itself is not imported.  The wrappers
-replace a function by identity in every `rbx.*` namespace, so the CLI
-must call what those namespaces hold when it runs.
+function breaks a traced benchmark run.  `bench/selftest.py` imports rbx
+names of its own, and the tracer's scalar rates parse literals with
+`field.parse` and time `acc + a * b` on the scalars.  The table and the
+imports are read from the files' syntax trees; the benchmark itself is
+not imported.  The wrappers replace a function by identity in every
+`rbx.*` namespace, so the CLI must call what those namespaces hold when
+it runs.
 """
 
 import ast
 import importlib
+import importlib.util
 import os
 import sys
 
 import pytest
 
 from rbx import cli
+from rbx.fields import QQ, PrimeField
 
-TRACING = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "bench", "tracing.py")
+BENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+TRACING = os.path.join(BENCH, "tracing.py")
+SELFTEST = os.path.join(BENCH, "selftest.py")
+
+
+def syntax_tree(path):
+    with open(path) as f:
+        return ast.parse(f.read())
 
 
 def tracer_groups():
     """The literal `GROUPS` table of bench/tracing.py."""
-    with open(TRACING) as f:
-        tree = ast.parse(f.read())
+    tree = syntax_tree(TRACING)
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "GROUPS"
@@ -42,6 +52,41 @@ def test_every_traced_name_resolves():
         for name in names:
             target = getattr(importlib.import_module(module), name, None)
             assert callable(target), f"{group}: {module}.{name}"
+
+
+def rbx_imports(path):
+    """(module, name) of every `from rbx... import name` in the file."""
+    return [(node.module, alias.name)
+            for node in ast.walk(syntax_tree(path))
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "rbx"
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("path", [SELFTEST, TRACING],
+                         ids=["selftest", "tracing"])
+def test_every_benchmark_import_resolves(path):
+    """What `from module import name` binds, an attribute or a submodule,
+    exists for every rbx import of the benchmark's self-tests and tracer."""
+    imports = rbx_imports(path)
+    assert imports
+    for module, name in imports:
+        found = getattr(importlib.import_module(module), name, None)
+        if found is None:
+            found = importlib.util.find_spec(f"{module}.{name}")
+        assert found is not None, f"{path}: {module}.{name}"
+
+
+def test_the_scalar_rates_arithmetic_runs():
+    """The tracer's scalar rates parse the workload's literals with
+    `field.parse` and time `acc = acc + a * b` from the zero `a - a`, over
+    Q and an F_p; that arithmetic gives the field's values."""
+    for field in (QQ, PrimeField(7)):
+        values = [field.parse(v) for v in (3, "1/2", "5")]
+        acc = values[0] - values[0]
+        for a, b in zip(values, reversed(values)):
+            acc = acc + a * b
+        assert acc == field.parse("121/4")      # 15 + 1/4 + 15
 
 
 def test_every_verb_has_its_handler():

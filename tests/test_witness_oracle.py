@@ -17,8 +17,9 @@ import pytest
 from oracle import (aybe_oracle, elements, oracle_assoc, oracle_bimodule,
                     oracle_dendriform, oracle_nijenhuis, oracle_operator,
                     oracle_reynolds, random_scalar)
+from propositions import dual_module
 from rbx.algebra import (Bimodule, assoc_check, bimodule_check,
-                         canonical_bimodule, dual_module)
+                         canonical_bimodule)
 from rbx import linalg, operators
 from rbx.cochains import Cochain, coboundary
 from rbx.fields import F2, F3, F5, QQ, FpElement, PrimeField
