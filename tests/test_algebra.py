@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import upper_triangular
-from oracle import identity, neg, tensors_equal, vec_mat, zeros
+from oracle import (basis, bilinear, identity, neg, oracle_graph_check,
+                    tensors_equal, vec_mat, zeros)
 from propositions import dual_module, intertwiner_check
 from rbx.algebra import (Algebra, Bimodule, assoc_check, bimodule_check,
                          canonical_bimodule, extension)
@@ -11,8 +12,8 @@ from rbx.cochains import Cochain, is_cocycle
 from rbx.errors import InputError
 from rbx.fields import F2, QQ
 from rbx.gerstenhaber import MultiMap
-from rbx.instances import kx2, null_algebra
-from rbx.linalg import Encoded, is_zero
+from rbx.instances import kx2, mult_by_x_instance, null_algebra
+from rbx.linalg import Encoded, is_zero, rank
 
 
 def test_assoc_check_kx2_passes(kx2_q):
@@ -131,6 +132,41 @@ def test_twisted_extension_non_cocycle_fails_assoc(kx2_q):
             Algebra(QQ, extension(kx2_q, M, phi))
         break
     assert found
+
+
+def graph_escapes(field, ext, op):
+    """The rows (p(m_i), m_i) spanning the graph of p: M -> A, and the
+    basis pairs (i, j) whose product in the extension tensor `ext`
+    raises their rank, with those products."""
+    d = op.shape[0]
+    rows = [list(op[i]) + basis(d, i, field) for i in range(d)]
+    escapes = []
+    for i in range(d):
+        for j in range(d):
+            prod = bilinear(ext, rows[i], rows[j], field)
+            if rank(Encoded.of(field, rows + [prod])) > d:
+                escapes.append(((i, j), prod))
+    return rows, escapes
+
+
+def test_the_graph_of_mult_by_x_is_closed_in_the_semidirect_product(kx2_q):
+    M = canonical_bimodule(kx2_q)
+    op = mult_by_x_instance(QQ).op
+    _, escapes = graph_escapes(QQ, extension(kx2_q, M).objects, op)
+    assert escapes == []
+    assert oracle_graph_check(QQ, kx2_q.c, M.left, M.right, op) is None
+
+
+def test_the_graph_of_the_identity_escapes_the_semidirect_product(kx2_q):
+    M = canonical_bimodule(kx2_q)
+    op = identity(2, QQ)
+    _, escapes = graph_escapes(QQ, extension(kx2_q, M).objects, op)
+    # the first pair ((e0,e0),(e0,e0)) has product (e0, 2 e0)
+    witness, prod = escapes[0]
+    assert witness == (0, 0)
+    assert prod == [Fraction(1), Fraction(0), Fraction(2), Fraction(0)]
+    assert oracle_graph_check(QQ, kx2_q.c, M.left, M.right, op)[:2] == \
+        (witness, prod)
 
 
 def test_intertwiner_identity(kx2_q):

@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 from oracle import (oracle_assoc, oracle_bimodule, oracle_dendriform,
-                    oracle_nijenhuis, oracle_operator, oracle_reynolds,
-                    random_scalar, zeros)
+                    oracle_graph_check, oracle_nijenhuis, oracle_operator,
+                    oracle_reynolds, random_scalar, zeros)
 from propositions import dual_module
 from rbx import cli, linalg
 from rbx.algebra import (Bimodule, Verdict, assoc_check, bimodule_check,
@@ -525,7 +525,7 @@ def test_one_numerator_off_fails_at_the_lexicographic_witness():
 
 
 # ---------------------------------------------------------------------------
-# listings from the encoding
+# listings from the encoding, and the graph criterion at degree 6
 
 
 def ref_listing(field, tensor, labels):
@@ -553,6 +553,19 @@ def test_tensor_listing_matches_an_entry_walk(field):
             doubled = mm + mm
             assert cli._tensor_listing(doubled._tensor, labels) == \
                 ref_listing(field, tensor + tensor, labels)
+
+
+def test_graph_check_agrees_with_is_grb_on_degree_6():
+    tp = truncated_polynomial(6)
+    inst = tp.instance()
+    A, M = tp.algebra, tp.module
+    assert oracle_graph_check(QQ, A.c, M.left, M.right, tp.op) is None
+    assert is_grb(inst)
+    p = tp.op.copy()
+    p[2, 4] = Fraction(1, 7)
+    bent = OperatorInstance(A, M, p)
+    assert not is_grb(bent)
+    assert oracle_graph_check(QQ, A.c, M.left, M.right, p) is not None
 
 
 def test_lift_and_semidirect_maps_are_encoded_once():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -5,13 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import ground_field_algebra
-from oracle import (add, aybe_oracle, bilinear, identity, induced_product,
-                    oracle_graph_check, random_tensor, tensors_equal,
-                    vec_mat, zeros)
+from conftest import enumeration_pairs, ground_field_algebra
+from oracle import (add, aybe_oracle, bilinear, elements, identity,
+                    induced_product, oracle_graph_check, random_tensor,
+                    tensors_equal, vec_mat, zeros)
 from propositions import dual_module, r_tilde
 from rbx import linalg, operators
-from rbx.algebra import bimodule_check, canonical_bimodule
+from rbx.algebra import (Algebra, bimodule_check, canonical_bimodule,
+                         extension)
 from rbx.cochains import Cochain
 from rbx.errors import CapacityError, CharacteristicError, InputError
 from rbx.fields import F2, F3, QQ, PrimeField
@@ -238,6 +240,34 @@ def test_twist_insertion_identity():
         triple = g_bracket(g_bracket(g_bracket(phi_hat, p_hat), p_hat), p_hat)
         lhs = twist_insertion(inst)
         assert tensors_equal(lhs.tensor, triple.scale(Fraction(-1, 6)).tensor)
+
+
+def graph_closed(inst):
+    """The oracle's graph criterion on an OperatorInstance."""
+    A, M = inst.algebra, inst.module
+    phi = None if inst.cocycle is None else inst.cocycle.tensor
+    return oracle_graph_check(A.field, A.c, M.left, M.right, inst.op,
+                              phi) is None
+
+
+def test_graph_check_exhaustive_agreement_f2():
+    A = kx2(F2)
+    M = canonical_bimodule(A)
+    for entries in itertools.product(elements(F2), repeat=4):
+        mat = np.array(entries, dtype=object).reshape(2, 2)
+        inst = OperatorInstance(A, M, mat)
+        assert bool(is_grb(inst)) == graph_closed(inst)
+
+
+def test_graph_check_twisted_instance():
+    inst = tensor_square(kx2(QQ))
+    assert graph_closed(inst) and is_trb(inst)
+
+
+def test_graph_check_identity_fails_over_q(kx2_q):
+    inst = OperatorInstance(kx2_q, canonical_bimodule(kx2_q), identity(2, QQ))
+    assert not graph_closed(inst)
+    assert not is_grb(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -560,3 +590,23 @@ def test_search_blocks_decide_as_one_block(block, route, monkeypatch):
         assert 0 < whole.shape[0] < 81, kind
         assert blocked.shape == whole.shape, kind
         assert blocked.ints.flat == whole.ints.flat, kind
+
+
+# ---------------------------------------------------------------------------
+# the four-way equivalence, exhaustively
+
+def test_four_way_equivalence_on_enumeration_pairs():
+    for name, A, M in enumeration_pairs():
+        field = A.field
+        ext = Algebra(field, extension(A, M))
+        ext_mod = canonical_bimodule(ext)
+        n_entries = M.dim * A.dim
+        for entries in itertools.product(elements(field), repeat=n_entries):
+            mat = np.array(entries, dtype=object).reshape(M.dim, A.dim)
+            inst = OperatorInstance(A, M, mat)
+            direct = bool(is_grb(inst))
+            lifted = bool(is_grb(OperatorInstance(
+                ext, ext_mod, lift_operator(inst).tensor)))
+            assert direct == graph_closed(inst) == lifted, name
+            if field.char > 2:
+                assert direct == structure_residual(inst).is_zero_map(), name
