@@ -1,6 +1,7 @@
 """Finite-dimensional associative algebras and bimodules: the
-associativity and bimodule checks, the canonical bimodule, and the
-product tensor of an abelian extension A (+)_phi M (`extension`).
+associativity and bimodule checks, the canonical bimodule, maps that
+intertwine actions (`intertwining`), and the product tensor of an
+abelian extension A (+)_phi M (`extension`).
 
 An algebra is a dim x dim x dim structure-constant tensor c with
 e_i * e_j = sum_k c[i,j,k] e_k; a bimodule over it carries left/right
@@ -176,6 +177,19 @@ def bimodule_check(algebra: Algebra, module: Bimodule) -> Verdict:
 
 _BIMODULE_AXIOMS = ("(ab).m != a.(b.m)", "m.(ab) != (m.a).b",
                     "(a.m).b != a.(m.b)")
+
+
+def intertwining(f0, f1, src: Bimodule, dst: Bimodule):
+    """The first (i, j, action) with a = e_i and m = m_j at which the
+    Encoded f1: src -> dst fails f1(a.m) = f0(a).f1(m) (action 0) or
+    f1(m.a) = f1(m).f0(a) (action 1) along f0: A -> B, or None."""
+    left = einsum("ia,abl->ibl", f0, dst._left)
+    right = einsum("ia,bal->bil", f0, dst._right)
+    sides = [(einsum("ijx,xl->ijl", src._left, f1),
+              einsum("jb,ibl->ijl", f1, left)),
+             (einsum("jix,xl->ijl", src._right, f1),
+              einsum("jb,bil->ijl", f1, right))]
+    return first_difference(sides, 2)
 
 
 def extension(algebra: Algebra, module: Bimodule, twist=None) -> Encoded:

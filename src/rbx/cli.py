@@ -327,9 +327,10 @@ def cmd_search(args):
         raw = os.environ["RBX_BUDGET"]
         try:
             budget = int(raw)
-        except ValueError:
+        except ValueError:      # not a number, or past int's digit limit
+            got = f"one of {len(raw)} digits" if raw.isdecimal() else repr(raw)
             raise InputError(
-                f"RBX_BUDGET must be a positive integer, got {raw!r}") from None
+                f"RBX_BUDGET must be a positive integer, got {got}") from None
     found = operators.search_rows(alg, module, args.kind, cocycle=cocycle,
                                   budget=budget)
     return Report("search", "pass", digest=digest,

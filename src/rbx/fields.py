@@ -32,9 +32,9 @@ over Q), not when this module loads.
 
 The two fields share one body, `Field`: `from_int`, `zero` and `one`
 build scalars through `scalar`; `parse` is `scalar` of `literal`;
-`format` is `format_int` of the scalar's own encoding, so each field
-writes its canonical form once; fields are equal when their
-characteristics are.  Each field keeps only what differs.
+`encode`, `format` and `literal` read a scalar as the field's `pair`,
+so each field writes its canonical form once; fields are equal when
+their characteristics are.  Each field keeps only what differs.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def _is_prime(n):
 
 class Field:
     """The members Q and F_p share, written once over each field's own
-    `char`, `name`, `scalar`, `encode` and `format_int`."""
+    `char`, `name`, `scalar`, `pair` and `format_int`."""
 
     @property
     def zero(self):
@@ -191,12 +191,14 @@ class Field:
                 pass
         try:
             frac = _fraction()(value)
-            (n,), d = self.encode(
-                [self.from_int(frac.numerator) / frac.denominator])
+            return self.pair(self.from_int(frac.numerator) / frac.denominator)
         except (ValueError, ZeroDivisionError) as exc:
             kind = "rational" if self.char == 0 else self.name
             raise InputError(f"bad {kind} scalar {value!r}: {exc}") from exc
-        return n, d
+
+    def encode(self, scalars):
+        """(ints, scale): `encode_pairs` of the scalars' `pair`s."""
+        return self.encode_pairs([self.pair(x) for x in scalars])
 
     def encode_pairs(self, pairs):
         """(ints, scale) of a list of `ratio` pairs, as `encode` gives
@@ -205,9 +207,8 @@ class Field:
         return [n * (den // d) for n, d in pairs], den
 
     def format(self, x):
-        """Canonical JSON form: `format_int` of the scalar's encoding."""
-        (n,), scale = self.encode([x])
-        return self.format_int(n, scale)
+        """Canonical JSON form: `format_int` of the scalar's pair."""
+        return self.format_int(*self.pair(x))
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.char == self.char
@@ -230,11 +231,9 @@ class RationalField(Field):
         g = math.gcd(n, d)
         return n // g, d // g
 
-    def encode(self, scalars):
-        """(numerators, den): a list of rationals as Python ints over
-        den, the lcm of their denominators."""
-        den = math.lcm(*{x.denominator for x in scalars})
-        return [x.numerator * (den // x.denominator) for x in scalars], den
+    def pair(self, x):
+        """(numerator, denominator) of a rational."""
+        return x.numerator, x.denominator
 
     def scalar(self, n, scale):
         return _fraction()(n, scale)
@@ -277,10 +276,9 @@ class PrimeField(Field):
         """n/d as (n * d^-1 mod p, 1); ValueError when p divides d."""
         return n * pow(d, -1, self.p) % self.p, 1
 
-    def encode(self, scalars):
-        """(representatives, 1): the canonical representatives of a list
-        of F_p scalars, over scale 1."""
-        return [x.val for x in scalars], 1
+    def pair(self, x):
+        """(canonical representative, 1) of an F_p scalar."""
+        return x.val, 1
 
     def scalar(self, n, scale):
         return FpElement(n, self.p)

@@ -12,13 +12,13 @@ small instances without numpy; the maps the builders take are matrices
 
 from __future__ import annotations
 
-from .algebra import Algebra, Bimodule, canonical_bimodule
+from .algebra import Algebra, Bimodule, canonical_bimodule, intertwining
 from .cochains import Cochain, coboundary
 from .errors import CapacityError, CharacteristicError, InputError
 from .fields import QQ
-from .linalg import (Encoded, IntTensor, decoded, einsum, embed, eye,
-                     first_difference, invert, rank)
-from .operators import OperatorInstance, reynolds_as_twisted
+from .linalg import (Encoded, IntTensor, decoded, einsum, embed, eye, invert,
+                     rank)
+from .operators import OperatorInstance, _shaped, reynolds_as_twisted
 
 
 # ---------------------------------------------------------------------------
@@ -75,24 +75,23 @@ def unit_section(algebra: Algebra, module: Bimodule, f, e) -> OperatorInstance:
     if unit is None:
         raise InputError("unit_section needs a unital algebra")
     field = algebra.field
-    F, e = Encoded.of(field, f), Encoded.of(field, e)
-    if F.shape != (module.dim, algebra.dim):
-        raise InputError("f must map the module onto the algebra")
+    F = _shaped(field, f, (module.dim, algebra.dim),
+                "f must map the module onto the algebra")
+    e = _shaped(field, e, (module.dim,),
+                f"e must be a module vector of length {module.dim}")
     if einsum("x,xl->l", e, F).differs(unit).any():
         raise InputError("f(e) is not the unit")
     if rank(F) != algebra.dim:
         raise InputError("f is not surjective")
-    L, R, c = module._left, module._right, algebra._c
-    # [i, j, side, l] for a = e_i and m = m_j: f(a.m) vs a f(m), then
-    # f(m.a) vs f(m) a
-    sides = [(einsum("ijx,xl->ijl", L, F), einsum("ixl,jx->ijl", c, F)),
-             (einsum("jix,xl->ijl", R, F), einsum("jx,xil->ijl", F, c))]
-    bad = first_difference(sides, 2)
+    # A-linear: f intertwines the actions on M with A's own product
+    bad = intertwining(Encoded(field, eye(algebra.dim)), F, module,
+                       canonical_bimodule(algebra))
     if bad is not None:
         side = ("left", "right")[bad[2]]
         raise InputError(f"f is not {side} A-linear at basis pair ({bad[0]},{bad[1]})")
     # phi[i, j] = -(e_i . e) . e_j
-    phi = -einsum("iy,yjl->ijl", einsum("ixy,x->iy", L, e), R)
+    phi = -einsum("iy,yjl->ijl", einsum("ixy,x->iy", module._left, e),
+                  module._right)
     return OperatorInstance(algebra, module, F, Cochain(algebra, module, phi))
 
 
@@ -100,9 +99,8 @@ def invertible_cochain_instance(algebra: Algebra, module: Bimodule,
                                 omega) -> OperatorInstance:
     """An invertible 1-cochain w: A -> M (the matrix `omega`) yields the
     twisted operator p = w^{-1}: M -> A with twist -dw."""
-    w = Encoded.of(algebra.field, omega)
-    if w.shape != (algebra.dim, module.dim):
-        raise InputError("the 1-cochain must map A to M")
+    w = _shaped(algebra.field, omega, (algebra.dim, module.dim),
+                "the 1-cochain must map A to M")
     phi = -coboundary(Cochain(algebra, module, w))._tensor
     return OperatorInstance(algebra, module, invert(w),
                             Cochain(algebra, module, phi))

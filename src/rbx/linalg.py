@@ -503,18 +503,12 @@ class Encoded:
         if self._objects is None:
             # one field.scalar per distinct canonical integer; read-only,
             # as a write would not reach the integers the checks run on
-            np, ints = _np(), self.field.reduce(self.ints)
-            if isinstance(ints, IntTensor):
-                at = {v: k for k, v in enumerate(dict.fromkeys(ints.flat))}
-                values = list(at)
-                index = np.fromiter(map(at.__getitem__, ints.flat), np.intp,
-                                    len(ints.flat))
-            else:
-                values, index = np.unique(ints, return_inverse=True)
-                values = values.tolist()
-            scalars = np.empty(len(values), dtype=object)
-            scalars[:] = [self.field.scalar(v, self.scale) for v in values]
-            self._objects = scalars[index.reshape(-1)].reshape(self.shape)
+            np, flat = _np(), to_pure(self.field.reduce(self.ints)).flat
+            at = {v: k for k, v in enumerate(dict.fromkeys(flat))}
+            index = np.fromiter(map(at.__getitem__, flat), np.intp, len(flat))
+            scalars = np.empty(len(at), dtype=object)
+            scalars[:] = [self.field.scalar(v, self.scale) for v in at]
+            self._objects = scalars[index].reshape(self.shape)
             self._objects.flags.writeable = False
         return self._objects
 

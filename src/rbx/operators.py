@@ -205,19 +205,23 @@ def is_classical_rb(algebra: Algebra, op) -> Verdict:
 def is_reynolds(algebra: Algebra, op) -> Verdict:
     """R(a)R(b) = R(R(a)b + aR(b)) - R(R(a)R(b)) on basis pairs: the
     twisted identity with M = A and phi = -mu."""
-    return _check("reynolds", _square(algebra, op), algebra._c)
+    return _check("reynolds", _endomorphism(algebra, op), algebra._c)
 
 
 def is_nijenhuis(algebra: Algebra, op) -> Verdict:
     """N(a)N(b) = N(N(a)b + aN(b)) - N(N(ab)) on basis pairs."""
-    return _check("nijenhuis", _square(algebra, op), algebra._c)
+    return _check("nijenhuis", _endomorphism(algebra, op), algebra._c)
 
 
-def _square(algebra, m,
-            refusal="operator must be an endomorphism of the algebra"):
-    """The encoded matrix `m`, refused unless it is dim A x dim A."""
-    m = Encoded.of(algebra.field, m)
-    if m.shape != (algebra.dim, algebra.dim):
+def _endomorphism(algebra, m):
+    return _shaped(algebra.field, m, (algebra.dim,) * 2,
+                   "operator must be an endomorphism of the algebra")
+
+
+def _shaped(field, m, shape, refusal):
+    """`Encoded.of` a tensor, refused with `refusal` unless of `shape`."""
+    m = Encoded.of(field, m)
+    if m.shape != shape:
         raise InputError(refusal)
     return m
 
@@ -277,7 +281,8 @@ def aybe_residual(algebra: Algebra, r):
 def aybe_encoded(algebra, r) -> Encoded:
     """`aybe_residual` in the integer encoding."""
     d = algebra.dim
-    r = _square(algebra, r, f"r must be a {d}x{d} tensor in A (x) A")
+    r = _shaped(algebra.field, r, (d, d),
+                f"r must be a {d}x{d} tensor in A (x) A")
     return _aybe_residual(algebra._c, r)
 
 

@@ -22,11 +22,13 @@ M_ass; the maps the functions take are matrices (see `operators`).
 
 from __future__ import annotations
 
-from .algebra import Algebra, Bimodule, Verdict, bimodule_check
+from .algebra import Algebra, Bimodule, Verdict, bimodule_check, intertwining
+from .cochains import Cochain, is_cocycle
 from .errors import InputError
 from .linalg import (Encoded, combine, decoded, einsum, eye,
-                     first_difference, first_nonzero_index)
-from .operators import OperatorInstance, induced_products, is_grb, is_trb
+                     first_nonzero_index)
+from .operators import (OperatorInstance, _shaped, induced_products, is_grb,
+                        is_trb)
 
 
 class NSAlgebra:
@@ -150,8 +152,7 @@ def ns_from_trb(inst: OperatorInstance) -> NSAlgebra:
 def total_product(structure) -> Algebra:
     """The sum of the products as an associative Algebra (construction
     fails loudly if the structure's axioms do not hold)."""
-    checker = check_dendriform if structure._vee is None else check_ns
-    report = checker(structure)
+    report = _check(structure)
     if not report:
         raise InputError(f"structure axioms fail: {report.detail}")
     return Algebra(structure.field, structure._total(), labels=structure.labels)
@@ -179,22 +180,18 @@ def derivation_dual(inst: OperatorInstance, omega, z) -> OperatorInstance:
     matrix `omega`) with W(p(m)) = z m, for z an int or a scalar of the
     field, becomes a GRB operator A -> M_ass over the induced actions."""
     A, M, field = inst.algebra, inst.module, inst.field
-    W = Encoded.of(field, omega)
-    if W.shape != (A.dim, M.dim):
-        raise InputError("derivation must map A to M")
-    # W(e_i e_j) against W(e_i).e_j + e_i.W(e_j)
-    residual = combine([(einsum("ijx,xl->ijl", A._c, W), 1),
-                        (einsum("ix,xjl->ijl", W, M._right), -1),
-                        (einsum("ixl,jx->ijl", M._left, W), -1)])
-    bad = first_nonzero_index(residual.differs(None), 2)
-    if bad is not None:
+    W = _shaped(field, omega, (A.dim, M.dim), "derivation must map A to M")
+    # a derivation is a Hochschild 1-cocycle: a.W(b) - W(ab) + W(a).b = 0
+    report = is_cocycle(Cochain(A, M, W))
+    if not report:
+        i, j = report.witness[:2]
         raise InputError(
             f"map is not a derivation: W(ab) != W(a).b + a.W(b) at "
-            f"basis pair ({bad[0]},{bad[1]})")
+            f"basis pair ({i},{j})")
     z = field.from_int(z) if type(z) is int else z
     if not field.is_scalar(z):
         raise InputError(f"z must be an int or a scalar of {field.name}: {z!r}")
-    (n,), scale = field.encode([z])
+    n, scale = field.pair(z)
     if einsum("ix,xj->ij", inst._op, W).differs(
             Encoded(field, eye(M.dim, n), scale)).any():
         raise InputError("W o p is not z times the identity on M")
@@ -207,23 +204,15 @@ def grb_morphism_check(psi0, psi1, src: OperatorInstance,
     """Morphism of operator instances: the square psi0 o p = p' o psi1
     commutes and psi1 intertwines the actions:
     psi1(a.m) = psi0(a).psi1(m) and psi1(m.a) = psi1(m).psi0(a)."""
-    f0, f1 = (Encoded.of(src.field, psi) for psi in (psi0, psi1))
-    if f0.shape != (src.algebra.dim, dst.algebra.dim):
-        raise InputError("psi0 must map the source algebra to the target algebra")
-    if f1.shape != (src.module.dim, dst.module.dim):
-        raise InputError("psi1 must map the source module to the target module")
+    f0 = _shaped(src.field, psi0, (src.algebra.dim, dst.algebra.dim),
+                 "psi0 must map the source algebra to the target algebra")
+    f1 = _shaped(src.field, psi1, (src.module.dim, dst.module.dim),
+                 "psi1 must map the source module to the target module")
     bad = first_nonzero_index(einsum("ix,xj->ij", src._op, f0).differs(
         einsum("ix,xj->ij", f1, dst._op)))
     if bad is not None:
         return Verdict(False, bad, detail="square does not commute")
-    left, right = dst.module._left, dst.module._right
-    # [i, j, action, l] for a = e_i and m = m_j; the left action comes
-    # first: psi1(a.m) vs psi0(a).psi1(m), then psi1(m.a) vs psi1(m).psi0(a)
-    sides = [(einsum("ijx,xl->ijl", src.module._left, f1),
-              einsum("jb,ibl->ijl", f1, einsum("ia,abl->ibl", f0, left))),
-             (einsum("jix,xl->ijl", src.module._right, f1),
-              einsum("ia,jal->ijl", f0, einsum("jb,bal->jal", f1, right)))]
-    bad = first_difference(sides, 2)
+    bad = intertwining(f0, f1, src.module, dst.module)
     if bad is None:
         return Verdict(True)
     return Verdict(False, bad[:2], detail=("left actions not intertwined",

@@ -17,7 +17,7 @@ from rbx.cochains import Cochain
 from rbx.errors import InputError
 from rbx.gerstenhaber import MultiMap, g_bracket
 from rbx.linalg import Encoded, combine, einsum, eye, rank
-from rbx.operators import OperatorInstance, _square, aybe_encoded
+from rbx.operators import OperatorInstance, _shaped, aybe_encoded
 from rbx.structures import total_product
 
 
@@ -33,7 +33,8 @@ def r_tilde(algebra: Algebra, r) -> OperatorInstance:
     """The operator A* -> A, f |-> sum a_i f(b^i), of a skew-symmetric
     AYBE solution r, over the dual bimodule."""
     d = algebra.dim
-    r = _square(algebra, r, f"r must be a {d}x{d} tensor in A (x) A")
+    r = _shaped(algebra.field, r, (d, d),
+                f"r must be a {d}x{d} tensor in A (x) A")
     if (r + r.transpose(1, 0)).differs(None).any():
         raise InputError("r is not skew-symmetric")
     if aybe_encoded(algebra, r).differs(None).any():
@@ -63,9 +64,7 @@ def intertwiner_check(T, P, Q) -> Verdict:
 
     T must be an invertible endomorphism of the common space, over P's field.
     """
-    t = Encoded.of(P.field, T)
-    if t.shape != (P.dim, P.dim):
-        raise InputError("intertwiner must be an endomorphism")
+    t = _shaped(P.field, T, (P.dim, P.dim), "intertwiner must be an endomorphism")
     if rank(t) != P.dim:
         raise InputError("intertwiner is singular")
     if (P.arity, Q.arity, Q.dim) != (2, 2, P.dim):

@@ -406,7 +406,7 @@ def test_huge_prime_modulus_is_exit_2(tmp_path, capsys):
     (["--field", "F" + "7" * 5000], {},
      "F_p needs a prime modulus below 2^31, got one of 5000 digits"),
     (["--field", "F2"], {"RBX_BUDGET": "7" * 5000},
-     "RBX_BUDGET must be a positive integer, got '" + "7" * 5000 + "'")],
+     "RBX_BUDGET must be a positive integer, got one of 5000 digits")],
     ids=["field", "budget"])
 def test_a_number_past_the_digit_limit_is_exit_2(mbx_file, capsys,
                                                  monkeypatch, argv, env,
