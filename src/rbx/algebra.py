@@ -72,7 +72,7 @@ class Algebra:
 
     c = decoded("_c")
 
-    def __init__(self, field, c, labels=None):
+    def __init__(self, field, c):
         c = Encoded.of(field, c)
         report = assoc_check(c)
         if not report:
@@ -83,9 +83,6 @@ class Algebra:
         self.field = field
         self._c = c
         self.dim = c.shape[0]
-        if labels is not None and len(labels) != self.dim:
-            raise InputError("label count does not match dimension")
-        self.labels = list(labels) if labels is not None else [f"e{i}" for i in range(self.dim)]
 
     def unit(self):
         """Coordinates of the unit element, or None if non-unital."""
@@ -123,7 +120,7 @@ class Bimodule:
     left = decoded("_left")
     right = decoded("_right")
 
-    def __init__(self, base: Algebra, left, right, labels=None, check=True):
+    def __init__(self, base: Algebra, left, right, check=True):
         left = Encoded.of(base.field, left)
         right = Encoded.of(base.field, right)
         dA = base.dim
@@ -137,7 +134,6 @@ class Bimodule:
         self._right = right
         self.dim = dM
         self.field = base.field
-        self.labels = list(labels) if labels is not None else [f"m{i}" for i in range(dM)]
         if check:
             report = bimodule_check(base, self)
             if not report:
@@ -149,8 +145,7 @@ class Bimodule:
 
 def canonical_bimodule(algebra: Algebra) -> Bimodule:
     """A acting on itself by its own product."""
-    return Bimodule(algebra, algebra._c, algebra._c, labels=algebra.labels,
-                    check=False)
+    return Bimodule(algebra, algebra._c, algebra._c, check=False)
 
 
 def bimodule_check(algebra: Algebra, module: Bimodule) -> Verdict:

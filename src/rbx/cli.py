@@ -176,9 +176,13 @@ def _instance(doc, pi_name, phi_name=None):
         alg, module, schema.named_map(doc, pi_name), cocycle)
 
 
-def _ext_labels(alg, module):
-    """Basis labels of A (+) M, the module's marked with "m:"."""
-    return list(alg.labels) + [f"m:{l}" for l in module.labels]
+def _basis_names(doc, space):
+    """Listing names of the document's "A": e0, e1, ...; "M": m0, m1,
+    ..., or A's with no bimodule, as A then acts on itself; and "A+M":
+    A's, then M's marked "m:"."""
+    a = [f"e{i}" for i in range(doc.algebra.dim)]
+    m = [f"m{i}" for i in range(doc.bimodule.dim)] if doc.bimodule else a
+    return {"A": a, "M": m, "A+M": a + [f"m:{name}" for name in m]}[space]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +245,7 @@ def cmd_residual(args):
     doc, digest = _document(args)
     inst = _instance(doc, args.pi, args.phi)
     res = operators.structure_residual(inst)._tensor
-    lines = _tensor_listing(res, _ext_labels(inst.algebra, inst.module))
+    lines = _tensor_listing(res, _basis_names(doc, "A+M"))
     verdict = algebra.Verdict.compare(res, None, len(res.shape),
                                       detail="structure residual is nonzero")
     return _verdict_report("residual", doc.field, verdict, digest,
@@ -253,15 +257,9 @@ def cmd_bracket(args):
     f = gerstenhaber.MultiMap(doc.field, schema.multimap_tensor(doc, args.f))
     g = gerstenhaber.MultiMap(doc.field, schema.multimap_tensor(doc, args.g))
     result = gerstenhaber.g_bracket(f, g)
-    dim = result.dim
-    if doc.algebra is not None and doc.algebra.dim == dim:
-        labels = doc.algebra.labels
-    elif doc.algebra is not None and doc.bimodule is not None and \
-            doc.algebra.dim + doc.bimodule.dim == dim:
-        labels = _ext_labels(doc.algebra, doc.bimodule)
-    else:
-        labels = [f"b{i}" for i in range(dim)]
-    lines = _tensor_listing(result._tensor, labels)
+    # a multimap's space, 'A' or 'B', is A, or A (+) M when there is a bimodule
+    space = "A" if result.dim == doc.algebra.dim else "A+M"
+    lines = _tensor_listing(result._tensor, _basis_names(doc, space))
     return Report("bracket", "pass", digest=digest,
                   detail=f"[{args.f}, {args.g}] has arity {result.arity}",
                   extra={"bracket": lines})
@@ -271,13 +269,13 @@ def cmd_flow(args):
     doc, digest = _document(args)
     inst = _instance(doc, args.pi, args.phi)
     flow = flows.exp_flow(inst)
-    labels = _ext_labels(inst.algebra, inst.module)
-    extra = {name: _tensor_listing(getattr(flow, name)._tensor, labels)
+    names = _basis_names(doc, "A+M")
+    extra = {name: _tensor_listing(getattr(flow, name)._tensor, names)
              for name in ("theta", "order1", "order2", "order3", "total")}
     if args.emit_products:
         dA = inst.algebra.dim
         block = flow.total._tensor[dA:, dA:, dA:]
-        extra["m_products"] = _tensor_listing(block, inst.module.labels)
+        extra["m_products"] = _tensor_listing(block, _basis_names(doc, "M"))
     return Report("flow", "pass", digest=digest,
                   detail="flow terms computed; the flow exists for every "
                          "operator since the lift squares to zero",
@@ -327,10 +325,9 @@ def cmd_search(args):
         raw = os.environ["RBX_BUDGET"]
         try:
             budget = int(raw)
-        except ValueError:      # not a number, or past int's digit limit
-            got = f"one of {len(raw)} digits" if raw.isdecimal() else repr(raw)
-            raise InputError(
-                f"RBX_BUDGET must be a positive integer, got {got}") from None
+        except ValueError:
+            raise InputError(f"RBX_BUDGET must be a positive integer, "
+                             f"got {_not_int(raw)}") from None
     found = operators.search_rows(alg, module, args.kind, cocycle=cocycle,
                                   budget=budget)
     return Report("search", "pass", digest=digest,
@@ -346,10 +343,9 @@ def _cast_document(doc, field_name):
     elif field_name.upper().startswith("F") and field_name[1:].isdecimal():
         try:
             spec = {"Fp": int(field_name[1:])}
-        except ValueError:      # past int's digit limit
-            raise InputError(
-                f"F_p needs a prime modulus below 2^31, got one of "
-                f"{len(field_name) - 1} digits") from None
+        except ValueError:
+            raise InputError(f"F_p needs a prime modulus below 2^31, got "
+                             f"{_not_int(field_name[1:])}") from None
     else:
         raise InputError(f"unknown field name {field_name!r}; use Q or F<p>")
     obj = schema.document_to_obj(doc)
@@ -363,7 +359,7 @@ def cmd_aybe(args):
     res = operators.aybe_encoded(alg, schema.named_map(doc, args.r))
     verdict = algebra.Verdict.compare(
         res, None, 3, detail="associative Yang-Baxter residual is nonzero")
-    lines = _tensor_listing(res, alg.labels) \
+    lines = _tensor_listing(res, _basis_names(doc, "A")) \
         if not verdict else ["0 (solution)"]
     return _verdict_report("aybe", doc.field, verdict, digest,
                            extra={"residual": lines})
@@ -428,6 +424,21 @@ def _arg(*names, **options):
     return names, options
 
 
+def _not_int(text):
+    """How an error names `text`, which int() refused: an all-digit one
+    is past int's digit limit, and is named by its length, not echoed."""
+    return f"one of {len(text)} digits" if text.isdecimal() else repr(text)
+
+
+def _int(text):
+    """An integer option's value, refused in argparse's words."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {_not_int(text)}") from None
+
+
 _FILE = _arg("file")
 _PI = _arg("--pi", default="pi")
 _PHI = _arg("--phi", default="phi")
@@ -465,12 +476,12 @@ VERBS = {
         _arg("--field", default=None,
              help="override the document field (Q, F2, F3, F5, ...)"),
         _arg("--phi", default=None, help="twist cochain for kind trb"),
-        _arg("--budget", type=int, default=None,
+        _arg("--budget", type=_int, default=None,
              help="candidate-count cap (default: RBX_BUDGET or 2^20)")],
     "aybe": [_FILE, _arg("--r", default="r", help="name of the A(x)A tensor")],
     "catalog": [_arg("action", choices=["list", "emit"]),
                 _arg("name", nargs="?", default=None),
-                _arg("--degree", type=int, default=None), _OUTPUT],
+                _arg("--degree", type=_int, default=None), _OUTPUT],
     "explain": [_arg("verb")],
 }
 

@@ -17,7 +17,6 @@ The test suite checks them against the scaled brackets over Q and F5.
 from __future__ import annotations
 
 from .algebra import Verdict
-from .errors import InputError
 from .gerstenhaber import MultiMap, circ_i, g_bracket, half_square
 from .linalg import first_difference
 from .operators import (OperatorInstance, extension_mult_map,
@@ -40,12 +39,9 @@ def hamiltonian_field(theta: MultiMap, inst: OperatorInstance) -> MultiMap:
     return g_bracket(theta, lift_operator(inst))
 
 
-def exp_flow(inst: OperatorInstance, theta: MultiMap | None = None) -> FlowResult:
-    """exp(X)(Theta) for Theta = mu^ + phi^ by default."""
-    if theta is None:
-        theta = extension_mult_map(inst)
-    if theta.arity != 2 or theta.dim != inst.ext_dim:
-        raise InputError("flow needs an arity-2 map on A (+) M")
+def exp_flow(inst: OperatorInstance) -> FlowResult:
+    """exp(X)(Theta) for Theta = mu^ + phi^."""
+    theta = extension_mult_map(inst)
     p_hat = lift_operator(inst)
     order2, first, second, both = half_square(theta, p_hat)
     order1 = _first_order(theta, p_hat, first, second)

@@ -33,7 +33,7 @@ def _ones(field, shape, indices):
 def kx2(field) -> Algebra:
     """k[x]/(x^2) with basis 1, x."""
     c = _ones(field, (2, 2, 2), [(0, 0, 0), (0, 1, 1), (1, 0, 1)])
-    return Algebra(field, c, labels=["1", "x"])
+    return Algebra(field, c)
 
 
 def null_algebra(field, dim) -> Algebra:
@@ -60,9 +60,8 @@ def tensor_square(algebra: Algebra) -> OperatorInstance:
     # (u (x) v).a = u (x) va
     left = einsum("aux,vy->auvxy", c, one)
     right = einsum("ux,vay->uvaxy", one, c)
-    labels = [f"{p}(x){q}" for p in algebra.labels for q in algebra.labels]
     module = Bimodule(algebra, left.reshape(d, d * d, d * d),
-                      right.reshape(d * d, d, d * d), labels=labels)
+                      right.reshape(d * d, d, d * d))
     phi = -Encoded(field, eye(d * d)).reshape(d, d, d * d)
     return OperatorInstance(algebra, module, c.reshape(d * d, d),
                             Cochain(algebra, module, phi))
@@ -163,11 +162,10 @@ def truncated_polynomial(N, field=QQ) -> TruncatedInstance:
     # algebra basis x^1..x^N, module basis x^0..x^{N-1}
     c = _ones(field, (N, N, N), [(i, j, i + j + 1) for i in range(N)
                                  for j in range(N - 1 - i)])
-    A = Algebra(field, c, labels=[f"x^{i+1}" for i in range(N)])
+    A = Algebra(field, c)
     left = _ones(field, (N, N, N), [(a, m, a + 1 + m) for a in range(N)
                                     for m in range(N - 1 - a)])
-    M = Bimodule(A, left, left.transpose(1, 0, 2),
-                 labels=[f"x^{i}" for i in range(N)])
+    M = Bimodule(A, left, left.transpose(1, 0, 2))
     # diagonal: pi has the entries 1/(i+1), omega the entries i+1
     ints, scale = field.encode_pairs([field.ratio(1, i + 1) for i in range(N)])
     pi, om = eye(N), eye(N)

@@ -42,7 +42,7 @@ class NSAlgebra:
     prec = decoded("_prec")
     vee = decoded("_vee")
 
-    def __init__(self, field, succ, prec, vee, labels=None):
+    def __init__(self, field, succ, prec, vee):
         succ, prec = Encoded.of(field, succ), Encoded.of(field, prec)
         vee = None if vee is None else Encoded.of(field, vee)
         shape = succ.shape
@@ -54,7 +54,6 @@ class NSAlgebra:
         self._prec = prec
         self._vee = vee
         self.dim = shape[0]
-        self.labels = list(labels) if labels is not None else [f"m{i}" for i in range(self.dim)]
 
     def _total(self):
         return combine([(t, 1) for t in (self._succ, self._prec, self._vee)
@@ -70,8 +69,8 @@ class Dendriform(NSAlgebra):
 
     kind = "dendriform"
 
-    def __init__(self, field, succ, prec, labels=None):
-        super().__init__(field, succ, prec, None, labels)
+    def __init__(self, field, succ, prec):
+        super().__init__(field, succ, prec, None)
 
 
 def check_dendriform(dend: Dendriform) -> Verdict:
@@ -139,14 +138,13 @@ def _derived(inst, check, kind):
 def dendriform_from_grb(inst: OperatorInstance) -> Dendriform:
     """m > n := p(m).n and m < n := m.p(n); needs a GRB instance."""
     succ, prec, _ = _derived(inst, is_grb, "generalized")
-    return Dendriform(inst.field, succ, prec, labels=inst.module.labels)
+    return Dendriform(inst.field, succ, prec)
 
 
 def ns_from_trb(inst: OperatorInstance) -> NSAlgebra:
     """m > n := p(m).n, m < n := m.p(n), m v n := phi(p(m), p(n));
     needs a TRB instance."""
-    return NSAlgebra(inst.field, *_derived(inst, is_trb, "twisted"),
-                     labels=inst.module.labels)
+    return NSAlgebra(inst.field, *_derived(inst, is_trb, "twisted"))
 
 
 def total_product(structure) -> Algebra:
@@ -155,7 +153,7 @@ def total_product(structure) -> Algebra:
     report = _check(structure)
     if not report:
         raise InputError(f"structure axioms fail: {report.detail}")
-    return Algebra(structure.field, structure._total(), labels=structure.labels)
+    return Algebra(structure.field, structure._total())
 
 
 def induced_actions(inst: OperatorInstance) -> Bimodule:
@@ -168,7 +166,7 @@ def induced_actions(inst: OperatorInstance) -> Bimodule:
     # left[j, i] = p(m_j) e_i - p(m_j . e_i); right[i, j] = e_i p(m_j) - p(e_i . m_j)
     left = einsum("ja,ail->jil", P, A._c) - einsum("jix,xl->jil", M._right, P)
     right = einsum("ixl,jx->ijl", A._c, P) - einsum("ijx,xl->ijl", M._left, P)
-    module = Bimodule(m_ass, left, right, labels=A.labels, check=False)
+    module = Bimodule(m_ass, left, right, check=False)
     check = bimodule_check(m_ass, module)
     if not check:
         raise InputError(f"induced actions fail bimodule axioms at {check.witness}")

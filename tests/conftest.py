@@ -31,7 +31,7 @@ def mult_by_x_q():
 
 def ground_field_algebra(field):
     """The field itself as a one-dimensional unital algebra."""
-    return Algebra(field, [[[field.one]]], labels=["1"])
+    return Algebra(field, [[[field.one]]])
 
 
 def catalog_trb_instances(field=QQ):
@@ -61,7 +61,7 @@ def upper_triangular(field):
     non-commutative algebra, so left and right actions differ."""
     c = zeros((3, 3, 3), field)
     c[0, 0, 0] = c[0, 1, 1] = c[1, 2, 1] = c[2, 2, 2] = field.one
-    return Algebra(field, c, labels=["E11", "E12", "E22"])
+    return Algebra(field, c)
 
 
 def enumeration_pairs():

@@ -26,7 +26,7 @@ def dual_module(algebra: Algebra) -> Bimodule:
     left[s, i, j] = c[j, s, i] and right[i, s, j] = c[s, j, i]."""
     c = algebra._c
     return Bimodule(algebra, c.transpose(1, 2, 0), c.transpose(2, 0, 1),
-                    labels=[f"{l}*" for l in algebra.labels], check=False)
+                    check=False)
 
 
 def r_tilde(algebra: Algebra, r) -> OperatorInstance:
@@ -48,8 +48,7 @@ def identity_operator(structure) -> OperatorInstance:
     algebra, as a GRB (resp. TRB) instance: e.x = e > x, x.e = x < e, and
     for NS input the twist is the vee product."""
     total = total_product(structure)
-    module = Bimodule(total, structure._succ, structure._prec,
-                      labels=structure.labels, check=False)
+    module = Bimodule(total, structure._succ, structure._prec, check=False)
     report = bimodule_check(total, module)
     if not report:
         raise InputError(f"induced actions fail bimodule axioms at {report.witness}")

@@ -160,15 +160,18 @@ def test_bracket_verb(tmp_path, capsys):
     assert "(e0,e0) -> e1: 1" in out
 
 
+# the product of kx2 (+) kx2, kx2 acting on itself, and the lift of
+# mult-by-x to it: arity-2 and arity-1 multimaps on B = A (+) M
+MU_HAT = [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+          [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+          [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]],
+          [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]]
+PI_HAT = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]]
+
+
 def test_bracket_on_extension_space(tmp_path, capsys):
-    # arity-2 and arity-1 multimaps on B = A (+) M; the bracket of the
-    # semidirect product with the lift of mult-by-x has the induced
-    # product 2 e1 at the (m0, m0) slot
-    mu_hat = [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-              [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
-              [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]],
-              [[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]]
-    pi_hat = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0]]
+    # the bracket of the semidirect product with the lift of mult-by-x
+    # has the induced product 2 e1 at the (m0, m0) slot
     path = tmp_path / "ext.json"
     path.write_text(json.dumps({
         "field": "Q",
@@ -177,13 +180,79 @@ def test_bracket_on_extension_space(tmp_path, capsys):
                      "left": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
                      "right": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]},
         "cochains": {
-            "muhat": {"arity": 2, "inputs": "B", "output": "B", "tensor": mu_hat},
-            "pihat": {"arity": 1, "inputs": "B", "output": "B", "tensor": pi_hat},
+            "muhat": {"arity": 2, "inputs": "B", "output": "B", "tensor": MU_HAT},
+            "pihat": {"arity": 1, "inputs": "B", "output": "B", "tensor": PI_HAT},
         },
     }))
     code, out = run(capsys, "bracket", str(path), "--f", "muhat", "--g", "pihat")
     assert code == 0
     assert "(m:m0,m:m0) -> m:m1: 2" in out
+
+
+def multimap(arity, space, tensor):
+    return {"arity": arity, "inputs": space, "output": space, "tensor": tensor}
+
+
+# listings of mult-by-x with the operator pi = 1, which is not Rota-Baxter,
+# the multimaps mu = x (.) y and beta = x (.) on A, and on B the lifts MU_HAT
+# and PI_HAT, or, with no bimodule, where B is A, mu and beta again
+LISTINGS = {
+    "bimodule": {
+        "residual": ["(m:m0,m:m0) -> e0: -1", "(m:m0,m:m1) -> e1: -1",
+                     "(m:m1,m:m0) -> e1: -1"],
+        "order1": ["(m:m0,m:m0) -> m:m0: 2", "(m:m0,m:m1) -> m:m1: 2",
+                   "(m:m1,m:m0) -> m:m1: 2"],
+        "m_products": ["(m0,m0) -> m0: 2", "(m0,m1) -> m1: 2",
+                       "(m1,m0) -> m1: 2"],
+        "bracket A": ["(e0,e0) -> e1: 1"],
+        "bracket B": ["(m:m0,m:m0) -> m:m1: 2"],
+        "aybe": ["(e0,e0) -> e0: 1", "(e1,e0) -> e1: 2"]},
+    "no-bimodule": {
+        "residual": ["(m:e0,m:e0) -> e0: -1", "(m:e0,m:e1) -> e1: -1",
+                     "(m:e1,m:e0) -> e1: -1"],
+        "order1": ["(m:e0,m:e0) -> m:e0: 2", "(m:e0,m:e1) -> m:e1: 2",
+                   "(m:e1,m:e0) -> m:e1: 2"],
+        "m_products": ["(e0,e0) -> e0: 2", "(e0,e1) -> e1: 2",
+                       "(e1,e0) -> e1: 2"],
+        "bracket A": ["(e0,e0) -> e1: 1"],
+        "bracket B": ["(e0,e0) -> e1: 1"],
+        "aybe": ["(e0,e0) -> e0: 1", "(e1,e0) -> e1: 2"]}}
+
+
+@pytest.mark.parametrize("case", LISTINGS)
+def test_listings_name_the_basis_from_the_document(mbx_file, tmp_path,
+                                                   capsys, case):
+    """A's basis is e0, e1, ...; M's m0, m1, ..., or A's names without a
+    bimodule; A (+) M's A's names, then M's marked "m:"."""
+    with open(mbx_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["maps"]["pi"] = [[1, 0], [0, 1]]
+    mu, beta = doc["algebra"]["c"], [[0, 1], [0, 0]]
+    doc["cochains"] = {"mu": multimap(2, "A", mu),
+                       "beta": multimap(1, "A", beta)}
+    if case == "bimodule":
+        mu, beta = MU_HAT, PI_HAT
+    else:
+        del doc["bimodule"]
+    doc["cochains"].update(muhat=multimap(2, "B", mu),
+                           betahat=multimap(1, "B", beta))
+    path = tmp_path / "listings.json"
+    path.write_text(json.dumps(doc))
+
+    def listing(key, *argv):
+        _, out = run(capsys, argv[0], str(path), *argv[1:], "--json")
+        return json.loads(out)[key]
+
+    flow = run(capsys, "flow", str(path), "--emit-products", "--json")[1]
+    assert {
+        "residual": listing("residual", "residual"),
+        "order1": json.loads(flow)["order1"],
+        "m_products": json.loads(flow)["m_products"],
+        "bracket A": listing("bracket", "bracket", "--f", "mu", "--g", "beta"),
+        "bracket B": listing("bracket", "bracket", "--f", "muhat",
+                             "--g", "betahat"),
+        "aybe": listing("residual", "aybe", "--r", "pi"),
+    } == LISTINGS[case]
 
 
 def test_search_trb_via_cli_matches_reynolds(tmp_path, capsys):
@@ -417,6 +486,26 @@ def test_a_number_past_the_digit_limit_is_exit_2(mbx_file, capsys,
         monkeypatch.setenv(name, value)
     code, out = run(capsys, "search", mbx_file, "--kind", "rb", *argv)
     assert (code, out) == (2, f"ERROR: search - {message}\n")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["search", "{mbx}", "--kind", "rb", "--budget"], "--budget"),
+    (["catalog", "emit", "truncated-poly", "--degree"], "--degree")],
+    ids=["budget", "degree"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_an_option_past_the_digit_limit_is_a_short_usage_error(
+        mbx_file, capsys, argv, option, as_json):
+    """5,000 digits in --budget or --degree: a usage error that names the
+    value by its length instead of echoing it."""
+    argv = [a.format(mbx=mbx_file) for a in argv] + ["7" * 5000]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--json"] * as_json)
+    out, err = capsys.readouterr()
+    detail = f"argument {option}: invalid int value: one of 5000 digits"
+    assert exc.value.code == 2 and err.endswith(f"error: {detail}\n")
+    assert len(err) < 400
+    assert (json.loads(out)["detail"] if as_json else out) == \
+        (detail if as_json else "")
 
 
 def test_trb_search_checks_the_twist_once(ts_file, capsys, monkeypatch):

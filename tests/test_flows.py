@@ -8,7 +8,6 @@ from oracle import (identity, induced_product, random_tensor, tensors_equal,
                     zeros)
 from propositions import intertwiner_check
 from rbx.algebra import canonical_bimodule
-from rbx.errors import InputError
 from rbx.fields import F2, F3, F5, QQ
 from rbx.gerstenhaber import g_bracket
 from rbx.instances import (kx2, mult_by_x_instance, swap_instance,
@@ -220,12 +219,6 @@ def test_addexp_equals_trb_verdict():
             inst = random_instance(QQ, rng, twisted)
             checker = is_trb if twisted else is_grb
             assert bool(addexp_check(inst)) == bool(checker(inst))
-
-
-def test_flow_requires_arity_two(kx2_q):
-    inst = mult_by_x_instance(QQ)
-    with pytest.raises(InputError):
-        exp_flow(inst, lift_operator(inst))
 
 
 BUILDS = {"truncated-poly-5": lambda: truncated_polynomial(5).instance(),

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from rbx import cli, operators
-from rbx.algebra import Algebra, Bimodule, bimodule_check, canonical_bimodule
+from rbx.algebra import Bimodule, bimodule_check, canonical_bimodule
 from rbx.cochains import Cochain
 from rbx.errors import CapacityError, InputError
 from rbx.fields import F2, QQ
@@ -47,9 +47,6 @@ REFUSALS = {
     "grb search without a bimodule": (
         lambda: search_rows(kx2(F2), None, "grb"), InputError,
         "search kind 'grb' needs a bimodule"),
-    "algebra with one label of two": (
-        lambda: Algebra(QQ, kx2(QQ)._c, labels=["1"]), InputError,
-        "label count does not match dimension"),
     "bimodule with a bad left shape": (
         lambda: Bimodule(kx2(QQ), zeros(2, 2, 3), zeros(2, 2, 2)),
         InputError, "left action tensor has bad shape (2, 2, 3)"),
