@@ -14,10 +14,12 @@ and the full parser of all verbs only for `--help`, an unknown or
 missing verb, or a top-level error such as an unrecognized argument, so
 help and usage texts read as before.  The parser, `explain`, `--help`
 and usage errors need the standard library alone, and `catalog list`
-the catalog's table alone; every other verb binds the seven core
-modules into this module in one place, `_import_core`, before its
-handler runs, and calls through them (`operators.is_grb`), so a
-function patched onto a core module is the one it calls.  No core module
+the catalog's table alone; every other handler, and each helper it
+calls, imports the core modules it calls where it runs (`from . import
+operators, schema`), so a verb loads, and compiles, only the modules
+its handler reaches, and that set can be read off the handler.  They
+call through the modules (`operators.is_grb`), so a function patched
+onto a core module is the one called.  No core module
 imports numpy when it loads: the checking verbs, `catalog emit` and a
 small `search` work on the kernel's pure-Python integers, and numpy is
 imported only by a product or a search too large for them (see
@@ -34,18 +36,12 @@ import argparse
 import errno
 import json
 import os
+import re
 import sys
 import time
 from itertools import compress, count
 
 from .errors import InputError, RbxError
-
-
-def _import_core():
-    """Bind the numeric core's modules into this module."""
-    global algebra, flows, gerstenhaber, linalg, operators, schema, structures
-    from . import (algebra, flows, gerstenhaber, linalg, operators, schema,
-                   structures)
 
 
 EXPLANATIONS = {
@@ -139,6 +135,7 @@ def _verdict_report(command, field, verdict, digest, extra=None):
 def _tensor_listing(tensor, labels):
     """Nonzero coefficients of an encoded multimap tensor as text lines,
     in C order, found and formatted on its integers."""
+    from . import linalg
     field, scale = tensor.field, tensor.scale
     flat = field.reduce(tensor.ints).ravel().tolist()
     lines = []
@@ -158,18 +155,21 @@ def _load(path):
 
 
 def _document(args):
+    from . import schema
     doc = schema.load_document(_load(args.file))
     return doc, schema.document_digest(doc)
 
 
 def _algebra_module(doc):
     """The document's algebra and its bimodule, else the canonical one."""
+    from . import algebra
     alg = doc.section("algebra")
     return alg, doc.bimodule if doc.bimodule is not None else \
         algebra.canonical_bimodule(alg)
 
 
 def _instance(doc, pi_name, phi_name=None):
+    from . import operators, schema
     alg, module = _algebra_module(doc)
     cocycle = schema.cochain_object(doc, phi_name) if phi_name else None
     return operators.OperatorInstance(
@@ -190,6 +190,7 @@ def _basis_names(doc, space):
 
 
 def cmd_check_assoc(args):
+    from . import algebra, schema
     field, c, raw = schema.load_raw_algebra(_load(args.file))
     return _verdict_report("check-assoc", field, algebra.assoc_check(c),
                            schema.raw_digest(raw))
@@ -203,45 +204,54 @@ def _verdict(args, decide):
 
 
 def cmd_check_bimodule(args):
+    from . import algebra
     return _verdict(args, lambda doc: algebra.bimodule_check(
         doc.section("algebra"), doc.section("bimodule")))
 
 
 def cmd_check_grb(args):
+    from . import operators
     return _verdict(args, lambda doc: operators.is_grb(
         _instance(doc, args.map)))
 
 
 def cmd_check_trb(args):
+    from . import operators
     return _verdict(args, lambda doc: operators.is_trb(
         _instance(doc, args.pi, args.phi)))
 
 
 def cmd_check_reynolds(args):
+    from . import operators, schema
     return _verdict(args, lambda doc: operators.is_reynolds(
         doc.section("algebra"), schema.named_map(doc, args.map)))
 
 
 def cmd_check_nijenhuis(args):
+    from . import operators, schema
     return _verdict(args, lambda doc: operators.is_nijenhuis(
         doc.section("algebra"), schema.named_map(doc, args.map)))
 
 
 def cmd_check_dendriform(args):
+    from . import structures
     return _verdict(args, lambda doc: structures.check_dendriform(
         doc.section("dendriform")))
 
 
 def cmd_check_ns(args):
+    from . import structures
     return _verdict(args, lambda doc: structures.check_ns(doc.section("ns")))
 
 
 def cmd_check_addexp(args):
+    from . import flows
     return _verdict(args, lambda doc: flows.addexp_check(
         _instance(doc, args.pi, args.phi)))
 
 
 def cmd_residual(args):
+    from . import algebra, operators
     doc, digest = _document(args)
     inst = _instance(doc, args.pi, args.phi)
     res = operators.structure_residual(inst)._tensor
@@ -253,6 +263,7 @@ def cmd_residual(args):
 
 
 def cmd_bracket(args):
+    from . import gerstenhaber, schema
     doc, digest = _document(args)
     f = gerstenhaber.MultiMap(doc.field, schema.multimap_tensor(doc, args.f))
     g = gerstenhaber.MultiMap(doc.field, schema.multimap_tensor(doc, args.g))
@@ -266,6 +277,7 @@ def cmd_bracket(args):
 
 
 def cmd_flow(args):
+    from . import flows
     doc, digest = _document(args)
     inst = _instance(doc, args.pi, args.phi)
     flow = flows.exp_flow(inst)
@@ -283,17 +295,20 @@ def cmd_flow(args):
 
 
 def cmd_derive_dendriform(args):
+    from . import structures
     return _derive(args, "dendriform", structures.dendriform_from_grb,
                    args.map)
 
 
 def cmd_derive_ns(args):
+    from . import structures
     return _derive(args, "ns", structures.ns_from_trb, args.pi, args.phi)
 
 
 def _derive(args, section, derive, *names):
     """The structure `derive` induces from the document's operator, as
     the `section` of a new document."""
+    from . import schema
     doc, digest = _document(args)
     structure = derive(_instance(doc, *names))
     return _document_report(
@@ -303,6 +318,7 @@ def _derive(args, section, derive, *names):
 
 def _document_report(args, doc, detail, digest=None):
     """A pass report carrying `doc`, which is also written to --output."""
+    from . import schema
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -315,6 +331,7 @@ def _document_report(args, doc, detail, digest=None):
 
 
 def cmd_search(args):
+    from . import operators, schema
     doc, digest = _document(args)
     if args.field:
         doc = _cast_document(doc, args.field)
@@ -338,6 +355,7 @@ def cmd_search(args):
 
 def _cast_document(doc, field_name):
     """Reinterpret the document's scalars over another field (e.g. F2)."""
+    from . import schema
     if field_name == "Q":
         spec = "Q"
     elif field_name.upper().startswith("F") and field_name[1:].isdecimal():
@@ -347,13 +365,18 @@ def _cast_document(doc, field_name):
             raise InputError(f"F_p needs a prime modulus below 2^31, got "
                              f"{_not_int(field_name[1:])}") from None
     else:
-        raise InputError(f"unknown field name {field_name!r}; use Q or F<p>")
+        # F and a signed modulus past int's digit limit: not echoed
+        name = (f"{field_name[0]!r} followed by {_not_int(field_name[1:])}"
+                if field_name[:1] in ("f", "F") and _past_limit(field_name[1:])
+                else repr(field_name))
+        raise InputError(f"unknown field name {name}; use Q or F<p>")
     obj = schema.document_to_obj(doc)
     obj["field"] = spec
     return schema.document_from_obj(obj)
 
 
 def cmd_aybe(args):
+    from . import algebra, operators, schema
     doc, digest = _document(args)
     alg = doc.section("algebra")
     res = operators.aybe_encoded(alg, schema.named_map(doc, args.r))
@@ -399,6 +422,7 @@ def cmd_catalog(args):
 
 def _document_from_built(built):
     """The document of a catalog instance, with its encoded tensors."""
+    from . import schema
     doc = schema.Document(built.algebra.field, algebra=built.algebra,
                           bimodule=built.module)
     doc.maps["pi"] = built._op
@@ -424,10 +448,23 @@ def _arg(*names, **options):
     return names, options
 
 
+def _past_limit(text):
+    """Whether int() refuses `text`, a number as int() reads one (a sign,
+    underscores and spaces allowed), for being past its digit limit."""
+    if not re.fullmatch(r"\s*[+-]?\d(?:_?\d)*\s*", text):
+        return False
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
 def _not_int(text):
-    """How an error names `text`, which int() refused: an all-digit one
-    is past int's digit limit, and is named by its length, not echoed."""
-    return f"one of {len(text)} digits" if text.isdecimal() else repr(text)
+    """How an error names `text`, which int() refused: past int's digit
+    limit, signed or not, by its digit count, not echoed."""
+    return f"one of {sum(map(str.isdecimal, text))} digits" \
+        if _past_limit(text) else repr(text)
 
 
 def _int(text):
@@ -586,8 +623,6 @@ def main(argv=None) -> int:
     except OSError as exc:      # the help or a usage report was not written
         return _stdout_failed(argv[0] if argv and argv[0] in VERBS else "rbx",
                               exc)
-    if args.command != "explain" and getattr(args, "action", None) != "list":
-        _import_core()
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     start = time.perf_counter()
     try:

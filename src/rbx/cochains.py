@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from .algebra import Algebra, Bimodule, Verdict
 from .errors import CapacityError, InputError
-from .gerstenhaber import ARITY_CAP
 from .linalg import Encoded, combine, decoded, einsum
 
 
@@ -50,6 +49,7 @@ class Cochain:
 
 def coboundary(cochain: Cochain) -> Cochain:
     """Hochschild coboundary C^n -> C^{n+1}."""
+    from .gerstenhaber import ARITY_CAP
     n = cochain.arity
     if n + 1 > ARITY_CAP:
         raise CapacityError(f"coboundary of arity {n} exceeds the arity cap {ARITY_CAP}")

@@ -24,6 +24,11 @@ the backend and carries the scales of every step; the search
 builds its blocks of candidates on the pure kernel when its whole dense
 work is at most `linalg.PURE_WORK`, and on int64 numpy otherwise, and
 returns the passing candidates as one Encoded stack (`search_rows`).
+
+The twisted path (the cocycle check of `OperatorInstance`,
+`reynolds_as_twisted`) imports `cochains`, and the lifts and residuals
+import `gerstenhaber`, where they run: an untwisted checker or search
+loads neither.
 """
 
 from __future__ import annotations
@@ -32,9 +37,7 @@ import math
 from itertools import chain, compress, islice, product
 
 from .algebra import Algebra, Bimodule, Verdict, canonical_bimodule, extension
-from .cochains import Cochain, is_cocycle
 from .errors import CapacityError, CharacteristicError, InputError
-from .gerstenhaber import MultiMap, circ_i, half_square
 from . import linalg
 from .linalg import Encoded, IntTensor, _np, combine, decoded, einsum, embed
 
@@ -52,7 +55,7 @@ class OperatorInstance:
     op = decoded("_op")
 
     def __init__(self, algebra: Algebra, module: Bimodule, op,
-                 cocycle: Cochain | None = None):
+                 cocycle=None):
         if module.base.dim != algebra.dim:
             raise InputError("module is not over the instance algebra")
         op = Encoded.of(algebra.field, op)
@@ -61,6 +64,7 @@ class OperatorInstance:
                 f"operator matrix must be {module.dim}x{algebra.dim} (M -> A), "
                 f"got {op.shape}")
         if cocycle is not None:
+            from .cochains import Cochain, is_cocycle
             if cocycle.arity != 2 or cocycle._tensor.shape != \
                     (algebra.dim, algebra.dim, module.dim):
                 raise InputError("twist must be a 2-cochain A x A -> M")
@@ -96,6 +100,7 @@ def _lift(inst, block, arity):
     """An arity-`arity` MultiMap on A (+) M, zero but for the encoded
     `block` at the A-inputs, M-output corner (M-inputs, A-output for
     arity 1)."""
+    from .gerstenhaber import MultiMap
     dA, d = inst.algebra.dim, inst.ext_dim
     A, M = slice(None, dA), slice(dA, None)
     index = (M, A) if arity == 1 else (A, A, M)
@@ -103,13 +108,13 @@ def _lift(inst, block, arity):
     return MultiMap(inst.field, Encoded(inst.field, ints, block.scale))
 
 
-def lift_operator(inst: OperatorInstance) -> MultiMap:
+def lift_operator(inst: OperatorInstance):
     """The lift (a, m) |-> (op(m), 0) as an arity-1 element of
     G(A (+) M); composes to zero with itself."""
     return _lift(inst, inst._op, 1)
 
 
-def lift_cocycle(inst: OperatorInstance) -> MultiMap:
+def lift_cocycle(inst: OperatorInstance):
     """The twist as an arity-2 map on A (+) M: values in the M-block,
     nonzero only on pairs of A-components."""
     if inst.cocycle is None:
@@ -117,15 +122,17 @@ def lift_cocycle(inst: OperatorInstance) -> MultiMap:
     return _lift(inst, inst.cocycle._tensor, 2)
 
 
-def extension_mult_map(inst: OperatorInstance) -> MultiMap:
+def extension_mult_map(inst: OperatorInstance):
     """mu-hat (+ phi-hat when the instance is twisted) as an arity-2
     MultiMap on A (+) M."""
+    from .gerstenhaber import MultiMap
     twist = inst.cocycle._tensor if inst.cocycle is not None else None
     return MultiMap(inst.field, extension(inst.algebra, inst.module, twist))
 
 
-def semidirect_mult_map(inst: OperatorInstance) -> MultiMap:
+def semidirect_mult_map(inst: OperatorInstance):
     """mu-hat alone, the semidirect product of A and M."""
+    from .gerstenhaber import MultiMap
     return MultiMap(inst.field, extension(inst.algebra, inst.module))
 
 
@@ -228,6 +235,7 @@ def _shaped(field, m, shape, refusal):
 
 def reynolds_as_twisted(algebra: Algebra, op) -> OperatorInstance:
     """A Reynolds candidate viewed as a twisted operator: M = A, twist -mu."""
+    from .cochains import Cochain
     module = canonical_bimodule(algebra)
     phi = Cochain(algebra, module, -algebra._c)
     return OperatorInstance(algebra, module, op, phi)
@@ -236,12 +244,13 @@ def reynolds_as_twisted(algebra: Algebra, op) -> OperatorInstance:
 # ---------------------------------------------------------------------------
 # structure residuals from the division-free closed forms
 
-def structure_residual(inst: OperatorInstance) -> MultiMap:
+def structure_residual(inst: OperatorInstance):
     """(1/2)[p^, p^]_mu^  (+ (1/6)[[[phi^,p^],p^],p^] when twisted);
     the zero map exactly when the instance satisfies its identity.
     Evaluated as the flow's half term (1/2)X^2(mu^), minus
     `twist_insertion` when twisted; the guards for 1/2 and 1/6 are kept.
     """
+    from .gerstenhaber import half_square
     field = inst.field
     if inst.cocycle is not None and field.char in (2, 3):
         raise CharacteristicError(
@@ -256,9 +265,10 @@ def structure_residual(inst: OperatorInstance) -> MultiMap:
     return residual
 
 
-def twist_insertion(inst: OperatorInstance) -> MultiMap:
+def twist_insertion(inst: OperatorInstance):
     """p^ o phi^ o (p^ (x) p^): the intermediate of the twisted structure
     equation, equal to -(1/6)[[[phi^,p^],p^],p^]."""
+    from .gerstenhaber import circ_i
     p_hat = lift_operator(inst)
     phi_hat = lift_cocycle(inst)
     both = circ_i(circ_i(phi_hat, p_hat, 1), p_hat, 2)
@@ -310,7 +320,7 @@ BLOCK_ENTRIES = 2 ** 20        # entries of a block's largest tensor, at most,
 
 
 def search_operators(algebra: Algebra, module: Bimodule | None, kind: str,
-                     cocycle: Cochain | None = None, budget: int | None = None):
+                     cocycle=None, budget: int | None = None):
     """Enumerate all candidates of the given kind over a prime field, in
     lexicographic order of the flattened matrix entries, and return those
     passing the kind's checker, as tensors of scalars: the entries of
@@ -334,7 +344,7 @@ def _candidate_work(kind, dim, rows, shared, twisted):
 
 
 def search_rows(algebra: Algebra, module: Bimodule | None, kind: str,
-                cocycle: Cochain | None = None, budget: int | None = None):
+                cocycle=None, budget: int | None = None):
     """The passing candidates of `search_operators` as one Encoded stack
     of shape (solutions, *candidate shape), over scale 1, on an IntTensor
     of canonical representatives.  A space of p^n >= 2^63 candidates,

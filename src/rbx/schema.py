@@ -20,7 +20,9 @@ encoding (`linalg.Encoded` over an `IntTensor`), reading each distinct
 literal once to the field's integer pair (`field.literal`), and the
 writer formats the canonical scalars from those integers
 (`field.format_int`); neither imports numpy or builds a scalar.  The maps
-and cochain tensors of a loaded Document are Encoded.
+and cochain tensors of a loaded Document are Encoded.  `structures` is
+imported to build a `dendriform` or `ns` section, and `cochains` by
+`cochain_object`, so a document without them loads neither.
 
 The digests are SHA-256 of the canonical dump, from CPython's built-in
 module (`_sha256` up to 3.11, `_sha2` from 3.12, `hashlib` only where
@@ -41,11 +43,9 @@ except ImportError:
         from hashlib import sha256
 
 from .algebra import Algebra, Bimodule, canonical_bimodule
-from .cochains import Cochain
 from .errors import InputError
 from .fields import field_from_name, field_to_name
 from .linalg import Encoded, IntTensor, _array, nested, unravel
-from .structures import Dendriform, NSAlgebra
 
 
 class Document:
@@ -67,9 +67,9 @@ class Document:
         return value
 
 
-# the product sections: (key, class, product tensors)
-_STRUCTURES = (("dendriform", Dendriform, ("succ", "prec")),
-               ("ns", NSAlgebra, ("succ", "prec", "vee")))
+# the product sections: (key, class in `structures`, product tensors)
+_STRUCTURES = (("dendriform", "Dendriform", ("succ", "prec")),
+               ("ns", "NSAlgebra", ("succ", "prec", "vee")))
 
 
 def _parse_tensor(field, raw, shape, path):
@@ -210,7 +210,9 @@ def document_from_obj(raw) -> Document:
 
     for section, cls, keys in _STRUCTURES:
         if section in raw:
-            setattr(doc, section, cls(field, *_cubes(field, raw, section, *keys)))
+            from . import structures
+            setattr(doc, section, getattr(structures, cls)(
+                field, *_cubes(field, raw, section, *keys)))
 
     return doc
 
@@ -274,8 +276,9 @@ def raw_digest(raw) -> str:
         (json.dumps(raw, indent=2, sort_keys=True) + "\n").encode()).hexdigest()
 
 
-def cochain_object(doc: Document, name: str) -> Cochain:
-    """Materialize a named cochain entry with inputs 'A'."""
+def cochain_object(doc: Document, name: str):
+    """Materialize a named cochain entry with inputs 'A' as a `Cochain`."""
+    from .cochains import Cochain
     entry = _named(doc.cochains, name, "cochain")
     if entry["inputs"] != "A":
         raise InputError(f"cochain {name!r} must have inputs 'A'")

@@ -18,17 +18,20 @@ twisted case with phi = 0, so one checker and one derivation serve
 both.
 `induced_actions` returns A as a `Bimodule` over the induced algebra
 M_ass; the maps the functions take are matrices (see `operators`).
+The derivations, the duality and the morphism check import `operators`
+where they run, so checking a structure loads no operator code.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra, Bimodule, Verdict, bimodule_check, intertwining
+# loaded with this module, though only derivation_dual calls it: the
+# benchmark's tracer wraps is_cocycle after one replay of a workload, and
+# flow-heavy's verbs, which run no twist, load cochains through this import
 from .cochains import Cochain, is_cocycle
 from .errors import InputError
 from .linalg import (Encoded, combine, decoded, einsum, eye,
                      first_nonzero_index)
-from .operators import (OperatorInstance, _shaped, induced_products, is_grb,
-                        is_trb)
 
 
 class NSAlgebra:
@@ -127,6 +130,7 @@ def _check(structure) -> Verdict:
 def _derived(inst, check, kind):
     """The products the instance induces on M, once `check` shows that
     its operator is `kind` Rota-Baxter."""
+    from .operators import induced_products
     report = check(inst)
     if not report:
         raise InputError(
@@ -135,15 +139,17 @@ def _derived(inst, check, kind):
     return induced_products(inst)
 
 
-def dendriform_from_grb(inst: OperatorInstance) -> Dendriform:
+def dendriform_from_grb(inst) -> Dendriform:
     """m > n := p(m).n and m < n := m.p(n); needs a GRB instance."""
+    from .operators import is_grb
     succ, prec, _ = _derived(inst, is_grb, "generalized")
     return Dendriform(inst.field, succ, prec)
 
 
-def ns_from_trb(inst: OperatorInstance) -> NSAlgebra:
+def ns_from_trb(inst) -> NSAlgebra:
     """m > n := p(m).n, m < n := m.p(n), m v n := phi(p(m), p(n));
     needs a TRB instance."""
+    from .operators import is_trb
     return NSAlgebra(inst.field, *_derived(inst, is_trb, "twisted"))
 
 
@@ -156,7 +162,7 @@ def total_product(structure) -> Algebra:
     return Algebra(structure.field, structure._total())
 
 
-def induced_actions(inst: OperatorInstance) -> Bimodule:
+def induced_actions(inst) -> Bimodule:
     """A as a bimodule over the induced algebra M_ass (its `base`), for a
     GRB instance:
     m ._p a = p(m)a - p(m.a)  (left action of M_ass on A, (dM, dA, dA)),
@@ -173,10 +179,11 @@ def induced_actions(inst: OperatorInstance) -> Bimodule:
     return module
 
 
-def derivation_dual(inst: OperatorInstance, omega, z) -> OperatorInstance:
+def derivation_dual(inst, omega, z):
     """Dual operator of a GRB instance: a derivation W: A -> M (the
     matrix `omega`) with W(p(m)) = z m, for z an int or a scalar of the
     field, becomes a GRB operator A -> M_ass over the induced actions."""
+    from .operators import OperatorInstance, _shaped
     A, M, field = inst.algebra, inst.module, inst.field
     W = _shaped(field, omega, (A.dim, M.dim), "derivation must map A to M")
     # a derivation is a Hochschild 1-cocycle: a.W(b) - W(ab) + W(a).b = 0
@@ -197,11 +204,11 @@ def derivation_dual(inst: OperatorInstance, omega, z) -> OperatorInstance:
     return OperatorInstance(actions.base, actions, W)
 
 
-def grb_morphism_check(psi0, psi1, src: OperatorInstance,
-                       dst: OperatorInstance) -> Verdict:
+def grb_morphism_check(psi0, psi1, src, dst) -> Verdict:
     """Morphism of operator instances: the square psi0 o p = p' o psi1
     commutes and psi1 intertwines the actions:
     psi1(a.m) = psi0(a).psi1(m) and psi1(m.a) = psi1(m).psi0(a)."""
+    from .operators import _shaped
     f0 = _shaped(src.field, psi0, (src.algebra.dim, dst.algebra.dim),
                  "psi0 must map the source algebra to the target algebra")
     f1 = _shaped(src.field, psi1, (src.module.dim, dst.module.dim),

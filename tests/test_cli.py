@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import random
@@ -474,30 +476,43 @@ def test_huge_prime_modulus_is_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv, env, message", [
     (["--field", "F" + "7" * 5000], {},
      "F_p needs a prime modulus below 2^31, got one of 5000 digits"),
+    (["--field", "F-" + "7" * 5000], {},
+     "unknown field name 'F' followed by one of 5000 digits; use Q or F<p>"),
     (["--field", "F2"], {"RBX_BUDGET": "7" * 5000},
-     "RBX_BUDGET must be a positive integer, got one of 5000 digits")],
-    ids=["field", "budget"])
+     "RBX_BUDGET must be a positive integer, got one of 5000 digits"),
+    (["--field", "F2"], {"RBX_BUDGET": "+" + "7" * 5000},
+     "RBX_BUDGET must be a positive integer, got one of 5000 digits"),
+    (["--field", "F-7"], {}, "unknown field name 'F-7'; use Q or F<p>")],
+    ids=["field", "signed-field", "budget", "signed-budget", "short-field"])
 def test_a_number_past_the_digit_limit_is_exit_2(mbx_file, capsys,
                                                  monkeypatch, argv, env,
                                                  message):
-    """5,000 digits, past int's limit of 4,300, in a search's --field or
-    RBX_BUDGET: refused with a message, not a ValueError traceback."""
+    """5,000 digits, past int's limit of 4,300, signed or not, in a
+    search's --field or RBX_BUDGET: refused with a message that names
+    the digit count, not a ValueError traceback or the value echoed."""
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     code, out = run(capsys, "search", mbx_file, "--kind", "rb", *argv)
     assert (code, out) == (2, f"ERROR: search - {message}\n")
 
 
-@pytest.mark.parametrize("argv, option", [
-    (["search", "{mbx}", "--kind", "rb", "--budget"], "--budget"),
-    (["catalog", "emit", "truncated-poly", "--degree"], "--degree")],
-    ids=["budget", "degree"])
+BUDGET = ["search", "{mbx}", "--kind", "rb", "--budget"]
+DEGREE = ["catalog", "emit", "truncated-poly", "--degree"]
+
+
+@pytest.mark.parametrize("argv, option, sign", [
+    (BUDGET, "--budget", ""), (DEGREE, "--degree", ""),
+    (BUDGET, "--budget", "-"), (BUDGET, "--budget", "+"),
+    (DEGREE, "--degree", "-"), (DEGREE, "--degree", "+")],
+    ids=["budget", "degree", "minus-budget", "plus-budget", "minus-degree",
+         "plus-degree"])
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_an_option_past_the_digit_limit_is_a_short_usage_error(
-        mbx_file, capsys, argv, option, as_json):
-    """5,000 digits in --budget or --degree: a usage error that names the
-    value by its length instead of echoing it."""
-    argv = [a.format(mbx=mbx_file) for a in argv] + ["7" * 5000]
+        mbx_file, capsys, argv, option, sign, as_json):
+    """5,000 digits, signed or not, in --budget or --degree: a usage
+    error that names the value by its digit count instead of echoing
+    it."""
+    argv = [a.format(mbx=mbx_file) for a in argv] + [sign + "7" * 5000]
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--json"] * as_json)
     out, err = capsys.readouterr()
@@ -509,16 +524,17 @@ def test_an_option_past_the_digit_limit_is_a_short_usage_error(
 
 
 def test_trb_search_checks_the_twist_once(ts_file, capsys, monkeypatch):
-    import rbx.operators
+    import rbx.cochains
 
     calls = []
-    original = rbx.operators.is_cocycle
+    original = rbx.cochains.is_cocycle
 
     def counting(cochain):
         calls.append(cochain)
         return original(cochain)
 
-    monkeypatch.setattr(rbx.operators, "is_cocycle", counting)
+    # the twisted path imports is_cocycle from its module when it runs
+    monkeypatch.setattr(rbx.cochains, "is_cocycle", counting)
     code, out = run(capsys, "search", ts_file, "--field", "F2", "--kind", "trb",
                     "--phi", "phi", "--json")
     assert code == 0 and len(json.loads(out)["solutions"]) == 14
@@ -727,6 +743,104 @@ def test_parser_only_verbs_load_no_numpy(argv):
     loaded = modules_after(*argv)
     assert "rbx.cli" in loaded
     assert "numpy" not in loaded and "rbx.schema" not in loaded
+
+
+# a sitecustomize for a child `python -m rbx.cli`: at exit it writes the
+# rbx modules the child holds, one a line, to the file named by `path`
+RBX_MODULES_AT_EXIT = """
+import atexit, sys
+
+def _write():
+    with open({path!r}, "w") as fh:
+        fh.write("\\n".join(sorted(name for name in sys.modules
+                                   if name.split(".")[0] == "rbx")))
+
+atexit.register(_write)
+"""
+
+
+@pytest.fixture(scope="module")
+def verb_docs(tmp_path_factory):
+    """The documents every verb's case below reads: mult-by-x and
+    tensor-square, the structures derived from them, and mult-by-x with
+    the multimaps f = mu and g = pi."""
+    out = tmp_path_factory.mktemp("verb-docs")
+    argvs = [["catalog", "emit", "mult-by-x", "-o", f"{out}/mbx.json"],
+             ["catalog", "emit", "tensor-square", "-o", f"{out}/ts.json"],
+             ["derive-dendriform", f"{out}/mbx.json", "-o", f"{out}/dend.json"],
+             ["derive-ns", f"{out}/ts.json", "-o", f"{out}/ns.json"]]
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    with open(f"{out}/mbx.json") as fh:
+        doc = json.load(fh)
+    doc["cochains"] = {"f": multimap(2, "A", doc["algebra"]["c"]),
+                       "g": multimap(1, "A", doc["maps"]["pi"])}
+    with open(f"{out}/maps.json", "w") as fh:
+        json.dump(doc, fh)
+    return str(out)
+
+
+# the rbx modules each verb loads: the package and its errors for the
+# parser alone, the document core for a verb that reads a document, and
+# on top of it what the verb's handler reaches; a twist loads cochains,
+# and the coboundary reads gerstenhaber's arity cap
+PARSER = {"rbx", "rbx.errors"}
+CORE = PARSER | {"rbx.algebra", "rbx.fields", "rbx.linalg", "rbx.schema"}
+STRUCTURES = CORE | {"rbx.structures", "rbx.cochains"}
+OPERATORS = CORE | {"rbx.operators"}
+TWISTED = OPERATORS | {"rbx.cochains", "rbx.gerstenhaber"}
+FLOWS = OPERATORS | {"rbx.gerstenhaber", "rbx.flows"}
+VERB_MODULES = [
+    ("check-assoc", ["{d}/mbx.json"], CORE),
+    ("check-bimodule", ["{d}/mbx.json"], CORE),
+    ("check-grb", ["{d}/mbx.json"], OPERATORS),
+    ("check-trb", ["{d}/ts.json"], TWISTED),
+    ("check-reynolds", ["{d}/mbx.json", "--map", "pi"], OPERATORS),
+    ("check-nijenhuis", ["{d}/mbx.json", "--map", "pi"], OPERATORS),
+    ("check-dendriform", ["{d}/dend.json"], STRUCTURES),
+    ("check-ns", ["{d}/ns.json"], STRUCTURES),
+    ("check-addexp", ["{d}/mbx.json"], FLOWS),
+    ("check-addexp", ["{d}/ts.json", "--phi", "phi"], FLOWS | TWISTED),
+    ("residual", ["{d}/mbx.json"], OPERATORS | {"rbx.gerstenhaber"}),
+    ("bracket", ["{d}/maps.json", "--f", "f", "--g", "g"],
+     CORE | {"rbx.gerstenhaber"}),
+    ("flow", ["{d}/mbx.json"], FLOWS),
+    ("derive-dendriform", ["{d}/mbx.json"], OPERATORS | STRUCTURES),
+    ("derive-ns", ["{d}/ts.json"], TWISTED | STRUCTURES),
+    ("search", ["{d}/mbx.json", "--kind", "rb", "--field", "F3"], OPERATORS),
+    ("search", ["{d}/ts.json", "--kind", "trb", "--phi", "phi",
+                "--field", "F2"], TWISTED),
+    ("aybe", ["{d}/mbx.json", "--r", "pi"], OPERATORS),
+    ("catalog", ["list"], PARSER | {"rbx.catalog"}),
+    ("catalog", ["emit", "mult-by-x"],
+     OPERATORS | {"rbx.catalog", "rbx.cochains", "rbx.instances"}),
+    ("explain", ["flow"], PARSER),
+    ("--help", [], PARSER),
+    ("check-grb", [], PARSER),          # a usage error: no file
+]
+
+
+@pytest.mark.parametrize(
+    "verb, argv, expected", VERB_MODULES,
+    ids=[" ".join([verb, *argv]).replace("{d}/", "") for verb, argv, _
+         in VERB_MODULES])
+def test_each_verb_loads_its_own_modules(verb, argv, expected, verb_docs,
+                                         tmp_path):
+    """The exact rbx modules of a `python -m rbx.cli` child, the entry
+    point the benchmark runs, read from its sys.modules at exit; every
+    verb listed with a document loads fewer than the whole core."""
+    listing = tmp_path / "modules.txt"
+    (tmp_path / "sitecustomize.py").write_text(
+        RBX_MODULES_AT_EXIT.format(path=str(listing)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), SRC]))
+    env.pop("RBX_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rbx.cli", verb,
+         *[a.format(d=verb_docs) for a in argv]],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == (2 if verb == "check-grb" and not argv else 0)
+    assert set(listing.read_text().split()) == expected
 
 
 def test_checking_verbs_load_no_catalog(mbx_file):

@@ -540,7 +540,6 @@ def ref_listing(field, tensor, labels):
 
 @pytest.mark.parametrize("field", (QQ, PrimeField(7)), ids=lambda f: f.name)
 def test_tensor_listing_matches_an_entry_walk(field):
-    cli._import_core()                  # as a verb would, run alone too
     rng = random.Random(field.char + 6)
     labels = ["a", "b", "c"]
     for arity in (1, 2, 3):

@@ -121,7 +121,6 @@ def test_the_cli_reaches_the_traced_functions(tmp_path, capsys, monkeypatch,
                                               argv, expected):
     path = str(tmp_path / "mbx.json")
     assert cli.main(["catalog", "emit", "mult-by-x", "-o", path]) == 0
-    cli._import_core()
     reached = set()
     for module, name in (("algebra", "assoc_check"), ("operators", "is_grb"),
                          ("gerstenhaber", "circ_i"),
