@@ -15,6 +15,8 @@ numpy is imported, and `fields` for when `fractions` is.
 every name below.
 """
 
+import importlib
+
 # submodule -> the public names it lends the package
 _EXPORTS = {
     "algebra": ("Algebra", "Bimodule", "Verdict", "assoc_check",
@@ -49,10 +51,7 @@ def __getattr__(name):
     module = _ORIGIN.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # the import statement's own machinery, which `-X importtime` logs;
-    # the import binds the submodule in this namespace
-    __import__(f"{__name__}.{module}")
-    value = globals()[module]
+    value = importlib.import_module(f".{module}", __name__)
     if name != module:
         value = getattr(value, name)
     globals()[name] = value

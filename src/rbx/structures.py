@@ -19,16 +19,13 @@ both.
 `induced_actions` returns A as a `Bimodule` over the induced algebra
 M_ass; the maps the functions take are matrices (see `operators`).
 The derivations, the duality and the morphism check import `operators`
-where they run, so checking a structure loads no operator code.
+(and the duality `cochains`) where they run, so checking a structure
+loads neither.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra, Bimodule, Verdict, bimodule_check, intertwining
-# loaded with this module, though only derivation_dual calls it: the
-# benchmark's tracer wraps is_cocycle after one replay of a workload, and
-# flow-heavy's verbs, which run no twist, load cochains through this import
-from .cochains import Cochain, is_cocycle
 from .errors import InputError
 from .linalg import (Encoded, combine, decoded, einsum, eye,
                      first_nonzero_index)
@@ -183,6 +180,7 @@ def derivation_dual(inst, omega, z):
     """Dual operator of a GRB instance: a derivation W: A -> M (the
     matrix `omega`) with W(p(m)) = z m, for z an int or a scalar of the
     field, becomes a GRB operator A -> M_ass over the induced actions."""
+    from .cochains import Cochain, is_cocycle
     from .operators import OperatorInstance, _shaped
     A, M, field = inst.algebra, inst.module, inst.field
     W = _shaped(field, omega, (A.dim, M.dim), "derivation must map A to M")
