@@ -6,7 +6,8 @@ capacity or characteristic error, output that cannot be written (an
 `-o` path, a closed stdout), or a handler that ran out of memory.
 `--json` emits a machine-readable report that is byte-stable for
 identical inputs apart from the timing field.
-The environment variable RBX_BUDGET overrides the search budget.
+The environment variable RBX_BUDGET sets the default search budget, and
+`--budget` overrides that default.
 
 Start-up loads only what the verb runs.  Each verb's arguments live in
 one table, `VERBS`; `main` builds the parser of the invoked verb alone,
@@ -364,7 +365,7 @@ def _cast_document(doc, field_name):
     if field_name == "Q":
         spec = "Q"
     elif field_name.upper().startswith("F") and \
-            field_name[1:].lstrip("+-").isdecimal():
+            _unsigned(field_name[1:]).isdecimal():
         try:
             spec = {"Fp": int(field_name[1:])}
         except ValueError:
@@ -454,10 +455,14 @@ def _not_int(text):
     """How an error names `text`, which int() refused: a number, signed
     or not, is past int's digit limit, and is named by its digit count,
     not echoed."""
-    number = text.strip()
-    digits = number[1:] if number[:1] in ("+", "-") else number
+    digits = _unsigned(text.strip())
     return f"one of {len(digits)} digits" if digits.isdecimal() \
         else repr(text)
+
+
+def _unsigned(text):
+    """`text` without one leading sign."""
+    return text[1:] if text[:1] in ("+", "-") else text
 
 
 def _int(text):

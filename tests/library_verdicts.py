@@ -4,7 +4,7 @@
 
 With `--without-numpy`, any import of numpy fails before rbx loads, so
 every line is computed on the pure kernel.  `tests/test_numpy_free.py`
-and the CI compare that output with a normal run's.  The matrices are
+compares that output with a normal run's.  The matrices are
 nested lists of field scalars, read once by each entry point.
 """
 

@@ -120,18 +120,37 @@ def test_search_canonical_order(mbx_file, capsys):
     assert out2 == out  # deterministic output
 
 
-def test_search_field_name_needs_decimal_digits(mbx_file, capsys):
-    """A superscript two is a digit to str.isdigit but not to int: exit 2,
-    not a traceback read as exit 1 ("property fails")."""
-    code, out = run(capsys, "search", mbx_file, "--field", "F\u00b2",
+@pytest.mark.parametrize("field", ["F\u00b2", "F+-7", "F--7", "F-+7"],
+                         ids=["superscript", "plus-minus", "minus-minus",
+                              "minus-plus"])
+def test_search_field_name_needs_decimal_digits(mbx_file, capsys, field):
+    """A superscript two is a digit to str.isdigit but not to int, and a
+    modulus takes at most one sign: exit 2 naming the field, not a
+    traceback read as exit 1 ("property fails") or a modulus refused
+    for its size."""
+    code, out = run(capsys, "search", mbx_file, "--field", field,
                     "--kind", "grb")
-    assert code == 2 and "unknown field name" in out
+    assert (code, out) == (2, f"ERROR: search - unknown field name "
+                              f"{field!r}; use Q or F<p>\n")
 
 
 def test_search_budget_env(mbx_file, capsys, monkeypatch):
     monkeypatch.setenv("RBX_BUDGET", "4")
     code, out = run(capsys, "search", mbx_file, "--field", "F2", "--kind", "grb")
     assert code == 2 and "budget" in out
+
+
+@pytest.mark.parametrize("value", ["abc", "4"])
+def test_search_budget_option_overrides_the_env(mbx_file, capsys, monkeypatch,
+                                                value):
+    """RBX_BUDGET sets the default budget, read only without --budget: an
+    unreadable or too small value does not touch a search given one."""
+    argv = ["search", mbx_file, "--field", "F2", "--kind", "rb",
+            "--budget", "16"]
+    expected = run(capsys, *argv)
+    monkeypatch.setenv("RBX_BUDGET", value)
+    assert run(capsys, *argv) == expected
+    assert expected[0] == 0
 
 
 def test_aybe_verb(tmp_path, capsys):
@@ -388,14 +407,17 @@ DEGREE_30_REPORTS = {
 
 
 def test_degree_30_reports_are_unchanged(tmp_path, capsys):
+    """Each verb in a `python -m rbx.cli` child that ends within 60 s."""
     path = tmp_path / "tp30.json"
     code, _ = run(capsys, "catalog", "emit", "truncated-poly", "--degree",
                   "30", "-o", str(path))
     assert code == 0
     for verb, digest in DEGREE_30_REPORTS.items():
-        code, out = run(capsys, verb, str(path), "--json")
-        text = without_timing(out).encode()
-        assert (code, hashlib.sha256(text).hexdigest()) == (0, digest), verb
+        proc = run_cli(verb, str(path), "--json", stdout=subprocess.PIPE,
+                       timeout=60)
+        text = without_timing(proc.stdout).encode()
+        assert (proc.returncode, hashlib.sha256(text).hexdigest()) == \
+            (0, digest), verb
 
 
 def test_catalog_emit_weyl_is_exit_2(capsys):
@@ -406,11 +428,19 @@ def test_catalog_emit_weyl_is_exit_2(capsys):
     assert code == 2 and json.loads(out)["detail"] == message
 
 
-def test_catalog_emit_truncated_poly(tmp_path, capsys):
+# the bytes `catalog emit truncated-poly` writes at degree 4, its default
+TRUNCATED_POLY_4 = \
+    "2b3781879f8cb85b1ea882467d30e9adca3ffe68e04646f2ea9c8db86905c5a1"
+
+
+@pytest.mark.parametrize("degree", [[], ["--degree", "4"]],
+                         ids=["default", "4"])
+def test_catalog_emit_truncated_poly(tmp_path, capsys, degree):
     path = tmp_path / "tp.json"
-    code, _ = run(capsys, "catalog", "emit", "truncated-poly",
-                  "--degree", "4", "-o", str(path))
+    code, _ = run(capsys, "catalog", "emit", "truncated-poly", *degree,
+                  "-o", str(path))
     assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRUNCATED_POLY_4
     code, _ = run(capsys, "check-grb", str(path), "--map", "pi")
     assert code == 0
 
@@ -503,16 +533,19 @@ DEGREE = ["catalog", "emit", "truncated-poly", "--degree"]
 @pytest.mark.parametrize("argv, option, sign", [
     (BUDGET, "--budget", ""), (DEGREE, "--degree", ""),
     (BUDGET, "--budget", "-"), (BUDGET, "--budget", "+"),
-    (DEGREE, "--degree", "-"), (DEGREE, "--degree", "+")],
+    (DEGREE, "--degree", "-"), (DEGREE, "--degree", "+"),
+    (BUDGET, "--budget", "=-"), (DEGREE, "--degree", "=+")],
     ids=["budget", "degree", "minus-budget", "plus-budget", "minus-degree",
-         "plus-degree"])
+         "plus-degree", "joined-minus-budget", "joined-plus-degree"])
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_an_option_past_the_digit_limit_is_a_short_usage_error(
         mbx_file, capsys, argv, option, sign, as_json):
-    """5,000 digits, signed or not, in --budget or --degree: a usage
-    error that names the value by its digit count instead of echoing
-    it."""
+    """5,000 digits, signed or not, in --budget or --degree, as the next
+    argument or joined to the option by "=": a usage error that names
+    the value by its digit count instead of echoing it."""
     argv = [a.format(mbx=mbx_file) for a in argv] + [sign + "7" * 5000]
+    if sign.startswith("="):
+        argv[-2:] = ["".join(argv[-2:])]
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--json"] * as_json)
     out, err = capsys.readouterr()
@@ -853,35 +886,106 @@ def test_checking_verbs_load_no_catalog(mbx_file):
     assert "numpy" not in loaded
 
 
-# standard-library modules a verb's start-up does without: hashlib loads
-# OpenSSL's libcrypto, fractions loads decimal
-HEAVY_STDLIB = {"hashlib", "_hashlib", "fractions", "decimal"}
+# modules a passing verb does without on a small input: numpy, since the
+# pure kernel decides it, and from the standard library hashlib, which
+# loads OpenSSL's libcrypto, and fractions, which loads decimal
+BLOCKED_IMPORTS = {"numpy", "hashlib", "_hashlib", "fractions", "decimal"}
 
 
-@pytest.fixture
-def tp5_file(tmp_path, capsys):
-    path = tmp_path / "tp5.json"
-    code, _ = run(capsys, "catalog", "emit", "truncated-poly", "--degree", "5",
-                  "-o", str(path))
-    assert code == 0
-    return str(path)
+# a child that runs each argv in turn with the modules its first argument
+# lists blocked: every import of one fails, and is recorded against the
+# argv that tried it, as is the exception an argv ends in
+WITH_BLOCKED_IMPORTS = """
+import contextlib, io, json, sys
+blocked, tried = set(json.loads(sys.argv[1])), []
+
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        if name in blocked:
+            tried.append(name)
+            raise ImportError(f"{name} is blocked")
+
+assert not blocked & set(sys.modules)
+sys.meta_path.insert(0, Block())
+from rbx.cli import main
+out = []
+for argv in json.loads(sys.argv[2]):
+    del tried[:]
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+    except Exception as exc:
+        rc = repr(exc)
+    out.append([rc, sorted(set(tried))])
+print(json.dumps(out))
+"""
+
+# every emittable catalog instance, then the passing invocations of
+# every checking verb and of searches whose dense work is pure, on the
+# emitted documents ({d}), the multimaps of verb_docs ({v}) and
+# truncated-poly of degree 5 ({d}/tp5.json), whose pi holds "1/2" ..
+# "1/5"; derive-ns and derive-dendriform write what check-ns and
+# check-dendriform read
+PASSING_VERBS = {
+    **{f"emit-{name}": ["catalog", "emit", name, "-o", f"{{d}}/{name}.json"]
+       for name in ("mult-by-x", "tensor-square", "unit-section",
+                    "swap-cochain", "reynolds-id", "truncated-poly")},
+    "check-assoc": ["check-assoc", "{d}/mult-by-x.json", "--json"],
+    "check-bimodule": ["check-bimodule", "{d}/reynolds-id.json", "--json"],
+    "check-grb": ["check-grb", "{d}/mult-by-x.json", "--json"],
+    "check-trb": ["check-trb", "{d}/tensor-square.json", "--json"],
+    "check-reynolds": ["check-reynolds", "{d}/mult-by-x.json", "--map", "pi",
+                       "--json"],
+    "check-nijenhuis": ["check-nijenhuis", "{d}/mult-by-x.json", "--map",
+                        "pi", "--json"],
+    "check-addexp": ["check-addexp", "{d}/swap-cochain.json", "--phi", "phi",
+                     "--json"],
+    "derive-ns": ["derive-ns", "{d}/tensor-square.json", "-o", "{d}/ns.json",
+                  "--json"],
+    "check-ns": ["check-ns", "{d}/ns.json", "--json"],
+    "derive-dendriform": ["derive-dendriform", "{d}/mult-by-x.json", "-o",
+                          "{d}/dend.json", "--json"],
+    "check-dendriform": ["check-dendriform", "{d}/dend.json", "--json"],
+    "aybe": ["aybe", "{d}/mult-by-x.json", "--r", "pi", "--json"],
+    "bracket": ["bracket", "{v}/maps.json", "--f", "f", "--g", "g", "--json"],
+    "residual": ["residual", "{d}/mult-by-x.json", "--json"],
+    "flow": ["flow", "{d}/tp5.json"],
+    "flow-mult-by-x": ["flow", "{d}/mult-by-x.json", "--json"],
+    "search-F7": ["search", "{d}/mult-by-x.json", "--kind", "rb", "--field",
+                  "F7"],
+    **{f"search-{kind}-{field}": ["search", "{d}/mult-by-x.json", "--kind",
+                                  kind, "--field", field, "--json"]
+       for kind, field in (("rb", "F3"), ("nijenhuis", "F5"),
+                           ("nijenhuis", "F7"), ("reynolds", "F7"),
+                           ("aybe", "F7"))},
+}
 
 
-@pytest.mark.parametrize("verb", ["check-assoc", "check-grb", "flow",
-                                  "search-F7", "emit-truncated-poly"])
-def test_passing_verbs_load_no_hashlib_or_fractions(verb, mbx_file, tp5_file,
-                                                    tmp_path, capsys):
-    """Digests, literals (tp5's pi holds "1/2" .. "1/5") and the catalog's
-    1/i run on the standard library's sha256 and on integers."""
-    argv = {"check-assoc": ["check-assoc", mbx_file],
-            "check-grb": ["check-grb", mbx_file],
-            "flow": ["flow", tp5_file],
-            "search-F7": ["search", mbx_file, "--kind", "rb", "--field", "F7"],
-            "emit-truncated-poly": ["catalog", "emit", "truncated-poly",
-                                    "-o", str(tmp_path / "tp.json")]}[verb]
-    assert run(capsys, *argv)[0] == 0
-    loaded = modules_after(*argv)
-    assert "rbx.schema" in loaded and not loaded & HEAVY_STDLIB
+@pytest.fixture(scope="module")
+def blocked_tries(verb_docs, tmp_path_factory):
+    """{case: [exit code, the BLOCKED_IMPORTS it tried]} of PASSING_VERBS,
+    run in one child."""
+    out = tmp_path_factory.mktemp("blocked-imports")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["catalog", "emit", "truncated-poly", "--degree", "5",
+                     "-o", f"{out}/tp5.json"]) == 0
+    argvs = [[a.format(d=out, v=verb_docs) for a in argv]
+             for argv in PASSING_VERBS.values()]
+    proc = subprocess.run(
+        [sys.executable, "-c", WITH_BLOCKED_IMPORTS,
+         json.dumps(sorted(BLOCKED_IMPORTS)), json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=120, check=True)
+    return dict(zip(PASSING_VERBS, json.loads(proc.stdout)))
+
+
+@pytest.mark.parametrize("verb", [*PASSING_VERBS])
+def test_passing_verbs_load_no_hashlib_or_fractions(verb, blocked_tries):
+    """Digests, literals and the catalog's 1/i run on the standard
+    library's sha256 and on integers, and these small inputs on the pure
+    kernel: each passes without trying an import of numpy, hashlib,
+    fractions or decimal."""
+    assert blocked_tries[verb] == [0, []]
 
 
 HALF_WITNESS_TEXT = """\
@@ -1113,7 +1217,8 @@ def test_help_and_usage_texts_are_unchanged(case, capsys, monkeypatch):
 # output errors: exit 2 with one message, never a traceback
 
 
-def run_cli(*argv, unbuffered=False, close_stdout=False, **kwargs):
+def run_cli(*argv, unbuffered=False, close_stdout=False, timeout=120,
+            **kwargs):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = SRC
     if unbuffered:
@@ -1122,7 +1227,7 @@ def run_cli(*argv, unbuffered=False, close_stdout=False, **kwargs):
     if close_stdout:    # as `>&-` does: the child starts with no fd 1
         cmd = ["sh", "-c", 'exec "$@" >&-', "sh", *cmd]
     return subprocess.run(cmd, env=env, stderr=subprocess.PIPE, text=True,
-                          timeout=120, **kwargs)
+                          timeout=timeout, **kwargs)
 
 
 # buffered, the report fails at the flush; unbuffered, at the first write

@@ -6,8 +6,8 @@ its instances on the integer encoding, and every search, since each
 one's whole dense work is within `linalg.PURE_WORK`.  Its reports
 equal, apart from `timing_ms`, those of a normal run and of a run with
 every product and every search block sent to numpy (`PURE_WORK` = -1).
-A search past the rule (mult-by-x over F11) does import numpy, and its
-report lists the expected 231 solutions.  Every
+A search past the rule (mult-by-x over F11 or F31) does import numpy,
+and its report lists the expected solutions.  Every
 emittable catalog instance, and truncated-poly at degrees 3 to 8, emits
 the same bytes without numpy as in a normal run.  The library's checks
 on nested-list matrices (`library_verdicts.py`) reach the same verdicts
@@ -16,6 +16,7 @@ the CLI fuzz's mutated documents.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -151,9 +152,19 @@ def test_catalog_emits_the_same_bytes_without_numpy(tmp_path):
             normal.read_bytes(), argv
 
 
-def test_search_past_the_pure_rule_imports_numpy(tmp_path):
-    """mult-by-x over F11: 14,641 candidates of 80 units of work each,
-    decided on int64 numpy, and its report."""
+@pytest.mark.parametrize("kind, field, count, head, last", [
+    ("nijenhuis", "F11", 231,
+     [[[0, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 2]]],
+     [[10, 10], [0, 10]]),
+    ("rb", "F31", 31, [[[0, t], [0, 0]] for t in range(31)],
+     [[0, 30], [0, 0]])],
+    ids=["nijenhuis-F11", "rb-F31"])
+def test_search_past_the_pure_rule_imports_numpy(tmp_path, kind, field,
+                                                 count, head, last):
+    """mult-by-x over F11 (14,641 candidates of 80 units of work each)
+    and over F31 (923,521 candidates), decided on int64 numpy within
+    60 s, and their reports: the solutions begin with `head` and end
+    with `last`."""
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["catalog", "emit", "mult-by-x", "-o",
                          str(tmp_path / "mult-by-x.json")]) == 0
@@ -165,19 +176,22 @@ def test_search_past_the_pure_rule_imports_numpy(tmp_path):
               "print(json.dumps([rc, 'numpy' in sys.modules, buf.getvalue()]))\n")
     proc = subprocess.run(
         [sys.executable, "-c", script, "search", str(tmp_path / "mult-by-x.json"),
-         "--kind", "nijenhuis", "--field", "F11", "--json"],
+         "--kind", kind, "--field", field, "--json"],
         env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
-        capture_output=True, text=True, timeout=120, check=True)
+        capture_output=True, text=True, timeout=60, check=True)
     rc, numpy_loaded, out = json.loads(proc.stdout)
     assert (rc, numpy_loaded) == (0, True)
     report = json.loads(out)
     solutions = report["solutions"]
     assert report["detail"] == \
-        "231 solution(s) of kind 'nijenhuis' in canonical order"
-    assert len(solutions) == 231
-    assert solutions[:3] == [[[0, 0], [0, 0]], [[0, 0], [0, 1]],
-                             [[0, 0], [0, 2]]]
-    assert solutions[-1] == [[10, 10], [0, 10]]
+        f"{count} solution(s) of kind {kind!r} in canonical order"
+    assert len(solutions) == count
+    assert solutions[:len(head)] == head and solutions[-1] == last
+
+
+# the bytes of `library_verdicts.py`'s output
+LIBRARY_VERDICTS = \
+    "ad447969a09cc0f8e6862e9ac2a264cce8529996a73bb86c0884dfa8fbeeb40f"
 
 
 def test_library_checks_nested_lists_without_numpy():
@@ -190,6 +204,7 @@ def test_library_checks_nested_lists_without_numpy():
          *flags], env=env, capture_output=True, text=True, timeout=120,
         check=True).stdout for flags in (["--without-numpy"], []))
     assert blocked == normal
+    assert hashlib.sha256(normal.encode()).hexdigest() == LIBRARY_VERDICTS
     results = dict(line.split(": ", 1) for line in normal.splitlines())
     failing = {"is_grb bent", "is_reynolds bent", "is_nijenhuis bent",
                "grb_morphism_check swap"}
