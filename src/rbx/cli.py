@@ -347,7 +347,7 @@ def cmd_search(args):
     if budget is None and os.environ.get("RBX_BUDGET"):
         raw = os.environ["RBX_BUDGET"]
         try:
-            budget = int(raw)
+            budget = _ascii_int(raw)
         except ValueError:
             raise InputError(f"RBX_BUDGET must be a positive integer, "
                              f"got {_not_int(raw)}") from None
@@ -364,10 +364,9 @@ def _cast_document(doc, field_name):
     from . import schema
     if field_name == "Q":
         spec = "Q"
-    elif field_name.upper().startswith("F") and \
-            _unsigned(field_name[1:]).isdecimal():
+    elif field_name[:1] in ("F", "f") and _decimal(field_name[1:]):
         try:
-            spec = {"Fp": int(field_name[1:])}
+            spec = {"Fp": _ascii_int(field_name[1:])}
         except ValueError:
             raise InputError(f"F_p needs a prime modulus below 2^31, got "
                              f"{_not_int(field_name[1:])}") from None
@@ -452,12 +451,16 @@ def _arg(*names, **options):
 
 
 def _not_int(text):
-    """How an error names `text`, which int() refused: a number, signed
-    or not, is past int's digit limit, and is named by its digit count,
-    not echoed."""
+    """How an error names `text`, which `_ascii_int` refused: a number,
+    signed or not, past int's digit limit, is named by its digit count,
+    not echoed; any other text by its repr."""
     digits = _unsigned(text.strip())
-    return f"one of {len(digits)} digits" if digits.isdecimal() \
-        else repr(text)
+    if digits.isdecimal():
+        try:
+            int(digits)
+        except ValueError:
+            return f"one of {len(digits)} digits"
+    return repr(text)
 
 
 def _unsigned(text):
@@ -465,10 +468,27 @@ def _unsigned(text):
     return text[1:] if text[:1] in ("+", "-") else text
 
 
+def _decimal(text):
+    """Whether `text` is one optional sign and ASCII digits, the only
+    spelling of an integer rbx reads (int() also reads other scripts'
+    digits, underscores and spaces around the number)."""
+    digits = _unsigned(text)
+    return digits.isascii() and digits.isdecimal()
+
+
+def _ascii_int(text):
+    """The int a `_decimal` text spells: the one reader of --budget,
+    --degree, RBX_BUDGET and the modulus of F<p>.  ValueError for any
+    other text, and for a number past int's digit limit."""
+    if not _decimal(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _int(text):
     """An integer option's value, refused in argparse's words."""
     try:
-        return int(text)
+        return _ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {_not_int(text)}") from None

@@ -31,9 +31,10 @@ contracted] order in place (a view copies lines as slices, `_gather`).
 The pure one loops over rows, visiting only nonzero entries, or, with
 more rows than k * m (a tall product, a block of small matrices), over
 the index triples with the rows innermost (`_columns`).  The exhaustive
-search applies the rule to its whole dense work: a small search builds
-its candidate blocks as IntTensors, and every product of it runs pure;
-a larger one builds int64 numpy blocks, so its products run there.
+search applies the rule to the dense work of its whole box: a small
+search builds its candidate blocks as IntTensors, and every product of
+it runs pure; a larger one builds int64 numpy blocks, so its products
+run there, however few of its candidates its pruned tree evaluates.
 Elimination (`row_reduce`, `rank`, `invert`, fraction-free) runs on
 rows of Python ints.
 
@@ -72,6 +73,21 @@ from .errors import InputError
 # candidates of 80 units each, and null3 rb over F2, 512 of 324) stay
 # pure, while mult-by-x over F11 (1.2e6) goes to numpy.
 PURE_WORK = 2 ** 18
+
+# A search checks a level of its tree (`operators.search_rows`) only when
+# the level's box of prefixes, p^t for the first t entries, is at least
+# this, so that the extra call repays its fixed cost.  On the same VM
+# (Python 3.11.7), one pure call of a kx2 identity took 0.30-0.45 ms on a
+# block of one candidate and 5.5-6.3 us more per candidate (0.2 ms and
+# 0.5-0.8 us on numpy): a call costs about 60 candidates' evaluation,
+# which a level that prunes (p - 1)/p of its children repays from about
+# 60/(p - 1) prefixes.  Summed best-of-7 times of 17 searches like the
+# benchmark's (kx2 over F3, F5 and F7, each kind; the tensor square over
+# F2; null3 over F2) read 75.5, 74.3, 67.3, 68.5, 72.9 and 113.4 ms at
+# 8, 16, 32, 64, 128 and 1024, and 113.1 ms with no level checked
+# before the last.  At 32 the 81-candidate searches over F3 stay one
+# evaluation of the whole space, which at 27 or below they are not.
+SEARCH_LEVEL = 32
 
 
 def _np():

@@ -20,10 +20,17 @@ Each identity is written once (`_identity_sides`, `_aybe_residual`) as
 leading batch axes ("...") a stack of operators fills: the exhaustive
 search runs them on blocks of candidates, and a checker is the same
 evaluation on one operator.  The kernel lays out every product, picks
-the backend and carries the scales of every step; the search
-builds its blocks of candidates on the pure kernel when its whole dense
-work is at most `linalg.PURE_WORK`, and on int64 numpy otherwise, and
-returns the passing candidates as one Encoded stack (`search_rows`).
+the backend and carries the scales of every step.  The search
+(`search_rows`) walks a tree of partial candidates: it assigns the
+flattened entries depth-first, in lexicographic order, and drops a
+prefix as soon as a residual entry that the assigned entries decide is
+nonzero mod p (backtracking with forward checking).  Which entries a
+residual entry reads comes from the same contractions, run once on the
+0/1 nonzero patterns of the structure tensors with every term added
+(`_decided`); no identity is written twice.  It builds its blocks on
+the pure kernel when the dense work of its whole box is at most
+`linalg.PURE_WORK`, and on int64 numpy otherwise, and returns the
+passing candidates as one Encoded stack.
 
 The twisted path (the cocycle check of `OperatorInstance`,
 `reynolds_as_twisted`) imports `cochains`, and the lifts and residuals
@@ -39,7 +46,9 @@ from itertools import chain, compress, islice, product
 from .algebra import Algebra, Bimodule, Verdict, canonical_bimodule, extension
 from .errors import CapacityError, CharacteristicError, InputError
 from . import linalg
-from .linalg import Encoded, IntTensor, _np, combine, decoded, einsum, embed
+from .fields import QQ
+from .linalg import Encoded, IntTensor, _np, combine, decoded, einsum, embed, \
+    to_pure
 
 SEARCH_BUDGET = 2 ** 20
 
@@ -151,11 +160,13 @@ def _induced_products(op, left, right, twist=None):
     return succ, prec, vee
 
 
-def _identity_sides(kind, op, c, left=None, right=None, twist=None):
+def _identity_sides(kind, op, c, left=None, right=None, twist=None,
+                    sign=-1):
     """The two sides p(m)p(n) and p(m > n + m < n + ...) of an operator
     kind's identity over the basis pairs (i, j), for an Encoded operator
     matrix or a [..., rows, cols] stack of them.  `c`, the module actions
-    `left`/`right` (None: M = A) and the twist are Encoded."""
+    `left`/`right` (None: M = A) and the twist are Encoded; `sign` is
+    that of the subtracted terms (+1: every term added)."""
     if left is None:
         left = right = c
     succ, prec, vee = _induced_products(op, left, right, twist)
@@ -164,9 +175,9 @@ def _identity_sides(kind, op, c, left=None, right=None, twist=None):
     lhs = einsum("...jb,...ibl->...ijl", op, inner)
     terms = [(succ, 1), (prec, 1)]
     if kind == "reynolds":      # the twist -mu: m v n = -p(m)p(n)
-        terms.append((lhs, -1))
+        terms.append((lhs, sign))
     elif kind == "nijenhuis":   # N(a)N(b) = N(N(a)b + aN(b) - N(ab))
-        terms.append((einsum("ija,...al->...ijl", c, op), -1))
+        terms.append((einsum("ija,...al->...ijl", c, op), sign))
     elif vee is not None:
         terms.append((vee, 1))
     return lhs, einsum("...ija,...al->...ijl", combine(terms), op)
@@ -296,9 +307,10 @@ def aybe_encoded(algebra, r) -> Encoded:
     return _aybe_residual(algebra._c, r)
 
 
-def _aybe_residual(c, r):
+def _aybe_residual(c, r, sign=-1):
     """The AYBE residual as a [..., u, v, w] tensor for r, or a [..., d, d]
-    stack of them, over the structure constants c, all Encoded."""
+    stack of them, over the structure constants c, all Encoded; `sign` is
+    that of the subtracted term (+1: every term added)."""
     # with r = sum r[s, t] e_s (x) e_t:
     # t1 = sum r[s,w] r[t,v] c[s,t,u], t2 = sum r[u,t] r[s,w] c[t,s,v],
     # t3 = sum r[v,s] r[u,t] c[s,t,w]
@@ -306,7 +318,7 @@ def _aybe_residual(c, r):
     t1 = einsum("...tv,...utw->...uvw", r, einsum("stu,...sw->...utw", c, r))
     t2 = einsum("...uvs,...sw->...uvw", right, r)
     t3 = einsum("...us,...vws->...uvw", r, right)
-    return combine([(t1, 1), (t2, -1), (t3, 1)])
+    return combine([(t1, 1), (t2, sign), (t3, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +326,7 @@ def _aybe_residual(c, r):
 
 _CHECKERS = ("grb", "rb", "trb", "reynolds", "nijenhuis", "aybe")
 
-SEARCH_BLOCK = 4096            # candidates decided per contraction
+SEARCH_BLOCK = 4096            # candidates decided per contraction, at most
 BLOCK_ENTRIES = 2 ** 20        # entries of a block's largest tensor, at most,
                                # unless one candidate's alone is larger
 
@@ -343,6 +355,63 @@ def _candidate_work(kind, dim, rows, shared, twisted):
     return work + (dim ** 4 if kind == "nijenhuis" else 0)
 
 
+def _residual(kind, block, c, actions, twist, sign=-1):
+    """The kind's residual on an Encoded stack of candidates: lhs - rhs
+    of `_identity_sides`, or `_aybe_residual`; with sign +1, every term
+    of the identity is added instead."""
+    if kind == "aybe":
+        return _aybe_residual(c, block, sign)
+    lhs, rhs = _identity_sides(kind, block, c, *actions, twist=twist,
+                               sign=sign)
+    return combine([(lhs, 1), (rhs, sign)])
+
+
+def _decided(kind, shape, c, actions, twist):
+    """For each residual entry, in C order, the number t of leading
+    candidate entries (in flattened order) that decide it: its polynomial
+    reads no later entry, so it takes its final value when they are set
+    and the rest are 0 (t = 0: it is 0).  Read from the 0/1 patterns of
+    the tensors' entries that are nonzero mod p: over Q, with every term
+    added, the residual of the stack of the n + 1 candidates whose first
+    t entries are 1, t = 0..n, counts at each entry the products of
+    nonzero factors that reach it; no sign cancels one, so an entry
+    is decided by its first t entries when its count at t is its count
+    at n.  Every term has a factor of c, an action or the twist, so when
+    every pattern is 0 so is every entry, and none is listed."""
+    n = math.prod(shape)
+
+    def pattern(t):
+        flat = to_pure(t.field.reduce(t.ints)).flat
+        return Encoded(QQ, IntTensor(t.shape, [int(x != 0) for x in flat]))
+
+    c, *actions, twist = [None if t is None else pattern(t)
+                          for t in (c, *actions, twist)]
+    if not any(t.ints.any() for t in (c, *actions, twist) if t is not None):
+        return []
+    stack = IntTensor((n + 1, *shape),
+                      [int(k < t) for t in range(n + 1) for k in range(n)])
+    counts = to_pure(_residual(kind, Encoded(QQ, stack), c, actions, twist,
+                               sign=1).ints).flat
+    width = len(counts) // (n + 1)
+    return [next(t for t in range(n + 1)
+                 if counts[t * width + e] == counts[n * width + e])
+            for e in range(width)]
+
+
+def _passing(failing, cols):
+    """Per candidate of a block, whether its residual is zero at the flat
+    positions `cols` (None: at every position), from the boolean tensor
+    of its nonzero entries: a list of bools, or a numpy mask."""
+    size = failing.shape[0]
+    failing = failing.reshape(size, math.prod(failing.shape[1:]))
+    if cols is not None:
+        failing = failing[:, cols]
+    if not isinstance(failing, IntTensor):
+        return ~failing.any(axis=1)
+    flat, width = failing.flat, failing.shape[1]
+    return [not any(flat[j * width:(j + 1) * width]) for j in range(size)]
+
+
 def search_rows(algebra: Algebra, module: Bimodule | None, kind: str,
                 cocycle=None, budget: int | None = None):
     """The passing candidates of `search_operators` as one Encoded stack
@@ -352,13 +421,24 @@ def search_rows(algebra: Algebra, module: Bimodule | None, kind: str,
     trb needs the twist `cocycle`, and every other kind refuses one.
 
     Candidates are maps M -> A (grb/trb), endomorphisms of A
-    (rb/reynolds/nijenhuis), or tensors in A (x) A (aybe).  They are
-    decided in blocks: the kind's two sides are evaluated on a stack of
-    candidates by the checkers' contractions and compared mod p once.
-    A search whose whole dense work, the candidate count times one
-    candidate's, is at most `linalg.PURE_WORK` builds its blocks on the
-    pure kernel; any other builds int64 numpy blocks, so its products
-    run there.
+    (rb/reynolds/nijenhuis), or tensors in A (x) A (aybe).  Their n
+    flattened entries are assigned depth-first, each with the values
+    0..p-1, so complete candidates come in lexicographic order; the
+    index of a candidate, its entries read as base-p digits, names it.
+    Level t, the first t entries assigned, is checked when a residual
+    entry is decided there or at an unchecked level before it
+    (`_decided`) and its box of p^t prefixes is at least
+    `linalg.SEARCH_LEVEL`; level n always is, on every entry no earlier
+    level checked.  A checked level grows the survivors of the last one
+    by the entries between them, evaluates the grown prefixes, later
+    entries 0, by the checkers' contractions in blocks of at most
+    `SEARCH_BLOCK` (fewer when one candidate's largest tensor is large,
+    `BLOCK_ENTRIES`), and keeps those whose entries decided since the
+    last check are 0 mod p.  A space with no checked level before n is
+    evaluated whole, in blocks.  A search whose box's dense work, p^n
+    times one candidate's, is at most `linalg.PURE_WORK` builds its
+    blocks on the pure kernel; any other builds int64 numpy blocks, so
+    its products run there.
     """
     if kind not in _CHECKERS:
         raise InputError(f"unknown search kind {kind!r}; one of {_CHECKERS}")
@@ -374,16 +454,16 @@ def search_rows(algebra: Algebra, module: Bimodule | None, kind: str,
     elif module is None:
         raise InputError(f"search kind {kind!r} needs a bimodule")
     shape = (module.dim, algebra.dim)
-    n_entries = shape[0] * shape[1]
+    n = shape[0] * shape[1]
     p = field.char
-    total = p ** n_entries
+    total = p ** n
     if total >= 2 ** 63:
         raise CapacityError(
-            f"search space {p}^{n_entries} = {total} has 2^63 or more "
+            f"search space {p}^{n} = {total} has 2^63 or more "
             f"candidates, past the int64 candidate index")
     if total > budget:
         raise CapacityError(
-            f"search space {p}^{n_entries} = {total} exceeds the "
+            f"search space {p}^{n} = {total} exceeds the "
             f"budget {budget}")
     if kind == "trb" and cocycle is None:
         raise InputError("search kind 'trb' needs the twist cochain")
@@ -400,36 +480,63 @@ def search_rows(algebra: Algebra, module: Bimodule | None, kind: str,
     pure = total * _candidate_work(
         kind, algebra.dim, shape[0], kind != "aybe" and module._left is c,
         twist is not None) <= linalg.PURE_WORK
-    # candidate k has the base-p digits of k, most significant first:
-    # the order of itertools.product over the flattened entries
-    if pure:
-        candidates = product(range(p), repeat=n_entries)
+    block = max(1, min(SEARCH_BLOCK, BLOCK_ENTRIES // max(shape) ** 3))
+    if pure:        # the digits of an index's leading and trailing halves
+        half = p ** (n // 2)
+        high = list(product(range(p), repeat=n - n // 2))
+        low = list(product(range(p), repeat=n // 2))
     else:
         np = _np()
-        powers = np.array([p ** e for e in range(n_entries - 1, -1, -1)],
+        powers = np.array([p ** e for e in range(n - 1, -1, -1)],
                           dtype=np.int64)
-    step = max(1, min(SEARCH_BLOCK, BLOCK_ENTRIES // max(shape) ** 3))
+
+    def digits(indices):
+        """The candidates of the `indices`: candidate k has the base-p
+        digits of k, most significant first, so index order is the
+        lexicographic order of the flattened entries."""
+        if pure:
+            return IntTensor((len(indices), *shape), list(chain.from_iterable(
+                high[k // half] + low[k % half] for k in indices)))
+        return (np.array(indices, dtype=np.int64)[:, None] // powers
+                % p).reshape(-1, *shape)
+
+    def level(prefixes, t, grow, cols):
+        """The prefixes of t entries grown from `prefixes` (of t - grow)
+        by every value of the next `grow` entries, in order, as blocks of
+        at most `block`: the indices, the candidates (later entries 0)
+        and, per candidate, whether its residual is 0 mod p at the flat
+        positions `cols` (None: all)."""
+        step = p ** (n - t)
+        grown = chain.from_iterable(range(pre, pre + step * p ** grow, step)
+                                    for pre in prefixes)
+        while chunk := list(islice(grown, block)):
+            ints = digits(chunk)
+            failing = _residual(kind, Encoded(field, ints), c, actions,
+                                twist).differs(None)
+            yield chunk, ints, _passing(failing, cols)
+
+    checked, done = [], 0
+    if p ** (n - 1) >= linalg.SEARCH_LEVEL:
+        decided = _decided(kind, shape, c, actions, twist)
+        for t in range(1, n):
+            cols = [e for e, s in enumerate(decided) if done < s <= t]
+            if cols and p ** t >= linalg.SEARCH_LEVEL:
+                checked.append((t, cols))
+                done = t
+    final = None if done == 0 else \
+        [e for e, s in enumerate(decided) if not 0 < s <= done]
+    stream, done = iter([0]), 0
+    for t, cols in checked:
+        stream = chain.from_iterable(
+            compress(chunk, keep)
+            for chunk, _, keep in level(stream, t, t - done, cols))
+        done = t
     passed = []
-    for start in range(0, total, step):
-        size = min(step, total - start)
+    for _, ints, keep in level(stream, n, n - done, final):
         if pure:
-            digits = list(islice(candidates, size))
-            ints = IntTensor((size, *shape), list(chain.from_iterable(digits)))
+            flat = ints.flat
+            passed += chain.from_iterable(compress(
+                (flat[j * n:(j + 1) * n] for j in range(len(keep))), keep))
         else:
-            index = np.arange(start, start + size, dtype=np.int64)
-            ints = (index[:, None] // powers % p).reshape(-1, *shape)
-        block = Encoded(field, ints)
-        if kind == "aybe":
-            lhs, rhs = _aybe_residual(c, block), None
-        else:
-            lhs, rhs = _identity_sides(kind, block, c, *actions, twist=twist)
-        failing = lhs.differs(rhs)
-        width = math.prod(failing.shape[1:])
-        if pure:
-            flat = failing.flat
-            passed += chain.from_iterable(compress(digits, [
-                not any(flat[j * width:(j + 1) * width]) for j in range(size)]))
-        else:
-            failing = failing.reshape(size, width)
-            passed += ints[~failing.any(axis=1)].ravel().tolist()
-    return Encoded(field, IntTensor((len(passed) // n_entries, *shape), passed))
+            passed += ints.reshape(-1, n)[keep].ravel().tolist()
+    return Encoded(field, IntTensor((len(passed) // n, *shape), passed))

@@ -282,6 +282,22 @@ def oracle_operator(field, c, left, right, p, phi=None):
     return None
 
 
+def oracle_accepts(kind, A, M, phi, p):
+    """The nested-loop verdict on one search candidate `p` of `kind` on
+    the algebra A, the bimodule M (None: A itself) and the twist phi."""
+    field = A.field
+    if kind == "aybe":
+        return not any(x for plane in aybe_oracle(A, p) for row in plane
+                       for x in row)
+    if kind == "reynolds":
+        return oracle_reynolds(field, A.c, p) is None
+    if kind == "nijenhuis":
+        return oracle_nijenhuis(field, A.c, p) is None
+    left, right = (A.c, A.c) if M is None else (M.left, M.right)
+    return oracle_operator(field, A.c, left, right, p,
+                           None if phi is None else phi.tensor) is None
+
+
 def oracle_graph_check(field, c, left, right, p, phi=None):
     """Is the graph {(p(m), m)} of p: M -> A a subalgebra of A (+)_phi M,
     where (a, m)(b, n) = (ab, a.n + m.b [+ phi(a, b)])?  On basis pairs

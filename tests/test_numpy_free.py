@@ -20,6 +20,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -152,22 +153,31 @@ def test_catalog_emits_the_same_bytes_without_numpy(tmp_path):
             normal.read_bytes(), argv
 
 
-@pytest.mark.parametrize("kind, field, count, head, last", [
-    ("nijenhuis", "F11", 231,
+# sha256 of each --json report, "timing_ms" dropped, as the exhaustive
+# search wrote it
+@pytest.mark.parametrize("doc, kind, field, budget, count, head, last, digest", [
+    (["mult-by-x"], "nijenhuis", "F11", [], 231,
      [[[0, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 2]]],
-     [[10, 10], [0, 10]]),
-    ("rb", "F31", 31, [[[0, t], [0, 0]] for t in range(31)],
-     [[0, 30], [0, 0]])],
-    ids=["nijenhuis-F11", "rb-F31"])
-def test_search_past_the_pure_rule_imports_numpy(tmp_path, kind, field,
-                                                 count, head, last):
+     [[10, 10], [0, 10]],
+     "43e6c651a6306290b6ea1170b5e6ea2b97448328e350605a1e92eb57363f6961"),
+    (["mult-by-x"], "rb", "F31", [], 31,
+     [[[0, t], [0, 0]] for t in range(31)], [[0, 30], [0, 0]],
+     "af484cb57229d8775c5d0fc90136f5f41ffd7ce78735cac78a18cc4ae6032622"),
+    (["truncated-poly", "--degree", "3"], "rb", "F5", ["--budget", "2000000"],
+     825, [[[0, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]],
+     [[4, 4, 4], [0, 2, 1], [0, 0, 3]],
+     "f6015024f1b87ee61379e5092257a99354ccca11c4539a5f92c8521c6ae0bf7c")],
+    ids=["nijenhuis-F11", "rb-F31", "rb-degree-3-F5"])
+def test_search_past_the_pure_rule_imports_numpy(tmp_path, doc, kind, field,
+                                                 budget, count, head, last,
+                                                 digest):
     """mult-by-x over F11 (14,641 candidates of 80 units of work each)
-    and over F31 (923,521 candidates), decided on int64 numpy within
-    60 s, and their reports: the solutions begin with `head` and end
-    with `last`."""
+    and over F31 (923,521 candidates), and truncated-poly of degree 3
+    over F5 (1,953,125), decided on int64 numpy within 60 s, and their
+    reports: the solutions begin with `head` and end with `last`."""
+    path = str(tmp_path / "doc.json")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["catalog", "emit", "mult-by-x", "-o",
-                         str(tmp_path / "mult-by-x.json")]) == 0
+        assert cli.main(["catalog", "emit", *doc, "-o", path]) == 0
     script = ("import contextlib, io, json, sys\n"
               "from rbx.cli import main\n"
               "buf = io.StringIO()\n"
@@ -175,8 +185,8 @@ def test_search_past_the_pure_rule_imports_numpy(tmp_path, kind, field,
               "    rc = main(sys.argv[1:])\n"
               "print(json.dumps([rc, 'numpy' in sys.modules, buf.getvalue()]))\n")
     proc = subprocess.run(
-        [sys.executable, "-c", script, "search", str(tmp_path / "mult-by-x.json"),
-         "--kind", kind, "--field", field, "--json"],
+        [sys.executable, "-c", script, "search", path, "--kind", kind,
+         "--field", field, *budget, "--json"],
         env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
         capture_output=True, text=True, timeout=60, check=True)
     rc, numpy_loaded, out = json.loads(proc.stdout)
@@ -187,6 +197,8 @@ def test_search_past_the_pure_rule_imports_numpy(tmp_path, kind, field,
         f"{count} solution(s) of kind {kind!r} in canonical order"
     assert len(solutions) == count
     assert solutions[:len(head)] == head and solutions[-1] == last
+    text = re.sub(r'\n  "timing_ms": [0-9.]+,', "", out)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # the bytes of `library_verdicts.py`'s output

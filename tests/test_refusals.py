@@ -115,3 +115,53 @@ def test_the_parser_offers_every_search_kind():
     (kind,) = [options for names, options in cli.VERBS["search"]
                if names == ("--kind",)]
     assert tuple(kind["choices"]) == operators._CHECKERS
+
+
+# (argv after the document, environment, the last line of the refusal):
+# int() reads other scripts' digits, underscores and spaces, and a name
+# whose upper case begins with F (a ligature) was once read as F<p>
+NOT_ASCII = {
+    "ff-ligature-field": (["--field", "ﬀ7"], {},
+                          "ERROR: search - unknown field name 'ﬀ7'; "
+                          "use Q or F<p>"),
+    "ffi-ligature-field": (["--field", "ﬃ7"], {},
+                           "ERROR: search - unknown field name 'ﬃ7'; "
+                           "use Q or F<p>"),
+    "arabic-indic-field": (["--field", "F٧"], {},
+                           "ERROR: search - unknown field name 'F٧'; "
+                           "use Q or F<p>"),
+    "fullwidth-field": (["--field", "F７"], {},
+                        "ERROR: search - unknown field name 'F７'; "
+                        "use Q or F<p>"),
+    "underscore-budget": (["--field", "F7", "--budget", "1_0"], {},
+                          "rbx search: error: argument --budget: invalid int "
+                          "value: '1_0'"),
+    "arabic-indic-degree": (["--degree", "٣"], {},
+                            "rbx catalog: error: argument --degree: invalid "
+                            "int value: '٣'"),
+    "arabic-indic-env-budget": (["--field", "F7"],
+                                {"RBX_BUDGET": "٤٩"},
+                                "ERROR: search - RBX_BUDGET must be a positive "
+                                "integer, got '٤٩'"),
+}
+
+
+@pytest.mark.parametrize("argv, env, line", NOT_ASCII.values(),
+                         ids=NOT_ASCII)
+def test_numbers_and_field_names_are_ascii(tmp_path, capsys, monkeypatch,
+                                           argv, env, line):
+    """Exit 2 with the refusal of any other malformed value, where each
+    value used to run as 7, 10, 3 or 49."""
+    doc = tmp_path / "mult-by-x.json"
+    assert cli.main(["catalog", "emit", "mult-by-x", "-o", str(doc)]) == 0
+    capsys.readouterr()
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    verb = ["catalog", "emit", "truncated-poly"] if argv[0] == "--degree" \
+        else ["search", str(doc), "--kind", "rb"]
+    try:
+        code = cli.main(verb + argv)
+    except SystemExit as exc:           # argparse's usage error
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, (out + err).splitlines()[-1]) == (2, line)

@@ -13,12 +13,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracle import (aybe_oracle, elements, oracle_assoc, oracle_bimodule,
+from oracle import (elements, oracle_accepts, oracle_assoc, oracle_bimodule,
                     oracle_dendriform, oracle_nijenhuis, oracle_operator,
                     oracle_reynolds, random_scalar)
 from propositions import dual_module
-from rbx.algebra import (Bimodule, assoc_check, bimodule_check,
+from rbx.algebra import (Algebra, Bimodule, assoc_check, bimodule_check,
                          canonical_bimodule)
 from rbx import linalg, operators
 from rbx.cochains import Cochain, coboundary
@@ -206,23 +208,20 @@ def search_cases(field, rng):
 F7_KINDS = ("nijenhuis", "reynolds", "aybe")
 
 
-def oracle_accepts(kind, A, M, phi, p):
-    """The nested-loop verdict on one search candidate."""
-    field = A.field
-    if kind == "aybe":
-        return not any(x for plane in aybe_oracle(A, p) for row in plane
-                       for x in row)
-    if kind == "reynolds":
-        return oracle_reynolds(field, A.c, p) is None
-    if kind == "nijenhuis":
-        return oracle_nijenhuis(field, A.c, p) is None
-    M = M or canonical_bimodule(A)
-    return oracle_operator(field, A.c, M.left, M.right, p,
-                           None if phi is None else phi.tensor) is None
-
-
 def no_numpy():
     raise AssertionError("the pure search route reached numpy")
+
+
+def brute_force(kind, A, M, phi):
+    """The entries of every candidate `oracle_accepts`, in lexicographic
+    order, as tuples of canonical representatives."""
+    rows = (M or A).dim
+    brute = []
+    for entries in itertools.product(elements(A.field), repeat=rows * A.dim):
+        cand = np.array(entries, dtype=object).reshape(rows, A.dim)
+        if oracle_accepts(kind, A, M, phi, cand):
+            brute.append(tuple(x.val for x in entries))
+    return brute
 
 
 @pytest.mark.parametrize("route", ("pure", "numpy"))
@@ -244,11 +243,7 @@ def test_search_matches_brute_force_oracle(field, route, monkeypatch):
                 patch.setattr(operators, "_np", no_numpy)
             found = search_rows(A, M, kind, cocycle=phi)
         sols = search_operators(A, M, kind, cocycle=phi)
-        brute = []
-        for entries in itertools.product(elements(field), repeat=rows * A.dim):
-            cand = np.array(entries, dtype=object).reshape(rows, A.dim)
-            if oracle_accepts(kind, A, M, phi, cand):
-                brute.append(tuple(x.val for x in entries))
+        brute = brute_force(kind, A, M, phi)
         # one Encoded stack over scale 1, on an IntTensor on either route
         assert isinstance(found.ints, linalg.IntTensor) and found.scale == 1
         assert found.shape == (len(brute), rows, A.dim)
@@ -260,3 +255,41 @@ def test_search_matches_brute_force_oracle(field, route, monkeypatch):
         kinds.add(kind)
     assert kinds == (set(F7_KINDS) if field is F7 else
                      {"grb", "rb", "trb", "reynolds", "nijenhuis", "aybe"})
+
+
+def scaled(A, M, phi, factor):
+    """The space of `search_cases` with every tensor's integers (c, the
+    actions, the twist) times `factor`: factor * c is associative and
+    factor * phi a cocycle, and at factor p every one is 0 mod p."""
+    def times(t):
+        return Encoded(t.field, t.ints * factor)
+    B = Algebra(A.field, times(A._c))
+    N = None if M is None else Bimodule(B, times(M._left), times(M._right))
+    return B, N, None if phi is None else Cochain(B, N, times(phi._tensor))
+
+
+# the tensor square of kx2 over F2 (index 3 of its trb cases) is the
+# space whose supports need the twist's pattern
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(operators._CHECKERS),
+       field=st.sampled_from((F2, F3, F5)), index=st.integers(0, 7),
+       seed=st.integers(0, 2 ** 16), scale=st.booleans(),
+       block=st.sampled_from((7, operators.SEARCH_BLOCK)))
+@example(kind="trb", field=F2, index=3, seed=0, scale=False, block=7)
+def test_pruned_search_matches_brute_force(kind, field, index, seed, scale,
+                                           block):
+    """The search, checking every level at which a residual entry is
+    decided, on a space of `search_cases` (its twist drawn from the
+    seed), scaled by p or not, returns the brute-force list: an entry
+    decided before the entries it reads would prune a solution."""
+    cases = [case for case in search_cases(field, random.Random(seed))
+             if case[0] == kind]
+    _, A, M, phi = cases[index % len(cases)]
+    if scale:
+        A, M, phi = scaled(A, M, phi, field.char)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "SEARCH_LEVEL", 1)
+        patch.setattr(operators, "SEARCH_BLOCK", block)
+        found = search_rows(A, M, kind, cocycle=phi)
+    assert found.ints.flat == list(itertools.chain(
+        *brute_force(kind, A, M, phi)))
