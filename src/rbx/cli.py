@@ -364,7 +364,8 @@ def _cast_document(doc, field_name):
     from . import schema
     if field_name == "Q":
         spec = "Q"
-    elif field_name[:1] in ("F", "f") and _decimal(field_name[1:]):
+    elif field_name[:1] in ("F", "f") and \
+            _unsigned(field_name[1:]).isdecimal():
         try:
             spec = {"Fp": _ascii_int(field_name[1:])}
         except ValueError:

@@ -128,11 +128,14 @@ NOT_ASCII = {
                            "ERROR: search - unknown field name 'ﬃ7'; "
                            "use Q or F<p>"),
     "arabic-indic-field": (["--field", "F٧"], {},
-                           "ERROR: search - unknown field name 'F٧'; "
-                           "use Q or F<p>"),
+                           "ERROR: search - F_p needs a prime modulus below "
+                           "2^31, got '٧'"),
     "fullwidth-field": (["--field", "F７"], {},
-                        "ERROR: search - unknown field name 'F７'; "
-                        "use Q or F<p>"),
+                        "ERROR: search - F_p needs a prime modulus below "
+                        "2^31, got '７'"),
+    "long-arabic-indic-field": (["--field", "F" + "٧" * 5000], {},
+                                "ERROR: search - F_p needs a prime modulus "
+                                "below 2^31, got one of 5000 digits"),
     "underscore-budget": (["--field", "F7", "--budget", "1_0"], {},
                           "rbx search: error: argument --budget: invalid int "
                           "value: '1_0'"),
