@@ -7,7 +7,9 @@ capacity or characteristic error, output that cannot be written (an
 `--json` emits a machine-readable report that is byte-stable for
 identical inputs apart from the timing field.
 The environment variable RBX_BUDGET sets the default search budget, and
-`--budget` overrides that default.
+`--budget` overrides that default.  Every number the command line reads
+(`--budget`, `--degree`, RBX_BUDGET, the p of `F<p>`) is read, and
+refused, by `fields.read_int`, in the spelling of a document's scalars.
 
 Start-up loads only what the verb runs.  Each verb's arguments live in
 one table, `VERBS`; `main` builds the parser of the invoked verb alone,
@@ -38,6 +40,7 @@ import argparse
 import errno
 import json
 import os
+import re
 import sys
 import time
 from itertools import compress, count
@@ -332,7 +335,7 @@ def _document_report(args, doc, detail, digest=None):
 
 
 def cmd_search(args):
-    from . import operators, schema
+    from . import fields, operators, schema
     # not called: bench/tracing.py wraps these modules' functions after
     # one in-process replay of a workload and reads each module from
     # sys.modules, and search alone is the search workload (ROADMAP item
@@ -345,12 +348,8 @@ def cmd_search(args):
     cocycle = schema.cochain_object(doc, args.phi) if args.phi else None
     budget = args.budget
     if budget is None and os.environ.get("RBX_BUDGET"):
-        raw = os.environ["RBX_BUDGET"]
-        try:
-            budget = _ascii_int(raw)
-        except ValueError:
-            raise InputError(f"RBX_BUDGET must be a positive integer, "
-                             f"got {_not_int(raw)}") from None
+        budget = fields.read_int(os.environ["RBX_BUDGET"],
+                                 "RBX_BUDGET must be a positive integer, got ")
     found = operators.search_rows(alg, module, args.kind, cocycle=cocycle,
                                   budget=budget)
     return Report("search", "pass", digest=digest,
@@ -361,16 +360,13 @@ def cmd_search(args):
 
 def _cast_document(doc, field_name):
     """Reinterpret the document's scalars over another field (e.g. F2)."""
-    from . import schema
+    from . import fields, schema
     if field_name == "Q":
         spec = "Q"
-    elif field_name[:1] in ("F", "f") and \
-            _unsigned(field_name[1:]).isdecimal():
-        try:
-            spec = {"Fp": _ascii_int(field_name[1:])}
-        except ValueError:
-            raise InputError(f"F_p needs a prime modulus below 2^31, got "
-                             f"{_not_int(field_name[1:])}") from None
+    # a modulus in any script's digits is refused as a modulus
+    elif re.fullmatch(r"[Ff][+-]?\d+", field_name):
+        spec = {"Fp": fields.read_int(
+            field_name[1:], "F_p needs a prime modulus below 2^31, got ")}
     else:
         raise InputError(f"unknown field name {field_name!r}; use Q or F<p>")
     obj = schema.document_to_obj(doc)
@@ -451,48 +447,13 @@ def _arg(*names, **options):
     return names, options
 
 
-def _not_int(text):
-    """How an error names `text`, which `_ascii_int` refused: a number,
-    signed or not, past int's digit limit, is named by its digit count,
-    not echoed; any other text by its repr."""
-    digits = _unsigned(text.strip())
-    if digits.isdecimal():
-        try:
-            int(digits)
-        except ValueError:
-            return f"one of {len(digits)} digits"
-    return repr(text)
-
-
-def _unsigned(text):
-    """`text` without one leading sign."""
-    return text[1:] if text[:1] in ("+", "-") else text
-
-
-def _decimal(text):
-    """Whether `text` is one optional sign and ASCII digits, the only
-    spelling of an integer rbx reads (int() also reads other scripts'
-    digits, underscores and spaces around the number)."""
-    digits = _unsigned(text)
-    return digits.isascii() and digits.isdecimal()
-
-
-def _ascii_int(text):
-    """The int a `_decimal` text spells: the one reader of --budget,
-    --degree, RBX_BUDGET and the modulus of F<p>.  ValueError for any
-    other text, and for a number past int's digit limit."""
-    if not _decimal(text):
-        raise ValueError(f"not a decimal integer: {text!r}")
-    return int(text)
-
-
 def _int(text):
     """An integer option's value, refused in argparse's words."""
+    from . import fields
     try:
-        return _ascii_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {_not_int(text)}") from None
+        return fields.read_int(text, "invalid int value: ")
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 _FILE = _arg("file")
@@ -548,6 +509,16 @@ class _Parser(argparse.ArgumentParser):
         file = file or _stdout()
         file.write(self.format_help())
         file.flush()
+
+    def parse_known_args(self, args=None, namespace=None):
+        # before Python 3.12 argparse reads `--opt=--` as [], a value no
+        # option takes, and makes no type or choice check on it
+        args, rest = super().parse_known_args(args, namespace)
+        for action in self._actions:
+            if action.option_strings and vars(args).get(action.dest) == []:
+                self.error(f"argument {'/'.join(action.option_strings)}: "
+                           "expected one argument")
+        return args, rest
 
     def error(self, message):
         try:

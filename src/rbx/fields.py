@@ -25,10 +25,12 @@ A schema literal is read straight to integers: `literal` gives the
 field's pair for n/d (`ratio`: lowest terms over Q, (n * d^-1 mod p, 1)
 over F_p), and `encode_pairs` encodes a list of pairs as `encode` does
 their scalars, so a loaded tensor and a catalog instance are built
-without a scalar.  Only a literal outside ints and ASCII 'num' /
-'num/den', or one that fails, goes through `Fraction`, which words the
-error.  `fractions` is imported where a `Fraction` is built (`scalar`
-over Q), not when this module loads.
+without a scalar.  This module holds the one spelling of a number rbx
+reads, `_NUMBER`, ASCII `[+-]?[0-9]+(/[0-9]+)?`: `literal` reads it for
+a document scalar, `read_int` reads its integers for the command line,
+and `quote` names the text of every refusal of either.
+`fractions` is imported where a `Fraction` is built (`scalar` over Q),
+not when this module loads.
 
 The two fields share one body, `Field`: `from_int`, `zero` and `one`
 build scalars through `scalar`; `parse` is `scalar` of `literal`;
@@ -45,8 +47,36 @@ import re
 from .errors import InputError
 from .linalg import IntTensor
 
-# a canonical literal: 'num' or 'num/den' in ASCII digits
-_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# the one spelling of a number: an optional sign and ASCII digits, then
+# '/' and ASCII digits in a fraction
+_NUMBER = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def read_int(text, refusal):
+    """The int `text` spells in `_NUMBER` without '/' (int() alone also
+    reads other scripts' digits, underscores and spaces); else, or past
+    int's digit limit, an InputError: `refusal` and the text's `quote`."""
+    match = _NUMBER.fullmatch(text)
+    try:
+        if match and not match[2]:
+            return int(match[1])
+    except ValueError:  # past int's digit limit
+        pass
+    raise InputError(refusal + quote(text))
+
+
+def quote(text):
+    """How a refusal names `text`: a number, signed or not, past int's
+    digit limit by its digit count, not echoed; any other text by its
+    repr."""
+    digits = text.strip()
+    digits = digits[1:] if digits[:1] in ("+", "-") else digits
+    if digits.isdecimal():
+        try:
+            int(digits)
+        except ValueError:
+            return f"one of {len(digits)} digits"
+    return repr(text)
 
 
 def _fraction():
@@ -172,29 +202,27 @@ class Field:
         return self.scalar(*self.literal(value))
 
     def literal(self, value):
-        """The `ratio` pair of a schema scalar: an int, or a string 'num' /
-        'num/den' (over F_p when den is invertible mod p).  Ints and ASCII
-        'num' / 'num/den' are read straight to integers; any other string,
-        and every one that fails, goes through `Fraction`, which words the
-        error."""
+        """The `ratio` pair of a schema scalar: an int, or a string 'num'
+        or 'num/den' in `_NUMBER`, reduced before it is read, so over F_p
+        "-14/21" is -2/3 and the reduced den must be nonzero mod p."""
         if isinstance(value, int) and not isinstance(value, bool):
             return self.ratio(value, 1)
         if not isinstance(value, str):
             raise InputError(f"expected scalar, got {value!r}")
-        match = _CANONICAL.fullmatch(value)
+        match = _NUMBER.fullmatch(value)
+        reason = "expected an integer or num/den in ASCII digits"
         if match:
             try:
                 n, d = int(match[1]), int(match[2] or 1)
-                if d:
-                    return self.ratio(n, d)
-            except ValueError:  # past int's digit limit, or p divides d
-                pass
-        try:
-            frac = _fraction()(value)
-            return self.pair(self.from_int(frac.numerator) / frac.denominator)
-        except (ValueError, ZeroDivisionError) as exc:
-            kind = "rational" if self.char == 0 else self.name
-            raise InputError(f"bad {kind} scalar {value!r}: {exc}") from exc
+            except ValueError:
+                reason = "exceeds the integer digit limit"
+            else:
+                g = math.gcd(n, d)
+                if d and (self.char == 0 or d // g % self.char):
+                    return self.ratio(n // g, d // g)
+                reason = f"division by zero in {self.name}"
+        kind = "rational" if self.char == 0 else self.name
+        raise InputError(f"bad {kind} scalar {quote(value)}: {reason}")
 
     def encode(self, scalars):
         """(ints, scale): `encode_pairs` of the scalars' `pair`s."""

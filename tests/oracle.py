@@ -8,6 +8,7 @@ scalars (`zero`, `one`, `char`).  An agreement between the two is
 therefore meaningful evidence.
 """
 
+import string
 from fractions import Fraction
 from itertools import product
 
@@ -439,3 +440,26 @@ def oracle_dendriform(field, succ, prec, vee=None):
             if bad and name not in found:
                 found[name] = (name, (i, j, k), lhs, rhs)
     return [found[name] for name in names if name in found]
+
+
+def in_spelling(text, fraction=True):
+    """Whether `text` is in the one spelling of a number rbx reads: an
+    optional sign and ASCII digits, then, when `fraction`, optionally '/'
+    and ASCII digits; checked by hand, with no regular expression."""
+    num, slash, den = text.partition("/") if fraction else (text, "", "")
+    num = num[1:] if num[:1] in ("+", "-") else num
+    return all(part and set(part) <= set(string.digits)
+               for part in ([num, den] if slash else [num]))
+
+
+def long_digit_run(text):
+    """The digits of `text`, stripped and without one sign, when they are
+    decimal digits of any script past int's digit limit, else None."""
+    digits = text.strip()
+    digits = digits[1:] if digits[:1] in ("+", "-") else digits
+    if digits.isdecimal():
+        try:
+            int(digits)
+        except ValueError:
+            return digits
+    return None

@@ -2,6 +2,9 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracle import in_spelling, long_digit_run
 
 from rbx.errors import InputError
 from rbx.fields import (F2, F3, F5, FpElement, PrimeField, QQ,
@@ -86,8 +89,8 @@ def test_fp_equal_to_int_hashes_alike():
 
 @pytest.mark.parametrize("raw, reason", [
     ("1/2", "division by zero in F2"),     # denominator 0 mod p
-    ("abc", "Invalid literal"),
-    ("1/0", "Fraction(1, 0)"),
+    ("abc", "expected an integer or num/den in ASCII digits"),
+    ("1/0", "division by zero in F2"),
 ])
 def test_parse_fp_bad_scalar_is_input_error(raw, reason):
     with pytest.raises(InputError,
@@ -209,20 +212,67 @@ def test_fields_equal_and_hash_by_characteristic():
     (QQ, True, "expected scalar, got True"),
     (QQ, 1.5, "expected scalar, got 1.5"),
     (QQ, None, "expected scalar, got None"),
-    (QQ, "x", "bad rational scalar 'x': Invalid literal for Fraction: 'x'"),
-    (QQ, "1/0", "bad rational scalar '1/0': Fraction(1, 0)"),
+    (QQ, "x", "bad rational scalar 'x': expected an integer or num/den in "
+              "ASCII digits"),
+    (QQ, "1/0", "bad rational scalar '1/0': division by zero in Q"),
     (PrimeField(7), True, "expected scalar, got True"),
     (PrimeField(7), 1.5, "expected scalar, got 1.5"),
     (PrimeField(7), [1], "expected scalar, got [1]"),
     (PrimeField(7), "x",
-     "bad F7 scalar 'x': Invalid literal for Fraction: 'x'"),
-    (PrimeField(7), "1/0", "bad F7 scalar '1/0': Fraction(1, 0)"),
+     "bad F7 scalar 'x': expected an integer or num/den in ASCII digits"),
+    (PrimeField(7), "1/0", "bad F7 scalar '1/0': division by zero in F7"),
     (F2, "1/2", "bad F2 scalar '1/2': division by zero in F2"),
     (PrimeField(2 ** 31 - 1), False, "expected scalar, got False"),
     (PrimeField(2 ** 31 - 1), "1/0",
-     "bad F2147483647 scalar '1/0': Fraction(1, 0)"),
+     "bad F2147483647 scalar '1/0': division by zero in F2147483647"),
 ])
 def test_parse_error_texts(field, raw, message):
     with pytest.raises(InputError) as info:
         field.parse(raw)
     assert str(info.value) == message
+
+
+# scalar strings near the one spelling [+-]?[0-9]+(/[0-9]+)?: pieces of
+# it and of what int() or Fraction() also read (exponents, decimals,
+# spaces, underscores, other scripts' digits), a digit run past int's
+# limit, and fractions whose denominator p may divide before or after
+# they are reduced
+PIECES = ["0", "1", "3", "7", "14", "21", "007", "+", "-", "/", "/0", "e3",
+          "E", ".", ".5", " ", "\t", "\n", "_", "\u0661", "\uff17",
+          "\u0967", "\u2212", "1" * 4301]
+NEAR_NUMBERS = st.one_of(
+    st.lists(st.sampled_from(PIECES), max_size=5).map("".join),
+    st.builds(lambda sign, n, d, k: f"{sign}{n * k}/{d * k}",
+              st.sampled_from(["", "+", "-"]), st.integers(0, 10 ** 6),
+              st.integers(0, 30), st.sampled_from([1, 2, 3, 7, 2 ** 31 - 1])))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(text=NEAR_NUMBERS)
+def test_literal_reads_exactly_the_one_spelling(field, text):
+    """`literal` accepts exactly the spelling with a nonzero denominator
+    that p does not divide once reduced, at `Fraction`'s value; a refusal
+    names the text once, or a digit run past int's limit by its count."""
+    try:
+        frac = Fraction(text) if in_spelling(text) else None
+    except (ValueError, ZeroDivisionError):  # too many digits, or n/0
+        frac = None
+    if frac is not None and field.char and frac.denominator % field.char == 0:
+        frac = None
+    try:
+        got = field.parse(text)
+    except InputError as exc:
+        assert frac is None, text
+        kind = "rational" if field.char == 0 else field.name
+        message = str(exc)
+        assert message.startswith(f"bad {kind} scalar ")
+        digits = long_digit_run(text)
+        if digits:
+            assert f"one of {len(digits)} digits" in message
+            assert digits not in message
+        else:
+            assert message.count(repr(text)) == 1
+        return
+    assert frac is not None, text
+    assert got == field.from_int(frac.numerator) / frac.denominator

@@ -3,10 +3,19 @@ bad shape, a space over another algebra, a missing precondition.  Each
 must raise its rbx error with its own message, never a ValueError from
 deeper in the kernel."""
 
+import contextlib
+import io
+import json
 import math
+import os
+import subprocess
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracle import in_spelling, long_digit_run
 from rbx import cli, operators
 from rbx.algebra import Bimodule, bimodule_check, canonical_bimodule
 from rbx.cochains import Cochain
@@ -19,6 +28,7 @@ from rbx.linalg import nested
 from rbx.operators import OperatorInstance, search_rows
 from rbx.schema import document_from_obj
 from rbx.structures import NSAlgebra, grb_morphism_check
+from test_cli import BLOCKED_IMPORTS, SRC, WITH_BLOCKED_IMPORTS
 
 
 def zeros(*shape):
@@ -168,3 +178,204 @@ def test_numbers_and_field_names_are_ascii(tmp_path, capsys, monkeypatch,
         code = exc.code
     out, err = capsys.readouterr()
     assert (code, (out + err).splitlines()[-1]) == (2, line)
+
+
+def run_main(argv, env=None):
+    """(exit code, last line of stdout and stderr) of `cli.main(argv)` in
+    process, with `env` set and RBX_BUDGET unset unless it names it."""
+    out = io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(out):
+        os.environ.pop("RBX_BUDGET", None)
+        os.environ.update(env or {})
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:       # argparse's usage error
+            code = exc.code
+    text = out.getvalue()
+    assert "Traceback" not in text
+    return code, text.splitlines()[-1]
+
+
+@pytest.fixture(scope="module")
+def mbx(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("argv") / "mult-by-x.json")
+    assert run_main(["catalog", "emit", "mult-by-x", "-o", path])[0] == 0
+    return path
+
+
+def named(text):
+    """How a refusal names `text`, by hand: a digit run past int's limit by
+    its count, anything else by its repr."""
+    digits = long_digit_run(text)
+    return f"one of {len(digits)} digits" if digits else repr(text)
+
+
+def readable(text):
+    """Whether `text` spells an int rbx reads: the one spelling without a
+    fraction, within int's digit limit."""
+    return in_spelling(text, fraction=False) and not long_digit_run(text)
+
+
+# pieces of near-miss integer tokens: signs, leading zeros, other scripts'
+# digits and ligatures, whitespace, underscores, '=' and digit runs past
+# int's limit, ASCII and not
+INT_PIECES = ["0", "1", "2", "3", "7", "16", "00", "+", "-", "_", " ", "\t",
+              "=", "e", "/", "\u0663", "\uff17", "\u0967", "\ufb00",
+              "\ufb03", "1" * 4301, "\u0663" * 4301]
+INT_TOKENS = st.lists(st.sampled_from(INT_PIECES), max_size=4).map("".join)
+FIELD_TOKENS = st.builds(
+    str.__add__, st.sampled_from(["F", "f", "Q", "", "F ", "\ufb00",
+                                  "\ufb03", "\uff26"]), INT_TOKENS)
+
+
+def option(name, token, joined):
+    """`name` with `token`, '='-joined when asked, or when the token would
+    otherwise be read as an option."""
+    if joined or token.startswith("-"):
+        return [f"{name}={token}"]
+    return [name, token]
+
+
+def dropped(verb, name):
+    """The refusal of `name=--`, whose value argparse before Python 3.12
+    drops; later versions read '--' as the value."""
+    return 2, f"rbx {verb}: error: argument {name}: expected one argument"
+
+
+@pytest.mark.parametrize("channel", ["--budget", "--degree", "RBX_BUDGET"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(token=INT_TOKENS, joined=st.booleans())
+def test_an_integer_is_read_exactly_in_its_spelling(mbx, channel, token,
+                                                    joined):
+    """Each integer channel, given a near-miss token, exits 0, 1 or 2
+    without a traceback, and refuses it as a spelling, naming a digit run
+    past int's limit by its count, exactly when it is outside the one
+    spelling; an empty RBX_BUDGET is unset."""
+    search = ["search", mbx, "--kind", "rb", "--field", "F2"]
+    if channel == "RBX_BUDGET":
+        code, line = run_main(search, {"RBX_BUDGET": token})
+        refusal = f"ERROR: search - RBX_BUDGET must be a positive integer, " \
+                  f"got {named(token)}"
+        refused = token != "" and not readable(token)
+        refusals = [(2, refusal)]
+    else:
+        verb = ["catalog", "emit", "mult-by-x"] if channel == "--degree" \
+            else search
+        code, line = run_main(verb + option(channel, token, joined))
+        refusal = f"rbx {verb[0]}: error: argument {channel}: invalid int " \
+                  f"value: {named(token)}"
+        refused = not readable(token)
+        refusals = [(2, refusal)] + [dropped(verb[0], channel)] * (
+            token == "--")
+    assert code in (0, 1, 2)
+    if refused:
+        assert (code, line) in refusals
+    else:
+        assert "invalid int value" not in line and "RBX_BUDGET" not in line
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(token=FIELD_TOKENS, joined=st.booleans())
+def test_a_field_name_is_read_exactly_in_its_spelling(mbx, token, joined):
+    """--field, given a near-miss name, exits 0, 1 or 2 without a
+    traceback; a name outside Q and [Ff] with the one spelling of an int
+    is refused as unknown, or, in other scripts' digits or past int's
+    limit, as a modulus named by `named`.  Q, and an empty name, which
+    leaves the document over Q, end in the search's own refusal."""
+    code, line = run_main(["search", mbx, "--kind", "rb", "--budget", "20"]
+                          + option("--field", token, joined))
+    assert code in (0, 1, 2)
+    modulus = token[1:] if token[:1] in ("F", "f") else None
+    unsigned = modulus and (modulus[1:] if modulus[:1] in ("+", "-")
+                            else modulus)
+    if token in ("Q", ""):
+        assert (code, line) == (2, "ERROR: search - exhaustive search needs "
+                                   "a prime field")
+    elif modulus is not None and readable(modulus):
+        if line.startswith("ERROR: search - F_p needs"):
+            assert line.endswith(f", got {int(modulus)}")
+        assert "unknown field name" not in line
+    elif modulus is not None and unsigned.isdecimal():
+        assert (code, line) == (2, f"ERROR: search - F_p needs a prime "
+                                   f"modulus below 2^31, got {named(modulus)}")
+    else:
+        assert (code, line) in [
+            (2, f"ERROR: search - unknown field name {token!r}; use Q or "
+                f"F<p>")] + [dropped("search", "--field")] * (token == "--")
+
+
+# every option that takes a value, by verb
+VALUE_OPTIONS = [(verb, names) for verb, arguments in cli.VERBS.items()
+                 for names, options in arguments
+                 if names[0].startswith("-") and "action" not in options]
+
+
+@pytest.mark.parametrize("verb, names", VALUE_OPTIONS,
+                         ids=[f"{verb}{names[-1]}"
+                              for verb, names in VALUE_OPTIONS])
+def test_an_option_given_dashdash_ends_without_a_traceback(
+        mbx, tmp_path, monkeypatch, verb, names):
+    """`--opt=--`, which argparse before Python 3.12 reads as [] with no
+    type or choice check, is refused as a missing value there, and ends in
+    exit 0, 1 or 2 on every version."""
+    monkeypatch.chdir(tmp_path)     # where `-o=--` may write a file '--'
+    before = {"catalog": ["catalog", "emit", "truncated-poly"],
+              "search": ["search", mbx, "--kind", "rb", "--field", "F2"],
+              "bracket": ["bracket", mbx, "--f", "f", "--g", "g"]}
+    code, line = run_main(before.get(verb, [verb, mbx]) +
+                          [f"{names[-1]}=--"])
+    assert code in (0, 1, 2)
+    if "expected one argument" in line:
+        assert (code, line) == dropped(verb, "/".join(names))
+
+
+BIG_LITERAL = "1" * 5000
+JUNK_LITERAL = "x" * 100000
+
+
+@pytest.fixture(scope="module")
+def refused_literals(tmp_path_factory):
+    """{name: path} of one-entry algebras whose entry is outside the one
+    spelling of a number, or past int's digit limit."""
+    out = tmp_path_factory.mktemp("literals")
+    paths = {}
+    for name, value in {"big": BIG_LITERAL, "junk": JUNK_LITERAL,
+                        "exponent": "1e0", "spaces": " 1 ", "decimal": "1.0",
+                        "underscore": "1_0", "arabic-indic": "\u0661",
+                        "zero-den": "1/0"}.items():
+        paths[name] = str(out / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump({"field": "Q", "algebra": {"dim": 1, "c": [[[value]]]}},
+                      fh)
+    return paths
+
+
+@pytest.mark.parametrize("verb", ["check-assoc", "check-grb"])
+def test_a_literal_past_the_digit_limit_is_named_by_its_length(
+        refused_literals, verb):
+    assert run_main([verb, refused_literals["big"]]) == (
+        2, f"ERROR: {verb} - algebra.c[0][0][0]: bad rational scalar one of "
+           f"5000 digits: exceeds the integer digit limit")
+
+
+@pytest.mark.parametrize("verb", ["check-assoc", "check-grb"])
+def test_a_junk_literal_is_echoed_once(refused_literals, verb):
+    code, line = run_main([verb, refused_literals["junk"]])
+    assert code == 2 and line.count(JUNK_LITERAL) == 1
+    assert line == (f"ERROR: {verb} - algebra.c[0][0][0]: bad rational "
+                    f"scalar {JUNK_LITERAL!r}: expected an integer or num/den "
+                    f"in ASCII digits")
+
+
+def test_a_refused_literal_imports_no_fractions(refused_literals):
+    """Each refused literal is exit 2 without trying an import of
+    fractions, decimal, numpy or hashlib, in one child."""
+    argvs = [[verb, path] for path in refused_literals.values()
+             for verb in ("check-assoc", "check-grb")]
+    proc = subprocess.run(
+        [sys.executable, "-c", WITH_BLOCKED_IMPORTS,
+         json.dumps(sorted(BLOCKED_IMPORTS)), json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+        timeout=120, check=True)
+    assert json.loads(proc.stdout) == [[2, []]] * len(argvs)

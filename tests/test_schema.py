@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import tensors_equal
+from oracle import in_spelling, tensors_equal
 from rbx.errors import InputError, RbxError
 from rbx.fields import F2, QQ, PrimeField
 from rbx.instances import kx2, mult_by_x_instance, tensor_square
@@ -85,17 +85,22 @@ def test_bad_scalar_reports_index():
 
 
 def fraction_parse(field, value):
-    """Reference: a literal through `Fraction`, to one scalar."""
+    """Reference: a literal in the one spelling of a number (`in_spelling`)
+    through `Fraction`, to one scalar."""
     if isinstance(value, int) and not isinstance(value, bool):
         return field.from_int(value)
     if not isinstance(value, str):
         raise InputError(f"expected scalar, got {value!r}")
+    kind = "rational" if field.char == 0 else field.name
+    if not in_spelling(value):
+        raise InputError(f"bad {kind} scalar {value!r}: expected an integer "
+                         f"or num/den in ASCII digits")
     try:
         frac = Fraction(value)
         return field.from_int(frac.numerator) / frac.denominator
-    except (ValueError, ZeroDivisionError) as exc:
-        kind = "rational" if field.char == 0 else field.name
-        raise InputError(f"bad {kind} scalar {value!r}: {exc}") from exc
+    except ZeroDivisionError:
+        raise InputError(f"bad {kind} scalar {value!r}: division by zero in "
+                         f"{field.name}") from None
 
 
 def per_entry_parse(field, flat, shape, path):
@@ -133,14 +138,16 @@ def parse_outcome(parse, field, flat):
 # valid over every field below: no denominator is even or a multiple of 7
 GOOD_LITERALS = [1, "1", "3/9", -3, 0, "0", 8, "-6/3", "1/3", 15, 7, "15/5",
                  1, "1", "3/9", -3, 10 ** 30, "-1", 1, 0]
-# read to the same integer over every field: an exponent, signs, leading
-# zeros, a fraction to reduce, a non-ASCII digit and 10**30
-INTEGRAL = ["1e3", "+3", "-0", "007", "-6/3", "\u0661", 10 ** 30]
+# read to the same integer over every field: signs, leading zeros, a
+# fraction to reduce and 10**30
+INTEGRAL = ["+3", "-0", "007", "-6/3", 10 ** 30]
 # refused over every field; True == 1.0 == 1 with equal hashes follow a 1
-# in C order, so a cache keyed by value alone would pass them
-REFUSED = [True, False, 1.0, 0.5, None, [1], {"a": 1}, "x", "1/0", ""]
-# and spaces, a decimal, an underscore and fractions some field refuses
-# ("1/2" and "2/4" over F2, "1/7" over F7)
+# in C order, so a cache keyed by value alone would pass them; an exponent
+# and a non-ASCII digit are outside the one spelling of a number
+REFUSED = [True, False, 1.0, 0.5, None, [1], {"a": 1}, "x", "1/0", "",
+           "1e3", "\u0661"]
+# and spaces, a decimal and an underscore, refused as well, and fractions
+# some field refuses ("1/2" and "2/4" over F2, "1/7" over F7)
 LITERALS = [" 1/2 ", "0.5", "1_000", "2/4", "1/7", *INTEGRAL, *REFUSED]
 
 
