@@ -342,7 +342,7 @@ def cmd_search(args):
     # 1 PR B lifts this)
     from . import cochains, flows, gerstenhaber, structures  # noqa: F401
     doc, digest = _document(args)
-    if args.field:
+    if args.field is not None:
         doc = _cast_document(doc, args.field)
     alg, module = _algebra_module(doc)
     cocycle = schema.cochain_object(doc, args.phi) if args.phi else None

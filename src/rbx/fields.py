@@ -67,15 +67,17 @@ def read_int(text, refusal):
 
 def quote(text):
     """How a refusal names `text`: a number, signed or not, past int's
-    digit limit by its digit count, not echoed; any other text by its
-    repr."""
+    digit limit by its digit count, and a fraction with such a part by
+    its length, neither echoed; any other text by its repr."""
     digits = text.strip()
     digits = digits[1:] if digits[:1] in ("+", "-") else digits
-    if digits.isdecimal():
+    parts = digits.split("/")
+    if len(parts) <= 2 and all(part.isdecimal() for part in parts):
         try:
-            int(digits)
+            int(max(parts, key=len))    # the limit is a count of digits
         except ValueError:
-            return f"one of {len(digits)} digits"
+            return (f"a fraction of {len(text)} characters" if "/" in digits
+                    else f"one of {len(digits)} digits")
     return repr(text)
 
 

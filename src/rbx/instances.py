@@ -53,7 +53,7 @@ def mult_by_x_instance(field) -> OperatorInstance:
 
 def tensor_square(algebra: Algebra) -> OperatorInstance:
     """The multiplication A (x) A -> A as a twisted operator with twist
-    phi(a, b) = -a (x) b."""
+    phi(a, b) = -a (x) b; A (x) A is unchecked: A is associative."""
     d, c, field = algebra.dim, algebra._c, algebra.field
     one = Encoded(field, eye(d))
     # basis e_u (x) e_v at u * d + v: a.(u (x) v) = au (x) v and
@@ -61,7 +61,7 @@ def tensor_square(algebra: Algebra) -> OperatorInstance:
     left = einsum("aux,vy->auvxy", c, one)
     right = einsum("ux,vay->uvaxy", one, c)
     module = Bimodule(algebra, left.reshape(d, d * d, d * d),
-                      right.reshape(d * d, d, d * d))
+                      right.reshape(d * d, d, d * d), check=False)
     phi = -Encoded(field, eye(d * d)).reshape(d, d, d * d)
     return OperatorInstance(algebra, module, c.reshape(d * d, d),
                             Cochain(algebra, module, phi))
@@ -149,7 +149,8 @@ DEGREE_CAP = 40
 def truncated_polynomial(N, field=QQ) -> TruncatedInstance:
     """A = span{x, ..., x^N} (product truncated past degree N) acting on
     M = span{1, ..., x^{N-1}}; the operator is termwise integration
-    x^i |-> x^{i+1}/(i+1) and omega is d/dx, its inverse."""
+    x^i |-> x^{i+1}/(i+1) and omega is d/dx, its inverse.  M is unchecked:
+    A acts on it by k[x]'s associative product modulo x^N."""
     if N < 3:
         raise InputError("truncated_polynomial needs degree N >= 3")
     if N > DEGREE_CAP:
@@ -165,7 +166,7 @@ def truncated_polynomial(N, field=QQ) -> TruncatedInstance:
     A = Algebra(field, c)
     left = _ones(field, (N, N, N), [(a, m, a + 1 + m) for a in range(N)
                                     for m in range(N - 1 - a)])
-    M = Bimodule(A, left, left.transpose(1, 0, 2))
+    M = Bimodule(A, left, left.transpose(1, 0, 2), check=False)
     # diagonal: pi has the entries 1/(i+1), omega the entries i+1
     ints, scale = field.encode_pairs([field.ratio(1, i + 1) for i in range(N)])
     pi, om = eye(N), eye(N)

@@ -463,3 +463,19 @@ def long_digit_run(text):
         except ValueError:
             return digits
     return None
+
+
+def named(text):
+    """How a refusal names `text`, by hand: a digit run past int's limit
+    by its count, a fraction of two digit runs with one past it by its
+    length, anything else by its repr."""
+    digits = long_digit_run(text)
+    if digits:
+        return f"one of {len(digits)} digits"
+    body = text.strip()
+    body = body[1:] if body[:1] in ("+", "-") else body
+    num, slash, den = body.partition("/")
+    if slash and num.isdecimal() and den.isdecimal() and (
+            long_digit_run(num) or long_digit_run(den)):
+        return f"a fraction of {len(text)} characters"
+    return repr(text)

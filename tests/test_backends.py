@@ -32,6 +32,7 @@ import test_contract
 import test_flows
 import test_gerstenhaber
 import test_integer_sites
+import test_theorems
 import test_witness_oracle
 from oracle import identity, random_tensor, zeros
 from propositions import intertwiner_check
@@ -421,8 +422,7 @@ ORACLE_TESTS = [
                  "test_bimodule_matches_oracle_and_object_path",
                  "test_operator_identities_match_oracle_and_object_path",
                  "test_axioms_match_oracle_and_object_path",
-                 "test_multimap_sums_and_half_square_match_object_path",
-                 "test_addexp_restriction_compare_matches_object_path")] + [
+                 "test_multimap_sums_and_half_square_match_object_path")] + [
     (test_witness_oracle, name, fields_of(test_witness_oracle))
     for name in ("test_operator_checkers_match_oracle",
                  "test_assoc_check_matches_oracle",
@@ -438,7 +438,8 @@ ORACLE_TESTS = [
         (test_flows, "test_addexp_iff_residual_zero"),
         (test_flows, "test_closed_forms_match_bracket_route"),
         (test_gerstenhaber, "test_circ_matches_oracle_on_arity_two_pairs"),
-        (test_gerstenhaber, "test_bracket_matches_oracle_mixed_arities"))]
+        (test_gerstenhaber, "test_bracket_matches_oracle_mixed_arities"),
+        (test_theorems, "test_each_theorem_the_verbs_rely_on"))]
 CASES = [(module, name, args) for module, name, arglists in ORACLE_TESTS
          for args in arglists]
 
@@ -485,8 +486,8 @@ INT64_CASES = [(test_integer_sites, name, (BIG,)) for name in (
     "test_bimodule_matches_oracle_and_object_path",
     "test_operator_identities_match_oracle_and_object_path",
     "test_axioms_match_oracle_and_object_path",
-    "test_multimap_sums_and_half_square_match_object_path",
-    "test_addexp_restriction_compare_matches_object_path")] + [
+    "test_multimap_sums_and_half_square_match_object_path")] + [
+    (test_theorems, "test_each_theorem_the_verbs_rely_on", ())] + [
     (test_integer_sites, name, ()) for name in (
         "test_assoc_and_bimodule_fall_back_to_python_ints",
         "test_f_2_31_minus_1_assoc_is_int64_at_d_2_and_pure_at_d_3",

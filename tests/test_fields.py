@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import in_spelling, long_digit_run
+from oracle import in_spelling, named
 
 from rbx.errors import InputError
 from rbx.fields import (F2, F3, F5, FpElement, PrimeField, QQ,
@@ -253,7 +253,8 @@ NEAR_NUMBERS = st.one_of(
 def test_literal_reads_exactly_the_one_spelling(field, text):
     """`literal` accepts exactly the spelling with a nonzero denominator
     that p does not divide once reduced, at `Fraction`'s value; a refusal
-    names the text once, or a digit run past int's limit by its count."""
+    names the text once, a digit run past int's limit by its count, or a
+    fraction with such a part by its length (`oracle.named`)."""
     try:
         frac = Fraction(text) if in_spelling(text) else None
     except (ValueError, ZeroDivisionError):  # too many digits, or n/0
@@ -267,12 +268,9 @@ def test_literal_reads_exactly_the_one_spelling(field, text):
         kind = "rational" if field.char == 0 else field.name
         message = str(exc)
         assert message.startswith(f"bad {kind} scalar ")
-        digits = long_digit_run(text)
-        if digits:
-            assert f"one of {len(digits)} digits" in message
-            assert digits not in message
-        else:
-            assert message.count(repr(text)) == 1
+        name = named(text)
+        assert message.startswith(f"bad {kind} scalar {name}: ")
+        assert message.count(repr(text)) == (name == repr(text))
         return
     assert frac is not None, text
     assert got == field.from_int(frac.numerator) / frac.denominator

@@ -13,9 +13,9 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracle import in_spelling, long_digit_run
+from oracle import in_spelling, long_digit_run, named
 from rbx import cli, operators
 from rbx.algebra import Bimodule, bimodule_check, canonical_bimodule
 from rbx.cochains import Cochain
@@ -204,13 +204,6 @@ def mbx(tmp_path_factory):
     return path
 
 
-def named(text):
-    """How a refusal names `text`, by hand: a digit run past int's limit by
-    its count, anything else by its repr."""
-    digits = long_digit_run(text)
-    return f"one of {len(digits)} digits" if digits else repr(text)
-
-
 def readable(text):
     """Whether `text` spells an int rbx reads: the one spelling without a
     fraction, within int's digit limit."""
@@ -277,19 +270,21 @@ def test_an_integer_is_read_exactly_in_its_spelling(mbx, channel, token,
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
 @given(token=FIELD_TOKENS, joined=st.booleans())
+@example(token="", joined=False)        # --field ""
+@example(token="", joined=True)         # --field=
 def test_a_field_name_is_read_exactly_in_its_spelling(mbx, token, joined):
     """--field, given a near-miss name, exits 0, 1 or 2 without a
     traceback; a name outside Q and [Ff] with the one spelling of an int
     is refused as unknown, or, in other scripts' digits or past int's
-    limit, as a modulus named by `named`.  Q, and an empty name, which
-    leaves the document over Q, end in the search's own refusal."""
+    limit, as a modulus named by `named`.  Q ends in the search's own
+    refusal, and an empty name is unknown."""
     code, line = run_main(["search", mbx, "--kind", "rb", "--budget", "20"]
                           + option("--field", token, joined))
     assert code in (0, 1, 2)
     modulus = token[1:] if token[:1] in ("F", "f") else None
     unsigned = modulus and (modulus[1:] if modulus[:1] in ("+", "-")
                             else modulus)
-    if token in ("Q", ""):
+    if token == "Q":
         assert (code, line) == (2, "ERROR: search - exhaustive search needs "
                                    "a prime field")
     elif modulus is not None and readable(modulus):
@@ -357,6 +352,23 @@ def test_a_literal_past_the_digit_limit_is_named_by_its_length(
     assert run_main([verb, refused_literals["big"]]) == (
         2, f"ERROR: {verb} - algebra.c[0][0][0]: bad rational scalar one of "
            f"5000 digits: exceeds the integer digit limit")
+
+
+def test_a_fraction_past_the_digit_limit_is_named_by_its_length(mbx,
+                                                                tmp_path):
+    """A fraction with a part past int's digit limit, in a document over
+    F7 or in --budget, is named by its length, not echoed."""
+    fraction = "1/" + BIG_LITERAL
+    doc = tmp_path / "f7.json"
+    doc.write_text(json.dumps({"field": {"Fp": 7},
+                               "algebra": {"dim": 1, "c": [[[fraction]]]}}))
+    assert run_main(["check-assoc", str(doc)]) == (
+        2, "ERROR: check-assoc - algebra.c[0][0][0]: bad F7 scalar a "
+           "fraction of 5002 characters: exceeds the integer digit limit")
+    assert run_main(["search", mbx, "--kind", "rb", "--budget",
+                     fraction]) == (
+        2, "rbx search: error: argument --budget: invalid int value: a "
+           "fraction of 5002 characters")
 
 
 @pytest.mark.parametrize("verb", ["check-assoc", "check-grb"])
