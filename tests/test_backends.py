@@ -422,7 +422,8 @@ ORACLE_TESTS = [
                  "test_bimodule_matches_oracle_and_object_path",
                  "test_operator_identities_match_oracle_and_object_path",
                  "test_axioms_match_oracle_and_object_path",
-                 "test_multimap_sums_and_half_square_match_object_path")] + [
+                 "test_multimap_sums_and_half_square_match_object_path",
+                 "test_addexp_restriction_compare_matches_object_path")] + [
     (test_witness_oracle, name, fields_of(test_witness_oracle))
     for name in ("test_operator_checkers_match_oracle",
                  "test_assoc_check_matches_oracle",
@@ -486,7 +487,8 @@ INT64_CASES = [(test_integer_sites, name, (BIG,)) for name in (
     "test_bimodule_matches_oracle_and_object_path",
     "test_operator_identities_match_oracle_and_object_path",
     "test_axioms_match_oracle_and_object_path",
-    "test_multimap_sums_and_half_square_match_object_path")] + [
+    "test_multimap_sums_and_half_square_match_object_path",
+    "test_addexp_restriction_compare_matches_object_path")] + [
     (test_theorems, "test_each_theorem_the_verbs_rely_on", ())] + [
     (test_integer_sites, name, ()) for name in (
         "test_assoc_and_bimodule_fall_back_to_python_ints",

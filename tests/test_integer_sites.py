@@ -1,7 +1,7 @@
 """Differential tests of every identity site that runs on the integer
 encoding: associativity, the bimodule axioms, the four operator
 identities, the dendriform/NS axioms, MultiMap +/-/neg, `half_square`
-and the M-restriction compare of `addexp_check`.
+and the M-restriction compare `addexp_check` implies.
 
 Each site is compared with the nested-loop evaluators of oracle.py and
 with an object-dtype reference, the same contractions on the scalars'
@@ -29,11 +29,12 @@ from rbx.algebra import (Bimodule, Verdict, assoc_check, bimodule_check,
                          canonical_bimodule)
 from rbx.cochains import Cochain, coboundary
 from rbx.fields import F2, F5, QQ, FpElement, PrimeField
-from rbx.flows import addexp_check
+from rbx.flows import addexp_check, exp_flow
 from rbx.gerstenhaber import MultiMap, half_square
-from rbx.instances import kx2, null_algebra, tensor_square, truncated_polynomial
+from rbx.instances import (kx2, mult_by_x_instance, null_algebra,
+                           tensor_square, truncated_polynomial)
 from rbx.linalg import Encoded, IntTensor, first_nonzero_index
-from rbx.operators import (OperatorInstance, is_grb,
+from rbx.operators import (OperatorInstance, induced_products, is_grb,
                            is_nijenhuis, is_reynolds, is_trb,
                            lift_operator, semidirect_mult_map)
 from rbx.structures import Dendriform, NSAlgebra, check_dendriform, check_ns
@@ -449,7 +450,37 @@ def test_multimap_sums_and_half_square_fall_back_to_python_ints(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# addexp_check past int64
+# the M-restriction compare addexp_check implies, and addexp past int64
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+def test_addexp_restriction_compare_matches_object_path(field):
+    """The compare tests/test_theorems.py runs on a truncating flow: its
+    M x M block against (0 | the induced product), on the integers and on
+    the objects, as is and with the product one off at (1, 0)."""
+    inst = mult_by_x_instance(field)
+    assert addexp_check(inst) and is_grb(inst)
+    dA = inst.algebra.dim
+    block = exp_flow(inst).total._tensor[dA:, dA:]
+    got = block.objects
+    succ, prec, vee = induced_products(inst)
+    assert vee is None
+    # p(m_i).m_j + m_i.p(m_j), on the objects
+    p, L, R = inst.op, inst.module.left, inst.module.right
+    want = np.tensordot(p, L, ([1], [0])) + \
+        np.tensordot(R, p, ([1], [1])).transpose(0, 2, 1)
+    same_scalars((succ + prec).objects, want, field)
+    same_verdict(Verdict.compare(block[..., :dA], None, 2),
+                 ref_compare(got[..., :dA], None, 2), field)
+    same_verdict(Verdict.compare(block[..., dA:], succ + prec, 2),
+                 ref_compare(got[..., dA:], want, 2), field)
+    # a product one off at (1, 0), coefficient 0: the compare finds it
+    bumped = want.copy()
+    bumped[1, 0, 0] = bumped[1, 0, 0] + field.one
+    ref = ref_compare(got[..., dA:], bumped, 2)
+    assert ref[0] == (1, 0)
+    same_verdict(Verdict.compare(block[..., dA:], Encoded.of(field, bumped), 2),
+                 ref, field)
 
 
 def scaled_truncated(N, field, scale):
