@@ -5,11 +5,11 @@ holds, 1 means it fails (a witness is printed), 2 means an input,
 capacity or characteristic error, output that cannot be written (an
 `-o` path, a closed stdout), or a handler that ran out of memory.
 `--json` emits a machine-readable report that is byte-stable for
-identical inputs apart from the timing field.
-The environment variable RBX_BUDGET sets the default search budget, and
-`--budget` overrides that default.  Every number the command line reads
-(`--budget`, `--degree`, RBX_BUDGET, the p of `F<p>`) is read, and
-refused, by `fields.read_int`, in the spelling of a document's scalars.
+identical inputs apart from the timing field: a report depends on the
+arguments and the files they name alone, never on the environment.
+Every number the command line reads (`--budget`, `--degree`, the p of
+`F<p>`) is read, and refused, by `fields.read_int`, in the spelling of
+a document's scalars.
 
 Start-up loads only what the verb runs.  Each verb's arguments live in
 one table, `VERBS`; `main` builds the parser of the invoked verb alone,
@@ -175,7 +175,8 @@ def _algebra_module(doc):
 def _instance(doc, pi_name, phi_name=None):
     from . import operators, schema
     alg, module = _algebra_module(doc)
-    cocycle = schema.cochain_object(doc, phi_name) if phi_name else None
+    cocycle = schema.cochain_object(doc, phi_name) \
+        if phi_name is not None else None
     return operators.OperatorInstance(
         alg, module, schema.named_map(doc, pi_name), cocycle)
 
@@ -323,7 +324,7 @@ def _derive(args, section, derive, *names):
 def _document_report(args, doc, detail, digest=None):
     """A pass report carrying `doc`, which is also written to --output."""
     from . import schema
-    if args.output:
+    if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(schema.dump_document(doc))
@@ -335,7 +336,7 @@ def _document_report(args, doc, detail, digest=None):
 
 
 def cmd_search(args):
-    from . import fields, operators, schema
+    from . import operators, schema
     # not called: bench/tracing.py wraps these modules' functions after
     # one in-process replay of a workload and reads each module from
     # sys.modules, and search alone is the search workload (ROADMAP item
@@ -345,13 +346,10 @@ def cmd_search(args):
     if args.field is not None:
         doc = _cast_document(doc, args.field)
     alg, module = _algebra_module(doc)
-    cocycle = schema.cochain_object(doc, args.phi) if args.phi else None
-    budget = args.budget
-    if budget is None and os.environ.get("RBX_BUDGET"):
-        budget = fields.read_int(os.environ["RBX_BUDGET"],
-                                 "RBX_BUDGET must be a positive integer, got ")
+    cocycle = schema.cochain_object(doc, args.phi) \
+        if args.phi is not None else None
     found = operators.search_rows(alg, module, args.kind, cocycle=cocycle,
-                                  budget=budget)
+                                  budget=args.budget)
     return Report("search", "pass", digest=digest,
                   detail=f"{found.shape[0]} solution(s) of kind {args.kind!r} "
                          f"in canonical order",
@@ -494,7 +492,7 @@ VERBS = {
              help="override the document field (Q, F2, F3, F5, ...)"),
         _arg("--phi", default=None, help="twist cochain for kind trb"),
         _arg("--budget", type=_int, default=None,
-             help="candidate-count cap (default: RBX_BUDGET or 2^20)")],
+             help="candidate-count cap (default: 2^20)")],
     "aybe": [_FILE, _arg("--r", default="r", help="name of the A(x)A tensor")],
     "catalog": [_arg("action", choices=["list", "emit"]),
                 _arg("name", nargs="?", default=None),

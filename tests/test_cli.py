@@ -134,23 +134,34 @@ def test_search_field_name_needs_decimal_digits(mbx_file, capsys, field):
                               f"{field!r}; use Q or F<p>\n")
 
 
-def test_search_budget_env(mbx_file, capsys, monkeypatch):
-    monkeypatch.setenv("RBX_BUDGET", "4")
-    code, out = run(capsys, "search", mbx_file, "--field", "F2", "--kind", "grb")
-    assert code == 2 and "budget" in out
-
-
-@pytest.mark.parametrize("value", ["abc", "4"])
+@pytest.mark.parametrize("value", ["2", "abc", ""])
 def test_search_budget_option_overrides_the_env(mbx_file, capsys, monkeypatch,
                                                 value):
-    """RBX_BUDGET sets the default budget, read only without --budget: an
-    unreadable or too small value does not touch a search given one."""
-    argv = ["search", mbx_file, "--field", "F2", "--kind", "rb",
-            "--budget", "16"]
-    expected = run(capsys, *argv)
+    """A report depends on the arguments and the files alone: RBX_BUDGET,
+    set too small, unreadable or empty, changes no search report."""
+    def report():
+        code, out = run(capsys, "search", mbx_file, "--field", "F2",
+                        "--kind", "rb", "--json")
+        obj = json.loads(out)
+        del obj["timing_ms"]
+        return code, obj
+
+    expected = report()
     monkeypatch.setenv("RBX_BUDGET", value)
-    assert run(capsys, *argv) == expected
+    assert report() == expected
     assert expected[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-addexp"], ["residual"], ["flow"], ["check-trb"],
+    ["search", "--kind", "rb", "--field", "F3"]],
+    ids=["check-addexp", "residual", "flow", "check-trb", "search"])
+def test_an_empty_phi_is_a_name(ts_file, capsys, argv):
+    """`--phi ""` names a cochain, as any other value does: refused as
+    missing, not read as no twist, which asks a different question."""
+    code, out = run(capsys, argv[0], ts_file, *argv[1:], "--phi", "")
+    assert (code, out) == (2, f"ERROR: {argv[0]} - no cochain named '' in "
+                              f"the document (available: phi)\n")
 
 
 def test_aybe_verb(tmp_path, capsys):
@@ -481,12 +492,6 @@ def test_explain_every_verb(capsys):
     assert code == 2
 
 
-def test_search_budget_env_not_an_integer(mbx_file, capsys, monkeypatch):
-    monkeypatch.setenv("RBX_BUDGET", "abc")
-    code, out = run(capsys, "search", mbx_file, "--field", "F2", "--kind", "grb")
-    assert code == 2 and "RBX_BUDGET" in out and "'abc'" in out
-
-
 @pytest.mark.parametrize("value", ["-1", "0"])
 def test_search_budget_not_positive(mbx_file, capsys, value):
     code, out = run(capsys, "search", mbx_file, "--field", "F2", "--kind", "grb",
@@ -503,25 +508,18 @@ def test_huge_prime_modulus_is_exit_2(tmp_path, capsys):
     assert code == 2 and "2^31" in out
 
 
-@pytest.mark.parametrize("argv, env, message", [
-    (["--field", "F" + "7" * 5000], {},
+@pytest.mark.parametrize("argv, message", [
+    (["--field", "F" + "7" * 5000],
      "F_p needs a prime modulus below 2^31, got one of 5000 digits"),
-    (["--field", "F-" + "7" * 5000], {},
+    (["--field", "F-" + "7" * 5000],
      "F_p needs a prime modulus below 2^31, got one of 5000 digits"),
-    (["--field", "F2"], {"RBX_BUDGET": "7" * 5000},
-     "RBX_BUDGET must be a positive integer, got one of 5000 digits"),
-    (["--field", "F2"], {"RBX_BUDGET": "+" + "7" * 5000},
-     "RBX_BUDGET must be a positive integer, got one of 5000 digits"),
-    (["--field", "F-7"], {}, "F_p needs a prime modulus, got -7")],
-    ids=["field", "signed-field", "budget", "signed-budget", "short-field"])
-def test_a_number_past_the_digit_limit_is_exit_2(mbx_file, capsys,
-                                                 monkeypatch, argv, env,
+    (["--field", "F-7"], "F_p needs a prime modulus, got -7")],
+    ids=["field", "signed-field", "short-field"])
+def test_a_number_past_the_digit_limit_is_exit_2(mbx_file, capsys, argv,
                                                  message):
     """5,000 digits, past int's limit of 4,300, signed or not, in a
-    search's --field or RBX_BUDGET: refused with a message that names
-    the digit count, not a ValueError traceback or the value echoed."""
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+    search's --field: refused with a message that names the digit count,
+    not a ValueError traceback or the value echoed."""
     code, out = run(capsys, "search", mbx_file, "--kind", "rb", *argv)
     assert (code, out) == (2, f"ERROR: search - {message}\n")
 
@@ -870,7 +868,6 @@ def test_each_verb_loads_its_own_modules(verb, argv, expected, verb_docs,
     (tmp_path / "sitecustomize.py").write_text(
         RBX_MODULES_AT_EXIT.format(path=str(listing)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), SRC]))
-    env.pop("RBX_BUDGET", None)
     proc = subprocess.run(
         [sys.executable, "-m", "rbx.cli", verb,
          *[a.format(d=verb_docs) for a in argv]],
@@ -1213,6 +1210,59 @@ def test_help_and_usage_texts_are_unchanged(case, capsys, monkeypatch):
         (case["code"], case["stdout"], case["stderr"])
 
 
+# each verb's arguments as (option strings, dest, default, choices,
+# required, nargs), after the -h and --json every verb takes: the option
+# surface on every Python, where the help goldens above hold on one
+HELP = (("-h", "--help"), "help", "==SUPPRESS==", None, False, 0)
+JSON = (("--json",), "json", False, None, False, 0)
+FILE = ((), "file", None, None, True, None)
+PI = (("--pi",), "pi", "pi", None, False, None)
+PHI = (("--phi",), "phi", "phi", None, False, None)
+NO_PHI = (("--phi",), "phi", None, None, False, None)
+OUTPUT = (("-o", "--output"), "output", None, None, False, None)
+VERB_ACTIONS = {
+    "check-assoc": [FILE],
+    "check-bimodule": [FILE],
+    "check-grb": [FILE, (("--map",), "map", "pi", None, False, None)],
+    "check-trb": [FILE, PI, PHI],
+    "check-reynolds": [FILE, (("--map",), "map", "R", None, False, None)],
+    "check-nijenhuis": [FILE, (("--map",), "map", "N", None, False, None)],
+    "check-dendriform": [FILE],
+    "check-ns": [FILE],
+    "check-addexp": [FILE, PI, NO_PHI],
+    "residual": [FILE, PI, NO_PHI],
+    "bracket": [FILE, (("--f",), "f", None, None, True, None),
+                (("--g",), "g", None, None, True, None)],
+    "flow": [FILE, PI, NO_PHI,
+             (("--emit-products",), "emit_products", False, None, False, 0)],
+    "derive-dendriform": [FILE, (("--map",), "map", "pi", None, False, None),
+                          OUTPUT],
+    "derive-ns": [FILE, PI, PHI, OUTPUT],
+    "search": [FILE,
+               (("--kind",), "kind", None,
+                ["grb", "rb", "trb", "reynolds", "nijenhuis", "aybe"], True,
+                None),
+               (("--field",), "field", None, None, False, None),
+               NO_PHI, (("--budget",), "budget", None, None, False, None)],
+    "aybe": [FILE, (("--r",), "r", "r", None, False, None)],
+    "catalog": [((), "action", None, ["list", "emit"], True, None),
+                ((), "name", None, None, False, "?"),
+                (("--degree",), "degree", None, None, False, None), OUTPUT],
+    "explain": [((), "verb", None, None, True, None)],
+}
+
+
+def test_each_verb_takes_its_pinned_arguments():
+    from rbx.cli import VERBS, verb_parser
+
+    actions = {verb: [(tuple(a.option_strings), a.dest, a.default,
+                       a.choices, a.required, a.nargs)
+                      for a in verb_parser(verb)._actions]
+               for verb in VERBS}
+    assert actions == {verb: [HELP, JSON, *rest]
+                       for verb, rest in VERB_ACTIONS.items()}
+
+
 # ---------------------------------------------------------------------------
 # output errors: exit 2 with one message, never a traceback
 
@@ -1292,6 +1342,20 @@ def test_output_into_a_missing_directory_is_exit_2(mbx_file, tmp_path, argv):
     assert proc.stdout == (f"ERROR: {argv[0]} - cannot write {target}: "
                            f"[Errno 2] No such file or directory: "
                            f"'{target}'\n")
+
+
+@pytest.mark.parametrize("argv", [["derive-dendriform", "{mbx}"],
+                                  ["derive-ns", "{ts}"],
+                                  ["catalog", "emit", "mult-by-x"]],
+                         ids=["derive-dendriform", "derive-ns",
+                              "catalog-emit"])
+def test_an_empty_output_is_a_path(mbx_file, ts_file, capsys, argv):
+    """`-o ""` names a file that cannot be written, not "no output": a
+    pass report would claim `written: ""` with nothing written."""
+    argv = [a.format(mbx=mbx_file, ts=ts_file) for a in argv]
+    assert run(capsys, *argv, "-o", "") == (
+        2, f"ERROR: {argv[0]} - cannot write : "
+           f"[Errno 2] No such file or directory: ''\n")
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

@@ -10,7 +10,6 @@ import math
 import os
 import subprocess
 import sys
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -127,49 +126,41 @@ def test_the_parser_offers_every_search_kind():
     assert tuple(kind["choices"]) == operators._CHECKERS
 
 
-# (argv after the document, environment, the last line of the refusal):
+# (argv after the document, the last line of the refusal):
 # int() reads other scripts' digits, underscores and spaces, and a name
 # whose upper case begins with F (a ligature) was once read as F<p>
 NOT_ASCII = {
-    "ff-ligature-field": (["--field", "ﬀ7"], {},
+    "ff-ligature-field": (["--field", "ﬀ7"],
                           "ERROR: search - unknown field name 'ﬀ7'; "
                           "use Q or F<p>"),
-    "ffi-ligature-field": (["--field", "ﬃ7"], {},
+    "ffi-ligature-field": (["--field", "ﬃ7"],
                            "ERROR: search - unknown field name 'ﬃ7'; "
                            "use Q or F<p>"),
-    "arabic-indic-field": (["--field", "F٧"], {},
+    "arabic-indic-field": (["--field", "F٧"],
                            "ERROR: search - F_p needs a prime modulus below "
                            "2^31, got '٧'"),
-    "fullwidth-field": (["--field", "F７"], {},
+    "fullwidth-field": (["--field", "F７"],
                         "ERROR: search - F_p needs a prime modulus below "
                         "2^31, got '７'"),
-    "long-arabic-indic-field": (["--field", "F" + "٧" * 5000], {},
+    "long-arabic-indic-field": (["--field", "F" + "٧" * 5000],
                                 "ERROR: search - F_p needs a prime modulus "
                                 "below 2^31, got one of 5000 digits"),
-    "underscore-budget": (["--field", "F7", "--budget", "1_0"], {},
+    "underscore-budget": (["--field", "F7", "--budget", "1_0"],
                           "rbx search: error: argument --budget: invalid int "
                           "value: '1_0'"),
-    "arabic-indic-degree": (["--degree", "٣"], {},
+    "arabic-indic-degree": (["--degree", "٣"],
                             "rbx catalog: error: argument --degree: invalid "
                             "int value: '٣'"),
-    "arabic-indic-env-budget": (["--field", "F7"],
-                                {"RBX_BUDGET": "٤٩"},
-                                "ERROR: search - RBX_BUDGET must be a positive "
-                                "integer, got '٤٩'"),
 }
 
 
-@pytest.mark.parametrize("argv, env, line", NOT_ASCII.values(),
-                         ids=NOT_ASCII)
-def test_numbers_and_field_names_are_ascii(tmp_path, capsys, monkeypatch,
-                                           argv, env, line):
+@pytest.mark.parametrize("argv, line", NOT_ASCII.values(), ids=NOT_ASCII)
+def test_numbers_and_field_names_are_ascii(tmp_path, capsys, argv, line):
     """Exit 2 with the refusal of any other malformed value, where each
-    value used to run as 7, 10, 3 or 49."""
+    value used to run as 7, 10 or 3."""
     doc = tmp_path / "mult-by-x.json"
     assert cli.main(["catalog", "emit", "mult-by-x", "-o", str(doc)]) == 0
     capsys.readouterr()
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
     verb = ["catalog", "emit", "truncated-poly"] if argv[0] == "--degree" \
         else ["search", str(doc), "--kind", "rb"]
     try:
@@ -180,14 +171,11 @@ def test_numbers_and_field_names_are_ascii(tmp_path, capsys, monkeypatch,
     assert (code, (out + err).splitlines()[-1]) == (2, line)
 
 
-def run_main(argv, env=None):
+def run_main(argv):
     """(exit code, last line of stdout and stderr) of `cli.main(argv)` in
-    process, with `env` set and RBX_BUDGET unset unless it names it."""
+    process."""
     out = io.StringIO()
-    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(out):
-        os.environ.pop("RBX_BUDGET", None)
-        os.environ.update(env or {})
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         try:
             code = cli.main(argv)
         except SystemExit as exc:       # argparse's usage error
@@ -236,36 +224,26 @@ def dropped(verb, name):
     return 2, f"rbx {verb}: error: argument {name}: expected one argument"
 
 
-@pytest.mark.parametrize("channel", ["--budget", "--degree", "RBX_BUDGET"])
+@pytest.mark.parametrize("channel", ["--budget", "--degree"])
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(token=INT_TOKENS, joined=st.booleans())
 def test_an_integer_is_read_exactly_in_its_spelling(mbx, channel, token,
                                                     joined):
-    """Each integer channel, given a near-miss token, exits 0, 1 or 2
+    """Each integer option, given a near-miss token, exits 0, 1 or 2
     without a traceback, and refuses it as a spelling, naming a digit run
     past int's limit by its count, exactly when it is outside the one
-    spelling; an empty RBX_BUDGET is unset."""
-    search = ["search", mbx, "--kind", "rb", "--field", "F2"]
-    if channel == "RBX_BUDGET":
-        code, line = run_main(search, {"RBX_BUDGET": token})
-        refusal = f"ERROR: search - RBX_BUDGET must be a positive integer, " \
-                  f"got {named(token)}"
-        refused = token != "" and not readable(token)
-        refusals = [(2, refusal)]
-    else:
-        verb = ["catalog", "emit", "mult-by-x"] if channel == "--degree" \
-            else search
-        code, line = run_main(verb + option(channel, token, joined))
-        refusal = f"rbx {verb[0]}: error: argument {channel}: invalid int " \
-                  f"value: {named(token)}"
-        refused = not readable(token)
-        refusals = [(2, refusal)] + [dropped(verb[0], channel)] * (
-            token == "--")
+    spelling."""
+    verb = ["catalog", "emit", "mult-by-x"] if channel == "--degree" \
+        else ["search", mbx, "--kind", "rb", "--field", "F2"]
+    code, line = run_main(verb + option(channel, token, joined))
+    refusal = f"rbx {verb[0]}: error: argument {channel}: invalid int " \
+              f"value: {named(token)}"
+    refusals = [(2, refusal)] + [dropped(verb[0], channel)] * (token == "--")
     assert code in (0, 1, 2)
-    if refused:
+    if not readable(token):
         assert (code, line) in refusals
     else:
-        assert "invalid int value" not in line and "RBX_BUDGET" not in line
+        assert "invalid int value" not in line
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=80)
