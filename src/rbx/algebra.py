@@ -16,7 +16,7 @@ is always genuinely associative.
 from __future__ import annotations
 
 from .errors import InputError
-from .linalg import (Encoded, common, decoded, einsum, embed, eye,
+from .linalg import (Encoded, _shaped, common, decoded, einsum, embed, eye,
                      first_difference, first_nonzero_index, row_reduce)
 
 
@@ -199,12 +199,9 @@ def extension(algebra: Algebra, module: Bimodule, twist=None) -> Encoded:
     dA, dM = algebra.dim, module.dim
     blocks = [algebra._c, module._left, module._right]
     if twist is not None:
-        twist = Encoded.of(algebra.field, twist)
-        if twist.shape != (dA, dA, dM):
-            raise InputError(
-                f"2-cochain tensor has shape {twist.shape}, "
-                f"expected {(dA, dA, dM)}")
-        blocks.append(twist)
+        blocks.append(_shaped(algebra.field, twist, (dA, dA, dM),
+                              f"2-cochain tensor has shape {{}}, "
+                              f"expected {(dA, dA, dM)}"))
     ints, scale = common(*blocks)
     A, M = slice(None, dA), slice(dA, None)
     places = [(A, A, A), (A, M, M), (M, A, M), (A, A, M)]

@@ -155,7 +155,7 @@ def _load(path):
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path!r}: {exc}") from exc
 
 
 def _document(args):
@@ -175,8 +175,7 @@ def _algebra_module(doc):
 def _instance(doc, pi_name, phi_name=None):
     from . import operators, schema
     alg, module = _algebra_module(doc)
-    cocycle = schema.cochain_object(doc, phi_name) \
-        if phi_name is not None else None
+    cocycle = schema.cochain_object(doc, phi_name)
     return operators.OperatorInstance(
         alg, module, schema.named_map(doc, pi_name), cocycle)
 
@@ -329,7 +328,7 @@ def _document_report(args, doc, detail, digest=None):
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(schema.dump_document(doc))
         except OSError as exc:
-            raise InputError(f"cannot write {args.output}: {exc}") from exc
+            raise InputError(f"cannot write {args.output!r}: {exc}") from exc
     return Report(args.command, "pass", digest=digest, detail=detail,
                   extra={"document": schema.document_to_obj(doc),
                          "written": args.output})
@@ -346,8 +345,7 @@ def cmd_search(args):
     if args.field is not None:
         doc = _cast_document(doc, args.field)
     alg, module = _algebra_module(doc)
-    cocycle = schema.cochain_object(doc, args.phi) \
-        if args.phi is not None else None
+    cocycle = schema.cochain_object(doc, args.phi)
     found = operators.search_rows(alg, module, args.kind, cocycle=cocycle,
                                   budget=args.budget)
     return Report("search", "pass", digest=digest,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .algebra import Algebra, Bimodule, Verdict
 from .errors import CapacityError, InputError
-from .linalg import Encoded, combine, decoded, einsum
+from .linalg import ARITY_CAP, Encoded, combine, decoded, einsum
 
 
 class Cochain:
@@ -49,7 +49,6 @@ class Cochain:
 
 def coboundary(cochain: Cochain) -> Cochain:
     """Hochschild coboundary C^n -> C^{n+1}."""
-    from .gerstenhaber import ARITY_CAP
     n = cochain.arity
     if n + 1 > ARITY_CAP:
         raise CapacityError(f"coboundary of arity {n} exceeds the arity cap {ARITY_CAP}")

@@ -4,8 +4,8 @@ and the graded-commutator bracket.
 
 A MultiMap of arity m on a d-dimensional space is a tensor of shape
 (d,)*m + (d,); the last axis indexes the output.  The bracket of maps of
-arities m and n has arity m+n-1, so the arity cap 4 bounds everything in
-scope.
+arities m and n has arity m+n-1, so the arity cap 4 (`linalg.ARITY_CAP`)
+bounds everything in scope.
 
 Conventions (degree of an arity-m map is m):
 
@@ -32,9 +32,8 @@ bracket engine, the flows and the structure residual decode nothing;
 from __future__ import annotations
 
 from .errors import CapacityError, InputError
-from .linalg import Encoded, combine, decoded, einsum, times
-
-ARITY_CAP = 4
+from .linalg import ARITY_CAP, Encoded, _shaped, combine, decoded, einsum, \
+    times
 
 
 class MultiMap:
@@ -67,9 +66,9 @@ class MultiMap:
         return MultiMap(self.field, -self._tensor)
 
     def scale(self, scalar):
-        k, t = Encoded.of(self.field, scalar), self._tensor
-        if k.shape:
-            raise InputError(f"scale takes one scalar, not a {k.shape} tensor")
+        k = _shaped(self.field, scalar, (),
+                    "scale takes one scalar, not a {} tensor")
+        t = self._tensor
         return MultiMap(self.field, Encoded(
             self.field, times(t.ints, k.ints.flat[0]), t.scale * k.scale))
 

@@ -1,13 +1,14 @@
 """Concrete instances at desk scale: small algebras, the canonical
 operator examples on them, and the truncation of polynomial integration,
 the paper's first infinite-dimensional example.  `BUILDERS` builds each
-emittable row of `catalog.TABLE`.  The second example, integration on the
-Weyl algebra, has no finite structure-constant form; the test suite
-checks it with its own exact engine (`tests/weyl.py`).  Structure
-constants, actions, operators and twists are built directly in the
-integer encoding (`linalg.Encoded`), so the catalog builds and emits its
-small instances without numpy; the maps the builders take are matrices
-(see `operators`).
+emittable row of `catalog.TABLE` as an `operators.OperatorInstance`, the
+truncation as one that keeps its inverse too (`TruncatedInstance`).  The
+second example, integration on the Weyl algebra, has no finite
+structure-constant form; the test suite checks it with its own exact
+engine (`tests/weyl.py`).  Structure constants, actions, operators and
+twists are built directly in the integer encoding (`linalg.Encoded`), so
+the catalog builds and emits its small instances without numpy; the maps
+the builders take are matrices (see `operators`).
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from .algebra import Algebra, Bimodule, canonical_bimodule, intertwining
 from .cochains import Cochain, coboundary
 from .errors import CapacityError, CharacteristicError, InputError
 from .fields import QQ
-from .linalg import (Encoded, IntTensor, decoded, einsum, embed, eye, invert,
-                     rank)
-from .operators import OperatorInstance, _shaped, reynolds_as_twisted
+from .linalg import (Encoded, IntTensor, _shaped, decoded, einsum, embed, eye,
+                     invert, rank)
+from .operators import OperatorInstance, reynolds_as_twisted
 
 
 # ---------------------------------------------------------------------------
@@ -121,23 +122,17 @@ def reynolds_identity_instance(field) -> OperatorInstance:
 # ---------------------------------------------------------------------------
 # truncated polynomial integration
 
-class TruncatedInstance:
+class TruncatedInstance(OperatorInstance):
     """A finite truncation of an infinite-dimensional example: the
-    operator matrix `op` and its inverse `omega`, kept encoded and read
-    as scalars, read-only.  The polynomial truncation is an honest
-    quotient, so every identity check on it is exact."""
+    operator instance with the operator's inverse `omega`, kept encoded
+    and read as scalars, read-only.  The polynomial truncation is an
+    honest quotient, so every identity check on it is exact."""
 
-    op = decoded("_op")
     omega = decoded("_omega")
 
     def __init__(self, algebra, module, op, omega):
-        self.algebra = algebra
-        self.module = module
-        self._op = Encoded.of(algebra.field, op)
+        OperatorInstance.__init__(self, algebra, module, op)
         self._omega = Encoded.of(algebra.field, omega)
-
-    def instance(self) -> OperatorInstance:
-        return OperatorInstance(self.algebra, self.module, self._op)
 
 
 # The largest degree truncated_polynomial builds (N^3 entries per tensor):

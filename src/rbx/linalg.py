@@ -12,7 +12,8 @@ tensors of two fields are refused (`_one_field`).  Fraction or FpElement
 scalars exist only at the public boundary: `Encoded.of` encodes them,
 refusing any of another field (`is_scalar`), and the field decodes them
 where a caller reads them (`Encoded.objects`, `Encoded.at`), the witness
-of a verdict.
+of a verdict.  An entry point that takes a tensor of one fixed shape
+reads it with `_shaped`, which refuses any other in the caller's words.
 
 The integers have two forms.  Encoding (and the schema loader) builds
 an `IntTensor`: a shape and the flat C-order list of its Python ints,
@@ -46,7 +47,8 @@ order) at which the sides differ.  The operator identities' specs (in
 `operators`) take leading batch axes, "...": exhaustive search
 evaluates a block of candidates at once, and a checker is the same
 evaluation on one candidate.  The one object-dtype helper, `is_zero`,
-stays because the benchmark's tracer wraps it by name.
+stays because the benchmark's tracer wraps it by name.  The capacity
+constants live here, the arity cap of `gerstenhaber` and `cochains` too.
 """
 from __future__ import annotations
 
@@ -88,6 +90,10 @@ PURE_WORK = 2 ** 18
 # before the last.  At 32 the 81-candidate searches over F3 stay one
 # evaluation of the whole space, which at 27 or below they are not.
 SEARCH_LEVEL = 32
+
+# The largest arity of a multimap (`gerstenhaber`) or cochain (`cochains`):
+# a bracket of arities m and n has arity m + n - 1.
+ARITY_CAP = 4
 
 
 def _np():
@@ -565,6 +571,15 @@ class Encoded:
         mod p over F_p."""
         diff = self if other is None else self - other
         return self.field.reduce(diff.ints) != 0
+
+
+def _shaped(field, m, shape, refusal):
+    """`Encoded.of` a tensor of `shape`; any other shape is refused with
+    `refusal`, each {} in it filled with the shape the tensor has."""
+    m = Encoded.of(field, m)
+    if m.shape != shape:
+        raise InputError(refusal.format(m.shape))
+    return m
 
 
 def decoded(name):

@@ -12,7 +12,7 @@ and phi = -mu; classical Rota-Baxter operators are GRB with M = A.
 
 An operator is its matrix, (dim M, dim A) in the row convention
 image(v) = v @ p, given as nested lists, a numpy array of scalars or an
-Encoded tensor: each entry point reads it once with `Encoded.of`, and
+Encoded tensor: each entry point reads it once with `linalg._shaped`, and
 `OperatorInstance.op` is a read-only view of the integers checked.
 
 Each identity is written once (`_identity_sides`, `_aybe_residual`) as
@@ -47,8 +47,8 @@ from .algebra import Algebra, Bimodule, Verdict, canonical_bimodule, extension
 from .errors import CapacityError, CharacteristicError, InputError
 from . import linalg
 from .fields import QQ
-from .linalg import Encoded, IntTensor, _np, combine, decoded, einsum, embed, \
-    to_pure
+from .linalg import Encoded, IntTensor, _np, _shaped, combine, decoded, \
+    einsum, embed, to_pure
 
 SEARCH_BUDGET = 2 ** 20
 
@@ -67,11 +67,9 @@ class OperatorInstance:
                  cocycle=None):
         if module.base.dim != algebra.dim:
             raise InputError("module is not over the instance algebra")
-        op = Encoded.of(algebra.field, op)
-        if op.shape != (module.dim, algebra.dim):
-            raise InputError(
-                f"operator matrix must be {module.dim}x{algebra.dim} (M -> A), "
-                f"got {op.shape}")
+        op = _shaped(algebra.field, op, (module.dim, algebra.dim),
+                     f"operator matrix must be {module.dim}x{algebra.dim} "
+                     f"(M -> A), got {{}}")
         if cocycle is not None:
             from .cochains import Cochain, is_cocycle
             if cocycle.arity != 2 or cocycle._tensor.shape != \
@@ -234,14 +232,6 @@ def is_nijenhuis(algebra: Algebra, op) -> Verdict:
 def _endomorphism(algebra, m):
     return _shaped(algebra.field, m, (algebra.dim,) * 2,
                    "operator must be an endomorphism of the algebra")
-
-
-def _shaped(field, m, shape, refusal):
-    """`Encoded.of` a tensor, refused with `refusal` unless of `shape`."""
-    m = Encoded.of(field, m)
-    if m.shape != shape:
-        raise InputError(refusal)
-    return m
 
 
 def reynolds_as_twisted(algebra: Algebra, op) -> OperatorInstance:

@@ -259,25 +259,31 @@ def document_to_obj(doc: Document) -> dict:
     return obj
 
 
+def _canonical(obj) -> str:
+    """Canonical JSON text: sorted keys, two-space indent, newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def dump_document(doc: Document) -> str:
-    """Canonical serialization: sorted keys, two-space indent, newline."""
-    return json.dumps(document_to_obj(doc), indent=2, sort_keys=True) + "\n"
+    """Canonical serialization of the document."""
+    return _canonical(document_to_obj(doc))
 
 
 def document_digest(doc: Document) -> str:
     """Stable content digest of the parsed document."""
-    return sha256(dump_document(doc).encode()).hexdigest()
+    return raw_digest(document_to_obj(doc))
 
 
 def raw_digest(raw) -> str:
     """Digest of a decoded document that may not pass semantic
     validation: canonical dump of the raw JSON value."""
-    return sha256(
-        (json.dumps(raw, indent=2, sort_keys=True) + "\n").encode()).hexdigest()
+    return sha256(_canonical(raw).encode()).hexdigest()
 
 
-def cochain_object(doc: Document, name: str):
-    """Materialize a named cochain entry with inputs 'A' as a `Cochain`."""
+def cochain_object(doc: Document, name):
+    """The `Cochain` of a named entry with inputs 'A'; no name gives None."""
+    if name is None:
+        return None
     from .cochains import Cochain
     entry = _named(doc.cochains, name, "cochain")
     if entry["inputs"] != "A":

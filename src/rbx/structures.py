@@ -18,16 +18,16 @@ twisted case with phi = 0, so one checker and one derivation serve
 both.
 `induced_actions` returns A as a `Bimodule` over the induced algebra
 M_ass; the maps the functions take are matrices (see `operators`).
-The derivations, the duality and the morphism check import `operators`
-(and the duality `cochains`) where they run, so checking a structure
-loads neither.
+The derivations and the duality import `operators` (and the duality
+`cochains`) where they run, so checking a structure or a morphism loads
+neither.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra, Bimodule, Verdict, intertwining
 from .errors import InputError
-from .linalg import (Encoded, combine, decoded, einsum, eye,
+from .linalg import (Encoded, _shaped, combine, decoded, einsum, eye,
                      first_nonzero_index)
 
 
@@ -178,7 +178,7 @@ def derivation_dual(inst, omega, z):
     matrix `omega`) with W(p(m)) = z m, for z an int or a scalar of the
     field, becomes a GRB operator A -> M_ass over the induced actions."""
     from .cochains import Cochain, is_cocycle
-    from .operators import OperatorInstance, _shaped
+    from .operators import OperatorInstance
     A, M, field = inst.algebra, inst.module, inst.field
     W = _shaped(field, omega, (A.dim, M.dim), "derivation must map A to M")
     # a derivation is a Hochschild 1-cocycle: a.W(b) - W(ab) + W(a).b = 0
@@ -203,7 +203,6 @@ def grb_morphism_check(psi0, psi1, src, dst) -> Verdict:
     """Morphism of operator instances: the square psi0 o p = p' o psi1
     commutes and psi1 intertwines the actions:
     psi1(a.m) = psi0(a).psi1(m) and psi1(m.a) = psi1(m).psi0(a)."""
-    from .operators import _shaped
     f0 = _shaped(src.field, psi0, (src.algebra.dim, dst.algebra.dim),
                  "psi0 must map the source algebra to the target algebra")
     f1 = _shaped(src.field, psi1, (src.module.dim, dst.module.dim),

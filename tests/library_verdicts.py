@@ -48,7 +48,7 @@ def lines(field):
         check_dendriform(dendriform_from_grb(grb)))
     # truncated-poly 4: the operator integrates, omega = d/dx
     tp = truncated_polynomial(4, field)
-    inst = tp.instance()
+    inst = tp
     omega, ident = diagonal(field, [1, 2, 3, 4]), diagonal(field, [1] * 4)
     swap = matrix(field, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0],
                           [0, 0, 0, 1]])

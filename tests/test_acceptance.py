@@ -302,7 +302,7 @@ def test_criterion_10_twisted_structure_equation():
     instances["identity-with-swap-twist"] = OperatorInstance(
         A, M, identity(2, QQ), swap_phi)
     instances["mult-by-x"] = mult_by_x_instance(QQ)
-    instances["truncated-poly"] = truncated_polynomial(4).instance()
+    instances["truncated-poly"] = truncated_polynomial(4)
 
     twisted_count = holds = fails = 0
     for name, inst in instances.items():

@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import glob
 import hashlib
 import importlib
 import io
@@ -814,14 +816,14 @@ def verb_docs(tmp_path_factory):
 
 # the rbx modules each verb loads: the package and its errors for the
 # parser alone, the document core for a verb that reads a document, and
-# on top of it what the verb's handler reaches; a twist loads cochains,
-# and the coboundary reads gerstenhaber's arity cap.  search loads every
-# module the in-process tracer of bench/tracing.py wraps (see cmd_search)
+# on top of it what the verb's handler reaches; a twist loads cochains.
+# search loads every module the in-process tracer of bench/tracing.py
+# wraps (see cmd_search)
 PARSER = {"rbx", "rbx.errors"}
 CORE = PARSER | {"rbx.algebra", "rbx.fields", "rbx.linalg", "rbx.schema"}
 STRUCTURES = CORE | {"rbx.structures"}
 OPERATORS = CORE | {"rbx.operators"}
-TWISTED = OPERATORS | {"rbx.cochains", "rbx.gerstenhaber"}
+TWISTED = OPERATORS | {"rbx.cochains"}
 FLOWS = OPERATORS | {"rbx.gerstenhaber", "rbx.flows"}
 SEARCH = TWISTED | FLOWS | STRUCTURES
 VERB_MODULES = [
@@ -847,6 +849,8 @@ VERB_MODULES = [
     ("aybe", ["{d}/mbx.json", "--r", "pi"], OPERATORS),
     ("catalog", ["list"], PARSER | {"rbx.catalog"}),
     ("catalog", ["emit", "mult-by-x"],
+     OPERATORS | {"rbx.catalog", "rbx.cochains", "rbx.instances"}),
+    ("catalog", ["emit", "tensor-square"],
      OPERATORS | {"rbx.catalog", "rbx.cochains", "rbx.instances"}),
     ("explain", ["flow"], PARSER),
     ("--help", [], PARSER),
@@ -874,6 +878,33 @@ def test_each_verb_loads_its_own_modules(verb, argv, expected, verb_docs,
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == (2 if verb == "check-grb" and not argv else 0)
     assert set(listing.read_text().split()) == expected
+
+
+def test_every_import_is_read():
+    """Every name an import of an rbx module (but the lazy package's
+    `__init__`) binds is read in that module, unless the import carries
+    `# noqa`: an import nothing reads would load a module for nothing."""
+    unread = []
+    for path in sorted(glob.glob(os.path.join(SRC, "rbx", "*.py"))):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        lines, tree = text.splitlines(), ast.parse(text)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__" or \
+                    any("# noqa" in line for line in
+                        lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unread.append(f"{os.path.basename(path)}:{node.lineno} "
+                                  f"{name}")
+    assert unread == []
 
 
 def test_checking_verbs_load_no_catalog(mbx_file):
@@ -1339,22 +1370,24 @@ def test_output_into_a_missing_directory_is_exit_2(mbx_file, tmp_path, argv):
     proc = run_cli(*(a.format(mbx=mbx_file) for a in argv), "-o", target,
                    stdout=subprocess.PIPE)
     assert proc.returncode == 2 and proc.stderr == ""
-    assert proc.stdout == (f"ERROR: {argv[0]} - cannot write {target}: "
+    assert proc.stdout == (f"ERROR: {argv[0]} - cannot write {target!r}: "
                            f"[Errno 2] No such file or directory: "
                            f"'{target}'\n")
 
 
-@pytest.mark.parametrize("argv", [["derive-dendriform", "{mbx}"],
-                                  ["derive-ns", "{ts}"],
-                                  ["catalog", "emit", "mult-by-x"]],
-                         ids=["derive-dendriform", "derive-ns",
-                              "catalog-emit"])
-def test_an_empty_output_is_a_path(mbx_file, ts_file, capsys, argv):
+@pytest.mark.parametrize("argv, action", [
+    (["derive-dendriform", "{mbx}", "-o", ""], "write"),
+    (["derive-ns", "{ts}", "-o", ""], "write"),
+    (["catalog", "emit", "mult-by-x", "-o", ""], "write"),
+    (["check-assoc", ""], "read")],
+    ids=["derive-dendriform", "derive-ns", "catalog-emit", "check-assoc"])
+def test_an_empty_output_is_a_path(mbx_file, ts_file, capsys, argv, action):
     """`-o ""` names a file that cannot be written, not "no output": a
-    pass report would claim `written: ""` with nothing written."""
+    pass report would claim `written: ""` with nothing written.  The
+    refusal quotes the path, as it does an empty input file's."""
     argv = [a.format(mbx=mbx_file, ts=ts_file) for a in argv]
-    assert run(capsys, *argv, "-o", "") == (
-        2, f"ERROR: {argv[0]} - cannot write : "
+    assert run(capsys, *argv) == (
+        2, f"ERROR: {argv[0]} - cannot {action} '': "
            f"[Errno 2] No such file or directory: ''\n")
 
 

@@ -196,7 +196,7 @@ def test_the_graph_is_closed_iff_the_identity_holds(field):
                  *catalog_trb_instances(field).values()]
     for N in (3, 4):
         if field.char == 0 or field.char > N:
-            instances.append(truncated_polynomial(N, field).instance())
+            instances.append(truncated_polynomial(N, field))
     failures = 0
     for inst in instances:
         for candidate in [inst] + [perturbed(inst, rng) for _ in range(3)]:
@@ -239,18 +239,18 @@ def test_unit_section_over_each_field(field):
 @pytest.mark.parametrize("field", (QQ, F7), ids=lambda f: f.name)
 def test_derivation_dual_over_each_field(field):
     tp = truncated_polynomial(5, field)
-    dual = derivation_dual(tp.instance(), tp.omega, field.one)
+    dual = derivation_dual(tp, tp.omega, field.one)
     assert is_grb(dual)
     bad = tp.omega.copy()
     bad[0, 0] = bad[0, 0] + field.one
     with pytest.raises(InputError, match="not a derivation"):
-        derivation_dual(tp.instance(), bad, field.one)
+        derivation_dual(tp, bad, field.one)
     with pytest.raises(InputError, match="z times the identity"):
-        derivation_dual(tp.instance(), tp.omega, field.from_int(2))
+        derivation_dual(tp, tp.omega, field.from_int(2))
     # z may be a Python int, read in the field: 1 + 7 is 1 in F7
-    assert is_grb(derivation_dual(tp.instance(), tp.omega, 1 + field.char))
+    assert is_grb(derivation_dual(tp, tp.omega, 1 + field.char))
     with pytest.raises(InputError, match="z times the identity"):
-        derivation_dual(tp.instance(), tp.omega, 2)
+        derivation_dual(tp, tp.omega, 2)
 
 
 @pytest.mark.parametrize("field, z", [
@@ -261,7 +261,7 @@ def test_derivation_dual_refuses_a_foreign_z(field, z):
     tp = truncated_polynomial(4, field)
     with pytest.raises(InputError, match=re.escape(
             f"z must be an int or a scalar of {field.name}: {z!r}")):
-        derivation_dual(tp.instance(), tp.omega, z)
+        derivation_dual(tp, tp.omega, z)
 
 
 @pytest.mark.parametrize("field", (F2, F3), ids=lambda f: f.name)

@@ -221,7 +221,7 @@ def test_addexp_equals_trb_verdict():
             assert bool(addexp_check(inst)) == bool(checker(inst))
 
 
-BUILDS = {"truncated-poly-5": lambda: truncated_polynomial(5).instance(),
+BUILDS = {"truncated-poly-5": lambda: truncated_polynomial(5),
           "swap-cochain": lambda: swap_instance(QQ)}
 
 # circ_i calls per function on (truncated-poly-5, swap-cochain): no

@@ -14,7 +14,7 @@ from rbx.fields import F3, F5, QQ
 from rbx.catalog import TABLE
 from rbx.instances import (BUILDERS, kx2, tensor_square, truncated_polynomial,
                            unit_section, unit_section_tensor_example)
-from rbx.operators import is_grb, is_reynolds, is_trb
+from rbx.operators import OperatorInstance, is_grb, is_reynolds, is_trb
 from rbx.structures import check_ns, ns_from_trb
 from weyl import WeylPoly, truncated_weyl
 
@@ -29,7 +29,7 @@ def test_truncated_polynomial_operator_values():
     assert pi[0, 0] == Fraction(1)
     assert pi[1, 1] == Fraction(1, 2)
     assert pi[2, 2] == Fraction(1, 3)
-    assert is_grb(tp.instance())
+    assert is_grb(tp)
 
 
 def test_truncated_polynomial_hand_pair():
@@ -65,7 +65,7 @@ def test_truncated_polynomial_characteristic_guard():
         truncated_polynomial(3, F3)
     with pytest.raises(CharacteristicError):
         truncated_polynomial(5, F5)
-    assert is_grb(truncated_polynomial(4, F5).instance())  # denominators 2,3,4
+    assert is_grb(truncated_polynomial(4, F5))  # denominators 2,3,4
 
 
 def test_truncated_polynomial_degree_floor():
@@ -280,7 +280,7 @@ def test_catalog_every_instance_passes_its_checker():
     from rbx.instances import mult_by_x_instance
 
     assert is_grb(mult_by_x_instance(QQ))
-    assert is_grb(truncated_polynomial(4).instance())
+    assert is_grb(truncated_polynomial(4))
 
 
 def test_catalog_registry_builders():
@@ -288,4 +288,4 @@ def test_catalog_registry_builders():
                              if emittable}
     for name, build in BUILDERS.items():
         built = build(6) if TABLE[name][2] else build()
-        assert built is not None, name
+        assert isinstance(built, OperatorInstance), name

@@ -559,7 +559,7 @@ def test_tensor_listing_matches_an_entry_walk(field):
 
 def test_graph_check_agrees_with_is_grb_on_degree_6():
     tp = truncated_polynomial(6)
-    inst = tp.instance()
+    inst = tp
     A, M = tp.algebra, tp.module
     assert oracle_graph_check(QQ, A.c, M.left, M.right, tp.op) is None
     assert is_grb(inst)
@@ -572,7 +572,7 @@ def test_graph_check_agrees_with_is_grb_on_degree_6():
 
 def test_lift_and_semidirect_maps_are_encoded_once():
     tp = truncated_polynomial(3)
-    inst = tp.instance()
+    inst = tp
     assert lift_operator(inst)._tensor.scale == 6
     mu = semidirect_mult_map(inst)
     assert mu._tensor.scale == 1 and mu._tensor.ints.shape == (6, 6, 6)

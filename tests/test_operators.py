@@ -17,7 +17,7 @@ from rbx.algebra import (Algebra, bimodule_check, canonical_bimodule,
 from rbx.cochains import Cochain
 from rbx.errors import CapacityError, CharacteristicError, InputError
 from rbx.fields import F2, F3, QQ, PrimeField
-from rbx.gerstenhaber import circ_i, g_bracket
+from rbx.gerstenhaber import MultiMap, circ_i, g_bracket
 from rbx.instances import (kx2, mult_by_x_instance, null_algebra,
                            swap_instance, tensor_square, truncated_polynomial)
 from rbx.linalg import Encoded, is_zero
@@ -112,7 +112,7 @@ def test_is_grb_rejects_twisted_instance():
 
 def test_integration_operator_is_grb():
     tp = truncated_polynomial(4)
-    assert is_grb(tp.instance())
+    assert is_grb(tp)
 
 
 def test_trb_zero_twist_delegates_to_grb(kx2_q):
@@ -444,14 +444,14 @@ def test_checks_decide_on_the_matrix_op_shows(kx2_q):
 
 def test_a_non_matrix_is_refused_where_a_matrix_is_read(kx2_q):
     """Every entry point reads its matrix once and refuses any other
-    shape, here a vector, by its own shape check."""
+    shape, here a vector, by its own shape check; a refusal that names
+    the shape it got names the vector's."""
     from rbx.instances import invertible_cochain_instance, unit_section
     from rbx.structures import derivation_dual, grb_morphism_check
 
     A, M, v = kx2_q, canonical_bimodule(kx2_q), [0, 1]
     inst = mult_by_x_instance(QQ)
     for build, message in [
-            (lambda: OperatorInstance(A, M, v), "operator matrix must be"),
             (lambda: is_reynolds(A, v), "endomorphism"),
             (lambda: is_nijenhuis(A, v), "endomorphism"),
             (lambda: r_tilde(A, v), "r must be a 2x2 tensor"),
@@ -461,6 +461,16 @@ def test_a_non_matrix_is_refused_where_a_matrix_is_read(kx2_q):
             (lambda: invertible_cochain_instance(A, M, v), "1-cochain")]:
         with pytest.raises(InputError, match=message):
             build()
+    for build, text in [
+            (lambda: OperatorInstance(A, M, v),
+             "operator matrix must be 2x2 (M -> A), got (2,)"),
+            (lambda: extension(A, M, v),
+             "2-cochain tensor has shape (2,), expected (2, 2, 2)"),
+            (lambda: MultiMap(QQ, [[1, 0], [0, 1]]).scale(v),
+             "scale takes one scalar, not a (2,) tensor")]:
+        with pytest.raises(InputError) as refusal:
+            build()
+        assert str(refusal.value) == text
 
 
 def test_r_tilde_operator_is_read_only():

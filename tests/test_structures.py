@@ -234,7 +234,7 @@ def test_compatible_pair_of_associative_structures(mult_by_x_q):
 
 def test_derivation_dual_truncated_polynomial():
     tp = truncated_polynomial(5)
-    inst = tp.instance()
+    inst = tp
     dual = derivation_dual(inst, tp.omega, QQ.one)
     assert is_grb(dual)
 
@@ -243,13 +243,13 @@ def test_derivation_dual_rejects_non_derivation():
     tp = truncated_polynomial(4)
     bad = random_tensor((4, 4), QQ, random.Random(55))
     with pytest.raises(InputError):
-        derivation_dual(tp.instance(), bad, QQ.one)
+        derivation_dual(tp, bad, QQ.one)
 
 
 def test_derivation_dual_rejects_wrong_scalar():
     tp = truncated_polynomial(4)
     with pytest.raises(InputError):
-        derivation_dual(tp.instance(), tp.omega, QQ.from_int(2))
+        derivation_dual(tp, tp.omega, QQ.from_int(2))
 
 
 def test_inverse_derivation_identities():

@@ -31,7 +31,7 @@ def sample():
     null2 rb, over F3 and F5."""
     for name, build in BUILDERS.items():
         if TABLE[name][2]:
-            yield from (build(N).instance() for N in (3, 4, 5))
+            yield from (build(N) for N in (3, 4, 5))
         else:
             yield build()
     for field in (F3, F5):
