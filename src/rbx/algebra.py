@@ -9,8 +9,8 @@ action tensors.  Each tensor is encoded once, at construction, in its
 field's integer encoding (`linalg.Encoded`), and every identity is
 decided on those integers; the public `.c`, `.left` and `.right` are
 object-dtype tensors of exact scalars, decoded (and numpy imported) on
-first read.  Algebras are validated on construction, so an Algebra value
-is always genuinely associative.
+first read.  An Algebra is validated on construction, or built with
+check=False where a passed check implies it, so it is always associative.
 """
 
 from __future__ import annotations
@@ -68,13 +68,14 @@ def assoc_check(c: Encoded) -> Verdict:
 
 
 class Algebra:
-    """Associative algebra by structure constants; validated on creation."""
+    """Associative algebra by structure constants; validated on creation
+    unless check=False."""
 
     c = decoded("_c")
 
-    def __init__(self, field, c):
+    def __init__(self, field, c, check=True):
         c = Encoded.of(field, c)
-        report = assoc_check(c)
+        report = assoc_check(c) if check else Verdict(True)
         if not report:
             i, j, k, l = report.witness
             raise InputError(

@@ -27,10 +27,11 @@ onto a core module is the one called.  No core module
 imports numpy when it loads: the checking verbs, `catalog emit` and a
 small `search` work on the kernel's pure-Python integers, and numpy is
 imported only by a product or a search too large for them (see
-`linalg`).  Nor does one import `hashlib` (OpenSSL) or `fractions`
-(`decimal`): the digests use CPython's built-in SHA-256, and literals
-are read straight to integers, so a `Fraction` is built, and `fractions`
-imported, only for a witness over Q.  A search's solutions are written
+`linalg`), which run pure where numpy does not import.  Nor does one
+import `hashlib` (OpenSSL) or `fractions` (`decimal`): the digests use
+CPython's built-in SHA-256, and literals are read straight to integers,
+so a `Fraction` is built, and `fractions` imported, only for a witness
+over Q.  A search's solutions are written
 by `schema.format_tensor`.
 """
 
@@ -323,15 +324,15 @@ def _derive(args, section, derive, *names):
 def _document_report(args, doc, detail, digest=None):
     """A pass report carrying `doc`, which is also written to --output."""
     from . import schema
+    obj = schema.document_to_obj(doc)
     if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(schema.dump_document(doc))
+                fh.write(schema._canonical(obj))
         except OSError as exc:
             raise InputError(f"cannot write {args.output!r}: {exc}") from exc
     return Report(args.command, "pass", digest=digest, detail=detail,
-                  extra={"document": schema.document_to_obj(doc),
-                         "written": args.output})
+                  extra={"document": obj, "written": args.output})
 
 
 def cmd_search(args):
@@ -341,9 +342,11 @@ def cmd_search(args):
     # sys.modules, and search alone is the search workload (ROADMAP item
     # 1 PR B lifts this)
     from . import cochains, flows, gerstenhaber, structures  # noqa: F401
-    doc, digest = _document(args)
+    doc = schema.load_document(_load(args.file))
+    obj = schema.document_to_obj(doc)
+    digest = schema.raw_digest(obj)
     if args.field is not None:
-        doc = _cast_document(doc, args.field)
+        doc = _cast_document(obj, args.field)
     alg, module = _algebra_module(doc)
     cocycle = schema.cochain_object(doc, args.phi)
     found = operators.search_rows(alg, module, args.kind, cocycle=cocycle,
@@ -354,8 +357,8 @@ def cmd_search(args):
                   extra={"solutions": schema.format_tensor(doc.field, found)})
 
 
-def _cast_document(doc, field_name):
-    """Reinterpret the document's scalars over another field (e.g. F2)."""
+def _cast_document(obj, field_name):
+    """Read the formatted document `obj` over another field (e.g. F2)."""
     from . import fields, schema
     if field_name == "Q":
         spec = "Q"
@@ -365,7 +368,6 @@ def _cast_document(doc, field_name):
             field_name[1:], "F_p needs a prime modulus below 2^31, got ")}
     else:
         raise InputError(f"unknown field name {field_name!r}; use Q or F<p>")
-    obj = schema.document_to_obj(doc)
     obj["field"] = spec
     return schema.document_from_obj(obj)
 

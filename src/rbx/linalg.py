@@ -17,11 +17,12 @@ reads it with `_shaped`, which refuses any other in the caller's words.
 
 The integers have two forms.  Encoding (and the schema loader) builds
 an `IntTensor`: a shape and the flat C-order list of its Python ints,
-with only the operations `Encoded` uses; numpy (imported on first use)
-holds int64 arrays only.  One function, `_route`, picks the backend of
-every product (`einsum`) and sum (`combine`): pure Python when all
-operands are IntTensors and the product's dense work (the product of
-all its letter sizes) is at most `PURE_WORK`; else int64 numpy when
+with only the operations `Encoded` uses; numpy, optional and imported
+on first use, holds int64 arrays only.  One function, `_route`, picks
+the backend of every product (`einsum`) and sum (`combine`): pure
+Python when all operands are IntTensors and the product's dense work
+(the product of all its letter sizes) is at most `PURE_WORK`, or when
+numpy does not import (`has_numpy`); else int64 numpy when
 `fits_int64` shows from the operands that no entry can reach 2^63 (over
 F_p after reducing them mod p, if need be), and a product's operands
 stay converted; else pure, on Python ints.  A numpy term that int64
@@ -29,13 +30,14 @@ cannot rescale goes pure.  `einsum` alone decides the axis layout of a
 product, with one plan for both backends: np.matmul, or the pure
 `_products`, reads an operand whose axes are in [batch, free,
 contracted] order in place (a view copies lines as slices, `_gather`).
-The pure one loops over rows, visiting only nonzero entries, or, with
-more rows than k * m (a tall product, a block of small matrices), over
-the index triples with the rows innermost (`_columns`).  The exhaustive
-search applies the rule to the dense work of its whole box: a small
-search builds its candidate blocks as IntTensors, and every product of
-it runs pure; a larger one builds int64 numpy blocks, so its products
-run there, however few of its candidates its pruned tree evaluates.
+The pure one loops over rows, visiting only nonzero entries, but for a
+block of small matrices (more rows in all than k * m, and no fewer pairs
+than rows per pair): over the index triples, pairs innermost (`_columns`).
+The exhaustive search applies the rule to the dense work of its whole
+box: a small search, or any without numpy, builds its candidate blocks
+as IntTensors, and every product of it runs pure; a larger one builds
+int64 numpy blocks, so its products run there, however few of its
+candidates its pruned tree evaluates.
 Elimination (`row_reduce`, `rank`, `invert`, fraction-free) runs on
 rows of Python ints.
 
@@ -100,6 +102,14 @@ def _np():
     """numpy, imported on first use."""
     import numpy
     return numpy
+
+
+def has_numpy():
+    """Whether numpy imports; without it, everything runs pure."""
+    try:
+        return bool(_np())
+    except ImportError:
+        return False
 
 
 def _strides(shape):
@@ -264,19 +274,15 @@ def _products(x, y, n, k, m):
     of the products of the matrices at a[s:] and b[t:] for each pair of
     starts (s, t), pair after pair, each operand's starts given by
     `_gather`'s batch picks, one per batch axis (stride 0 where the axis
-    broadcasts).  Up to k * m rows in all loop over rows, visiting only
-    the nonzero entries of both; more rows (a search's block of small
-    matrices, a tall product) loop over the index triples, each a
-    product of operand columns gathered over all pairs, or over all rows
-    when they outnumber the pairs."""
+    broadcasts).  It loops over rows, visiting only the nonzero entries
+    of both, but for more rows in all than k * m and no fewer pairs than
+    rows per pair (a search's block of small matrices): over the index
+    triples, each a product of operand columns gathered over all pairs."""
     if not isinstance(x, tuple):
         return x @ y
     (a, picks_a), (b, picks_b) = x, y
     pairs = math.prod(len(ix) for _, ix in picks_a)
-    if pairs * n > k * m:
-        if pairs < n:           # more rows than pairs: each row a pair
-            picks_a, picks_b, n = (picks_a + [(k, range(n))],
-                                   picks_b + [(0, range(n))], 1)
+    if pairs * n > k * m and pairs >= n:
         return _columns(a, picks_a, b, picks_b, n, k, m)
     out, rows_at = [], {}
     for sa, sb in zip(_offsets(0, picks_a), _offsets(0, picks_b)):
@@ -295,9 +301,9 @@ def _products(x, y, n, k, m):
 
 
 def _columns(a, picks_a, b, picks_b, n, k, m):
-    """`_products` with the pairs innermost: entry (i, l) of every
-    product at once, as sums over j of a[s + i k + j] b[t + j m + l]
-    mapped over the pairs, skipping the columns that are all zero."""
+    """`_products` of a block of small matrices, the pairs innermost:
+    entry (i, l) of every product, as sums over j of a[s + i k + j]
+    b[t + j m + l] mapped over the pairs, skipping all-zero columns."""
     cols_a, cols_b = ([col if any(col) else None
                        for col in (_gather(flat, q, picks) for q in range(size))]
                       for flat, picks, size in ((a, picks_a, n * k),
@@ -591,11 +597,11 @@ def decoded(name):
 def _route(field, ints, fits, work=None):
     """The integer operands `ints` of one product, of dense `work`, or
     of one sum (work None) on the backend it runs on: as they are when
-    all are IntTensors and the work is at most `PURE_WORK`; else as
-    int64 arrays when `fits` holds of their largest absolute values, over
-    F_p after reducing them mod p if they do not fit as they are; else as
-    IntTensors."""
-    if work is not None and work > PURE_WORK or \
+    all are IntTensors and the work is at most `PURE_WORK` or numpy does
+    not import; else as int64 arrays when `fits` holds of their largest
+    absolute values, over F_p after reducing them mod p if they do not
+    fit as they are; else as IntTensors."""
+    if work is not None and work > PURE_WORK and has_numpy() or \
             not all(isinstance(a, IntTensor) for a in ints):
         if fits(*map(max_abs, ints)):
             return [to_numpy(a) for a in ints]

@@ -426,9 +426,9 @@ def search_rows(algebra: Algebra, module: Bimodule | None, kind: str,
     `BLOCK_ENTRIES`), and keeps those whose entries decided since the
     last check are 0 mod p.  A space with no checked level before n is
     evaluated whole, in blocks.  A search whose box's dense work, p^n
-    times one candidate's, is at most `linalg.PURE_WORK` builds its
-    blocks on the pure kernel; any other builds int64 numpy blocks, so
-    its products run there.
+    times one candidate's, is at most `linalg.PURE_WORK`, or that runs
+    where numpy does not import, builds its blocks on the pure kernel;
+    any other builds int64 numpy blocks, so its products run there.
     """
     if kind not in _CHECKERS:
         raise InputError(f"unknown search kind {kind!r}; one of {_CHECKERS}")
@@ -469,7 +469,7 @@ def search_rows(algebra: Algebra, module: Bimodule | None, kind: str,
     twist = None if cocycle is None else cocycle._tensor
     pure = total * _candidate_work(
         kind, algebra.dim, shape[0], kind != "aybe" and module._left is c,
-        twist is not None) <= linalg.PURE_WORK
+        twist is not None) <= linalg.PURE_WORK or not linalg.has_numpy()
     block = max(1, min(SEARCH_BLOCK, BLOCK_ENTRIES // max(shape) ** 3))
     if pure:        # the digits of an index's leading and trailing halves
         half = p ** (n // 2)

@@ -151,12 +151,12 @@ def ns_from_trb(inst) -> NSAlgebra:
 
 
 def total_product(structure) -> Algebra:
-    """The sum of the products as an associative Algebra (construction
-    fails loudly if the structure's axioms do not hold)."""
+    """The sum of the products as an associative Algebra, which the
+    structure's axioms imply (it fails loudly if they do not hold)."""
     report = _check(structure)
     if not report:
         raise InputError(f"structure axioms fail: {report.detail}")
-    return Algebra(structure.field, structure._total())
+    return Algebra(structure.field, structure._total(), check=False)
 
 
 def induced_actions(inst) -> Bimodule:
@@ -164,8 +164,10 @@ def induced_actions(inst) -> Bimodule:
     GRB instance:
     m ._p a = p(m)a - p(m.a)  (left action of M_ass on A, (dM, dA, dA)),
     a ._p m = ap(m) - p(a.m)  (right action, (dA, dM, dA)); GRB implies the
-    dendriform and bimodule axioms, so neither is checked (test_theorems)."""
-    m_ass = Algebra(inst.field, dendriform_from_grb(inst)._total())
+    dendriform axioms, so M_ass's associativity, and the bimodule axioms,
+    so none is checked (test_theorems)."""
+    m_ass = Algebra(inst.field, dendriform_from_grb(inst)._total(),
+                    check=False)
     A, M, P = inst.algebra, inst.module, inst._op
     # left[j, i] = p(m_j) e_i - p(m_j . e_i); right[i, j] = e_i p(m_j) - p(e_i . m_j)
     left = einsum("ja,ail->jil", P, A._c) - einsum("jix,xl->jil", M._right, P)

@@ -159,11 +159,12 @@ def test_arithmetic_matches_numpy():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_tall_tensordots_run_columnwise(seed, monkeypatch):
-    """A tensordot with more rows n than k * m runs column-wise, the rows
-    innermost, at densities 0.1 and 0.9 and with k or m zero; an operand
-    already in contraction order is read in place, one out of it is
-    copied once, and no operand is written."""
+def test_tall_tensordots_run_rowwise(seed, monkeypatch):
+    """A tensordot with more rows n than k * m, one pair of starts and
+    so fewer pairs than rows, loops over its rows, at densities 0.1 and
+    0.9 and with k or m zero; an operand already in contraction order is
+    read in place, one out of it is copied once, and no operand is
+    written."""
     rng = random.Random(seed + 40)
     taken, copied = [], []
     columns, transpose = linalg._columns, IntTensor.transpose
@@ -188,7 +189,7 @@ def test_tall_tensordots_run_columnwise(seed, monkeypatch):
             copied.clear()
             same(pure_einsum(tensordot_spec(len(sa), len(sb), axes), a, b),
                  np.tensordot(obj(a), obj(b), axes))
-            assert len(taken) == 1 and len(copied) == transposed, (sa, sb)
+            assert not taken and len(copied) == transposed, (sa, sb)
             assert (a.flat, b.flat) == before
 
 
@@ -228,9 +229,10 @@ def test_views_copy():
 @pytest.mark.parametrize("seed", range(4))
 def test_batch_innermost_products_match_numpy(seed, monkeypatch):
     """A product with more rows, n for each (start_a, start_b) pair, than
-    k * m loops over the index triples, the pairs (or, when they are
-    fewer, the rows) innermost: batch letters on either side or both,
-    and k, n or m zero."""
+    k * m, and at least as many pairs as n, loops over the index
+    triples, the pairs innermost; with fewer pairs than n it loops over
+    its rows: batch letters on either side or both, and k, n or m
+    zero."""
     rng = random.Random(seed + 20)
     taken = []
     real = linalg._columns
@@ -240,32 +242,31 @@ def test_batch_innermost_products_match_numpy(seed, monkeypatch):
         return real(a, picks_a, b, picks_b, n, k, m)
 
     monkeypatch.setattr(linalg, "_columns", spy)
-    # (spec, shape a, shape b): the output's last two letters are the
-    # rows i and the columns k of a product over j
-    cases = [("xij,jk->xik", (9, 2, 2), (2, 2)),
-             ("ij,xjk->xik", (2, 2), (9, 2, 2)),
-             ("xij,xjk->xik", (9, 2, 2), (9, 2, 2)),
-             ("xij,yjk->xyik", (5, 2, 2), (4, 2, 2)),
-             ("bij,bxjk->bxik", (30, 3, 3), (30, 3, 3, 3)),
-             ("yij,xjk->xyik", (3, 3, 3), (20, 3, 3)),
-             ("bij,bjk->bik", (6, 2, 0), (6, 0, 3)),
-             ("bij,bjk->bik", (6, 0, 2), (6, 2, 3)),
-             ("bij,bjk->bik", (6, 2, 2), (6, 2, 0)),
-             ("xij,jk->xik", (0, 2, 2), (2, 2)),
-             ("ij,xyjk->xyik", (2, 2), (4, 0, 2, 2)),
-             # more rows than pairs: every row a pair of its own
-             ("xij,xjk->xik", (2, 9, 2), (2, 2, 2)),
-             ("xij,yjk->xyik", (3, 7, 2), (2, 2, 3)),
-             ("xij,xjk->xik", (2, 9, 2), (2, 2, 0))]
-    for spec, sa, sb in cases:
+    # (spec, shape a, shape b, whether it loops over the index triples):
+    # the output's last two letters are the rows i and the columns k of a
+    # product over j, and its other letters of a only join the rows
+    cases = [("xij,jk->xik", (9, 2, 2), (2, 2), False),
+             ("ij,xjk->xik", (2, 2), (9, 2, 2), True),
+             ("xij,xjk->xik", (9, 2, 2), (9, 2, 2), True),
+             ("xij,yjk->xyik", (5, 2, 2), (4, 2, 2), True),
+             ("bij,bxjk->bxik", (30, 3, 3), (30, 3, 3, 3), True),
+             ("yij,xjk->xyik", (3, 3, 3), (20, 3, 3), True),
+             ("bij,bjk->bik", (6, 2, 0), (6, 0, 3), True),
+             ("bij,bjk->bik", (6, 0, 2), (6, 2, 3), False),
+             ("bij,bjk->bik", (6, 2, 2), (6, 2, 0), True),
+             ("xij,jk->xik", (0, 2, 2), (2, 2), False),
+             ("ij,xyjk->xyik", (2, 2), (4, 0, 2, 2), False),
+             # more rows than pairs: the row loop
+             ("xij,xjk->xik", (2, 9, 2), (2, 2, 2), False),
+             ("xij,yjk->xyik", (3, 7, 2), (2, 2, 3), False),
+             ("xij,xjk->xik", (2, 9, 2), (2, 2, 0), False)]
+    for spec, sa, sb, columns in cases:
         a, b = ints(sa, rng, 0.5), ints(sb, rng, 0.5)
         ref = np.einsum(spec, obj(a), obj(b))
         taken.clear()
         same(pure_einsum(spec, a, b), ref)
-        rows, k, m = math.prod(ref.shape[:-1]), sa[-1], ref.shape[-1]
-        assert taken == ([rows] if rows > k * m else []), spec
-    # no pairs at all, taken directly (tall products with k or m zero
-    # take it too: test_tall_tensordots_run_columnwise)
+        assert taken == ([math.prod(ref.shape[:-1])] if columns else []), spec
+    # no pairs at all, taken directly
     assert real([1, 2, 3, 4], [(4, range(0))], [5, 6, 7, 8], [(2, range(0))],
                 2, 2, 1) == []
 

@@ -1221,15 +1221,16 @@ def test_usage_error_under_json_also_writes_an_error_report(mbx_file, capsys,
 
 
 # help and usage texts at COLUMNS=80, recorded from the 18-subparser parser
-# before verbs got parsers of their own
+# before verbs got parsers of their own, and checked on the Pythons listed
 with open(os.path.join(os.path.dirname(__file__),
                        "cli_help_goldens.json"), encoding="utf-8") as fh:
     HELP_GOLDENS = json.load(fh)
 
 
 @pytest.mark.skipif(
-    list(sys.version_info[:2]) != HELP_GOLDENS["python"],
-    reason="argparse wording differs between Python versions")
+    list(sys.version_info[:2]) not in HELP_GOLDENS["pythons"],
+    reason="argparse wording differs on Pythons the goldens were not "
+           "checked on")
 @pytest.mark.parametrize("case", HELP_GOLDENS["cases"],
                          ids=lambda case: " ".join(case["argv"]) or "none")
 def test_help_and_usage_texts_are_unchanged(case, capsys, monkeypatch):
@@ -1243,7 +1244,7 @@ def test_help_and_usage_texts_are_unchanged(case, capsys, monkeypatch):
 
 # each verb's arguments as (option strings, dest, default, choices,
 # required, nargs), after the -h and --json every verb takes: the option
-# surface on every Python, where the help goldens above hold on one
+# surface on every Python, where the help goldens above hold on those listed
 HELP = (("-h", "--help"), "help", "==SUPPRESS==", None, False, 0)
 JSON = (("--json",), "json", False, None, False, 0)
 FILE = ((), "file", None, None, True, None)
@@ -1389,6 +1390,27 @@ def test_an_empty_output_is_a_path(mbx_file, ts_file, capsys, argv, action):
     assert run(capsys, *argv) == (
         2, f"ERROR: {argv[0]} - cannot {action} '': "
            f"[Errno 2] No such file or directory: ''\n")
+
+
+@pytest.mark.parametrize("argv, formats", [
+    (["catalog", "emit", "mult-by-x", "-o", "{out}"], 1),
+    (["derive-dendriform", "{mbx}", "-o", "{out}"], 2),
+    (["derive-ns", "{ts}", "-o", "{out}", "--json"], 2),
+    (["search", "{mbx}", "--kind", "rb", "--field", "F3"], 1)],
+    ids=["catalog-emit", "derive-dendriform", "derive-ns", "search-field"])
+def test_each_document_is_formatted_once(mbx_file, ts_file, tmp_path, capsys,
+                                         monkeypatch, argv, formats):
+    """An invocation formats each document it reads or writes once: the
+    `-o` file and the report share the written document's object, and
+    `search --field` recasts the object its digest was taken of."""
+    from rbx import schema
+    calls, real = [], schema.document_to_obj
+    monkeypatch.setattr(schema, "document_to_obj",
+                        lambda doc: calls.append(doc) or real(doc))
+    out = str(tmp_path / "out.json")
+    argv = [a.format(mbx=mbx_file, ts=ts_file, out=out) for a in argv]
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == formats
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

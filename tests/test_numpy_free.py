@@ -7,8 +7,10 @@ one's whole dense work is within `linalg.PURE_WORK`.  Its reports
 equal, apart from `timing_ms`, those of a normal run and of a run with
 every product and every search block sent to numpy (`PURE_WORK` = -1).
 A search past the rule (mult-by-x over F11 or F31) does import numpy,
-and its report lists the expected solutions.  Every
-emittable catalog instance, and truncated-poly at degrees 3 to 8, emits
+and its report lists the expected solutions; without numpy, the F11
+`nijenhuis` search and the degree-30 `flow` and `check-assoc` run pure,
+to the same reports.  Every emittable catalog instance, and
+truncated-poly at degrees 3 to 8, emits
 the same bytes without numpy as in a normal run.  The library's checks
 on nested-list matrices (`library_verdicts.py`) reach the same verdicts
 without numpy as in a normal run, and so does every verb but `search` on
@@ -199,6 +201,32 @@ def test_search_past_the_pure_rule_imports_numpy(tmp_path, doc, kind, field,
     assert solutions[:len(head)] == head and solutions[-1] == last
     text = re.sub(r'\n  "timing_ms": [0-9.]+,', "", out)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (["truncated-poly", "--degree", "30"], ["flow"]),
+    (["truncated-poly", "--degree", "30"], ["check-assoc"]),
+    (["mult-by-x"], ["search", "--kind", "nijenhuis", "--field", "F11"])],
+    ids=["flow-degree-30", "check-assoc-degree-30", "search-nijenhuis-F11"])
+def test_verbs_past_the_pure_rule_run_without_numpy(tmp_path, doc, argv):
+    """A verb whose products or search pass `linalg.PURE_WORK`, in a
+    child where importing numpy fails, ends within 60 s with exit 0 and
+    the report of a normal run, apart from `timing_ms`."""
+    path = str(tmp_path / "doc.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["catalog", "emit", *doc, "-o", path]) == 0
+    argvs = [[argv[0], path, *argv[1:], "--json"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_WITHOUT_NUMPY, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True, text=True, timeout=60, check=True)
+    (rc, out), = json.loads(proc.stdout)
+    (normal_rc, normal), = in_process(argvs, str(tmp_path))
+    assert (rc, normal_rc) == (0, 0)
+
+    def text(report):
+        return re.sub(r'\n  "timing_ms": [0-9.]+,', "", report)
+    assert text(out) == text(normal) and "timing_ms" not in text(out)
 
 
 # the bytes of `library_verdicts.py`'s output

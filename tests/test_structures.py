@@ -189,6 +189,21 @@ def test_vee_cochain_of_catalog_ns_is_cocycle():
 # ---------------------------------------------------------------------------
 # induced actions and derivation duality
 
+def test_an_implied_total_product_is_not_checked_again(mult_by_x_q,
+                                                       monkeypatch):
+    """`total_product` and `induced_actions` build their algebra without
+    `assoc_check`, as the passed dendriform or GRB check implies it; the
+    product is associative all the same."""
+    from rbx import algebra
+    calls, real = [], algebra.assoc_check
+    monkeypatch.setattr(algebra, "assoc_check",
+                        lambda c: calls.append(c) or real(c))
+    alg = total_product(dendriform_from_grb(mult_by_x_q))
+    base = induced_actions(mult_by_x_q).base
+    assert calls == []
+    assert real(alg._c) and real(base._c)
+
+
 def test_induced_actions_zero_operator(kx2_q):
     inst = OperatorInstance(kx2_q, canonical_bimodule(kx2_q), zeros((2, 2), QQ))
     actions = induced_actions(inst)
