@@ -33,12 +33,16 @@ CPython's built-in SHA-256, and literals are read straight to integers,
 so a `Fraction` is built, and `fractions` imported, only for a witness
 over Q.  A search's solutions are written
 by `schema.format_tensor`.
+
+A process ends in `run`, which freezes what is alive once `main` returns
+or raises, so the interpreter's collections at shutdown visit nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import os
 import re
@@ -628,5 +632,17 @@ def main(argv=None) -> int:
     return report.exit_code
 
 
+def run() -> int:
+    """The process's end, for `python -m rbx.cli` and the `rbx` script:
+    `main`'s exit code, with every object left frozen on every way out,
+    so the collections at shutdown skip them (atexit handlers, the stdio
+    flush and module teardown still run); `main` in process never
+    freezes."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

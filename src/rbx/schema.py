@@ -119,10 +119,20 @@ def _require(mapping, key, path, kind=None):
     return value
 
 
+def _distinct_keys(pairs):
+    """A JSON object's dict; a repeated key is refused, not overwritten."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise InputError(f"JSON object repeats the key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
 def decode(text: str):
     """The JSON value of a document's text; the one decode path."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_distinct_keys)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"JSON parse error at line {exc.lineno} column {exc.colno}: "

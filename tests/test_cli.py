@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import gc
 import glob
 import hashlib
 import importlib
@@ -880,6 +881,82 @@ def test_each_verb_loads_its_own_modules(verb, argv, expected, verb_docs,
     assert set(listing.read_text().split()) == expected
 
 
+# ---------------------------------------------------------------------------
+# the process's end: `cli.run` freezes what is alive, so the collections at
+# shutdown visit nothing; `main` in process freezes nothing
+
+# a sitecustomize for a child `python -m rbx.cli`: at exit it writes the
+# number of objects the child froze to the file named by `path`
+FREEZE_COUNT_AT_EXIT = """
+import atexit, gc
+
+def _write():
+    with open({path!r}, "w") as fh:
+        fh.write(str(gc.get_freeze_count()))
+
+atexit.register(_write)
+"""
+
+EXIT_PATHS = [
+    # argv, stdout closed, exit code, first word of stdout, stderr
+    (["check-assoc", "{d}/mbx.json"], False, 0, "PASS:", ""),
+    (["check-assoc", "{t}/nonassoc.json"], False, 1, "FAIL:", ""),
+    (["check-assoc", "{t}/missing.json"], False, 2, "ERROR:", ""),
+    (["check-grb"], False, 2, "",
+     "usage: rbx check-grb [-h] [--json] [--map MAP] file\n"
+     "rbx check-grb: error: the following arguments are required: file\n"),
+    (["check-assoc", "{d}/mbx.json"], True, 2, "",
+     "ERROR: check-assoc - cannot write stdout: "
+     "[Errno 9] Bad file descriptor\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, closed, code, marker, stderr", EXIT_PATHS,
+    ids=["pass", "fail", "handler-error", "usage-error", "stdout-closed"])
+def test_every_way_out_freezes_what_is_alive(argv, closed, code, marker,
+                                             stderr, verb_docs, tmp_path):
+    """A `python -m rbx.cli` child has frozen its objects when its atexit
+    handlers run, whichever way it ends."""
+    (tmp_path / "nonassoc.json").write_text(json.dumps({
+        "field": "Q",
+        "algebra": {"dim": 2, "c": [[[0, 1], [1, 0]], [[0, 0], [0, 0]]]}}))
+    count = tmp_path / "freeze-count.txt"
+    (tmp_path / "sitecustomize.py").write_text(
+        FREEZE_COUNT_AT_EXIT.format(path=str(count)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), SRC]))
+    cmd = [sys.executable, "-m", "rbx.cli",
+           *[a.format(d=verb_docs, t=tmp_path) for a in argv]]
+    if closed:          # as `>&-` does: the child starts with no fd 1
+        cmd = ["sh", "-c", 'exec "$@" >&-', "sh", *cmd]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+    assert proc.stdout.split(" ", 1)[0] == marker
+    assert int(count.read_text()) > 0
+
+
+def test_main_in_process_freezes_nothing(mbx_file, capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "check-assoc", mbx_file)[0] == 0
+    with pytest.raises(SystemExit):
+        main(["check-grb"])
+    assert gc.get_freeze_count() == before
+
+
+def test_the_rbx_script_is_the_function_the_main_block_calls():
+    """`[project.scripts]` and `python -m rbx.cli` end the process through
+    the same function (read with a regex: 3.10 has no tomllib)."""
+    root = os.path.dirname(SRC)
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        (script,) = re.findall(r'^rbx = "rbx\.cli:(\w+)"$', fh.read(), re.M)
+    with open(os.path.join(SRC, "rbx", "cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (block,) = [node.body for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in block] == [f"sys.exit({script}())"]
+
+
 def test_every_import_is_read():
     """Every name an import of an rbx module (but the lazy package's
     `__init__`) binds is read in that module, unless the import carries
@@ -1221,22 +1298,28 @@ def test_usage_error_under_json_also_writes_an_error_report(mbx_file, capsys,
 
 
 # help and usage texts at COLUMNS=80, recorded from the 18-subparser parser
-# before verbs got parsers of their own, and checked on the Pythons listed
+# before verbs got parsers of their own: one set of the same cases for each
+# group of Pythons it was checked on, since argparse's wrapping changed in
+# 3.13
 with open(os.path.join(os.path.dirname(__file__),
                        "cli_help_goldens.json"), encoding="utf-8") as fh:
     HELP_GOLDENS = json.load(fh)
+HELP_CASES = next((case_set["cases"] for case_set in HELP_GOLDENS["sets"]
+                   if list(sys.version_info[:2]) in case_set["pythons"]), None)
 
 
 @pytest.mark.skipif(
-    list(sys.version_info[:2]) not in HELP_GOLDENS["pythons"],
+    HELP_CASES is None,
     reason="argparse wording differs on Pythons the goldens were not "
            "checked on")
-@pytest.mark.parametrize("case", HELP_GOLDENS["cases"],
-                         ids=lambda case: " ".join(case["argv"]) or "none")
-def test_help_and_usage_texts_are_unchanged(case, capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [case["argv"] for case
+                                  in HELP_GOLDENS["sets"][0]["cases"]],
+                         ids=lambda argv: " ".join(argv) or "none")
+def test_help_and_usage_texts_are_unchanged(argv, capsys, monkeypatch):
+    (case,) = [case for case in HELP_CASES if case["argv"] == argv]
     monkeypatch.setenv("COLUMNS", str(HELP_GOLDENS["columns"]))
     with pytest.raises(SystemExit) as exc:
-        main(list(case["argv"]))
+        main(list(argv))
     out, err = capsys.readouterr()
     assert (exc.value.code, out, err) == \
         (case["code"], case["stdout"], case["stderr"])

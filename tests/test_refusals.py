@@ -369,3 +369,31 @@ def test_a_refused_literal_imports_no_fractions(refused_literals):
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
         timeout=120, check=True)
     assert json.loads(proc.stdout) == [[2, []]] * len(argvs)
+
+
+# documents that repeat a key, whose last value a plain decode would keep:
+# a Q field then an F5 one, two algebras, and a key repeated inside a section
+PI = '"maps": {"pi": [[0]]}'
+REPEATED_KEYS = {
+    "field": ('{"field": "Q", "field": {"Fp": 5}, '
+              '"algebra": {"dim": 1, "c": [[[1]]]}, ' + PI + '}', "field"),
+    "algebra": ('{"field": "Q", "algebra": {"dim": 1, "c": [[[2]]]}, '
+                '"algebra": {"dim": 1, "c": [[[1]]]}, ' + PI + '}',
+                "algebra"),
+    "nested": ('{"field": "Q", "algebra": {"dim": 1, "c": [[[1]]], '
+               '"c": [[[1]]]}, ' + PI + '}', "c"),
+}
+
+
+@pytest.mark.parametrize("verb", ["check-assoc", "check-grb"])
+@pytest.mark.parametrize("case", REPEATED_KEYS)
+def test_a_repeated_key_is_refused_by_name(tmp_path, verb, case):
+    """Both readers of a document refuse a repeated key, which the
+    document without the repetition passes."""
+    text, key = REPEATED_KEYS[case]
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    assert run_main([verb, str(doc)]) == (
+        2, f"ERROR: {verb} - JSON object repeats the key {key!r}")
+    doc.write_text(json.dumps(json.loads(text)))
+    assert run_main([verb, str(doc)])[0] == 0
