@@ -17,13 +17,14 @@ and the full parser of all verbs only for `--help`, an unknown or
 missing verb, or a top-level error such as an unrecognized argument, so
 help and usage texts read as before.  The parser, `explain`, `--help`
 and usage errors need the standard library alone, and `catalog list`
-the catalog's table alone; every other handler, and each helper it
-calls, imports the core modules it calls where it runs (`from . import
-operators, schema`), so a verb loads, and compiles, only the modules
-its handler reaches, and that set can be read off the handler (`search`
-also loads the modules it does not run; see `cmd_search`).  They call
-through the modules (`operators.is_grb`), so a function patched
-onto a core module is the one called.  No core module
+and the refusals of `catalog emit` the catalog's table alone; every
+other handler, and each helper it calls, imports the core modules it
+calls where it runs (`from . import operators, schema`), so a verb
+loads, and compiles, only the modules its handler reaches, and that set
+can be read off the handler (`search` also loads the modules it does not
+run; see `cmd_search`).  They call through the modules
+(`operators.is_grb`), so a function patched onto a core module is the
+one called.  No core module
 imports numpy when it loads: the checking verbs, `catalog emit` and a
 small `search` work on the kernel's pure-Python integers, and numpy is
 imported only by a product or a search too large for them (see
@@ -402,8 +403,6 @@ def cmd_catalog(args):
                  in sorted(TABLE.items())]
         return Report("catalog", "pass", detail="catalog instances",
                       extra={"instances": lines})
-    from .instances import BUILDERS
-
     name = args.name
     if name is None:
         raise InputError("catalog emit needs an instance name")
@@ -416,6 +415,7 @@ def cmd_catalog(args):
             f"{name!r} has no finite structure-constant form")
     if args.degree is not None and not takes_degree:
         raise InputError(f"{name!r} takes no --degree")
+    from .instances import BUILDERS
     built = BUILDERS[name](args.degree) if takes_degree else BUILDERS[name]()
     return _document_report(args, _document_from_built(built),
                             f"instance {name!r} in the shared schema")

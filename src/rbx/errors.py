@@ -20,5 +20,5 @@ class CapacityError(RbxError):
 
 
 class CharacteristicError(RbxError):
-    """The base field lacks an inverse required by the requested
-    operation (e.g. 1/2 or 1/6 over F2/F3)."""
+    """The base field lacks an inverse the operation needs: only the
+    integration denominators 2..N of truncated-poly over F_p, p <= N."""

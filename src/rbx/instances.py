@@ -8,13 +8,13 @@ structure-constant form; the test suite checks it with its own exact
 engine (`tests/weyl.py`).  Structure constants, actions, operators and
 twists are built directly in the integer encoding (`linalg.Encoded`), so
 the catalog builds and emits its small instances without numpy; the maps
-the builders take are matrices (see `operators`).
+the builders take are matrices (see `operators`); only the twisted
+ones import `cochains`.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra, Bimodule, canonical_bimodule, intertwining
-from .cochains import Cochain, coboundary
 from .errors import CapacityError, CharacteristicError, InputError
 from .fields import QQ
 from .linalg import (Encoded, IntTensor, _shaped, decoded, einsum, embed, eye,
@@ -55,6 +55,7 @@ def mult_by_x_instance(field) -> OperatorInstance:
 def tensor_square(algebra: Algebra) -> OperatorInstance:
     """The multiplication A (x) A -> A as a twisted operator with twist
     phi(a, b) = -a (x) b; A (x) A is unchecked: A is associative."""
+    from .cochains import Cochain
     d, c, field = algebra.dim, algebra._c, algebra.field
     one = Encoded(field, eye(d))
     # basis e_u (x) e_v at u * d + v: a.(u (x) v) = au (x) v and
@@ -71,6 +72,7 @@ def tensor_square(algebra: Algebra) -> OperatorInstance:
 def unit_section(algebra: Algebra, module: Bimodule, f, e) -> OperatorInstance:
     """An A-linear surjection f: M -> A with a section point f(e) = 1
     becomes a twisted operator with twist phi(a, b) = -a.e.b."""
+    from .cochains import Cochain
     unit = algebra._unit()
     if unit is None:
         raise InputError("unit_section needs a unital algebra")
@@ -99,6 +101,7 @@ def invertible_cochain_instance(algebra: Algebra, module: Bimodule,
                                 omega) -> OperatorInstance:
     """An invertible 1-cochain w: A -> M (the matrix `omega`) yields the
     twisted operator p = w^{-1}: M -> A with twist -dw."""
+    from .cochains import Cochain, coboundary
     w = _shaped(algebra.field, omega, (algebra.dim, module.dim),
                 "the 1-cochain must map A to M")
     phi = -coboundary(Cochain(algebra, module, w))._tensor

@@ -44,7 +44,7 @@ import math
 from itertools import chain, compress, islice, product
 
 from .algebra import Algebra, Bimodule, Verdict, canonical_bimodule, extension
-from .errors import CapacityError, CharacteristicError, InputError
+from .errors import CapacityError, InputError
 from . import linalg
 from .fields import QQ
 from .linalg import Encoded, IntTensor, _np, _shaped, combine, decoded, \
@@ -249,17 +249,10 @@ def structure_residual(inst: OperatorInstance):
     """(1/2)[p^, p^]_mu^  (+ (1/6)[[[phi^,p^],p^],p^] when twisted);
     the zero map exactly when the instance satisfies its identity.
     Evaluated as the flow's half term (1/2)X^2(mu^), minus
-    `twist_insertion` when twisted; the guards for 1/2 and 1/6 are kept.
+    `twist_insertion` when twisted: insertions with no division, over
+    every field; the flow of mu^ + phi^ minus its truncation (`flows`).
     """
     from .gerstenhaber import half_square
-    field = inst.field
-    if inst.cocycle is not None and field.char in (2, 3):
-        raise CharacteristicError(
-            "the twisted structure residual needs 1/6; characteristic "
-            f"{field.char} is refused")
-    if field.char == 2:
-        raise CharacteristicError(
-            "the structure residual needs 1/2; characteristic 2 is refused")
     residual = half_square(semidirect_mult_map(inst), lift_operator(inst))[0]
     if inst.cocycle is not None:
         residual = residual - twist_insertion(inst)

@@ -20,11 +20,6 @@ def kx2_q():
 
 
 @pytest.fixture
-def kx2_f2():
-    return kx2(F2)
-
-
-@pytest.fixture
 def mult_by_x_q():
     return mult_by_x_instance(QQ)
 

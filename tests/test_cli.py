@@ -344,15 +344,46 @@ def test_check_reynolds_and_nijenhuis(tmp_path, capsys):
     assert run(capsys, "check-nijenhuis", str(path), "--map", "N")[0] == 0
 
 
-def test_characteristic_error_is_exit_2(tmp_path, capsys):
+def test_residual_over_f2_decides_as_check_grb(tmp_path, capsys):
+    # the residual divides by nothing, so it answers over F2
     path = tmp_path / "f2.json"
-    path.write_text(json.dumps({
-        "field": {"Fp": 2},
-        "algebra": {"dim": 2, "c": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]},
-        "maps": {"pi": [[0, 1], [0, 0]]},
-    }))
-    code, out = run(capsys, "residual", str(path))
-    assert code == 2 and "characteristic" in out
+    for pi, code in (([[0, 1], [0, 0]], 0), ([[1, 0], [0, 1]], 1)):
+        path.write_text(json.dumps({
+            "field": {"Fp": 2},
+            "algebra": {"dim": 2, "c": [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]},
+            "maps": {"pi": pi},
+        }))
+        assert run(capsys, "residual", str(path))[0] == code
+        assert run(capsys, "check-grb", str(path))[0] == code
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_residual_addexp_and_checkers_agree_over_f2_and_f3(
+        mbx_file, ts_file, tmp_path, capsys, p):
+    """On the catalog's documents over F_p with random operators, plain
+    and twisted, `residual`, `check-addexp` and `check-grb`/`check-trb`
+    reach one verdict."""
+    rng = random.Random(p)
+    codes = set()
+    for source, twisted in ((mbx_file, False), (ts_file, False),
+                            (ts_file, True)):
+        with open(source) as fh:
+            doc = json.load(fh)
+        doc["field"] = {"Fp": p}
+        rows = len(doc["maps"]["pi"])
+        for trial in range(6):
+            if trial:
+                doc["maps"]["pi"] = [[rng.randrange(p) for _ in range(2)]
+                                     for _ in range(rows)]
+            path = tmp_path / f"doc-{p}.json"
+            path.write_text(json.dumps(doc))
+            phi = ["--phi", "phi"] if twisted else []
+            checker = "check-trb" if twisted else "check-grb"
+            verdicts = {run(capsys, verb, str(path), *phi)[0]
+                        for verb in ("residual", "check-addexp", checker)}
+            assert len(verdicts) == 1 and verdicts <= {0, 1}
+            codes |= verdicts
+    assert codes == {0, 1}
 
 
 def test_json_reports_stable_modulo_timing(ts_file, capsys):
@@ -364,6 +395,15 @@ def test_json_reports_stable_modulo_timing(ts_file, capsys):
     assert r1 == r2
     assert r1["verdict"] == "pass"
     assert r1["input_digest"]
+
+
+def test_one_input_digest_on_an_emitted_file(mbx_file, capsys):
+    """check-assoc hashes the JSON as written, every other verb the
+    document as rbx formats it; on a file rbx wrote, the two agree."""
+    digests = {json.loads(run(capsys, verb, mbx_file, "--json")[1])
+               ["input_digest"]
+               for verb in ("check-assoc", "check-grb", "check-bimodule")}
+    assert len(digests) == 1 and None not in digests
 
 
 # `rbx catalog list` byte for byte, as the benchmark pins its digest
@@ -460,6 +500,7 @@ def test_catalog_emit_truncated_poly(tmp_path, capsys, degree):
 
 
 @pytest.mark.parametrize("argv, message", [
+    (["emit"], "catalog emit needs an instance name"),
     (["emit", "mult-by-x", "--degree", "5"], "'mult-by-x' takes no --degree"),
     (["list", "foo"], "catalog list takes no instance name"),
     (["list", "--degree", "3"], "catalog list takes no instance name"),
@@ -849,8 +890,11 @@ VERB_MODULES = [
                 "--field", "F2"], SEARCH),
     ("aybe", ["{d}/mbx.json", "--r", "pi"], OPERATORS),
     ("catalog", ["list"], PARSER | {"rbx.catalog"}),
+    ("catalog", ["emit", "weyl"], PARSER | {"rbx.catalog"}),  # a refusal
     ("catalog", ["emit", "mult-by-x"],
-     OPERATORS | {"rbx.catalog", "rbx.cochains", "rbx.instances"}),
+     OPERATORS | {"rbx.catalog", "rbx.instances"}),
+    ("catalog", ["emit", "truncated-poly"],
+     OPERATORS | {"rbx.catalog", "rbx.instances"}),
     ("catalog", ["emit", "tensor-square"],
      OPERATORS | {"rbx.catalog", "rbx.cochains", "rbx.instances"}),
     ("explain", ["flow"], PARSER),
@@ -877,7 +921,8 @@ def test_each_verb_loads_its_own_modules(verb, argv, expected, verb_docs,
         [sys.executable, "-m", "rbx.cli", verb,
          *[a.format(d=verb_docs) for a in argv]],
         env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == (2 if verb == "check-grb" and not argv else 0)
+    refusals = [("check-grb", []), ("catalog", ["emit", "weyl"])]
+    assert proc.returncode == (2 if (verb, argv) in refusals else 0)
     assert set(listing.read_text().split()) == expected
 
 

@@ -1,3 +1,4 @@
+import operator
 import re
 from fractions import Fraction
 
@@ -19,6 +20,9 @@ def test_fp_canonical_representatives():
     assert (x + 4).val == 1
     assert (x * x).val == 4
     assert (x / FpElement(3, 5)).val == 4  # 2 * 3^{-1} = 2*2 = 4
+    assert 5 - FpElement(3, 7) == FpElement(2, 7)
+    assert +x is x
+    assert str(FpElement(10, 7)) == "3"
 
 
 def test_fp_division_by_zero():
@@ -34,6 +38,12 @@ def test_fp_modulus_mixing_rejected():
 def test_fp_foreign_types_rejected():
     with pytest.raises(TypeError):
         F5.one + Fraction(1, 2)
+    x, y = FpElement(1, 7), Fraction(1, 2)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert x != "1"
 
 
 def test_prime_validation():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -8,7 +10,7 @@ from oracle import (identity, induced_product, random_tensor, tensors_equal,
                     zeros)
 from propositions import intertwiner_check
 from rbx.algebra import canonical_bimodule
-from rbx.fields import F2, F3, F5, QQ
+from rbx.fields import F2, F3, F5, QQ, PrimeField
 from rbx.gerstenhaber import g_bracket
 from rbx.instances import (kx2, mult_by_x_instance, swap_instance,
                            tensor_square, truncated_polynomial)
@@ -19,6 +21,9 @@ from rbx.operators import (OperatorInstance, extension_mult_map,
 from rbx.flows import (addexp_check, exp_flow, flow_truncation,
                        hamiltonian_field)
 from rbx.structures import ns_from_trb, total_product
+
+
+F7 = PrimeField(7)
 
 
 def random_instance(field, rng, twisted=False):
@@ -151,7 +156,8 @@ def test_closed_forms_match_bracket_route():
 
 def test_flow_works_over_small_characteristic():
     # closed forms keep the flow exact over F2 and F3: always associative,
-    # always conjugate to theta, truncating exactly for Rota-Baxter maps
+    # always conjugate to theta, truncating, with a zero residual, exactly
+    # for Rota-Baxter maps
     rng = random.Random(68)
     for field in (F2, F3):
         A = kx2(field)
@@ -164,7 +170,8 @@ def test_flow_works_over_small_characteristic():
             assert g_bracket(flow.total, flow.total).is_zero_map()
             T = identity(4, field) + lift_operator(inst).tensor
             assert intertwiner_check(T, flow.total, flow.theta)
-            assert bool(addexp_check(inst)) == bool(is_grb(inst))
+            assert bool(addexp_check(inst)) == bool(is_grb(inst)) == \
+                structure_residual(inst).is_zero_map()
 
 
 def test_addexp_catalog_trb_instances():
@@ -212,6 +219,25 @@ def test_addexp_iff_residual_zero():
     assert seen[False]
 
 
+def test_flow_minus_truncation_is_the_structure_residual():
+    # exact, entry for entry, for every operator and in every
+    # characteristic: the flow's terms past the truncation are
+    # (1/2)X^2(mu^) - p^ phi^(p^ (x) p^)
+    rng = random.Random(70)
+    for field in (QQ, F2, F3, F5, F7):
+        insts = [random_instance(field, rng, twisted)
+                 for twisted in (False, True) for _ in range(3)]
+        ts = tensor_square(kx2(field))
+        for cocycle in (None, ts.cocycle):
+            insts += [OperatorInstance(ts.algebra, ts.module,
+                                       random_tensor((4, 2), field, rng),
+                                       cocycle) for _ in range(2)]
+        for inst in insts:
+            gap = exp_flow(inst).total - flow_truncation(inst)
+            assert tensors_equal(gap.tensor,
+                                 structure_residual(inst).tensor), inst
+
+
 def test_addexp_equals_trb_verdict():
     rng = random.Random(67)
     for twisted in (False, True):
@@ -225,8 +251,9 @@ BUILDS = {"truncated-poly-5": lambda: truncated_polynomial(5),
           "swap-cochain": lambda: swap_instance(QQ)}
 
 # circ_i calls per function on (truncated-poly-5, swap-cochain): no
-# insertion is computed twice or left unused
-CIRC_I_CALLS = [(addexp_check, 7, 12), (exp_flow, 7, 7),
+# insertion is computed twice or left unused, and addexp_check makes
+# only the residual's
+CIRC_I_CALLS = [(addexp_check, 5, 8), (exp_flow, 7, 7),
                 (structure_residual, 5, 8), (flow_truncation, 3, 8)]
 
 
@@ -255,3 +282,51 @@ def test_addexp_reuses_the_flow_terms(func, name, calls, monkeypatch):
     assert len(count) == calls
     if func is addexp_check:
         assert result
+
+
+# SHA-256 of the check-addexp --json reports, timing_ms dropped, of the
+# cli-small and flow-heavy plans at seeds 1 to 3 in plan order, as the
+# comparison of the flow with its truncation made them
+ADDEXP_PLAN_REPORTS = \
+    "c347684c081a590e56b17e9a12e19ab4cbe221d64548a4aaaa0d9f917f0acd9b"
+
+
+def test_addexp_reports_on_the_plans_are_the_flow_comparisons(tmp_path):
+    """`check-addexp` on the benchmark's documents reports what comparing
+    the flow with its truncation reports: the verdict, the witness and
+    both sides, and the pinned bytes."""
+    from rbx import cli, schema
+    from rbx.algebra import Verdict
+    from test_numpy_free import in_process, workloads, write_documents
+
+    reports = []
+    for name in ("cli-small", "flow-heavy"):
+        for seed in (1, 2, 3):
+            plan = workloads.plan(name, seed)
+            workdir = tmp_path / f"{name}-{seed}"
+            workdir.mkdir()
+            write_documents(plan, str(workdir))
+            for inv in plan.invocations:
+                argv = inv.argv
+                if argv[0] != "check-addexp":
+                    continue
+                (rc, out), = in_process([argv + ["--json"]], str(workdir))
+                report = json.loads(out)
+                report.pop("timing_ms")
+                doc = schema.load_document((workdir / argv[1]).read_text())
+                phi = argv[argv.index("--phi") + 1] if "--phi" in argv \
+                    else None
+                inst = cli._instance(doc, "pi", phi)
+                flow = Verdict.compare(exp_flow(inst).total._tensor,
+                                       flow_truncation(inst)._tensor, 3)
+                assert (rc, report["verdict"]) == \
+                    ((0, "pass") if flow else (1, "fail")), argv
+                if not flow:
+                    assert report["witness"] == {
+                        "index": list(flow.witness),
+                        "lhs": doc.field.format(flow.lhs),
+                        "rhs": doc.field.format(flow.rhs)}, argv
+                reports.append(report)
+    assert {r["verdict"] for r in reports} == {"pass", "fail"}
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ADDEXP_PLAN_REPORTS

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -15,8 +16,8 @@ from rbx import linalg, operators
 from rbx.algebra import (Algebra, bimodule_check, canonical_bimodule,
                          extension)
 from rbx.cochains import Cochain
-from rbx.errors import CapacityError, CharacteristicError, InputError
-from rbx.fields import F2, F3, QQ, PrimeField
+from rbx.errors import CapacityError, InputError
+from rbx.fields import F2, F3, F5, QQ, PrimeField
 from rbx.gerstenhaber import MultiMap, circ_i, g_bracket
 from rbx.instances import (kx2, mult_by_x_instance, null_algebra,
                            swap_instance, tensor_square, truncated_polynomial)
@@ -217,19 +218,28 @@ def test_structure_residual_twisted_catalog_zero():
     assert structure_residual(tensor_square(kx2(QQ))).is_zero_map()
 
 
-def test_structure_residual_characteristic_guards():
-    A2 = kx2(F2)
-    inst = OperatorInstance(A2, canonical_bimodule(A2), zeros((2, 2), F2))
-    with pytest.raises(CharacteristicError):
-        structure_residual(inst)
-    A3 = kx2(F3)
-    M3 = canonical_bimodule(A3)
-    ok = OperatorInstance(A3, M3, zeros((2, 2), F3))
-    assert structure_residual(ok).is_zero_map()  # 1/2 exists in F3
-    twisted = OperatorInstance(A3, M3, zeros((2, 2), F3),
-                               Cochain(A3, M3, zeros((2, 2, 2), F3)))
-    with pytest.raises(CharacteristicError):
-        structure_residual(twisted)  # 1/6 does not exist in F3
+def test_structure_residual_decides_over_f2_and_f3():
+    # division-free: over F2, and twisted over F3, the residual is zero
+    # exactly when the checker passes
+    rng = random.Random(69)
+    for field in (F2, F3):
+        A = kx2(field)
+        M = canonical_bimodule(A)
+        mats = [zeros((2, 2), field), identity(2, field),
+                mult_by_x_instance(field).op]
+        mats += [random_tensor((2, 2), field, rng) for _ in range(6)]
+        for mat in mats:
+            plain = OperatorInstance(A, M, mat)
+            assert structure_residual(plain).is_zero_map() == \
+                bool(is_grb(plain))
+            twisted = reynolds_as_twisted(A, mat)
+            assert structure_residual(twisted).is_zero_map() == \
+                bool(is_trb(twisted))
+        ts = tensor_square(A)
+        assert structure_residual(ts).is_zero_map() and is_trb(ts)
+    assert not structure_residual(
+        OperatorInstance(kx2(F2), canonical_bimodule(kx2(F2)),
+                         identity(2, F2))).is_zero_map()
 
 
 def test_twist_insertion_identity():
@@ -482,9 +492,15 @@ def test_r_tilde_operator_is_read_only():
         inst.op[0, 0] = 1
 
 
+def random_encoded(field, shape, rng):
+    return Encoded(field, linalg.IntTensor(shape, [
+        rng.randrange(field.p) for _ in range(math.prod(shape))]))
+
+
 def test_candidate_work_is_what_the_products_count(monkeypatch):
     """The search's pure rule counts, from shapes, the work that the
-    identity's products count on a block of one candidate."""
+    residual's products count on a block of one candidate: on the
+    catalog's shapes, with the counts pinned, and on random ones."""
     works = []
     real = linalg._route
 
@@ -496,26 +512,41 @@ def test_candidate_work_is_what_the_products_count(monkeypatch):
     monkeypatch.setattr(linalg, "_route", spy)
     rng = random.Random(5)
     K, N, ts = kx2(F3), null_algebra(F2, 3), tensor_square(kx2(F2))
+    T = truncated_polynomial(3, F5)
     dual = dual_module(K)
-    cases = [(kind, K, (), None) for kind in ("rb", "reynolds", "nijenhuis",
-                                              "aybe")] + [
-        ("rb", N, (), None), ("grb", K, (K._c, K._c), None),
-        ("grb", K, (dual._left, dual._right), None),
-        ("grb", ts.algebra, (ts.module._left, ts.module._right), None),
-        ("trb", ts.algebra, (ts.module._left, ts.module._right),
-         ts.cocycle._tensor)]
-    for kind, A, actions, twist in cases:
+    ts_actions = (ts.module._left, ts.module._right)
+    cases = [(kind, A, (), None, work)
+             for A, works_of in ((K, (64, 64, 80, 80)),
+                                 (N, (324, 324, 405, 405)),
+                                 (T.algebra, (324, 324, 405, 405)))
+             for kind, work in zip(("rb", "reynolds", "nijenhuis", "aybe"),
+                                   works_of)]
+    cases += [("grb", K, (K._c, K._c), None, 64),
+              ("grb", K, (dual._left, dual._right), None, None),
+              ("grb", T.algebra, (T.module._left, T.module._right), None,
+               None),
+              ("grb", ts.algebra, ts_actions, None, 480),
+              ("trb", ts.algebra, ts_actions, ts.cocycle._tensor, 672)]
+    for rows, dim in ((1, 1), (3, 2), (2, 4), (5, 3)):
+        A = Algebra(F2, random_encoded(F2, (dim,) * 3, rng), check=False)
+        actions = (random_encoded(F2, (dim, rows, rows), rng),
+                   random_encoded(F2, (rows, dim, rows), rng))
+        cases += [(kind, A, (), None, None)
+                  for kind in ("rb", "reynolds", "nijenhuis", "aybe")]
+        cases += [("grb", A, actions, None, None),
+                  ("trb", A, actions,
+                   random_encoded(F2, (dim, dim, rows), rng), None)]
+    for kind, A, actions, twist, pinned in cases:
         rows = actions[0].shape[1] if actions else A.dim
-        op = Encoded(A.field, linalg.IntTensor((1, rows, A.dim), [
-            rng.randrange(A.field.p) for _ in range(rows * A.dim)]))
+        shape = (A.dim, A.dim) if kind == "aybe" else (rows, A.dim)
+        op = random_encoded(A.field, (1, *shape), rng)
         works.clear()
-        if kind == "aybe":
-            operators._aybe_residual(A._c, op)
-        else:
-            operators._identity_sides(kind, op, A._c, *actions, twist=twist)
+        operators._residual(kind, op, A._c, actions, twist)
         shared = kind != "aybe" and (not actions or actions[0] is A._c)
-        assert sum(works) == operators._candidate_work(
-            kind, A.dim, rows, shared, twist is not None), kind
+        work = operators._candidate_work(kind, A.dim, rows, shared,
+                                         twist is not None)
+        assert sum(works) == work, (kind, A.dim, rows)
+        assert pinned in (None, work), (kind, A.dim, rows)
 
 
 def test_search_past_the_int64_index_is_refused_whatever_the_budget():
