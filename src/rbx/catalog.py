@@ -2,8 +2,9 @@
 `catalog emit` can write it (a finite structure-constant form), and
 whether its builder takes a degree.  `rbx catalog list` reads it without
 importing numpy or `instances.BUILDERS`, the builder of each emittable
-name.  The `weyl` row has no builder: it names the paper's second
-example, which the test suite checks with its own engine.
+name, which `document` imports to build what `catalog emit` writes.
+The `weyl` row has no builder: it names the paper's second example,
+which the test suite checks with its own engine.
 """
 
 TABLE = {
@@ -29,3 +30,20 @@ TABLE = {
         "integration on the Weyl algebra W<x,y>; verified on a safe window "
         "by the exact normal-ordering engine (degree flag, >= 4)", False, True),
 }
+
+
+def document(name, degree=None):
+    """The document of the emittable instance `name`, built at `degree`
+    when its builder takes one, with its encoded tensors."""
+    from . import schema
+    from .instances import BUILDERS
+    built = BUILDERS[name](degree) if TABLE[name][2] else BUILDERS[name]()
+    doc = schema.Document(built.algebra.field, algebra=built.algebra,
+                          bimodule=built.module)
+    doc.maps["pi"] = built._op
+    if hasattr(built, "_omega"):
+        doc.maps["omega"] = built._omega
+    elif built.cocycle is not None:
+        doc.cochains["phi"] = {"arity": 2, "inputs": "A", "output": "M",
+                               "tensor": built.cocycle._tensor}
+    return doc

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 One verb = one library operation; exit code 0 means the checked property
-holds, 1 means it fails (a witness is printed), 2 means an input,
-capacity or characteristic error, output that cannot be written (an
-`-o` path, a closed stdout), or a handler that ran out of memory.
+holds, 1 means it fails (a witness is printed), 2 means an input or
+capacity error, output that cannot be written (an `-o` path, a closed
+stdout), or a handler that ran out of memory.
 `--json` emits a machine-readable report that is byte-stable for
 identical inputs apart from the timing field: a report depends on the
 arguments and the files they name alone, never on the environment.
@@ -341,7 +341,7 @@ def _document_report(args, doc, detail, digest=None):
 
 
 def cmd_search(args):
-    from . import operators, schema
+    from . import schema, search
     # not called: bench/tracing.py wraps these modules' functions after
     # one in-process replay of a workload and reads each module from
     # sys.modules, and search alone is the search workload (ROADMAP item
@@ -354,8 +354,8 @@ def cmd_search(args):
         doc = _cast_document(obj, args.field)
     alg, module = _algebra_module(doc)
     cocycle = schema.cochain_object(doc, args.phi)
-    found = operators.search_rows(alg, module, args.kind, cocycle=cocycle,
-                                  budget=args.budget)
+    found = search.search_rows(alg, module, args.kind, cocycle=cocycle,
+                               budget=args.budget)
     return Report("search", "pass", digest=digest,
                   detail=f"{found.shape[0]} solution(s) of kind {args.kind!r} "
                          f"in canonical order",
@@ -391,7 +391,7 @@ def cmd_aybe(args):
 
 
 def cmd_catalog(args):
-    from .catalog import TABLE
+    from . import catalog
 
     if args.action == "list":
         if (args.name, args.degree, args.output) != (None, None, None):
@@ -400,39 +400,23 @@ def cmd_catalog(args):
         lines = [f"{name}: {description}"
                  + ("" if emittable else " [not emittable]")
                  for name, (description, emittable, _)
-                 in sorted(TABLE.items())]
+                 in sorted(catalog.TABLE.items())]
         return Report("catalog", "pass", detail="catalog instances",
                       extra={"instances": lines})
     name = args.name
     if name is None:
         raise InputError("catalog emit needs an instance name")
-    if name not in TABLE:
+    if name not in catalog.TABLE:
         raise InputError(f"unknown catalog instance {name!r} "
                          f"(try: rbx catalog list)")
-    _, emittable, takes_degree = TABLE[name]
+    _, emittable, takes_degree = catalog.TABLE[name]
     if not emittable:
         raise InputError(
             f"{name!r} has no finite structure-constant form")
     if args.degree is not None and not takes_degree:
         raise InputError(f"{name!r} takes no --degree")
-    from .instances import BUILDERS
-    built = BUILDERS[name](args.degree) if takes_degree else BUILDERS[name]()
-    return _document_report(args, _document_from_built(built),
+    return _document_report(args, catalog.document(name, args.degree),
                             f"instance {name!r} in the shared schema")
-
-
-def _document_from_built(built):
-    """The document of a catalog instance, with its encoded tensors."""
-    from . import schema
-    doc = schema.Document(built.algebra.field, algebra=built.algebra,
-                          bimodule=built.module)
-    doc.maps["pi"] = built._op
-    if hasattr(built, "_omega"):
-        doc.maps["omega"] = built._omega
-    elif built.cocycle is not None:
-        doc.cochains["phi"] = {"arity": 2, "inputs": "A", "output": "M",
-                               "tensor": built.cocycle._tensor}
-    return doc
 
 
 def cmd_explain(args):

@@ -46,7 +46,7 @@ computed as tensors over all basis tuples at once, and
 `first_nonzero_index` (or `first_difference`, for several residuals)
 finds the witness, the first index in C order (that is, lexicographic
 order) at which the sides differ.  The operator identities' specs (in
-`operators`) take leading batch axes, "...": exhaustive search
+`operators`) take leading batch axes, "...": exhaustive search (`search`)
 evaluates a block of candidates at once, and a checker is the same
 evaluation on one candidate.  The one object-dtype helper, `is_zero`,
 stays because the benchmark's tracer wraps it by name.  The capacity
@@ -78,7 +78,7 @@ from .errors import InputError
 # pure, while mult-by-x over F11 (1.2e6) goes to numpy.
 PURE_WORK = 2 ** 18
 
-# A search checks a level of its tree (`operators.search_rows`) only when
+# A search checks a level of its tree (`search.search_rows`) only when
 # the level's box of prefixes, p^t for the first t entries, is at least
 # this, so that the extra call repays its fixed cost.  On the same VM
 # (Python 3.11.7), one pure call of a kx2 identity took 0.30-0.45 ms on a

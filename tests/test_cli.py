@@ -859,15 +859,15 @@ def verb_docs(tmp_path_factory):
 # the rbx modules each verb loads: the package and its errors for the
 # parser alone, the document core for a verb that reads a document, and
 # on top of it what the verb's handler reaches; a twist loads cochains.
-# search loads every module the in-process tracer of bench/tracing.py
-# wraps (see cmd_search)
+# search alone loads rbx.search, and every module the in-process tracer
+# of bench/tracing.py wraps (see cmd_search)
 PARSER = {"rbx", "rbx.errors"}
 CORE = PARSER | {"rbx.algebra", "rbx.fields", "rbx.linalg", "rbx.schema"}
 STRUCTURES = CORE | {"rbx.structures"}
 OPERATORS = CORE | {"rbx.operators"}
 TWISTED = OPERATORS | {"rbx.cochains"}
 FLOWS = OPERATORS | {"rbx.gerstenhaber", "rbx.flows"}
-SEARCH = TWISTED | FLOWS | STRUCTURES
+SEARCH = TWISTED | FLOWS | STRUCTURES | {"rbx.search"}
 VERB_MODULES = [
     ("check-assoc", ["{d}/mbx.json"], CORE),
     ("check-bimodule", ["{d}/mbx.json"], CORE),

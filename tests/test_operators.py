@@ -1,7 +1,11 @@
 import itertools
+import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +16,7 @@ from oracle import (add, aybe_oracle, bilinear, elements, identity,
                     induced_product, oracle_graph_check, random_tensor,
                     tensors_equal, vec_mat, zeros)
 from propositions import dual_module, r_tilde
-from rbx import linalg, operators
+from rbx import linalg, search
 from rbx.algebra import (Algebra, bimodule_check, canonical_bimodule,
                          extension)
 from rbx.cochains import Cochain
@@ -27,6 +31,7 @@ from rbx.operators import (OperatorInstance, aybe_residual,
                            is_trb, lift_cocycle, lift_operator,
                            reynolds_as_twisted, search_operators,
                            structure_residual, twist_insertion)
+from test_cli import SRC
 from test_contract import spy_products
 
 
@@ -541,10 +546,10 @@ def test_candidate_work_is_what_the_products_count(monkeypatch):
         shape = (A.dim, A.dim) if kind == "aybe" else (rows, A.dim)
         op = random_encoded(A.field, (1, *shape), rng)
         works.clear()
-        operators._residual(kind, op, A._c, actions, twist)
+        search._residual(kind, op, A._c, actions, twist)
         shared = kind != "aybe" and (not actions or actions[0] is A._c)
-        work = operators._candidate_work(kind, A.dim, rows, shared,
-                                         twist is not None)
+        work = search._candidate_work(kind, A.dim, rows, shared,
+                                      twist is not None)
         assert sum(works) == work, (kind, A.dim, rows)
         assert pinned in (None, work), (kind, A.dim, rows)
 
@@ -594,9 +599,9 @@ def test_search_refuses_a_twist_on_untwisted_kinds(kind):
     M = canonical_bimodule(A)
     with pytest.raises(InputError, match=f"search kind '{kind}' takes no "
                                          f"twist cochain"):
-        operators.search_rows(A, M, kind, cocycle=Cochain(A, M, -A.c))
+        search.search_rows(A, M, kind, cocycle=Cochain(A, M, -A.c))
     with pytest.raises(InputError, match="'trb' needs the twist cochain"):
-        operators.search_rows(A, M, "trb")
+        search.search_rows(A, M, "trb")
 
 
 def test_search_trb_kind():
@@ -624,10 +629,10 @@ def test_search_blocks_decide_as_one_block(block, route, monkeypatch):
              ("rb", None, None), ("reynolds", None, None),
              ("nijenhuis", None, None), ("aybe", None, None)]
     for kind, module, phi in cases:
-        whole = operators.search_rows(A, module, kind, cocycle=phi)
+        whole = search.search_rows(A, module, kind, cocycle=phi)
         with monkeypatch.context() as patch:
-            patch.setattr(operators, "SEARCH_BLOCK", block)
-            blocked = operators.search_rows(A, module, kind, cocycle=phi)
+            patch.setattr(search, "SEARCH_BLOCK", block)
+            blocked = search.search_rows(A, module, kind, cocycle=phi)
         assert 0 < whole.shape[0] < 81, kind
         assert blocked.shape == whole.shape, kind
         assert blocked.ints.flat == whole.ints.flat, kind
@@ -639,18 +644,48 @@ def test_the_search_evaluates_a_pruned_tree(monkeypatch):
     most 30,757 of them, the 5 rows that read its supports included, and
     nijenhuis on kx2 over F3 (81) is one evaluation of the whole space."""
     blocks = []
-    real = operators._residual
+    real = search._residual
 
     def counting(kind, block, *args, **kwargs):
         blocks.append(block.shape[0])
         return real(kind, block, *args, **kwargs)
 
-    monkeypatch.setattr(operators, "_residual", counting)
+    monkeypatch.setattr(search, "_residual", counting)
     assert len(search_operators(kx2(PrimeField(31)), None, "rb")) == 31
     assert sum(blocks) <= 30757
     blocks.clear()
     assert len(search_operators(kx2(F3), None, "nijenhuis")) == 15
     assert blocks == [81]
+
+
+# a child that checks mult-by-x, then searches kx2 over F3 for rb
+# operators, printing whether rbx.search was loaded before and after the
+# search, and the solutions' scalars
+LIBRARY_SEARCH = """
+import json, sys
+import rbx.operators
+from rbx.fields import F3, QQ
+from rbx.instances import kx2, mult_by_x_instance
+assert rbx.operators.is_grb(mult_by_x_instance(QQ))
+before = "rbx.search" in sys.modules
+found = rbx.operators.search_operators(kx2(F3), None, "rb")
+print(json.dumps([before, "rbx.search" in sys.modules,
+                  [[x.val for x in s.flat] for s in found]]))
+"""
+
+
+def test_only_a_library_search_loads_the_search():
+    """A library check loads no rbx.search; search_operators loads it
+    and returns the solutions it returns in process."""
+    proc = subprocess.run([sys.executable, "-c", LIBRARY_SEARCH],
+                          env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    before, after, found = json.loads(proc.stdout)
+    assert (before, after) == (False, True)
+    assert found == [[x.val for x in s.flat]
+                     for s in search_operators(kx2(F3), None, "rb")]
+    assert len(found) > 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracle import in_spelling, long_digit_run, named
-from rbx import cli, operators
+from rbx import cli, search
 from rbx.algebra import Bimodule, bimodule_check, canonical_bimodule
 from rbx.cochains import Cochain
 from rbx.errors import CapacityError, InputError
@@ -24,7 +24,8 @@ from rbx.gerstenhaber import MultiMap
 from rbx.instances import (kx2, mult_by_x_instance, null_algebra,
                            tensor_square, unit_section)
 from rbx.linalg import nested
-from rbx.operators import OperatorInstance, search_rows
+from rbx.operators import OperatorInstance
+from rbx.search import search_rows
 from rbx.schema import document_from_obj
 from rbx.structures import NSAlgebra, grb_morphism_check
 from test_cli import BLOCKED_IMPORTS, SRC, WITH_BLOCKED_IMPORTS
@@ -120,10 +121,10 @@ def test_a_refusal_is_an_rbx_error_with_its_message(build, error, message):
 
 def test_the_parser_offers_every_search_kind():
     """The parser lists the kinds itself, so that `rbx --help` need not
-    import `operators`; the list must stay the one `search_rows` takes."""
+    import `search`; the list must stay the one `search_rows` takes."""
     (kind,) = [options for names, options in cli.VERBS["search"]
                if names == ("--kind",)]
-    assert tuple(kind["choices"]) == operators._CHECKERS
+    assert tuple(kind["choices"]) == search._CHECKERS
 
 
 # (argv after the document, the last line of the refusal):

@@ -16,8 +16,8 @@ from rbx.fields import F2, F3, F5, QQ
 from rbx.flows import addexp_check, exp_flow
 from rbx.instances import (BUILDERS, kx2, null_algebra, tensor_square,
                            truncated_polynomial)
-from rbx.operators import (OperatorInstance, induced_products, is_grb,
-                           search_rows)
+from rbx.operators import OperatorInstance, induced_products, is_grb
+from rbx.search import search_rows
 from rbx.structures import (check_dendriform, dendriform_from_grb,
                             induced_actions)
 

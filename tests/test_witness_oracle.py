@@ -22,13 +22,14 @@ from oracle import (elements, oracle_accepts, oracle_assoc, oracle_bimodule,
 from propositions import dual_module
 from rbx.algebra import (Algebra, Bimodule, assoc_check, bimodule_check,
                          canonical_bimodule)
-from rbx import linalg, operators
+from rbx import linalg, search
 from rbx.cochains import Cochain, coboundary
 from rbx.fields import F2, F3, F5, QQ, FpElement, PrimeField
 from rbx.instances import kx2, null_algebra, tensor_square
 from rbx.linalg import Encoded
 from rbx.operators import (OperatorInstance, is_grb, is_nijenhuis, is_reynolds,
-                           is_trb, search_operators, search_rows)
+                           is_trb, search_operators)
+from rbx.search import search_rows
 from rbx.structures import Dendriform, NSAlgebra, check_dendriform, check_ns
 
 FIELDS = (QQ, F2, F3, F5)
@@ -240,7 +241,7 @@ def test_search_matches_brute_force_oracle(field, route, monkeypatch):
         with monkeypatch.context() as patch:
             if route == "pure":
                 patch.setattr(linalg, "_np", no_numpy)
-                patch.setattr(operators, "_np", no_numpy)
+                patch.setattr(search, "_np", no_numpy)
             found = search_rows(A, M, kind, cocycle=phi)
         sols = search_operators(A, M, kind, cocycle=phi)
         brute = brute_force(kind, A, M, phi)
@@ -271,10 +272,10 @@ def scaled(A, M, phi, factor):
 # the tensor square of kx2 over F2 (index 3 of its trb cases) is the
 # space whose supports need the twist's pattern
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(operators._CHECKERS),
+@given(kind=st.sampled_from(search._CHECKERS),
        field=st.sampled_from((F2, F3, F5)), index=st.integers(0, 7),
        seed=st.integers(0, 2 ** 16), scale=st.booleans(),
-       block=st.sampled_from((7, operators.SEARCH_BLOCK)))
+       block=st.sampled_from((7, search.SEARCH_BLOCK)))
 @example(kind="trb", field=F2, index=3, seed=0, scale=False, block=7)
 def test_pruned_search_matches_brute_force(kind, field, index, seed, scale,
                                            block):
@@ -289,7 +290,7 @@ def test_pruned_search_matches_brute_force(kind, field, index, seed, scale,
         A, M, phi = scaled(A, M, phi, field.char)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "SEARCH_LEVEL", 1)
-        patch.setattr(operators, "SEARCH_BLOCK", block)
+        patch.setattr(search, "SEARCH_BLOCK", block)
         found = search_rows(A, M, kind, cocycle=phi)
     assert found.ints.flat == list(itertools.chain(
         *brute_force(kind, A, M, phi)))
